@@ -7,10 +7,17 @@
 //! `ε_GP = sup_{[a,b]: b−a≥λ} max(ρ′_U − ρ̂′, ρ̂′ − ρ′_L)`
 //!
 //! with `ρ′_U = F_S(b) − F_L(a)` and `ρ′_L = max(0, F_L(b) − F_S(a))`
-//! (Eqs. 3–4). This module implements the paper's **Algorithm 3**: an
-//! O(m log m) sweep that precomputes suffix maxima of the envelope gaps and
-//! binary-searches the case split of `ρ′_L`, instead of the naive O(m²)
-//! enumeration of interval endpoints.
+//! (Eqs. 3–4). This module implements the paper's **Algorithm 3** instead of
+//! the naive O(m²) enumeration of interval endpoints, and — because the
+//! three ECDFs arrive sorted — does it in O(m): one three-way
+//! [`MergedSupport`] walk yields the candidate endpoints and all three step
+//! arrays (no sort, no search), one backward pass the suffix maxima of the
+//! envelope gaps, and one forward sweep over `a` the supremum, in which the
+//! smallest admissible `b` (`a + λ`) and the case split of `ρ′_L` are two
+//! pointers that only move right, since `a + λ` and `F_S(a)` never decrease.
+//! The `O(m log m)` left in an inference is [`envelope_ecdfs`]' three sorts.
+//! All buffers live in a `BoundScratch`, so a lane that keeps one allocates
+//! nothing per bound.
 //!
 //! Interval convention: probabilities are CDF differences (`(a, b]`
 //! half-open), consistent across all three CDFs, matching Algorithm 3's use
@@ -18,7 +25,21 @@
 //! equals the two-sided-interval supremum for continuous outputs.
 
 use udf_prob::metrics::ks;
-use udf_prob::Ecdf;
+use udf_prob::{Ecdf, MergedSupport};
+
+/// The six buffers of one Algorithm-3 sweep, each `distinct support + 2`
+/// long: the candidate endpoints, the three CDFs there, and the two suffix
+/// maxima. Reused across calls they stop growing after the first.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BoundScratch([Vec<f64>; 6]);
+
+impl BoundScratch {
+    /// Heap capacity of each buffer (what "allocates nothing" is tested on).
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 6] {
+        self.0.each_ref().map(Vec::capacity)
+    }
+}
 
 /// The λ-discrepancy GP error bound ε_GP (Algorithm 3).
 ///
@@ -27,82 +48,94 @@ use udf_prob::Ecdf;
 /// `F_S ≥ F̂ ≥ F_L` holds by construction (each sample's envelope values
 /// bracket its mean value).
 pub fn lambda_discrepancy_bound(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf, lambda: f64) -> f64 {
-    debug_assert!(lambda >= 0.0);
-    // Merged support + sentinels (below: all CDFs 0; above: all CDFs 1).
-    let mut v: Vec<f64> = y_hat
-        .values()
-        .iter()
-        .chain(y_s.values())
-        .chain(y_l.values())
-        .copied()
-        .collect();
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ECDF values are finite"));
-    v.dedup();
-    let lo_sent = v[0] - lambda - 1.0;
-    let hi_sent = v[v.len() - 1] + lambda + 1.0;
-    let mut vals = Vec::with_capacity(v.len() + 2);
-    vals.push(lo_sent);
-    vals.extend_from_slice(&v);
-    vals.push(hi_sent);
-    let k = vals.len();
+    lambda_discrepancy_bound_with(y_hat, y_s, y_l, lambda, &mut BoundScratch::default())
+}
 
-    // Step arrays at each candidate point.
-    let f_hat: Vec<f64> = vals.iter().map(|&y| y_hat.cdf(y)).collect();
-    let f_s: Vec<f64> = vals.iter().map(|&y| y_s.cdf(y)).collect();
-    let f_l: Vec<f64> = vals.iter().map(|&y| y_l.cdf(y)).collect();
+/// [`lambda_discrepancy_bound`] in caller-provided buffers.
+pub(crate) fn lambda_discrepancy_bound_with(
+    y_hat: &Ecdf,
+    y_s: &Ecdf,
+    y_l: &Ecdf,
+    lambda: f64,
+    scratch: &mut BoundScratch,
+) -> f64 {
+    debug_assert!(lambda >= 0.0);
+    for buf in &mut scratch.0 {
+        buf.clear();
+        // The most the merge can yield, so ties never decide the capacity.
+        buf.reserve(y_hat.len() + y_s.len() + y_l.len() + 2);
+    }
+    let [vals, f_hat, f_s, f_l, sm_su, sm_hl] = &mut scratch.0;
+
+    // Step arrays at each candidate point: the merged support between two
+    // sentinels (below: all CDFs 0; above: all CDFs 1 — ranked like any
+    // other point, so a sentinel that rounds onto the support stays exact).
+    let (m_hat, m_s, m_l) = (y_hat.len() as f64, y_s.len() as f64, y_l.len() as f64);
+    let lo_sent = y_hat.min().min(y_s.min()).min(y_l.min()) - lambda - 1.0;
+    let hi_sent = y_hat.max().max(y_s.max()).max(y_l.max()) + lambda + 1.0;
+    let sentinel = |y: f64| (y, [y_hat.count_le(y), y_s.count_le(y), y_l.count_le(y)]);
+    let points = std::iter::once(sentinel(lo_sent))
+        .chain(MergedSupport::new([y_hat, y_s, y_l]))
+        .chain(std::iter::once(sentinel(hi_sent)));
+    for (y, [r_hat, r_s, r_l]) in points {
+        vals.push(y);
+        f_hat.push(r_hat as f64 / m_hat);
+        f_s.push(r_s as f64 / m_s);
+        f_l.push(r_l as f64 / m_l);
+    }
+    let k = vals.len();
 
     // Suffix maxima (Algorithm 3 Step 2):
     //   sm_su[j] = max_{i ≥ j} (F_S − F̂)(v_i)   — for ρ′_U − ρ̂′
     //   sm_hl[j] = max_{i ≥ j} (F̂ − F_L)(v_i)   — for ρ̂′ − ρ′_L, case B
-    let mut sm_su = vec![f64::NEG_INFINITY; k + 1];
-    let mut sm_hl = vec![f64::NEG_INFINITY; k + 1];
+    // A right-continuous step function's sup over { b ≥ t } is its suffix
+    // maximum from the last point ≤ t (t's flat segment) on.
+    sm_su.resize(k, 0.0);
+    sm_hl.resize(k, 0.0);
+    let (mut su, mut hl) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for j in (0..k).rev() {
-        sm_su[j] = sm_su[j + 1].max(f_s[j] - f_hat[j]);
-        sm_hl[j] = sm_hl[j + 1].max(f_hat[j] - f_l[j]);
+        su = su.max(f_s[j] - f_hat[j]);
+        hl = hl.max(f_hat[j] - f_l[j]);
+        sm_su[j] = su;
+        sm_hl[j] = hl;
     }
 
-    // Sup of a right-continuous step function over { b ≥ t }: combine the
-    // value on t's flat segment with the suffix over later jump points.
-    let floor_idx = |t: f64| -> usize {
-        // Largest index with vals[idx] <= t; lo_sent guarantees existence.
-        vals.partition_point(|&x| x <= t) - 1
-    };
-    let step_sup_from = |suffix: &[f64], t: f64, point_vals: &dyn Fn(usize) -> f64| -> f64 {
-        let fi = floor_idx(t);
-        point_vals(fi).max(suffix[fi + 1])
-    };
-
     let mut best = 0.0f64;
-    for (ai, &a) in vals.iter().enumerate() {
-        let t = a + lambda; // b must satisfy b ≥ t
+    let mut floor = 0; // largest index with vals[floor] ≤ a + λ
+    let mut k1 = 0; // first index with F_L > F_S(a)
+    for ai in 0..k {
+        let t = vals[ai] + lambda; // b must satisfy b ≥ t
         if t > hi_sent {
-            continue;
+            break; // every later a + λ is at least as large
+        }
+        while floor + 1 < k && vals[floor + 1] <= t {
+            floor += 1;
         }
 
         // --- ρ′_U − ρ̂′ = (F_S − F̂)(b) + (F̂ − F_L)(a), b ≥ t.
-        let su_b = step_sup_from(&sm_su, t, &|i| f_s[i] - f_hat[i]);
-        best = best.max(su_b + (f_hat[ai] - f_l[ai]));
+        best = best.max(sm_su[floor] + (f_hat[ai] - f_l[ai]));
 
         // --- ρ̂′ − ρ′_L = F̂(b) − F̂(a) − max(0, F_L(b) − F_S(a)), b ≥ t.
         let c = f_s[ai];
-        // Case A: F_L(b) ≤ c. F_L(b) ≤ c holds for b < vals[k1] where k1 is
-        // the first index with F_L > c; on that region F̂ is maximized just
-        // below vals[k1] (i.e. at index k1-1), subject to b ≥ t.
-        let k1 = f_l.partition_point(|&x| x <= c); // first idx with F_L > c
+        // Case A: F_L(b) ≤ c. F_L(b) ≤ c holds for b < vals[k1]; on that
+        // region F̂ is maximized just below vals[k1] (i.e. at index k1-1),
+        // subject to b ≥ t.
+        while k1 < k && f_l[k1] <= c {
+            k1 += 1;
+        }
         if k1 > 0 {
             let b_region_top = k1 - 1; // largest index with F_L ≤ c
             if vals[b_region_top] >= t {
                 best = best.max(f_hat[b_region_top] - f_hat[ai]);
             } else if k1 < k && t < vals[k1] {
                 // b ∈ [t, vals[k1]) nonempty; F̂ there equals F̂(floor(t)).
-                best = best.max(f_hat[floor_idx(t)] - f_hat[ai]);
+                best = best.max(f_hat[floor] - f_hat[ai]);
             }
         }
         // Case B: F_L(b) > c, i.e. b ≥ vals[k1] (if any); also b ≥ t.
         if k1 < k {
-            let t2 = t.max(vals[k1]);
-            let hl_b = step_sup_from(&sm_hl, t2, &|i| f_hat[i] - f_l[i]);
-            best = best.max(hl_b + (c - f_hat[ai]));
+            let from = if t >= vals[k1] { floor } else { k1 };
+            best = best.max(sm_hl[from] + (c - f_hat[ai]));
         }
     }
     best.max(0.0)
@@ -187,6 +220,138 @@ mod tests {
         let means: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let sds: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..1.0)).collect();
         envelope_ecdfs(&means, &sds, 2.0).unwrap()
+    }
+
+    /// Algorithm 3 as it was before the merged walk: sort + dedup of the
+    /// 3m concatenated samples, binary-searched step arrays, and a binary
+    /// search per candidate for `floor_idx` and the case split.
+    fn lambda_discrepancy_bound_oracle(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf, lambda: f64) -> f64 {
+        let mut v: Vec<f64> = y_hat
+            .values()
+            .iter()
+            .chain(y_s.values())
+            .chain(y_l.values())
+            .copied()
+            .collect();
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ECDF values are finite"));
+        v.dedup();
+        let lo_sent = v[0] - lambda - 1.0;
+        let hi_sent = v[v.len() - 1] + lambda + 1.0;
+        let mut vals = Vec::with_capacity(v.len() + 2);
+        vals.push(lo_sent);
+        vals.extend_from_slice(&v);
+        vals.push(hi_sent);
+        let k = vals.len();
+
+        let f_hat: Vec<f64> = vals.iter().map(|&y| y_hat.cdf(y)).collect();
+        let f_s: Vec<f64> = vals.iter().map(|&y| y_s.cdf(y)).collect();
+        let f_l: Vec<f64> = vals.iter().map(|&y| y_l.cdf(y)).collect();
+
+        let mut sm_su = vec![f64::NEG_INFINITY; k + 1];
+        let mut sm_hl = vec![f64::NEG_INFINITY; k + 1];
+        for j in (0..k).rev() {
+            sm_su[j] = sm_su[j + 1].max(f_s[j] - f_hat[j]);
+            sm_hl[j] = sm_hl[j + 1].max(f_hat[j] - f_l[j]);
+        }
+
+        let floor_idx = |t: f64| -> usize { vals.partition_point(|&x| x <= t) - 1 };
+        let step_sup_from = |suffix: &[f64], t: f64, point_vals: &dyn Fn(usize) -> f64| -> f64 {
+            let fi = floor_idx(t);
+            point_vals(fi).max(suffix[fi + 1])
+        };
+
+        let mut best = 0.0f64;
+        for (ai, &a) in vals.iter().enumerate() {
+            let t = a + lambda;
+            if t > hi_sent {
+                continue;
+            }
+            let su_b = step_sup_from(&sm_su, t, &|i| f_s[i] - f_hat[i]);
+            best = best.max(su_b + (f_hat[ai] - f_l[ai]));
+
+            let c = f_s[ai];
+            let k1 = f_l.partition_point(|&x| x <= c);
+            if k1 > 0 {
+                let b_region_top = k1 - 1;
+                if vals[b_region_top] >= t {
+                    best = best.max(f_hat[b_region_top] - f_hat[ai]);
+                } else if k1 < k && t < vals[k1] {
+                    best = best.max(f_hat[floor_idx(t)] - f_hat[ai]);
+                }
+            }
+            if k1 < k {
+                let t2 = t.max(vals[k1]);
+                let hl_b = step_sup_from(&sm_hl, t2, &|i| f_hat[i] - f_l[i]);
+                best = best.max(hl_b + (c - f_hat[ai]));
+            }
+        }
+        best.max(0.0)
+    }
+
+    /// Length 1..=2000, mostly short so thousands of cases stay cheap.
+    fn random_len(rng: &mut StdRng) -> usize {
+        if rng.gen_bool(0.1) {
+            rng.gen_range(1..=2000)
+        } else {
+            rng.gen_range(1..=48)
+        }
+    }
+
+    /// `m` values, continuous or — `grid` — on a 0.5 grid with signed
+    /// zeros, so ties within and across ECDFs are the norm; times `scale`.
+    fn random_values(rng: &mut StdRng, m: usize, grid: bool, scale: f64) -> Vec<f64> {
+        (0..m)
+            .map(|_| match (grid, rng.gen_range(-6i32..=6)) {
+                (false, _) => scale * rng.gen_range(-3.0..3.0),
+                (true, 0) if rng.gen_bool(0.5) => -0.0,
+                (true, k) => scale * 0.5 * f64::from(k),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_sweep_is_bit_identical_to_sort_and_search() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        // One scratch for every case: stale contents of any length must
+        // not leak into the next bound.
+        let mut scratch = BoundScratch::default();
+        let mut cases = 0;
+        for case in 0..3000 {
+            let grid = case % 2 == 1;
+            // Every 25th case is so large that `min − λ − 1` rounds back
+            // onto the support: the sentinels stop being strict.
+            let scale = if case % 25 == 24 { 1e17 } else { 1.0 };
+            let (h, s, l) = match case % 3 {
+                // Envelopes as inference builds them; sd = 0 on every
+                // fourth makes the three ECDFs identical.
+                0 => {
+                    let m = random_len(&mut rng);
+                    let means = random_values(&mut rng, m, grid, scale);
+                    let sd_max = if case % 4 == 0 { 0.0 } else { scale };
+                    let sds: Vec<f64> = random_values(&mut rng, m, grid, sd_max)
+                        .iter()
+                        .map(|sd| sd.abs())
+                        .collect();
+                    envelope_ecdfs(&means, &sds, 2.0).unwrap()
+                }
+                // Three unrelated ECDFs of unequal length (no F_S ≥ F̂ ≥ F_L).
+                _ => {
+                    let mut one = || {
+                        let m = random_len(&mut rng);
+                        Ecdf::new(random_values(&mut rng, m, grid, scale)).unwrap()
+                    };
+                    (one(), one(), one())
+                }
+            };
+            let width = h.max().max(s.max()).max(l.max()) - h.min().min(s.min()).min(l.min());
+            for lambda in [0.0, 1e-3, width * rng.gen_range(0.05..0.6), width + 1.0] {
+                let want = lambda_discrepancy_bound_oracle(&h, &s, &l, lambda);
+                let got = lambda_discrepancy_bound_with(&h, &s, &l, lambda, &mut scratch);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case}, λ = {lambda}");
+                cases += 1;
+            }
+        }
+        assert!(cases >= 10_000);
     }
 
     #[test]

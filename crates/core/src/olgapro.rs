@@ -14,7 +14,9 @@
 //!    hyperparameters only when the first Newton step exceeds Δθ.
 
 use crate::config::{Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
-use crate::error_bound::{envelope_ecdfs, ks_bound, lambda_discrepancy_bound};
+use crate::error_bound::{
+    envelope_ecdfs, ks_bound, lambda_discrepancy_bound, lambda_discrepancy_bound_with, BoundScratch,
+};
 use crate::output::GpOutput;
 use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
@@ -27,7 +29,7 @@ use udf_gp::{
     GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch, SquaredExponential,
 };
 use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceBuffer, TraceEvent};
-use udf_prob::InputDistribution;
+use udf_prob::{Ecdf, InputDistribution};
 use udf_spatial::BoundingBox;
 
 /// OLGAPRO's observability handles — the paper's cost knobs made visible:
@@ -91,11 +93,11 @@ impl OlgaproMetrics {
 }
 
 /// Reusable buffers for one evaluation lane: the Monte Carlo sample block,
-/// the local-selection scratch, the blocked-prediction scratch, and the
-/// one-entry [`LocalPredictorCache`]. Each [`crate::sched::BatchScheduler`]
-/// worker owns one, so the warm fast path allocates nothing per tuple in
-/// steady state; sequential callers ([`Olgapro::process`]) reuse the one
-/// embedded in the evaluator.
+/// the local-selection scratch, the blocked-prediction scratch, the
+/// one-entry [`LocalPredictorCache`], and the Algorithm-3 sweep's arrays.
+/// Each [`crate::sched::BatchScheduler`] worker owns one, so the warm fast
+/// path reuses them all from tuple to tuple; sequential callers
+/// ([`Olgapro::process`]) reuse the one embedded in the evaluator.
 #[derive(Debug, Default, Clone)]
 pub struct InferScratch {
     /// The m drawn samples of the current tuple.
@@ -113,7 +115,11 @@ struct InferBuffers {
     preds: Vec<Prediction>,
     means: Vec<f64>,
     sds: Vec<f64>,
+    bound: BoundScratch,
 }
+
+/// The three ECDFs of one inference: Ŷ′, Y′_S, Y′_L.
+type Envelopes = (Ecdf, Ecdf, Ecdf);
 
 /// How online tuning picks the next training point (Expt 2 compares these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,8 +356,8 @@ impl Olgapro {
         input.sample_n_into(rng, m, &mut scratch.samples);
         let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-        let eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
-        let (y_hat, y_s, y_l) = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
+        let (eps_gp, (y_hat, y_s, y_l)) =
+            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
         if let Some(t0) = t_fast {
             self.metrics.fastpath_ns.record_duration(t0.elapsed());
         }
@@ -421,10 +427,11 @@ impl Olgapro {
         }
 
         // Steps 2–7: inference + error bound + online tuning loop. The
-        // latest means/sds live in `scratch.buf` across iterations.
+        // latest means/sds live in `scratch.buf` across iterations, and the
+        // latest inference's envelopes are the ones emitted.
         let t_tuning = self.metrics.tuning_ns.enabled().then(Instant::now);
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-        let mut eps_gp =
+        let (mut eps_gp, mut envelopes) =
             self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
         while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
             // Model-size budget: bounded per-tuple cost on long runs.
@@ -469,7 +476,8 @@ impl Olgapro {
                 },
             );
             points_added += 1;
-            eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+            (eps_gp, envelopes) =
+                self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
         }
         if let Some(t0) = t_tuning {
             self.metrics.tuning_ns.record_duration(t0.elapsed());
@@ -493,7 +501,12 @@ impl Olgapro {
                 retrained = true;
                 // Re-run inference with the new hyperparameters (step 12).
                 let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-                eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf)?;
+                (eps_gp, _) =
+                    self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf)?;
+                // The output reports the pre-retrain `z_alpha`, so its
+                // envelopes are the new predictions widened by that z, not
+                // the `z2` ones the bound was just computed on.
+                envelopes = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
                 }
@@ -505,7 +518,7 @@ impl Olgapro {
         self.metrics.model_points.set(self.model.len() as u64);
         self.metrics.model_size.record(self.model.len() as u64);
 
-        let (y_hat, y_s, y_l) = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
+        let (y_hat, y_s, y_l) = envelopes;
         Ok(GpOutput {
             y_hat,
             y_s,
@@ -534,8 +547,8 @@ impl Olgapro {
 
     /// One inference pass: blocked local (or global) prediction at every
     /// sample plus the Algorithm-3 / Prop-4.2 error bound. The per-sample
-    /// means/sds are left in `buf.means` / `buf.sds`; the returned value is
-    /// the error bound.
+    /// means/sds are left in `buf.means` / `buf.sds`; returned are the
+    /// error bound and the envelope ECDFs (at `z_alpha`) it was computed on.
     ///
     /// All m samples are evaluated as one kernel-matrix build + one
     /// multi-RHS solve ([`udf_gp::batch`]), bit-identical to the former
@@ -547,7 +560,7 @@ impl Olgapro {
         bbox: &BoundingBox,
         z_alpha: f64,
         buf: &mut InferBuffers,
-    ) -> Result<f64> {
+    ) -> Result<(f64, Envelopes)> {
         // Local inference when the kernel is isotropic; global otherwise.
         // An *empty* selection is legitimate (every training point is far
         // enough that its weight is below Γ) but the local predictor needs
@@ -576,12 +589,16 @@ impl Olgapro {
         buf.sds.extend(buf.preds.iter().map(|p| p.var.sqrt()));
         let (y_hat, y_s, y_l) = envelope_ecdfs(&buf.means, &buf.sds, z_alpha)?;
         let eps_gp = match self.config.accuracy.metric {
-            Metric::Discrepancy => {
-                lambda_discrepancy_bound(&y_hat, &y_s, &y_l, self.config.accuracy.lambda)
-            }
+            Metric::Discrepancy => lambda_discrepancy_bound_with(
+                &y_hat,
+                &y_s,
+                &y_l,
+                self.config.accuracy.lambda,
+                &mut buf.bound,
+            ),
             Metric::Ks => ks_bound(&y_hat, &y_s, &y_l),
         };
-        Ok(eps_gp)
+        Ok((eps_gp, (y_hat, y_s, y_l)))
     }
 
     /// Online tuning (§5.2): choose the sample to evaluate next.
@@ -861,9 +878,64 @@ mod tests {
             .unwrap();
         let b = olga.process(&input, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a.y_hat.values(), b.y_hat.values());
+        assert_eq!(a.y_s.values(), b.y_s.values());
+        assert_eq!(a.y_l.values(), b.y_l.values());
         assert_eq!(a.eps_gp, b.eps_gp);
         assert_eq!(b.points_added, 0);
         assert!(!b.retrained);
+    }
+
+    #[test]
+    fn retrained_output_keeps_pre_retrain_z_bitwise() {
+        // `process` emits the envelopes of its last inference — except
+        // after a retrain, where the bound is recomputed at the new
+        // hyperparameters' z while the output keeps the z (and envelopes
+        // at that z) from before. Goldens captured on the commit before
+        // envelope reuse, so the reuse cannot move an emitted bit.
+        let mut cfg = config(0.2);
+        cfg.retrain = RetrainStrategy::Eager;
+        let mut olga = Olgapro::new(smooth_udf(), cfg);
+        let input = InputDistribution::diagonal_gaussian(&[(1.0, 0.4)]).unwrap();
+        let out = olga
+            .process(&input, &mut StdRng::seed_from_u64(77))
+            .unwrap();
+        assert!(out.retrained && out.points_added == 6);
+
+        // The case is the interesting one: the retrained model's z differs.
+        let mut samples = Vec::new();
+        let m = olga.config().samples_per_input();
+        input.sample_n_into(&mut StdRng::seed_from_u64(77), m, &mut samples);
+        let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
+        let z_post = simultaneous_z(olga.model().kernel(), &bbox, olga.config().split().delta_gp);
+        assert_ne!(z_post.to_bits(), out.z_alpha.to_bits());
+
+        let ends = |e: &Ecdf| [e.min().to_bits(), e.max().to_bits()];
+        assert_eq!(out.eps_gp.to_bits(), 0x3f90125e227080a0);
+        assert_eq!(out.z_alpha.to_bits(), 0x40058100f84adba0);
+        assert_eq!(ends(&out.y_s), [0xbfa47819f75f1aca, 0x3feff387c1ca4cba]);
+        assert_eq!(ends(&out.y_l), [0xbf9e3aab349b5a6c, 0x3ff00125f4050523]);
+    }
+
+    #[test]
+    fn bound_stage_allocates_nothing_in_steady_state() {
+        let mut olga = Olgapro::new(smooth_udf(), config(0.2));
+        let mut rng = StdRng::seed_from_u64(31);
+        for i in 0..8 {
+            let input = InputDistribution::diagonal_gaussian(&[(0.8 * i as f64, 0.4)]).unwrap();
+            olga.process(&input, &mut rng).unwrap();
+        }
+        let mut scratch = InferScratch::default();
+        let mut after_first = None;
+        for i in 0..200 {
+            let mu = 0.8 * (i % 8) as f64 + 0.01 * i as f64;
+            let input = InputDistribution::diagonal_gaussian(&[(mu, 0.4)]).unwrap();
+            olga.infer_only_with(&input, &mut rng, &mut scratch)
+                .unwrap();
+            let caps = scratch.buf.bound.capacities();
+            assert_eq!(*after_first.get_or_insert(caps), caps, "call {i}");
+        }
+        let m = olga.config().samples_per_input();
+        assert!(after_first.unwrap().iter().all(|&c| c >= m + 2));
     }
 
     #[test]

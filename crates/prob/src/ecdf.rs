@@ -21,10 +21,10 @@ impl Ecdf {
         if samples.is_empty() {
             return Err(ProbError::Empty("ECDF samples"));
         }
-        if samples.iter().any(|v| !v.is_finite()) {
+        if let Some(&value) = samples.iter().find(|v| !v.is_finite()) {
             return Err(ProbError::InvalidParameter {
                 what: "ECDF sample (non-finite)",
-                value: f64::NAN,
+                value,
             });
         }
         samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
@@ -179,7 +179,16 @@ mod tests {
     fn rejects_bad_input() {
         assert!(Ecdf::new(vec![]).is_err());
         assert!(Ecdf::new(vec![1.0, f64::NAN]).is_err());
-        assert!(Ecdf::new(vec![f64::INFINITY]).is_err());
+        // The diagnostic names the offending sample, not a placeholder NaN.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Ecdf::new(vec![1.0, bad, f64::NAN]),
+                Err(ProbError::InvalidParameter {
+                    what: "ECDF sample (non-finite)",
+                    value: bad,
+                })
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   [`dist`];
 //! * multivariate uncertain inputs (independent marginals or a correlated
 //!   Gaussian via Cholesky) — [`input`];
-//! * empirical CDFs — [`ecdf`];
+//! * empirical CDFs — [`ecdf`] — and the one linear walk over the merged
+//!   support of several of them that every metric and bound sweeps —
+//!   [`merged`];
 //! * the **discrepancy**, **λ-discrepancy** and **KS** distance metrics
 //!   (Definitions 1–3) — [`metrics`];
 //! * DKW / Hoeffding sample-size and confidence-interval helpers
@@ -19,6 +21,7 @@ pub mod bounds;
 pub mod dist;
 pub mod ecdf;
 pub mod input;
+pub mod merged;
 pub mod metrics;
 pub mod special;
 
@@ -27,6 +30,7 @@ pub use dist::{
 };
 pub use ecdf::Ecdf;
 pub use input::InputDistribution;
+pub use merged::MergedSupport;
 
 use std::fmt;
 

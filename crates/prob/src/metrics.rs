@@ -1,36 +1,39 @@
 //! Distance metrics between random variables (§2.1, Definitions 1–3).
 //!
 //! All three metrics are suprema of differences of interval probabilities and
-//! are computed exactly on empirical CDFs by sweeping the merged support:
+//! are computed exactly on empirical CDFs in one linear walk over the merged
+//! support ([`MergedSupport`]: no sort, no binary search — the ECDFs are
+//! already sorted, and the walk hands out integer ranks):
 //!
 //! * **KS** (Def. 2): `sup_y |F(y) − G(y)|` — one-sided intervals;
 //! * **discrepancy** (Def. 1): `sup_{a≤b} |P_F[a,b] − P_G[a,b]|` — two-sided;
 //! * **λ-discrepancy** (Def. 3): restricted to `b − a ≥ λ`.
 //!
 //! Writing `g(y) = F(y) − G(y)`, an interval difference is
-//! `P_F[a,b] − P_G[a,b] = g(b) − g(a⁻)`, so the discrepancy sweep reduces to
-//! extremizing `g` at step points (right values and left limits) subject to
-//! the interval-length constraint. The λ-constrained sweep treats the
-//! boundary case `a = b − λ` inclusively for both the left-limit and
-//! right-value candidates, which can only *over*-estimate the supremum by an
+//! `P_F[a,b] − P_G[a,b] = g(b) − g(a⁻)`, so both sweeps reduce to extremizing
+//! `g` over its step points. Left limits need no separate candidates: `g` is
+//! a right-continuous step function, so `g(v_i⁻)` *is* `g(v_{i−1})` (0 below
+//! the support), a value the walk has already seen. The λ-constrained sweep
+//! treats the boundary case `a = b − λ` inclusively ("a slightly above
+//! `v_i`"), which can only *over*-estimate the supremum by an
 //! infinitesimal-interval relaxation — the conservative direction for error
 //! bounds.
 
 use crate::ecdf::Ecdf;
+use crate::merged::MergedSupport;
+
+/// `g(v) = F(v) − G(v)` at each distinct point `v` of the merged support,
+/// ascending, in the floats [`Ecdf::cdf`] would return.
+fn cdf_differences<'a>(f: &'a Ecdf, g: &'a Ecdf) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let (mf, mg) = (f.len() as f64, g.len() as f64);
+    MergedSupport::new([f, g]).map(move |(v, [rf, rg])| (v, rf as f64 / mf - rg as f64 / mg))
+}
 
 /// Exact Kolmogorov–Smirnov distance between two empirical CDFs.
 pub fn ks(f: &Ecdf, g: &Ecdf) -> f64 {
-    let mut best = 0.0f64;
-    // Evaluate at every step point of either ECDF, both the right value and
-    // the left limit (the sup of a difference of step functions is attained
-    // at a step of one of them).
-    for v in f.values().iter().chain(g.values()) {
-        let d_right = (f.cdf(*v) - g.cdf(*v)).abs();
-        let left = prev_float(*v);
-        let d_left = (f.cdf(left) - g.cdf(left)).abs();
-        best = best.max(d_right).max(d_left);
-    }
-    best
+    // The sup of a difference of step functions is attained at a step of
+    // one of them.
+    cdf_differences(f, g).fold(0.0, |best, (_, d)| best.max(d.abs()))
 }
 
 /// One-sample KS distance between an empirical CDF and an analytic CDF.
@@ -55,73 +58,38 @@ pub fn discrepancy(f: &Ecdf, g: &Ecdf) -> f64 {
 /// the plain discrepancy.
 pub fn lambda_discrepancy(f: &Ecdf, g: &Ecdf, lambda: f64) -> f64 {
     debug_assert!(lambda >= 0.0);
-    // Merged, sorted, deduplicated support.
-    let mut v: Vec<f64> = f.values().iter().chain(g.values()).copied().collect();
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ECDF values are finite"));
-    v.dedup();
+    let steps: Vec<(f64, f64)> = cdf_differences(f, g).collect();
 
-    // g_at[i] = g(v_i), g_left[i] = g(v_i⁻).
-    let g_at: Vec<f64> = v.iter().map(|&y| f.cdf(y) - g.cdf(y)).collect();
-    let g_left: Vec<f64> = v
-        .iter()
-        .map(|&y| {
-            let l = prev_float(y);
-            f.cdf(l) - g.cdf(l)
-        })
-        .collect();
-
-    // Two-pointer sweep: for each right endpoint b = v[j], admit left-end
-    // candidates a with a ≤ b − λ. The left-limit value g(a⁻) ranges over
-    // {0} ∪ {g_left[i] : v_i ≤ b−λ} ∪ {g_at[i] : v_i ≤ b−λ} (the g_at case
-    // is "a slightly above v_i").
+    // Two-pointer sweep: for each right endpoint b = v_j, admit left-end
+    // candidates a with a ≤ b − λ. The left value g(a⁻) ranges over
+    // {0} ∪ {g(v_i) : v_i ≤ b − λ}.
     let mut lo = 0.0f64; // prefix min of admissible left values (0 = a below support)
     let mut hi = 0.0f64; // prefix max
     let mut i = 0usize;
     let mut best = 0.0f64;
-    for (j, &b) in v.iter().enumerate() {
-        while i < v.len() && v[i] <= b - lambda {
-            lo = lo.min(g_left[i]).min(g_at[i]);
-            hi = hi.max(g_left[i]).max(g_at[i]);
+    for &(b, g_b) in &steps {
+        while i < steps.len() && steps[i].0 <= b - lambda {
+            lo = lo.min(steps[i].1);
+            hi = hi.max(steps[i].1);
             i += 1;
         }
-        best = best.max(g_at[j] - lo).max(hi - g_at[j]);
-        // b beyond the top of the support: interval [a, ∞) has g(b) = 0.
-        if j + 1 == v.len() {
-            // Admit every candidate for the unbounded right end.
-            let (mut lo2, mut hi2) = (lo, hi);
-            while i < v.len() {
-                lo2 = lo2.min(g_left[i]).min(g_at[i]);
-                hi2 = hi2.max(g_left[i]).max(g_at[i]);
-                i += 1;
-            }
-            best = best.max(-lo2).max(hi2);
-        }
+        best = best.max(g_b - lo).max(hi - g_b);
     }
-    best
-}
-
-/// Largest `f64` strictly below `x` (step-function left limits).
-fn prev_float(x: f64) -> f64 {
-    // f64::next_down is stable since 1.86; implement for wider toolchains.
-    if x.is_nan() || x == f64::NEG_INFINITY {
-        return x;
+    // b beyond the top of the support: the interval [a, ∞) has g(b) = 0 and
+    // admits every candidate.
+    for &(_, g_a) in &steps[i..] {
+        lo = lo.min(g_a);
+        hi = hi.max(g_a);
     }
-    let bits = x.to_bits();
-    let next = if x > 0.0 {
-        bits - 1
-    } else if x < 0.0 {
-        bits + 1
-    } else {
-        // x == ±0.0 → smallest negative subnormal
-        (-f64::MIN_POSITIVE * 0.0_f64.max(f64::MIN_POSITIVE)).to_bits() | (1u64 << 63) | 1
-    };
-    f64::from_bits(next)
+    best.max(-lo).max(hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::special::norm_cdf;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn e(v: &[f64]) -> Ecdf {
         Ecdf::new(v.to_vec()).unwrap()
@@ -240,6 +208,104 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `ks` as it was before the merged walk: both CDFs binary-searched at
+    /// every sample and at its left limit.
+    fn ks_oracle(f: &Ecdf, g: &Ecdf) -> f64 {
+        let mut best = 0.0f64;
+        for v in f.values().iter().chain(g.values()) {
+            let d_right = (f.cdf(*v) - g.cdf(*v)).abs();
+            let left = v.next_down();
+            let d_left = (f.cdf(left) - g.cdf(left)).abs();
+            best = best.max(d_right).max(d_left);
+        }
+        best
+    }
+
+    /// `lambda_discrepancy` as it was before the merged walk: sort + dedup
+    /// of the concatenated samples, binary-searched step arrays with
+    /// explicit left limits, then the same two-pointer sweep.
+    fn lambda_discrepancy_oracle(f: &Ecdf, g: &Ecdf, lambda: f64) -> f64 {
+        let mut v: Vec<f64> = f.values().iter().chain(g.values()).copied().collect();
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("ECDF values are finite"));
+        v.dedup();
+        let g_at: Vec<f64> = v.iter().map(|&y| f.cdf(y) - g.cdf(y)).collect();
+        let g_left: Vec<f64> = v
+            .iter()
+            .map(|&y| f.cdf(y.next_down()) - g.cdf(y.next_down()))
+            .collect();
+        let mut lo = 0.0f64;
+        let mut hi = 0.0f64;
+        let mut i = 0usize;
+        let mut best = 0.0f64;
+        for (j, &b) in v.iter().enumerate() {
+            while i < v.len() && v[i] <= b - lambda {
+                lo = lo.min(g_left[i]).min(g_at[i]);
+                hi = hi.max(g_left[i]).max(g_at[i]);
+                i += 1;
+            }
+            best = best.max(g_at[j] - lo).max(hi - g_at[j]);
+            if j + 1 == v.len() {
+                let (mut lo2, mut hi2) = (lo, hi);
+                while i < v.len() {
+                    lo2 = lo2.min(g_left[i]).min(g_at[i]);
+                    hi2 = hi2.max(g_left[i]).max(g_at[i]);
+                    i += 1;
+                }
+                best = best.max(-lo2).max(hi2);
+            }
+        }
+        best
+    }
+
+    /// A random sample of length 1..=2000 (mostly short, so ten thousand
+    /// cases stay cheap), continuous or — `grid` — on a 0.5 grid with
+    /// signed zeros, so ties within and across ECDFs are the norm.
+    fn random_sample(rng: &mut StdRng, grid: bool) -> Vec<f64> {
+        let m = if rng.gen_bool(0.1) {
+            rng.gen_range(1..=2000)
+        } else {
+            rng.gen_range(1..=48)
+        };
+        (0..m)
+            .map(|_| match (grid, rng.gen_range(-6i32..=6)) {
+                (false, _) => rng.gen_range(-3.0..3.0),
+                (true, 0) if rng.gen_bool(0.5) => -0.0,
+                (true, k) => 0.5 * f64::from(k),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_walk_is_bit_identical_to_sort_and_search() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut cases = 0;
+        for case in 0..3000 {
+            let grid = case % 2 == 1;
+            let a = e(&random_sample(&mut rng, grid));
+            // Every third pair is the same ECDF twice (a zero-width envelope).
+            let b = if case % 3 == 0 {
+                a.clone()
+            } else {
+                e(&random_sample(&mut rng, grid))
+            };
+            assert_eq!(
+                ks(&a, &b).to_bits(),
+                ks_oracle(&a, &b).to_bits(),
+                "ks, case {case}"
+            );
+            let width = a.max().max(b.max()) - a.min().min(b.min());
+            for lambda in [0.0, 1e-3, width * rng.gen_range(0.05..0.6), width + 1.0] {
+                assert_eq!(
+                    lambda_discrepancy(&a, &b, lambda).to_bits(),
+                    lambda_discrepancy_oracle(&a, &b, lambda).to_bits(),
+                    "λ-discrepancy, case {case}, λ = {lambda}"
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases >= 10_000);
     }
 
     /// O(k²) reference: try every pair of candidate endpoints on a fine grid
