@@ -8,8 +8,25 @@ use std::time::{Duration, Instant};
 use udf_bench::{as_udf, header, paper_accuracy, standard_inputs};
 use udf_core::config::OlgaproConfig;
 use udf_core::olgapro::Olgapro;
-use udf_core::parallel::ParallelOlgapro;
+use udf_core::{BatchCounts, BatchScheduler, BatchSpec, Evaluator};
+use udf_prob::InputDistribution;
 use udf_workloads::synthetic::PaperFunction;
+
+/// One unfiltered batch on `sched`'s pool, tuple id = index.
+fn process_batch(
+    eval: &mut Evaluator,
+    sched: &BatchScheduler,
+    batch: &[InputDistribution],
+    seed: u64,
+) -> udf_core::Result<BatchCounts> {
+    let spec = BatchSpec {
+        seed,
+        stream: 0,
+        predicate: None,
+    };
+    let tuple = |i: usize| (i as u64, &batch[i]);
+    eval.run_two_phase(sched, spec, batch.len(), tuple, |_, _| {})
+}
 
 fn main() {
     header(
@@ -26,14 +43,15 @@ fn main() {
     for workers in [1usize, 2, 4, 8] {
         let cfg = OlgaproConfig::new(acc, range).expect("config");
         let olga = Olgapro::new(as_udf(&f, Duration::ZERO), cfg);
-        let mut par = ParallelOlgapro::new(olga, workers);
+        let mut eval = Evaluator::Gp(Box::new(olga));
+        let sched = BatchScheduler::new(workers);
         let t0 = Instant::now();
-        par.process_batch(&batch, 1).expect("warm-up batch");
+        process_batch(&mut eval, &sched, &batch, 1).expect("warm-up batch");
         let warm = t0.elapsed();
         // Second warm-up to fully converge, then measure.
-        par.process_batch(&batch, 2).expect("second warm-up");
+        process_batch(&mut eval, &sched, &batch, 2).expect("second warm-up");
         let t1 = Instant::now();
-        let (_, stats) = par.process_batch(&batch, 3).expect("steady batch");
+        let stats = process_batch(&mut eval, &sched, &batch, 3).expect("steady batch");
         let steady = t1.elapsed();
         let base = *baseline.get_or_insert(steady.as_secs_f64());
         println!(
@@ -41,7 +59,7 @@ fn main() {
             warm.as_secs_f64() * 1e3,
             steady.as_secs_f64() * 1e3,
             base / steady.as_secs_f64(),
-            stats.fast_path,
+            stats.accepted_fast,
         );
     }
 }

@@ -1,0 +1,612 @@
+//! The batch operator: how one tuple of a batch is ruled, emitted and
+//! counted — written once, for every front-end.
+//!
+//! The paper has one per-tuple procedure: Algorithm 5 with the §5.5 filter
+//! in front of it (Algorithm 1 with Remark 2.1's early stop on the MC
+//! side). An [`Evaluator`] runs it over a batch in one of two shapes:
+//!
+//! * [`run_two_phase`](Evaluator::run_two_phase) — the parallel shape on a
+//!   [`BatchScheduler`]. MC tuples share nothing, so the batch is one
+//!   parallel map. GP tuples are inferred concurrently against the *frozen*
+//!   model, then ruled in tuple order: drop if `ρ_U < θ`; accept iff
+//!   `ε_GP` is within budget or the model is full (a counted cap hit);
+//!   otherwise re-run through the full model-mutating path.
+//! * [`run_sequential`](Evaluator::run_sequential) — every tuple through
+//!   that same full path in order, each one tuning the model *before* the
+//!   next is judged. Unlike a fast phase (which judges a whole batch
+//!   against the batch-start model), no tuple here is ever ruled by a cold
+//!   model — what `udf_join`'s warmup round needs.
+//!
+//! Both derive tuple `id`'s RNG from [`mix_seed`]`(seed, stream, id)` — the
+//! caller's id, never the batch offset or the worker — and hand every
+//! ruling to the caller's sink in tuple order, so rows, model mutations and
+//! the returned [`BatchCounts`] are byte-identical for any worker count.
+//! Evaluating a sparse subset of ids is bit-identical to the corresponding
+//! tuples of the full run, provided the skipped tuples are ones the filter
+//! would have dropped on the fast path (they mutate nothing).
+
+use crate::config::AccuracyRequirement;
+use crate::filtering::{gp_filtered, mc_eval_tuple, FilterDecision, Predicate};
+use crate::olgapro::{InferScratch, Olgapro};
+use crate::output::{GpOutput, OutputDistribution};
+use crate::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
+use crate::udf::BlackBoxUdf;
+use crate::Result;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use udf_prob::InputDistribution;
+
+/// One tuple's ruling as the sink sees it: kept with its output
+/// distribution and TEP, or filtered at its TEP upper bound.
+pub type Ruling = FilterDecision<OutputDistribution>;
+
+/// How a batch's tuples are evaluated, with the state that persists across
+/// batches.
+#[derive(Clone, Debug)]
+pub enum Evaluator {
+    /// Direct Monte Carlo sampling (Algorithm 1): stateless per tuple.
+    Mc {
+        /// The UDF every tuple is evaluated through.
+        udf: BlackBoxUdf,
+        /// Sets the sample count and the filter's δ.
+        accuracy: AccuracyRequirement,
+    },
+    /// OLGAPRO (Algorithm 5). The GP model warms up across tuples and
+    /// batches, which is where the online speedup comes from. Boxed: the
+    /// model state dwarfs the MC variant.
+    Gp(Box<Olgapro>),
+}
+
+/// What is fixed across one batch: the seed words every tuple's RNG is
+/// mixed from, and the selection predicate (if any) every tuple is ruled
+/// against.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchSpec {
+    /// The batch seed.
+    pub seed: u64,
+    /// Distinguishes independent consumers of one seed (the stream engine
+    /// passes the query id; single-query callers pass 0).
+    pub stream: u64,
+    /// `Some` turns the batch into a selection: tuples whose TEP upper
+    /// bound falls below θ are dropped.
+    pub predicate: Option<Predicate>,
+}
+
+impl BatchSpec {
+    fn rng(&self, id: u64) -> StdRng {
+        StdRng::seed_from_u64(mix_seed(self.seed, self.stream, id))
+    }
+}
+
+/// Outcome counters of one batch — orthogonal, so every front-end's stats
+/// are sums of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// Tuples examined.
+    pub tuples_in: u64,
+    /// Kept straight from the parallel read-only phase.
+    pub accepted_fast: u64,
+    /// Dropped by the filter at fast-phase cost.
+    pub filtered_fast: u64,
+    /// Kept after the sequential full path.
+    pub kept_slow: u64,
+    /// Dropped by the filter after the sequential full path.
+    pub filtered_slow: u64,
+    /// UDF invocations across all tuples, kept or dropped.
+    pub udf_calls: u64,
+    /// Tuples emitted at a degraded (achieved) error bound because the
+    /// model cap blocked further tuning.
+    pub cap_hits: u64,
+}
+
+impl BatchCounts {
+    /// Tuples emitted.
+    pub fn kept(&self) -> u64 {
+        self.accepted_fast + self.kept_slow
+    }
+
+    /// Tuples the filter dropped, on either path.
+    pub fn filtered(&self) -> u64 {
+        self.filtered_fast + self.filtered_slow
+    }
+
+    /// Tuples that took the sequential full path.
+    pub fn slow(&self) -> u64 {
+        self.kept_slow + self.filtered_slow
+    }
+
+    fn note(&mut self, ruling: &Ruling, fast: bool) {
+        self.tuples_in += 1;
+        let (calls, fast_tally, slow_tally) = match ruling {
+            FilterDecision::Kept { output, .. } => (
+                output.udf_calls,
+                &mut self.accepted_fast,
+                &mut self.kept_slow,
+            ),
+            FilterDecision::Filtered { udf_calls, .. } => {
+                (*udf_calls, &mut self.filtered_fast, &mut self.filtered_slow)
+            }
+        };
+        *(if fast { fast_tally } else { slow_tally }) += 1;
+        self.udf_calls += calls;
+    }
+}
+
+impl std::ops::AddAssign for BatchCounts {
+    fn add_assign(&mut self, b: Self) {
+        self.tuples_in += b.tuples_in;
+        self.accepted_fast += b.accepted_fast;
+        self.filtered_fast += b.filtered_fast;
+        self.kept_slow += b.kept_slow;
+        self.filtered_slow += b.filtered_slow;
+        self.udf_calls += b.udf_calls;
+        self.cap_hits += b.cap_hits;
+    }
+}
+
+impl Evaluator {
+    /// The GP evaluator, when this is [`Evaluator::Gp`] — model size and
+    /// core statistics for observability.
+    pub fn olgapro(&self) -> Option<&Olgapro> {
+        match self {
+            Evaluator::Mc { .. } => None,
+            Evaluator::Gp(olga) => Some(olga),
+        }
+    }
+
+    /// Mutable access to the GP evaluator (caps, budgets, observability).
+    pub fn olgapro_mut(&mut self) -> Option<&mut Olgapro> {
+        match self {
+            Evaluator::Mc { .. } => None,
+            Evaluator::Gp(olga) => Some(olga),
+        }
+    }
+
+    /// Run `n` tuples as one batch on `sched`'s worker pool.
+    ///
+    /// `tuple(i)` yields the `i`-th tuple's caller-chosen id (its seed word
+    /// and the label `sink` receives) and its input; `sink` is called once
+    /// per tuple, in tuple order, on the calling thread. See the
+    /// [module docs](self) for the ruling and the determinism contract.
+    pub fn run_two_phase<'a>(
+        &mut self,
+        sched: &BatchScheduler,
+        spec: BatchSpec,
+        n: usize,
+        tuple: impl Fn(usize) -> (u64, &'a InputDistribution) + Sync,
+        mut sink: impl FnMut(u64, Ruling) + Sync,
+    ) -> Result<BatchCounts> {
+        let mut counts = BatchCounts::default();
+        match self {
+            Evaluator::Mc { udf, accuracy } => {
+                // `mc_eval_tuple` forks the UDF's call counter, so per-tuple
+                // accounting stays exact under concurrency.
+                let rulings = sched.try_map(n, |i| {
+                    let (id, input) = tuple(i);
+                    mc_eval_tuple(
+                        udf,
+                        input,
+                        accuracy,
+                        spec.predicate.as_ref(),
+                        &mut spec.rng(id),
+                    )
+                })?;
+                for (i, ruling) in rulings.into_iter().enumerate() {
+                    let ruling = ruling?;
+                    counts.note(&ruling, true);
+                    sink(tuple(i).0, ruling);
+                }
+            }
+            Evaluator::Gp(olga) => {
+                let mut ops = GpBatch {
+                    budget: olga.config().split().eps_gp,
+                    olga,
+                    spec,
+                    tuple: &tuple,
+                    sink: &mut sink,
+                    counts,
+                };
+                sched.run_two_phase(&mut ops, n)?;
+                counts = ops.counts;
+            }
+        }
+        Ok(counts)
+    }
+
+    /// Run `n` tuples in order through the full path (see the
+    /// [module docs](self)); `tuple` and `sink` as in
+    /// [`run_two_phase`](Evaluator::run_two_phase). Every tuple counts as
+    /// slow-path work. Nothing runs concurrently, so results are trivially
+    /// independent of worker count.
+    pub fn run_sequential<'a>(
+        &mut self,
+        spec: BatchSpec,
+        n: usize,
+        tuple: impl Fn(usize) -> (u64, &'a InputDistribution),
+        mut sink: impl FnMut(u64, Ruling),
+    ) -> Result<BatchCounts> {
+        let mut counts = BatchCounts::default();
+        for i in 0..n {
+            let (id, input) = tuple(i);
+            let mut rng = spec.rng(id);
+            let pred = spec.predicate.as_ref();
+            let ruling = match self {
+                Evaluator::Mc { udf, accuracy } => {
+                    mc_eval_tuple(udf, input, accuracy, pred, &mut rng)?
+                }
+                Evaluator::Gp(olga) => slow_tuple(olga, input, pred, &mut rng, &mut counts)?,
+            };
+            counts.note(&ruling, false);
+            sink(id, ruling);
+        }
+        Ok(counts)
+    }
+}
+
+/// The full model-mutating path of one GP tuple: Algorithm 5, behind the
+/// §5.5 filter when a predicate is attached. A tuple that crosses the model
+/// cap mid-tuning is a degraded acceptance too — Algorithm 5 counts it in
+/// the core stats, and the delta lands in `counts`.
+fn slow_tuple(
+    olga: &mut Olgapro,
+    input: &InputDistribution,
+    predicate: Option<&Predicate>,
+    rng: &mut StdRng,
+    counts: &mut BatchCounts,
+) -> Result<Ruling> {
+    let cap_before = olga.stats().cap_hits;
+    let ruling = match predicate {
+        Some(pred) => gp_filtered(olga, input, pred, rng)?.map(GpOutput::into_distribution),
+        None => FilterDecision::Kept {
+            output: olga.process(input, rng)?.into_distribution(),
+            tep: 1.0,
+        },
+    };
+    counts.cap_hits += olga.stats().cap_hits - cap_before;
+    Ok(ruling)
+}
+
+/// The [`BatchOps`] of one GP batch: fast path = read-only inference,
+/// accept hook = §5.5 filter + ε_GP budget + model-size cap, slow path =
+/// [`slow_tuple`]. Rulings reach the sink in tuple order.
+struct GpBatch<'o, 'a> {
+    olga: &'o mut Olgapro,
+    spec: BatchSpec,
+    /// The ε_GP share of the accuracy budget.
+    budget: f64,
+    tuple: &'o (dyn Fn(usize) -> (u64, &'a InputDistribution) + Sync),
+    sink: &'o mut (dyn FnMut(u64, Ruling) + Sync),
+    counts: BatchCounts,
+}
+
+impl GpBatch<'_, '_> {
+    fn emit(&mut self, id: u64, ruling: Ruling, fast: bool) {
+        self.counts.note(&ruling, fast);
+        (self.sink)(id, ruling);
+    }
+}
+
+impl BatchOps for GpBatch<'_, '_> {
+    fn tuple_seed(&self, idx: usize) -> u64 {
+        mix_seed(self.spec.seed, self.spec.stream, (self.tuple)(idx).0)
+    }
+
+    fn needs_bootstrap(&self) -> bool {
+        self.olga.model().is_empty()
+    }
+
+    fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<GpOutput> {
+        self.olga.infer_only_with((self.tuple)(idx).1, rng, scratch)
+    }
+
+    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
+        // Online filtering on the envelope upper bound (§5.5): the bound
+        // only widens on an under-trained model, so dropping here is sound
+        // and costs zero UDF calls.
+        if let Some(pred) = self.spec.predicate {
+            let (_, _, rho_u) = out.tep_bounds(pred.lo, pred.hi);
+            if rho_u < pred.theta {
+                return Verdict::Filter { rho_upper: rho_u };
+            }
+        }
+        // A full stop-growing model accepts at the achieved bound: the
+        // slow path could neither tune nor change the result (`process`
+        // degenerates to `infer_only` there), so rerouting would only pay
+        // a second inference pass for byte-identical output — and this
+        // keeps per-tuple cost bounded on long streams.
+        if out.eps_gp <= self.budget || self.olga.model_full() {
+            Verdict::Accept
+        } else {
+            Verdict::Reroute
+        }
+    }
+
+    fn emit_fast(&mut self, idx: usize, out: GpOutput) -> Result<()> {
+        if out.eps_gp > self.budget {
+            // Only reachable through the model-full acceptance above.
+            self.olga.note_cap_hit();
+            self.counts.cap_hits += 1;
+        }
+        let tep = self
+            .spec
+            .predicate
+            .map_or(1.0, |p| out.tep_bounds(p.lo, p.hi).1);
+        let ruling = FilterDecision::Kept {
+            output: out.into_distribution(),
+            tep,
+        };
+        self.emit((self.tuple)(idx).0, ruling, true);
+        Ok(())
+    }
+
+    fn emit_filtered(&mut self, idx: usize, rho_upper: f64) -> Result<()> {
+        let ruling = FilterDecision::Filtered {
+            rho_upper,
+            udf_calls: 0,
+        };
+        self.emit((self.tuple)(idx).0, ruling, true);
+        Ok(())
+    }
+
+    fn slow(&mut self, idx: usize, rng: &mut StdRng) -> Result<()> {
+        let (id, input) = (self.tuple)(idx);
+        let pred = self.spec.predicate;
+        let ruling = slow_tuple(self.olga, input, pred.as_ref(), rng, &mut self.counts)?;
+        self.emit(id, ruling, false);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Metric, ModelBudget, OlgaproConfig};
+
+    fn setup(eps: f64) -> Olgapro {
+        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
+        let acc = AccuracyRequirement::new(eps, 0.05, 0.02, Metric::Discrepancy).unwrap();
+        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
+        Olgapro::new(udf, cfg)
+    }
+
+    fn inputs(n: usize) -> Vec<InputDistribution> {
+        (0..n)
+            .map(|i| {
+                InputDistribution::diagonal_gaussian(&[(1.0 + 0.8 * i as f64 % 8.0, 0.4)]).unwrap()
+            })
+            .collect()
+    }
+
+    /// A plain (unfiltered) GP evaluator with its own pool, tuple id = index.
+    struct Par {
+        eval: Evaluator,
+        sched: BatchScheduler,
+    }
+
+    impl Par {
+        fn new(olga: Olgapro, workers: usize) -> Self {
+            Par {
+                eval: Evaluator::Gp(Box::new(olga)),
+                sched: BatchScheduler::new(workers),
+            }
+        }
+
+        fn olga(&self) -> &Olgapro {
+            self.eval.olgapro().unwrap()
+        }
+
+        fn process_batch(
+            &mut self,
+            batch: &[InputDistribution],
+            seed: u64,
+        ) -> (Vec<OutputDistribution>, BatchCounts) {
+            let spec = BatchSpec {
+                seed,
+                stream: 0,
+                predicate: None,
+            };
+            let mut outs = Vec::new();
+            let counts = self
+                .eval
+                .run_two_phase(
+                    &self.sched,
+                    spec,
+                    batch.len(),
+                    |i| (i as u64, &batch[i]),
+                    |id, ruling| match ruling {
+                        FilterDecision::Kept { output, tep } => {
+                            assert_eq!((id, tep), (outs.len() as u64, 1.0), "tuple order");
+                            outs.push(output);
+                        }
+                        FilterDecision::Filtered { .. } => panic!("no predicate, tuple {id}"),
+                    },
+                )
+                .unwrap();
+            (outs, counts)
+        }
+    }
+
+    #[test]
+    fn batch_results_match_accuracy_budget() {
+        let mut par = Par::new(setup(0.2), 4);
+        let batch = inputs(10);
+        let (outs, counts) = par.process_batch(&batch, 7);
+        assert_eq!(outs.len(), 10);
+        assert_eq!(counts.tuples_in, 10);
+        assert_eq!(counts.accepted_fast + counts.slow(), 10);
+        assert_eq!(counts.filtered(), 0, "no predicate on this batch");
+        assert_eq!(
+            counts.udf_calls,
+            outs.iter().map(|o| o.udf_calls).sum::<u64>()
+        );
+        let split = par.olga().config().split();
+        for out in &outs {
+            // Every tuned point costs one UDF call; 10 is the tuning budget.
+            let eps_gp = out.error_bound - split.eps_mc;
+            assert!(
+                eps_gp <= split.eps_gp + 1e-12 || out.udf_calls == 10,
+                "eps_gp {eps_gp} exceeds budget {}",
+                split.eps_gp
+            );
+        }
+    }
+
+    #[test]
+    fn warm_batches_take_fast_path() {
+        let mut par = Par::new(setup(0.2), 4);
+        let batch = inputs(8);
+        par.process_batch(&batch, 1);
+        par.process_batch(&batch, 2);
+        let (_, counts) = par.process_batch(&batch, 3);
+        assert!(
+            counts.accepted_fast >= 7,
+            "converged batch should be almost all fast-path: {counts:?}"
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let mut a = Par::new(setup(0.2), 2);
+        let mut b = Par::new(setup(0.2), 8);
+        let batch = inputs(6);
+        // Warm both identically until the model converges (the warm-up
+        // batches share seeds, so the two models evolve in lock-step).
+        for seed in 11..16 {
+            a.process_batch(&batch, seed);
+            b.process_batch(&batch, seed);
+        }
+        let (oa, ca) = a.process_batch(&batch, 99);
+        let (ob, cb) = b.process_batch(&batch, 99);
+        assert_eq!(ca, cb, "routing must not depend on worker count");
+        assert_eq!(
+            ca.slow(),
+            0,
+            "warm-up insufficient: still tuning after 5 batches"
+        );
+        // Same seed, different worker counts → identical outputs, with no
+        // slow-path escape hatch: every tuple must agree. The envelopes do
+        // not leave the operator, so they are re-inferred from each side's
+        // (unchanged — nothing rerouted) model under the tuple's own seed.
+        for (i, (x, y)) in oa.iter().zip(&ob).enumerate() {
+            assert_eq!(x.ecdf.values(), y.ecdf.values(), "tuple {i} mean CDF");
+            assert_eq!(x.error_bound, y.error_bound, "tuple {i} error bound");
+            let infer = |p: &Par| {
+                let mut rng = StdRng::seed_from_u64(mix_seed(99, 0, i as u64));
+                p.olga().infer_only(&batch[i], &mut rng).unwrap()
+            };
+            let (ga, gb) = (infer(&a), infer(&b));
+            assert_eq!(ga.y_hat.values(), x.ecdf.values(), "tuple {i} emitted mean");
+            assert_eq!(ga.y_s.values(), gb.y_s.values(), "tuple {i} lower envelope");
+            assert_eq!(ga.y_l.values(), gb.y_l.values(), "tuple {i} upper envelope");
+            assert_eq!(ga.eps_gp, gb.eps_gp, "tuple {i} eps_gp");
+        }
+    }
+
+    #[test]
+    fn cold_batches_are_also_deterministic() {
+        // Even bootstrap + slow-path (model-mutating) batches are
+        // byte-identical across worker counts, because slow work folds in
+        // tuple order with per-tuple seeds.
+        let batch = inputs(6);
+        let mut a = Par::new(setup(0.2), 2);
+        let mut b = Par::new(setup(0.2), 8);
+        let (oa, ca) = a.process_batch(&batch, 11);
+        let (ob, cb) = b.process_batch(&batch, 11);
+        assert_eq!(ca, cb);
+        assert!(ca.slow() > 0, "cold batch must exercise the slow path");
+        for (i, (x, y)) in oa.iter().zip(&ob).enumerate() {
+            assert_eq!(x.ecdf.values(), y.ecdf.values(), "tuple {i}");
+        }
+    }
+
+    #[test]
+    fn full_model_accepts_on_the_fast_path_identically_for_any_workers() {
+        let cap = 8usize;
+        let run = |workers: usize| {
+            let mut olga = setup(0.12);
+            olga.set_model_cap(cap, ModelBudget::StopGrowing).unwrap();
+            let mut par = Par::new(olga, workers);
+            let batch: Vec<InputDistribution> = (0..24)
+                .map(|i| InputDistribution::diagonal_gaussian(&[(0.5 * i as f64, 0.3)]).unwrap())
+                .collect();
+            let (_, cold) = par.process_batch(&batch, 5);
+            let (outs, counts) = par.process_batch(&batch, 6);
+            (outs, cold, counts, par)
+        };
+        let (o2, cold2, c2, p2) = run(2);
+        let (o8, cold8, c8, p8) = run(8);
+        assert!(p2.olga().model().len() <= cap, "cap overshoot");
+        assert!(
+            p2.olga().model_full(),
+            "workload too easy: cap never reached"
+        );
+        assert!(
+            p2.olga().stats().cap_hits > 0,
+            "degraded accepts not counted"
+        );
+        assert_eq!(
+            c2.slow(),
+            0,
+            "a full stop-growing model must not reroute: {c2:?}"
+        );
+        assert_eq!(c2, c8, "routing must not depend on worker count");
+        assert_eq!(p2.olga().stats().cap_hits, p8.olga().stats().cap_hits);
+        assert_eq!(
+            cold2.cap_hits + c2.cap_hits,
+            p2.olga().stats().cap_hits,
+            "the counter block must see every cap hit the evaluator counted"
+        );
+        assert_eq!(cold2, cold8);
+        for (i, (x, y)) in o2.iter().zip(&o8).enumerate() {
+            assert_eq!(x.ecdf.values(), y.ecdf.values(), "tuple {i}");
+            assert_eq!(x.error_bound, y.error_bound, "tuple {i}");
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let mut par = Par::new(setup(0.2), 4);
+        let (outs, counts) = par.process_batch(&[], 1);
+        assert!(outs.is_empty());
+        assert_eq!(counts, BatchCounts::default());
+    }
+
+    /// The sequential entry is the same ruling with every tuple on the full
+    /// path: on MC (stateless) it must reproduce the parallel batch bit for
+    /// bit, filtered tuples included, with the counts moved from the fast
+    /// to the slow columns.
+    #[test]
+    fn sequential_entry_matches_the_batch_on_mc_and_counts_slow() {
+        let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
+        let accuracy = AccuracyRequirement::new(0.2, 0.05, 0.0, Metric::Ks).unwrap();
+        let mut eval = Evaluator::Mc { udf, accuracy };
+        let batch = inputs(12);
+        let spec = BatchSpec {
+            seed: 3,
+            stream: 5,
+            predicate: Some(Predicate::new(3.0, 6.0, 0.5).unwrap()),
+        };
+        let render = |id: u64, r: Ruling| match r {
+            FilterDecision::Kept { output, tep } => (id, tep, output.ecdf.values().to_vec()),
+            FilterDecision::Filtered { rho_upper, .. } => (id, rho_upper, Vec::new()),
+        };
+        // Sparse ids: the seed word is the caller's id, not the position.
+        let tuple = |i: usize| (10 * i as u64, &batch[i]);
+        let (mut par, mut seq) = (Vec::new(), Vec::new());
+        let sched = BatchScheduler::new(3);
+        let cp = eval
+            .run_two_phase(&sched, spec, 12, tuple, |id, r| par.push(render(id, r)))
+            .unwrap();
+        let cs = eval
+            .run_sequential(spec, 12, tuple, |id, r| seq.push(render(id, r)))
+            .unwrap();
+        assert_eq!(par, seq);
+        assert!(cp.accepted_fast > 0 && cp.filtered_fast > 0, "{cp:?}");
+        assert_eq!((cp.slow(), cs.accepted_fast + cs.filtered_fast), (0, 0));
+        assert_eq!(
+            (cs.kept_slow, cs.filtered_slow),
+            (cp.accepted_fast, cp.filtered_fast)
+        );
+        assert_eq!((cs.tuples_in, cs.udf_calls), (cp.tuples_in, cp.udf_calls));
+    }
+}

@@ -90,6 +90,23 @@ impl<T> FilterDecision<T> {
     pub fn is_filtered(&self) -> bool {
         matches!(self, FilterDecision::Filtered { .. })
     }
+
+    /// Convert a kept tuple's output, leaving a filtered one as it is.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> FilterDecision<U> {
+        match self {
+            FilterDecision::Kept { output, tep } => FilterDecision::Kept {
+                output: f(output),
+                tep,
+            },
+            FilterDecision::Filtered {
+                rho_upper,
+                udf_calls,
+            } => FilterDecision::Filtered {
+                rho_upper,
+                udf_calls,
+            },
+        }
+    }
 }
 
 /// MC evaluation with early filtering (Algorithm 1 + Remark 2.1).
@@ -155,8 +172,8 @@ pub fn mc_filtered(
 /// One MC tuple on a (possibly parallel) batch path: fork the UDF's call
 /// counter so per-tuple accounting stays exact under concurrency, then run
 /// [`mc_filtered`] when a predicate is attached or plain Algorithm 1
-/// otherwise (unfiltered tuples are kept with TEP 1). Shared by the stream
-/// engine's MC batches and the relational executor's batch mode.
+/// otherwise (unfiltered tuples are kept with TEP 1). The MC half of the
+/// batch operator ([`crate::batch::Evaluator`]).
 pub fn mc_eval_tuple(
     udf: &BlackBoxUdf,
     input: &InputDistribution,

@@ -19,14 +19,15 @@
 //! * [`filtering`] — online filtering against selection predicates
 //!   (Remark 2.1 for MC, §5.5 for GP);
 //! * [`hybrid`] — the §5.4 hybrid solution that picks MC or GP per UDF;
-//! * [`sched`] — the unified two-phase batch-execution core: a persistent
-//!   worker pool plus the fast/slow scheduling pattern shared by
-//!   [`parallel`], the stream engine, and the relational executor;
-//! * [`parallel`] — batch-parallel stream processing (a §8 future-work
-//!   item), a thin delegation to [`sched`];
+//! * [`sched`] — the two-phase batch scheduler (a §8 future-work item):
+//!   a persistent worker pool plus the fast/slow scheduling pattern;
+//! * [`batch`] — the batch operator on top of it: how one tuple of a batch
+//!   is ruled, emitted and counted, written once for the relational
+//!   executor, the join and the stream engine;
 //! * [`multi`] — multivariate-output UDFs via per-component emulators with a
 //!   union-bound joint guarantee (the other §8 future-work item).
 
+pub mod batch;
 pub mod config;
 pub mod error_bound;
 pub mod filtering;
@@ -36,10 +37,11 @@ pub mod mc;
 pub mod multi;
 pub mod olgapro;
 pub mod output;
-pub mod parallel;
+mod pool;
 pub mod sched;
 pub mod udf;
 
+pub use batch::{BatchCounts, BatchSpec, Evaluator, Ruling};
 pub use config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
 pub use filtering::{FilterDecision, Predicate};
 pub use hybrid::{HybridChoice, HybridEvaluator};

@@ -28,7 +28,7 @@ use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
     GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch, SquaredExponential,
 };
-use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceBuffer, TraceEvent};
+use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, Obs, TraceBuffer, TraceEvent};
 use udf_prob::{Ecdf, InputDistribution};
 use udf_spatial::BoundingBox;
 
@@ -207,29 +207,22 @@ impl Olgapro {
         self
     }
 
-    /// Wire observability handles (builder form). Timings and counters
-    /// only observe; the evaluation itself is metric-blind.
-    pub fn with_metrics(mut self, metrics: OlgaproMetrics) -> Self {
-        self.set_metrics(metrics);
+    /// Wire observability (builder form): the `olgapro.*` handles (see
+    /// [`OlgaproMetrics`]) register in `obs.metrics`; model growth,
+    /// evictions, and cap hits are emitted into `obs.tracer` on lane 0 —
+    /// model mutations only happen on the sequential slow path. Timings,
+    /// counters and events only observe; the evaluation itself is blind to
+    /// them.
+    pub fn with_obs(mut self, obs: &Obs) -> Self {
+        self.set_obs(obs);
         self
     }
 
-    /// Wire observability handles in place.
-    pub fn set_metrics(&mut self, metrics: OlgaproMetrics) {
-        self.metrics = metrics;
-    }
-
-    /// Wire a trace buffer (builder form). Model growth, evictions, and
-    /// cap hits are emitted on lane 0 — model mutations only happen on the
-    /// sequential slow path. Events never affect evaluation.
-    pub fn with_tracer(mut self, tracer: TraceBuffer) -> Self {
-        self.set_tracer(tracer);
-        self
-    }
-
-    /// Wire a trace buffer in place.
-    pub fn set_tracer(&mut self, tracer: TraceBuffer) {
-        self.tracer = tracer;
+    /// Rewire a live evaluator in place (a restored snapshot, or a
+    /// subscription whose session is wired after it registered).
+    pub fn set_obs(&mut self, obs: &Obs) {
+        self.metrics = OlgaproMetrics::register(&obs.metrics);
+        self.tracer = obs.tracer.clone();
     }
 
     /// Borrow the model (training-set size, hyperparameters, ...).
@@ -294,7 +287,7 @@ impl Olgapro {
     }
 
     /// Record a degraded-accuracy acceptance decided on a caller's fast
-    /// path (the batch adapters accept over-budget results themselves when
+    /// path (the batch operator accepts over-budget results itself when
     /// [`model_full`](Olgapro::model_full), bypassing
     /// [`process`](Olgapro::process) and its own counting).
     pub fn note_cap_hit(&mut self) {
@@ -318,8 +311,9 @@ impl Olgapro {
     /// bound with the *current* model, without bootstrapping, online tuning
     /// or retraining. Requires a non-empty model.
     ///
-    /// This is the read-only fast path used by
-    /// [`crate::parallel::ParallelOlgapro`]: at convergence it is exactly
+    /// This is the read-only fast path of
+    /// [`Evaluator::run_two_phase`](crate::batch::Evaluator::run_two_phase):
+    /// at convergence it is exactly
     /// what [`Olgapro::process`] computes, and it can run concurrently
     /// against a shared model.
     pub fn infer_only(

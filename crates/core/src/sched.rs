@@ -1,20 +1,23 @@
-//! The unified two-phase batch-execution core.
+//! The two-phase batch scheduler (the paper's §8 future work: "extend our
+//! techniques to allow for parallel processing").
 //!
-//! Three subsystems run the same pattern over a batch of uncertain tuples:
-//! the batch-parallel evaluator ([`crate::parallel::ParallelOlgapro`]), the
-//! continuous-query stream engine (`udf_stream::engine`), and the relational
-//! executor's batch mode (`udf_query::Executor`). The pattern exploits the
-//! structure of OLGAPRO at convergence (§5 / §8 future work):
+//! Processing a tuple against a converged OLGAPRO model is a *read-only*
+//! pass (sample, local inference, error bound), which parallelizes
+//! trivially; only the occasional tuple whose error bound misses the
+//! budget needs the mutable path (online tuning / retraining). A batch
+//! therefore runs in two phases:
 //!
 //! 1. **fast phase** — every tuple is inferred concurrently against the
-//!    *frozen* model: a read-only pass (sample, local inference, error
-//!    bound) that parallelizes trivially;
+//!    *frozen* model;
 //! 2. **slow phase** — tuples whose result the caller rejects (typically an
 //!    ε_GP budget miss) re-run sequentially, *in tuple order*, through the
 //!    full model-mutating Algorithm 5.
 //!
-//! [`BatchScheduler`] owns that pattern once, parameterized by the pieces
-//! that differ per subsystem:
+//! At steady state the slow phase is empty and the speedup approaches the
+//! worker count; on a cold model the behaviour (and output) degrades
+//! gracefully to the sequential algorithm.
+//!
+//! [`BatchScheduler`] owns that pattern, parameterized by a [`BatchOps`]:
 //!
 //! * a **seed mixer** ([`BatchOps::tuple_seed`], usually [`mix_seed`]) that
 //!   derives one RNG per tuple from the batch seed — never from the worker
@@ -24,6 +27,11 @@
 //!   or drop it at fast-path cost (online filtering, §5.5);
 //! * a **slow-path closure** ([`BatchOps::slow`]) that runs the sequential,
 //!   model-mutating evaluation for bootstraps and reroutes.
+//!
+//! The engine implements [`BatchOps`] exactly once — in [`crate::batch`],
+//! the operator the relational executor, the join and the stream engine all
+//! call; the trait stays public for harnesses that rebuild the pattern by
+//! hand.
 //!
 //! The fast phase runs on a **persistent worker pool**: threads are spawned
 //! once per scheduler and reused across batches, pulling chunks of the
@@ -46,15 +54,15 @@
 
 use crate::olgapro::InferScratch;
 use crate::output::GpOutput;
+use crate::pool::WorkerPool;
 use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use udf_obs::{
-    Counter, Histogram, MetricsRegistry, RerouteReason, TraceBuffer, TraceEvent, TracePhase,
+    Counter, Histogram, MetricsRegistry, Obs, RerouteReason, TraceBuffer, TraceEvent, TracePhase,
 };
 
 /// The scheduler's observability handles. Purely observational: nothing
@@ -198,140 +206,6 @@ pub trait BatchOps {
     fn slow(&mut self, idx: usize, rng: &mut StdRng) -> Result<()>;
 }
 
-/// A lifetime-erased pointer to the task a [`WorkerPool`] broadcast runs.
-///
-/// Safety: [`WorkerPool::run`] does not return until every worker that
-/// received the pointer has reported completion, so the borrow it erases
-/// outlives every dereference.
-struct TaskRef(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls are safe) and `WorkerPool::run`
-// bounds the pointer's use to the lifetime of the borrow it was cast from.
-unsafe impl Send for TaskRef {}
-
-/// One broadcast job: the task plus the completion channel.
-struct Job {
-    task: TaskRef,
-    /// Reports `Ok` when the task ran to completion, or the panic message.
-    done: mpsc::Sender<std::result::Result<(), String>>,
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "<non-string panic payload>".to_string(),
-        },
-    }
-}
-
-/// Persistent worker threads, spawned once and reused across batches.
-///
-/// A pool of capacity `workers` owns `workers - 1` threads; the thread that
-/// calls [`run`](WorkerPool::run) participates as the final worker, so
-/// `workers == 1` degenerates to a plain inline call with no thread or
-/// channel traffic at all.
-struct WorkerPool {
-    txs: Vec<mpsc::Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut txs = Vec::with_capacity(workers - 1);
-        let mut handles = Vec::with_capacity(workers - 1);
-        for id in 0..workers - 1 {
-            let (tx, rx) = mpsc::channel::<Job>();
-            txs.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("udf-sched-{id}"))
-                    .spawn(move || worker_loop(id, rx))
-                    .expect("spawn scheduler worker"),
-            );
-        }
-        WorkerPool {
-            txs,
-            handles,
-            workers,
-        }
-    }
-
-    /// Run `task(worker_id)` on up to `helpers` pool threads plus the
-    /// caller, and wait for all of them. Dispatching fewer jobs than pool
-    /// threads lets a small batch (fewer steal-able chunks than workers)
-    /// skip waking threads that would find the steal counter exhausted.
-    /// Returns the first panic message when any invocation panicked.
-    fn run(
-        &self,
-        task: &(dyn Fn(usize) + Sync),
-        helpers: usize,
-        queue_wait: &Histogram,
-    ) -> std::result::Result<(), String> {
-        let caller_run =
-            || catch_unwind(AssertUnwindSafe(|| task(self.workers - 1))).map_err(panic_message);
-        if self.txs.is_empty() || helpers == 0 {
-            return caller_run();
-        }
-        let (done_tx, done_rx) = mpsc::channel();
-        // SAFETY: erases the borrow's lifetime. The wait loop below blocks
-        // until every dispatched job has reported done, so no worker touches
-        // the pointer after this function returns.
-        let erased: &'static (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
-        let mut sent = 0usize;
-        for tx in self.txs.iter().take(helpers) {
-            let job = Job {
-                task: TaskRef(erased as *const _),
-                done: done_tx.clone(),
-            };
-            if tx.send(job).is_ok() {
-                sent += 1;
-            }
-        }
-        drop(done_tx);
-        // The caller is the last worker; catch its panic too so we never
-        // unwind past the wait below while threads still hold the task.
-        let mut res = caller_run();
-        // Straggler wait: how long the caller blocks on pool threads after
-        // finishing its own share (load-imbalance signal).
-        let _wait = queue_wait.span();
-        for _ in 0..sent {
-            match done_rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(err) => res = res.and(err),
-                Err(_) => {
-                    res = res.and(Err("scheduler worker died mid-batch".to_string()));
-                }
-            }
-        }
-        res
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.txs.clear(); // closes every job channel; workers exit their loop
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(id: usize, rx: mpsc::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        // SAFETY: see `TaskRef` — the broadcaster is blocked until `done`
-        // reports, so the pointee is alive for the whole call.
-        let task = unsafe { &*job.task.0 };
-        let res = catch_unwind(AssertUnwindSafe(|| task(id))).map_err(panic_message);
-        let _ = job.done.send(res);
-    }
-}
-
 /// How many steal-able chunks each worker's share of a batch is split into.
 /// More chunks smooth out per-tuple cost variance (a tuple near the model
 /// boundary can be 10× its neighbors); fewer chunks cut counter traffic.
@@ -379,34 +253,15 @@ impl BatchScheduler {
         }
     }
 
-    /// Wire observability handles (builder form). See [`SchedMetrics`];
-    /// timings and counters never affect what the scheduler computes.
-    pub fn with_metrics(mut self, metrics: SchedMetrics) -> Self {
-        self.metrics = metrics;
+    /// Wire observability: the `sched.*` handles (see [`SchedMetrics`])
+    /// register in `obs.metrics`, and reroute causes plus fast/slow phase
+    /// brackets are emitted into `obs.tracer` on lane 0 (the sequential
+    /// fold runs on the calling thread). Timings, counters and events never
+    /// affect what the scheduler computes.
+    pub fn with_obs(mut self, obs: &Obs) -> Self {
+        self.metrics = SchedMetrics::register(&obs.metrics);
+        self.tracer = obs.tracer.clone();
         self
-    }
-
-    /// Wire observability handles in place.
-    pub fn set_metrics(&mut self, metrics: SchedMetrics) {
-        self.metrics = metrics;
-    }
-
-    /// Wire a trace buffer (builder form). Reroute causes and fast/slow
-    /// phase brackets are emitted on lane 0 (the sequential fold runs on
-    /// the calling thread); events never affect scheduling.
-    pub fn with_tracer(mut self, tracer: TraceBuffer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Wire a trace buffer in place.
-    pub fn set_tracer(&mut self, tracer: TraceBuffer) {
-        self.tracer = tracer;
-    }
-
-    /// The wired trace buffer (a disabled no-op buffer when un-wired).
-    pub fn tracer(&self) -> &TraceBuffer {
-        &self.tracer
     }
 
     /// Total execution slots (pool threads + the calling thread).

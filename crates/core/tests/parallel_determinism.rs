@@ -1,12 +1,12 @@
-//! Strict determinism of [`ParallelOlgapro`]: for a fixed seed, batch
-//! outputs are byte-identical for worker counts 1, 2, and 8 — including
-//! cold-model bootstraps and slow-path (model-mutating) tuples, not just
-//! the converged fast path.
+//! Strict determinism of [`Evaluator::run_two_phase`]: for a fixed seed,
+//! batch outputs are byte-identical for worker counts 1, 2, and 8 —
+//! including cold-model bootstraps and slow-path (model-mutating) tuples,
+//! not just the converged fast path.
 
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::olgapro::Olgapro;
-use udf_core::parallel::ParallelOlgapro;
 use udf_core::udf::BlackBoxUdf;
+use udf_core::{BatchScheduler, BatchSpec, Evaluator, FilterDecision};
 use udf_prob::InputDistribution;
 
 fn setup() -> Olgapro {
@@ -14,6 +14,34 @@ fn setup() -> Olgapro {
     let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
     let cfg = OlgaproConfig::new(acc, 2.6).unwrap();
     Olgapro::new(udf, cfg)
+}
+
+/// One unfiltered GP batch (tuple id = index); returns each tuple's mean
+/// CDF values in tuple order.
+fn process_batch(
+    eval: &mut Evaluator,
+    sched: &BatchScheduler,
+    batch: &[InputDistribution],
+    seed: u64,
+) -> Vec<Vec<f64>> {
+    let spec = BatchSpec {
+        seed,
+        stream: 0,
+        predicate: None,
+    };
+    let mut outs = Vec::new();
+    eval.run_two_phase(
+        sched,
+        spec,
+        batch.len(),
+        |i| (i as u64, &batch[i]),
+        |id, ruling| match ruling {
+            FilterDecision::Kept { output, .. } => outs.push(output.ecdf.values().to_vec()),
+            FilterDecision::Filtered { .. } => panic!("no predicate, tuple {id}"),
+        },
+    )
+    .unwrap();
+    outs
 }
 
 fn inputs(n: usize) -> Vec<InputDistribution> {
@@ -29,15 +57,13 @@ fn batch_outputs_identical_for_workers_1_2_8() {
     let batch = inputs(24);
     let mut reference: Option<Vec<Vec<f64>>> = None;
     for workers in [1usize, 2, 8] {
-        let mut par = ParallelOlgapro::new(setup(), workers);
+        let mut eval = Evaluator::Gp(Box::new(setup()));
+        let sched = BatchScheduler::new(workers);
         // Two cold batches then one warm batch, all compared: the first
         // exercises bootstrap + slow path, the last mostly fast path.
         let mut emitted: Vec<Vec<f64>> = Vec::new();
         for seed in [11u64, 12, 13] {
-            let (outs, _) = par.process_batch(&batch, seed).unwrap();
-            for out in outs {
-                emitted.push(out.y_hat.values().to_vec());
-            }
+            emitted.extend(process_batch(&mut eval, &sched, &batch, seed));
         }
         match &reference {
             None => reference = Some(emitted),
@@ -61,10 +87,11 @@ fn slow_path_mutations_are_order_stable() {
     let batch = inputs(16);
     let mut sizes = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut par = ParallelOlgapro::new(setup(), workers);
-        par.process_batch(&batch, 5).unwrap();
-        par.process_batch(&batch, 6).unwrap();
-        sizes.push(par.inner().model().len());
+        let mut eval = Evaluator::Gp(Box::new(setup()));
+        let sched = BatchScheduler::new(workers);
+        process_batch(&mut eval, &sched, &batch, 5);
+        process_batch(&mut eval, &sched, &batch, 6);
+        sizes.push(eval.olgapro().unwrap().model().len());
     }
     assert_eq!(sizes[0], sizes[1], "1 vs 2 workers model size");
     assert_eq!(sizes[0], sizes[2], "1 vs 8 workers model size");

@@ -12,13 +12,13 @@
 //!    deterministic subset of the pair enumeration (the stride is what
 //!    matters: a prefix would only cover one left tuple's slice) and
 //!    runs it *sequentially through the full Algorithm 5 path*
-//!    ([`Executor::select_seeded`](udf_query::Executor::select_seeded)):
+//!    ([`Executor::sequential_indexed`](udf_query::Executor::sequential_indexed)):
 //!    each warmup pair tunes the model before the next is judged, so no
 //!    pair is ever ruled by the raw bootstrap model — a cold frozen model
 //!    (near-duplicate training cluster, ill-conditioned α) can
 //!    spuriously filter arbitrarily many pairs in a batch fast phase;
 //! 2. **main** — every remaining pair runs in one two-phase
-//!    [`Executor::select_batch_indexed`](udf_query::Executor::select_batch_indexed)
+//!    [`Executor::batch_indexed`](udf_query::Executor::batch_indexed)
 //!    batch whose fast phase reads the now-warm frozen model, so most
 //!    pairs are served read-only in parallel instead of rerouting
 //!    through the sequential slow path.
@@ -42,10 +42,11 @@ use crate::{JoinError, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
+use udf_core::batch::BatchCounts;
 use udf_core::filtering::EnvelopeDecision;
 use udf_core::output::OutputDistribution;
-use udf_core::sched::{BatchScheduler, BatchStats};
-use udf_obs::{Histogram, MetricsRegistry, TraceBuffer, TraceEvent, TracePhase};
+use udf_core::sched::BatchScheduler;
+use udf_obs::{Histogram, MetricsRegistry, Obs, TraceEvent, TracePhase};
 use udf_prob::InputDistribution;
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, QueryStats, Relation, Schema, UdfCall};
 
@@ -106,8 +107,10 @@ pub fn warmup_indices(total: usize) -> Vec<usize> {
     out
 }
 
-/// Join-level counters (the per-pair evaluation counters ride along from
-/// the two-phase scheduler and the executor's [`QueryStats`]).
+/// Join-level counters (the per-pair evaluation counters are sums of the
+/// batch operator's [`BatchCounts`] over both rounds, plus the executor's
+/// [`QueryStats`]). Every generated pair ends in exactly one of three ways:
+/// `pairs_generated = pairs_pruned + filtered + pairs_kept`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Candidate pairs after the `ON` filter.
@@ -120,11 +123,13 @@ pub struct JoinStats {
     /// Pairs the certificate proved *certainly kept* (`ρ_L = 1 ≥ θ`);
     /// they are still evaluated to produce their output distribution.
     pub certain_accepts: u64,
-    /// Pairs fully served by the parallel read-only fast path.
+    /// Pairs kept straight from the parallel read-only fast path.
     pub fast_path: u64,
-    /// Pairs that took the sequential model-mutating slow path.
+    /// Pairs that took the sequential model-mutating slow path (the whole
+    /// warmup round, plus the main round's reroutes).
     pub slow_path: u64,
-    /// Pairs dropped by the §5.5 accept-hook filter (after evaluation).
+    /// Evaluated pairs the §5.5 / Remark 2.1 filter dropped — on the fast
+    /// path or after the slow path, in either round.
     pub filtered: u64,
     /// Output rows.
     pub pairs_kept: u64,
@@ -140,10 +145,10 @@ impl JoinStats {
         self.pairs_generated - self.pairs_pruned
     }
 
-    fn absorb(&mut self, b: BatchStats) {
-        self.fast_path += b.fast_path as u64;
-        self.slow_path += b.slow_path as u64;
-        self.filtered += b.filtered as u64;
+    fn absorb(&mut self, c: BatchCounts) {
+        self.fast_path += c.accepted_fast;
+        self.slow_path += c.slow();
+        self.filtered += c.filtered();
     }
 }
 
@@ -215,7 +220,7 @@ type RowsAndCoords = (Vec<ProjectedTuple>, BTreeMap<usize, (usize, usize)>);
 pub struct WarmJoinState {
     executor: Executor,
     rows: Vec<ProjectedTuple>,
-    warm_count: u64,
+    counts: BatchCounts,
 }
 
 /// How a run treats the GP warmup round.
@@ -242,8 +247,7 @@ pub struct JoinExecutor<'s, 'a> {
     call: UdfCall,
     executor: Executor,
     metrics: JoinMetrics,
-    registry: Option<MetricsRegistry>,
-    tracer: TraceBuffer,
+    obs: Obs,
 }
 
 impl<'s, 'a> JoinExecutor<'s, 'a> {
@@ -277,37 +281,24 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             call,
             executor,
             metrics: JoinMetrics::disabled(),
-            registry: None,
-            tracer: TraceBuffer::disabled(),
+            obs: Obs::disabled(),
         })
     }
 
     /// Wire observability: the `join.*` phase timers plus the inner
-    /// executor's model handles (`olgapro.*`) register in `reg`.
-    #[must_use]
-    pub fn with_metrics(mut self, reg: &MetricsRegistry) -> Self {
-        self.metrics = JoinMetrics::register(reg);
-        self.registry = Some(reg.clone());
-        self.executor = self.executor.with_metrics(reg);
-        self
-    }
-
-    /// Wire structured tracing: the join brackets its warmup/main rounds
-    /// with [`TracePhase`] events, attributes every attempted-but-undecided
+    /// executor's model handles (`olgapro.*`) register in `obs.metrics`;
+    /// the join brackets its warmup/main rounds with [`TracePhase`] events
+    /// in `obs.tracer`, attributes every attempted-but-undecided
     /// certificate as a [`TraceEvent::CertifyFail`] with its `bound_gap`,
     /// and shares the buffer with the inner executor's model so
     /// `ModelGrow`/`ModelEvict`/`CapHit` carry through. Purely
     /// observational — results are byte-identical wired or not.
     #[must_use]
-    pub fn with_tracer(mut self, tracer: TraceBuffer) -> Self {
-        self.set_tracer(tracer);
+    pub fn with_obs(mut self, obs: &Obs) -> Self {
+        self.metrics = JoinMetrics::register(&obs.metrics);
+        self.executor = self.executor.with_obs(obs);
+        self.obs = obs.clone();
         self
-    }
-
-    /// In-place variant of [`with_tracer`](Self::with_tracer).
-    pub fn set_tracer(&mut self, tracer: TraceBuffer) {
-        self.executor.set_tracer(&tracer);
-        self.tracer = tracer;
     }
 
     /// The inner executor's counters so far.
@@ -408,13 +399,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 }
             }
         }
-        let inputs: Vec<(usize, InputDistribution)> = pairs_rel
-            .tuples()
-            .iter()
-            .map(|t| self.call.input_distribution(t))
-            .enumerate()
-            .map(|(k, d)| d.map(|d| (k, d)))
-            .collect::<udf_query::Result<_>>()?;
+        let inputs = self.call.indexed_inputs(&pairs_rel)?;
         let mut rows = Vec::new();
         let main = match spec.strategy {
             EvalStrategy::Mc => inputs,
@@ -426,31 +411,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 main
             }
         };
-        if !main.is_empty() {
-            let _main_span = self.metrics.main_ns.span();
-            self.tracer.emit(
-                0,
-                TraceEvent::PhaseStart {
-                    phase: TracePhase::Main,
-                },
-            );
-            let (r, b) = match &spec.predicate {
-                Some(pred) => self
-                    .executor
-                    .select_batch_indexed(&main, pred, sched, spec.seed)?,
-                None => self
-                    .executor
-                    .project_batch_indexed(&main, sched, spec.seed)?,
-            };
-            self.tracer.emit(
-                0,
-                TraceEvent::PhaseEnd {
-                    phase: TracePhase::Main,
-                },
-            );
-            stats.absorb(b);
-            rows.extend(r);
-        }
+        self.main_round(&main, sched, stats, &mut rows)?;
         Ok((rows, pair_of))
     }
 
@@ -499,7 +460,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         // frozen post-warmup model.
         let pruner = PairPruner::new(spec);
         let metrics = &self.metrics;
-        let tracer = &self.tracer;
+        let tracer = &self.obs.tracer;
         let olga = self.executor.olgapro().expect("pruning requires GP");
         let coverage = coverage_radius(olga);
         let mut survivors: Vec<(usize, InputDistribution)> = Vec::new();
@@ -573,27 +534,42 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             }
         }
 
-        if !survivors.is_empty() {
-            let _main_span = self.metrics.main_ns.span();
-            self.tracer.emit(
-                0,
-                TraceEvent::PhaseStart {
-                    phase: TracePhase::Main,
-                },
-            );
-            let (r, b) = self
-                .executor
-                .select_batch_indexed(&survivors, &pred, sched, spec.seed)?;
-            self.tracer.emit(
-                0,
-                TraceEvent::PhaseEnd {
-                    phase: TracePhase::Main,
-                },
-            );
-            stats.absorb(b);
-            rows.extend(r);
-        }
+        self.main_round(&survivors, sched, stats, &mut rows)?;
         Ok((rows, pair_of))
+    }
+
+    /// The main round: one two-phase batch over `pairs`, whose fast phase
+    /// reads the post-warmup model.
+    fn main_round(
+        &mut self,
+        pairs: &[(usize, InputDistribution)],
+        sched: &BatchScheduler,
+        stats: &mut JoinStats,
+        rows: &mut Vec<ProjectedTuple>,
+    ) -> Result<()> {
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        let spec = self.spec;
+        let _main_span = self.metrics.main_ns.span();
+        self.obs.tracer.emit(
+            0,
+            TraceEvent::PhaseStart {
+                phase: TracePhase::Main,
+            },
+        );
+        let (r, counts) =
+            self.executor
+                .batch_indexed(pairs, spec.predicate.as_ref(), sched, spec.seed)?;
+        self.obs.tracer.emit(
+            0,
+            TraceEvent::PhaseEnd {
+                phase: TracePhase::Main,
+            },
+        );
+        stats.absorb(counts);
+        rows.extend(r);
+        Ok(())
     }
 
     /// Run the warmup round per `mode`: evaluate it (snapshotting the
@@ -611,25 +587,20 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
     ) -> Result<()> {
         if let WarmMode::Restore(state) = mode {
             // The snapshot's executor was wired to the capturing run's
-            // observability; re-wire the clone to this run's registry and
-            // tracer so re-executions report where they actually run.
-            let mut executor = state.executor.clone();
-            if let Some(reg) = &self.registry {
-                executor = executor.with_metrics(reg);
-            }
-            executor.set_tracer(&self.tracer);
-            self.executor = executor;
+            // observability; re-wire the clone to this run's, so
+            // re-executions report where they actually run.
+            self.executor = state.executor.clone().with_obs(&self.obs);
             rows.extend(state.rows.iter().cloned());
-            stats.slow_path += state.warm_count;
-            stats.filtered += state.warm_count - state.rows.len() as u64;
+            stats.absorb(state.counts);
             return Ok(());
         }
-        let r = self.warmup(warm, stats)?;
+        let (r, counts) = self.warmup(warm)?;
+        stats.absorb(counts);
         if matches!(mode, WarmMode::Capture) {
             *snapshot = Some(WarmJoinState {
                 executor: self.executor.clone(),
                 rows: r.clone(),
-                warm_count: warm.len() as u64,
+                counts,
             });
         }
         rows.extend(r);
@@ -643,28 +614,25 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
     fn warmup(
         &mut self,
         warm: &[(usize, InputDistribution)],
-        stats: &mut JoinStats,
-    ) -> Result<Vec<ProjectedTuple>> {
+    ) -> Result<(Vec<ProjectedTuple>, BatchCounts)> {
         let spec = self.spec;
         let _warmup_span = self.metrics.warmup_ns.span();
-        self.tracer.emit(
+        self.obs.tracer.emit(
             0,
             TraceEvent::PhaseStart {
                 phase: TracePhase::Warmup,
             },
         );
-        let rows = self
+        let out = self
             .executor
-            .select_seeded(warm, spec.predicate.as_ref(), spec.seed)?;
-        self.tracer.emit(
+            .sequential_indexed(warm, spec.predicate.as_ref(), spec.seed)?;
+        self.obs.tracer.emit(
             0,
             TraceEvent::PhaseEnd {
                 phase: TracePhase::Warmup,
             },
         );
-        stats.slow_path += warm.len() as u64;
-        stats.filtered += (warm.len() - rows.len()) as u64;
-        Ok(rows)
+        Ok(out)
     }
 
     /// Resolve a sorted list of global pair indices to `(idx, input)`

@@ -6,8 +6,7 @@ use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::sched::BatchScheduler;
 use udf_join::executor::warmup_indices;
-use udf_join::{JoinError, JoinExecutor, JoinSpec, JoinedPair, Side};
-use udf_prob::InputDistribution;
+use udf_join::{JoinError, JoinExecutor, JoinSpec, JoinStats, JoinedPair, Side};
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 use udf_workloads::UdfCatalog;
 
@@ -77,18 +76,11 @@ fn hand_built(
         AccuracyRequirement::new(0.2, 0.05, entry.default_lambda(), Metric::Discrepancy).unwrap();
     let mut ex = Executor::new(strategy, accuracy, &call, entry.output_range).unwrap();
     let sched = BatchScheduler::new(workers);
-    let inputs: Vec<(usize, InputDistribution)> = pairs
-        .tuples()
-        .iter()
-        .enumerate()
-        .map(|(k, t)| (k, call.input_distribution(t).unwrap()))
-        .collect();
+    let inputs = call.indexed_inputs(&pairs).unwrap();
     let mut rows = Vec::new();
     match strategy {
         EvalStrategy::Mc => {
-            let (r, _) = ex
-                .select_batch_indexed(&inputs, pred, &sched, seed)
-                .unwrap();
+            let (r, _) = ex.batch_indexed(&inputs, Some(pred), &sched, seed).unwrap();
             rows.extend(r);
         }
         EvalStrategy::Gp => {
@@ -98,13 +90,27 @@ fn hand_built(
             let (a, b): (Vec<_>, Vec<_>) = inputs
                 .into_iter()
                 .partition(|(k, _)| warm.binary_search(k).is_ok());
-            rows.extend(ex.select_seeded(&a, Some(pred), seed).unwrap());
-            let (r, _) = ex.select_batch_indexed(&b, pred, &sched, seed).unwrap();
+            rows.extend(ex.sequential_indexed(&a, Some(pred), seed).unwrap().0);
+            let (r, _) = ex.batch_indexed(&b, Some(pred), &sched, seed).unwrap();
             rows.extend(r);
         }
     }
     rows.sort_by_key(|r| r.source);
     rows
+}
+
+/// Every generated pair is pruned, filtered or kept — exactly one of the
+/// three — and every evaluated pair is settled on exactly one path.
+fn assert_adds_up(s: &JoinStats, label: &str) {
+    assert_eq!(
+        s.pairs_generated,
+        s.pairs_pruned + s.filtered + s.pairs_kept,
+        "{label}: generated ≠ pruned + filtered + kept: {s:?}"
+    );
+    assert!(
+        s.fast_path + s.slow_path <= s.pairs_evaluated(),
+        "{label}: a pair was settled twice: {s:?}"
+    );
 }
 
 fn assert_rows_identical(join: &[JoinedPair], hand: &[ProjectedTuple], label: &str) {
@@ -149,6 +155,7 @@ fn join_matches_hand_built_q2_construction() {
                 out.rows.len()
             );
             assert_rows_identical(&out.rows, &hand, &label);
+            assert_adds_up(&out.stats, &label);
             assert_eq!(out.stats.pairs_generated, 66, "{label}");
             assert_eq!(out.relation.len(), out.rows.len(), "{label}");
             // The joined relation carries the concatenated source tuples.
@@ -174,6 +181,8 @@ fn pruning_changes_no_output_and_prunes_pairs() {
         let on = JoinExecutor::new(&on_spec).unwrap().run(&sched).unwrap();
         let label = format!("workers={workers}");
 
+        assert_adds_up(&off.stats, &format!("{label}/off"));
+        assert_adds_up(&on.stats, &format!("{label}/prune"));
         assert_eq!(off.rows.len(), on.rows.len(), "{label}: kept counts");
         for (a, b) in off.rows.iter().zip(&on.rows) {
             assert_eq!(a.pair, b.pair, "{label}");
@@ -217,6 +226,28 @@ fn pruning_changes_no_output_and_prunes_pairs() {
             }
         }
     }
+}
+
+/// `JoinStats` adds up for MC, GP and GP + `PRUNE`. At this seed two
+/// main-round pairs reroute and are then dropped by the slow path's own
+/// filter — the drops the GP join used to leave uncounted (it reported
+/// 274 of 276 pairs).
+#[test]
+fn join_stats_add_up() {
+    let g = galaxies(24);
+    let sched = BatchScheduler::new(2);
+    let run = |strategy, prune| {
+        let (spec, _) = angdist_spec(&g, strategy, prune, 4);
+        let stats = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap().stats;
+        assert_adds_up(&stats, &format!("{strategy:?}/prune={prune}"));
+        stats
+    };
+    run(EvalStrategy::Mc, false);
+    let off = run(EvalStrategy::Gp, false);
+    let on = run(EvalStrategy::Gp, true);
+    assert!(on.pairs_pruned > 0, "warm model never pruned a pair");
+    assert_eq!(off.filtered, on.filtered + on.pairs_pruned);
+    assert_eq!(off.pairs_kept, on.pairs_kept);
 }
 
 /// MC joins over the same spec agree with cross_join + select_batch (the

@@ -21,12 +21,12 @@ use crate::plan::{
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use udf_core::config::ModelBudget;
-use udf_core::sched::{BatchScheduler, SchedMetrics};
+use udf_core::sched::BatchScheduler;
 use udf_join::{
     JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition, WarmJoinState, WarmMode,
 };
 use udf_obs::{
-    MetricsRegistry, Monitor, Snapshot, TraceBuffer, TraceEvent, TracePhase, TraceSummary,
+    MetricsRegistry, Monitor, Obs, Snapshot, TraceBuffer, TraceEvent, TracePhase, TraceSummary,
 };
 use udf_query::{Executor, ProjectedTuple, QueryStats, Relation, UdfCall};
 use udf_stream::{
@@ -49,8 +49,7 @@ pub struct Context {
     relations: BTreeMap<String, Relation>,
     streams: BTreeMap<String, (usize, SourceFactory)>,
     schedulers: BTreeMap<usize, BatchScheduler>,
-    metrics: MetricsRegistry,
-    trace: TraceBuffer,
+    obs: Obs,
     monitor: Monitor,
     prepared: BTreeMap<String, PreparedEntry>,
     catalog_epoch: u64,
@@ -133,8 +132,10 @@ impl Context {
             relations: BTreeMap::new(),
             streams: BTreeMap::new(),
             schedulers: BTreeMap::new(),
-            metrics,
-            trace: TraceBuffer::new(TRACE_LANES, TRACE_CAPACITY),
+            obs: Obs {
+                metrics,
+                tracer: TraceBuffer::new(TRACE_LANES, TRACE_CAPACITY),
+            },
             monitor,
             prepared: BTreeMap::new(),
             catalog_epoch: 0,
@@ -208,7 +209,7 @@ impl Context {
     /// `join.*` phase timers. Metrics never perturb results — digests are
     /// byte-identical with the registry enabled or disabled.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.obs.metrics
     }
 
     /// The context's structured trace buffer. Every statement run through
@@ -221,7 +222,7 @@ impl Context {
     /// window; [`TraceBuffer::to_chrome_json`] exports the whole ring for
     /// chrome://tracing.
     pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
+        &self.obs.tracer
     }
 
     /// The context's registry-wide monitor: bounded per-metric
@@ -426,8 +427,8 @@ impl QueryOutput {
 /// staying byte-identical to the one-shot statement, which the digest
 /// suite pins at workers 1/2/8.
 pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
-    let reg = ctx.metrics.clone();
-    let tracer = ctx.trace.clone();
+    let reg = ctx.obs.metrics.clone();
+    let tracer = ctx.obs.tracer.clone();
     // Watermark before parsing so a TRACE statement's window covers its
     // own parse/bind phases too (taken unconditionally: the mode is only
     // known after parsing, and a watermark is three atomic loads).
@@ -807,19 +808,16 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context, plan: String) -> Result<QueryOu
         .relations
         .get(&p.relation)
         .ok_or_else(|| stale_name("relation", &p.relation))?;
-    let reg = &ctx.metrics;
-    let trace = &ctx.trace;
-    let sched = ctx.schedulers.entry(p.workers).or_insert_with(|| {
-        BatchScheduler::new(p.workers)
-            .with_metrics(SchedMetrics::register(reg))
-            .with_tracer(trace.clone())
-    });
+    let obs = &ctx.obs;
+    let sched = ctx
+        .schedulers
+        .entry(p.workers)
+        .or_insert_with(|| BatchScheduler::new(p.workers).with_obs(obs));
     let args: Vec<&str> = p.args.iter().map(String::as_str).collect();
     let call = UdfCall::resolve(p.udf.clone(), rel.schema(), &args)?;
     let mut executor = Executor::new(p.strategy, p.accuracy, &call, p.output_range)?
         .with_model_cap(p.model_cap, ModelBudget::StopGrowing)?
-        .with_metrics(reg)
-        .with_tracer(trace);
+        .with_obs(obs);
     let t0 = Instant::now();
     let rows = match &p.predicate {
         Some(pred) => executor.select_batch(rel, &call, pred, sched, p.seed)?,
@@ -849,13 +847,11 @@ fn exec_join(
         .relations
         .get(&p.right)
         .ok_or_else(|| stale_name("relation", &p.right))?;
-    let reg = &ctx.metrics;
-    let trace = &ctx.trace;
-    let sched = ctx.schedulers.entry(p.workers).or_insert_with(|| {
-        BatchScheduler::new(p.workers)
-            .with_metrics(SchedMetrics::register(reg))
-            .with_tracer(trace.clone())
-    });
+    let obs = &ctx.obs;
+    let sched = ctx
+        .schedulers
+        .entry(p.workers)
+        .or_insert_with(|| BatchScheduler::new(p.workers).with_obs(obs));
     let args: Vec<(udf_join::Side, &str)> = p.args.iter().map(|(s, c)| (*s, c.as_str())).collect();
     let mut spec = JoinSpec::new(
         left,
@@ -893,10 +889,7 @@ fn exec_join(
         });
     }
     let t0 = Instant::now();
-    let mut executor = JoinExecutor::new(&spec)
-        .map_err(join_err)?
-        .with_metrics(reg)
-        .with_tracer(ctx.trace.clone());
+    let mut executor = JoinExecutor::new(&spec).map_err(join_err)?.with_obs(obs);
     let (out, snapshot) = executor.run_warm(sched, mode).map_err(join_err)?;
     Ok((
         QueryOutput::Join(JoinRowsOutput {
@@ -937,8 +930,7 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context, plan: String) -> Result<QueryO
             .batch_size(p.batch)
             .seed(p.seed),
     )
-    .with_metrics(&ctx.metrics)
-    .with_tracer(ctx.trace.clone())
+    .with_obs(&ctx.obs)
     .with_health(HealthMonitor::new(
         udf_stream::health::DEFAULT_SAMPLE_EVERY,
         udf_stream::health::DEFAULT_CAPACITY,

@@ -1,0 +1,203 @@
+//! Golden digests: what each UQL surface emitted, bit for bit, at the commit
+//! before the batch operator moved into `udf_core::batch`.
+//!
+//! Every other determinism test in the workspace is path-vs-path (UQL vs.
+//! hand-built, workers 1 vs. 8), so a refactor that shifts both paths alike
+//! passes them all. These constants do not move with the code: a digest
+//! folds every emitted row — `(source | pair, tep, error_bound, udf_calls,
+//! ECDF values)` — plus the statement's counters, and each statement must
+//! reproduce its constant at `WORKERS` 1, 2 and 8.
+
+use udf_lang::{run_uql, Context, QueryOutput};
+use udf_query::{Relation, Schema, Tuple, Value};
+use udf_stream::SyntheticSource;
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn row(&mut self, id: usize, tep: f64, out: &udf_core::OutputDistribution) {
+        self.word(id as u64);
+        self.word(tep.to_bits());
+        self.word(out.error_bound.to_bits());
+        self.word(out.udf_calls);
+        self.word(out.ecdf.len() as u64);
+        for v in out.ecdf.values() {
+            self.word(v.to_bits());
+        }
+    }
+}
+
+/// `n` tuples with Gaussian-uncertain redshifts spread over `[0.1, 1.8)`.
+fn sky(n: usize) -> Relation {
+    let tuples = (0..n)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Det(i as f64),
+                Value::Gaussian {
+                    mu: 0.1 + 1.7 * i as f64 / n as f64,
+                    sigma: 0.02,
+                },
+            ])
+        })
+        .collect();
+    Relation::new(Schema::new(&["objID", "z"]), tuples).unwrap()
+}
+
+fn context() -> Context {
+    let mut ctx = Context::standard();
+    ctx.register_relation("sky", sky(48));
+    ctx.register_relation("small", sky(12));
+    ctx.register_stream("synth", 1, || {
+        Box::new(SyntheticSource::gaussian(1, 0.5, 11))
+    });
+    ctx
+}
+
+/// Run one statement and fold everything it reported.
+fn digest(statement: &str) -> u64 {
+    let mut fnv = Fnv::new();
+    match run_uql(statement, &mut context()).unwrap() {
+        QueryOutput::Rows(out) => {
+            for r in &out.rows {
+                fnv.row(r.source, r.tep, &r.output);
+            }
+            let s = out.stats;
+            for w in [
+                s.tuples_in,
+                s.tuples_out,
+                s.udf_calls,
+                s.cap_hits,
+                s.fast_path,
+                s.slow_path,
+            ] {
+                fnv.word(w);
+            }
+        }
+        QueryOutput::Join(out) => {
+            for r in &out.rows {
+                fnv.row(r.pair, r.tep, &r.output);
+            }
+            // `JoinStats::filtered` is left out on purpose: it under-counted
+            // slow-path drops at the recording commit (see
+            // `crates/join/tests/parity.rs` for the identity it now obeys).
+            let s = out.stats;
+            for w in [
+                s.pairs_generated,
+                s.pairs_pruned,
+                s.pairs_kept,
+                s.fast_path,
+                s.slow_path,
+                s.cap_hits,
+                s.udf_calls,
+            ] {
+                fnv.word(w);
+            }
+        }
+        QueryOutput::Stream(out) => {
+            fnv.word(out.digest);
+            let s = &out.stats;
+            for w in [
+                s.tuples_in,
+                s.kept,
+                s.filtered,
+                s.fast_path,
+                s.slow_path,
+                s.udf_calls,
+                s.cap_hits,
+            ] {
+                fnv.word(w);
+            }
+        }
+        other => panic!("statement must execute, got {other:?}"),
+    }
+    fnv.0
+}
+
+const SELECT: &str = "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6";
+const STREAM: &str = "SELECT F3(x) WITH ACCURACY 0.2 0.05 METRIC disc FROM STREAM synth \
+                      WHERE PR(F3(x) IN [0.4, 1.5]) >= 0.3";
+const STREAM_TAIL: &str = "BATCH 64 SEED 9 LIMIT 192";
+const JOIN: &str = "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM small a JOIN small b \
+                    ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5";
+
+/// `(label, statement, strategy clause, clauses after WORKERS, digest)`.
+const GOLDEN: [(&str, &str, &str, &str, u64); 8] = [
+    (
+        "select/mc",
+        SELECT,
+        "USING mc",
+        "SEED 7",
+        0xb0cd_78e3_2cf1_19ce,
+    ),
+    (
+        "select/gp",
+        SELECT,
+        "USING gp",
+        "SEED 7",
+        0xe6cd_db61_fdd9_d74b,
+    ),
+    (
+        "project/gp/cap",
+        "SELECT GalAge(z) FROM sky",
+        "USING gp",
+        "SEED 7 MODEL CAP 8",
+        0x65fb_86b3_2a92_816c,
+    ),
+    (
+        "stream/mc",
+        STREAM,
+        "USING mc",
+        STREAM_TAIL,
+        0x7fa1_e8b7_e670_5677,
+    ),
+    (
+        "stream/gp",
+        STREAM,
+        "USING gp",
+        STREAM_TAIL,
+        0x4c56_0b65_6ff4_eb75,
+    ),
+    (
+        "stream/gp/cap",
+        "SELECT F3(x) WITH ACCURACY 0.2 0.05 METRIC disc FROM STREAM synth",
+        "USING gp",
+        "BATCH 32 SEED 9 MODEL CAP 8 LIMIT 192",
+        0x3a7c_43f1_a16c_eee2,
+    ),
+    ("join/gp", JOIN, "USING gp", "SEED 7", 0x3816_99f4_9555_a1f8),
+    (
+        "join/gp/prune",
+        JOIN,
+        "USING gp",
+        "SEED 7 PRUNE",
+        0xd596_a9b0_4b0b_c5eb,
+    ),
+];
+
+#[test]
+fn every_surface_reproduces_its_recorded_digest_at_workers_1_2_8() {
+    let mut wrong = Vec::new();
+    for (label, head, using, tail, want) in GOLDEN {
+        for workers in [1usize, 2, 8] {
+            let got = digest(&format!("{head} {using} WORKERS {workers} {tail}"));
+            if got != want {
+                wrong.push(format!(
+                    "{label} WORKERS {workers}: {got:#018x}, recorded {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
+}

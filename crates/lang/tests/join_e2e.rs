@@ -7,7 +7,6 @@ use udf_core::filtering::Predicate;
 use udf_core::sched::BatchScheduler;
 use udf_join::warmup_indices;
 use udf_lang::{run_uql, Context, JoinRowsOutput, QueryOutput};
-use udf_prob::InputDistribution;
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 use udf_workloads::UdfCatalog;
 
@@ -65,12 +64,7 @@ fn hand_built(n: usize, strategy: EvalStrategy, workers: usize, seed: u64) -> Ve
     let pred = Predicate::new(LO, HI, THETA).unwrap();
     let mut ex = Executor::new(strategy, accuracy, &call, entry.output_range).unwrap();
     let sched = BatchScheduler::new(workers);
-    let inputs: Vec<(usize, InputDistribution)> = pairs
-        .tuples()
-        .iter()
-        .enumerate()
-        .map(|(k, t)| (k, call.input_distribution(t).unwrap()))
-        .collect();
+    let inputs = call.indexed_inputs(&pairs).unwrap();
     let mut rows = Vec::new();
     match strategy {
         EvalStrategy::Mc => {
@@ -81,8 +75,8 @@ fn hand_built(n: usize, strategy: EvalStrategy, workers: usize, seed: u64) -> Ve
             let (a, b): (Vec<_>, Vec<_>) = inputs
                 .into_iter()
                 .partition(|(k, _)| warm.binary_search(k).is_ok());
-            rows.extend(ex.select_seeded(&a, Some(&pred), seed).unwrap());
-            let (r, _) = ex.select_batch_indexed(&b, &pred, &sched, seed).unwrap();
+            rows.extend(ex.sequential_indexed(&a, Some(&pred), seed).unwrap().0);
+            let (r, _) = ex.batch_indexed(&b, Some(&pred), &sched, seed).unwrap();
             rows.extend(r);
             rows.sort_by_key(|r| r.source);
         }

@@ -38,6 +38,8 @@
 //!   the REPL's `\top` dashboard. [`collapsed_stacks`] folds the trace
 //!   ring's phase brackets into flamegraph-compatible `a;b;c count`
 //!   lines. Same hard rules: sampling only reads snapshots.
+//! * [`Obs`] — the one handle a component is wired with: the registry and
+//!   the trace buffer together, passed once at construction.
 //! * [`json`] — the hand-rolled JSON writer, a validator, and a small
 //!   materializing parser (for the `bench-gate` trajectory differ);
 //!   there is no serde in this workspace.
@@ -63,3 +65,25 @@ pub use monitor::{
 pub use profile::collapsed_stacks;
 pub use registry::{MetricsRegistry, Snapshot};
 pub use trace::{RerouteReason, TimedEvent, TraceBuffer, TraceEvent, TracePhase, TraceSummary};
+
+/// The observability context a component is wired with: one metrics
+/// registry and one trace buffer, handed over together (`with_obs`) so no
+/// layer threads the two separately. Cloning shares both.
+#[derive(Clone, Debug)]
+pub struct Obs {
+    /// Where the component registers its named handles.
+    pub metrics: MetricsRegistry,
+    /// Where the component emits its structured events.
+    pub tracer: TraceBuffer,
+}
+
+impl Obs {
+    /// The no-op context (what un-wired components behave as): a
+    /// switched-off registry and a disabled trace buffer.
+    pub fn disabled() -> Self {
+        Obs {
+            metrics: MetricsRegistry::disabled(),
+            tracer: TraceBuffer::disabled(),
+        }
+    }
+}

@@ -1,32 +1,32 @@
 //! Query execution: UDF projection and UDF selection over relations.
 //!
-//! Two execution modes share one evaluation substrate:
+//! An [`Executor`] owns one [`Evaluator`] (MC, or the warm OLGAPRO model of
+//! one query) and is a caller of the batch operator in
+//! [`udf_core::batch`], which rules, emits and counts every tuple; this
+//! module only turns relations into `(index, input)` lists, the operator's
+//! rulings into [`ProjectedTuple`] rows, and its counter block into
+//! [`QueryStats`].
 //!
-//! * the original tuple-at-a-time mode ([`Executor::project`] /
-//!   [`Executor::select`]), driven by a caller-supplied RNG;
-//! * a **batch-parallel** mode ([`Executor::project_batch`] /
-//!   [`Executor::select_batch`]) built on the shared two-phase core
-//!   [`udf_core::sched::BatchScheduler`]: read-only GP inference (or MC
-//!   sampling) fans out across the persistent worker pool, and only tuples
-//!   that miss the ε_GP budget take the sequential model-mutating path.
-//!   Per-tuple RNGs derive from [`mix_seed`]`(seed, 0, i)`, so results are
-//!   byte-identical for any worker count. On the MC path (and on the GP
-//!   path once the model is warm) they are also identical to a sequential
-//!   evaluation with the same per-tuple seeds; while the model is still
-//!   being tuned, accepted fast-path rows are inferred against the
-//!   batch-start model rather than each predecessor's tuning, exactly like
-//!   [`udf_core::parallel::ParallelOlgapro`].
+//! [`project_batch`](Executor::project_batch) and
+//! [`select_batch`](Executor::select_batch) run a whole relation as one
+//! batch on a [`BatchScheduler`] worker pool: read-only GP inference (or MC
+//! sampling) fans out across the pool, and only tuples that miss the ε_GP
+//! budget take the sequential model-mutating path. Per-tuple RNGs derive
+//! from [`mix_seed`](udf_core::mix_seed)`(seed, 0, i)`, so results are
+//! byte-identical for any worker count. On the MC path (and on the GP path
+//! once the model is warm) they are also identical to a sequential
+//! evaluation with the same per-tuple seeds; while the model is still being
+//! tuned, accepted fast-path rows are inferred against the batch-start
+//! model rather than each predecessor's tuning.
 
-use crate::relation::{Relation, Tuple, UdfCall};
+use crate::relation::{Relation, UdfCall};
 use crate::Result;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::{AccuracyRequirement, ModelBudget, OlgaproConfig};
-use udf_core::filtering::{gp_filtered, mc_eval_tuple, mc_filtered, FilterDecision, Predicate};
-use udf_core::olgapro::{InferScratch, Olgapro, OlgaproMetrics};
-use udf_core::output::{GpOutput, OutputDistribution};
-use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, BatchStats, Verdict};
-use udf_core::McEvaluator;
+use udf_core::filtering::{FilterDecision, Predicate};
+use udf_core::olgapro::Olgapro;
+use udf_core::output::OutputDistribution;
+use udf_core::sched::BatchScheduler;
 use udf_prob::InputDistribution;
 
 /// How UDF outputs are computed per tuple.
@@ -52,14 +52,24 @@ pub struct QueryStats {
     /// GP model cap blocked further online tuning — nonzero only when a
     /// cap is set via [`Executor::with_model_cap`].
     pub cap_hits: u64,
-    /// Tuples fully served by the parallel read-only fast path (batch
-    /// modes; fed from [`BatchStats`]).
+    /// Tuples kept straight from the parallel read-only fast path
+    /// ([`BatchCounts::accepted_fast`]).
     pub fast_path: u64,
     /// Tuples that took the sequential model-mutating slow path —
-    /// rerouted batch tuples plus every tuple of the tuple-at-a-time
-    /// modes ([`Executor::project`] / [`Executor::select`] /
-    /// [`Executor::select_seeded`], which always run the full path).
+    /// rerouted batch tuples plus every tuple of
+    /// [`Executor::sequential_indexed`], which always runs the full path.
     pub slow_path: u64,
+}
+
+impl QueryStats {
+    fn absorb(&mut self, c: BatchCounts) {
+        self.tuples_in += c.tuples_in;
+        self.tuples_out += c.kept();
+        self.udf_calls += c.udf_calls;
+        self.cap_hits += c.cap_hits;
+        self.fast_path += c.accepted_fast;
+        self.slow_path += c.slow();
+    }
 }
 
 /// One output row of a UDF projection.
@@ -87,10 +97,7 @@ pub struct ProjectedTuple {
 /// execution (the prepared-statement warm-reuse path).
 #[derive(Clone, Debug)]
 pub struct Executor {
-    strategy: EvalStrategy,
-    accuracy: AccuracyRequirement,
-    udf: udf_core::udf::BlackBoxUdf,
-    olgapro: Option<Olgapro>,
+    eval: Evaluator,
     stats: QueryStats,
 }
 
@@ -105,18 +112,16 @@ impl Executor {
         call: &UdfCall,
         output_range: f64,
     ) -> Result<Self> {
-        let olgapro = match strategy {
-            EvalStrategy::Mc => None,
+        let udf = call.udf.clone();
+        let eval = match strategy {
+            EvalStrategy::Mc => Evaluator::Mc { udf, accuracy },
             EvalStrategy::Gp => {
                 let cfg = OlgaproConfig::new(accuracy, output_range)?;
-                Some(Olgapro::new(call.udf.clone(), cfg))
+                Evaluator::Gp(Box::new(Olgapro::new(udf, cfg)))
             }
         };
         Ok(Executor {
-            strategy,
-            accuracy,
-            udf: call.udf.clone(),
-            olgapro,
+            eval,
             stats: QueryStats::default(),
         })
     }
@@ -131,7 +136,7 @@ impl Executor {
     /// bound (attached to every output row) and count them in
     /// [`QueryStats::cap_hits`].
     pub fn with_model_cap(mut self, n: usize, budget: ModelBudget) -> Result<Self> {
-        if let Some(olga) = &mut self.olgapro {
+        if let Some(olga) = self.eval.olgapro_mut() {
             olga.set_model_cap(n, budget)?;
         }
         Ok(self)
@@ -144,44 +149,29 @@ impl Executor {
     /// knob udf-join's strided warmup uses. Rejects 0; the MC strategy
     /// ignores it.
     pub fn with_tuning_budget(mut self, n: usize) -> Result<Self> {
-        if let Some(olga) = &mut self.olgapro {
+        if let Some(olga) = self.eval.olgapro_mut() {
             olga.set_tuning_budget(n)?;
         }
         Ok(self)
     }
 
     /// Wire observability: the executor's OLGAPRO instance (if any)
-    /// registers its `olgapro.*` handles in `reg`. Purely observational —
-    /// results are byte-identical wired or not. The MC strategy has no
-    /// per-executor timers and ignores this.
-    pub fn with_metrics(mut self, reg: &udf_obs::MetricsRegistry) -> Self {
-        if let Some(olga) = &mut self.olgapro {
-            olga.set_metrics(OlgaproMetrics::register(reg));
+    /// registers its `olgapro.*` handles in `obs.metrics` and emits
+    /// model-lifecycle events (`ModelGrow`/`ModelEvict`/`CapHit`) into
+    /// `obs.tracer`. Purely observational — results are byte-identical
+    /// wired or not. The MC strategy has no per-executor timers and no
+    /// model, and ignores this.
+    pub fn with_obs(mut self, obs: &udf_obs::Obs) -> Self {
+        if let Some(olga) = self.eval.olgapro_mut() {
+            olga.set_obs(obs);
         }
         self
-    }
-
-    /// Wire structured tracing: the executor's OLGAPRO instance (if any)
-    /// emits model-lifecycle events (`ModelGrow`/`ModelEvict`/`CapHit`)
-    /// into `tracer`'s rings. Purely observational — results are
-    /// byte-identical wired or not. The MC strategy has no model and
-    /// ignores this.
-    pub fn with_tracer(mut self, tracer: &udf_obs::TraceBuffer) -> Self {
-        self.set_tracer(tracer);
-        self
-    }
-
-    /// In-place variant of [`with_tracer`](Self::with_tracer).
-    pub fn set_tracer(&mut self, tracer: &udf_obs::TraceBuffer) {
-        if let Some(olga) = &mut self.olgapro {
-            olga.set_tracer(tracer.clone());
-        }
     }
 
     /// The GP evaluator, when the strategy is [`EvalStrategy::Gp`] —
     /// exposes model size and core statistics for observability.
     pub fn olgapro(&self) -> Option<&Olgapro> {
-        self.olgapro.as_ref()
+        self.eval.olgapro()
     }
 
     /// Execution counters so far.
@@ -189,168 +179,14 @@ impl Executor {
         self.stats
     }
 
-    /// `SELECT udf(args) FROM rel` — compute the UDF output distribution
-    /// for every tuple (query Q1).
-    pub fn project(
-        &mut self,
-        rel: &Relation,
-        call: &UdfCall,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Vec<ProjectedTuple>> {
-        let mut out = Vec::with_capacity(rel.len());
-        for (i, t) in rel.tuples().iter().enumerate() {
-            self.stats.tuples_in += 1;
-            self.stats.slow_path += 1;
-            let output = self.eval_tuple(t, call, rng)?;
-            self.stats.udf_calls += output.udf_calls;
-            self.stats.tuples_out += 1;
-            out.push(ProjectedTuple {
-                source: i,
-                output,
-                tep: 1.0,
-            });
-        }
-        Ok(out)
-    }
-
-    /// `SELECT udf(args) FROM rel WHERE udf(args) ∈ [lo, hi]` with TEP
-    /// threshold θ (query Q2's selection) — tuples whose existence
-    /// probability upper bound falls below θ are dropped early.
-    pub fn select(
-        &mut self,
-        rel: &Relation,
-        call: &UdfCall,
-        predicate: &Predicate,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Vec<ProjectedTuple>> {
-        let mut out = Vec::new();
-        for (i, t) in rel.tuples().iter().enumerate() {
-            self.stats.tuples_in += 1;
-            self.stats.slow_path += 1;
-            let input = call.input_distribution(t)?;
-            match self.strategy {
-                EvalStrategy::Mc => {
-                    let d = mc_filtered(&call.udf, &input, &self.accuracy, predicate, rng)?;
-                    match d {
-                        FilterDecision::Filtered { udf_calls, .. } => {
-                            self.stats.udf_calls += udf_calls;
-                        }
-                        FilterDecision::Kept { output, tep } => {
-                            self.stats.udf_calls += output.udf_calls;
-                            self.stats.tuples_out += 1;
-                            out.push(ProjectedTuple {
-                                source: i,
-                                output,
-                                tep,
-                            });
-                        }
-                    }
-                }
-                EvalStrategy::Gp => {
-                    let olga = self.olgapro.as_mut().expect("GP strategy has model");
-                    let cap_before = olga.stats().cap_hits;
-                    let d = gp_filtered(olga, &input, predicate, rng)?;
-                    let cap_delta = olga.stats().cap_hits - cap_before;
-                    self.stats.cap_hits += cap_delta;
-                    match d {
-                        FilterDecision::Filtered { udf_calls, .. } => {
-                            self.stats.udf_calls += udf_calls;
-                        }
-                        FilterDecision::Kept { output, tep } => {
-                            self.stats.udf_calls += output.udf_calls;
-                            self.stats.tuples_out += 1;
-                            out.push(ProjectedTuple {
-                                source: i,
-                                output: output.into_distribution(),
-                                tep,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Sequential, fully-seeded evaluation of an explicit `(original
-    /// index, input)` list through the complete model-mutating path —
-    /// tuple `idx` runs under [`mix_seed`]`(seed, 0, idx)`, exactly the
-    /// RNG a batch would hand it. Unlike a batch's fast phase (which
-    /// judges every tuple against the frozen batch-start model), each
-    /// tuple here tunes the model *before* the next one is judged, so
-    /// cold-model verdicts never poison downstream decisions. This is
-    /// `udf_join`'s GP warmup round; results are trivially independent of
-    /// worker count (nothing runs concurrently).
-    pub fn select_seeded(
-        &mut self,
-        inputs: &[(usize, InputDistribution)],
-        predicate: Option<&Predicate>,
-        seed: u64,
-    ) -> Result<Vec<ProjectedTuple>> {
-        let mut out = Vec::new();
-        for (idx, input) in inputs {
-            self.stats.tuples_in += 1;
-            self.stats.slow_path += 1;
-            let mut rng = StdRng::seed_from_u64(mix_seed(seed, 0, *idx as u64));
-            let decision = match self.strategy {
-                EvalStrategy::Mc => {
-                    mc_eval_tuple(&self.udf, input, &self.accuracy, predicate, &mut rng)?
-                }
-                EvalStrategy::Gp => {
-                    let olga = self.olgapro.as_mut().expect("GP strategy has model");
-                    let cap_before = olga.stats().cap_hits;
-                    let d = match predicate {
-                        Some(pred) => match gp_filtered(olga, input, pred, &mut rng)? {
-                            FilterDecision::Kept { output, tep } => FilterDecision::Kept {
-                                output: output.into_distribution(),
-                                tep,
-                            },
-                            FilterDecision::Filtered {
-                                rho_upper,
-                                udf_calls,
-                            } => FilterDecision::Filtered {
-                                rho_upper,
-                                udf_calls,
-                            },
-                        },
-                        None => {
-                            let o = olga.process(input, &mut rng)?;
-                            FilterDecision::Kept {
-                                output: o.into_distribution(),
-                                tep: 1.0,
-                            }
-                        }
-                    };
-                    self.stats.cap_hits += olga.stats().cap_hits - cap_before;
-                    d
-                }
-            };
-            match decision {
-                FilterDecision::Kept { output, tep } => {
-                    self.stats.udf_calls += output.udf_calls;
-                    self.stats.tuples_out += 1;
-                    out.push(ProjectedTuple {
-                        source: *idx,
-                        output,
-                        tep,
-                    });
-                }
-                FilterDecision::Filtered { udf_calls, .. } => {
-                    self.stats.udf_calls += udf_calls;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Batch-parallel Q1 projection: like [`project`](Executor::project),
-    /// but the whole relation is one batch on `sched`'s worker pool.
+    /// `SELECT udf(args) FROM rel` (query Q1) — the UDF output
+    /// distribution of every tuple, the whole relation as one batch on
+    /// `sched`'s worker pool.
     ///
-    /// Tuple `i` is evaluated with an RNG seeded
-    /// [`mix_seed`]`(seed, 0, i)`, so the rows are byte-identical for any
-    /// worker count — and, once the GP model is warm (MC: always),
-    /// identical to processing the tuples sequentially in order with the
-    /// same per-tuple seeds.
+    /// Tuple `i` is evaluated with an RNG seeded `mix_seed(seed, 0, i)`, so
+    /// the rows are byte-identical for any worker count — and, once the GP
+    /// model is warm (MC: always), identical to processing the tuples
+    /// sequentially in order with the same per-tuple seeds.
     pub fn project_batch(
         &mut self,
         rel: &Relation,
@@ -358,13 +194,16 @@ impl Executor {
         sched: &BatchScheduler,
         seed: u64,
     ) -> Result<Vec<ProjectedTuple>> {
-        self.run_batch(rel, call, None, sched, seed)
+        let inputs = call.indexed_inputs(rel)?;
+        Ok(self.batch_indexed(&inputs, None, sched, seed)?.0)
     }
 
-    /// Batch-parallel Q2 selection: like [`select`](Executor::select), but
-    /// the whole relation is one batch on `sched`'s worker pool. On the GP
-    /// path, tuples are filtered from the fast-path envelope bounds (§5.5)
-    /// before any model-mutating work is scheduled.
+    /// `SELECT udf(args) FROM rel WHERE udf(args) ∈ [lo, hi]` with TEP
+    /// threshold θ (query Q2's selection), the whole relation as one batch
+    /// on `sched`'s worker pool — tuples whose existence-probability upper
+    /// bound falls below θ are dropped early. On the GP path, tuples are
+    /// filtered from the fast-path envelope bounds (§5.5) before any
+    /// model-mutating work is scheduled.
     pub fn select_batch(
         &mut self,
         rel: &Relation,
@@ -373,264 +212,89 @@ impl Executor {
         sched: &BatchScheduler,
         seed: u64,
     ) -> Result<Vec<ProjectedTuple>> {
-        self.run_batch(rel, call, Some(*predicate), sched, seed)
+        let inputs = call.indexed_inputs(rel)?;
+        Ok(self.batch_indexed(&inputs, Some(predicate), sched, seed)?.0)
     }
 
-    /// Batch-parallel selection over an *explicit, possibly sparse* list of
-    /// `(original_index, input_distribution)` tuples. Seeds, emitted
+    /// One batch over an *explicit, possibly sparse* list of
+    /// `(original_index, input_distribution)` tuples — a selection with
+    /// `Some(predicate)`, a projection with `None`. Seeds, emitted
     /// `source` ids, and slow-path fold order all come from the original
     /// index, so evaluating a subset is bit-identical to the corresponding
     /// tuples of a full [`select_batch`](Executor::select_batch) run —
-    /// provided the skipped tuples are ones the accept hook would have
-    /// filtered (they mutate nothing and emit nothing). This is the
+    /// provided the skipped tuples are ones the filter would have dropped
+    /// on the fast path (they mutate nothing and emit nothing). This is the
     /// contract `udf_join`'s envelope pruning relies on; the returned
-    /// [`BatchStats`] expose the fast/slow/filtered split.
-    pub fn select_batch_indexed(
+    /// [`BatchCounts`] expose the batch's fast/slow/filtered split.
+    pub fn batch_indexed(
         &mut self,
         inputs: &[(usize, InputDistribution)],
-        predicate: &Predicate,
+        predicate: Option<&Predicate>,
         sched: &BatchScheduler,
         seed: u64,
-    ) -> Result<(Vec<ProjectedTuple>, BatchStats)> {
-        self.run_batch_indexed(inputs, Some(*predicate), sched, seed)
+    ) -> Result<(Vec<ProjectedTuple>, BatchCounts)> {
+        self.run_indexed(inputs, predicate, Some(sched), seed)
     }
 
-    /// [`select_batch_indexed`](Executor::select_batch_indexed) without a
-    /// predicate: indexed batch-parallel projection. Multi-round callers
-    /// (udf-join's warmup + main split) use this for Q1-style pair
-    /// projections.
-    pub fn project_batch_indexed(
+    /// Sequential, fully-seeded evaluation of an explicit `(original
+    /// index, input)` list through the complete model-mutating path —
+    /// tuple `idx` runs under `mix_seed(seed, 0, idx)`, exactly the RNG a
+    /// batch would hand it. Unlike a batch's fast phase (which judges
+    /// every tuple against the frozen batch-start model), each tuple here
+    /// tunes the model *before* the next one is judged, so cold-model
+    /// verdicts never poison downstream decisions. This is `udf_join`'s GP
+    /// warmup round; results are trivially independent of worker count
+    /// (nothing runs concurrently).
+    pub fn sequential_indexed(
         &mut self,
         inputs: &[(usize, InputDistribution)],
-        sched: &BatchScheduler,
+        predicate: Option<&Predicate>,
         seed: u64,
-    ) -> Result<(Vec<ProjectedTuple>, BatchStats)> {
-        self.run_batch_indexed(inputs, None, sched, seed)
+    ) -> Result<(Vec<ProjectedTuple>, BatchCounts)> {
+        self.run_indexed(inputs, predicate, None, seed)
     }
 
-    /// Shared batch driver for projection (`predicate = None`) and
-    /// selection (`Some`).
-    fn run_batch(
-        &mut self,
-        rel: &Relation,
-        call: &UdfCall,
-        predicate: Option<Predicate>,
-        sched: &BatchScheduler,
-        seed: u64,
-    ) -> Result<Vec<ProjectedTuple>> {
-        let inputs: Vec<(usize, InputDistribution)> = rel
-            .tuples()
-            .iter()
-            .map(|t| call.input_distribution(t))
-            .enumerate()
-            .map(|(i, d)| d.map(|d| (i, d)))
-            .collect::<Result<_>>()?;
-        Ok(self.run_batch_indexed(&inputs, predicate, sched, seed)?.0)
-    }
-
-    /// The indexed core behind [`run_batch`](Executor::run_batch) and
-    /// [`select_batch_indexed`](Executor::select_batch_indexed).
-    fn run_batch_indexed(
+    /// The one indexed primitive: a two-phase batch on `sched`'s pool, or
+    /// the sequential full path without one. Tuple ids are the original
+    /// indices; single-query batches use stream word 0.
+    fn run_indexed(
         &mut self,
         inputs: &[(usize, InputDistribution)],
-        predicate: Option<Predicate>,
-        sched: &BatchScheduler,
+        predicate: Option<&Predicate>,
+        sched: Option<&BatchScheduler>,
         seed: u64,
-    ) -> Result<(Vec<ProjectedTuple>, BatchStats)> {
-        let n = inputs.len();
-        self.stats.tuples_in += n as u64;
-        let mut rows = Vec::with_capacity(n);
-        let mut batch_stats = BatchStats::default();
-        match self.strategy {
-            EvalStrategy::Mc => {
-                // MC never mutates shared state: the whole batch is one
-                // parallel map (mc_eval_tuple forks the UDF's call counter
-                // so per-tuple accounting stays exact under concurrency).
-                let accuracy = self.accuracy;
-                let udf = &self.udf;
-                let results: Vec<udf_core::Result<FilterDecision<OutputDistribution>>> = sched
-                    .try_map(n, |i| {
-                        let (orig, input) = &inputs[i];
-                        let mut rng = StdRng::seed_from_u64(mix_seed(seed, 0, *orig as u64));
-                        mc_eval_tuple(udf, input, &accuracy, predicate.as_ref(), &mut rng)
-                    })?;
-                for ((orig, _), res) in inputs.iter().zip(results) {
-                    match res? {
-                        FilterDecision::Kept { output, tep } => {
-                            self.stats.udf_calls += output.udf_calls;
-                            self.stats.tuples_out += 1;
-                            batch_stats.fast_path += 1;
-                            rows.push(ProjectedTuple {
-                                source: *orig,
-                                output,
-                                tep,
-                            });
-                        }
-                        FilterDecision::Filtered { udf_calls, .. } => {
-                            self.stats.udf_calls += udf_calls;
-                            batch_stats.filtered += 1;
-                        }
-                    }
-                }
-            }
-            EvalStrategy::Gp => {
-                let olga = self.olgapro.as_mut().expect("GP strategy has model");
-                let eps_gp_budget = olga.config().split().eps_gp;
-                let mut ops = GpRelationOps {
-                    olga,
-                    inputs,
-                    predicate,
-                    seed,
-                    eps_gp_budget,
-                    rows: &mut rows,
-                    udf_calls: 0,
-                    cap_hits: 0,
-                };
-                batch_stats = sched.run_two_phase(&mut ops, n)?;
-                self.stats.udf_calls += ops.udf_calls;
-                self.stats.cap_hits += ops.cap_hits;
-                self.stats.tuples_out += rows.len() as u64;
-            }
-        }
-        self.stats.fast_path += batch_stats.fast_path as u64;
-        self.stats.slow_path += batch_stats.slow_path as u64;
-        Ok((rows, batch_stats))
-    }
-
-    fn eval_tuple(
-        &mut self,
-        tuple: &Tuple,
-        call: &UdfCall,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<OutputDistribution> {
-        let input = call.input_distribution(tuple)?;
-        match self.strategy {
-            EvalStrategy::Mc => {
-                let mc = McEvaluator::new(call.udf.clone());
-                Ok(mc.compute(&input, &self.accuracy, rng)?)
-            }
-            EvalStrategy::Gp => {
-                let olga = self.olgapro.as_mut().expect("GP strategy has model");
-                let cap_before = olga.stats().cap_hits;
-                let out = olga.process(&input, rng)?;
-                let cap_delta = olga.stats().cap_hits - cap_before;
-                self.stats.cap_hits += cap_delta;
-                Ok(out.into_distribution())
-            }
-        }
-    }
-}
-
-/// [`BatchOps`] adapter for one GP batch over a relation: fast path =
-/// read-only inference, accept hook = optional §5.5 filter + ε_GP budget,
-/// slow path = full Algorithm 5 (with filtering when a predicate is
-/// attached). Kept rows are pushed in tuple order, so the output relation
-/// preserves source order exactly like the sequential executor. Inputs
-/// carry their original tuple index (sparse batches evaluate a subset with
-/// unchanged seeds — see [`Executor::select_batch_indexed`]).
-struct GpRelationOps<'a> {
-    olga: &'a mut Olgapro,
-    inputs: &'a [(usize, InputDistribution)],
-    predicate: Option<Predicate>,
-    seed: u64,
-    eps_gp_budget: f64,
-    rows: &'a mut Vec<ProjectedTuple>,
-    udf_calls: u64,
-    cap_hits: u64,
-}
-
-impl BatchOps for GpRelationOps<'_> {
-    fn tuple_seed(&self, idx: usize) -> u64 {
-        mix_seed(self.seed, 0, self.inputs[idx].0 as u64)
-    }
-
-    fn needs_bootstrap(&self) -> bool {
-        self.olga.model().is_empty()
-    }
-
-    fn fast(
-        &self,
-        idx: usize,
-        rng: &mut StdRng,
-        scratch: &mut InferScratch,
-    ) -> udf_core::Result<GpOutput> {
-        self.olga.infer_only_with(&self.inputs[idx].1, rng, scratch)
-    }
-
-    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
-        if let Some(pred) = self.predicate {
-            let (_, _, rho_u) = out.tep_bounds(pred.lo, pred.hi);
-            if rho_u < pred.theta {
-                return Verdict::Filter { rho_upper: rho_u };
-            }
-        }
-        // A full stop-growing model accepts at the achieved bound — the
-        // slow path could neither tune nor change the result.
-        if out.eps_gp <= self.eps_gp_budget || self.olga.model_full() {
-            Verdict::Accept
-        } else {
-            Verdict::Reroute
-        }
-    }
-
-    fn emit_fast(&mut self, idx: usize, out: GpOutput) -> udf_core::Result<()> {
-        if out.eps_gp > self.eps_gp_budget {
-            // Only reachable through the model-full acceptance above.
-            self.olga.note_cap_hit();
-            self.cap_hits += 1;
-        }
-        let tep = self
-            .predicate
-            .map(|p| out.tep_bounds(p.lo, p.hi).1)
-            .unwrap_or(1.0);
-        self.rows.push(ProjectedTuple {
-            source: self.inputs[idx].0,
-            output: out.into_distribution(),
-            tep,
-        });
-        Ok(())
-    }
-
-    fn slow(&mut self, idx: usize, rng: &mut StdRng) -> udf_core::Result<()> {
-        let (source, input) = &self.inputs[idx];
-        let cap_before = self.olga.stats().cap_hits;
-        match self.predicate {
-            Some(pred) => match gp_filtered(self.olga, input, &pred, rng)? {
-                FilterDecision::Kept { output, tep } => {
-                    self.udf_calls += output.udf_calls;
-                    self.rows.push(ProjectedTuple {
-                        source: *source,
-                        output: output.into_distribution(),
-                        tep,
-                    });
-                }
-                FilterDecision::Filtered { udf_calls, .. } => {
-                    self.udf_calls += udf_calls;
-                }
-            },
-            None => {
-                let out = self.olga.process(input, rng)?;
-                self.udf_calls += out.udf_calls;
-                self.rows.push(ProjectedTuple {
-                    source: *source,
-                    output: out.into_distribution(),
-                    tep: 1.0,
+    ) -> Result<(Vec<ProjectedTuple>, BatchCounts)> {
+        let spec = BatchSpec {
+            seed,
+            stream: 0,
+            predicate: predicate.copied(),
+        };
+        let tuple = |i: usize| (inputs[i].0 as u64, &inputs[i].1);
+        let mut rows = Vec::with_capacity(inputs.len());
+        let sink = |id: u64, ruling| {
+            if let FilterDecision::Kept { output, tep } = ruling {
+                rows.push(ProjectedTuple {
+                    source: id as usize,
+                    output,
+                    tep,
                 });
             }
-        }
-        // A reroute that crossed the cap mid-tuple is a degraded
-        // acceptance too (Algorithm 5 counted it in the core stats).
-        self.cap_hits += self.olga.stats().cap_hits - cap_before;
-        Ok(())
+        };
+        let counts = match sched {
+            Some(sched) => self
+                .eval
+                .run_two_phase(sched, spec, inputs.len(), tuple, sink)?,
+            None => self.eval.run_sequential(spec, inputs.len(), tuple, sink)?,
+        };
+        self.stats.absorb(counts);
+        Ok((rows, counts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{Schema, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::relation::{Schema, Tuple, Value};
     use udf_core::config::Metric;
     use udf_core::udf::BlackBoxUdf;
 
@@ -650,6 +314,18 @@ mod tests {
         Relation::new(schema, tuples).unwrap()
     }
 
+    /// The whole relation through the sequential full path.
+    fn sequential(
+        ex: &mut Executor,
+        r: &Relation,
+        call: &UdfCall,
+        pred: Option<&Predicate>,
+        seed: u64,
+    ) -> Vec<ProjectedTuple> {
+        let inputs = call.indexed_inputs(r).unwrap();
+        ex.sequential_indexed(&inputs, pred, seed).unwrap().0
+    }
+
     fn acc(metric: Metric) -> AccuracyRequirement {
         AccuracyRequirement::new(0.2, 0.05, 0.02, metric).unwrap()
     }
@@ -660,8 +336,7 @@ mod tests {
         let udf = BlackBoxUdf::from_fn("sq", 1, |x| x[0] * x[0]);
         let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
         let mut ex = Executor::new(EvalStrategy::Mc, acc(Metric::Ks), &call, 10.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let rows = ex.project(&r, &call, &mut rng).unwrap();
+        let rows = sequential(&mut ex, &r, &call, None, 1);
         assert_eq!(rows.len(), 4);
         // Output medians should track (1 + 0.5 i)².
         for (i, row) in rows.iter().enumerate() {
@@ -678,8 +353,7 @@ mod tests {
         let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
         let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
         let mut ex = Executor::new(EvalStrategy::Gp, acc(Metric::Discrepancy), &call, 2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let rows = ex.project(&r, &call, &mut rng).unwrap();
+        let rows = sequential(&mut ex, &r, &call, None, 2);
         assert_eq!(rows.len(), 6);
         // GP reuse: far fewer UDF calls than MC would need.
         let mc_calls = acc(Metric::Discrepancy).mc_samples() as u64 * 6;
@@ -697,10 +371,9 @@ mod tests {
         let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
         let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
         let mut ex = Executor::new(EvalStrategy::Mc, acc(Metric::Ks), &call, 10.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
         // Keep tuples whose z is likely in [2.4, 3.6]: rows with mu 2.5, 3.0 (+3.5 partially).
         let pred = Predicate::new(2.4, 3.6, 0.5).unwrap();
-        let rows = ex.select(&r, &call, &pred, &mut rng).unwrap();
+        let rows = sequential(&mut ex, &r, &call, Some(&pred), 3);
         let kept: Vec<usize> = rows.iter().map(|r| r.source).collect();
         assert!(kept.contains(&3), "mu = 2.5 row should survive");
         assert!(!kept.contains(&0), "mu = 1.0 row should be filtered");
@@ -716,10 +389,9 @@ mod tests {
         let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
         let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
         let mut ex = Executor::new(EvalStrategy::Gp, acc(Metric::Discrepancy), &call, 2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
         // sin output lives in [-1, 1]; ask for an impossible interval.
         let pred = Predicate::new(5.0, 6.0, 0.1).unwrap();
-        let rows = ex.select(&r, &call, &pred, &mut rng).unwrap();
+        let rows = sequential(&mut ex, &r, &call, Some(&pred), 4);
         assert!(
             rows.is_empty(),
             "impossible predicate must filter everything"

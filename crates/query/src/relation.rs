@@ -237,6 +237,16 @@ impl UdfCall {
             .collect::<Result<Vec<_>>>()?;
         Ok(InputDistribution::independent(marginals)?)
     }
+
+    /// Every tuple of `rel` as a `(tuple index, input distribution)` pair —
+    /// the indexed list the executor's batch entry points take.
+    pub fn indexed_inputs(&self, rel: &Relation) -> Result<Vec<(usize, InputDistribution)>> {
+        rel.tuples()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Ok((i, self.input_distribution(t)?)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,24 @@
 //! End-to-end Q2-style pipeline tests: self-join → UDF selection → UDF
 //! projection, under both evaluation strategies.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
-use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall, Value};
+use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
+
+/// The whole relation through the executor's sequential full path (each
+/// tuple tunes the model before the next is judged), tuple `i` under
+/// `mix_seed(seed, 0, i)`.
+fn sequential(
+    ex: &mut Executor,
+    rel: &Relation,
+    call: &UdfCall,
+    pred: Option<&Predicate>,
+    seed: u64,
+) -> Vec<ProjectedTuple> {
+    let inputs = call.indexed_inputs(rel).unwrap();
+    ex.sequential_indexed(&inputs, pred, seed).unwrap().0
+}
 
 fn galaxies(n: usize) -> Relation {
     let schema = Schema::new(&["objID", "redshift"]);
@@ -41,10 +53,9 @@ fn self_join_selection_keeps_expected_pairs() {
     let call = UdfCall::resolve(zdist(), pairs.schema(), &["g1.redshift", "g2.redshift"]).unwrap();
     // Keep pairs with |Δz| ∈ [0.2, 0.3]: exactly the adjacent pairs (Δ=0.25).
     let pred = Predicate::new(0.2, 0.3, 0.5).unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
     for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
         let mut ex = Executor::new(strategy, acc(), &call, 1.5).unwrap();
-        let rows = ex.select(&pairs, &call, &pred, &mut rng).unwrap();
+        let rows = sequential(&mut ex, &pairs, &call, Some(&pred), 1);
         // 5 adjacent pairs out of 15.
         assert_eq!(
             rows.len(),
@@ -64,9 +75,8 @@ fn projection_after_selection_composes() {
     let pairs = g.cross_join("a", &g, "b", |i, j| i < j).unwrap();
     let call = UdfCall::resolve(zdist(), pairs.schema(), &["a.redshift", "b.redshift"]).unwrap();
     let pred = Predicate::new(0.4, 2.0, 0.5).unwrap();
-    let mut rng = StdRng::seed_from_u64(2);
     let mut ex = Executor::new(EvalStrategy::Mc, acc(), &call, 1.5).unwrap();
-    let kept = ex.select(&pairs, &call, &pred, &mut rng).unwrap();
+    let kept = sequential(&mut ex, &pairs, &call, Some(&pred), 2);
     assert!(!kept.is_empty());
 
     // Re-project a second UDF (sum of redshifts) over survivors.
@@ -80,7 +90,7 @@ fn projection_after_selection_composes() {
     let zsum = BlackBoxUdf::from_fn("zsum", 2, |x| x[0] + x[1]);
     let call2 = UdfCall::resolve(zsum, survivors.schema(), &["a.redshift", "b.redshift"]).unwrap();
     let mut ex2 = Executor::new(EvalStrategy::Mc, acc(), &call2, 3.0).unwrap();
-    let rows = ex2.project(&survivors, &call2, &mut rng).unwrap();
+    let rows = sequential(&mut ex2, &survivors, &call2, None, 2);
     assert_eq!(rows.len(), survivors.len());
     for (row, t) in rows.iter().zip(survivors.tuples()) {
         let expect = t.value(1).mean() + t.value(3).mean();
@@ -97,8 +107,7 @@ fn deterministic_and_uncertain_columns_mix_in_one_udf() {
     let udf = BlackBoxUdf::from_fn("mix", 2, |x| x[0] * 10.0 + x[1]);
     let call = UdfCall::resolve(udf, g.schema(), &["objID", "redshift"]).unwrap();
     let mut ex = Executor::new(EvalStrategy::Mc, acc(), &call, 30.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(3);
-    let rows = ex.project(&g, &call, &mut rng).unwrap();
+    let rows = sequential(&mut ex, &g, &call, None, 3);
     for (i, row) in rows.iter().enumerate() {
         let expect = i as f64 * 10.0 + (0.2 + 0.25 * i as f64);
         let got = row.output.ecdf.quantile(0.5);
@@ -114,9 +123,8 @@ fn gp_strategy_amortizes_across_join_pairs() {
     let g = galaxies(6);
     let pairs = g.cross_join("a", &g, "b", |i, j| i < j).unwrap();
     let call = UdfCall::resolve(zdist(), pairs.schema(), &["a.redshift", "b.redshift"]).unwrap();
-    let mut rng = StdRng::seed_from_u64(4);
     let mut ex = Executor::new(EvalStrategy::Gp, acc(), &call, 1.5).unwrap();
-    let rows = ex.project(&pairs, &call, &mut rng).unwrap();
+    let rows = sequential(&mut ex, &pairs, &call, None, 4);
     assert_eq!(rows.len(), 15);
     let mc_equiv = acc().mc_samples() as u64 * 15;
     assert!(

@@ -10,44 +10,44 @@
 //!    sharding the batch across `workers` threads for the read-only phase
 //!    and folding results back sequentially in tuple order.
 //!
-//! Per-query evaluation delegates to the shared two-phase execution core,
-//! [`udf_core::sched::BatchScheduler`]: GP inference against the frozen
-//! model (and MC sampling, which never mutates anything) runs in parallel
-//! on the engine's persistent worker pool; tuples whose error bound misses
-//! the GP budget fall back to the sequential, model-mutating path of
-//! Algorithm 5 through the scheduler's reroute verdict. Online filtering is
-//! the engine's accept hook, ruled *before* the slow path, so a
-//! subscription with a selective predicate drops most tuples at fast-path
-//! cost (§5.5 / Remark 2.1).
+//! Per-query evaluation is one call of the batch operator,
+//! [`Evaluator::run_two_phase`], per (subscription, micro-batch) on the
+//! engine's persistent [`BatchScheduler`] pool: GP inference against the
+//! frozen model (and MC sampling, which never mutates anything) runs in
+//! parallel; tuples whose error bound misses the GP budget fall back to the
+//! sequential, model-mutating path of Algorithm 5. Online filtering is
+//! ruled *before* the slow path, so a subscription with a selective
+//! predicate drops most tuples at fast-path cost (§5.5 / Remark 2.1). The
+//! engine only folds the operator's rulings into each query's digest and
+//! ring, and its counter block into [`StreamStats`].
 //!
 //! ## Determinism
 //!
 //! The RNG for tuple `g` of query `q` is seeded with
-//! [`mix_seed`]`(engine_seed, q, g)`, where `g` is the tuple's global index
-//! in the stream — never the worker id or the batch offset. Slow-path work
-//! is applied in tuple order on the scheduler thread. Worker count
-//! therefore changes only *where* fast-path work runs, not *what* it
-//! computes, and a fixed `(seed, batch_size)` yields byte-identical emitted
-//! distributions for any worker count.
+//! [`mix_seed`](udf_core::mix_seed)`(engine_seed, q, g)`, where `g` is the
+//! tuple's global index in the stream — never the worker id or the batch
+//! offset. Slow-path work is applied in tuple order on the scheduler
+//! thread. Worker count therefore changes only *where* fast-path work runs,
+//! not *what* it computes, and a fixed `(seed, batch_size)` yields
+//! byte-identical emitted distributions for any worker count.
 
 use crate::health::HealthMonitor;
 use crate::source::Source;
 use crate::stats::{Digest, EngineStats, KeptSummary, StreamStats};
 use crate::{Result, StreamError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Instant;
+use udf_core::batch::{BatchSpec, Evaluator};
 use udf_core::config::{AccuracyRequirement, ModelBudget, OlgaproConfig};
-use udf_core::filtering::{gp_filtered, mc_eval_tuple, FilterDecision, Predicate};
+use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::hybrid::{rule_based_choice, HybridChoice};
-use udf_core::olgapro::{InferScratch, Olgapro, OlgaproMetrics};
-use udf_core::output::GpOutput;
-use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, SchedMetrics, Verdict};
+use udf_core::olgapro::Olgapro;
+use udf_core::output::OutputDistribution;
+use udf_core::sched::BatchScheduler;
 use udf_core::udf::BlackBoxUdf;
-use udf_obs::{Histogram, MetricsRegistry, TraceBuffer};
-use udf_prob::{Ecdf, InputDistribution};
+use udf_obs::{Histogram, MetricsRegistry, Obs};
+use udf_prob::InputDistribution;
 
 /// The engine's own observability handles (the layers below wire their
 /// own: the scheduler's `sched.*`, each GP model's `olgapro.*`).
@@ -150,39 +150,24 @@ impl EngineConfig {
     }
 }
 
-/// The evaluator state owned by one subscription.
-enum Evaluator {
-    /// MC path: stateless per-tuple sampling (the UDF handle lives on the
-    /// query record).
-    Mc,
-    /// GP path: the warm OLGAPRO instance plus its ε_GP fast-path budget.
-    /// Boxed: the model state dwarfs the MC variant.
-    Gp(Box<Olgapro>, f64),
+/// One subscription: its evaluator (for GP, the warm OLGAPRO instance) and
+/// everything it has reported so far.
+struct Subscription {
+    eval: Evaluator,
+    q: QueryState,
 }
 
 /// Internal per-subscription record.
 pub(crate) struct QueryState {
     pub(crate) name: String,
-    udf: BlackBoxUdf,
-    accuracy: AccuracyRequirement,
+    /// The UDF's input dimensionality (checked against each source).
+    dim: usize,
     predicate: Option<Predicate>,
-    eval: Evaluator,
     pub(crate) stats: StreamStats,
     pub(crate) digest: Digest,
     pub(crate) recent: VecDeque<KeptSummary>,
     retain: usize,
     pub(crate) decisions: Option<Vec<(u64, bool)>>,
-}
-
-impl QueryState {
-    /// Current GP training-set size (`None` for MC subscriptions) —
-    /// observability for the model-cap contract.
-    pub(crate) fn model_points(&self) -> Option<usize> {
-        match &self.eval {
-            Evaluator::Mc => None,
-            Evaluator::Gp(olga, _) => Some(olga.model().len()),
-        }
-    }
 }
 
 /// Parameters for registering a subscription with [`StreamEngine`].
@@ -202,7 +187,7 @@ pub(crate) struct SubscribeParams {
 /// [`Session`](crate::session::Session) facade instead.
 pub struct StreamEngine {
     config: EngineConfig,
-    queries: Vec<QueryState>,
+    queries: Vec<Subscription>,
     /// The shared two-phase execution core. Its worker pool persists for
     /// the engine's lifetime and is reused for every micro-batch of every
     /// subscription — no per-batch thread spawning on the hot path.
@@ -210,10 +195,8 @@ pub struct StreamEngine {
     tuples_seen: u64,
     last_run: EngineStats,
     metrics: EngineMetrics,
-    /// Set when metrics are wired; later subscriptions register here too.
-    registry: Option<MetricsRegistry>,
-    /// Set when tracing is wired; later subscriptions share it too.
-    tracer: TraceBuffer,
+    /// What the engine is wired to; later subscriptions share it too.
+    obs: Obs,
     /// Set when health sampling is enabled ([`enable_health`](Self::enable_health)).
     health: Option<HealthMonitor>,
 }
@@ -228,51 +211,36 @@ impl StreamEngine {
             tuples_seen: 0,
             last_run: EngineStats::default(),
             metrics: EngineMetrics::disabled(),
-            registry: None,
-            tracer: TraceBuffer::disabled(),
+            obs: Obs::disabled(),
             health: None,
         }
     }
 
     /// Wire observability: the engine's batch/backpressure timers, the
-    /// scheduler's `sched.*` handles, and every (current and future)
-    /// GP subscription's `olgapro.*` handles register in `reg`. Purely
-    /// observational — digests are byte-identical wired or not.
-    pub(crate) fn set_metrics(&mut self, reg: &MetricsRegistry) {
-        self.sched.set_metrics(SchedMetrics::register(reg));
-        for q in &mut self.queries {
-            if let Evaluator::Gp(olga, _) = &mut q.eval {
-                olga.set_metrics(OlgaproMetrics::register(reg));
+    /// scheduler's `sched.*` handles and reroute/phase events, and every
+    /// (current and future) GP subscription's `olgapro.*` handles and
+    /// model-lifecycle events go to `obs`. Purely observational — digests
+    /// are byte-identical wired or not (pinned by the determinism tests).
+    pub(crate) fn with_obs(mut self, obs: &Obs) -> Self {
+        self.sched = self.sched.with_obs(obs);
+        for sub in &mut self.queries {
+            if let Some(olga) = sub.eval.olgapro_mut() {
+                olga.set_obs(obs);
             }
         }
-        self.metrics = EngineMetrics::register(reg);
+        self.metrics = EngineMetrics::register(&obs.metrics);
         if let Some(h) = &mut self.health {
-            h.set_registry(reg);
+            h.set_registry(&obs.metrics);
         }
-        self.registry = Some(reg.clone());
+        self.obs = obs.clone();
+        self
     }
 
-    /// Wire structured tracing: the scheduler's reroute/phase events and
-    /// every (current and future) GP subscription's model-lifecycle events
-    /// share `tracer`'s rings. Purely observational — digests are
-    /// byte-identical wired or not (pinned by the determinism tests).
-    pub(crate) fn set_tracer(&mut self, tracer: TraceBuffer) {
-        self.sched.set_tracer(tracer.clone());
-        for q in &mut self.queries {
-            if let Evaluator::Gp(olga, _) = &mut q.eval {
-                olga.set_tracer(tracer.clone());
-            }
-        }
-        self.tracer = tracer;
-    }
-
-    /// Enable periodic health sampling (see [`HealthMonitor`]). When a
-    /// metrics registry is already wired, samples carry its counter
-    /// deltas; wiring metrics later upgrades the monitor in place.
+    /// Enable periodic health sampling (see [`HealthMonitor`]). Samples
+    /// carry the wired registry's counter deltas; wiring observability
+    /// later re-points the monitor in place.
     pub(crate) fn enable_health(&mut self, mut monitor: HealthMonitor) {
-        if let Some(reg) = &self.registry {
-            monitor.set_registry(reg);
-        }
+        monitor.set_registry(&self.obs.metrics);
         self.health = Some(monitor);
     }
 
@@ -285,12 +253,23 @@ impl StreamEngine {
         &self.config
     }
 
-    pub(crate) fn query(&self, id: usize) -> Result<&QueryState> {
+    fn subscription(&self, id: usize) -> Result<&Subscription> {
         self.queries.get(id).ok_or(StreamError::UnknownQuery(id))
     }
 
-    pub(crate) fn queries(&self) -> &[QueryState] {
-        &self.queries
+    pub(crate) fn query(&self, id: usize) -> Result<&QueryState> {
+        Ok(&self.subscription(id)?.q)
+    }
+
+    pub(crate) fn queries(&self) -> impl Iterator<Item = &QueryState> {
+        self.queries.iter().map(|sub| &sub.q)
+    }
+
+    /// Current GP training-set size of a subscription (`None` for MC) —
+    /// observability for the model-cap contract.
+    pub(crate) fn model_points(&self, id: usize) -> Result<Option<usize>> {
+        let olga = self.subscription(id)?.eval.olgapro();
+        Ok(olga.map(|olga| olga.model().len()))
     }
 
     pub(crate) fn last_run(&self) -> EngineStats {
@@ -313,8 +292,12 @@ impl StreamEngine {
             }
             s => s,
         };
+        let dim = params.udf.dim();
         let eval = match strategy {
-            StreamStrategy::Mc => Evaluator::Mc,
+            StreamStrategy::Mc => Evaluator::Mc {
+                udf: params.udf,
+                accuracy: params.accuracy,
+            },
             StreamStrategy::Gp | StreamStrategy::Auto => {
                 // The model-size budget lives in the core config, so the
                 // slow path (Algorithm 5) enforces it itself — a burst of
@@ -323,31 +306,24 @@ impl StreamEngine {
                 // bootstrap size instead of letting them thrash.
                 let cfg = OlgaproConfig::new(params.accuracy, params.output_range)?
                     .with_model_cap(params.max_model_points, ModelBudget::StopGrowing)?;
-                let budget = cfg.split().eps_gp;
-                let mut olga = Olgapro::new(params.udf.clone(), cfg);
-                if let Some(reg) = &self.registry {
-                    olga.set_metrics(OlgaproMetrics::register(reg));
-                }
-                olga.set_tracer(self.tracer.clone());
-                Evaluator::Gp(Box::new(olga), budget)
+                Evaluator::Gp(Box::new(Olgapro::new(params.udf, cfg).with_obs(&self.obs)))
             }
         };
         let stats = StreamStats {
             query: params.name.clone(),
             ..StreamStats::default()
         };
-        self.queries.push(QueryState {
+        let q = QueryState {
             name: params.name,
-            udf: params.udf,
-            accuracy: params.accuracy,
+            dim,
             predicate: params.predicate,
-            eval,
             stats,
             digest: Digest::default(),
             recent: VecDeque::with_capacity(params.retain),
             retain: params.retain,
             decisions: params.record_decisions.then(Vec::new),
-        });
+        };
+        self.queries.push(Subscription { eval, q });
         Ok(self.queries.len() - 1)
     }
 
@@ -363,11 +339,11 @@ impl StreamEngine {
             return Err(StreamError::NoSubscriptions);
         }
         let source_dim = source.dim();
-        for q in &self.queries {
-            if q.udf.dim() != source_dim {
+        for q in self.queries() {
+            if q.dim != source_dim {
                 return Err(StreamError::DimensionMismatch {
                     query: q.name.clone(),
-                    udf_dim: q.udf.dim(),
+                    udf_dim: q.dim,
                     source_dim,
                 });
             }
@@ -447,12 +423,23 @@ impl StreamEngine {
         let seed = self.config.seed;
         let sched = &self.sched;
         let batch_ns = &self.metrics.batch_ns;
-        for (qid, q) in self.queries.iter_mut().enumerate() {
+        for (qid, Subscription { eval, q }) in self.queries.iter_mut().enumerate() {
             let t0 = Instant::now();
-            match &q.eval {
-                Evaluator::Mc => mc_batch(q, batch, base, sched, seed, qid as u64)?,
-                Evaluator::Gp(..) => gp_batch(q, batch, base, sched, seed, qid as u64)?,
-            }
+            let spec = BatchSpec {
+                seed,
+                stream: qid as u64,
+                predicate: q.predicate,
+            };
+            // Tuples are identified by their global stream index.
+            let tuple = |i: usize| (base + i as u64, &batch[i]);
+            let counts =
+                eval.run_two_phase(sched, spec, batch.len(), tuple, |gidx, r| match r {
+                    FilterDecision::Kept { output, tep } => record_kept(q, gidx, &output, tep),
+                    FilterDecision::Filtered { rho_upper, .. } => {
+                        record_filtered(q, gidx, rho_upper)
+                    }
+                })?;
+            q.stats.absorb(counts);
             q.stats.batches += 1;
             let dt = t0.elapsed();
             q.stats.busy += dt;
@@ -460,7 +447,7 @@ impl StreamEngine {
         }
         if let Some(h) = &mut self.health {
             let mut totals = (0u64, 0u64, 0u64);
-            for q in &self.queries {
+            for Subscription { q, .. } in &self.queries {
                 totals.0 += q.stats.tuples_in;
                 totals.1 += q.stats.kept;
                 totals.2 += q.stats.slow_path;
@@ -471,21 +458,20 @@ impl StreamEngine {
     }
 }
 
-/// Fold one kept tuple into a query's registries.
-fn record_kept(q: &mut QueryState, gidx: u64, ecdf: &Ecdf, error_bound: f64, tep: f64) {
-    q.stats.kept += 1;
+/// Fold one kept tuple into a query's digest, ring and decision log.
+fn record_kept(q: &mut QueryState, gidx: u64, output: &OutputDistribution, tep: f64) {
     q.digest.push_u64(gidx);
     q.digest.push_u64(1);
     q.digest.push_f64(tep);
-    q.digest.push_ecdf(ecdf);
+    q.digest.push_ecdf(&output.ecdf);
     if q.retain > 0 {
         if q.recent.len() == q.retain {
             q.recent.pop_front();
         }
         q.recent.push_back(KeptSummary {
             tuple: gidx,
-            median: ecdf.quantile(0.5),
-            error_bound,
+            median: output.ecdf.quantile(0.5),
+            error_bound: output.error_bound,
             tep,
         });
     }
@@ -494,219 +480,14 @@ fn record_kept(q: &mut QueryState, gidx: u64, ecdf: &Ecdf, error_bound: f64, tep
     }
 }
 
-/// Fold one filtered tuple into a query's registries.
+/// Fold one filtered tuple into a query's digest and decision log.
 fn record_filtered(q: &mut QueryState, gidx: u64, rho_upper: f64) {
-    q.stats.filtered += 1;
     q.digest.push_u64(gidx);
     q.digest.push_u64(0);
     q.digest.push_f64(rho_upper);
     if let Some(d) = &mut q.decisions {
         d.push((gidx, false));
     }
-}
-
-/// MC batch evaluation: every tuple is independent, so the whole batch is
-/// one parallel map on the scheduler pool. Each tuple forks the UDF's call
-/// counter so per-tuple call counts stay exact under concurrency.
-fn mc_batch(
-    q: &mut QueryState,
-    batch: &[InputDistribution],
-    base: u64,
-    sched: &BatchScheduler,
-    seed: u64,
-    qid: u64,
-) -> Result<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let accuracy = q.accuracy;
-    let predicate = q.predicate;
-    let udf = &q.udf;
-    let results: Vec<udf_core::Result<FilterDecision<udf_core::output::OutputDistribution>>> =
-        sched.try_map(batch.len(), |i| {
-            let gidx = base + i as u64;
-            let mut rng = StdRng::seed_from_u64(mix_seed(seed, qid, gidx));
-            mc_eval_tuple(udf, &batch[i], &accuracy, predicate.as_ref(), &mut rng)
-        })?;
-
-    for (i, res) in results.into_iter().enumerate() {
-        let gidx = base + i as u64;
-        q.stats.tuples_in += 1;
-        q.stats.fast_path += 1;
-        match res? {
-            FilterDecision::Kept { output, tep } => {
-                q.stats.udf_calls += output.udf_calls;
-                record_kept(q, gidx, &output.ecdf, output.error_bound, tep);
-            }
-            FilterDecision::Filtered {
-                rho_upper,
-                udf_calls,
-            } => {
-                q.stats.udf_calls += udf_calls;
-                record_filtered(q, gidx, rho_upper);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`BatchOps`] adapter for one subscription's GP micro-batch: fast path =
-/// read-only inference, accept hook = online filter (§5.5) + ε_GP budget +
-/// model-size cap, slow path = the full model-mutating Algorithm 5. The
-/// `record_kept` / `record_filtered` bookkeeping runs inside the hooks, in
-/// tuple order, so digests reflect stream order exactly.
-struct GpBatchOps<'a> {
-    q: &'a mut QueryState,
-    batch: &'a [InputDistribution],
-    base: u64,
-    seed: u64,
-    qid: u64,
-}
-
-impl GpBatchOps<'_> {
-    fn olga(&self) -> &Olgapro {
-        let Evaluator::Gp(olga, _) = &self.q.eval else {
-            unreachable!("GP batch on a non-GP query")
-        };
-        olga
-    }
-}
-
-impl BatchOps for GpBatchOps<'_> {
-    fn tuple_seed(&self, idx: usize) -> u64 {
-        mix_seed(self.seed, self.qid, self.base + idx as u64)
-    }
-
-    fn needs_bootstrap(&self) -> bool {
-        self.olga().model().is_empty()
-    }
-
-    fn fast(
-        &self,
-        idx: usize,
-        rng: &mut StdRng,
-        scratch: &mut InferScratch,
-    ) -> udf_core::Result<GpOutput> {
-        self.olga().infer_only_with(&self.batch[idx], rng, scratch)
-    }
-
-    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
-        // Online filtering on the envelope upper bound (§5.5): the bound
-        // only widens on an under-trained model, so dropping here is sound
-        // and costs zero UDF calls.
-        if let Some(pred) = self.q.predicate {
-            let (_, _, rho_u) = out.tep_bounds(pred.lo, pred.hi);
-            if rho_u < pred.theta {
-                return Verdict::Filter { rho_upper: rho_u };
-            }
-        }
-        let Evaluator::Gp(olga, budget) = &self.q.eval else {
-            unreachable!("GP batch on a non-GP query")
-        };
-        // Model-size budget (delegated to the core config): once the warm
-        // model is full under stop-growing, emit at the achieved bound —
-        // the slow path could not improve it, and this keeps per-tuple
-        // inference cost bounded on long streams.
-        if out.eps_gp <= *budget || olga.model_full() {
-            Verdict::Accept
-        } else {
-            Verdict::Reroute
-        }
-    }
-
-    fn emit_fast(&mut self, idx: usize, out: GpOutput) -> udf_core::Result<()> {
-        let gidx = self.base + idx as u64;
-        self.q.stats.tuples_in += 1;
-        self.q.stats.fast_path += 1;
-        if let Evaluator::Gp(olga, budget) = &mut self.q.eval {
-            if out.eps_gp > *budget {
-                // Only reachable through the model-full acceptance above:
-                // count the degraded emission in both stat registries.
-                olga.note_cap_hit();
-                self.q.stats.cap_hits += 1;
-            }
-        }
-        let tep = self
-            .q
-            .predicate
-            .map(|p| out.tep_bounds(p.lo, p.hi).1)
-            .unwrap_or(1.0);
-        record_kept(self.q, gidx, &out.y_hat, out.error_bound(), tep);
-        Ok(())
-    }
-
-    fn emit_filtered(&mut self, idx: usize, rho_upper: f64) -> udf_core::Result<()> {
-        let gidx = self.base + idx as u64;
-        self.q.stats.tuples_in += 1;
-        self.q.stats.fast_path += 1;
-        record_filtered(self.q, gidx, rho_upper);
-        Ok(())
-    }
-
-    /// The full Algorithm 5 (with filtering when a predicate is attached),
-    /// mutating the model. The scheduler calls this in tuple order with a
-    /// freshly derived RNG, which is what keeps the engine deterministic.
-    fn slow(&mut self, idx: usize, rng: &mut StdRng) -> udf_core::Result<()> {
-        let gidx = self.base + idx as u64;
-        let input = &self.batch[idx];
-        let predicate = self.q.predicate;
-        let Evaluator::Gp(olga, _) = &mut self.q.eval else {
-            unreachable!("GP batch on a non-GP query")
-        };
-        let cap_hits_before = olga.stats().cap_hits;
-        self.q.stats.tuples_in += 1;
-        self.q.stats.slow_path += 1;
-        match predicate {
-            Some(pred) => match gp_filtered(olga, input, &pred, rng)? {
-                FilterDecision::Kept { output, tep } => {
-                    self.q.stats.udf_calls += output.udf_calls;
-                    record_kept(self.q, gidx, &output.y_hat, output.error_bound(), tep);
-                }
-                FilterDecision::Filtered {
-                    rho_upper,
-                    udf_calls,
-                } => {
-                    self.q.stats.udf_calls += udf_calls;
-                    record_filtered(self.q, gidx, rho_upper);
-                }
-            },
-            None => {
-                let out = olga.process(input, rng)?;
-                self.q.stats.udf_calls += out.udf_calls;
-                record_kept(self.q, gidx, &out.y_hat, out.error_bound(), 1.0);
-            }
-        }
-        // A reroute that crossed the cap mid-tuple is a degraded
-        // acceptance too (Algorithm 5 counted it in the core stats).
-        let Evaluator::Gp(olga, _) = &self.q.eval else {
-            unreachable!("GP batch on a non-GP query")
-        };
-        self.q.stats.cap_hits += olga.stats().cap_hits - cap_hits_before;
-        Ok(())
-    }
-}
-
-/// GP batch evaluation: one [`BatchScheduler::run_two_phase`] pass —
-/// parallel read-only inference against the frozen model, then a sequential
-/// fold (in tuple order) that filters, accepts within the ε_GP budget, and
-/// reroutes the rest through the full model-mutating Algorithm 5.
-fn gp_batch(
-    q: &mut QueryState,
-    batch: &[InputDistribution],
-    base: u64,
-    sched: &BatchScheduler,
-    seed: u64,
-    qid: u64,
-) -> Result<()> {
-    let mut ops = GpBatchOps {
-        q,
-        batch,
-        base,
-        seed,
-        qid,
-    };
-    sched.run_two_phase(&mut ops, batch.len())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -717,9 +498,6 @@ mod tests {
     fn engine_owns_a_pool_sized_to_its_config() {
         let engine = StreamEngine::new(EngineConfig::new().workers(3));
         assert_eq!(engine.sched.workers(), 3);
-        // The per-tuple seed mixer is the shared one from udf_core::sched.
-        assert_eq!(mix_seed(1, 2, 3), mix_seed(1, 2, 3));
-        assert_ne!(mix_seed(1, 2, 3), mix_seed(1, 2, 4));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! evaluation: tuples arrive on an unbounded stream and every tuple must be
 //! answered with a distribution meeting the user's `(ε, δ)` requirement.
 //! The rest of this workspace provides the per-tuple machinery (Monte Carlo
-//! in `udf_core::mc`, OLGAPRO in `udf_core::olgapro`, batch parallelism in
-//! `udf_core::parallel`, early filtering in `udf_core::filtering`); this
+//! in `udf_core::mc`, OLGAPRO in `udf_core::olgapro`, the batch operator in
+//! `udf_core::batch`, early filtering in `udf_core::filtering`); this
 //! crate turns it into a long-running, multi-query engine:
 //!
 //! * [`source::Source`] — unbounded/finite producers of uncertain
@@ -15,10 +15,9 @@
 //!   `(query, UDF)` subscriptions, then drive them all over one stream;
 //! * a micro-batching scheduler ([`engine`]) that pipelines ingest against
 //!   evaluation through a bounded channel (backpressure) and runs each
-//!   batch on the persistent worker pool of
-//!   [`udf_core::sched::BatchScheduler`] — the same two-phase
-//!   fast-path/slow-path core used by `udf_core::parallel` and the
-//!   `udf_query` batch executor;
+//!   batch through [`udf_core::batch::Evaluator`] on the persistent worker
+//!   pool of [`udf_core::sched::BatchScheduler`] — the same operator the
+//!   `udf_query` executor and `udf_join` call;
 //! * per-query online filtering: subscriptions with a selection
 //!   [`Predicate`](udf_core::filtering::Predicate) drop tuples from the
 //!   envelope/Hoeffding upper bounds before paying for full evaluation;

@@ -137,32 +137,13 @@ impl Session {
 
     /// Wire observability into the session: scheduler, engine, and every
     /// GP subscription (current and future) register their handles in
-    /// `reg`. Metrics are purely observational — run digests are
-    /// byte-identical whether or not a registry is attached.
-    pub fn set_metrics(&mut self, reg: &udf_obs::MetricsRegistry) {
-        self.engine.set_metrics(reg);
-    }
-
-    /// Builder-style variant of [`set_metrics`](Session::set_metrics).
+    /// `obs.metrics` and share `obs.tracer`'s per-lane rings (the
+    /// scheduler's reroute and phase events, each model's lifecycle
+    /// events). Purely observational — run digests are byte-identical
+    /// whether or not anything is attached.
     #[must_use]
-    pub fn with_metrics(mut self, reg: &udf_obs::MetricsRegistry) -> Self {
-        self.set_metrics(reg);
-        self
-    }
-
-    /// Wire structured tracing into the session: the scheduler's reroute
-    /// and phase events plus every GP subscription's model-lifecycle
-    /// events (current and future) share `tracer`'s per-lane rings.
-    /// Tracing is purely observational — run digests are byte-identical
-    /// whether or not a buffer is attached.
-    pub fn set_tracer(&mut self, tracer: udf_obs::TraceBuffer) {
-        self.engine.set_tracer(tracer);
-    }
-
-    /// Builder-style variant of [`set_tracer`](Session::set_tracer).
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: udf_obs::TraceBuffer) -> Self {
-        self.set_tracer(tracer);
+    pub fn with_obs(mut self, obs: &udf_obs::Obs) -> Self {
+        self.engine = self.engine.with_obs(obs);
         self
     }
 
@@ -238,7 +219,7 @@ impl Session {
 
     /// Statistics for every subscription, in registration order.
     pub fn all_stats(&self) -> Vec<&StreamStats> {
-        self.engine.queries().iter().map(|q| &q.stats).collect()
+        self.engine.queries().map(|q| &q.stats).collect()
     }
 
     /// Determinism witness: a hash over every distribution this query has
@@ -267,7 +248,7 @@ impl Session {
     /// slow-path reroutes crosses it (the cap is enforced inside
     /// Algorithm 5 itself, not just at the batch-routing layer).
     pub fn model_points(&self, id: QueryId) -> Result<Option<usize>> {
-        self.engine.query(id.0).map(|q| q.model_points())
+        self.engine.model_points(id.0)
     }
 
     /// Counters for the most recent [`run`](Session::run).

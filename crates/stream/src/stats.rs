@@ -14,7 +14,8 @@ pub struct StreamStats {
     pub kept: u64,
     /// Tuples dropped by online filtering.
     pub filtered: u64,
-    /// Tuples fully served by the parallel read-only fast path.
+    /// Tuples settled by the parallel read-only fast path — accepted or
+    /// filtered there.
     pub fast_path: u64,
     /// Tuples that needed the sequential (model-mutating) slow path.
     pub slow_path: u64,
@@ -33,6 +34,17 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
+    /// Add one micro-batch's counter block.
+    pub(crate) fn absorb(&mut self, c: udf_core::BatchCounts) {
+        self.tuples_in += c.tuples_in;
+        self.kept += c.kept();
+        self.filtered += c.filtered();
+        self.fast_path += c.accepted_fast + c.filtered_fast;
+        self.slow_path += c.slow();
+        self.udf_calls += c.udf_calls;
+        self.cap_hits += c.cap_hits;
+    }
+
     /// Fraction of examined tuples that survived filtering (1.0 with no
     /// predicate). `None` before any tuple arrived.
     pub fn selectivity(&self) -> Option<f64> {

@@ -35,9 +35,12 @@ fn run_with_workers_metrics(workers: usize, metrics: Option<bool>) -> Vec<u64> {
             .seed(0xD5EED),
     );
     if let Some(enabled) = metrics {
-        let reg = udf_obs::MetricsRegistry::new();
-        reg.set_enabled(enabled);
-        session.set_metrics(&reg);
+        let obs = udf_obs::Obs {
+            metrics: udf_obs::MetricsRegistry::new(),
+            tracer: udf_obs::TraceBuffer::disabled(),
+        };
+        obs.metrics.set_enabled(enabled);
+        session = session.with_obs(&obs);
     }
     let ids = vec![
         session

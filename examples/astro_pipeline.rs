@@ -11,8 +11,21 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use udf_query::ProjectedTuple;
 use udf_uncertain::prelude::*;
 use udf_workloads::astro::GalaxyCatalog;
+
+/// Every tuple of `rel` through the executor's sequential full path (each
+/// tuple tunes the model before the next is judged), seeded per tuple.
+fn sequential(
+    ex: &mut Executor,
+    rel: &Relation,
+    call: &UdfCall,
+    pred: Option<&Predicate>,
+) -> Vec<ProjectedTuple> {
+    let inputs = call.indexed_inputs(rel).unwrap();
+    ex.sequential_indexed(&inputs, pred, 2013).unwrap().0
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2013);
@@ -46,7 +59,7 @@ fn main() {
     let galage = udfs.get("GalAge").unwrap();
     let call = UdfCall::resolve(galage.udf.clone(), galaxy.schema(), &["redshift"]).unwrap();
     let mut ex = Executor::new(EvalStrategy::Gp, acc, &call, galage.output_range).unwrap();
-    let rows = ex.project(&galaxy, &call, &mut rng).unwrap();
+    let rows = sequential(&mut ex, &galaxy, &call, None);
 
     println!("Q1: SELECT objID, GalAge(redshift) FROM Galaxy");
     println!("objID  z(mean)   age p10    age p50    age p90   [1/H0]  ±ε");
@@ -90,9 +103,7 @@ fn main() {
     let pred = Predicate::new(0.05, 0.35, 0.1).unwrap();
     let mut where_ex =
         Executor::new(EvalStrategy::Gp, acc, &where_call, angdist.output_range).unwrap();
-    let surviving = where_ex
-        .select(&pairs, &where_call, &pred, &mut rng)
-        .unwrap();
+    let surviving = sequential(&mut where_ex, &pairs, &where_call, Some(&pred));
     println!(
         "  AngDist ∈ [0.05, 0.35] keeps {} pairs (filtered {}), UDF calls {}",
         surviving.len(),
@@ -118,7 +129,7 @@ fn main() {
     .unwrap();
     let mut vol_ex =
         Executor::new(EvalStrategy::Gp, acc, &vol_call, comovevol.output_range).unwrap();
-    let volumes = vol_ex.project(&survivors, &vol_call, &mut rng).unwrap();
+    let volumes = sequential(&mut vol_ex, &survivors, &vol_call, None);
 
     println!("\n  pair   TEP     vol p50 [(c/H0)³]  ±ε");
     for (row, vol) in surviving.iter().zip(&volumes) {

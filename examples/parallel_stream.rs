@@ -7,8 +7,37 @@
 //! ```
 
 use std::time::Instant;
-use udf_core::parallel::ParallelOlgapro;
 use udf_uncertain::prelude::*;
+
+/// One unfiltered batch on `sched`'s pool, tuple id = index; returns the
+/// first tuple's median and the batch's counters.
+fn process_batch(
+    eval: &mut Evaluator,
+    sched: &BatchScheduler,
+    batch: &[InputDistribution],
+    seed: u64,
+) -> (f64, BatchCounts) {
+    let spec = BatchSpec {
+        seed,
+        stream: 0,
+        predicate: None,
+    };
+    let mut first_median = f64::NAN;
+    let counts = eval
+        .run_two_phase(
+            sched,
+            spec,
+            batch.len(),
+            |i| (i as u64, &batch[i]),
+            |id, ruling| {
+                if let (0, FilterDecision::Kept { output, .. }) = (id, ruling) {
+                    first_median = output.ecdf.quantile(0.5);
+                }
+            },
+        )
+        .unwrap();
+    (first_median, counts)
+}
 
 fn main() {
     let udf = BlackBoxUdf::from_fn("wavefield", 2, |x| {
@@ -27,23 +56,24 @@ fn main() {
         .collect();
 
     for workers in [1usize, 2, 4, 8] {
-        let mut par = ParallelOlgapro::new(Olgapro::new(udf.fork_counter(), cfg.clone()), workers);
+        let mut eval = Evaluator::Gp(Box::new(Olgapro::new(udf.fork_counter(), cfg.clone())));
+        let sched = BatchScheduler::new(workers);
         // Warm up: the first batch trains the model (mostly sequential).
         let t0 = Instant::now();
-        let (_, warm) = par.process_batch(&batch, 1).unwrap();
+        let (_, warm) = process_batch(&mut eval, &sched, &batch, 1);
         let warm_time = t0.elapsed();
         // Steady state: subsequent batches are read-only and parallel.
         let t1 = Instant::now();
-        let (outs, steady) = par.process_batch(&batch, 2).unwrap();
+        let (median, steady) = process_batch(&mut eval, &sched, &batch, 2);
         let steady_time = t1.elapsed();
         println!(
             "workers = {workers}: warm-up {warm_time:>10.2?} ({} tuned), steady {steady_time:>10.2?} \
              ({} fast-path, {} tuned), model {} pts, median[0] {:+.3}",
-            warm.slow_path,
-            steady.fast_path,
-            steady.slow_path,
-            par.inner().model().len(),
-            outs[0].y_hat.quantile(0.5),
+            warm.slow(),
+            steady.accepted_fast,
+            steady.slow(),
+            eval.olgapro().expect("GP evaluator").model().len(),
+            median,
         );
     }
     println!(

@@ -53,20 +53,20 @@ pub use udf_workloads as workloads;
 
 /// The items most applications need.
 pub mod prelude {
+    pub use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
     pub use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig, RetrainStrategy};
     pub use udf_core::filtering::{FilterDecision, Predicate};
     pub use udf_core::hybrid::{HybridChoice, HybridEvaluator};
     pub use udf_core::mc::McEvaluator;
     pub use udf_core::olgapro::Olgapro;
     pub use udf_core::output::{GpOutput, OutputDistribution};
-    pub use udf_core::parallel::ParallelOlgapro;
     pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, BatchStats, Verdict};
     pub use udf_core::udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
     pub use udf_join::{
         JoinExecutor, JoinOutput, JoinSpec, JoinStats, JoinedPair, OnCondition, Side,
     };
     pub use udf_lang::{run_uql, Context as UqlContext, LangError, QueryOutput};
-    pub use udf_obs::{MetricsRegistry, Snapshot};
+    pub use udf_obs::{MetricsRegistry, Obs, Snapshot};
     pub use udf_prob::{Ecdf, InputDistribution, Normal, Univariate};
     pub use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall, Value};
     pub use udf_stream::{

@@ -133,7 +133,8 @@ fn q1_galage_monotone_in_redshift() {
     let galage = BlackBoxUdf::new(std::sync::Arc::new(GalAge(cosmology)), CostModel::Free);
     let call = UdfCall::resolve(galage, galaxy.schema(), &["redshift"]).unwrap();
     let mut ex = Executor::new(EvalStrategy::Gp, accuracy(0.1), &call, 1.0).unwrap();
-    let out = ex.project(&galaxy, &call, &mut rng).unwrap();
+    let inputs = call.indexed_inputs(&galaxy).unwrap();
+    let (out, _) = ex.sequential_indexed(&inputs, None, 5).unwrap();
     // Tuples are sorted by redshift; median ages must be non-increasing
     // (modulo the accuracy budget).
     let medians: Vec<f64> = out.iter().map(|r| r.output.ecdf.quantile(0.5)).collect();

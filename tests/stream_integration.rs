@@ -6,8 +6,6 @@
 //! decision is statistically forced for both systems: any disagreement is
 //! an engine bug, not sampling noise.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use udf_uncertain::prelude::*;
 
 fn acc() -> AccuracyRequirement {
@@ -29,7 +27,8 @@ fn stream_filter_decisions_agree_with_executor_mc_baseline() {
     let n = 64usize;
     let pred = Predicate::new(4.0, 6.0, 0.5).unwrap();
 
-    // --- Sequential baseline: Executor::select over a finite relation. ---
+    // --- Sequential baseline: the executor's full path over a finite
+    // relation. ---
     let schema = Schema::new(&["objID", "z"]);
     let tuples = (0..n)
         .map(|i| {
@@ -46,8 +45,10 @@ fn stream_filter_decisions_agree_with_executor_mc_baseline() {
     let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
     let call = UdfCall::resolve(udf.clone(), rel.schema(), &["z"]).unwrap();
     let mut executor = Executor::new(EvalStrategy::Mc, acc(), &call, 10.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(17);
-    let rows = executor.select(&rel, &call, &pred, &mut rng).unwrap();
+    let inputs = call.indexed_inputs(&rel).unwrap();
+    let (rows, _) = executor
+        .sequential_indexed(&inputs, Some(&pred), 17)
+        .unwrap();
     let executor_kept: Vec<usize> = rows.iter().map(|r| r.source).collect();
 
     // --- Streaming engine: same tuples, same predicate, MC strategy. ---
@@ -118,17 +119,17 @@ fn stream_gp_selection_agrees_with_executor_on_forced_decisions() {
     let impossible = Predicate::new(5.0, 6.0, 0.1).unwrap();
     let covering = Predicate::new(-2.0, 2.0, 0.5).unwrap();
 
-    let mut rng = StdRng::seed_from_u64(31);
+    let inputs = call.indexed_inputs(&rel).unwrap();
     let mut ex1 = Executor::new(EvalStrategy::Gp, acc, &call, 2.0).unwrap();
-    assert!(ex1
-        .select(&rel, &call, &impossible, &mut rng)
-        .unwrap()
-        .is_empty());
+    let (rows, _) = ex1
+        .sequential_indexed(&inputs, Some(&impossible), 31)
+        .unwrap();
+    assert!(rows.is_empty());
     let mut ex2 = Executor::new(EvalStrategy::Gp, acc, &call, 2.0).unwrap();
-    assert_eq!(
-        ex2.select(&rel, &call, &covering, &mut rng).unwrap().len(),
-        n
-    );
+    let (rows, _) = ex2
+        .sequential_indexed(&inputs, Some(&covering), 31)
+        .unwrap();
+    assert_eq!(rows.len(), n);
 
     let make_tuples = || -> Vec<InputDistribution> {
         (0..n)
