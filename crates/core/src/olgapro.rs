@@ -9,7 +9,12 @@
 //!    ECDFs, and computing the Algorithm-3 error bound;
 //! 4. **online tuning** (§5.2): while the bound exceeds ε_GP, evaluate the
 //!    UDF at the sample with the largest posterior variance, add it to the
-//!    model via the incremental Cholesky update, and repeat;
+//!    model via the incremental Cholesky update, and repeat — the repeat
+//!    being incremental too: the tuple's kernel matrix, subset factor and
+//!    `V = L⁻¹K` each gain the one row the new point adds
+//!    ([`udf_gp::LocalPredictorCache::predict_tuning`]) instead of being
+//!    rebuilt, bit-identically, whenever the new selection is the old one
+//!    plus that point (`olgapro.tuning_extends` counts how often);
 //! 5. **online retraining** (§5.3): if points were added, re-learn the
 //!    hyperparameters only when the first Newton step exceeds Δθ.
 
@@ -26,7 +31,8 @@ use udf_gp::local::select_local_with;
 use udf_gp::model::Prediction;
 use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
-    GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch, SquaredExponential,
+    FactorOrigin, GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch,
+    SquaredExponential,
 };
 use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, Obs, TraceBuffer, TraceEvent};
 use udf_prob::{Ecdf, InputDistribution};
@@ -60,6 +66,10 @@ pub struct OlgaproMetrics {
     pub lp_cache_hits: Counter,
     /// Local-predictor cache misses (fresh subset factorizations).
     pub lp_cache_misses: Counter,
+    /// Tuning-loop inferences served by extending the tuple's retained
+    /// `K`, `L` and `V` by one row instead of rebuilding them (each also
+    /// counts as the cache miss the rebuild would have been).
+    pub tuning_extends: Counter,
 }
 
 impl OlgaproMetrics {
@@ -74,6 +84,7 @@ impl OlgaproMetrics {
             fastpath_ns: Histogram::disabled(),
             lp_cache_hits: Counter::disabled(),
             lp_cache_misses: Counter::disabled(),
+            tuning_extends: Counter::disabled(),
         }
     }
 
@@ -88,6 +99,7 @@ impl OlgaproMetrics {
             fastpath_ns: reg.histogram("olgapro.fastpath_ns"),
             lp_cache_hits: reg.counter("olgapro.lp_cache.hits"),
             lp_cache_misses: reg.counter("olgapro.lp_cache.misses"),
+            tuning_extends: reg.counter("olgapro.tuning_extends"),
         }
     }
 }
@@ -351,7 +363,7 @@ impl Olgapro {
         let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
         let (eps_gp, (y_hat, y_s, y_l)) =
-            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, false)?;
         if let Some(t0) = t_fast {
             self.metrics.fastpath_ns.record_duration(t0.elapsed());
         }
@@ -382,8 +394,12 @@ impl Olgapro {
         out
     }
 
-    /// [`Olgapro::process`] with caller-provided scratch buffers.
-    fn process_with(
+    /// [`Olgapro::process`] with caller-provided scratch buffers. Identical
+    /// outputs whatever the scratch has been through before — another
+    /// tuple, another evaluator, a call that failed or panicked halfway:
+    /// what it caches is keyed, and the kernel rows the tuning loop retains
+    /// are forgotten before the first inference.
+    pub fn process_with(
         &mut self,
         input: &InputDistribution,
         rng: &mut dyn rand::RngCore,
@@ -397,9 +413,17 @@ impl Olgapro {
         }
         let calls_before = self.udf.calls();
         let split = self.config.split();
-        // Step 1: draw m samples (m from ε_MC, δ_MC).
+        // Step 1: draw m samples (m from ε_MC, δ_MC). Rows retained for the
+        // previous tuple's samples (or left by one that failed mid-loop)
+        // say nothing about these; this tuple's can grow to one per
+        // training point it could end up selecting.
         let m = self.config.samples_per_input();
         input.sample_n_into(rng, m, &mut scratch.samples);
+        let max_rows = match self.config.max_model_points {
+            0 => self.model.len() + self.config.max_points_per_input,
+            cap => cap.max(self.model.len()),
+        };
+        scratch.buf.predict.start_tuning(max_rows, m);
         let samples = &scratch.samples;
         let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
 
@@ -426,7 +450,7 @@ impl Olgapro {
         let t_tuning = self.metrics.tuning_ns.enabled().then(Instant::now);
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
         let (mut eps_gp, mut envelopes) =
-            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
         while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
             // Model-size budget: bounded per-tuple cost on long runs.
             if self.at_capacity() {
@@ -471,7 +495,7 @@ impl Olgapro {
             );
             points_added += 1;
             (eps_gp, envelopes) =
-                self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+                self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
         }
         if let Some(t0) = t_tuning {
             self.metrics.tuning_ns.record_duration(t0.elapsed());
@@ -496,7 +520,7 @@ impl Olgapro {
                 // Re-run inference with the new hyperparameters (step 12).
                 let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                 (eps_gp, _) =
-                    self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf)?;
+                    self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf, false)?;
                 // The output reports the pre-retrain `z_alpha`, so its
                 // envelopes are the new predictions widened by that z, not
                 // the `z2` ones the bound was just computed on.
@@ -548,12 +572,18 @@ impl Olgapro {
     /// multi-RHS solve ([`udf_gp::batch`]), bit-identical to the former
     /// per-sample loop, and the subset factorization is reused via
     /// `buf.cache` when consecutive tuples select the same neighborhood.
+    ///
+    /// `tuning` marks an inference another may follow on the same samples
+    /// after an `add_point` (Algorithm 5's loop): it keeps the tuple's
+    /// kernel rows in `buf.predict` and, when they are there already,
+    /// extends them instead of rebuilding — same bits either way.
     fn infer_and_bound(
         &self,
         samples: &[Vec<f64>],
         bbox: &BoundingBox,
         z_alpha: f64,
         buf: &mut InferBuffers,
+        tuning: bool,
     ) -> Result<(f64, Envelopes)> {
         // Local inference when the kernel is isotropic; global otherwise.
         // An *empty* selection is legitimate (every training point is far
@@ -566,13 +596,28 @@ impl Olgapro {
                 Err(e) => return Err(e.into()),
             };
         if use_local {
-            let (lp, hit) = buf.cache.get_or_build(&self.model, &buf.select.selected)?;
-            if hit {
-                self.metrics.lp_cache_hits.inc();
+            let selected = &buf.select.selected;
+            let origin = if tuning {
+                let (scratch, preds) = (&mut buf.predict, &mut buf.preds);
+                buf.cache
+                    .predict_tuning(&self.model, selected, samples, scratch, preds)?
             } else {
-                self.metrics.lp_cache_misses.inc();
+                let (lp, hit) = buf.cache.get_or_build(&self.model, selected)?;
+                lp.predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
+                if hit {
+                    FactorOrigin::CacheHit
+                } else {
+                    FactorOrigin::Built
+                }
+            };
+            match origin {
+                FactorOrigin::CacheHit => self.metrics.lp_cache_hits.inc(),
+                FactorOrigin::Built => self.metrics.lp_cache_misses.inc(),
+                FactorOrigin::Extended => {
+                    self.metrics.lp_cache_misses.inc();
+                    self.metrics.tuning_extends.inc();
+                }
             }
-            lp.predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
         } else {
             self.model
                 .predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
@@ -961,6 +1006,56 @@ mod tests {
             assert_eq!(a.eps_gp.to_bits(), b.eps_gp.to_bits(), "tuple {i} eps_gp");
             assert_eq!(a.z_alpha.to_bits(), b.z_alpha.to_bits(), "tuple {i} z");
         }
+    }
+
+    #[test]
+    fn process_on_a_reused_scratch_matches_a_fresh_scratch_bitwise() {
+        // The tuning loop retains kernel rows in the scratch; they belong
+        // to one tuple's samples. On a full stop-growing model every tuple
+        // retains and none adds a point, so the epoch never moves and a
+        // drifting input keeps selecting "the previous subset plus one
+        // larger index" — exactly what an extension looks for. Rows left
+        // by the previous tuple must not be taken for this one's.
+        let cfg = config(0.12)
+            .with_model_cap(24, ModelBudget::StopGrowing)
+            .unwrap();
+        let bumpy = BlackBoxUdf::from_fn("bumpy", 1, |x| (x[0] * 3.0).sin() + (x[0] * 7.0).cos());
+        let mut olga = Olgapro::new(bumpy, cfg);
+        let mut rng = StdRng::seed_from_u64(51);
+        for i in 0..40 {
+            let input = InputDistribution::diagonal_gaussian(&[(0.25 * i as f64, 0.3)]).unwrap();
+            olga.process(&input, &mut rng).unwrap();
+        }
+        assert!(olga.model_full(), "warm-up never filled the model");
+        let mut twin = olga.clone();
+        let mut reused = InferScratch::default();
+        let mut grew_by_one = 0;
+        let mut last: Vec<usize> = Vec::new();
+        for i in 0..400 {
+            let mu = 0.023 * i as f64;
+            let input = InputDistribution::diagonal_gaussian(&[(mu, 0.3)]).unwrap();
+            let a = olga
+                .process_with(&input, &mut StdRng::seed_from_u64(i), &mut reused)
+                .unwrap();
+            let sel = reused.buf.select.selected.clone();
+            grew_by_one += usize::from(sel.len() == last.len() + 1 && sel.starts_with(&last));
+            last = sel;
+            let b = twin
+                .process_with(
+                    &input,
+                    &mut StdRng::seed_from_u64(i),
+                    &mut InferScratch::default(),
+                )
+                .unwrap();
+            assert_eq!(a.y_hat.values(), b.y_hat.values(), "tuple {i} mean CDF");
+            assert_eq!(a.y_s.values(), b.y_s.values(), "tuple {i} lower");
+            assert_eq!(a.y_l.values(), b.y_l.values(), "tuple {i} upper");
+            assert_eq!(a.eps_gp.to_bits(), b.eps_gp.to_bits(), "tuple {i} eps_gp");
+        }
+        assert!(
+            grew_by_one > 0,
+            "the drift never grew a selection by its last index"
+        );
     }
 
     #[test]

@@ -177,3 +177,185 @@ fn zero_probability_region_input() {
     let out = olga.process(&input, &mut rng).unwrap();
     assert!(out.y_hat.max().abs() < 0.2);
 }
+
+/// A UDF that misbehaves on exactly one call — NaN or a panic — and is
+/// healthy before and after.
+struct FaultyOnce {
+    bad_call: u64,
+    panics: bool,
+    calls: AtomicU64,
+}
+
+impl UdfFunction for FaultyOnce {
+    fn dim(&self) -> usize {
+        1
+    }
+    fn eval(&self, x: &[f64]) -> f64 {
+        if self.calls.fetch_add(1, Ordering::Relaxed) == self.bad_call {
+            assert!(!self.panics, "injected UDF panic");
+            return f64::NAN;
+        }
+        (x[0] * 3.0).sin() + (x[0] * 7.0).cos()
+    }
+    fn name(&self) -> &str {
+        "faulty-once"
+    }
+}
+
+fn faulty_once(bad_call: u64, panics: bool) -> BlackBoxUdf {
+    let udf = FaultyOnce {
+        bad_call,
+        panics,
+        calls: AtomicU64::new(0),
+    };
+    BlackBoxUdf::new(Arc::new(udf), udf_core::udf::CostModel::Free)
+}
+
+fn tight() -> OlgaproConfig {
+    let acc = AccuracyRequirement::new(0.12, 0.05, 0.02, Metric::Discrepancy).unwrap();
+    OlgaproConfig::new(acc, 2.0).unwrap()
+}
+
+fn tuple(mu: f64) -> InputDistribution {
+    InputDistribution::diagonal_gaussian(&[(mu, 0.4)]).unwrap()
+}
+
+/// The tuning loop keeps the tuple's kernel rows in the scratch between
+/// inferences. A UDF failing *inside* that loop — after rows were retained,
+/// before the next point is added — must leave nothing behind that a later
+/// tuple could mistake for its own: the next tuple on the same scratch is
+/// bitwise the tuple on a fresh one, whichever way the call died, and the
+/// evaluator keeps working.
+#[test]
+fn a_fault_inside_the_tuning_loop_leaves_no_retained_rows_behind() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use udf_core::olgapro::InferScratch;
+    for panics in [false, true] {
+        // The first tuple bootstraps on calls 0-4 and is within budget; the
+        // second tunes on calls 5-14. The faults land at different depths
+        // of that loop, rows retained each time.
+        for bad_call in [6, 9, 12, 14] {
+            // The next tuple sits at, near, or away from the failed one —
+            // near is where a stale selection is one index from the new one.
+            for (k, next_mu) in [1.0, 1.05, 1.4, 2.2, 3.0].into_iter().enumerate() {
+                let what = format!("panics={panics} bad_call={bad_call} next_mu={next_mu}");
+                let mut olga = Olgapro::new(faulty_once(bad_call, panics), tight());
+                let mut scratch = InferScratch::default();
+                let mut failed = false;
+                for (i, mu) in [0.2, 1.0].into_iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(100 + i as u64);
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        olga.process_with(&tuple(mu), &mut rng, &mut scratch)
+                    }));
+                    match run {
+                        Ok(Ok(_)) => {}
+                        Ok(Err(CoreError::NonFiniteUdfOutput { .. })) if !panics => failed = true,
+                        Err(_) if panics => failed = true,
+                        other => panic!("{what}: tuple {i}: {other:?}"),
+                    }
+                    if failed {
+                        break;
+                    }
+                }
+                assert!(failed, "{what}: the fault never fired");
+                assert!(
+                    olga.model().len() > 5,
+                    "{what}: fault outside the tuning loop"
+                );
+
+                // Same evaluator state, stale scratch vs. fresh scratch.
+                let mut twin = olga.clone();
+                let seed = 7 + k as u64;
+                let a = olga
+                    .process_with(
+                        &tuple(next_mu),
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut scratch,
+                    )
+                    .unwrap();
+                let b = twin
+                    .process_with(
+                        &tuple(next_mu),
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut InferScratch::default(),
+                    )
+                    .unwrap();
+                assert_eq!(a.y_hat.values(), b.y_hat.values(), "{what}: mean CDF");
+                assert_eq!(a.y_s.values(), b.y_s.values(), "{what}: lower envelope");
+                assert_eq!(a.y_l.values(), b.y_l.values(), "{what}: upper envelope");
+                assert_eq!(a.eps_gp.to_bits(), b.eps_gp.to_bits(), "{what}: eps_gp");
+                assert_eq!(
+                    (a.points_added, a.retrained, a.udf_calls),
+                    (b.points_added, b.retrained, b.udf_calls),
+                    "{what}: tuning"
+                );
+                let bits = |m: &udf_gp::GpModel| -> Vec<u64> {
+                    m.alpha().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(olga.model()), bits(twin.model()), "{what}: model");
+            }
+        }
+    }
+}
+
+/// The same fault through the batch operator: a UDF that dies in the
+/// sequential fold of a two-phase batch takes the statement down, not the
+/// scheduler — its pool and per-lane scratch serve the next batch, with the
+/// rows a fresh scheduler would have produced.
+#[test]
+fn a_fault_in_the_slow_fold_leaves_the_scheduler_usable() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use udf_core::batch::{BatchSpec, Evaluator};
+    use udf_core::sched::BatchScheduler;
+    use udf_core::FilterDecision;
+    let inputs: Vec<InputDistribution> = (0..12).map(|i| tuple(0.45 * i as f64)).collect();
+    let spec = BatchSpec {
+        seed: 11,
+        stream: 0,
+        predicate: None,
+    };
+    let run = |sched: &BatchScheduler, udf: BlackBoxUdf| {
+        let mut eval = Evaluator::Gp(Box::new(Olgapro::new(udf, tight())));
+        let mut rows = Vec::new();
+        let done = catch_unwind(AssertUnwindSafe(|| {
+            eval.run_two_phase(
+                sched,
+                spec,
+                inputs.len(),
+                |i| (i as u64, &inputs[i]),
+                |id, ruling| {
+                    if let FilterDecision::Kept { output, .. } = ruling {
+                        rows.push((
+                            id,
+                            output.error_bound.to_bits(),
+                            output.ecdf.values().to_vec(),
+                        ));
+                    }
+                },
+            )
+        }));
+        (done, rows)
+    };
+    let healthy = || faulty_once(u64::MAX, false);
+    let (_, want) = run(&BatchScheduler::new(2), healthy());
+    assert_eq!(want.len(), inputs.len());
+
+    let sched = BatchScheduler::new(2);
+    for panics in [false, true] {
+        // Call 12 is past the bootstrap tuple: inside a rerouted tuple's
+        // tuning loop, in the fold.
+        let (done, rows) = run(&sched, faulty_once(12, panics));
+        match done {
+            Ok(Err(CoreError::NonFiniteUdfOutput { .. })) if !panics => {}
+            Err(_) if panics => {}
+            other => panic!("panics={panics}: {other:?}"),
+        }
+        assert!(rows.len() < inputs.len(), "the batch must not complete");
+        let (done, rows) = run(&sched, healthy());
+        assert!(
+            matches!(done, Ok(Ok(_))),
+            "scheduler unusable after the fault"
+        );
+        assert_eq!(rows, want, "panics={panics}: rows after the fault");
+    }
+}

@@ -27,11 +27,24 @@
 //! refactorization when consecutive tuples select the same training subset
 //! from the same model state — common under clustered workloads where
 //! neighboring tuples share a local neighborhood.
+//!
+//! **Extension (the tuning loop, §5.2).** Online tuning re-infers the *same*
+//! tuple after every added training point, and the new selection is almost
+//! always the previous one plus that point.
+//! [`LocalPredictorCache::predict_tuning`] therefore keeps the tuple's `K`,
+//! `L` and `V` and extends each by one row — `m` kernel evaluations, one
+//! [`Cholesky::push_row`], one [`Cholesky::solve_lower_last_row`] — instead
+//! of rebuilding them (`l·m` evaluations, an `O(l³)` factorization, an
+//! `O(l²·m)` solve). The contract above covers it: every retained row is
+//! what the full build would recompute, the new rows run the full build's
+//! own per-element operations, and the means are re-accumulated over the
+//! retained `K` in the same order with the new weights. Whenever the data
+//! do not allow it (see the method), the full build runs instead.
 
 use crate::kernel::Kernel;
 use crate::local::LocalPredictor;
 use crate::model::{GpModel, Prediction};
-use crate::Result;
+use crate::{GpError, Result};
 use std::sync::Arc;
 use udf_linalg::{lanes, Cholesky};
 
@@ -45,6 +58,29 @@ pub struct PredictScratch {
     means: Vec<f64>,
     /// Per-sample squared-norm accumulators (`m`).
     sq: Vec<f64>,
+    /// The kernel matrix `K` itself, kept beside `V` by
+    /// [`LocalPredictorCache::predict_tuning`] only.
+    k: Vec<f64>,
+    /// What `k`, `kv` and `sq` currently hold, if they are whole:
+    /// `(model_id, epoch, rows, cols)` of the inference that left them. Any
+    /// other prediction through this scratch clears it.
+    retained: Option<(u64, u64, usize, usize)>,
+}
+
+impl PredictScratch {
+    /// Start tuning a new tuple: forget the rows retained for extension —
+    /// callers of [`LocalPredictorCache::predict_tuning`] must do this
+    /// whenever the query points change, the one thing the retained rows
+    /// depend on that the cache cannot see — and make room for `K` and `V`
+    /// at `max_rows x cols` up front. Two buffers that took turns growing a
+    /// row at a time would each be moved past the other over and over; the
+    /// copies are cheap, the holes they leave in the heap are not.
+    pub fn start_tuning(&mut self, max_rows: usize, cols: usize) {
+        self.retained = None;
+        for buf in [&mut self.k, &mut self.kv] {
+            buf.reserve((max_rows * cols).saturating_sub(buf.len()));
+        }
+    }
 }
 
 /// Shared core of [`GpModel::predict_batch_with`] and
@@ -54,7 +90,11 @@ pub struct PredictScratch {
 /// `Some(idx)` restricts rows and weights to the subset, in subset order —
 /// exactly the rows/weights the scalar paths walk. `chol` must be the
 /// factor over the chosen rows. Dimension checks are the caller's job.
-#[allow(clippy::too_many_arguments)] // internal seam shared by two thin wrappers
+///
+/// `keep_k` builds `K` in its own buffer and solves on a copy, so both `K`
+/// and `V` survive the call (for extension); otherwise `K` is built where
+/// `V` overwrites it and nothing is copied.
+#[allow(clippy::too_many_arguments)] // internal seam shared by thin wrappers
 pub(crate) fn batch_predict_core(
     kernel: &dyn Kernel,
     xs: &[Vec<f64>],
@@ -64,44 +104,39 @@ pub(crate) fn batch_predict_core(
     queries: &[Vec<f64>],
     scratch: &mut PredictScratch,
     out: &mut Vec<Prediction>,
+    keep_k: bool,
 ) -> Result<()> {
     let l = chol.dim();
     let m = queries.len();
     out.clear();
+    scratch.retained = None;
     if m == 0 {
         return Ok(());
     }
+    let row_of = |r: usize| indices.map_or(r, |idx| idx[r]);
 
     // 1. Kernel matrix K (l x m): row r = training point r vs every sample.
-    scratch.kv.clear();
-    scratch.kv.resize(l * m, 0.0);
+    let k = if keep_k {
+        &mut scratch.k
+    } else {
+        &mut scratch.kv
+    };
+    k.clear();
+    k.resize(l * m, 0.0);
     for r in 0..l {
-        let xi = match indices {
-            Some(idx) => &xs[idx[r]],
-            None => &xs[r],
-        };
         // One virtual call per row; `eval_row` is bit-identical to the
         // per-entry `eval` loop it replaces (trait contract).
-        kernel.eval_row(xi, queries, &mut scratch.kv[r * m..(r + 1) * m]);
+        kernel.eval_row(&xs[row_of(r)], queries, &mut k[r * m..(r + 1) * m]);
     }
 
-    // 2. Means: Kᵀ α accumulated row-by-row (training index ascending — the
-    //    same reduction order as the scalar `dot(k, α)`). Accumulators start
-    //    at -0.0, the additive identity `Iterator::sum` folds floats from:
-    //    a far query whose kernel row underflows to zero against a negative
-    //    weight sums to -0.0 on the scalar path, and +0.0 + -0.0 = +0.0
-    //    would break bit-identity exactly there.
-    scratch.means.clear();
-    scratch.means.resize(m, -0.0);
-    for r in 0..l {
-        let a = match indices {
-            Some(idx) => alpha[idx[r]],
-            None => alpha[r],
-        };
-        lanes::axpy(a, &scratch.kv[r * m..(r + 1) * m], &mut scratch.means);
-    }
+    // 2. Means: Kᵀ α.
+    accumulate_means(k, (0..l).map(|r| alpha[row_of(r)]), m, &mut scratch.means);
 
     // 3. Variances: V = L⁻¹ K in place, then ‖v_c‖² accumulated row-by-row.
+    if keep_k {
+        scratch.kv.clear();
+        scratch.kv.extend_from_slice(&scratch.k);
+    }
     chol.solve_lower_in_place(&mut scratch.kv, m)?;
     scratch.sq.clear();
     scratch.sq.resize(m, -0.0); // same fold identity as `dot(v, v)`
@@ -109,7 +144,34 @@ pub(crate) fn batch_predict_core(
         lanes::sq_accum(&scratch.kv[r * m..(r + 1) * m], &mut scratch.sq);
     }
 
-    out.reserve(m);
+    emit_predictions(kernel, queries, scratch, out);
+    Ok(())
+}
+
+/// `means = Kᵀ w` accumulated row-by-row (training index ascending — the
+/// same reduction order as the scalar `dot(k, α)`). Accumulators start at
+/// -0.0, the additive identity `Iterator::sum` folds floats from: a far
+/// query whose kernel row underflows to zero against a negative weight sums
+/// to -0.0 on the scalar path, and +0.0 + -0.0 = +0.0 would break
+/// bit-identity exactly there.
+fn accumulate_means(k: &[f64], weights: impl Iterator<Item = f64>, m: usize, means: &mut Vec<f64>) {
+    means.clear();
+    means.resize(m, -0.0);
+    for (row, w) in k.chunks_exact(m).zip(weights) {
+        lanes::axpy(w, row, means);
+    }
+}
+
+/// One [`Prediction`] per query from the accumulated means and squared
+/// norms.
+fn emit_predictions(
+    kernel: &dyn Kernel,
+    queries: &[Vec<f64>],
+    scratch: &PredictScratch,
+    out: &mut Vec<Prediction>,
+) {
+    out.clear();
+    out.reserve(queries.len());
     for (c, q) in queries.iter().enumerate() {
         let var = (kernel.eval(q, q) - scratch.sq[c]).max(0.0);
         out.push(Prediction {
@@ -117,7 +179,19 @@ pub(crate) fn batch_predict_core(
             var,
         });
     }
-    Ok(())
+}
+
+/// How [`LocalPredictorCache::predict_tuning`] came by the subset factor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FactorOrigin {
+    /// The cached factor matched the selection and model state.
+    CacheHit,
+    /// A fresh `O(l³)` factorization (a cache miss).
+    Built,
+    /// The previous factor, `K` and `V` grown by one row — also a cache
+    /// miss in [`LocalPredictorCache::stats`], as the rebuild it stands in
+    /// for would have been.
+    Extended,
 }
 
 /// One-entry cache of the last subset factorization, keyed by
@@ -135,6 +209,8 @@ pub struct LocalPredictorCache {
     epoch: u64,
     indices: Vec<usize>,
     chol: Option<Arc<Cholesky>>,
+    /// The jitter `chol` was factored at.
+    jitter: f64,
     hits: u64,
     misses: u64,
 }
@@ -159,8 +235,9 @@ impl LocalPredictorCache {
                 && self.indices == indices
             {
                 self.hits += 1;
+                let chol = Arc::clone(chol);
                 return Ok((
-                    LocalPredictor::from_cached(model, indices.to_vec(), Arc::clone(chol)),
+                    LocalPredictor::from_cached(model, indices.to_vec(), chol, self.jitter),
                     true,
                 ));
             }
@@ -172,7 +249,127 @@ impl LocalPredictorCache {
         self.indices.clear();
         self.indices.extend_from_slice(indices);
         self.chol = Some(Arc::clone(lp.factor_arc()));
+        self.jitter = lp.factor_jitter();
         Ok((lp, false))
+    }
+
+    /// Local inference for the online-tuning loop. Computes what
+    /// [`get_or_build`](Self::get_or_build) followed by
+    /// [`LocalPredictor::predict_batch_with`] computes — predictions, cache
+    /// entry and `(hits, misses)`, bit for bit — and leaves the tuple's `K`
+    /// and `V` in `scratch`, so that the *next* call can extend them (see
+    /// the [module docs](self)) instead of rebuilding. It does when
+    /// `indices` is the previous call's selection plus one new last index
+    /// and, since that call,
+    ///
+    /// * the model only grew ([`GpModel::appended_since`]: same
+    ///   hyperparameters, same jitter, same points at the old indices);
+    /// * `scratch` served no other prediction, and the caller has not
+    ///   called [`PredictScratch::start_tuning`] — which it must whenever
+    ///   `queries` changes;
+    /// * the old factor and the new row both succeed at the model's base
+    ///   jitter (a from-scratch build escalates it for every row at once).
+    ///
+    /// Anything else is the full build.
+    pub fn predict_tuning(
+        &mut self,
+        model: &GpModel,
+        indices: &[usize],
+        queries: &[Vec<f64>],
+        scratch: &mut PredictScratch,
+        out: &mut Vec<Prediction>,
+    ) -> Result<FactorOrigin> {
+        if let Some(q) = queries.iter().find(|q| q.len() != model.dim()) {
+            return Err(GpError::DimensionMismatch {
+                expected: model.dim(),
+                found: q.len(),
+            });
+        }
+        let m = queries.len();
+        let origin = if self.extend(model, indices, queries, scratch)? {
+            emit_predictions(model.kernel(), queries, scratch, out);
+            FactorOrigin::Extended
+        } else {
+            let (lp, hit) = self.get_or_build(model, indices)?;
+            batch_predict_core(
+                model.kernel(),
+                model.inputs(),
+                Some(indices),
+                model.alpha(),
+                lp.factor_arc(),
+                queries,
+                scratch,
+                out,
+                true,
+            )?;
+            if hit {
+                FactorOrigin::CacheHit
+            } else {
+                FactorOrigin::Built
+            }
+        };
+        if m > 0 {
+            scratch.retained = Some((self.model_id, self.epoch, indices.len(), m));
+        }
+        Ok(origin)
+    }
+
+    /// Grow the cached factor and the retained `K`, `V`, squared norms and
+    /// means by the one point `indices` adds; `Ok(false)` — with nothing
+    /// touched — when [`predict_tuning`](Self::predict_tuning)'s conditions
+    /// do not hold.
+    fn extend(
+        &mut self,
+        model: &GpModel,
+        indices: &[usize],
+        queries: &[Vec<f64>],
+        scratch: &mut PredictScratch,
+    ) -> Result<bool> {
+        let (l, m) = (self.indices.len(), queries.len());
+        let Some(chol) = &mut self.chol else {
+            return Ok(false);
+        };
+        if self.model_id != model.model_id()
+            || scratch.retained != Some((self.model_id, self.epoch, l, m))
+            || !model.appended_since(self.epoch)
+            || self.jitter != model.jitter()
+            || indices.len() != l + 1
+            || indices[..l] != self.indices[..]
+        {
+            return Ok(false);
+        }
+        let (kernel, xs, new) = (model.kernel(), model.inputs(), indices[l]);
+
+        // L: the bordered matrix's last row, jittered the way
+        // `factor_with_jitter` jitters the diagonal, through `factor`'s own
+        // recurrence. A failed pivot means the full build would escalate.
+        let mut a_row = vec![0.0; l + 1];
+        kernel.eval_gather(&xs[new], xs, indices, &mut a_row);
+        if self.jitter > 0.0 {
+            a_row[l] += self.jitter;
+        }
+        if Arc::make_mut(chol).push_row(&a_row).is_err() {
+            return Ok(false);
+        }
+        self.epoch = model.epoch();
+        self.indices.push(new);
+        self.misses += 1;
+
+        // K and V: one new row each; ‖v_c‖² gains the new row's squares
+        // (rows accumulate in ascending order, so last is where it belongs).
+        scratch.retained = None;
+        scratch.k.resize((l + 1) * m, 0.0);
+        kernel.eval_row(&xs[new], queries, &mut scratch.k[l * m..]);
+        scratch.kv.extend_from_slice(&scratch.k[l * m..]);
+        chol.solve_lower_last_row(&mut scratch.kv, m)?;
+        lanes::sq_accum(&scratch.kv[l * m..], &mut scratch.sq);
+
+        // Means: every weight moved with the new point, the kernel rows did
+        // not.
+        let alpha = model.alpha();
+        let weights = indices.iter().map(|&i| alpha[i]);
+        accumulate_means(&scratch.k, weights, m, &mut scratch.means);
+        Ok(true)
     }
 
     /// `(hits, misses)` since construction.
@@ -267,6 +464,173 @@ mod tests {
         let (_, hit) = cache.get_or_build(&m1, &other).unwrap();
         assert!(!hit, "mutated model must miss");
         assert_eq!(cache.stats(), (2, 4));
+    }
+
+    /// What happens to the model (and the selection) between two tuning
+    /// inferences of one tuple.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        /// A new point, selected: the one case that may extend.
+        Append,
+        /// A new point a hair from a selected one (may fail the pivot).
+        AppendNearDuplicate,
+        /// A new point, selected, but an old index dropped.
+        AppendAndDrop,
+        /// A new point, selected, two old indices swapped.
+        AppendAndReorder,
+        /// A new point, selected — after a hyperparameter change.
+        Retrain,
+        /// `EvictOldest`: the oldest point removed, every index renumbered.
+        Evict,
+        /// A new point, selected, but the caller moved to other queries.
+        NewQueries,
+        /// A new point, selected, after the scratch served another model.
+        ForeignUse,
+    }
+
+    #[test]
+    fn extension_matches_the_full_build_bitwise_over_random_sequences() {
+        use crate::kernel::Matern32;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut extended_after: BTreeMap<String, u32> = BTreeMap::new();
+        let mut escalated = 0;
+        for case in 0..300 {
+            let dim = 1 + case % 2;
+            let kernel: Box<dyn Kernel> = if case % 5 == 4 {
+                Box::new(Matern32::new(1.3, 0.9))
+            } else {
+                Box::new(SquaredExponential::new(
+                    0.5 + rng.gen::<f64>(),
+                    0.4 + rng.gen::<f64>(),
+                ))
+            };
+            let point = |rng: &mut StdRng| -> Vec<f64> {
+                (0..dim).map(|_| rng.gen_range(0.0..6.0)).collect()
+            };
+            let mut m = GpModel::new(kernel, dim);
+            // A third of the cases run without jitter, so a near-duplicate
+            // really does fail the pivot and force an escalation.
+            if case % 3 == 0 {
+                m = m.with_jitter(0.0).unwrap();
+            }
+            let n0 = rng.gen_range(3..14);
+            let xs: Vec<Vec<f64>> = (0..n0).map(|_| point(&mut rng)).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.3).sin()).collect();
+            m.fit(xs, ys).unwrap();
+            // Sample counts straddle the 4-lane and 64-column panel edges.
+            let mut queries: Vec<Vec<f64>> = (0..rng.gen_range(1..140))
+                .map(|_| point(&mut rng))
+                .collect();
+            let mut sel: Vec<usize> = (0..m.len()).filter(|_| rng.gen_bool(0.7)).collect();
+            if sel.is_empty() {
+                sel.push(0);
+            }
+
+            let (mut tuned, mut plain) = (LocalPredictorCache::new(), LocalPredictorCache::new());
+            let (mut ts, mut ps) = (PredictScratch::default(), PredictScratch::default());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            ts.start_tuning(sel.len() + 12, queries.len());
+            let mut step = None;
+            for _ in 0..rng.gen_range(2..12) {
+                let origin = tuned
+                    .predict_tuning(&m, &sel, &queries, &mut ts, &mut got)
+                    .unwrap();
+                let (lp, _) = plain.get_or_build(&m, &sel).unwrap();
+                lp.predict_batch_with(&queries, &mut ps, &mut want).unwrap();
+                let what = format!("case {case} after {step:?}: {origin:?}");
+                assert_eq!(got.len(), want.len(), "{what}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.mean.to_bits(), w.mean.to_bits(), "{what}: mean");
+                    assert_eq!(g.var.to_bits(), w.var.to_bits(), "{what}: variance");
+                }
+                let (a, b) = (tuned.chol.as_ref().unwrap(), lp.factor_arc());
+                assert_eq!(a.dim(), b.dim(), "{what}");
+                for (x, y) in a.lower().as_slice().iter().zip(b.lower().as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what}: factor");
+                }
+                assert_eq!(tuned.stats(), plain.stats(), "{what}: (hits, misses)");
+                assert_eq!(tuned.indices, sel, "{what}: cached selection");
+                assert_eq!(tuned.epoch, m.epoch(), "{what}: cached epoch");
+                if lp.factor_jitter() != m.jitter() {
+                    escalated += 1;
+                    assert_ne!(origin, FactorOrigin::Extended, "{what}: escalated jitter");
+                }
+                if origin == FactorOrigin::Extended {
+                    *extended_after
+                        .entry(format!("{:?}", step.unwrap()))
+                        .or_default() += 1;
+                }
+
+                // Mutate the model and derive the next selection.
+                let next = match rng.gen_range(0..16) {
+                    0 => Step::AppendNearDuplicate,
+                    1 if sel.len() > 1 => Step::AppendAndDrop,
+                    2 if sel.len() > 1 => Step::AppendAndReorder,
+                    3 => Step::Retrain,
+                    4 => Step::Evict,
+                    5 => Step::NewQueries,
+                    6 => Step::ForeignUse,
+                    _ => Step::Append,
+                };
+                match next {
+                    Step::Evict => {
+                        m.remove_oldest().unwrap();
+                        sel = (0..m.len()).filter(|_| rng.gen_bool(0.7)).collect();
+                        if sel.is_empty() {
+                            sel.push(0);
+                        }
+                    }
+                    _ => {
+                        let mut x = point(&mut rng);
+                        if next == Step::AppendNearDuplicate {
+                            x.clone_from(&m.inputs()[sel[0]]);
+                            x[0] += 1e-13;
+                        }
+                        if next == Step::Retrain {
+                            let mut theta = m.kernel().params();
+                            theta[1] += 0.05;
+                            m.set_hyperparams(&theta).unwrap();
+                        }
+                        let y = (x[0] * 1.3).sin();
+                        m.add_point(x, y).unwrap();
+                        sel.push(m.len() - 1);
+                    }
+                }
+                match next {
+                    Step::AppendAndDrop => {
+                        sel.remove(rng.gen_range(0..sel.len() - 1));
+                    }
+                    Step::AppendAndReorder => sel.swap(0, 1),
+                    Step::NewQueries => {
+                        queries = (0..queries.len()).map(|_| point(&mut rng)).collect();
+                        ts.start_tuning(sel.len() + 12, queries.len());
+                    }
+                    Step::ForeignUse => {
+                        let other = model(6);
+                        let probe = vec![vec![0.5]; queries.len()];
+                        other.predict_batch_with(&probe, &mut ts, &mut got).unwrap();
+                    }
+                    _ => {}
+                }
+                step = Some(next);
+            }
+        }
+        // Plain appends extend (unless the pivot fails); nothing else does.
+        let kinds: Vec<&str> = extended_after.keys().map(String::as_str).collect();
+        assert!(
+            kinds.iter().all(|k| k.starts_with("Append")),
+            "extended after {kinds:?}"
+        );
+        assert!(
+            !kinds.contains(&"AppendAndDrop") && !kinds.contains(&"AppendAndReorder"),
+            "extended after {kinds:?}"
+        );
+        assert!(extended_after["Append"] > 500, "{extended_after:?}");
+        assert!(escalated > 10, "jitter escalation exercised {escalated}×");
     }
 
     #[test]

@@ -10,7 +10,11 @@
 
 /// A positive-definite covariance function with log-space hyperparameters.
 pub trait Kernel: Send + Sync + std::fmt::Debug {
-    /// Covariance `k(a, b)`.
+    /// Covariance `k(a, b)`. Must be symmetric *to the bit* —
+    /// `eval(a, b) == eval(b, a)` — which every kernel here gets from
+    /// depending on its arguments only through `(a_i − b_i)²`: covariance
+    /// matrices are built from one triangle and mirrored, and the row
+    /// builders below put whichever argument is shared first.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
 
     /// Number of hyperparameters.
@@ -46,6 +50,59 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
         assert_eq!(out.len(), qs.len(), "eval_row: wrong output length");
         for (o, q) in out.iter_mut().zip(qs) {
             *o = self.eval(x, q);
+        }
+    }
+
+    /// [`eval_row`](Kernel::eval_row) against a gathered subset:
+    /// `out[c] = k(x, xs[idx[c]])`, bitwise identical to calling
+    /// [`Kernel::eval`] per entry (same contract, same licence to hoist).
+    /// Builds subset covariance rows without copying the points out.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != idx.len()` or an index is out of range
+    /// (caller bug).
+    fn eval_gather(&self, x: &[f64], xs: &[Vec<f64>], idx: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), idx.len(), "eval_gather: wrong output length");
+        for (o, &i) in out.iter_mut().zip(idx) {
+            *o = self.eval(x, &xs[i]);
+        }
+    }
+
+    /// [`Kernel::grad`] of `x` against every `q` in `qs`, parameter-major:
+    /// `out[j * qs.len() + c] = grad(x, qs[c])[j]`, bitwise identical to the
+    /// scalar calls. Overrides hoist the hyperparameter transforms and
+    /// allocate nothing per entry — training walks all n² pairs per
+    /// likelihood gradient, so the per-entry `Vec` and repeated `exp`s of
+    /// the scalar form dominate it.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != n_params() * qs.len()` (caller bug).
+    fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        let m = qs.len();
+        assert_eq!(out.len(), self.n_params() * m, "grad_row: wrong length");
+        for (c, q) in qs.iter().enumerate() {
+            for (j, g) in self.grad(x, q).into_iter().enumerate() {
+                out[j * m + c] = g;
+            }
+        }
+    }
+
+    /// [`Kernel::second_deriv`] in the layout and under the contract of
+    /// [`grad_row`](Kernel::grad_row).
+    ///
+    /// # Panics
+    /// Panics if `out.len() != n_params() * qs.len()` (caller bug).
+    fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        let m = qs.len();
+        assert_eq!(
+            out.len(),
+            self.n_params() * m,
+            "second_deriv_row: wrong length"
+        );
+        for (c, q) in qs.iter().enumerate() {
+            for (j, h) in self.second_deriv(x, q).into_iter().enumerate() {
+                out[j * m + c] = h;
+            }
         }
     }
 
@@ -147,6 +204,45 @@ impl Kernel for SquaredExponential {
         let sf2 = (2.0 * self.log_sigma_f).exp();
         for (o, q) in out.iter_mut().zip(qs) {
             *o = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+        }
+    }
+
+    fn eval_gather(&self, x: &[f64], xs: &[Vec<f64>], idx: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), idx.len(), "eval_gather: wrong output length");
+        // `eval_row` over a gathered subset; same hoisting, same entries.
+        let l2 = (2.0 * self.log_len).exp();
+        let sf2 = (2.0 * self.log_sigma_f).exp();
+        for (o, &i) in out.iter_mut().zip(idx) {
+            *o = sf2 * (-0.5 * sq_dist(x, &xs[i]) / l2).exp();
+        }
+    }
+
+    fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        let m = qs.len();
+        assert_eq!(out.len(), 2 * m, "grad_row: wrong length");
+        // `grad` with the transforms hoisted: one `exp` per entry, not four.
+        let l2 = (2.0 * self.log_len).exp();
+        let sf2 = (2.0 * self.log_sigma_f).exp();
+        let (d_sigma, d_len) = out.split_at_mut(m);
+        for ((gs, gl), q) in d_sigma.iter_mut().zip(d_len).zip(qs) {
+            let k = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+            let u = sq_dist(x, q) / l2;
+            *gs = 2.0 * k;
+            *gl = k * u;
+        }
+    }
+
+    fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        let m = qs.len();
+        assert_eq!(out.len(), 2 * m, "second_deriv_row: wrong length");
+        let l2 = (2.0 * self.log_len).exp();
+        let sf2 = (2.0 * self.log_sigma_f).exp();
+        let (d_sigma, d_len) = out.split_at_mut(m);
+        for ((hs, hl), q) in d_sigma.iter_mut().zip(d_len).zip(qs) {
+            let k = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+            let u = sq_dist(x, q) / l2;
+            *hs = 4.0 * k;
+            *hl = k * (u * u - 2.0 * u);
         }
     }
 
@@ -637,6 +733,50 @@ mod tests {
                         v.to_bits(),
                         "{k:?} at r={r}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_builders_bitwise_match_scalar_calls_and_eval_is_symmetric() {
+        // A few hundred seeded cases per kernel: hyperparameters, the shared
+        // point and the row all vary; coincident points (r = 0) included.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9E37);
+        let mut next = move || rng.gen::<f64>();
+        for case in 0..300 {
+            let (sf, l1, l2) = (0.2 + 3.0 * next(), 0.1 + 4.0 * next(), 0.1 + 4.0 * next());
+            let kernels: Vec<Box<dyn Kernel>> = vec![
+                Box::new(SquaredExponential::new(sf, l1)),
+                Box::new(SquaredExponentialArd::new(sf, &[l1, l2])),
+                Box::new(Matern32::new(sf, l1)),
+                Box::new(Matern52::new(sf, l1)),
+            ];
+            let x = vec![8.0 * next() - 4.0, 8.0 * next() - 4.0];
+            let mut qs: Vec<Vec<f64>> = (0..1 + case % 9)
+                .map(|_| vec![8.0 * next() - 4.0, 8.0 * next() - 4.0])
+                .collect();
+            qs.push(x.clone());
+            let m = qs.len();
+            let idx: Vec<usize> = (0..m).rev().step_by(2).collect();
+            for k in &kernels {
+                let p = k.n_params();
+                let (mut g, mut h) = (vec![0.0; p * m], vec![0.0; p * m]);
+                k.grad_row(&x, &qs, &mut g);
+                k.second_deriv_row(&x, &qs, &mut h);
+                for (c, q) in qs.iter().enumerate() {
+                    assert_eq!(k.eval(&x, q).to_bits(), k.eval(q, &x).to_bits(), "{k:?}");
+                    let (gs, hs) = (k.grad(&x, q), k.second_deriv(&x, q));
+                    for j in 0..p {
+                        assert_eq!(g[j * m + c].to_bits(), gs[j].to_bits(), "{k:?} grad");
+                        assert_eq!(h[j * m + c].to_bits(), hs[j].to_bits(), "{k:?} second");
+                    }
+                }
+                let mut sub = vec![0.0; idx.len()];
+                k.eval_gather(&x, &qs, &idx, &mut sub);
+                for (&i, v) in idx.iter().zip(&sub) {
+                    assert_eq!(k.eval(&x, &qs[i]).to_bits(), v.to_bits(), "{k:?} gather");
                 }
             }
         }

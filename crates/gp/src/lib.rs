@@ -26,7 +26,7 @@ pub mod local;
 pub mod model;
 pub mod train;
 
-pub use batch::{LocalPredictorCache, PredictScratch};
+pub use batch::{FactorOrigin, LocalPredictorCache, PredictScratch};
 pub use kernel::{Kernel, Matern32, Matern52, SquaredExponential, SquaredExponentialArd};
 pub use local::{LocalSelection, SelectScratch};
 pub use model::GpModel;

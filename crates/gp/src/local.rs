@@ -222,6 +222,9 @@ pub struct LocalPredictor<'m> {
     /// Shared so [`crate::batch::LocalPredictorCache`] can hand the same
     /// factor to consecutive tuples without re-running the O(l³) build.
     chol: Arc<Cholesky>,
+    /// The jitter the factorization succeeded at (the model's own, unless
+    /// near-duplicate points forced an escalation).
+    jitter: f64,
 }
 
 impl<'m> LocalPredictor<'m> {
@@ -230,31 +233,43 @@ impl<'m> LocalPredictor<'m> {
         if indices.is_empty() {
             return Err(GpError::EmptyModel);
         }
+        // K_sub from one hoisted kernel row per selected point:
+        // bit-identical to per-entry `eval`, a third of its `exp`s.
         let xs = model.inputs();
-        let k = Matrix::from_symmetric_fn(indices.len(), |i, j| {
-            model.kernel().eval(&xs[indices[i]], &xs[indices[j]])
+        let k = Matrix::from_symmetric_rows(indices.len(), |i, row| {
+            model
+                .kernel()
+                .eval_gather(&xs[indices[i]], xs, &indices[..=i], row)
         });
-        let (chol, _) = Cholesky::factor_with_jitter(&k, model.jitter(), 8)?;
+        let (chol, jitter) = Cholesky::factor_with_jitter(&k, model.jitter(), 8)?;
         Ok(LocalPredictor {
             model,
             indices,
             chol: Arc::new(chol),
+            jitter,
         })
     }
 
     /// Assemble a predictor from a cached factor (see
     /// [`crate::batch::LocalPredictorCache`]). The caller guarantees `chol`
-    /// was factored from exactly `indices` on this model state.
+    /// was factored from exactly `indices` on this model state, at `jitter`.
     pub(crate) fn from_cached(
         model: &'m GpModel,
         indices: Vec<usize>,
         chol: Arc<Cholesky>,
+        jitter: f64,
     ) -> Self {
         LocalPredictor {
             model,
             indices,
             chol,
+            jitter,
         }
+    }
+
+    /// The jitter the subset factorization succeeded at.
+    pub(crate) fn factor_jitter(&self) -> f64 {
+        self.jitter
     }
 
     /// The subset Cholesky factor (shared handle).
@@ -342,6 +357,7 @@ impl<'m> LocalPredictor<'m> {
             xs,
             scratch,
             out,
+            false,
         )
     }
 }

@@ -36,6 +36,9 @@ pub struct GpModel {
     /// predictions (fit / add / evict / hyperparameter change), so cached
     /// derived state (e.g. a subset Cholesky factor) can detect staleness.
     epoch: u64,
+    /// `epoch` of the last mutation that was *not* [`GpModel::add_point`]
+    /// (see [`GpModel::appended_since`]).
+    rebuilt_at: u64,
     /// Cached kernel half-value distance (depends only on hyperparameters).
     half_value: OnceLock<f64>,
 }
@@ -58,6 +61,7 @@ impl Clone for GpModel {
             index: self.index.clone(),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: self.epoch,
+            rebuilt_at: self.rebuilt_at,
             half_value: self.half_value.clone(),
         }
     }
@@ -87,6 +91,7 @@ impl GpModel {
             index: RTree::new(dim),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: 0,
+            rebuilt_at: 0,
             half_value: OnceLock::new(),
         }
     }
@@ -104,6 +109,24 @@ impl GpModel {
         self.epoch
     }
 
+    /// True when every mutation after `epoch` was an
+    /// [`add_point`](GpModel::add_point): the hyperparameters, the jitter
+    /// and every training point that existed at `epoch` — index and all —
+    /// are what they were, so state derived from those (kernel rows, a
+    /// subset factor) is still exact and only needs *extending* by the new
+    /// points. `fit`, eviction, a hyperparameter or jitter change all
+    /// answer `false` for any earlier epoch.
+    #[inline]
+    pub fn appended_since(&self, epoch: u64) -> bool {
+        epoch >= self.rebuilt_at
+    }
+
+    /// Record a mutation other than an append.
+    fn bump_rebuilt(&mut self) {
+        self.epoch += 1;
+        self.rebuilt_at = self.epoch;
+    }
+
     /// Override the diagonal jitter (must be non-negative).
     pub fn with_jitter(mut self, jitter: f64) -> Result<Self> {
         if !(jitter >= 0.0 && jitter.is_finite()) {
@@ -113,7 +136,7 @@ impl GpModel {
             });
         }
         self.jitter = jitter;
-        self.epoch += 1;
+        self.bump_rebuilt();
         Ok(self)
     }
 
@@ -168,8 +191,27 @@ impl GpModel {
         // The half-value distance depends on the hyperparameters just
         // replaced; drop the cached value so it is re-bisected on demand.
         self.half_value = OnceLock::new();
-        self.epoch += 1;
+        self.bump_rebuilt();
         self.refit()
+    }
+
+    /// The factor and weights of the current hyperparameters — what
+    /// [`restore_hyperparams`](GpModel::restore_hyperparams) puts back.
+    pub(crate) fn factor_state(&self) -> Option<(Cholesky, Vec<f64>)> {
+        Some((self.chol.clone()?, self.alpha.clone()))
+    }
+
+    /// [`set_hyperparams`](GpModel::set_hyperparams) without the O(n³)
+    /// refit: `state` must be the [`factor_state`](GpModel::factor_state)
+    /// captured right after a `set_hyperparams(theta)` on this training
+    /// set, which a refit would reproduce bit for bit. Bumps the epoch and
+    /// drops the cached half-value distance exactly like the refitting form.
+    pub(crate) fn restore_hyperparams(&mut self, theta: &[f64], state: &(Cholesky, Vec<f64>)) {
+        self.kernel.set_params(theta);
+        self.half_value = OnceLock::new();
+        self.bump_rebuilt();
+        self.chol = Some(state.0.clone());
+        self.alpha.clone_from(&state.1);
     }
 
     /// Distance at which the kernel decays to half its zero-distance value,
@@ -213,7 +255,7 @@ impl GpModel {
                 .map(|(i, p)| (p, i))
                 .collect(),
         );
-        self.epoch += 1;
+        self.bump_rebuilt();
         self.refit()
     }
 
@@ -224,8 +266,11 @@ impl GpModel {
             self.alpha.clear();
             return Ok(());
         }
-        let n = self.xs.len();
-        let k = Matrix::from_symmetric_fn(n, |i, j| self.kernel.eval(&self.xs[i], &self.xs[j]));
+        // One hoisted kernel row per training point instead of a virtual
+        // `eval` per entry.
+        let k = Matrix::from_symmetric_rows(self.xs.len(), |i, row| {
+            self.kernel.eval_row(&self.xs[i], &self.xs[..=i], row)
+        });
         let (chol, _) = Cholesky::factor_with_jitter(&k, self.jitter, 8)?;
         self.alpha = chol.solve(&self.ys)?;
         self.chol = Some(chol);
@@ -250,7 +295,8 @@ impl GpModel {
                 self.refit()
             }
             Some(chol) => {
-                let k: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, &x)).collect();
+                let mut k = vec![0.0; self.xs.len()];
+                self.kernel.eval_row(&x, &self.xs, &mut k);
                 let kss = self.kernel.eval(&x, &x) + self.jitter;
                 match chol.append(&k, kss) {
                     Ok(()) => {
@@ -285,7 +331,7 @@ impl GpModel {
         if self.xs.is_empty() {
             return Err(GpError::EmptyModel);
         }
-        self.epoch += 1;
+        self.bump_rebuilt();
         self.xs.remove(0);
         self.ys.remove(0);
         self.index = RTree::bulk_load(
@@ -374,6 +420,7 @@ impl GpModel {
             xs,
             scratch,
             out,
+            false,
         )
     }
 
@@ -387,13 +434,106 @@ impl GpModel {
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
 
+    /// `p` symmetric `n x n` matrices from a row builder in
+    /// [`Kernel::grad_row`]'s parameter-major layout: `fill(xᵢ, x₀..=xᵢ,
+    /// out)` is asked for the lower triangle only and each entry mirrored
+    /// (kernels are bitwise symmetric, see [`Kernel::eval`]).
+    fn derivative_matrices(
+        &self,
+        p: usize,
+        fill: impl Fn(&[f64], &[Vec<f64>], &mut [f64]),
+    ) -> Vec<Matrix> {
+        let n = self.xs.len();
+        let mut out = vec![Matrix::zeros(n, n); p];
+        let mut row = vec![0.0; p * n];
+        for i in 0..n {
+            let m = i + 1;
+            fill(&self.xs[i], &self.xs[..m], &mut row[..p * m]);
+            for (j, mat) in out.iter_mut().enumerate() {
+                for (c, &v) in row[j * m..(j + 1) * m].iter().enumerate() {
+                    mat[(i, c)] = v;
+                    mat[(c, i)] = v;
+                }
+            }
+        }
+        out
+    }
+
+    /// `∂K/∂θ_j` for every hyperparameter.
+    fn kernel_grads(&self) -> Vec<Matrix> {
+        self.derivative_matrices(self.kernel.n_params(), |x, qs, out| {
+            self.kernel.grad_row(x, qs, out)
+        })
+    }
+
     /// Gradient of the log marginal likelihood w.r.t. the kernel's
     /// log-hyperparameters: `∂L/∂θ_j = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ_j)`.
     pub fn lml_gradient(&self) -> Result<Vec<f64>> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
+        Ok(self.gradient_from(&chol.inverse()?, &self.kernel_grads()))
+    }
+
+    /// The gradient's trace, accumulated over all ordered pairs `(i, j)`
+    /// row-major — the order the per-pair scalar form walked them in.
+    fn gradient_from(&self, kinv: &Matrix, kp: &[Matrix]) -> Vec<f64> {
+        let n = self.xs.len();
+        let mut grad = vec![0.0; kp.len()];
+        for i in 0..n {
+            for j in 0..n {
+                let w = self.alpha[i] * self.alpha[j] - kinv[(i, j)];
+                for (gj, m) in grad.iter_mut().zip(kp) {
+                    *gj += 0.5 * w * m[(i, j)];
+                }
+            }
+        }
+        grad
+    }
+
+    /// Diagonal second derivatives of the log marginal likelihood,
+    /// `∂²L/∂θ_j²`, used by the Newton retraining heuristic (§5.3):
+    ///
+    /// `∂²L/∂θ² = ½ αᵀK''α − αᵀK'K⁻¹K'α − ½ tr(K⁻¹K'') + ½ tr(K⁻¹K'K⁻¹K')`.
+    pub fn lml_hessian_diag(&self) -> Result<Vec<f64>> {
+        Ok(self.lml_gradient_and_hessian_diag()?.1)
+    }
+
+    /// [`lml_gradient`](GpModel::lml_gradient) and
+    /// [`lml_hessian_diag`](GpModel::lml_hessian_diag) from one `K⁻¹` and
+    /// one set of `K′` matrices — what the §5.3 Newton check needs. The two
+    /// traces are taken without forming the products
+    /// ([`Matrix::matmul_trace`]); only `K⁻¹K′` is still multiplied out.
+    pub fn lml_gradient_and_hessian_diag(&self) -> Result<(Vec<f64>, Vec<f64>)> {
+        let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
+        let kinv = chol.inverse()?;
+        let kps = self.kernel_grads();
+        let kpps = self.derivative_matrices(kps.len(), |x, qs, out| {
+            self.kernel.second_deriv_row(x, qs, out)
+        });
+        let mut hess = Vec::with_capacity(kps.len());
+        for (kp, kpp) in kps.iter().zip(&kpps) {
+            let kp_alpha = kp.matvec(&self.alpha)?;
+            let kinv_kp_alpha = chol.solve(&kp_alpha)?;
+            let term1 = 0.5 * dot(&self.alpha, &kpp.matvec(&self.alpha)?);
+            let term2 = dot(&kp_alpha, &kinv_kp_alpha);
+            // tr(K⁻¹K'') and tr(K⁻¹K'K⁻¹K').
+            let tr1 = kinv.matmul_trace(kpp)?;
+            let kinv_kp = kinv.matmul(kp)?;
+            let tr2 = kinv_kp.matmul_trace(&kinv_kp)?;
+            hess.push(term1 - term2 - 0.5 * tr1 + 0.5 * tr2);
+        }
+        Ok((self.gradient_from(&kinv, &kps), hess))
+    }
+}
+
+/// The per-pair scalar forms the row-built likelihood derivatives replaced,
+/// kept verbatim as the oracles their bit-identity is tested against.
+#[cfg(test)]
+impl GpModel {
+    pub(crate) fn lml_gradient_oracle(&self) -> Result<Vec<f64>> {
+        let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
         let n = self.xs.len();
         let p = self.kernel.n_params();
-        let kinv = chol.inverse()?;
+        let kinv = chol.solve_matrix(&Matrix::identity(n))?;
         let mut grad = vec![0.0; p];
         for i in 0..n {
             for j in 0..n {
@@ -407,16 +547,12 @@ impl GpModel {
         Ok(grad)
     }
 
-    /// Diagonal second derivatives of the log marginal likelihood,
-    /// `∂²L/∂θ_j²`, used by the Newton retraining heuristic (§5.3):
-    ///
-    /// `∂²L/∂θ² = ½ αᵀK''α − αᵀK'K⁻¹K'α − ½ tr(K⁻¹K'') + ½ tr(K⁻¹K'K⁻¹K')`.
     #[allow(clippy::needless_range_loop)] // out[j] paired with the j-th K' matrix
-    pub fn lml_hessian_diag(&self) -> Result<Vec<f64>> {
+    pub(crate) fn lml_hessian_diag_oracle(&self) -> Result<Vec<f64>> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
         let n = self.xs.len();
         let p = self.kernel.n_params();
-        let kinv = chol.inverse()?;
+        let kinv = chol.solve_matrix(&Matrix::identity(n))?;
         let mut out = vec![0.0; p];
         // Materialize K' per hyperparameter (p small: 2..=d+1).
         for j in 0..p {
@@ -438,6 +574,19 @@ impl GpModel {
             out[j] = term1 - term2 - 0.5 * tr1 + 0.5 * tr2;
         }
         Ok(out)
+    }
+
+    /// `set_hyperparams` as it was: the covariance through per-entry `eval`.
+    pub(crate) fn set_hyperparams_oracle(&mut self, theta: &[f64]) -> Result<()> {
+        self.kernel.set_params(theta);
+        self.half_value = OnceLock::new();
+        self.bump_rebuilt();
+        let n = self.xs.len();
+        let k = Matrix::from_symmetric_fn(n, |i, j| self.kernel.eval(&self.xs[i], &self.xs[j]));
+        let (chol, _) = Cholesky::factor_with_jitter(&k, self.jitter, 8)?;
+        self.alpha = chol.solve(&self.ys)?;
+        self.chol = Some(chol);
+        Ok(())
     }
 }
 
@@ -464,7 +613,7 @@ fn half_value_bisect(k: &dyn Kernel) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel::SquaredExponential;
 
@@ -615,6 +764,89 @@ mod tests {
                 hess[j]
             );
         }
+    }
+
+    /// Seeded models over all four kernels: random hyperparameters, 1-D or
+    /// 2-D inputs, half of them grown point by point (an appended factor).
+    pub(crate) fn seeded_models(cases: usize) -> Vec<GpModel> {
+        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD1B5);
+        let mut next = move || rng.gen::<f64>();
+        (0..cases)
+            .map(|case| {
+                let (sf, l1, l2) = (0.5 + 2.0 * next(), 0.3 + 2.0 * next(), 0.3 + 2.0 * next());
+                let (kernel, dim): (Box<dyn Kernel>, usize) = match case % 4 {
+                    0 => (Box::new(SquaredExponential::new(sf, l1)), 1),
+                    1 => (Box::new(SquaredExponentialArd::new(sf, &[l1, l2])), 2),
+                    2 => (Box::new(Matern32::new(sf, l1)), 2),
+                    _ => (Box::new(Matern52::new(sf, l1)), 1),
+                };
+                let n = 2 + case % 11;
+                let xs: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..dim).map(|_| 6.0 * next()).collect())
+                    .collect();
+                let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.1).sin() + next()).collect();
+                let mut m = GpModel::new(kernel, dim);
+                if case % 2 == 0 {
+                    m.fit(xs, ys).unwrap();
+                } else {
+                    for (x, y) in xs.into_iter().zip(ys) {
+                        m.add_point(x, y).unwrap();
+                    }
+                }
+                m
+            })
+            .collect()
+    }
+
+    pub(crate) fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn row_built_likelihood_derivatives_match_the_scalar_oracles_bitwise() {
+        for (case, mut m) in seeded_models(240).into_iter().enumerate() {
+            let what = format!("case {case} ({:?}, n = {})", m.kernel(), m.len());
+            let grad = m.lml_gradient().unwrap();
+            assert_same_bits(&grad, &m.lml_gradient_oracle().unwrap(), &what);
+            let hess = m.lml_hessian_diag_oracle().unwrap();
+            assert_same_bits(&m.lml_hessian_diag().unwrap(), &hess, &what);
+            let (g2, h2) = m.lml_gradient_and_hessian_diag().unwrap();
+            assert_same_bits(&g2, &grad, &what);
+            assert_same_bits(&h2, &hess, &what);
+            // The refit behind `set_hyperparams` builds K from hoisted rows.
+            let mut theta = m.kernel().params();
+            theta[0] += 0.1;
+            let mut old = m.clone();
+            m.set_hyperparams(&theta).unwrap();
+            old.set_hyperparams_oracle(&theta).unwrap();
+            assert_same_bits(m.alpha(), old.alpha(), &what);
+            let (new_l, old_l) = (m.chol.as_ref().unwrap(), old.chol.as_ref().unwrap());
+            assert_same_bits(new_l.lower().as_slice(), old_l.lower().as_slice(), &what);
+        }
+    }
+
+    #[test]
+    fn appended_since_sees_only_appends() {
+        let mut m = toy_model(5);
+        let e0 = m.epoch();
+        assert!(m.appended_since(e0));
+        m.add_point(vec![7.0], 0.2).unwrap();
+        m.add_point(vec![8.0], 0.1).unwrap();
+        assert!(m.appended_since(e0), "two appends");
+        let theta = m.kernel().params();
+        m.set_hyperparams(&theta).unwrap();
+        assert!(!m.appended_since(e0), "hyperparameters replaced");
+        let e1 = m.epoch();
+        m.remove_oldest().unwrap();
+        assert!(!m.appended_since(e1), "eviction renumbers the points");
+        let e2 = m.epoch();
+        let m = m.with_jitter(1e-6).unwrap();
+        assert!(!m.appended_since(e2) && m.appended_since(m.epoch()));
     }
 
     #[test]

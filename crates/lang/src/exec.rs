@@ -740,14 +740,22 @@ fn plan_and_op(out: &QueryOutput) -> Option<(&str, String)> {
 }
 
 /// The `EXPLAIN ANALYZE` rendering: the executed plan, a per-operator
-/// line with elapsed time and routing counters, and the statement's
+/// line with elapsed time and routing counters — for GP statements also
+/// `tuning_extends`, the tuning-loop inferences that grew the tuple's
+/// retained kernel rows instead of rebuilding them — and the statement's
 /// metrics-registry delta.
 fn annotate_analyze(out: &QueryOutput, delta: &Snapshot) -> String {
-    let Some((plan, op)) = plan_and_op(out) else {
+    let Some((plan, mut op)) = plan_and_op(out) else {
         // Unreachable in practice (ANALYZE always executes), but degrade
         // to the plain report rather than panicking.
         return out.report();
     };
+    if let Some(extends) = delta.counters.get("olgapro.tuning_extends") {
+        op = udf_obs::fmt::KvLine::new()
+            .raw(&op)
+            .field("tuning_extends", extends)
+            .finish();
+    }
     let mut s = String::from(plan);
     s.push_str("Execution (ANALYZE):\n");
     s.push_str(&op);

@@ -552,3 +552,69 @@ fn unbounded_stream_query_is_refused() {
     let err = run_uql("SELECT F2(x) FROM STREAM synth", &mut ctx).unwrap_err();
     assert!(err.to_string().contains("LIMIT"), "{err}");
 }
+
+/// The tuning loop's append rate as a number: on the F2 `MODEL CAP 96`
+/// statement (the shape of the benchmark's `f2_tuning_capped`) almost every
+/// inference that follows an added training point extends the tuple's
+/// retained kernel rows instead of rebuilding them, each such extension is
+/// counted once and as the cache miss the rebuild would have been, and
+/// `EXPLAIN ANALYZE` shows the count on the operator line.
+#[test]
+fn tuning_loop_extends_instead_of_rebuilding_on_f2() {
+    let n = 64;
+    let tuples = (0..n)
+        .map(|i| {
+            Tuple::new(vec![Value::Gaussian {
+                mu: (0.61 * i as f64) % 10.0,
+                sigma: 0.5,
+            }])
+        })
+        .collect();
+    let mut ctx = Context::standard();
+    ctx.register_relation(
+        "points",
+        Relation::new(Schema::new(&["x"]), tuples).unwrap(),
+    );
+    let QueryOutput::Plan(report) = run_uql(
+        "EXPLAIN ANALYZE SELECT F2(x) FROM points USING gp MODEL CAP 96 WORKERS 1 SEED 7",
+        &mut ctx,
+    )
+    .unwrap() else {
+        panic!("ANALYZE returns the annotated plan")
+    };
+    let snap = ctx.metrics().snapshot();
+    let count = |name: &str| snap.counters[name];
+    let extends = count("olgapro.tuning_extends");
+    assert!(
+        report.contains(&format!(" tuning_extends={extends}\n")),
+        "operator line:\n{report}"
+    );
+
+    // Every tuning-loop inference follows one UDF call past the bootstrap.
+    let field = |key: &str| -> u64 {
+        let at = report
+            .find(key)
+            .unwrap_or_else(|| panic!("{key} in\n{report}"))
+            + key.len();
+        let digits: String = report[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    let bootstrap = 5;
+    let loop_inferences = field("udf_calls=") - bootstrap;
+    // extends + rebuilds = tuning-loop inferences: the subset-factor cache
+    // saw one lookup per inference — the fast phase's `n − 1`, each slow
+    // tuple's first, each retrain's last, and the loop's — and whatever of
+    // the loop's was not an extension was a rebuild.
+    let retrains = snap.histograms["olgapro.retrain_ns"].count;
+    let lookups = count("olgapro.lp_cache.hits") + count("olgapro.lp_cache.misses");
+    let rebuilds = lookups - (n - 1) - field("slow=") - retrains - extends;
+    assert_eq!(extends + rebuilds, loop_inferences, "{report}");
+    assert!(
+        extends as f64 >= 0.99 * loop_inferences as f64,
+        "{extends} of {loop_inferences} tuning-loop inferences extended"
+    );
+    assert_eq!(field("udf_calls="), 96, "the model fills its cap");
+}

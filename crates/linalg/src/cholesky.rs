@@ -8,7 +8,11 @@
 //! * `inverse` — explicit `A⁻¹` for the likelihood gradient/Hessian;
 //! * [`Cholesky::append`] — the O(n²) block update used by online tuning
 //!   (§5.2): when training point n+1 arrives, the new factor row is
-//!   `w = L⁻¹ k`, `d = sqrt(k** − w·w)`, avoiding an O(n³) refactorization.
+//!   `w = L⁻¹ k`, `d = sqrt(k** − w·w)`, avoiding an O(n³) refactorization;
+//! * [`Cholesky::push_row`] — the same update written as one more step of
+//!   [`Cholesky::factor`]'s own row recurrence, for callers that need the
+//!   grown factor to be *bit-identical* to refactoring the bordered matrix
+//!   (the per-tuple subset factor of the tuning loop).
 
 use crate::{dot, LinalgError, Matrix, Result};
 
@@ -35,22 +39,39 @@ impl Cholesky {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
+            Self::factor_row(&mut l, i, a.row(i))?;
         }
         Ok(Cholesky { l })
+    }
+
+    /// One step of the factorization recurrence: given rows `0..i` of the
+    /// factor in `l`, write row `i` from `a_row[..=i]` (row `i` of `A`, lower
+    /// part). [`factor`](Cholesky::factor) is this routine looped over the
+    /// rows and [`push_row`](Cholesky::push_row) is its last iteration, so
+    /// the two agree to the bit: per entry, `sum = a_ij`, then
+    /// `sum -= l_ik · l_jk` for `k` ascending, then a square root (diagonal)
+    /// or a true division by `l_jj`.
+    fn factor_row(l: &mut Matrix, i: usize, a_row: &[f64]) -> Result<()> {
+        let n = l.cols();
+        let (done, rest) = l.as_mut_slice().split_at_mut(i * n);
+        let row = &mut rest[..=i];
+        for j in 0..i {
+            let lj = &done[j * n..=j * n + j];
+            let mut sum = a_row[j];
+            for k in 0..j {
+                sum -= row[k] * lj[k];
+            }
+            row[j] = sum / lj[j];
+        }
+        let mut sum = a_row[i];
+        for lik in &row[..i] {
+            sum -= lik * lik;
+        }
+        if sum <= 0.0 || !sum.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        }
+        row[i] = sum.sqrt();
+        Ok(())
     }
 
     /// Factor `A + jitter·I`, escalating jitter by 10x up to `max_tries`
@@ -174,16 +195,51 @@ impl Cholesky {
         for j0 in (0..cols).step_by(Self::RHS_BLOCK) {
             let jw = Self::RHS_BLOCK.min(cols - j0);
             for i in 0..n {
-                let lrow = self.l.row(i);
-                let (solved, rest) = rhs.split_at_mut(i * cols);
-                let cur = &mut rest[j0..j0 + jw];
-                for (k, &lik) in lrow[..i].iter().enumerate() {
-                    let yk = &solved[k * cols + j0..k * cols + j0 + jw];
-                    crate::lanes::axpy_sub(lik, yk, cur);
-                }
-                crate::lanes::div_scale(cur, lrow[i]);
+                self.forward_row(i, rhs, cols, j0, jw);
             }
         }
+        Ok(())
+    }
+
+    /// Row `i`, columns `j0..j0 + jw`, of the multi-RHS forward
+    /// substitution: rows `0..i` of `rhs` hold the solution already.
+    #[inline]
+    fn forward_row(&self, i: usize, rhs: &mut [f64], cols: usize, j0: usize, jw: usize) {
+        let lrow = self.l.row(i);
+        let (solved, rest) = rhs.split_at_mut(i * cols);
+        let cur = &mut rest[j0..j0 + jw];
+        for (k, &lik) in lrow[..i].iter().enumerate() {
+            let yk = &solved[k * cols + j0..k * cols + j0 + jw];
+            crate::lanes::axpy_sub(lik, yk, cur);
+        }
+        crate::lanes::div_scale(cur, lrow[i]);
+    }
+
+    /// The last step of [`solve_lower_in_place`](Self::solve_lower_in_place)
+    /// alone: `rhs` is an `n x cols` panel whose first `n − 1` rows already
+    /// hold `Y = L⁻¹B` for the leading `(n−1) x (n−1)` factor and whose last
+    /// row holds the last row of `B`; on return the last row is solved too.
+    /// Each column sees exactly the full solve's operations for that row
+    /// (`k` ascending, true division), so after a
+    /// [`push_row`](Self::push_row) the panel is bit-identical to solving
+    /// the bordered system from scratch — O(n·cols) instead of O(n²·cols).
+    ///
+    /// Returns an error if `rhs.len() != dim() * cols`.
+    pub fn solve_lower_last_row(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
+        let n = self.dim();
+        if rhs.len() != n * cols {
+            return Err(LinalgError::DimensionMismatch {
+                expected: n * cols,
+                found: rhs.len(),
+                context: "Cholesky::solve_lower_last_row",
+            });
+        }
+        if rhs.is_empty() {
+            return Ok(());
+        }
+        // One pass over the solved rows at full width: the row being solved
+        // (`cols` doubles) stays cache-resident, the rest streams once.
+        self.forward_row(n - 1, rhs, cols, 0, cols);
         Ok(())
     }
 
@@ -283,8 +339,42 @@ impl Cholesky {
 
     /// Explicit inverse `A⁻¹` (O(n³)); used only by the likelihood
     /// gradient/Hessian in retraining, never in the inference hot path.
+    ///
+    /// Bit-identical to `solve_matrix(&Matrix::identity(n))`, at a third of
+    /// the forward-substitution work: in column `c` of `L Y = I` every row
+    /// above `c` is exactly `+0.0`, and so is every term
+    /// `l_ik · y_kc` with `k < c` — subtracting a zero changes neither the
+    /// `1.0` / `+0.0` the sum starts from nor anything accumulated later
+    /// (those terms come first, `k` ascending) — so they are skipped. `Y` is
+    /// lower triangular; the back substitution then runs on the full panel.
     pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        let n = self.dim();
+        let mut out = Matrix::identity(n);
+        let data = out.as_mut_slice();
+        for i in 0..n {
+            let lrow = self.l.row(i);
+            let (solved, rest) = data.split_at_mut(i * n);
+            let cur = &mut rest[..=i];
+            for (k, &lik) in lrow[..i].iter().enumerate() {
+                crate::lanes::axpy_sub(lik, &solved[k * n..=k * n + k], &mut cur[..=k]);
+            }
+            crate::lanes::div_scale(cur, lrow[i]);
+        }
+        self.solve_upper_in_place(data, n)?;
+        Ok(out)
+    }
+
+    /// A zeroed `(n+1) x (n+1)` matrix holding this factor in its leading
+    /// block — what [`append`](Self::append) and
+    /// [`push_row`](Self::push_row) write their new row into.
+    fn grown(&self) -> Matrix {
+        let n = self.dim();
+        let mut l = Matrix::zeros(n + 1, n + 1);
+        for i in 0..n {
+            let (src, dst) = (self.l.row(i), l.row_mut(i));
+            dst[..=i].copy_from_slice(&src[..=i]);
+        }
+        l
     }
 
     /// Append one row/column to the factored matrix: given the factor of
@@ -293,6 +383,14 @@ impl Cholesky {
     ///
     /// `k` is the covariance between the new point and the existing points,
     /// `kss` the new point's self-covariance (including jitter).
+    ///
+    /// **Not bit-identical to [`factor`](Self::factor) on the bordered
+    /// matrix.** The off-diagonal entries `w = L⁻¹k` are the same
+    /// operations, but the pivot is `kss − dot(w, w)` — the squares summed
+    /// first, subtracted once — where `factor` runs the sequential
+    /// `sum -= w_k²`; the two round differently in the last bits. Code that
+    /// must reproduce a from-scratch factorization exactly uses
+    /// [`push_row`](Self::push_row).
     ///
     /// Returns [`LinalgError::NotPositiveDefinite`] when the Schur complement
     /// `kss − wᵀw` is not strictly positive.
@@ -310,15 +408,32 @@ impl Cholesky {
         if schur <= 0.0 || !schur.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: n });
         }
-        let d = schur.sqrt();
-        // Grow the factor: copy into an (n+1)x(n+1) matrix.
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            let (src, dst) = (self.l.row(i), l.row_mut(i));
-            dst[..=i].copy_from_slice(&src[..=i]);
-        }
+        let mut l = self.grown();
         l.row_mut(n)[..n].copy_from_slice(&w);
-        l[(n, n)] = d;
+        l[(n, n)] = schur.sqrt();
+        self.l = l;
+        Ok(())
+    }
+
+    /// Append one row/column by running [`factor`](Self::factor)'s own row
+    /// recurrence once more: `a_row` is the new last row of the bordered
+    /// matrix (`n + 1` entries, the diagonal — jitter included — last). The
+    /// result is bit-identical to `Cholesky::factor` of the bordered matrix,
+    /// in O(n²); the factor is left untouched on error.
+    ///
+    /// Returns [`LinalgError::NotPositiveDefinite`] when the new pivot is
+    /// not strictly positive.
+    pub fn push_row(&mut self, a_row: &[f64]) -> Result<()> {
+        let n = self.dim();
+        if a_row.len() != n + 1 {
+            return Err(LinalgError::DimensionMismatch {
+                expected: n + 1,
+                found: a_row.len(),
+                context: "Cholesky::push_row",
+            });
+        }
+        let mut l = self.grown();
+        Self::factor_row(&mut l, n, a_row)?;
         self.l = l;
         Ok(())
     }
