@@ -100,7 +100,10 @@ pub(crate) fn lambda_discrepancy_bound_with(
         sm_hl[j] = hl;
     }
 
-    let mut best = 0.0f64;
+    // One running maximum per candidate family — folded into a single one
+    // they would form a serial `max` chain three links long per point. The
+    // supremum is the largest of the same finite values either way.
+    let (mut best_u, mut best_a, mut best_b) = (0.0f64, 0.0f64, 0.0f64);
     let mut floor = 0; // largest index with vals[floor] ≤ a + λ
     let mut k1 = 0; // first index with F_L > F_S(a)
     for ai in 0..k {
@@ -113,7 +116,7 @@ pub(crate) fn lambda_discrepancy_bound_with(
         }
 
         // --- ρ′_U − ρ̂′ = (F_S − F̂)(b) + (F̂ − F_L)(a), b ≥ t.
-        best = best.max(sm_su[floor] + (f_hat[ai] - f_l[ai]));
+        best_u = best_u.max(sm_su[floor] + (f_hat[ai] - f_l[ai]));
 
         // --- ρ̂′ − ρ′_L = F̂(b) − F̂(a) − max(0, F_L(b) − F_S(a)), b ≥ t.
         let c = f_s[ai];
@@ -126,19 +129,19 @@ pub(crate) fn lambda_discrepancy_bound_with(
         if k1 > 0 {
             let b_region_top = k1 - 1; // largest index with F_L ≤ c
             if vals[b_region_top] >= t {
-                best = best.max(f_hat[b_region_top] - f_hat[ai]);
+                best_a = best_a.max(f_hat[b_region_top] - f_hat[ai]);
             } else if k1 < k && t < vals[k1] {
                 // b ∈ [t, vals[k1]) nonempty; F̂ there equals F̂(floor(t)).
-                best = best.max(f_hat[floor] - f_hat[ai]);
+                best_a = best_a.max(f_hat[floor] - f_hat[ai]);
             }
         }
         // Case B: F_L(b) > c, i.e. b ≥ vals[k1] (if any); also b ≥ t.
         if k1 < k {
             let from = if t >= vals[k1] { floor } else { k1 };
-            best = best.max(sm_hl[from] + (c - f_hat[ai]));
+            best_b = best_b.max(sm_hl[from] + (c - f_hat[ai]));
         }
     }
-    best.max(0.0)
+    best_u.max(best_a).max(best_b)
 }
 
 /// Naive O(k²) reference implementation (used by tests and available for

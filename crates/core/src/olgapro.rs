@@ -28,7 +28,6 @@ use crate::{CoreError, Result};
 use std::time::Instant;
 use udf_gp::band::simultaneous_z;
 use udf_gp::local::select_local_with;
-use udf_gp::model::Prediction;
 use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
     FactorOrigin, GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch,
@@ -124,8 +123,7 @@ struct InferBuffers {
     select: SelectScratch,
     predict: PredictScratch,
     cache: LocalPredictorCache,
-    preds: Vec<Prediction>,
-    means: Vec<f64>,
+    /// Posterior sds of the latest inference (means: `predict.means()`).
     sds: Vec<f64>,
     bound: BoundScratch,
 }
@@ -524,7 +522,7 @@ impl Olgapro {
                 // The output reports the pre-retrain `z_alpha`, so its
                 // envelopes are the new predictions widened by that z, not
                 // the `z2` ones the bound was just computed on.
-                envelopes = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
+                envelopes = envelope_ecdfs(scratch.buf.predict.means(), &scratch.buf.sds, z_alpha)?;
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
                 }
@@ -565,7 +563,7 @@ impl Olgapro {
 
     /// One inference pass: blocked local (or global) prediction at every
     /// sample plus the Algorithm-3 / Prop-4.2 error bound. The per-sample
-    /// means/sds are left in `buf.means` / `buf.sds`; returned are the
+    /// means/sds are left in `buf.predict.means()` / `buf.sds`; returned are the
     /// error bound and the envelope ECDFs (at `z_alpha`) it was computed on.
     ///
     /// All m samples are evaluated as one kernel-matrix build + one
@@ -598,12 +596,11 @@ impl Olgapro {
         if use_local {
             let selected = &buf.select.selected;
             let origin = if tuning {
-                let (scratch, preds) = (&mut buf.predict, &mut buf.preds);
                 buf.cache
-                    .predict_tuning(&self.model, selected, samples, scratch, preds)?
+                    .predict_tuning(&self.model, selected, samples, &mut buf.predict)?
             } else {
                 let (lp, hit) = buf.cache.get_or_build(&self.model, selected)?;
-                lp.predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
+                lp.predict_batch_scratch(samples, &mut buf.predict)?;
                 if hit {
                     FactorOrigin::CacheHit
                 } else {
@@ -620,13 +617,12 @@ impl Olgapro {
             }
         } else {
             self.model
-                .predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
+                .predict_batch_scratch(samples, &mut buf.predict)?;
         }
-        buf.means.clear();
         buf.sds.clear();
-        buf.means.extend(buf.preds.iter().map(|p| p.mean));
-        buf.sds.extend(buf.preds.iter().map(|p| p.var.sqrt()));
-        let (y_hat, y_s, y_l) = envelope_ecdfs(&buf.means, &buf.sds, z_alpha)?;
+        let vars = buf.predict.variances();
+        buf.sds.extend(vars.iter().map(|v| v.sqrt()));
+        let (y_hat, y_s, y_l) = envelope_ecdfs(buf.predict.means(), &buf.sds, z_alpha)?;
         let eps_gp = match self.config.accuracy.metric {
             Metric::Discrepancy => lambda_discrepancy_bound_with(
                 &y_hat,
@@ -970,11 +966,20 @@ mod tests {
             let input = InputDistribution::diagonal_gaussian(&[(mu, 0.4)]).unwrap();
             olga.infer_only_with(&input, &mut rng, &mut scratch)
                 .unwrap();
-            let caps = scratch.buf.bound.capacities();
+            // The Algorithm-3 arrays and every prediction buffer — the flat
+            // copy of the samples, K/V, means, norms, variances.
+            let caps = (
+                scratch.buf.bound.capacities(),
+                scratch.buf.predict.capacities(),
+                scratch.buf.sds.capacity(),
+            );
             assert_eq!(*after_first.get_or_insert(caps), caps, "call {i}");
         }
         let m = olga.config().samples_per_input();
-        assert!(after_first.unwrap().iter().all(|&c| c >= m + 2));
+        let (bound, predict, sds) = after_first.unwrap();
+        assert!(bound.iter().all(|&c| c >= m + 2));
+        // (`K` beside `V` is the tuning loop's; the read path never fills it.)
+        assert!(predict[..5].iter().all(|&c| c >= m) && predict[5] == 0 && sds >= m);
     }
 
     #[test]

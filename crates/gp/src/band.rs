@@ -16,7 +16,10 @@
 //!
 //! with `e_j` the elementary symmetric polynomials (sum over j-dimensional
 //! faces of the box) and `H` the probabilists' Hermite polynomials. We solve
-//! `2·E[φ(A_{z_α})] = α` (two-sided band, |Z| ≥ z) for `z_α` by bisection.
+//! `2·E[φ(A_{z_α})] = α` (two-sided band, |Z| ≥ z) for `z_α` by bisection —
+//! once per tuple on the warm path, so the factors that do not depend on `z`
+//! (`e_j`, the powers of `2π`) are computed once per solve and the bisection
+//! stops when its bracket is one ulp wide, where further steps cannot move it.
 //!
 //! Conservativeness: the standardized posterior error field is not exactly
 //! stationary; using the *prior* spectral moments is the standard practice
@@ -29,32 +32,37 @@ use crate::{GpError, Result};
 use udf_prob::special::{hermite, norm_sf};
 use udf_spatial::BoundingBox;
 
-/// Expected Euler characteristic of the excursion set of a standardized
-/// stationary field above level `z` over `domain`.
-#[allow(clippy::needless_range_loop)] // e[j] is indexed by polynomial order j ≥ 1
-pub fn expected_euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox, z: f64) -> f64 {
-    let d = domain.dim();
+/// `z ↦ E[φ(A_z)]` over `domain`, with the factors that do not depend on the
+/// level — `e_j(T√λ₂)` and `(2π)^{−(j+1)/2}` for `j = 1..=d` — computed once:
+/// [`simultaneous_z`] evaluates the formula at up to 82 levels per domain.
+fn euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox) -> impl Fn(f64) -> f64 {
     let moments = kernel.spectral_moment();
     // a_i = T_i sqrt(λ₂,i); isotropic kernels report one moment for all dims.
-    let a: Vec<f64> = (0..d)
+    let a: Vec<f64> = (0..domain.dim())
         .map(|i| {
-            let lam = if moments.len() == 1 {
-                moments[0]
-            } else {
-                moments[i]
-            };
+            let lam = moments[if moments.len() == 1 { 0 } else { i }];
             (domain.hi()[i] - domain.lo()[i]) * lam.sqrt()
         })
         .collect();
-    let e = elementary_symmetric(&a);
     let two_pi = 2.0 * std::f64::consts::PI;
-    let gauss = (-0.5 * z * z).exp();
-    let mut total = norm_sf(z);
-    for j in 1..=d {
-        let rho_j = two_pi.powf(-((j as f64 + 1.0) / 2.0)) * hermite(j - 1, z) * gauss;
-        total += e[j] * rho_j;
+    let power = |j: usize| two_pi.powf(-((j as f64 + 1.0) / 2.0));
+    let e = elementary_symmetric(&a);
+    let factors: Vec<(f64, f64)> = (1..=a.len()).map(|j| (e[j], power(j))).collect();
+    move |z| {
+        let gauss = (-0.5 * z * z).exp();
+        let mut total = norm_sf(z);
+        for (j, (e_j, power_j)) in factors.iter().enumerate() {
+            let rho_j = power_j * hermite(j, z) * gauss;
+            total += e_j * rho_j;
+        }
+        total
     }
-    total
+}
+
+/// Expected Euler characteristic of the excursion set of a standardized
+/// stationary field above level `z` over `domain`.
+pub fn expected_euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox, z: f64) -> f64 {
+    euler_characteristic(kernel, domain)(z)
 }
 
 /// Solve for the two-sided simultaneous band multiplier `z_α`:
@@ -65,18 +73,23 @@ pub fn expected_euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox, 
 pub fn simultaneous_z(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> f64 {
     debug_assert!(alpha > 0.0 && alpha < 1.0);
     let target = alpha / 2.0;
-    let f = |z: f64| expected_euler_characteristic(kernel, domain, z);
+    let ec = euler_characteristic(kernel, domain);
     // E[φ] is decreasing in z on the z ≥ 1 regime of interest.
     let (mut lo, mut hi) = (1.0, 16.0);
-    if f(lo) <= target {
+    if ec(lo) <= target {
         return lo;
     }
-    if f(hi) >= target {
+    if ec(hi) >= target {
         return hi;
     }
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if f(mid) > target {
+        // A bracket one ulp wide is final: `mid` is one of its ends, and
+        // re-testing an end leaves both where they are.
+        if mid == lo || mid == hi {
+            break;
+        }
+        if ec(mid) > target {
             lo = mid;
         } else {
             hi = mid;
@@ -255,6 +268,100 @@ mod tests {
         assert!(
             expected_euler_characteristic(&rough, &small, 2.0)
                 > expected_euler_characteristic(&k, &small, 2.0)
+        );
+    }
+
+    /// The EC formula as it was before its `z`-independent factors were
+    /// hoisted: everything re-derived at every level.
+    fn ec_oracle(kernel: &dyn Kernel, domain: &BoundingBox, z: f64) -> f64 {
+        let moments = kernel.spectral_moment();
+        let a: Vec<f64> = (0..domain.dim())
+            .map(|i| {
+                let lam = moments[if moments.len() == 1 { 0 } else { i }];
+                (domain.hi()[i] - domain.lo()[i]) * lam.sqrt()
+            })
+            .collect();
+        let e = elementary_symmetric(&a);
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let gauss = (-0.5 * z * z).exp();
+        let mut total = norm_sf(z);
+        for (j, e_j) in e.iter().enumerate().skip(1) {
+            let rho_j = two_pi.powf(-((j as f64 + 1.0) / 2.0)) * hermite(j - 1, z) * gauss;
+            total += e_j * rho_j;
+        }
+        total
+    }
+
+    /// [`simultaneous_z`] over [`ec_oracle`], all 80 bisection steps taken.
+    fn simultaneous_z_oracle(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> f64 {
+        let target = alpha / 2.0;
+        let f = |z: f64| ec_oracle(kernel, domain, z);
+        let (mut lo, mut hi) = (1.0, 16.0);
+        if f(lo) <= target {
+            return lo;
+        }
+        if f(hi) >= target {
+            return hi;
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if f(mid) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn hoisted_bisection_matches_the_per_step_oracle_bitwise() {
+        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xBA2D);
+        let (mut at_lo, mut at_hi, mut inside) = (0, 0, 0);
+        for case in 0..4000 {
+            let d = 1 + case % 3;
+            let len = 10f64.powf(rng.gen_range(-1.5..1.0));
+            let kernel: Box<dyn Kernel> = match case % 5 {
+                0 => Box::new(Matern32::new(1.3, len)),
+                1 => Box::new(Matern52::new(0.7, len)),
+                2 => Box::new(SquaredExponentialArd::new(1.0, &vec![len; d])),
+                _ => Box::new(SquaredExponential::new(1.0, len)),
+            };
+            // Sides from a thousandth of a lengthscale up; every 40th box
+            // so vast that even z = 16 cannot meet α, and every 40th α so
+            // lax that z = 1 already does — the two clamp exits.
+            let side_max: f64 = if case % 40 == 7 { 60.0 } else { 3.0 };
+            let lo: Vec<f64> = (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let hi: Vec<f64> = lo
+                .iter()
+                .map(|l| l + len * 10f64.powf(rng.gen_range(-3.0..side_max)))
+                .collect();
+            let domain = BoundingBox::new(lo, hi);
+            let alpha = if case % 40 == 13 {
+                rng.gen_range(0.4..0.9)
+            } else {
+                10f64.powf(rng.gen_range(-4.0..0.3f64.log10()))
+            };
+            let z = rng.gen_range(1.0..16.0);
+            let ec = expected_euler_characteristic(kernel.as_ref(), &domain, z);
+            assert_eq!(
+                ec.to_bits(),
+                ec_oracle(kernel.as_ref(), &domain, z).to_bits(),
+                "case {case}: E[φ] at z = {z}"
+            );
+            let got = simultaneous_z(kernel.as_ref(), &domain, alpha);
+            let want = simultaneous_z_oracle(kernel.as_ref(), &domain, alpha);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: α = {alpha}");
+            at_lo += usize::from(got == 1.0);
+            at_hi += usize::from(got == 16.0);
+            inside += usize::from(got > 1.0 && got < 16.0);
+        }
+        assert!(
+            at_lo > 20 && at_hi > 20 && inside > 3000,
+            "{at_lo} / {at_hi} / {inside}"
         );
     }
 

@@ -7,18 +7,29 @@
 //! one blocked operation:
 //!
 //! 1. build the `l x m` kernel matrix `K` once (row `r` = selected training
-//!    point `r` against every sample);
+//!    point `r` against every sample). The samples are gathered once per
+//!    call into a flat, dimension-major buffer; a row is then one
+//!    squared-distance pass over contiguous memory and one
+//!    [`Kernel::eval_sq_dists`] map — one virtual call and no pointer chase
+//!    per row, where a walk over `&[Vec<f64>]` pays both per entry;
 //! 2. accumulate all `m` posterior means as `Kᵀ α` via lane-unrolled axpy
 //!    over rows;
-//! 3. run one column-blocked multi-RHS forward substitution `V = L⁻¹ K`
+//! 3. run one multi-RHS forward substitution `V = L⁻¹ K`
 //!    ([`Cholesky::solve_lower_in_place`]) and accumulate all `m` squared
-//!    norms `‖v_c‖²` row-wise for the variances.
+//!    norms `‖v_c‖²` row-wise; the variances are `k(q, q) − ‖v_c‖²` with the
+//!    prior variance evaluated once per call where that is provably what
+//!    `eval(q, q)` returns (see `PredictScratch::finish`).
+//!
+//! Means and variances stay in the [`PredictScratch`]; the evaluator reads
+//! them there, and `predict_batch_with` copies them out as [`Prediction`]s.
 //!
 //! **Bit-identity contract.** Every per-sample reduction preserves the
-//! scalar path's order exactly: means and squared norms accumulate over
-//! training rows in ascending order (the same order `dot` walks them), and
-//! the multi-RHS solve performs the scalar `solve_lower` op sequence per
-//! column (`k` ascending, true division by the diagonal). SIMD-style
+//! scalar path's order exactly: squared distances add up in dimension order
+//! and the kernel map is `eval`'s expression, means and squared norms
+//! accumulate over training rows in ascending order (the same order `dot`
+//! walks them), and the multi-RHS solve performs the scalar `solve_lower`
+//! op sequence per column (`k` ascending, true division by the diagonal).
+//! SIMD-style
 //! unrolling happens only *across* samples, which are independent outputs.
 //! So `predict_batch(xs)[c] == predict(xs[c])` bit for bit — the property
 //! the digest-pinning test suites rely on.
@@ -31,17 +42,17 @@
 //! **Extension (the tuning loop, §5.2).** Online tuning re-infers the *same*
 //! tuple after every added training point, and the new selection is almost
 //! always the previous one plus that point.
-//! [`LocalPredictorCache::predict_tuning`] therefore keeps the tuple's `K`,
-//! `L` and `V` and extends each by one row — `m` kernel evaluations, one
-//! [`Cholesky::push_row`], one [`Cholesky::solve_lower_last_row`] — instead
-//! of rebuilding them (`l·m` evaluations, an `O(l³)` factorization, an
-//! `O(l²·m)` solve). The contract above covers it: every retained row is
+//! [`LocalPredictorCache::predict_tuning`] therefore keeps the tuple's flat
+//! samples, `K`, `L` and `V` and extends the last three by one row — `m`
+//! kernel evaluations, one [`Cholesky::push_row`], one
+//! [`Cholesky::solve_lower_last_row`] — instead of rebuilding them (`l·m`
+//! evaluations, an `O(l³)` factorization, an `O(l²·m)` solve). The contract above covers it: every retained row is
 //! what the full build would recompute, the new rows run the full build's
 //! own per-element operations, and the means are re-accumulated over the
 //! retained `K` in the same order with the new weights. Whenever the data
 //! do not allow it (see the method), the full build runs instead.
 
-use crate::kernel::Kernel;
+use crate::kernel::{sq_dist, sq_dists_flat, Kernel};
 use crate::local::LocalPredictor;
 use crate::model::{GpModel, Prediction};
 use crate::{GpError, Result};
@@ -52,16 +63,21 @@ use udf_linalg::{lanes, Cholesky};
 /// (or per sequential caller) makes steady-state inference allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct PredictScratch {
+    /// The `m` query points, one dimension after the other
+    /// (`flat[d * m + c]` is coordinate `d` of query `c`).
+    flat: Vec<f64>,
     /// Row-major `l x m` kernel matrix, overwritten in place by `V = L⁻¹ K`.
     kv: Vec<f64>,
-    /// Per-sample mean accumulators (`m`).
+    /// Per-sample posterior means (`m`).
     means: Vec<f64>,
-    /// Per-sample squared-norm accumulators (`m`).
+    /// Per-sample squared-norm accumulators `‖v_c‖²` (`m`).
     sq: Vec<f64>,
+    /// Per-sample posterior variances `max(0, k(q, q) − ‖v_c‖²)` (`m`).
+    var: Vec<f64>,
     /// The kernel matrix `K` itself, kept beside `V` by
     /// [`LocalPredictorCache::predict_tuning`] only.
     k: Vec<f64>,
-    /// What `k`, `kv` and `sq` currently hold, if they are whole:
+    /// What `flat`, `k`, `kv` and `sq` currently hold, if they are whole:
     /// `(model_id, epoch, rows, cols)` of the inference that left them. Any
     /// other prediction through this scratch clears it.
     retained: Option<(u64, u64, usize, usize)>,
@@ -81,41 +97,99 @@ impl PredictScratch {
             buf.reserve((max_rows * cols).saturating_sub(buf.len()));
         }
     }
+
+    /// Posterior means of the last prediction, in query order.
+    pub fn means(&self) -> &[f64] {
+        &self.means
+    }
+
+    /// Posterior variances of the last prediction, in query order.
+    pub fn variances(&self) -> &[f64] {
+        &self.var
+    }
+
+    /// Heap capacity of each buffer (what "allocates nothing" is tested on).
+    #[doc(hidden)]
+    pub fn capacities(&self) -> [usize; 6] {
+        let s = self;
+        [&s.flat, &s.kv, &s.means, &s.sq, &s.var, &s.k].map(Vec::capacity)
+    }
+
+    /// One [`Prediction`] per query from the means and variances.
+    pub(crate) fn emit(&self, out: &mut Vec<Prediction>) {
+        out.clear();
+        let pairs = self.means.iter().zip(&self.var);
+        out.extend(pairs.map(|(&mean, &var)| Prediction { mean, var }));
+    }
+
+    /// Variances from the squared norms. A kernel of the squared distance
+    /// alone has `k(q, q)` = its value at `‖q − q‖²`, which is `+0.0` for
+    /// every finite `q`: one evaluation serves them all. Anything else (ARD,
+    /// a non-finite coordinate) evaluates `k(q, q)` per query.
+    fn finish(&mut self, kernel: &dyn Kernel, queries: &[Vec<f64>]) {
+        let mut prior = [sq_dist(&queries[0], &queries[0])];
+        let hoisted = self.flat.iter().all(|v| v.is_finite()) && kernel.eval_sq_dists(&mut prior);
+        let kqq = |q: &Vec<f64>| if hoisted { prior[0] } else { kernel.eval(q, q) };
+        let vars = queries.iter().zip(&self.sq);
+        self.var.clear();
+        self.var.extend(vars.map(|(q, sq)| (kqq(q) - sq).max(0.0)));
+    }
 }
 
-/// Shared core of [`GpModel::predict_batch_with`] and
-/// [`LocalPredictor::predict_batch_with`].
+/// One row of `K`: `out[c] = k(x, queries[c])`, bit-identical to `eval` —
+/// a squared-distance pass over the flat copy of the queries
+/// ([`sq_dist`]'s additions, in its order) and one kernel map over the row;
+/// a kernel without such a map builds the row itself.
+fn kernel_row(kernel: &dyn Kernel, x: &[f64], flat: &[f64], queries: &[Vec<f64>], out: &mut [f64]) {
+    sq_dists_flat(x, flat, out);
+    if !kernel.eval_sq_dists(out) {
+        kernel.eval_row(x, queries, out);
+    }
+}
+
+/// Shared core of [`GpModel::predict_batch_scratch`] and
+/// [`LocalPredictor::predict_batch_scratch`]; means and variances are left
+/// in `scratch`.
 ///
 /// `indices: None` selects every training row (global inference);
 /// `Some(idx)` restricts rows and weights to the subset, in subset order —
 /// exactly the rows/weights the scalar paths walk. `chol` must be the
-/// factor over the chosen rows. Dimension checks are the caller's job.
+/// factor over the chosen rows.
 ///
 /// `keep_k` builds `K` in its own buffer and solves on a copy, so both `K`
 /// and `V` survive the call (for extension); otherwise `K` is built where
 /// `V` overwrites it and nothing is copied.
-#[allow(clippy::too_many_arguments)] // internal seam shared by thin wrappers
 pub(crate) fn batch_predict_core(
-    kernel: &dyn Kernel,
-    xs: &[Vec<f64>],
+    model: &GpModel,
     indices: Option<&[usize]>,
-    alpha: &[f64],
     chol: &Cholesky,
     queries: &[Vec<f64>],
     scratch: &mut PredictScratch,
-    out: &mut Vec<Prediction>,
     keep_k: bool,
 ) -> Result<()> {
+    if let Some(q) = queries.iter().find(|q| q.len() != model.dim()) {
+        return Err(GpError::DimensionMismatch {
+            expected: model.dim(),
+            found: q.len(),
+        });
+    }
+    let (kernel, xs, alpha) = (model.kernel(), model.inputs(), model.alpha());
     let l = chol.dim();
     let m = queries.len();
-    out.clear();
     scratch.retained = None;
+    scratch.means.clear();
+    scratch.var.clear();
     if m == 0 {
         return Ok(());
     }
     let row_of = |r: usize| indices.map_or(r, |idx| idx[r]);
 
-    // 1. Kernel matrix K (l x m): row r = training point r vs every sample.
+    // 1. Kernel matrix K (l x m): row r = training point r vs every sample,
+    //    the samples gathered flat first (no pointer chase per entry).
+    scratch.flat.clear();
+    for d in 0..queries[0].len() {
+        scratch.flat.extend(queries.iter().map(|q| q[d]));
+    }
     let k = if keep_k {
         &mut scratch.k
     } else {
@@ -123,10 +197,8 @@ pub(crate) fn batch_predict_core(
     };
     k.clear();
     k.resize(l * m, 0.0);
-    for r in 0..l {
-        // One virtual call per row; `eval_row` is bit-identical to the
-        // per-entry `eval` loop it replaces (trait contract).
-        kernel.eval_row(&xs[row_of(r)], queries, &mut k[r * m..(r + 1) * m]);
+    for (r, row) in k.chunks_exact_mut(m).enumerate() {
+        kernel_row(kernel, &xs[row_of(r)], &scratch.flat, queries, row);
     }
 
     // 2. Means: Kᵀ α.
@@ -140,11 +212,10 @@ pub(crate) fn batch_predict_core(
     chol.solve_lower_in_place(&mut scratch.kv, m)?;
     scratch.sq.clear();
     scratch.sq.resize(m, -0.0); // same fold identity as `dot(v, v)`
-    for r in 0..l {
-        lanes::sq_accum(&scratch.kv[r * m..(r + 1) * m], &mut scratch.sq);
+    for row in scratch.kv.chunks_exact(m) {
+        lanes::sq_accum(row, &mut scratch.sq);
     }
-
-    emit_predictions(kernel, queries, scratch, out);
+    scratch.finish(kernel, queries);
     Ok(())
 }
 
@@ -159,25 +230,6 @@ fn accumulate_means(k: &[f64], weights: impl Iterator<Item = f64>, m: usize, mea
     means.resize(m, -0.0);
     for (row, w) in k.chunks_exact(m).zip(weights) {
         lanes::axpy(w, row, means);
-    }
-}
-
-/// One [`Prediction`] per query from the accumulated means and squared
-/// norms.
-fn emit_predictions(
-    kernel: &dyn Kernel,
-    queries: &[Vec<f64>],
-    scratch: &PredictScratch,
-    out: &mut Vec<Prediction>,
-) {
-    out.clear();
-    out.reserve(queries.len());
-    for (c, q) in queries.iter().enumerate() {
-        let var = (kernel.eval(q, q) - scratch.sq[c]).max(0.0);
-        out.push(Prediction {
-            mean: scratch.means[c],
-            var,
-        });
     }
 }
 
@@ -277,29 +329,19 @@ impl LocalPredictorCache {
         indices: &[usize],
         queries: &[Vec<f64>],
         scratch: &mut PredictScratch,
-        out: &mut Vec<Prediction>,
     ) -> Result<FactorOrigin> {
-        if let Some(q) = queries.iter().find(|q| q.len() != model.dim()) {
-            return Err(GpError::DimensionMismatch {
-                expected: model.dim(),
-                found: q.len(),
-            });
-        }
         let m = queries.len();
         let origin = if self.extend(model, indices, queries, scratch)? {
-            emit_predictions(model.kernel(), queries, scratch, out);
+            scratch.finish(model.kernel(), queries);
             FactorOrigin::Extended
         } else {
             let (lp, hit) = self.get_or_build(model, indices)?;
             batch_predict_core(
-                model.kernel(),
-                model.inputs(),
+                model,
                 Some(indices),
-                model.alpha(),
                 lp.factor_arc(),
                 queries,
                 scratch,
-                out,
                 true,
             )?;
             if hit {
@@ -359,7 +401,8 @@ impl LocalPredictorCache {
         // (rows accumulate in ascending order, so last is where it belongs).
         scratch.retained = None;
         scratch.k.resize((l + 1) * m, 0.0);
-        kernel.eval_row(&xs[new], queries, &mut scratch.k[l * m..]);
+        let row = &mut scratch.k[l * m..];
+        kernel_row(kernel, &xs[new], &scratch.flat, queries, row);
         scratch.kv.extend_from_slice(&scratch.k[l * m..]);
         chol.solve_lower_last_row(&mut scratch.kv, m)?;
         lanes::sq_accum(&scratch.kv[l * m..], &mut scratch.sq);
@@ -418,6 +461,89 @@ mod tests {
             let s = lp.predict(q).unwrap();
             assert_eq!(s.mean.to_bits(), b.mean.to_bits());
             assert_eq!(s.var.to_bits(), b.var.to_bits());
+        }
+    }
+
+    #[test]
+    fn flat_rows_and_hoisted_prior_match_eval_bitwise() {
+        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = StdRng::seed_from_u64(0xF1A7);
+        for case in 0..60 {
+            let dim = 1 + case % 3;
+            let (sf, len) = (0.3 + 2.0 * rng.gen::<f64>(), 0.2 + 2.0 * rng.gen::<f64>());
+            let lens: Vec<f64> = (0..dim).map(|d| len * (1.0 + d as f64)).collect();
+            let kernels: Vec<Box<dyn Kernel>> = vec![
+                Box::new(SquaredExponential::new(sf, len)),
+                Box::new(SquaredExponentialArd::new(sf, &lens)),
+                Box::new(Matern32::new(sf, len)),
+                Box::new(Matern52::new(sf, len)),
+            ];
+            let point = |rng: &mut StdRng| -> Vec<f64> {
+                (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
+            };
+            let xs: Vec<Vec<f64>> = (0..6).map(|_| point(&mut rng)).collect();
+            // Ordinary queries, then: a training point itself, signed
+            // zeros, a far query (the kernel underflows), one whose squared
+            // distance overflows, and — last — a non-finite one.
+            let mut queries: Vec<Vec<f64>> = (0..21).map(|_| point(&mut rng)).collect();
+            queries.push(xs[2].clone());
+            queries.push(vec![0.0; dim]);
+            queries.push(vec![-0.0; dim]);
+            queries.push(vec![1e3; dim]);
+            queries.push(vec![-1e200; dim]);
+            queries.push(vec![f64::INFINITY; dim]);
+            let finite = queries.len() - 1;
+            let m = queries.len();
+            let flat: Vec<f64> = (0..dim)
+                .flat_map(|d| queries.iter().map(move |q| q[d]))
+                .collect();
+
+            for kernel in kernels {
+                // Rows: distance pass + kernel map ≡ `eval` per entry.
+                let mut row = vec![f64::NAN; m];
+                for x in &xs {
+                    kernel_row(kernel.as_ref(), x, &flat, &queries, &mut row);
+                    for (q, &k) in queries.iter().zip(&row) {
+                        assert!(same(k, kernel.eval(x, q)), "{kernel:?}: k({x:?}, {q:?})");
+                    }
+                }
+                // Prior variance: the map at ‖q − q‖² ≡ `eval(q, q)` for
+                // every finite q, on exactly the isotropic kernels.
+                let mut prior = [sq_dist(&queries[0], &queries[0])];
+                let mapped = kernel.eval_sq_dists(&mut prior);
+                assert_eq!(mapped, kernel.eval_dist(0.0).is_some(), "{kernel:?}");
+                for q in &queries[..finite] {
+                    let kqq = kernel.eval(q, q);
+                    assert!(
+                        !mapped || same(prior[0], kqq),
+                        "{kernel:?}: k(q, q) at {q:?}"
+                    );
+                }
+                // End to end, hoisted (finite batch) and not (with the
+                // infinite query): batch ≡ scalar, global and local.
+                let mut model = GpModel::new(kernel, dim);
+                let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.3).sin()).collect();
+                model.fit(xs.clone(), ys).unwrap();
+                let local = LocalPredictor::new(&model, vec![1, 3, 4]).unwrap();
+                for qs in [&queries[..finite], &queries[..]] {
+                    let global = model.predict_batch(qs).unwrap();
+                    let subset = local.predict_batch(qs).unwrap();
+                    for ((q, g), l) in qs.iter().zip(&global).zip(&subset) {
+                        let (sg, sl) = (model.predict(q).unwrap(), local.predict(q).unwrap());
+                        assert!(
+                            same(g.mean, sg.mean) && same(g.var, sg.var),
+                            "global at {q:?}"
+                        );
+                        assert!(
+                            same(l.mean, sl.mean) && same(l.var, sl.var),
+                            "local at {q:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -536,9 +662,8 @@ mod tests {
             ts.start_tuning(sel.len() + 12, queries.len());
             let mut step = None;
             for _ in 0..rng.gen_range(2..12) {
-                let origin = tuned
-                    .predict_tuning(&m, &sel, &queries, &mut ts, &mut got)
-                    .unwrap();
+                let origin = tuned.predict_tuning(&m, &sel, &queries, &mut ts).unwrap();
+                ts.emit(&mut got);
                 let (lp, _) = plain.get_or_build(&m, &sel).unwrap();
                 lp.predict_batch_with(&queries, &mut ps, &mut want).unwrap();
                 let what = format!("case {case} after {step:?}: {origin:?}");

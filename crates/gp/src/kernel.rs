@@ -36,36 +36,41 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// needed by the Newton retraining heuristic (§5.3).
     fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64>;
 
-    /// Evaluate `k(x, q)` for every `q` in `qs` into `out` (same length).
-    ///
-    /// Bitwise identical to calling [`Kernel::eval`] per point — overrides
-    /// may hoist hyperparameter transforms out of the loop (`exp` of the
-    /// same input is deterministic) but must keep the per-entry arithmetic
-    /// exactly the scalar expression. One virtual call per row instead of
-    /// per entry is what makes blocked kernel-matrix builds cheap.
+    /// Map squared distances to covariances — the in-place sibling of
+    /// [`eval_dist_many`](Kernel::eval_dist_many). On entry
+    /// `d2[c] = ‖a_c − b_c‖²`, the squared differences summed in dimension
+    /// order from `-0.0` (`Iterator::sum`'s fold); on return
+    /// `d2[c] = eval(a_c, b_c)` **bit for bit**: hyperparameter transforms
+    /// hoisted (`exp` of the same input is deterministic), the per-entry
+    /// arithmetic exactly `eval`'s. Returns `false`, `d2` untouched, for a
+    /// kernel that is not a function of the squared distance alone (ARD, and
+    /// this default). Every blocked row builder is one distance pass, then
+    /// this map: one virtual call per row, each kernel's expression once.
+    fn eval_sq_dists(&self, _d2: &mut [f64]) -> bool {
+        false
+    }
+
+    /// Evaluate `k(x, q)` for every `q` in `qs` into `out` (same length),
+    /// bitwise identical to calling [`Kernel::eval`] per point.
     ///
     /// # Panics
     /// Panics if `out.len() != qs.len()` (caller bug).
     fn eval_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
         assert_eq!(out.len(), qs.len(), "eval_row: wrong output length");
-        for (o, q) in out.iter_mut().zip(qs) {
-            *o = self.eval(x, q);
-        }
+        eval_points(self, x, qs.iter(), out);
     }
 
     /// [`eval_row`](Kernel::eval_row) against a gathered subset:
     /// `out[c] = k(x, xs[idx[c]])`, bitwise identical to calling
-    /// [`Kernel::eval`] per entry (same contract, same licence to hoist).
-    /// Builds subset covariance rows without copying the points out.
+    /// [`Kernel::eval`] per entry. Builds subset covariance rows without
+    /// copying the points out.
     ///
     /// # Panics
     /// Panics if `out.len() != idx.len()` or an index is out of range
     /// (caller bug).
     fn eval_gather(&self, x: &[f64], xs: &[Vec<f64>], idx: &[usize], out: &mut [f64]) {
         assert_eq!(out.len(), idx.len(), "eval_gather: wrong output length");
-        for (o, &i) in out.iter_mut().zip(idx) {
-            *o = self.eval(x, &xs[i]);
-        }
+        eval_points(self, x, idx.iter().map(|&i| &xs[i]), out);
     }
 
     /// [`Kernel::grad`] of `x` against every `q` in `qs`, parameter-major:
@@ -146,9 +151,42 @@ impl Clone for Box<dyn Kernel> {
     }
 }
 
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+/// `‖a − b‖²`: the squared differences summed in dimension order from
+/// `-0.0`, `Iterator::sum`'s fold identity.
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// `out[c] = k(x, points[c])`: one [`sq_dist`] pass, then the kernel's map over
+/// the row — or `eval` per entry for a kernel that has none.
+fn eval_points<'a, K: Kernel + ?Sized>(
+    kernel: &K,
+    x: &[f64],
+    points: impl Iterator<Item = &'a Vec<f64>> + Clone,
+    out: &mut [f64],
+) {
+    for (o, p) in out.iter_mut().zip(points.clone()) {
+        *o = sq_dist(x, p);
+    }
+    if !kernel.eval_sq_dists(out) {
+        for (o, p) in out.iter_mut().zip(points) {
+            *o = kernel.eval(x, p);
+        }
+    }
+}
+
+/// [`sq_dist`] of `x` against `out.len()` points stored one dimension after
+/// the other (`flat[d * m + c]` is coordinate `d` of point `c`): the same
+/// additions in the same order per point, over contiguous memory.
+pub(crate) fn sq_dists_flat(x: &[f64], flat: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(flat.len(), x.len() * out.len());
+    out.fill(-0.0);
+    for (xd, coords) in x.iter().zip(flat.chunks_exact(out.len().max(1))) {
+        for (o, q) in out.iter_mut().zip(coords) {
+            *o += (xd - q) * (xd - q);
+        }
+    }
 }
 
 /// Isotropic squared-exponential kernel
@@ -195,26 +233,13 @@ impl Kernel for SquaredExponential {
         (2.0 * self.log_sigma_f).exp() * (-0.5 * sq_dist(a, b) / l2).exp()
     }
 
-    fn eval_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
-        assert_eq!(out.len(), qs.len(), "eval_row: wrong output length");
-        // `eval` with the hyperparameter transforms hoisted: `exp` of the
-        // same input is deterministic, and the per-entry expression is the
-        // scalar one verbatim, so each entry is bit-identical to `eval`.
+    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
         let l2 = (2.0 * self.log_len).exp();
         let sf2 = (2.0 * self.log_sigma_f).exp();
-        for (o, q) in out.iter_mut().zip(qs) {
-            *o = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+        for d in d2 {
+            *d = sf2 * (-0.5 * *d / l2).exp();
         }
-    }
-
-    fn eval_gather(&self, x: &[f64], xs: &[Vec<f64>], idx: &[usize], out: &mut [f64]) {
-        assert_eq!(out.len(), idx.len(), "eval_gather: wrong output length");
-        // `eval_row` over a gathered subset; same hoisting, same entries.
-        let l2 = (2.0 * self.log_len).exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for (o, &i) in out.iter_mut().zip(idx) {
-            *o = sf2 * (-0.5 * sq_dist(x, &xs[i]) / l2).exp();
-        }
+        true
     }
 
     fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
@@ -428,6 +453,17 @@ impl Matern32 {
             log_len: lengthscale.ln(),
         }
     }
+
+    /// [`Kernel::eval_dist`] over `rs` in place, the hyperparameter
+    /// transforms hoisted; bit-identical per entry.
+    fn map_dists(&self, rs: &mut [f64]) {
+        let len = self.log_len.exp();
+        let sf2 = (2.0 * self.log_sigma_f).exp();
+        for r in rs {
+            let s = 3.0f64.sqrt() * *r / len;
+            *r = sf2 * (1.0 + s) * (-s).exp();
+        }
+    }
 }
 
 impl Kernel for Matern32 {
@@ -475,13 +511,14 @@ impl Kernel for Matern32 {
 
     fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
-        // `eval_dist` with the transforms hoisted; bit-identical per entry.
-        let len = self.log_len.exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for (o, &r) in out.iter_mut().zip(rs) {
-            let s = 3.0f64.sqrt() * r / len;
-            *o = sf2 * (1.0 + s) * (-s).exp();
-        }
+        out.copy_from_slice(rs);
+        self.map_dists(out);
+        true
+    }
+
+    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
+        d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
+        self.map_dists(d2);
         true
     }
 
@@ -519,6 +556,17 @@ impl Matern52 {
         Matern52 {
             log_sigma_f: sigma_f.ln(),
             log_len: lengthscale.ln(),
+        }
+    }
+
+    /// [`Kernel::eval_dist`] over `rs` in place, the hyperparameter
+    /// transforms hoisted; bit-identical per entry.
+    fn map_dists(&self, rs: &mut [f64]) {
+        let len = self.log_len.exp();
+        let sf2 = (2.0 * self.log_sigma_f).exp();
+        for r in rs {
+            let s = 5.0f64.sqrt() * *r / len;
+            *r = sf2 * (1.0 + s + s * s / 3.0) * (-s).exp();
         }
     }
 }
@@ -570,13 +618,14 @@ impl Kernel for Matern52 {
 
     fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
-        // `eval_dist` with the transforms hoisted; bit-identical per entry.
-        let len = self.log_len.exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for (o, &r) in out.iter_mut().zip(rs) {
-            let s = 5.0f64.sqrt() * r / len;
-            *o = sf2 * (1.0 + s + s * s / 3.0) * (-s).exp();
-        }
+        out.copy_from_slice(rs);
+        self.map_dists(out);
+        true
+    }
+
+    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
+        d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
+        self.map_dists(d2);
         true
     }
 

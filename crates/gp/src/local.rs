@@ -340,25 +340,20 @@ impl<'m> LocalPredictor<'m> {
         scratch: &mut crate::batch::PredictScratch,
         out: &mut Vec<Prediction>,
     ) -> Result<()> {
-        for x in xs {
-            if x.len() != self.model.dim() {
-                return Err(GpError::DimensionMismatch {
-                    expected: self.model.dim(),
-                    found: x.len(),
-                });
-            }
-        }
-        crate::batch::batch_predict_core(
-            self.model.kernel(),
-            self.model.inputs(),
-            Some(&self.indices),
-            self.model.alpha(),
-            &self.chol,
-            xs,
-            scratch,
-            out,
-            false,
-        )
+        self.predict_batch_scratch(xs, scratch)?;
+        scratch.emit(out);
+        Ok(())
+    }
+
+    /// [`LocalPredictor::predict_batch_with`] minus the copy into
+    /// [`Prediction`]s: results stay in `scratch` (`means()`, `variances()`).
+    pub fn predict_batch_scratch(
+        &self,
+        xs: &[Vec<f64>],
+        scratch: &mut crate::batch::PredictScratch,
+    ) -> Result<()> {
+        let indices = Some(&self.indices[..]);
+        crate::batch::batch_predict_core(self.model, indices, &self.chol, xs, scratch, false)
     }
 }
 

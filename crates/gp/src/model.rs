@@ -402,26 +402,20 @@ impl GpModel {
         scratch: &mut crate::batch::PredictScratch,
         out: &mut Vec<Prediction>,
     ) -> Result<()> {
+        self.predict_batch_scratch(xs, scratch)?;
+        scratch.emit(out);
+        Ok(())
+    }
+
+    /// [`GpModel::predict_batch_with`] minus the copy into [`Prediction`]s:
+    /// results stay in `scratch` (`means()`, `variances()`).
+    pub fn predict_batch_scratch(
+        &self,
+        xs: &[Vec<f64>],
+        scratch: &mut crate::batch::PredictScratch,
+    ) -> Result<()> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
-        for x in xs {
-            if x.len() != self.dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: self.dim,
-                    found: x.len(),
-                });
-            }
-        }
-        crate::batch::batch_predict_core(
-            self.kernel.as_ref(),
-            &self.xs,
-            None,
-            &self.alpha,
-            chol,
-            xs,
-            scratch,
-            out,
-            false,
-        )
+        crate::batch::batch_predict_core(self, None, chol, xs, scratch, false)
     }
 
     /// Log marginal likelihood `log p(y* | X*, θ)` (§3.4):

@@ -12,7 +12,11 @@
 //! * [`Cholesky::push_row`] — the same update written as one more step of
 //!   [`Cholesky::factor`]'s own row recurrence, for callers that need the
 //!   grown factor to be *bit-identical* to refactoring the bordered matrix
-//!   (the per-tuple subset factor of the tuning loop).
+//!   (the per-tuple subset factor of the tuning loop);
+//! * `solve_{lower,upper}_in_place` — every right-hand side of a panel at
+//!   once, the warm read path's `V = L⁻¹K` (§5.1): one row routine holds
+//!   sixteen columns of the row being solved in registers across the whole
+//!   elimination; per column it is the scalar substitution, bit for bit.
 
 use crate::{dot, LinalgError, Matrix, Result};
 
@@ -161,23 +165,22 @@ impl Cholesky {
         self.solve_upper(&y)
     }
 
-    /// Number of right-hand-side columns processed per panel by the
-    /// multi-RHS solves. Sized so the active `n x RHS_BLOCK` panel of the
-    /// solution stays cache-resident; per-column results do not depend on
-    /// this value.
+    /// Columns per cache panel of the multi-RHS solves: the `n x RHS_BLOCK`
+    /// panel being solved stays L1-resident and a factor row is read once per
+    /// panel, not once per register block (≈ 10 % at 96 × 1784, nothing
+    /// below n ≈ 60). Per-column results do not depend on this value.
     const RHS_BLOCK: usize = 64;
 
     /// Multi-RHS forward substitution: solve `L Y = B` in place, where `rhs`
     /// holds an `n x cols` row-major panel (row `i` = the `i`-th entry of
     /// every right-hand side).
     ///
-    /// Column-blocked: columns are processed in panels of `RHS_BLOCK`
-    /// (64) columns, and within a panel the update is a 4-wide
-    /// unrolled [`crate::lanes::axpy_sub`] *across columns*. Each column `c`
-    /// therefore performs exactly the scalar [`Cholesky::solve_lower`]
-    /// sequence — `sum = b[i]`, then `sum -= L[i][k] * y[k]` for `k`
-    /// ascending, then a true division by `L[i][i]` — so the result is
-    /// bit-identical to calling `solve_lower` once per column.
+    /// Columns are processed in panels of `RHS_BLOCK` (64) columns, each row
+    /// of a panel by the register-blocked row routine `solve_row`. Each
+    /// column `c` performs exactly the scalar [`Cholesky::solve_lower`] sequence —
+    /// `sum = b[i]`, then `sum -= L[i][k] * y[k]` for `k` ascending, then a
+    /// true division by `L[i][i]` — so the result is bit-identical to
+    /// calling `solve_lower` once per column.
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub fn solve_lower_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
@@ -207,12 +210,11 @@ impl Cholesky {
     fn forward_row(&self, i: usize, rhs: &mut [f64], cols: usize, j0: usize, jw: usize) {
         let lrow = self.l.row(i);
         let (solved, rest) = rhs.split_at_mut(i * cols);
-        let cur = &mut rest[j0..j0 + jw];
-        for (k, &lik) in lrow[..i].iter().enumerate() {
-            let yk = &solved[k * cols + j0..k * cols + j0 + jw];
-            crate::lanes::axpy_sub(lik, yk, cur);
-        }
-        crate::lanes::div_scale(cur, lrow[i]);
+        let terms = lrow[..i]
+            .iter()
+            .zip(solved.chunks_exact(cols))
+            .map(|(&lik, yk)| (lik, &yk[j0..j0 + jw]));
+        solve_row(terms, lrow[i], &mut rest[j0..j0 + jw]);
     }
 
     /// The last step of [`solve_lower_in_place`](Self::solve_lower_in_place)
@@ -237,8 +239,7 @@ impl Cholesky {
         if rhs.is_empty() {
             return Ok(());
         }
-        // One pass over the solved rows at full width: the row being solved
-        // (`cols` doubles) stays cache-resident, the rest streams once.
+        // Every solved entry is read exactly once, so no panel: full width.
         self.forward_row(n - 1, rhs, cols, 0, cols);
         Ok(())
     }
@@ -265,13 +266,10 @@ impl Cholesky {
             let jw = Self::RHS_BLOCK.min(cols - j0);
             for i in (0..n).rev() {
                 let (head, solved) = rhs.split_at_mut((i + 1) * cols);
-                let cur = &mut head[i * cols + j0..i * cols + j0 + jw];
-                for k in i + 1..n {
-                    let lki = self.l[(k, i)];
-                    let base = (k - i - 1) * cols + j0;
-                    crate::lanes::axpy_sub(lki, &solved[base..base + jw], cur);
-                }
-                crate::lanes::div_scale(cur, self.l[(i, i)]);
+                let terms = (i + 1..n)
+                    .zip(solved.chunks_exact(cols))
+                    .map(|(k, xk)| (self.l[(k, i)], &xk[j0..j0 + jw]));
+                solve_row(terms, self.l[(i, i)], &mut head[i * cols + j0..][..jw]);
             }
         }
         Ok(())
@@ -445,6 +443,59 @@ impl Cholesky {
     }
 }
 
+/// Columns one [`solve_block`] holds in registers: sixteen doubles are eight
+/// SSE2 registers, the other eight take the coefficient and the loads.
+const REG_BLOCK: usize = 16;
+
+/// One row of a multi-RHS triangular solve, the inner loop of every
+/// `solve_*_in_place`: `cur[c] = (cur[c] − Σ coef·solved[c]) / diag`, the
+/// `(coef, solved)` terms in the order given. Per column that is the scalar
+/// substitution verbatim — `sum = b`, one `sum -= coef·y` per term, a true
+/// division — run [`REG_BLOCK`] columns at a time, then four, then one.
+/// Every `solved` slice must be at least as long as `cur`.
+#[inline]
+fn solve_row<'a>(
+    terms: impl Iterator<Item = (f64, &'a [f64])> + Clone,
+    diag: f64,
+    cur: &mut [f64],
+) {
+    let mut j = 0;
+    for width in [REG_BLOCK, 4, 1] {
+        while cur.len() - j >= width {
+            let terms = terms.clone().map(|(coef, solved)| (coef, &solved[j..]));
+            match width {
+                REG_BLOCK => solve_block::<REG_BLOCK>(terms, diag, &mut cur[j..]),
+                4 => solve_block::<4>(terms, diag, &mut cur[j..]),
+                _ => solve_block::<1>(terms, diag, &mut cur[j..]),
+            }
+            j += width;
+        }
+    }
+}
+
+/// [`solve_row`] on the first `W` columns of `cur`, held in registers across
+/// the term loop and stored once: re-loading and re-storing the row per term
+/// costs more µops than updating it.
+#[inline(always)]
+fn solve_block<'a, const W: usize>(
+    terms: impl Iterator<Item = (f64, &'a [f64])>,
+    diag: f64,
+    cur: &mut [f64],
+) {
+    let cur: &mut [f64; W] = (&mut cur[..W]).try_into().expect("W columns");
+    let mut acc = *cur;
+    for (coef, solved) in terms {
+        let solved: &[f64; W] = solved[..W].try_into().expect("W columns");
+        for (a, y) in acc.iter_mut().zip(solved) {
+            *a -= coef * y;
+        }
+    }
+    for a in &mut acc {
+        *a /= diag;
+    }
+    *cur = acc;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,6 +647,65 @@ mod tests {
                 assert_eq!(ylo[(i, j)].to_bits(), lo[i].to_bits(), "lower ({i},{j})");
                 assert_eq!(yup[(i, j)].to_bits(), up[i].to_bits(), "upper ({i},{j})");
                 assert_eq!(full[(i, j)].to_bits(), sv[i].to_bits(), "solve ({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_solves_match_scalar_bitwise_at_every_width() {
+        // Every mix of 16-, 4- and 1-column register blocks and of full and
+        // partial 64-column panels, on a well-conditioned factor and on a
+        // near-singular one (jitter escalated just far enough to factor).
+        let widths: Vec<usize> = (1..=35).chain([63, 64, 65, 127, 129]).collect();
+        for n in 1..=40 {
+            let smooth = |scale: f64| {
+                Matrix::from_symmetric_fn(n, |i, j| {
+                    let d = (i as f64 - j as f64).abs();
+                    (-d * d / scale).exp() + if i == j { 0.1 } else { 0.0 }
+                })
+            };
+            let mut near_singular = smooth(5000.0);
+            near_singular.add_diagonal(-0.1).unwrap();
+            let (tight, jitter) = Cholesky::factor_with_jitter(&near_singular, 1e-14, 12).unwrap();
+            assert!(n < 4 || jitter < 1e-6, "n = {n}: jitter {jitter}");
+            for c in [Cholesky::factor(&smooth(50.0)).unwrap(), tight] {
+                for &cols in &widths {
+                    let b: Vec<f64> = (0..n * cols)
+                        .map(|i| ((i as f64) * 0.417).sin() * 2.5)
+                        .collect();
+                    let (mut lo, mut up) = (b.clone(), b.clone());
+                    c.solve_lower_in_place(&mut lo, cols).unwrap();
+                    c.solve_upper_in_place(&mut up, cols).unwrap();
+                    // The last row alone, on top of the leading block's solve.
+                    let mut last = b.clone();
+                    if n > 1 {
+                        let lead: Vec<f64> = (0..n - 1)
+                            .flat_map(|i| c.l.row(i)[..n - 1].to_vec())
+                            .collect();
+                        let lead = Cholesky {
+                            l: Matrix::from_vec(n - 1, n - 1, lead).unwrap(),
+                        };
+                        lead.solve_lower_in_place(&mut last[..(n - 1) * cols], cols)
+                            .unwrap();
+                    }
+                    c.solve_lower_last_row(&mut last, cols).unwrap();
+                    let mut col = vec![0.0; n];
+                    for j in 0..cols {
+                        for i in 0..n {
+                            col[i] = b[i * cols + j];
+                        }
+                        let want_lo = c.solve_lower(&col).unwrap();
+                        let want_up = c.solve_upper(&col).unwrap();
+                        for i in 0..n {
+                            let at = (n, cols, i, j);
+                            let (got_lo, got_up) = (lo[i * cols + j], up[i * cols + j]);
+                            assert_eq!(got_lo.to_bits(), want_lo[i].to_bits(), "lower {at:?}");
+                            assert_eq!(got_up.to_bits(), want_up[i].to_bits(), "upper {at:?}");
+                            let got_last = last[i * cols + j];
+                            assert_eq!(got_last.to_bits(), want_lo[i].to_bits(), "last {at:?}");
+                        }
+                    }
+                }
             }
         }
     }

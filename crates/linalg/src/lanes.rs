@@ -9,6 +9,11 @@
 //!
 //! (Contrast with a horizontal SIMD dot product, which would re-associate
 //! the sum and perturb low-order bits; we deliberately never do that.)
+//!
+//! These *stream*: one pass over `x` updating `y` in memory, right where each
+//! `y` is touched once or the width varies (mean and squared-norm sums,
+//! matmul, `Cholesky::inverse`). The multi-RHS triangular solves update one
+//! row by every row above it and hold it in registers instead (`solve_row`).
 
 /// `y[j] += alpha * x[j]` for each lane `j`.
 ///
