@@ -8,9 +8,10 @@
 //! * [`run_two_phase`](Evaluator::run_two_phase) — the parallel shape on a
 //!   [`BatchScheduler`]. MC tuples share nothing, so the batch is one
 //!   parallel map. GP tuples are inferred concurrently against the *frozen*
-//!   model, then ruled in tuple order: drop if `ρ_U < θ`; accept iff
-//!   `ε_GP` is within budget or the model is full (a counted cap hit);
-//!   otherwise re-run through the full model-mutating path.
+//!   model — and dropped there, before their bound stage, if `ρ_U < θ` —
+//!   then ruled in tuple order: accept iff `ε_GP` is within budget or the
+//!   model is full (a counted cap hit); otherwise re-run through the full
+//!   model-mutating path.
 //! * [`run_sequential`](Evaluator::run_sequential) — every tuple through
 //!   that same full path in order, each one tuning the model *before* the
 //!   next is judged. Unlike a fast phase (which judges a whole batch
@@ -299,21 +300,28 @@ impl BatchOps for GpBatch<'_, '_> {
         self.olga.infer_only_with((self.tuple)(idx).1, rng, scratch)
     }
 
-    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
+    fn fast_ruled(
+        &self,
+        idx: usize,
+        rng: &mut StdRng,
+        scratch: &mut InferScratch,
+    ) -> Result<FilterDecision<GpOutput>> {
         // Online filtering on the envelope upper bound (§5.5): the bound
         // only widens on an under-trained model, so dropping here is sound
-        // and costs zero UDF calls.
-        if let Some(pred) = self.spec.predicate {
-            let (_, _, rho_u) = out.tep_bounds(pred.lo, pred.hi);
-            if rho_u < pred.theta {
-                return Verdict::Filter { rho_upper: rho_u };
-            }
-        }
-        // A full stop-growing model accepts at the achieved bound: the
-        // slow path could neither tune nor change the result (`process`
-        // degenerates to `infer_only` there), so rerouting would only pay
-        // a second inference pass for byte-identical output — and this
-        // keeps per-tuple cost bounded on long streams.
+        // and costs zero UDF calls — nor, ruled before the bound stage, any
+        // sort.
+        let pred = self.spec.predicate.as_ref();
+        self.olga
+            .infer_ruled_with((self.tuple)(idx).1, rng, scratch, pred)
+    }
+
+    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
+        // (`fast_ruled` has already dropped what the filter drops.) A full
+        // stop-growing model accepts at the achieved bound: the slow path
+        // could neither tune nor change the result (`process` degenerates
+        // to `infer_only` there), so rerouting would only pay a second
+        // inference pass for byte-identical output — and this keeps
+        // per-tuple cost bounded on long streams.
         if out.eps_gp <= self.budget || self.olga.model_full() {
             Verdict::Accept
         } else {

@@ -187,29 +187,97 @@ pub fn ks_bound(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf) -> f64 {
     ks(y_hat, y_s).max(ks(y_hat, y_l))
 }
 
+/// Each sample's band `[f̂ − zσ, f̂, f̂ + zσ]` — the one place the envelope
+/// values are formed, so a count over this and an ECDF of it agree bit for bit.
+fn band<'a>(means: &'a [f64], sds: &'a [f64], z: f64) -> impl Iterator<Item = [f64; 3]> + 'a {
+    debug_assert_eq!(means.len(), sds.len());
+    means
+        .iter()
+        .zip(sds)
+        .map(move |(m, s)| [m - z * s, *m, m + z * s])
+}
+
 /// Build the three empirical CDFs from per-sample posterior predictions.
 ///
 /// `means[i]` and `sds[i]` are the GP posterior mean/standard deviation at
 /// input sample `i`; the envelopes are `mean ∓ z·sd` (Y_S from the lower
 /// envelope, Y_L from the upper).
 pub fn envelope_ecdfs(means: &[f64], sds: &[f64], z: f64) -> udf_prob::Result<(Ecdf, Ecdf, Ecdf)> {
-    debug_assert_eq!(means.len(), sds.len());
     let y_hat = Ecdf::new(means.to_vec())?;
-    let y_s = Ecdf::new(
-        means
-            .iter()
-            .zip(sds)
-            .map(|(m, s)| m - z * s)
-            .collect::<Vec<_>>(),
-    )?;
-    let y_l = Ecdf::new(
-        means
-            .iter()
-            .zip(sds)
-            .map(|(m, s)| m + z * s)
-            .collect::<Vec<_>>(),
-    )?;
+    let (y_s, y_l) = band_ecdfs(means, sds, z)?;
     Ok((y_hat, y_s, y_l))
+}
+
+/// Y′_S and Y′_L alone, for a caller that already holds Ŷ′ of these means.
+pub(crate) fn band_ecdfs(means: &[f64], sds: &[f64], z: f64) -> udf_prob::Result<(Ecdf, Ecdf)> {
+    let y_s = Ecdf::new(band(means, sds, z).map(|b| b[0]).collect())?;
+    let y_l = Ecdf::new(band(means, sds, z).map(|b| b[2]).collect())?;
+    Ok((y_s, y_l))
+}
+
+/// `GpOutput::tep_bounds`' `ρ_U = F_S(hi) − F_L(lo)` in the same floats, by
+/// counting over the unsorted band (§5.5 needs no ECDF to rule a tuple). NaN
+/// when a band value is not finite — what [`envelope_ecdfs`] rejects.
+pub(crate) fn rho_upper_by_counting(means: &[f64], sds: &[f64], z: f64, lo: f64, hi: f64) -> f64 {
+    let (mut r_s, mut r_l, mut finite) = (0usize, 0usize, true);
+    for [low, _, high] in band(means, sds, z) {
+        finite &= low.is_finite() && high.is_finite();
+        r_s += usize::from(low <= hi);
+        r_l += usize::from(high <= lo);
+    }
+    let m = means.len() as f64;
+    if finite {
+        (r_s as f64 / m - r_l as f64 / m).clamp(0.0, 1.0)
+    } else {
+        f64::NAN
+    }
+}
+
+/// A lower bound on ε_GP, in floats, from counting alone: `F_S(a) − F̂(a)` at
+/// one level `a`. Algorithm 3 meets that very value as a candidate — `b` the
+/// upper sentinel, always ≥ `a + λ`, where `F̂ − F_L` is `1 − 1`: case B's
+/// suffix maximum is then ≥ 0 and only adds, and case A takes over when
+/// `F_S(a) = 1` — and [`ks_bound`] as `|F̂ − F_S|(a)`, both from the same ranks
+/// through the same divisions. So a floor above the budget proves the bound
+/// is too, which is all Algorithm 5's loop asks. `a` is the best edge of a
+/// 64-bin histogram of "the lower band straddles this level", recounted
+/// exactly; a poor pick only lowers the floor. NaN when a band value is not
+/// finite, like [`rho_upper_by_counting`].
+pub(crate) fn eps_gp_floor(means: &[f64], sds: &[f64], z: f64) -> f64 {
+    const BINS: usize = 64;
+    let (mut bottom, mut top, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
+    for [low, mean, high] in band(means, sds, z) {
+        finite &= low.is_finite() && high.is_finite();
+        bottom = bottom.min(low);
+        top = top.max(mean);
+    }
+    if !finite {
+        return f64::NAN;
+    }
+    // Edge k sits at `bottom + k / scale`; a sample straddles the edges from
+    // the first at or above its lower band value to the last below its mean.
+    let scale = BINS as f64 / (top - bottom);
+    let edge = |y: f64| (((y - bottom) * scale).ceil() as usize).min(BINS + 1);
+    let mut delta = [0i32; BINS + 2];
+    for [low, mean, _] in band(means, sds, z) {
+        delta[edge(low)] += 1;
+        delta[edge(mean)] -= 1;
+    }
+    let (mut straddlers, mut best, mut k_best) = (0, 0, 0);
+    for (k, d) in delta.iter().enumerate() {
+        straddlers += d;
+        if straddlers > best {
+            (best, k_best) = (straddlers, k);
+        }
+    }
+    let level = bottom + k_best as f64 / scale;
+    let (mut r_s, mut r_hat) = (0usize, 0usize);
+    for [low, mean, _] in band(means, sds, z) {
+        r_s += usize::from(low <= level);
+        r_hat += usize::from(mean <= level);
+    }
+    let m = means.len() as f64;
+    r_s as f64 / m - r_hat as f64 / m
 }
 
 #[cfg(test)]
@@ -312,19 +380,20 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn merged_sweep_is_bit_identical_to_sort_and_search() {
+    /// The 3 000 triples the sweep is pinned on — continuous or gridded
+    /// with signed zeros, envelope-built (sd = 0 on every fourth) or three
+    /// unrelated ECDFs of unequal length, every 25th scaled so far out that
+    /// the sentinels round onto the support. `f` also gets the means and sds
+    /// behind an envelope-built triple (z = 2), and the RNG between cases.
+    type Band<'a> = Option<(&'a [f64], &'a [f64])>;
+    fn for_each_triple(mut f: impl FnMut(usize, (&Ecdf, &Ecdf, &Ecdf), Band, &mut StdRng)) {
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        // One scratch for every case: stale contents of any length must
-        // not leak into the next bound.
-        let mut scratch = BoundScratch::default();
-        let mut cases = 0;
         for case in 0..3000 {
             let grid = case % 2 == 1;
             // Every 25th case is so large that `min − λ − 1` rounds back
             // onto the support: the sentinels stop being strict.
             let scale = if case % 25 == 24 { 1e17 } else { 1.0 };
-            let (h, s, l) = match case % 3 {
+            match case % 3 {
                 // Envelopes as inference builds them; sd = 0 on every
                 // fourth makes the three ECDFs identical.
                 0 => {
@@ -335,7 +404,8 @@ mod tests {
                         .iter()
                         .map(|sd| sd.abs())
                         .collect();
-                    envelope_ecdfs(&means, &sds, 2.0).unwrap()
+                    let (h, s, l) = envelope_ecdfs(&means, &sds, 2.0).unwrap();
+                    f(case, (&h, &s, &l), Some((&means, &sds)), &mut rng);
                 }
                 // Three unrelated ECDFs of unequal length (no F_S ≥ F̂ ≥ F_L).
                 _ => {
@@ -343,18 +413,100 @@ mod tests {
                         let m = random_len(&mut rng);
                         Ecdf::new(random_values(&mut rng, m, grid, scale)).unwrap()
                     };
-                    (one(), one(), one())
+                    let (h, s, l) = (one(), one(), one());
+                    f(case, (&h, &s, &l), None, &mut rng);
                 }
-            };
+            }
+        }
+    }
+
+    #[test]
+    fn merged_sweep_is_bit_identical_to_sort_and_search() {
+        // One scratch for every case: stale contents of any length must
+        // not leak into the next bound.
+        let mut scratch = BoundScratch::default();
+        let mut cases = 0;
+        for_each_triple(|case, (h, s, l), _, rng| {
             let width = h.max().max(s.max()).max(l.max()) - h.min().min(s.min()).min(l.min());
             for lambda in [0.0, 1e-3, width * rng.gen_range(0.05..0.6), width + 1.0] {
-                let want = lambda_discrepancy_bound_oracle(&h, &s, &l, lambda);
-                let got = lambda_discrepancy_bound_with(&h, &s, &l, lambda, &mut scratch);
+                let want = lambda_discrepancy_bound_oracle(h, s, l, lambda);
+                let got = lambda_discrepancy_bound_with(h, s, l, lambda, &mut scratch);
                 assert_eq!(got.to_bits(), want.to_bits(), "case {case}, λ = {lambda}");
                 cases += 1;
             }
-        }
+        });
         assert!(cases >= 10_000);
+    }
+
+    #[test]
+    fn counting_never_exceeds_the_bounds_it_stands_in_for() {
+        // What the tuning loop relies on: at *every* level a, the float
+        // `F_S(a) − F̂(a)` — two ranks, two divisions — is ≤ Algorithm 3's
+        // and Prop. 4.2's results, with no tolerance; on any triple, since
+        // the upper sentinel the claim goes through reads 1 on every CDF.
+        let (mut probes, mut floors, mut positive) = (0u64, 0, 0);
+        for_each_triple(|case, (h, s, l), band, rng| {
+            let (bottom, top) = (s.min().min(h.min()), s.max().max(h.max()));
+            let ks = ks_bound(h, s, l);
+            // (The last two λ dwarf the values: every `a + λ` rounds past
+            // the support, and all that is left is what is claimed here.)
+            for lambda in [0.0, 0.02, 0.2, 1e3 * (top - bottom + 1.0), 1e17] {
+                let eps = lambda_discrepancy_bound(h, s, l, lambda);
+                let support = s.values().iter().chain(h.values()).copied();
+                let random = (0..8).map(|_| bottom + (top - bottom) * rng.gen_range(-0.1..1.1));
+                for a in support.chain(random).collect::<Vec<_>>() {
+                    let floor = s.cdf(a) - h.cdf(a);
+                    assert!(
+                        floor <= eps,
+                        "case {case} λ {lambda} a {a}: {floor} > {eps}"
+                    );
+                    assert!(floor <= ks, "case {case} a {a}: {floor} > {ks}");
+                    probes += 1;
+                }
+                if let Some((means, sds)) = band {
+                    let floor = eps_gp_floor(means, sds, 2.0);
+                    assert!(
+                        floor <= eps && floor <= ks,
+                        "case {case} λ {lambda}: {floor}"
+                    );
+                    floors += 1;
+                    positive += usize::from(floor > 0.0);
+                }
+            }
+        });
+        assert!(probes > 100_000 && floors == 5000 && positive > 2500);
+    }
+
+    #[test]
+    fn counted_rho_upper_is_tep_bounds_bitwise_and_nan_on_a_non_finite_band() {
+        for_each_triple(|case, (h, s, l), band, rng| {
+            let Some((means, sds)) = band else { return };
+            let out = crate::output::GpOutput {
+                y_hat: h.clone(),
+                y_s: s.clone(),
+                y_l: l.clone(),
+                eps_gp: 0.0,
+                eps_mc: 0.0,
+                z_alpha: 2.0,
+                points_added: 0,
+                retrained: false,
+                udf_calls: 0,
+            };
+            // Interval ends on band values (ties) and off them.
+            let ends = [s.min(), l.max(), h.quantile(0.3), rng.gen_range(-3.0..3.0)];
+            for lo in ends {
+                for hi in ends {
+                    let got = rho_upper_by_counting(means, sds, 2.0, lo, hi);
+                    assert_eq!(got.to_bits(), out.tep_bounds(lo, hi).2.to_bits(), "{case}");
+                }
+            }
+        });
+        for bad in [f64::NAN, f64::INFINITY, 1e308] {
+            let (means, sds) = ([0.0, bad, 1.0], [0.1, 1e308, 0.1]);
+            assert!(rho_upper_by_counting(&means, &sds, 2.0, 0.0, 1.0).is_nan());
+            assert!(eps_gp_floor(&means, &sds, 2.0).is_nan());
+            assert!(envelope_ecdfs(&means, &sds, 2.0).is_err());
+        }
     }
 
     #[test]

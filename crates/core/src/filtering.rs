@@ -8,7 +8,10 @@
 //!   is dropped without drawing the remaining samples.
 //! * **GP**: the envelope upper bound `ρ_U = F_S(b) − F_L(a)` (Eq. 3)
 //!   already dominates the TEP with probability `1 − α`; when `ρ_U < θ` the
-//!   tuple is dropped without any online tuning.
+//!   tuple is dropped. The batch fast path
+//!   ([`Olgapro::infer_ruled_with`]) counts ρ_U off the inferred band and
+//!   drops without tuning — or sorting; [`gp_filtered`], the slow path,
+//!   rules the tuple it has just tuned.
 
 use crate::config::AccuracyRequirement;
 use crate::mc::McEvaluator;
@@ -193,11 +196,11 @@ pub fn mc_eval_tuple(
 /// GP evaluation with filtering (§5.5): process the input with OLGAPRO and
 /// drop the tuple when the envelope upper bound on the TEP is below θ.
 ///
-/// The filtering check runs on the *first* inference pass inside
-/// [`Olgapro::process`] implicitly — tuning only triggers when the error
-/// bound is loose, and a loose bound inflates `ρ_U`, never deflating it
-/// below θ spuriously. The decision here is therefore sound with
-/// probability `1 − α`.
+/// The tuple is fully tuned by [`Olgapro::process`] first and ruled on the
+/// output that emits — dropping *without* tuning is the batch fast path's
+/// job ([`Olgapro::infer_ruled_with`]). A loose band inflates `ρ_U`, never
+/// deflating it below θ spuriously, so the decision is sound with
+/// probability `1 − α` on either path.
 pub fn gp_filtered(
     olgapro: &mut Olgapro,
     input: &InputDistribution,

@@ -20,8 +20,10 @@
 
 use crate::config::{Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
 use crate::error_bound::{
-    envelope_ecdfs, ks_bound, lambda_discrepancy_bound, lambda_discrepancy_bound_with, BoundScratch,
+    band_ecdfs, envelope_ecdfs, eps_gp_floor, ks_bound, lambda_discrepancy_bound,
+    lambda_discrepancy_bound_with, rho_upper_by_counting, BoundScratch,
 };
+use crate::filtering::{FilterDecision, Predicate};
 use crate::output::GpOutput;
 use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
@@ -69,6 +71,11 @@ pub struct OlgaproMetrics {
     /// `K`, `L` and `V` by one row instead of rebuilding them (each also
     /// counts as the cache miss the rebuild would have been).
     pub tuning_extends: Counter,
+    /// Inferences whose three ECDFs and ε_GP were built.
+    pub bounds_built: Counter,
+    /// Inferences that never needed them: the loop's question answered by
+    /// counting, a tuple ruled out by ρ_U, or a retrain about to supersede.
+    pub bounds_skipped: Counter,
 }
 
 impl OlgaproMetrics {
@@ -84,6 +91,8 @@ impl OlgaproMetrics {
             lp_cache_hits: Counter::disabled(),
             lp_cache_misses: Counter::disabled(),
             tuning_extends: Counter::disabled(),
+            bounds_built: Counter::disabled(),
+            bounds_skipped: Counter::disabled(),
         }
     }
 
@@ -99,6 +108,8 @@ impl OlgaproMetrics {
             lp_cache_hits: reg.counter("olgapro.lp_cache.hits"),
             lp_cache_misses: reg.counter("olgapro.lp_cache.misses"),
             tuning_extends: reg.counter("olgapro.tuning_extends"),
+            bounds_built: reg.counter("olgapro.bounds_built"),
+            bounds_skipped: reg.counter("olgapro.bounds_skipped"),
         }
     }
 }
@@ -345,6 +356,25 @@ impl Olgapro {
         rng: &mut dyn rand::RngCore,
         scratch: &mut InferScratch,
     ) -> Result<GpOutput> {
+        match self.infer_ruled_with(input, rng, scratch, None)? {
+            FilterDecision::Kept { output, .. } => Ok(output),
+            FilterDecision::Filtered { .. } => unreachable!("nothing filters without a predicate"),
+        }
+    }
+
+    /// [`Olgapro::infer_only_with`] behind the §5.5 filter: with a
+    /// predicate, ρ_U is counted straight off the inferred band and a tuple
+    /// with `ρ_U < θ` is dropped there — before any sort, ECDF or ε_GP, none
+    /// of which a dropped tuple shows anyone. A kept tuple's output is
+    /// [`infer_only_with`](Olgapro::infer_only_with)'s, its `tep` the ρ̂ of
+    /// [`GpOutput::tep_bounds`] (1 without a predicate).
+    pub fn infer_ruled_with(
+        &self,
+        input: &InputDistribution,
+        rng: &mut dyn rand::RngCore,
+        scratch: &mut InferScratch,
+        predicate: Option<&Predicate>,
+    ) -> Result<FilterDecision<GpOutput>> {
         if input.dim() != self.udf.dim() {
             return Err(CoreError::DimensionMismatch {
                 expected: self.udf.dim(),
@@ -354,18 +384,29 @@ impl Olgapro {
         if self.model.is_empty() {
             return Err(CoreError::Gp(udf_gp::GpError::EmptyModel));
         }
-        let t_fast = self.metrics.fastpath_ns.enabled().then(Instant::now);
+        let _fast_span = self.metrics.fastpath_ns.span();
         let split = self.config.split();
         let m = self.config.samples_per_input();
         input.sample_n_into(rng, m, &mut scratch.samples);
         let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-        let (eps_gp, (y_hat, y_s, y_l)) =
-            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, false)?;
-        if let Some(t0) = t_fast {
-            self.metrics.fastpath_ns.record_duration(t0.elapsed());
+        let buf = &mut scratch.buf;
+        self.infer(&scratch.samples, &bbox, buf, false)?;
+        if let Some(p) = predicate {
+            // (A non-finite band counts to NaN, which is below no θ: the
+            // bound stage rejects it as it always has.)
+            let rho_upper =
+                rho_upper_by_counting(buf.predict.means(), &buf.sds, z_alpha, p.lo, p.hi);
+            if rho_upper < p.theta {
+                self.metrics.bounds_skipped.inc();
+                return Ok(FilterDecision::Filtered {
+                    rho_upper,
+                    udf_calls: 0,
+                });
+            }
         }
-        Ok(GpOutput {
+        let (eps_gp, (y_hat, y_s, y_l)) = self.bound(buf, z_alpha)?;
+        let output = GpOutput {
             y_hat,
             y_s,
             y_l,
@@ -375,7 +416,9 @@ impl Olgapro {
             points_added: 0,
             retrained: false,
             udf_calls: 0,
-        })
+        };
+        let tep = predicate.map_or(1.0, |p| output.tep_bounds(p.lo, p.hi).1);
+        Ok(FilterDecision::Kept { output, tep })
     }
 
     /// Process one uncertain input tuple (Algorithm 5).
@@ -442,29 +485,38 @@ impl Olgapro {
             points_added += 1;
         }
 
-        // Steps 2–7: inference + error bound + online tuning loop. The
-        // latest means/sds live in `scratch.buf` across iterations, and the
-        // latest inference's envelopes are the ones emitted.
+        // Steps 2–7: inference + online tuning loop. The latest means/sds
+        // live in `scratch.buf` across iterations. A mid-loop ε_GP only
+        // decides whether the loop goes on, so it is built only when
+        // counting cannot answer that; `bounded` holds the latest
+        // inference's ε_GP and envelopes once they exist.
         let t_tuning = self.metrics.tuning_ns.enabled().then(Instant::now);
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-        let (mut eps_gp, mut envelopes) =
-            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
-        while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
+        let buf = &mut scratch.buf;
+        self.infer(&scratch.samples, &bbox, buf, true)?;
+        let mut bounded;
+        loop {
+            let may_add = points_added < self.config.max_points_per_input;
+            let floor = eps_gp_floor(buf.predict.means(), &buf.sds, z_alpha);
+            // A floor over the budget proves ε_GP is. A non-finite
+            // prediction (NaN floor) goes to the bound stage to be rejected
+            // as ever — here, before anything below mutates the model.
+            bounded = if floor.is_nan() || (may_add && floor <= split.eps_gp) {
+                Some(self.bound(buf, z_alpha)?)
+            } else {
+                None
+            };
+            let within = bounded.as_ref().is_some_and(|b| b.0 <= split.eps_gp);
+            if !may_add || within {
+                break;
+            }
             // Model-size budget: bounded per-tuple cost on long runs.
             if self.at_capacity() {
                 match self.config.model_budget {
                     ModelBudget::StopGrowing => {
                         // Accept this input at the achieved bound; the
                         // degradation is counted, not silent.
-                        self.stats.cap_hits += 1;
-                        self.metrics.cap_hits.inc();
-                        self.tracer.emit(
-                            0,
-                            TraceEvent::CapHit {
-                                points: self.model.len() as u64,
-                                budget: self.config.max_model_points as u64,
-                            },
-                        );
+                        self.note_cap_hit();
                         break;
                     }
                     ModelBudget::EvictOldest => {
@@ -479,8 +531,7 @@ impl Olgapro {
                     }
                 }
             }
-            let pick =
-                self.pick_training_sample(&scratch.samples, &scratch.buf.sds, &bbox, z_alpha, rng)?;
+            let pick = self.pick_training_sample(&scratch.samples, &buf.sds, z_alpha, rng)?;
             let x = scratch.samples[pick].clone();
             let y = self.eval_udf(&x)?;
             self.model.add_point(x, y)?;
@@ -492,8 +543,10 @@ impl Olgapro {
                 },
             );
             points_added += 1;
-            (eps_gp, envelopes) =
-                self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
+            self.metrics
+                .bounds_skipped
+                .add(u64::from(bounded.is_none()));
+            self.infer(&scratch.samples, &bbox, buf, true)?;
         }
         if let Some(t0) = t_tuning {
             self.metrics.tuning_ns.record_duration(t0.elapsed());
@@ -515,26 +568,35 @@ impl Olgapro {
                 train(&mut self.model, &TrainConfig::default())?;
                 self.stats.retrains += 1;
                 retrained = true;
-                // Re-run inference with the new hyperparameters (step 12).
+                // Re-run inference with the new hyperparameters (step 12);
+                // whatever the loop's last one left unbuilt stays unbuilt.
+                self.metrics
+                    .bounds_skipped
+                    .add(u64::from(bounded.is_none()));
                 let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-                (eps_gp, _) =
-                    self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf, false)?;
+                self.infer(&scratch.samples, &bbox, buf, false)?;
+                let (eps_gp, (y_hat, ..)) = self.bound(buf, z2)?;
                 // The output reports the pre-retrain `z_alpha`, so its
                 // envelopes are the new predictions widened by that z, not
-                // the `z2` ones the bound was just computed on.
-                envelopes = envelope_ecdfs(scratch.buf.predict.means(), &scratch.buf.sds, z_alpha)?;
+                // the `z2` ones the bound was just computed on; Ŷ′ is the
+                // same sorted means either way.
+                let (y_s, y_l) = band_ecdfs(buf.predict.means(), &buf.sds, z_alpha)?;
+                bounded = Some((eps_gp, (y_hat, y_s, y_l)));
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
                 }
             }
         }
+        let (eps_gp, (y_hat, y_s, y_l)) = match bounded {
+            Some(b) => b,
+            None => self.bound(buf, z_alpha)?,
+        };
 
         self.stats.inputs += 1;
         self.stats.points_added += points_added as u64;
         self.metrics.model_points.set(self.model.len() as u64);
         self.metrics.model_size.record(self.model.len() as u64);
 
-        let (y_hat, y_s, y_l) = envelopes;
         Ok(GpOutput {
             y_hat,
             y_s,
@@ -562,9 +624,8 @@ impl Olgapro {
     }
 
     /// One inference pass: blocked local (or global) prediction at every
-    /// sample plus the Algorithm-3 / Prop-4.2 error bound. The per-sample
-    /// means/sds are left in `buf.predict.means()` / `buf.sds`; returned are the
-    /// error bound and the envelope ECDFs (at `z_alpha`) it was computed on.
+    /// sample. The per-sample means/sds are left in `buf.predict.means()` /
+    /// `buf.sds` for [`bound`](Self::bound) and the counting shortcuts.
     ///
     /// All m samples are evaluated as one kernel-matrix build + one
     /// multi-RHS solve ([`udf_gp::batch`]), bit-identical to the former
@@ -575,14 +636,13 @@ impl Olgapro {
     /// after an `add_point` (Algorithm 5's loop): it keeps the tuple's
     /// kernel rows in `buf.predict` and, when they are there already,
     /// extends them instead of rebuilding — same bits either way.
-    fn infer_and_bound(
+    fn infer(
         &self,
         samples: &[Vec<f64>],
         bbox: &BoundingBox,
-        z_alpha: f64,
         buf: &mut InferBuffers,
         tuning: bool,
-    ) -> Result<(f64, Envelopes)> {
+    ) -> Result<()> {
         // Local inference when the kernel is isotropic; global otherwise.
         // An *empty* selection is legitimate (every training point is far
         // enough that its weight is below Γ) but the local predictor needs
@@ -622,6 +682,13 @@ impl Olgapro {
         buf.sds.clear();
         let vars = buf.predict.variances();
         buf.sds.extend(vars.iter().map(|v| v.sqrt()));
+        Ok(())
+    }
+
+    /// The bound stage of the latest [`infer`](Self::infer): the envelope
+    /// ECDFs at `z_alpha` and the Algorithm-3 / Prop-4.2 error bound on them.
+    fn bound(&self, buf: &mut InferBuffers, z_alpha: f64) -> Result<(f64, Envelopes)> {
+        self.metrics.bounds_built.inc();
         let (y_hat, y_s, y_l) = envelope_ecdfs(buf.predict.means(), &buf.sds, z_alpha)?;
         let eps_gp = match self.config.accuracy.metric {
             Metric::Discrepancy => lambda_discrepancy_bound_with(
@@ -641,7 +708,6 @@ impl Olgapro {
         &mut self,
         samples: &[Vec<f64>],
         sds: &[f64],
-        bbox: &BoundingBox,
         z_alpha: f64,
         rng: &mut dyn rand::RngCore,
     ) -> Result<usize> {
@@ -684,7 +750,6 @@ impl Olgapro {
                         best = (i, e);
                     }
                 }
-                let _ = bbox;
                 Ok(best.0)
             }
         }
@@ -1060,6 +1125,353 @@ mod tests {
         assert!(
             grew_by_one > 0,
             "the drift never grew a selection by its last index"
+        );
+    }
+
+    impl Olgapro {
+        /// `process_with` as it was before the bound stage became lazy:
+        /// every inference builds its three ECDFs and ε_GP on the spot, and
+        /// a retrained tuple re-sorts all three envelopes at `z_alpha`. The
+        /// reference the lazy loop must match bit for bit.
+        fn process_oracle(
+            &mut self,
+            input: &InputDistribution,
+            rng: &mut dyn rand::RngCore,
+            scratch: &mut InferScratch,
+        ) -> Result<GpOutput> {
+            if input.dim() != self.udf.dim() {
+                return Err(CoreError::DimensionMismatch {
+                    expected: self.udf.dim(),
+                    found: input.dim(),
+                });
+            }
+            let calls_before = self.udf.calls();
+            let split = self.config.split();
+            let m = self.config.samples_per_input();
+            input.sample_n_into(rng, m, &mut scratch.samples);
+            let max_rows = match self.config.max_model_points {
+                0 => self.model.len() + self.config.max_points_per_input,
+                cap => cap.max(self.model.len()),
+            };
+            scratch.buf.predict.start_tuning(max_rows, m);
+            let samples = &scratch.samples;
+            let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
+
+            let mut points_added = 0usize;
+            while self.model.len() < self.config.bootstrap_points.max(2) {
+                let idx = (self.model.len() * samples.len()) / self.config.bootstrap_points.max(2);
+                let x = samples[idx.min(samples.len() - 1)].clone();
+                let y = self.eval_udf(&x)?;
+                self.model.add_point(x, y)?;
+                self.tracer.emit(
+                    0,
+                    TraceEvent::ModelGrow {
+                        points: self.model.len() as u64,
+                        budget: self.config.max_model_points as u64,
+                    },
+                );
+                points_added += 1;
+            }
+
+            let infer_and_bound = |olga: &Olgapro, buf: &mut InferBuffers, z: f64, tuning: bool| {
+                olga.infer(samples, &bbox, buf, tuning)?;
+                olga.bound(buf, z)
+            };
+            let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
+            let (mut eps_gp, mut envelopes) =
+                infer_and_bound(self, &mut scratch.buf, z_alpha, true)?;
+            while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
+                if self.at_capacity() {
+                    match self.config.model_budget {
+                        ModelBudget::StopGrowing => {
+                            self.stats.cap_hits += 1;
+                            self.metrics.cap_hits.inc();
+                            self.tracer.emit(
+                                0,
+                                TraceEvent::CapHit {
+                                    points: self.model.len() as u64,
+                                    budget: self.config.max_model_points as u64,
+                                },
+                            );
+                            break;
+                        }
+                        ModelBudget::EvictOldest => {
+                            self.model.remove_oldest()?;
+                            self.tracer.emit(
+                                0,
+                                TraceEvent::ModelEvict {
+                                    points: self.model.len() as u64,
+                                    budget: self.config.max_model_points as u64,
+                                },
+                            );
+                        }
+                    }
+                }
+                let pick = self.pick_training_sample(samples, &scratch.buf.sds, z_alpha, rng)?;
+                let x = samples[pick].clone();
+                let y = self.eval_udf(&x)?;
+                self.model.add_point(x, y)?;
+                self.tracer.emit(
+                    0,
+                    TraceEvent::ModelGrow {
+                        points: self.model.len() as u64,
+                        budget: self.config.max_model_points as u64,
+                    },
+                );
+                points_added += 1;
+                (eps_gp, envelopes) = infer_and_bound(self, &mut scratch.buf, z_alpha, true)?;
+            }
+
+            let mut retrained = false;
+            if points_added > 0 {
+                let do_retrain = match self.config.retrain {
+                    RetrainStrategy::Never => false,
+                    RetrainStrategy::Eager => true,
+                    RetrainStrategy::NewtonThreshold(dt) => {
+                        self.stats.retrain_checks += 1;
+                        newton_step_norm(&self.model)? > dt
+                    }
+                };
+                if do_retrain {
+                    train(&mut self.model, &TrainConfig::default())?;
+                    self.stats.retrains += 1;
+                    retrained = true;
+                    let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
+                    (eps_gp, _) = infer_and_bound(self, &mut scratch.buf, z2, false)?;
+                    envelopes =
+                        envelope_ecdfs(scratch.buf.predict.means(), &scratch.buf.sds, z_alpha)?;
+                }
+            }
+
+            self.stats.inputs += 1;
+            self.stats.points_added += points_added as u64;
+            let (y_hat, y_s, y_l) = envelopes;
+            Ok(GpOutput {
+                y_hat,
+                y_s,
+                y_l,
+                eps_gp,
+                eps_mc: split.eps_mc,
+                z_alpha,
+                points_added,
+                retrained,
+                udf_calls: self.udf.calls() - calls_before,
+            })
+        }
+    }
+
+    type OutputBits = (Vec<Vec<u64>>, [u64; 2], usize, bool, u64);
+
+    /// Everything one evaluation leaves observable, as bits.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// The envelopes, `[ε_GP, z_α]`, points added, retrained, UDF calls.
+        out: std::result::Result<OutputBits, String>,
+        alpha: Vec<u64>,
+        theta: Vec<u64>,
+        len_epoch: (usize, u64),
+        stats: OlgaproStats,
+        udf_calls: u64,
+        events: Vec<TraceEvent>,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn observe(olga: &Olgapro, obs: &Obs, out: Result<GpOutput>) -> Observed {
+        Observed {
+            out: out
+                .map(|o| {
+                    (
+                        [&o.y_hat, &o.y_s, &o.y_l]
+                            .map(|e| bits(e.values()))
+                            .to_vec(),
+                        [o.eps_gp.to_bits(), o.z_alpha.to_bits()],
+                        o.points_added,
+                        o.retrained,
+                        o.udf_calls,
+                    )
+                })
+                .map_err(|e| e.to_string()),
+            alpha: bits(olga.model().alpha()),
+            theta: bits(&olga.model().kernel().params()),
+            len_epoch: (olga.model().len(), olga.model().epoch()),
+            stats: olga.stats(),
+            udf_calls: olga.udf().calls(),
+            events: obs.tracer.events().iter().map(|e| e.event).collect(),
+        }
+    }
+
+    /// F1–F4-like shapes: smooth and spiky, in one and two dimensions.
+    fn shaped_udf(shape: usize) -> BlackBoxUdf {
+        match shape {
+            0 => smooth_udf(),
+            1 => BlackBoxUdf::from_fn("bumpy", 1, |x| (x[0] * 3.0).sin() + (x[0] * 7.0).cos()),
+            2 => BlackBoxUdf::from_fn("bowl", 2, |x| (0.6 * x[0]).sin() * (0.4 * x[1]).cos()),
+            _ => BlackBoxUdf::from_fn("ridge", 2, |x| {
+                (2.5 * x[0]).sin() + 1.0 / (1.0 + (x[0] - x[1]).powi(2))
+            }),
+        }
+    }
+
+    #[test]
+    fn lazy_bounds_match_the_eager_oracle_bitwise() {
+        let caps = [
+            (0, ModelBudget::StopGrowing),
+            (9, ModelBudget::StopGrowing),
+            (9, ModelBudget::EvictOldest),
+        ];
+        let heuristics = [
+            TuningHeuristic::LargestVariance,
+            TuningHeuristic::Random,
+            TuningHeuristic::OptimalGreedy,
+        ];
+        let retrains = [
+            RetrainStrategy::Never,
+            RetrainStrategy::Eager,
+            RetrainStrategy::NewtonThreshold(0.05),
+        ];
+        let (mut runs, mut certified, mut fell_back, mut superseded) = (0, 0, 0, 0);
+        for shape in 0..4 {
+            for (cap, budget) in caps {
+                for metric in [Metric::Discrepancy, Metric::Ks] {
+                    for heuristic in heuristics {
+                        for retrain in retrains {
+                            let acc = AccuracyRequirement::new(0.3, 0.05, 0.02, metric).unwrap();
+                            let mut cfg = OlgaproConfig::new(acc, 2.0).unwrap();
+                            cfg.init_lengthscale = 1.0;
+                            cfg.retrain = retrain;
+                            cfg.max_points_per_input = 4;
+                            if cap > 0 {
+                                cfg = cfg.with_model_cap(cap, budget).unwrap();
+                            }
+                            let mk = || {
+                                let obs = Obs {
+                                    metrics: MetricsRegistry::new(),
+                                    tracer: TraceBuffer::new(1, 1 << 12),
+                                };
+                                let olga = Olgapro::new(shaped_udf(shape), cfg.clone())
+                                    .with_tuning(heuristic)
+                                    .with_obs(&obs);
+                                (olga, obs, InferScratch::default())
+                            };
+                            let (mut lazy, lazy_obs, mut lazy_scratch) = mk();
+                            let (mut eager, eager_obs, mut eager_scratch) = mk();
+                            runs += 1;
+                            let tuples = if heuristic == TuningHeuristic::OptimalGreedy {
+                                3
+                            } else {
+                                8
+                            };
+                            for t in 0..tuples {
+                                let seed = 1000 * runs + t;
+                                let dims: Vec<(f64, f64)> = (0..lazy.udf().dim())
+                                    .map(|d| (0.7 * t as f64 + 0.3 * d as f64, 0.4))
+                                    .collect();
+                                let input = InputDistribution::diagonal_gaussian(&dims).unwrap();
+                                let got = lazy.process_with(
+                                    &input,
+                                    &mut StdRng::seed_from_u64(seed),
+                                    &mut lazy_scratch,
+                                );
+                                let want = eager.process_oracle(
+                                    &input,
+                                    &mut StdRng::seed_from_u64(seed),
+                                    &mut eager_scratch,
+                                );
+                                assert_eq!(
+                                    observe(&lazy, &lazy_obs, got),
+                                    observe(&eager, &eager_obs, want),
+                                    "{shape} {cap} {budget:?} {metric:?} {heuristic:?} {retrain:?}, tuple {t}"
+                                );
+                            }
+                            // Without retraining, a skipped bound is a
+                            // certified one, and a bound built beyond each
+                            // tuple's emitted one is a certificate that
+                            // failed on a loop that did go on.
+                            let snap = lazy_obs.metrics.snapshot();
+                            let (built, skipped) = (
+                                snap.counters["olgapro.bounds_built"],
+                                snap.counters["olgapro.bounds_skipped"],
+                            );
+                            if retrain == RetrainStrategy::Never {
+                                certified += skipped;
+                                fell_back += built - lazy.stats().inputs;
+                            } else {
+                                superseded += skipped;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs >= 200, "{runs} runs");
+        assert!(
+            certified > 100 && fell_back > 10 && superseded > 100,
+            "certified {certified}, fell back {fell_back}, superseded {superseded}"
+        );
+    }
+
+    #[test]
+    fn ruling_before_the_bound_matches_ruling_after_it_bitwise() {
+        let mut olga = Olgapro::new(smooth_udf(), config(0.2));
+        let mut rng = StdRng::seed_from_u64(61);
+        for i in 0..8 {
+            let input = InputDistribution::diagonal_gaussian(&[(0.8 * i as f64, 0.4)]).unwrap();
+            olga.process(&input, &mut rng).unwrap();
+        }
+        let mut scratch = InferScratch::default();
+        let (mut kept, mut filtered, mut ties) = (0, 0, 0);
+        for i in 0..500u64 {
+            let mu = 0.013 * i as f64;
+            let input = InputDistribution::diagonal_gaussian(&[(mu, 0.5)]).unwrap();
+            let full = olga
+                .infer_only_with(&input, &mut StdRng::seed_from_u64(i), &mut scratch)
+                .unwrap();
+            let (lo, hi) = (0.2 + 0.001 * (i % 7) as f64, 0.8);
+            let (_, rho_hat, rho_u) = full.tep_bounds(lo, hi);
+            // θ on the tie itself (kept: the filter is strict), one ulp
+            // above it (dropped), and a fixed one.
+            let thetas = [rho_u, f64::from_bits(rho_u.to_bits() + 1), 0.5];
+            for (k, theta) in thetas.into_iter().enumerate() {
+                let Ok(pred) = Predicate::new(lo, hi, theta) else {
+                    continue; // ρ_U of exactly 0 or 1 is no θ
+                };
+                let ruled = olga
+                    .infer_ruled_with(
+                        &input,
+                        &mut StdRng::seed_from_u64(i),
+                        &mut scratch,
+                        Some(&pred),
+                    )
+                    .unwrap();
+                match ruled {
+                    FilterDecision::Filtered {
+                        rho_upper,
+                        udf_calls,
+                    } => {
+                        assert!(rho_u < theta, "tuple {i} θ {theta}: dropped at ρ_U {rho_u}");
+                        assert_eq!((rho_upper.to_bits(), udf_calls), (rho_u.to_bits(), 0));
+                        filtered += 1;
+                    }
+                    FilterDecision::Kept { output, tep } => {
+                        assert!(rho_u >= theta, "tuple {i} θ {theta}: kept at ρ_U {rho_u}");
+                        assert_eq!(tep.to_bits(), rho_hat.to_bits());
+                        assert_eq!(output.y_hat.values(), full.y_hat.values());
+                        assert_eq!(output.y_s.values(), full.y_s.values());
+                        assert_eq!(output.y_l.values(), full.y_l.values());
+                        assert_eq!(output.eps_gp.to_bits(), full.eps_gp.to_bits());
+                        assert_eq!(output.z_alpha.to_bits(), full.z_alpha.to_bits());
+                        kept += 1;
+                        ties += usize::from(k == 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            kept > 100 && filtered > 100 && ties > 50,
+            "{kept} {filtered} {ties}"
         );
     }
 

@@ -52,6 +52,7 @@
 //! worker count. Chunk stealing moves *where* fast work runs, never *what*
 //! it computes.
 
+use crate::filtering::FilterDecision;
 use crate::olgapro::InferScratch;
 use crate::output::GpOutput;
 use crate::pool::WorkerPool;
@@ -185,6 +186,22 @@ pub trait BatchOps {
     /// (it is a cache, keyed to stay coherent), since chunk stealing makes
     /// the tuple→worker assignment nondeterministic.
     fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<GpOutput>;
+
+    /// [`fast`](BatchOps::fast) for implementors that can rule a tuple out
+    /// *before* finishing its output (§5.5: ρ_U needs only the inferred
+    /// band): a `Filtered` result folds exactly like
+    /// [`Verdict::Filter`], a `Kept` output goes to the accept hook. This is
+    /// what the fast phase calls, so the ruling must depend on the tuple and
+    /// the batch's fixed inputs only — never on model state at fold time.
+    fn fast_ruled(
+        &self,
+        idx: usize,
+        rng: &mut StdRng,
+        scratch: &mut InferScratch,
+    ) -> Result<FilterDecision<GpOutput>> {
+        let output = self.fast(idx, rng, scratch)?;
+        Ok(FilterDecision::Kept { output, tep: 1.0 })
+    }
 
     /// Rule on a fast-path result. Called in tuple order; `&self` already
     /// reflects every slow-path mutation of earlier tuples.
@@ -334,8 +351,9 @@ impl BatchScheduler {
     ///
     /// 1. if [`BatchOps::needs_bootstrap`], tuple 0 runs the slow path
     ///    sequentially so the fast phase has a model to read;
-    /// 2. the remaining tuples run [`BatchOps::fast`] concurrently on the
-    ///    pool, each with an RNG from [`BatchOps::tuple_seed`];
+    /// 2. the remaining tuples run [`BatchOps::fast_ruled`] (by default,
+    ///    [`BatchOps::fast`]) concurrently on the pool, each with an RNG
+    ///    from [`BatchOps::tuple_seed`];
     /// 3. results fold sequentially in tuple order: the accept hook rules
     ///    [`Accept`](Verdict::Accept) / [`Filter`](Verdict::Filter) /
     ///    [`Reroute`](Verdict::Reroute), and rerouted tuples (plus any
@@ -374,7 +392,7 @@ impl BatchScheduler {
                 phase: TracePhase::Fast,
             },
         );
-        let inferred: Vec<Result<GpOutput>> = self.try_map_indexed(n - start, |worker, i| {
+        let inferred = self.try_map_indexed(n - start, |worker, i| {
             let idx = start + i;
             let mut rng = StdRng::seed_from_u64(shared.tuple_seed(idx));
             // Each worker locks only its own slot, so this never contends.
@@ -384,7 +402,7 @@ impl BatchScheduler {
             let mut scratch = self.scratch[worker]
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            shared.fast(idx, &mut rng, &mut scratch)
+            shared.fast_ruled(idx, &mut rng, &mut scratch)
         })?;
         self.tracer.emit(
             0,
@@ -407,7 +425,13 @@ impl BatchScheduler {
         for (i, res) in inferred.into_iter().enumerate() {
             let idx = start + i;
             match res {
-                Ok(out) => match ops.accept(idx, &out) {
+                // Ruled out on the fast path itself: a filter verdict.
+                Ok(FilterDecision::Filtered { rho_upper, .. }) => {
+                    self.metrics.filters.inc();
+                    ops.emit_filtered(idx, rho_upper)?;
+                    stats.filtered += 1;
+                }
+                Ok(FilterDecision::Kept { output: out, .. }) => match ops.accept(idx, &out) {
                     Verdict::Accept => {
                         self.metrics.accepts.inc();
                         ops.emit_fast(idx, out)?;

@@ -302,6 +302,63 @@ fn a_fault_inside_the_tuning_loop_leaves_no_retained_rows_behind() {
 /// sequential fold of a two-phase batch takes the statement down, not the
 /// scheduler — its pool and per-lane scratch serve the next batch, with the
 /// rows a fresh scheduler would have produced.
+/// A UDF value can be finite and still too large for the model: α = K⁻¹y
+/// overflows and the next inference's means come out non-finite. The bound
+/// stage has always rejected that *before* the retraining decision, and
+/// with the bound now built lazily the rejection must still come first —
+/// wherever in Algorithm 5 the inference sits. So the retraining strategy
+/// cannot show in what the `Err` leaves behind: an eager evaluator's model
+/// equals a never-retraining twin's, hyperparameters included.
+#[test]
+fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
+    use udf_core::config::RetrainStrategy;
+    // (bootstrap points, per-tuple budget, the call that overflows): the
+    // failing inference is the only one of a loop never entered; the first
+    // of a loop that could go on; the last a loop is allowed — the one
+    // whose bound waits for the retraining decision.
+    for (bootstrap, budget, bad_call) in [(5, 1, 4u64), (3, 4, 2), (3, 4, 3)] {
+        let run = |retrain: RetrainStrategy| {
+            let calls = AtomicU64::new(0);
+            let udf = BlackBoxUdf::from_fn("overflowing", 1, move |x| {
+                if calls.fetch_add(1, Ordering::Relaxed) == bad_call {
+                    return 1.7e308;
+                }
+                (x[0] * 3.0).sin() + (x[0] * 7.0).cos()
+            });
+            let mut cfg = tight();
+            cfg.retrain = retrain;
+            cfg.bootstrap_points = bootstrap;
+            let mut olga = Olgapro::new(udf, cfg);
+            olga.set_tuning_budget(budget).unwrap();
+            let err = olga
+                .process(&tuple(2.0), &mut StdRng::seed_from_u64(9))
+                .unwrap_err();
+            let model = olga.model();
+            (
+                err.to_string(),
+                (model.len(), model.epoch(), model.kernel().params()),
+                olga.stats(),
+                olga.udf().calls(),
+            )
+        };
+        let eager = run(RetrainStrategy::Eager);
+        assert!(
+            eager.0.contains("non-finite"),
+            "call {bad_call}: {}",
+            eager.0
+        );
+        assert_eq!(eager, run(RetrainStrategy::Never), "call {bad_call}");
+        assert_eq!(eager, run(RetrainStrategy::NewtonThreshold(0.0)));
+        let points = bad_call as usize + 1;
+        assert_eq!((eager.1 .0, eager.1 .1), (points, points as u64));
+        assert_eq!(
+            eager.3,
+            bad_call + 1,
+            "the Err came with the first inference after"
+        );
+    }
+}
+
 #[test]
 fn a_fault_in_the_slow_fold_leaves_the_scheduler_usable() {
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -145,8 +145,10 @@ impl LangError {
                 span,
                 message,
             } => {
-                let start = span.start.min(src.len());
-                let end = span.end.clamp(start, src.len());
+                // Clamped to `src` and to its character boundaries: an
+                // EXECUTE's span is an offset into its PREPARE's text.
+                let start = src.floor_char_boundary(span.start);
+                let end = src.floor_char_boundary(span.end).max(start);
                 // The line containing the span start.
                 let line_start = src[..start].rfind('\n').map_or(0, |i| i + 1);
                 let line_end = src[start..].find('\n').map_or(src.len(), |i| start + i);

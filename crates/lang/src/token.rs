@@ -164,9 +164,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 Tok::Number(value)
             }
             _ => {
-                let len = c.len_utf8();
+                // `c` is one byte; name — and span — the character it starts
+                // (every arm above consumes ASCII, so `i` is on a boundary).
+                let c = src[i..].chars().next().expect("i < len");
                 return Err(LangError::lex(
-                    Span::new(i, i + len),
+                    Span::new(i, i + c.len_utf8()),
                     format!("unexpected character `{c}`"),
                 ));
             }

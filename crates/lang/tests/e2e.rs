@@ -617,4 +617,24 @@ fn tuning_loop_extends_instead_of_rebuilding_on_f2() {
         "{extends} of {loop_inferences} tuning-loop inferences extended"
     );
     assert_eq!(field("udf_calls="), 96, "the model fills its cap");
+
+    // The bound stage runs only where its value is read: every inference
+    // either built its bound or was counted as skipping it, and on this
+    // write-heavy statement most of the tuning loop's skip — answered by
+    // counting, or superseded by the retrain that follows.
+    let (built, skipped) = (
+        count("olgapro.bounds_built"),
+        count("olgapro.bounds_skipped"),
+    );
+    assert_eq!(
+        built + skipped,
+        lookups,
+        "one ruling per inference\n{report}"
+    );
+    let in_loop = loop_inferences + field("slow=");
+    assert!(
+        skipped as f64 >= 0.8 * in_loop as f64,
+        "{skipped} of {in_loop} slow-path bounds skipped"
+    );
+    assert!(report.contains(&format!("olgapro.bounds_skipped = {skipped}\n")));
 }

@@ -272,6 +272,15 @@ fn explain_analyze_reports_join_counters() {
     }
     assert!(report.contains("join.screen_ns"), "phase hist:\n{report}");
     assert!(report.contains("join.certify_ns"), "phase hist:\n{report}");
+    // Every pair the fast phase filtered was ruled out before its bound
+    // stage (the rest of the skips are the warmup round's tuning loops).
+    let counters = ctx.metrics().snapshot().counters;
+    let (filtered, skipped) = (
+        counters["sched.verdict.filter"],
+        counters["olgapro.bounds_skipped"],
+    );
+    assert!(filtered > 0 && skipped >= filtered, "{filtered} {skipped}");
+    assert!(report.contains(&format!("olgapro.bounds_skipped = {skipped}\n")));
 }
 
 /// EXPLAIN renders the join pushdown and the physical JoinExec binding.
