@@ -1,4 +1,5 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md §4):
+//! Ablation studies beyond the paper's figures — design choices the paper
+//! states without measuring:
 //!
 //! * **Kernels** — SE vs. Matérn 3/2 vs. 5/2 on a smooth and a bumpy
 //!   function (the paper asserts SE suffices for its UDFs; quantify it);
@@ -8,7 +9,9 @@
 
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use udf_bench::{as_udf, ground_truth, header, paper_accuracy, standard_inputs};
+use udf_bench::{
+    as_udf, ground_truth, header, paper_accuracy, standard_inputs, total_ms_per_input,
+};
 use udf_core::config::OlgaproConfig;
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::UdfFunction;
@@ -134,7 +137,7 @@ fn eps_split() {
         for inp in &inputs {
             outs.push(olga.process(inp, &mut rng).expect("process"));
         }
-        let total = t0.elapsed() + udf.charged_cost();
+        let ms_per_input = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
         let mut err = 0.0;
         for (inp, out) in inputs.iter().zip(&outs) {
             let truth = ground_truth(&f, inp, 20_000, &mut truth_rng);
@@ -142,7 +145,7 @@ fn eps_split() {
         }
         println!(
             "{frac:<13} {:>13.2} {:>12.4} {:>12.1}",
-            total.as_secs_f64() * 1e3 / inputs.len() as f64,
+            ms_per_input,
             err / inputs.len() as f64,
             udf.calls() as f64 / inputs.len() as f64
         );

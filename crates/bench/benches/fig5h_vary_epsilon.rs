@@ -26,7 +26,7 @@ fn main() {
             let cfg = OlgaproConfig::new(acc, range).expect("config");
             let inputs = standard_inputs(2, n_inputs, 90 + pf as u64);
             let r = run_olgapro(&f, as_udf(&f, t), cfg, &inputs, 91);
-            row.push_str(&format!(" {:>12.2}", r.time_per_input.as_secs_f64() * 1e3));
+            row.push_str(&format!(" {:>12.2}", r.ms_per_input));
         }
         println!("{row}");
     }

@@ -25,19 +25,13 @@ fn main() {
         let acc = paper_accuracy(range);
         let cfg = OlgaproConfig::new(acc, range).expect("config");
         let inputs = standard_inputs(2, n_inputs, seed);
-        run_olgapro(f, as_udf(f, t), cfg, &inputs, seed)
-            .time_per_input
-            .as_secs_f64()
-            * 1e3
+        run_olgapro(f, as_udf(f, t), cfg, &inputs, seed).ms_per_input
     };
     let mc_time = |f: &GaussianMixtureFn, t: Duration, seed: u64| -> f64 {
         let range = f.output_range();
         let acc = paper_accuracy(range);
         let inputs = standard_inputs(2, n_inputs, seed);
-        run_mc(f, as_udf(f, t), acc, &inputs, seed)
-            .time_per_input
-            .as_secs_f64()
-            * 1e3
+        run_mc(f, as_udf(f, t), acc, &inputs, seed).ms_per_input
     };
 
     for t_us in [1u64, 10, 100, 1_000, 10_000, 100_000, 1_000_000] {

@@ -8,11 +8,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use udf_bench::{as_udf, ground_truth, header, paper_accuracy, standard_inputs};
+use udf_bench::{
+    as_udf, ground_truth, header, paper_accuracy, standard_inputs, total_ms_per_input, warm_olgapro,
+};
 use udf_core::config::OlgaproConfig;
 use udf_core::filtering::{gp_filtered, mc_filtered, Predicate};
 use udf_core::mc::McEvaluator;
-use udf_core::olgapro::Olgapro;
 use udf_workloads::synthetic::PaperFunction;
 
 fn main() {
@@ -88,7 +89,7 @@ fn main() {
         for inp in &inputs {
             mc.compute(inp, &acc, &mut rng).expect("mc");
         }
-        let mc_ms = per_input_ms(t0.elapsed() + udf.charged_cost(), inputs.len());
+        let mc_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
 
         // --- MC with online filtering.
         let udf = as_udf(&f, t);
@@ -100,32 +101,24 @@ fn main() {
                 .expect("mc_filtered")
                 .is_filtered();
         }
-        let mc_of_ms = per_input_ms(t0.elapsed() + udf.charged_cost(), inputs.len());
+        let mc_of_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
 
-        // --- GP without online filtering (process everything fully).
-        // Warm up on the stream once (paper measures warm-stream behaviour).
+        // --- GP without online filtering (process everything fully), on a
+        // warm stream as the paper measures it.
         let udf = as_udf(&f, t);
         let cfg = OlgaproConfig::new(acc, range).expect("config");
-        let mut olga = Olgapro::new(udf.clone(), cfg.clone());
         let mut rng = StdRng::seed_from_u64(123);
-        for inp in &inputs {
-            olga.process(inp, &mut rng).expect("gp warm-up");
-        }
-        udf.reset_calls();
+        let mut olga = warm_olgapro(&udf, cfg.clone(), &inputs, &mut rng);
         let t0 = Instant::now();
         for inp in &inputs {
             olga.process(inp, &mut rng).expect("gp");
         }
-        let gp_ms = per_input_ms(t0.elapsed() + udf.charged_cost(), inputs.len());
+        let gp_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
 
         // --- GP with online filtering (same warm-up).
         let udf = as_udf(&f, t);
-        let mut olga = Olgapro::new(udf.clone(), cfg);
         let mut rng = StdRng::seed_from_u64(123);
-        for inp in &inputs {
-            olga.process(inp, &mut rng).expect("gp warm-up");
-        }
-        udf.reset_calls();
+        let mut olga = warm_olgapro(&udf, cfg, &inputs, &mut rng);
         let t0 = Instant::now();
         let mut gp_of_kept = vec![false; inputs.len()];
         for (i, inp) in inputs.iter().enumerate() {
@@ -133,7 +126,7 @@ fn main() {
                 .expect("gp_filtered")
                 .is_filtered();
         }
-        let gp_of_ms = per_input_ms(t0.elapsed() + udf.charged_cost(), inputs.len());
+        let gp_of_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
 
         // False positives: kept although the oracle filters them.
         let fp = |kept: &[bool]| -> f64 {
@@ -166,8 +159,4 @@ fn main() {
     println!(
         "\nExpected shape: MC+OF and GP+OF shrink with filter rate (up to ~5x / ~30x); FP < 0.1."
     );
-}
-
-fn per_input_ms(d: Duration, n: usize) -> f64 {
-    d.as_secs_f64() * 1e3 / n as f64
 }

@@ -25,7 +25,7 @@ fn main() {
         let cfg = OlgaproConfig::new(acc, range).expect("config");
         let gp = run_olgapro(&f, as_udf(&f, Duration::from_secs(1)), cfg, &inputs, 131);
 
-        let mut row = format!("{d:<4} {:>12.1}", gp.time_per_input.as_secs_f64() * 1e3);
+        let mut row = format!("{d:<4} {:>12.1}", gp.ms_per_input);
         for t_ms in [1u64, 10, 100, 1000] {
             let mc = run_mc(
                 &f,
@@ -34,7 +34,7 @@ fn main() {
                 &inputs,
                 132,
             );
-            row.push_str(&format!(" {:>10.0}", mc.time_per_input.as_secs_f64() * 1e3));
+            row.push_str(&format!(" {:>10.0}", mc.ms_per_input));
         }
         println!("{row}");
     }

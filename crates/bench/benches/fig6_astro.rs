@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use udf_bench::header;
+use udf_bench::{header, total_ms_per_input};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::mc::McEvaluator;
 use udf_core::olgapro::Olgapro;
@@ -111,8 +111,7 @@ fn main() {
             for inp in &inputs {
                 olga.process(inp, &mut r).expect("gp");
             }
-            let gp_ms =
-                (t0.elapsed() + gp_udf.charged_cost()).as_secs_f64() * 1e3 / inputs.len() as f64;
+            let gp_ms = total_ms_per_input(t0.elapsed(), &gp_udf, inputs.len());
             // MC.
             let mc_udf = udf.fork_counter();
             let mc = McEvaluator::new(mc_udf.clone());
@@ -121,8 +120,7 @@ fn main() {
             for inp in &inputs {
                 mc.compute(inp, &acc, &mut r).expect("mc");
             }
-            let mc_ms =
-                (t0.elapsed() + mc_udf.charged_cost()).as_secs_f64() * 1e3 / inputs.len() as f64;
+            let mc_ms = total_ms_per_input(t0.elapsed(), &mc_udf, inputs.len());
             println!(
                 "  {eps:<6} {gp_ms:>9.2} {mc_ms:>13.2} {:>12}",
                 olga.model().len()

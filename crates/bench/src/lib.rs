@@ -4,9 +4,8 @@
 //! of the paper. The harness reports **total time = measured algorithm
 //! overhead + charged UDF cost** (`#calls × T` under the simulated cost
 //! model), which is exactly the trade-off the paper's wall-clock numbers
-//! measure — see DESIGN.md §3 for the substitution argument.
-
-pub mod gate;
+//! measure: `CostModel::Simulated` charges `T` per call instead of sleeping
+//! (PAPER.md, "Fidelity caveats").
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,8 +44,8 @@ pub fn accuracy_with_eps(eps: f64, output_range: f64) -> AccuracyRequirement {
 /// Result of running one evaluator over a stream of inputs.
 #[derive(Debug, Clone, Copy)]
 pub struct RunResult {
-    /// Mean per-input total time (overhead + charged UDF cost).
-    pub time_per_input: Duration,
+    /// Mean per-input total time in ms (overhead + charged UDF cost).
+    pub ms_per_input: f64,
     /// Mean per-input UDF calls.
     pub calls_per_input: f64,
     /// Mean actual λ-discrepancy against a ground-truth reference.
@@ -73,14 +72,38 @@ pub fn ground_truth(
     Ecdf::new(samples).expect("finite reference outputs")
 }
 
-/// Run OLGAPRO over an input stream, measuring time, calls, and actual
-/// error against ground truth.
+/// Mean per-input total time in ms: the measured `overhead` plus the cost
+/// `udf` has charged for its calls, over `n` inputs.
+pub fn total_ms_per_input(overhead: Duration, udf: &BlackBoxUdf, n: usize) -> f64 {
+    (overhead + udf.charged_cost()).as_secs_f64() * 1e3 / n as f64
+}
+
+/// An OLGAPRO evaluator that has processed `inputs` once, with `udf`'s call
+/// counter reset afterwards, so what the caller measures next is the
+/// steady state.
 ///
-/// The stream is processed once *unmeasured* first (warm-up): the paper
-/// averages over 500 tuples, where almost all tuples see a converged model;
-/// with the bench's shorter streams, measuring from cold would over-weight
-/// the one-off training phase. Reported numbers are steady-state per-tuple
-/// costs, matching the paper's "at convergence" discussion (§5.4).
+/// The paper averages over 500 tuples, where almost all tuples see a
+/// converged model; with the bench's shorter streams, measuring from cold
+/// would over-weight the one-off training phase. Reported numbers are
+/// steady-state per-tuple costs, matching the paper's "at convergence"
+/// discussion (§5.4).
+pub fn warm_olgapro(
+    udf: &BlackBoxUdf,
+    config: OlgaproConfig,
+    inputs: &[InputDistribution],
+    rng: &mut StdRng,
+) -> Olgapro {
+    let mut olga = Olgapro::new(udf.clone(), config);
+    for input in inputs {
+        olga.process(input, rng).expect("olgapro warm-up");
+    }
+    udf.reset_calls();
+    olga
+}
+
+/// Run OLGAPRO over an input stream it has been warmed on
+/// ([`warm_olgapro`]), measuring time, calls, and actual error against
+/// ground truth.
 pub fn run_olgapro(
     f: &GaussianMixtureFn,
     udf: BlackBoxUdf,
@@ -88,22 +111,16 @@ pub fn run_olgapro(
     inputs: &[InputDistribution],
     seed: u64,
 ) -> RunResult {
-    let mut olga = Olgapro::new(udf.clone(), config.clone());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let lambda = config.accuracy.lambda;
-    // Warm-up pass (unmeasured).
-    for input in inputs {
-        olga.process(input, &mut rng).expect("olgapro warm-up");
-    }
-    udf.reset_calls();
+    let mut olga = warm_olgapro(&udf, config, inputs, &mut rng);
     let t0 = Instant::now();
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
         outs.push(olga.process(input, &mut rng).expect("olgapro run"));
     }
     let overhead = t0.elapsed();
-    let total = overhead + udf.charged_cost();
 
     let (mut err_sum, mut err_max) = (0.0f64, 0.0f64);
     for (input, out) in inputs.iter().zip(&outs) {
@@ -113,7 +130,7 @@ pub fn run_olgapro(
         err_max = err_max.max(e);
     }
     RunResult {
-        time_per_input: total / inputs.len() as u32,
+        ms_per_input: total_ms_per_input(overhead, &udf, inputs.len()),
         calls_per_input: udf.calls() as f64 / inputs.len() as f64,
         mean_error: err_sum / inputs.len() as f64,
         max_error: err_max,
@@ -137,7 +154,6 @@ pub fn run_mc(
         outs.push(mc.compute(input, &accuracy, &mut rng).expect("mc run"));
     }
     let overhead = t0.elapsed();
-    let total = overhead + udf.charged_cost();
 
     let (mut err_sum, mut err_max) = (0.0f64, 0.0f64);
     for (input, out) in inputs.iter().zip(&outs) {
@@ -147,7 +163,7 @@ pub fn run_mc(
         err_max = err_max.max(e);
     }
     RunResult {
-        time_per_input: total / inputs.len() as u32,
+        ms_per_input: total_ms_per_input(overhead, &udf, inputs.len()),
         calls_per_input: udf.calls() as f64 / inputs.len() as f64,
         mean_error: err_sum / inputs.len() as f64,
         max_error: err_max,
@@ -176,14 +192,9 @@ pub fn header(id: &str, title: &str, columns: &str) {
     println!("================================================================");
     println!("{id}: {title}");
     println!("(paper: Tran et al., VLDB 2013, §6; shapes comparable, absolute");
-    println!(" numbers machine-dependent; see EXPERIMENTS.md)");
+    println!(" numbers machine-dependent; see README.md, \"Benchmarks\")");
     println!("================================================================");
     println!("{columns}");
-}
-
-/// Format a duration in milliseconds with 3 significant digits.
-pub fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]
@@ -216,6 +227,6 @@ mod tests {
         let inputs = standard_inputs(1, 2, 7);
         let slow = run_mc(&f, as_udf(&f, Duration::from_millis(1)), acc, &inputs, 3);
         let fast = run_mc(&f, as_udf(&f, Duration::ZERO), acc, &inputs, 3);
-        assert!(slow.time_per_input > fast.time_per_input * 5);
+        assert!(slow.ms_per_input > fast.ms_per_input * 5.0);
     }
 }

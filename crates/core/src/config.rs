@@ -71,10 +71,22 @@ impl AccuracyRequirement {
     /// Number of Monte Carlo samples needed to meet this requirement by
     /// direct sampling (Algorithm 1 / §2.2-A).
     pub fn mc_samples(&self) -> usize {
-        match self.metric {
-            Metric::Ks => udf_prob::bounds::mc_samples_ks(self.eps, self.delta),
-            Metric::Discrepancy => udf_prob::bounds::mc_samples_discrepancy(self.eps, self.delta),
-        }
+        dkw_samples(self.metric, self.eps, self.delta)
+    }
+}
+
+/// DKW sample count for an `(eps, delta)` share of the budget under
+/// `metric`, `usize::MAX` where no finite count meets it: a subnormal ε
+/// squares to 0, and a δ that [`split_accuracy`] rounded to 0 (any δ below
+/// ≈ 2·10⁻¹⁶) has ln(2/δ) = ∞. `udf_prob::bounds` asserts its arguments
+/// strictly positive, which a valid accuracy's shares need not be.
+fn dkw_samples(metric: Metric, eps: f64, delta: f64) -> usize {
+    if !eps.is_normal() || delta == 0.0 {
+        return usize::MAX;
+    }
+    match metric {
+        Metric::Ks => udf_prob::bounds::mc_samples_ks(eps, delta),
+        Metric::Discrepancy => udf_prob::bounds::mc_samples_discrepancy(eps, delta),
     }
 }
 
@@ -201,10 +213,7 @@ impl OlgaproConfig {
     /// MC sample count per input under the sampling share of the budget.
     pub fn samples_per_input(&self) -> usize {
         let s = self.split();
-        match self.accuracy.metric {
-            Metric::Ks => udf_prob::bounds::mc_samples_ks(s.eps_mc, s.delta_mc),
-            Metric::Discrepancy => udf_prob::bounds::mc_samples_discrepancy(s.eps_mc, s.delta_mc),
-        }
+        dkw_samples(self.accuracy.metric, s.eps_mc, s.delta_mc)
     }
 }
 
@@ -233,6 +242,21 @@ mod tests {
         // Discrepancy needs 4x the samples (ε/2 in the DKW bound).
         assert_eq!(d.mc_samples(), udf_prob::bounds::mc_samples_ks(0.05, 0.05));
         assert!(d.mc_samples() > 3 * ks.mc_samples());
+    }
+
+    #[test]
+    fn sample_counts_saturate_where_a_share_underflows() {
+        // Both accuracies are valid; neither may trip the DKW asserts.
+        for metric in [Metric::Ks, Metric::Discrepancy] {
+            let tiny_eps = AccuracyRequirement::new(5e-324, 0.05, 0.0, metric).unwrap();
+            assert_eq!(tiny_eps.mc_samples(), usize::MAX);
+            let tiny_delta = AccuracyRequirement::new(0.1, 1e-17, 0.0, metric).unwrap();
+            assert!(tiny_delta.mc_samples() < 100_000, "δ enters by its log");
+            for acc in [tiny_eps, tiny_delta] {
+                let cfg = OlgaproConfig::new(acc, 1.0).unwrap();
+                assert_eq!(cfg.samples_per_input(), usize::MAX);
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //!   a persistent worker pool plus the fast/slow scheduling pattern;
 //! * [`batch`] — the batch operator on top of it: how one tuple of a batch
 //!   is ruled, emitted and counted, written once for the relational
-//!   executor, the join and the stream engine;
-//! * [`multi`] — multivariate-output UDFs via per-component emulators with a
-//!   union-bound joint guarantee (the other §8 future-work item).
+//!   executor, the join and the stream engine.
 
 pub mod batch;
 pub mod config;
@@ -34,7 +32,6 @@ pub mod filtering;
 pub mod gp_eval;
 pub mod hybrid;
 pub mod mc;
-pub mod multi;
 pub mod olgapro;
 pub mod output;
 mod pool;

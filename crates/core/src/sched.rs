@@ -36,9 +36,8 @@
 //! The fast phase runs on a **persistent worker pool**: threads are spawned
 //! once per scheduler and reused across batches, pulling chunks of the
 //! batch from a shared counter (chunk stealing) instead of being carved a
-//! fixed shard. At stream micro-batch sizes this beats spawning a fresh
-//! `std::thread::scope` per batch by a wide margin — see the
-//! `stream/dispatch` axis of `crates/bench/benches/stream_throughput.rs`.
+//! fixed shard, so a stream micro-batch pays a wake-up per worker, not a
+//! thread spawn and join as a fresh `std::thread::scope` per batch would.
 //! Each execution slot additionally owns a persistent
 //! [`InferScratch`] handed to [`BatchOps::fast`],
 //! so warm fast passes reuse sample buffers, kernel-matrix scratch, and the

@@ -5,7 +5,8 @@
 //! (§6, Expt 5). Sweeping `T` from 1 µs to 1 s with real sleeps would be
 //! prohibitively slow, so [`CostModel::Simulated`] *accounts* the nominal
 //! cost per call while [`CostModel::Busy`] actually spins (used to validate
-//! that the accounting matches reality). See DESIGN.md §3.
+//! that the accounting matches reality, in
+//! `tests/evaluator_comparison.rs`). See PAPER.md, "Fidelity caveats".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

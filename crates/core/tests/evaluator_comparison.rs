@@ -89,8 +89,8 @@ fn online_uses_fewer_calls_on_localized_stream() {
 }
 
 /// The simulated cost model's accounting matches real busy-wait time within
-/// a reasonable factor — the core validation behind DESIGN.md §3's
-/// substitution of simulated for real evaluation cost.
+/// a reasonable factor — the core validation behind the substitution of
+/// simulated for real evaluation cost (PAPER.md, "Fidelity caveats").
 #[test]
 fn simulated_cost_matches_busy_wait_reality() {
     let per_call = Duration::from_micros(300);

@@ -538,6 +538,12 @@ pub struct ParamSlot {
     pub what: &'static str,
 }
 
+/// The most samples an accuracy clause may ask of one tuple (2²⁴: ε ≈ 7·10⁻⁴
+/// under `USING mc`, ≈ 10⁻³ under `USING gp`, at δ = 0.05). The binder
+/// rejects a tighter accuracy; the sample buffers it would need are
+/// allocated in one piece.
+pub const MAX_SAMPLES_PER_TUPLE: usize = 1 << 24;
+
 /// Catalog bindings resolved once at prepare time, per source form.
 /// Numeric fields stay in the stored [`Select`] as
 /// [`NumExpr`]/[`UintExpr`] slots and are resolved per execution by
@@ -653,6 +659,15 @@ impl PreparedPlan {
         };
         let sel = &self.select;
 
+        // Whether the strategy resolved to MC, explicitly (`USING mc`) or
+        // by AUTO.
+        let is_mc = match &self.source {
+            SourceTemplate::Relation { strategy, .. } | SourceTemplate::Join { strategy, .. } => {
+                *strategy == EvalStrategy::Mc
+            }
+            SourceTemplate::Stream { resolves_to_mc, .. } => *resolves_to_mc,
+        };
+
         // Accuracy: explicit clause or the paper's defaults.
         let accuracy = match &sel.accuracy {
             None => AccuracyRequirement::new(0.1, 0.05, self.lambda, Metric::Discrepancy)
@@ -664,8 +679,31 @@ impl PreparedPlan {
                 };
                 let eps = num(&acc.eps);
                 let delta = num(&acc.delta);
-                AccuracyRequirement::new(eps.node, delta.node, self.lambda, metric)
-                    .map_err(|e| accuracy_diagnostic(e, eps.span, delta.span))?
+                let accuracy = AccuracyRequirement::new(eps.node, delta.node, self.lambda, metric)
+                    .map_err(|e| accuracy_diagnostic(e, eps.span, delta.span))?;
+                // The evaluators allocate their sample buffers up front, so
+                // a valid but tiny ε (the count grows as 1/ε²) would die in
+                // the allocator instead of failing with a span.
+                let samples = if is_mc {
+                    accuracy.mc_samples()
+                } else {
+                    OlgaproConfig::new(accuracy, self.output_range)
+                        .expect("accuracy and output_range validated above")
+                        .samples_per_input()
+                };
+                if samples > MAX_SAMPLES_PER_TUPLE {
+                    return Err(LangError::semantic(
+                        eps.span,
+                        format!(
+                            "accuracy ε={} δ={} needs {samples} samples per tuple with the {} \
+                             strategy; the limit is {MAX_SAMPLES_PER_TUPLE}",
+                            eps.node,
+                            delta.node,
+                            if is_mc { "mc" } else { "gp" },
+                        ),
+                    ));
+                }
+                accuracy
             }
         };
 
@@ -730,11 +768,6 @@ impl PreparedPlan {
                 // would be silently dropped (MC has no model) — reject it,
                 // whether the MC choice was explicit (`USING mc`) or made
                 // by AUTO.
-                let is_mc = match &self.source {
-                    SourceTemplate::Relation { strategy, .. }
-                    | SourceTemplate::Join { strategy, .. } => *strategy == EvalStrategy::Mc,
-                    SourceTemplate::Stream { resolves_to_mc, .. } => *resolves_to_mc,
-                };
                 if c.node > 0 && is_mc {
                     return Err(LangError::semantic(
                         c.span,

@@ -173,6 +173,54 @@ fn malformed_queries_fail_with_spans() {
             message: "δ must be a finite number in (0, 1)",
             at: "0",
         },
+        // A valid accuracy whose per-tuple sample count no buffer holds
+        // (the count grows as 1/ε²): MC, GP under both metrics, a stream,
+        // and the first ε past the limit on either strategy.
+        Case {
+            query: "SELECT GalAge(z) WITH ACCURACY 1e-7 0.05 FROM sky USING mc",
+            stage: Stage::Semantic,
+            message: "needs 737775890822788 samples per tuple with the mc strategy; \
+                      the limit is 16777216",
+            at: "1e-7",
+        },
+        Case {
+            query: "SELECT GalAge(z) WITH ACCURACY 1e-7 0.05 FROM sky USING gp",
+            stage: Stage::Semantic,
+            message: "samples per tuple with the gp strategy; the limit is 16777216",
+            at: "1e-7",
+        },
+        Case {
+            query: "SELECT GalAge(z) WITH ACCURACY 1e-7 0.05 METRIC ks FROM sky USING gp",
+            stage: Stage::Semantic,
+            message: "samples per tuple with the gp strategy",
+            at: "1e-7",
+        },
+        Case {
+            query: "SELECT F1(x) WITH ACCURACY 1e-7 0.05 FROM STREAM synth USING mc LIMIT 4",
+            stage: Stage::Semantic,
+            message: "samples per tuple with the mc strategy",
+            at: "1e-7",
+        },
+        Case {
+            query: "SELECT GalAge(z) WITH ACCURACY 0.000663 0.05 FROM sky USING mc",
+            stage: Stage::Semantic,
+            message: "needs 16784075 samples per tuple",
+            at: "0.000663",
+        },
+        Case {
+            query: "SELECT GalAge(z) WITH ACCURACY 0.001031 0.05 FROM sky USING gp",
+            stage: Stage::Semantic,
+            message: "needs 16777491 samples per tuple",
+            at: "0.001031",
+        },
+        Case {
+            // δ's sampling share 1 − √(1 − δ) rounds to 0 on the GP path:
+            // no finite count meets it.
+            query: "SELECT GalAge(z) WITH ACCURACY 0.1 1e-17 FROM sky USING gp",
+            stage: Stage::Semantic,
+            message: "δ=0.00000000000000001 needs 18446744073709551615 samples per tuple",
+            at: "0.1",
+        },
         Case {
             query: "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.9, 0.2]) >= 0.5",
             stage: Stage::Semantic,
@@ -355,6 +403,21 @@ fn malformed_queries_fail_with_spans() {
     }
 }
 
+/// The largest ε inside the per-tuple sample limit still binds, on either
+/// strategy (`EXPLAIN` binds and does not run: 2²⁴ samples a tuple is
+/// allowed, not cheap). One digit tighter is rejected in the table above.
+#[test]
+fn accuracy_just_inside_the_sample_limit_binds() {
+    let mut ctx = ctx();
+    for query in [
+        "EXPLAIN SELECT GalAge(z) WITH ACCURACY 0.000664 0.05 FROM sky USING mc",
+        "EXPLAIN SELECT GalAge(z) WITH ACCURACY 0.001032 0.05 FROM sky USING gp",
+    ] {
+        let out = run_uql(query, &mut ctx);
+        assert!(out.is_ok(), "{query}: {:?}", out.err());
+    }
+}
+
 /// A user-registered catalog entry with a poisoned output range must
 /// surface as a diagnostic on the call site, not a panic inside `bind`.
 #[test]
@@ -428,6 +491,12 @@ fn malformed_prepared_statements_fail_with_spans() {
         &mut ctx,
     )
     .unwrap();
+    // `acc` takes its ε as $1.
+    run_uql(
+        "PREPARE acc AS SELECT GalAge(z) WITH ACCURACY $1 0.05 FROM sky USING mc SEED 1",
+        &mut ctx,
+    )
+    .unwrap();
 
     let cases = [
         Case {
@@ -472,6 +541,14 @@ fn malformed_prepared_statements_fail_with_spans() {
             message: "must be a non-negative integer",
             at: "2.5",
         },
+        Case {
+            // The sample limit is checked where ε has a value, and the
+            // caret sits under the argument that supplied it.
+            query: "EXECUTE acc (1e-7)",
+            stage: Stage::Semantic,
+            message: "samples per tuple with the mc strategy; the limit is 16777216",
+            at: "1e-7",
+        },
     ];
     for case in &cases {
         let err = run_uql(case.query, &mut ctx)
@@ -501,6 +578,7 @@ fn malformed_prepared_statements_fail_with_spans() {
         );
         assert!(err.render(case.query).contains(case.message));
     }
-    // The failed EXECUTEs above must not have deallocated the plan.
+    // The failed EXECUTEs above must not have deallocated the plans.
     run_uql("EXECUTE q (0.5, 2)", &mut ctx).unwrap();
+    run_uql("EXECUTE acc (0.2)", &mut ctx).unwrap();
 }

@@ -1,7 +1,7 @@
 //! A hand-rolled JSON writer (and a validator for tests). The workspace
 //! has no crates.io access, so there is no serde; everything that emits
-//! JSON — [`crate::Snapshot::to_json`], the `trajectory` bench that
-//! writes `BENCH_*.json` — goes through these builders.
+//! JSON — [`crate::TraceBuffer::to_chrome_json`], the monitor's JSON Lines
+//! export — goes through these builders.
 
 use std::fmt::Write as _;
 
@@ -312,10 +312,9 @@ fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-/// A materialized JSON value, for the handful of consumers that need to
-/// *read* JSON (the `bench-gate` trajectory differ). Numbers are `f64` —
-/// every number the workspace writes fits without precision questions that
-/// matter for trend ratios.
+/// A materialized JSON value: what [`parse`] reads back, the reference the
+/// writers' round-trip property tests (`tests/json_proptests.rs`) compare
+/// against. Numbers are `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null` (including what non-finite floats serialize to).

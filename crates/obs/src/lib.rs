@@ -10,8 +10,7 @@
 //!    (relaxed atomics); the only lock in the crate guards handle
 //!    *registration*, which happens once per metric name. When a registry
 //!    is disabled every operation degenerates to one relaxed load and a
-//!    branch, and timers skip the `Instant::now()` syscall entirely — the
-//!    `uql/overhead` bench pins the no-op cost at ≤ ~1%.
+//!    branch, and timers skip the `Instant::now()` syscall entirely.
 //!
 //! The pieces:
 //!
@@ -21,8 +20,8 @@
 //!   and an exact `max`, sized for nanosecond latencies.
 //! * [`MetricsRegistry`] — names the handles, owns the shared
 //!   enabled/disabled switch, and snapshots everything into a
-//!   [`Snapshot`] for rendering, JSON export, or per-query
-//!   [`Snapshot::delta`] attribution (what `EXPLAIN ANALYZE` uses).
+//!   [`Snapshot`] for rendering or per-query [`Snapshot::delta`]
+//!   attribution (what `EXPLAIN ANALYZE` uses).
 //! * [`TraceBuffer`] — structured event tracing: per-worker lock-free
 //!   ring buffers of typed [`TraceEvent`]s with causal context (why a
 //!   tuple rerouted, when a model hit its cap, which join pair failed
@@ -40,9 +39,10 @@
 //!   lines. Same hard rules: sampling only reads snapshots.
 //! * [`Obs`] — the one handle a component is wired with: the registry and
 //!   the trace buffer together, passed once at construction.
-//! * [`json`] — the hand-rolled JSON writer, a validator, and a small
-//!   materializing parser (for the `bench-gate` trajectory differ);
-//!   there is no serde in this workspace.
+//! * [`json`] — the hand-rolled JSON writer behind the chrome and monitor
+//!   exports, a validator, and the small materializing parser its
+//!   round-trip tests read the output back with; there is no serde in
+//!   this workspace.
 //! * [`fmt`] — the shared `key=value` stats-line builder every report
 //!   block (REPL, stream session, join executor, examples) renders with.
 

@@ -1,6 +1,5 @@
 //! The [`MetricsRegistry`]: named handles plus snapshot/export.
 
-use crate::json::JsonObj;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,7 +10,7 @@ use std::time::{Duration, Instant};
 struct Inner {
     enabled: Arc<AtomicBool>,
     /// Registry creation time — the origin of the monotonic `uptime_ns`
-    /// stamp on exported snapshots.
+    /// stamp the monitor puts on its samples.
     epoch: Instant,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
@@ -156,30 +155,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Serialize the current snapshot, stamped so the export is
-    /// self-describing:
-    ///
-    /// ```json
-    /// {"uptime_ns": 123456, "enabled": true,
-    ///  "counters": {...}, "gauges": {...}, "histograms": {...}}
-    /// ```
-    ///
-    /// The inner sections are exactly [`Snapshot::to_json`].
-    pub fn to_json(&self) -> String {
-        let snap = self.snapshot().to_json();
-        // Splice the stamp in front of the snapshot's own members (the
-        // snapshot serializes as `{"counters": ...}` — never empty).
-        let body = snap.strip_prefix('{').expect("snapshot JSON is an object");
-        let mut root = JsonObj::new();
-        root.u64("uptime_ns", self.uptime_ns())
-            .bool("enabled", self.is_enabled());
-        let mut s = root.finish();
-        s.pop(); // drop the closing brace
-        s.push_str(", ");
-        s.push_str(body);
-        s
-    }
-
     /// Render the current snapshot — see [`Snapshot::render`].
     pub fn render(&self) -> String {
         self.snapshot().render()
@@ -192,8 +167,8 @@ impl Default for MetricsRegistry {
     }
 }
 
-/// A point-in-time copy of a registry, used for rendering, JSON export,
-/// and per-query attribution via [`delta`](Snapshot::delta).
+/// A point-in-time copy of a registry, used for rendering and per-query
+/// attribution via [`delta`](Snapshot::delta).
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// Counter totals by name.
@@ -272,46 +247,6 @@ impl Snapshot {
         }
     }
 
-    /// Hand-rolled JSON export (no serde in this workspace):
-    ///
-    /// ```json
-    /// {"counters": {"name": 1},
-    ///  "gauges": {"name": 2},
-    ///  "histograms": {"name": {"count": 3, "sum": 30, "max": 20,
-    ///                           "mean": 10.0, "p50": 15, "p95": 20,
-    ///                           "p99": 20}}}
-    /// ```
-    ///
-    /// Bucket arrays are omitted: consumers scrape the derived
-    /// statistics, and the full resolution stays available in-process.
-    pub fn to_json(&self) -> String {
-        let mut counters = JsonObj::new();
-        for (k, &v) in &self.counters {
-            counters.u64(k, v);
-        }
-        let mut gauges = JsonObj::new();
-        for (k, &v) in &self.gauges {
-            gauges.u64(k, v);
-        }
-        let mut histograms = JsonObj::new();
-        for (k, h) in &self.histograms {
-            let mut o = JsonObj::new();
-            o.u64("count", h.count)
-                .u64("sum", h.sum)
-                .u64("max", h.max)
-                .f64("mean", h.mean())
-                .u64("p50", h.quantile(0.5))
-                .u64("p95", h.quantile(0.95))
-                .u64("p99", h.quantile(0.99));
-            histograms.raw(k, &o.finish());
-        }
-        let mut root = JsonObj::new();
-        root.raw("counters", &counters.finish())
-            .raw("gauges", &gauges.finish())
-            .raw("histograms", &histograms.finish());
-        root.finish()
-    }
-
     /// Human-readable dump (what the REPL `\metrics` command prints).
     /// Histograms whose name ends in `_ns` render as durations.
     pub fn render(&self) -> String {
@@ -364,7 +299,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
 
     #[test]
     fn handles_share_cells_by_name() {
@@ -405,40 +339,6 @@ mod tests {
         let d = reg.snapshot().delta(&before);
         assert_eq!(d.counters["events"], 3);
         assert_eq!(d.gauges["level"], 9);
-    }
-
-    #[test]
-    fn to_json_is_valid_and_greppable() {
-        let reg = MetricsRegistry::new();
-        reg.counter("sched.verdict.accept").add(4);
-        reg.gauge("olgapro.model_points").set(17);
-        reg.histogram("uql.exec_ns").record(1_500);
-        let json = reg.to_json();
-        validate(&json).expect("registry JSON must parse");
-        assert!(json.contains("\"sched.verdict.accept\": 4"));
-        assert!(json.contains("\"olgapro.model_points\": 17"));
-        assert!(json.contains("\"count\": 1"));
-    }
-
-    #[test]
-    fn to_json_is_stamped_with_uptime_and_switch_state() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c").inc();
-        let json = reg.to_json();
-        validate(&json).expect("stamped JSON must parse");
-        assert!(json.starts_with("{\"uptime_ns\": "), "{json}");
-        assert!(json.contains("\"enabled\": true"), "{json}");
-        assert!(json.contains("\"counters\": {\"c\": 1}"), "{json}");
-        reg.set_enabled(false);
-        assert!(reg.to_json().contains("\"enabled\": false"));
-        // The stamp is monotonic.
-        let parse_uptime = |s: &str| -> u64 {
-            let v = crate::json::parse(s).unwrap();
-            v.get("uptime_ns").and_then(|u| u.as_f64()).unwrap() as u64
-        };
-        let a = parse_uptime(&reg.to_json());
-        let b = parse_uptime(&reg.to_json());
-        assert!(b >= a, "uptime went backwards: {a} -> {b}");
     }
 
     #[test]
@@ -542,17 +442,15 @@ mod tests {
         );
         assert_eq!(dh.mean(), 0.0, "empty-window mean degrades to 0, not NaN");
         assert_eq!(dh.max, 50, "max keeps the later value (not invertible)");
-        // The window is renderable and exportable without panicking.
-        crate::json::validate(&d.to_json()).expect("post-reset delta exports");
+        // The window is renderable without panicking.
         assert!(d.render().contains("lat_ns"));
     }
 
     #[test]
     fn mean_is_exact_and_rendered_everywhere() {
         // `\metrics` and `EXPLAIN ANALYZE` both render through
-        // `Snapshot::render`/`to_json`; the exact sum/count mean must
-        // appear in both (bucket-edge p50/p95 overstate central
-        // tendency).
+        // `Snapshot::render`; the exact sum/count mean must appear there
+        // (bucket-edge p50/p95 overstate central tendency).
         let reg = MetricsRegistry::new();
         let h = reg.histogram("vals");
         for v in [10, 20, 30, 40] {
@@ -561,8 +459,6 @@ mod tests {
         assert_eq!(reg.snapshot().histograms["vals"].mean(), 25.0);
         let text = reg.render();
         assert!(text.contains("mean=25.00"), "{text}");
-        let json = reg.to_json();
-        assert!(json.contains("\"mean\": 25.0"), "{json}");
         // Duration-valued histograms render the mean as a duration too.
         reg.histogram("t_ns").record(2_000_000);
         assert!(

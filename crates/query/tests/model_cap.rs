@@ -68,9 +68,8 @@ fn run_select(n: usize, cap: usize, workers: usize) -> (Vec<ProjectedTuple>, Exe
 #[test]
 fn capped_f2_bounds_model_where_uncapped_grows() {
     // 48 tuples keep the *uncapped* arm affordable in CI — it is the
-    // pathological O(n³) path this PR bounds, and it already overshoots
-    // the cap severalfold at this size; `gp/model_cap` in the benches
-    // prices the full-length divergence.
+    // pathological O(n³) path the cap bounds, and it already overshoots
+    // the cap severalfold at this size.
     let (_, capped) = run_select(48, CAP, 2);
     let (_, uncapped) = run_select(48, 0, 2);
     let capped_len = capped.olgapro().unwrap().model().len();

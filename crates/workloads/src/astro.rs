@@ -16,7 +16,7 @@
 //!
 //! The real SDSS catalog is replaced by a synthetic one with
 //! Gaussian-uncertain redshifts (the paper itself models SDSS attributes as
-//! Gaussians); see DESIGN.md §3.
+//! Gaussians); see PAPER.md, "Fidelity caveats".
 
 use crate::quadrature::adaptive_simpson;
 use rand::Rng;

@@ -7,8 +7,8 @@
 //! * [`astro`] — the astrophysics case study: flat-ΛCDM cosmology and the
 //!   three UDFs `GalAge`, `ComoveVol`, `AngDist` re-implemented from their
 //!   standard formulas (the paper used the IDL Astronomy Library — see
-//!   DESIGN.md §3 for the substitution argument), and a synthetic SDSS-like
-//!   galaxy catalog with Gaussian-uncertain redshifts;
+//!   PAPER.md, "Fidelity caveats"), and a synthetic SDSS-like galaxy
+//!   catalog with Gaussian-uncertain redshifts;
 //! * [`quadrature`] — adaptive Simpson integration used by the cosmology
 //!   functions;
 //! * [`registry`] — the named UDF catalog (function + input-domain

@@ -205,7 +205,7 @@ pub fn generate_inputs(
 /// accuracy each fresh region misses the ε_GP budget and forces online
 /// tuning, so without a model cap the training set grows with `n` and
 /// per-tuple cost climbs as O(m²)/O(m³). The model-cap regression tests
-/// and the `gp/model_cap` bench axis both drive this sweep.
+/// (`crates/query/tests/model_cap.rs`) drive this sweep.
 pub fn sweep_inputs(d: usize, n: usize, sigma_i: f64) -> Vec<InputDistribution> {
     (0..n)
         .map(|i| {

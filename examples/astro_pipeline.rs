@@ -33,7 +33,7 @@ fn main() {
     // shared registry instead of ad-hoc construction.
     let udfs = UdfCatalog::standard();
 
-    // Synthetic SDSS-like catalog (see DESIGN.md §3 for the substitution).
+    // Synthetic SDSS-like catalog (PAPER.md, "Fidelity caveats").
     let catalog = GalaxyCatalog::generate(12, &mut rng);
     let schema = Schema::new(&["objID", "redshift"]);
     let tuples: Vec<Tuple> = catalog

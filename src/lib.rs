@@ -36,8 +36,8 @@
 //!
 //! See the crate-level docs of [`udf_core`], [`udf_gp`], [`udf_prob`],
 //! [`udf_query`], [`udf_join`], [`udf_workloads`], [`udf_stream`], and [`udf_lang`] (the
-//! UQL declarative front-end) for the full API, and `EXPERIMENTS.md` for
-//! the paper-reproduction harness.
+//! UQL declarative front-end) for the full API, and README.md's
+//! "Benchmarks" section for the paper-reproduction harness.
 
 pub use udf_core as core;
 pub use udf_gp as gp;
