@@ -52,6 +52,8 @@ pub struct OlgaproMetrics {
     /// Time re-learning hyperparameters (plus the step-12 re-inference),
     /// per retrain.
     pub retrain_ns: Histogram,
+    /// Gradient-ascent iterations per retrain (each proposal an O(n³) refit).
+    pub train_iters: Histogram,
     /// Current training-set size.
     pub model_points: Gauge,
     /// Training-set size sampled after each processed input — the
@@ -84,6 +86,7 @@ impl OlgaproMetrics {
         OlgaproMetrics {
             tuning_ns: Histogram::disabled(),
             retrain_ns: Histogram::disabled(),
+            train_iters: Histogram::disabled(),
             model_points: Gauge::disabled(),
             model_size: Histogram::disabled(),
             cap_hits: Counter::disabled(),
@@ -101,6 +104,7 @@ impl OlgaproMetrics {
         OlgaproMetrics {
             tuning_ns: reg.histogram("olgapro.tuning_ns"),
             retrain_ns: reg.histogram("olgapro.retrain_ns"),
+            train_iters: reg.histogram("olgapro.train_iters"),
             model_points: reg.gauge("olgapro.model_points"),
             model_size: reg.histogram("olgapro.model_size"),
             cap_hits: reg.counter("olgapro.cap_hits"),
@@ -165,6 +169,8 @@ pub struct OlgaproStats {
     pub points_added: u64,
     /// Retraining runs performed.
     pub retrains: u64,
+    /// Gradient-ascent iterations over all retraining runs.
+    pub train_iterations: u64,
     /// Retraining decisions evaluated (Newton heuristic invocations).
     pub retrain_checks: u64,
     /// Inputs accepted at a *degraded* (achieved) error bound because the
@@ -280,9 +286,8 @@ impl Olgapro {
     /// is emitted at the achieved bound. Workloads whose accuracy target
     /// is unreachable in fresh regions (tight λ over a wide domain) use a
     /// small budget to *spread* model growth across inputs instead of
-    /// exhausting it on the first ones — udf-join's warmup relies on
-    /// this. Zero is rejected (the tuning loop could never make
-    /// progress).
+    /// exhausting it on the first ones. Zero is rejected (the tuning loop
+    /// could never make progress).
     pub fn set_tuning_budget(&mut self, n: usize) -> Result<()> {
         if n == 0 {
             return Err(CoreError::InvalidConfig {
@@ -565,8 +570,10 @@ impl Olgapro {
             };
             if do_retrain {
                 let t_retrain = self.metrics.retrain_ns.enabled().then(Instant::now);
-                train(&mut self.model, &TrainConfig::default())?;
+                let iterations = train(&mut self.model, &TrainConfig::default())?.iterations;
                 self.stats.retrains += 1;
+                self.stats.train_iterations += iterations as u64;
+                self.metrics.train_iters.record(iterations as u64);
                 retrained = true;
                 // Re-run inference with the new hyperparameters (step 12);
                 // whatever the loop's last one left unbuilt stays unbuilt.
@@ -1233,8 +1240,9 @@ mod tests {
                     }
                 };
                 if do_retrain {
-                    train(&mut self.model, &TrainConfig::default())?;
+                    let trained = train(&mut self.model, &TrainConfig::default())?;
                     self.stats.retrains += 1;
+                    self.stats.train_iterations += trained.iterations as u64;
                     retrained = true;
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     (eps_gp, _) = infer_and_bound(self, &mut scratch.buf, z2, false)?;

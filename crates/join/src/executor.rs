@@ -270,11 +270,8 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         let qualified = spec.qualified_args();
         let names: Vec<&str> = qualified.iter().map(String::as_str).collect();
         let call = UdfCall::resolve(spec.udf.clone(), &schema, &names)?;
-        let mut executor = Executor::new(spec.strategy, spec.accuracy, &call, spec.output_range)?
+        let executor = Executor::new(spec.strategy, spec.accuracy, &call, spec.output_range)?
             .with_model_cap(spec.model_cap, spec.budget())?;
-        if let Some(n) = spec.tuning_budget {
-            executor = executor.with_tuning_budget(n)?;
-        }
         Ok(JoinExecutor {
             spec,
             schema,

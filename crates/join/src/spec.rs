@@ -84,11 +84,6 @@ pub struct JoinSpec<'a> {
     /// GP model cap (0 = uncapped), enforced through
     /// [`udf_query::Executor::with_model_cap`].
     pub model_cap: usize,
-    /// Per-pair online-tuning budget (`None` = engine default 10). O(n²)
-    /// joins over wide input domains pair a small budget with a model
-    /// cap so the strided warmup *spreads* training points across the
-    /// domain instead of exhausting the cap on its first fresh regions.
-    pub tuning_budget: Option<usize>,
     /// Enable envelope-based pair pruning (GP + predicate only).
     pub prune: bool,
     /// Master RNG seed; pair `k` evaluates under
@@ -137,7 +132,6 @@ impl<'a> JoinSpec<'a> {
             accuracy,
             output_range,
             model_cap: 0,
-            tuning_budget: None,
             prune: false,
             seed: 0,
         })
@@ -185,12 +179,6 @@ impl<'a> JoinSpec<'a> {
     /// [`ModelBudget::StopGrowing`] like the UQL surface).
     pub fn model_cap(mut self, cap: usize) -> Self {
         self.model_cap = cap;
-        self
-    }
-
-    /// Cap the per-pair online-tuning budget (engine default 10).
-    pub fn tuning_budget(mut self, n: usize) -> Self {
-        self.tuning_budget = Some(n);
         self
     }
 

@@ -142,19 +142,6 @@ impl Executor {
         Ok(self)
     }
 
-    /// Cap the GP online-tuning budget at `n` training points per tuple
-    /// (engine default 10; see [`Olgapro::set_tuning_budget`]). Small
-    /// budgets spread model growth evenly across a batch instead of
-    /// letting the first fresh-region tuples exhaust the model cap — the
-    /// knob udf-join's strided warmup uses. Rejects 0; the MC strategy
-    /// ignores it.
-    pub fn with_tuning_budget(mut self, n: usize) -> Result<Self> {
-        if let Some(olga) = self.eval.olgapro_mut() {
-            olga.set_tuning_budget(n)?;
-        }
-        Ok(self)
-    }
-
     /// Wire observability: the executor's OLGAPRO instance (if any)
     /// registers its `olgapro.*` handles in `obs.metrics` and emits
     /// model-lifecycle events (`ModelGrow`/`ModelEvict`/`CapHit`) into
