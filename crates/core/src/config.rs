@@ -75,6 +75,26 @@ impl AccuracyRequirement {
     }
 }
 
+/// The most samples an accuracy may ask of one tuple (2²⁴: ε ≈ 7·10⁻⁴ by
+/// Monte Carlo, ≈ 10⁻³ through the GP, at δ = 0.05). The evaluators
+/// allocate a tuple's sample buffers in one piece, so a tighter accuracy is
+/// refused where an evaluator is built rather than dying in the allocator.
+pub const MAX_SAMPLES_PER_TUPLE: usize = 1 << 24;
+
+/// `Ok` when one tuple may draw `samples` (at most
+/// [`MAX_SAMPLES_PER_TUPLE`]) — the check every front-end applies to
+/// [`AccuracyRequirement::mc_samples`] or
+/// [`OlgaproConfig::samples_per_input`] before building an evaluator.
+pub fn check_samples_per_tuple(samples: usize) -> Result<()> {
+    if samples > MAX_SAMPLES_PER_TUPLE {
+        return Err(CoreError::InvalidConfig {
+            what: "samples per tuple",
+            value: samples as f64,
+        });
+    }
+    Ok(())
+}
+
 /// DKW sample count for an `(eps, delta)` share of the budget under
 /// `metric`, `usize::MAX` where no finite count meets it: a subnormal ε
 /// squares to 0, and a δ that [`split_accuracy`] rounded to 0 (any δ below

@@ -215,21 +215,40 @@ pub(crate) fn band_ecdfs(means: &[f64], sds: &[f64], z: f64) -> udf_prob::Result
     Ok((y_s, y_l))
 }
 
-/// `GpOutput::tep_bounds`' `ρ_U = F_S(hi) − F_L(lo)` in the same floats, by
-/// counting over the unsorted band (§5.5 needs no ECDF to rule a tuple). NaN
-/// when a band value is not finite — what [`envelope_ecdfs`] rejects.
-pub(crate) fn rho_upper_by_counting(means: &[f64], sds: &[f64], z: f64, lo: f64, hi: f64) -> f64 {
-    let (mut r_s, mut r_l, mut finite) = (0usize, 0usize, true);
-    for [low, _, high] in band(means, sds, z) {
-        finite &= low.is_finite() && high.is_finite();
-        r_s += usize::from(low <= hi);
-        r_l += usize::from(high <= lo);
+/// `GpOutput::tep_bounds`' `ρ_U = F_S(hi) − F_L(lo)` by counting over the
+/// unsorted band (§5.5 needs no ECDF to rule a tuple), fed one block of
+/// samples at a time: `r_S` counts `f̂ − zσ ≤ hi`, `r_L` counts `f̂ + zσ ≤ lo`.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RhoCount {
+    r_s: usize,
+    r_l: usize,
+    non_finite: bool,
+}
+
+impl RhoCount {
+    /// Count the next block of samples.
+    pub(crate) fn add(&mut self, means: &[f64], sds: &[f64], z: f64, lo: f64, hi: f64) {
+        for [low, _, high] in band(means, sds, z) {
+            self.non_finite |= !(low.is_finite() && high.is_finite());
+            self.r_s += usize::from(low <= hi);
+            self.r_l += usize::from(high <= lo);
+        }
     }
-    let m = means.len() as f64;
-    if finite {
-        (r_s as f64 / m - r_l as f64 / m).clamp(0.0, 1.0)
-    } else {
-        f64::NAN
+
+    /// ρ_U of `m` samples if the `unseen` ones not counted yet all land in
+    /// `r_S` and none in `r_L`. With `unseen = 0` that is `tep_bounds`' ρ_U
+    /// in the same floats; otherwise it is ≥ whatever the full count gives,
+    /// as division, subtraction and clamping round monotonically — so a
+    /// value below θ already rules the tuple the way the full count would.
+    /// NaN once a non-finite band value was counted: what
+    /// [`envelope_ecdfs`] rejects, and below no θ.
+    pub(crate) fn upper(&self, m: usize, unseen: usize) -> f64 {
+        let m = m as f64;
+        if self.non_finite {
+            f64::NAN
+        } else {
+            ((self.r_s + unseen) as f64 / m - self.r_l as f64 / m).clamp(0.0, 1.0)
+        }
     }
 }
 
@@ -242,7 +261,7 @@ pub(crate) fn rho_upper_by_counting(means: &[f64], sds: &[f64], z: f64, lo: f64,
 /// is too, which is all Algorithm 5's loop asks. `a` is the best edge of a
 /// 64-bin histogram of "the lower band straddles this level", recounted
 /// exactly; a poor pick only lowers the floor. NaN when a band value is not
-/// finite, like [`rho_upper_by_counting`].
+/// finite, like [`RhoCount::upper`].
 pub(crate) fn eps_gp_floor(means: &[f64], sds: &[f64], z: f64) -> f64 {
     const BINS: usize = 64;
     let (mut bottom, mut top, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
@@ -477,6 +496,13 @@ mod tests {
         assert!(probes > 100_000 && floors == 5000 && positive > 2500);
     }
 
+    /// ρ_U counted over `means[..k]` with the rest unseen.
+    fn counted(means: &[f64], sds: &[f64], k: usize, lo: f64, hi: f64) -> f64 {
+        let mut count = RhoCount::default();
+        count.add(&means[..k], &sds[..k], 2.0, lo, hi);
+        count.upper(means.len(), means.len() - k)
+    }
+
     #[test]
     fn counted_rho_upper_is_tep_bounds_bitwise_and_nan_on_a_non_finite_band() {
         for_each_triple(|case, (h, s, l), band, rng| {
@@ -494,16 +520,24 @@ mod tests {
             };
             // Interval ends on band values (ties) and off them.
             let ends = [s.min(), l.max(), h.quantile(0.3), rng.gen_range(-3.0..3.0)];
+            let m = means.len();
             for lo in ends {
                 for hi in ends {
-                    let got = rho_upper_by_counting(means, sds, 2.0, lo, hi);
-                    assert_eq!(got.to_bits(), out.tep_bounds(lo, hi).2.to_bits(), "{case}");
+                    let full = counted(means, sds, m, lo, hi);
+                    assert_eq!(full.to_bits(), out.tep_bounds(lo, hi).2.to_bits(), "{case}");
+                    // Any prefix, the rest unseen, bounds the full count.
+                    for k in [0, 1, m / 3, m / 2, m - 1] {
+                        let prefix = counted(means, sds, k, lo, hi);
+                        assert!(prefix >= full, "{case} k {k}: {prefix} < {full}");
+                    }
                 }
             }
         });
         for bad in [f64::NAN, f64::INFINITY, 1e308] {
             let (means, sds) = ([0.0, bad, 1.0], [0.1, 1e308, 0.1]);
-            assert!(rho_upper_by_counting(&means, &sds, 2.0, 0.0, 1.0).is_nan());
+            assert!(counted(&means, &sds, 3, 0.0, 1.0).is_nan());
+            assert!(counted(&means, &sds, 2, 0.0, 1.0).is_nan());
+            assert!(counted(&means, &sds, 1, 0.0, 1.0).is_finite());
             assert!(eps_gp_floor(&means, &sds, 2.0).is_nan());
             assert!(envelope_ecdfs(&means, &sds, 2.0).is_err());
         }

@@ -9,9 +9,10 @@
 //! * **GP**: the envelope upper bound `ρ_U = F_S(b) − F_L(a)` (Eq. 3)
 //!   already dominates the TEP with probability `1 − α`; when `ρ_U < θ` the
 //!   tuple is dropped. The batch fast path
-//!   ([`Olgapro::infer_ruled_with`]) counts ρ_U off the inferred band and
-//!   drops without tuning — or sorting; [`gp_filtered`], the slow path,
-//!   rules the tuple it has just tuned.
+//!   ([`Olgapro::infer_ruled_with`]) counts ρ_U off the band as it is
+//!   inferred, block by block like the MC batches, and drops without
+//!   tuning — or sorting, or inferring the samples a drop no longer needs;
+//!   [`gp_filtered`], the slow path, rules the tuple it has just tuned.
 
 use crate::config::AccuracyRequirement;
 use crate::mc::McEvaluator;
@@ -74,7 +75,12 @@ impl Predicate {
 pub enum FilterDecision<T> {
     /// Tuple dropped: the TEP upper bound fell below θ.
     Filtered {
-        /// Upper bound on the TEP at the decision point.
+        /// Upper bound on the TEP at the decision point, below θ: Remark
+        /// 2.1's `ρ̃ + ε̃` on the MC path, the envelope ρ_U on the GP paths.
+        /// A tuple the GP fast path drops before its last sample reports
+        /// the count that settled it — the samples inferred so far, the
+        /// rest counted as inside `[lo, hi]` ([`Olgapro::infer_ruled_with`])
+        /// — which may exceed the ρ_U of all of them.
         rho_upper: f64,
         /// UDF calls spent before deciding.
         udf_calls: u64,

@@ -12,7 +12,6 @@
 //!   envelope CDFs;
 //! * [`error_bound`] — Algorithm 3 (the O(m log m) λ-discrepancy bound over
 //!   the three empirical CDFs) and the Proposition 4.2 KS bound;
-//! * [`gp_eval`] — the offline GP evaluator (Algorithm 2);
 //! * [`olgapro`] — **OLGAPRO** (Algorithm 5): the optimized online
 //!   algorithm with local inference, online tuning, and thresholded
 //!   retraining;
@@ -29,7 +28,6 @@ pub mod batch;
 pub mod config;
 pub mod error_bound;
 pub mod filtering;
-pub mod gp_eval;
 pub mod hybrid;
 pub mod mc;
 pub mod olgapro;

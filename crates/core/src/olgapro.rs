@@ -21,7 +21,7 @@
 use crate::config::{Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
 use crate::error_bound::{
     band_ecdfs, envelope_ecdfs, eps_gp_floor, ks_bound, lambda_discrepancy_bound,
-    lambda_discrepancy_bound_with, rho_upper_by_counting, BoundScratch,
+    lambda_discrepancy_bound_with, BoundScratch, RhoCount,
 };
 use crate::filtering::{FilterDecision, Predicate};
 use crate::output::GpOutput;
@@ -29,7 +29,7 @@ use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
 use std::time::Instant;
 use udf_gp::band::simultaneous_z;
-use udf_gp::local::select_local_with;
+use udf_gp::local::{select_local_with, LocalPredictor};
 use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
     FactorOrigin, GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch,
@@ -78,6 +78,10 @@ pub struct OlgaproMetrics {
     /// Inferences that never needed them: the loop's question answered by
     /// counting, a tuple ruled out by ρ_U, or a retrain about to supersede.
     pub bounds_skipped: Counter,
+    /// Tuples the fast path dropped before inferring their last sample: the
+    /// ρ_U count over the samples inferred so far already certified the drop
+    /// ([`Olgapro::infer_ruled_with`]).
+    pub ruled_early: Counter,
 }
 
 impl OlgaproMetrics {
@@ -96,6 +100,7 @@ impl OlgaproMetrics {
             tuning_extends: Counter::disabled(),
             bounds_built: Counter::disabled(),
             bounds_skipped: Counter::disabled(),
+            ruled_early: Counter::disabled(),
         }
     }
 
@@ -114,6 +119,7 @@ impl OlgaproMetrics {
             tuning_extends: reg.counter("olgapro.tuning_extends"),
             bounds_built: reg.counter("olgapro.bounds_built"),
             bounds_skipped: reg.counter("olgapro.bounds_skipped"),
+            ruled_early: reg.counter("olgapro.ruled_early"),
         }
     }
 }
@@ -138,10 +144,25 @@ struct InferBuffers {
     select: SelectScratch,
     predict: PredictScratch,
     cache: LocalPredictorCache,
-    /// Posterior sds of the latest inference (means: `predict.means()`).
+    /// Posterior means and sds of the latest inference, one per sample,
+    /// gathered block by block (`predict` holds the latest block only).
+    means: Vec<f64>,
     sds: Vec<f64>,
     bound: BoundScratch,
 }
+
+impl InferBuffers {
+    /// Append the block `predict` holds to `means` and `sds`.
+    fn gather(&mut self) {
+        self.means.extend_from_slice(self.predict.means());
+        let vars = self.predict.variances();
+        self.sds.extend(vars.iter().map(|v| v.sqrt()));
+    }
+}
+
+/// Samples per block after the first on the ruled fast path
+/// ([`Olgapro::infer_ruled_with`]).
+const RULING_BLOCK: usize = 32;
 
 /// The three ECDFs of one inference: Ŷ′, Y′_S, Y′_L.
 type Envelopes = (Ecdf, Ecdf, Ecdf);
@@ -373,6 +394,19 @@ impl Olgapro {
     /// of which a dropped tuple shows anyone. A kept tuple's output is
     /// [`infer_only_with`](Olgapro::infer_only_with)'s, its `tep` the ρ̂ of
     /// [`GpOutput::tep_bounds`] (1 without a predicate).
+    ///
+    /// ρ_U is a count, so it is counted as the samples are inferred — the
+    /// GP analogue of Remark 2.1's batches: first the fewest samples whose
+    /// count could certify a drop (`m − ⌊θm⌋ + 1`), then blocks of 32, each
+    /// predicted bit for bit as in one call over all `m`
+    /// ([`udf_gp::batch`]). After every block, ρ_U with the unseen samples
+    /// all counted into `F_S(hi)` bounds the full count from above; once it
+    /// is below θ the tuple is dropped, as the full count would drop it, and
+    /// that certificate is its reported `rho_upper` — still an upper bound
+    /// on the TEP, possibly above the exact ρ_U
+    /// ([`OlgaproMetrics::ruled_early`] counts these drops). A non-finite
+    /// band value stops certification; samples never inferred are never
+    /// checked. Without a predicate the one block is all `m` samples.
     pub fn infer_ruled_with(
         &self,
         input: &InputDistribution,
@@ -396,19 +430,33 @@ impl Olgapro {
         let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
         let buf = &mut scratch.buf;
-        self.infer(&scratch.samples, &bbox, buf, false)?;
-        if let Some(p) = predicate {
-            // (A non-finite band counts to NaN, which is below no θ: the
-            // bound stage rejects it as it always has.)
-            let rho_upper =
-                rho_upper_by_counting(buf.predict.means(), &buf.sds, z_alpha, p.lo, p.hi);
-            if rho_upper < p.theta {
-                self.metrics.bounds_skipped.inc();
-                return Ok(FilterDecision::Filtered {
-                    rho_upper,
-                    udf_calls: 0,
-                });
+        let local = self.select(&bbox, buf)?;
+        let predictor = self.predictor(local, buf)?;
+        buf.means.clear();
+        buf.sds.clear();
+        let mut count = RhoCount::default();
+        let mut end = predicate.map_or(m, |p| (m - (p.theta * m as f64) as usize + 1).min(m));
+        loop {
+            let start = buf.means.len();
+            self.predict(predictor.as_ref(), &scratch.samples[start..end], buf)?;
+            if let Some(p) = predicate {
+                // (A non-finite band counts to NaN, which is below no θ: the
+                // bound stage rejects it as it always has.)
+                count.add(&buf.means[start..], &buf.sds[start..], z_alpha, p.lo, p.hi);
+                let rho_upper = count.upper(m, m - end);
+                if rho_upper < p.theta {
+                    self.metrics.bounds_skipped.inc();
+                    self.metrics.ruled_early.add(u64::from(end < m));
+                    return Ok(FilterDecision::Filtered {
+                        rho_upper,
+                        udf_calls: 0,
+                    });
+                }
             }
+            if end == m {
+                break;
+            }
+            end = (end + RULING_BLOCK).min(m);
         }
         let (eps_gp, (y_hat, y_s, y_l)) = self.bound(buf, z_alpha)?;
         let output = GpOutput {
@@ -502,7 +550,7 @@ impl Olgapro {
         let mut bounded;
         loop {
             let may_add = points_added < self.config.max_points_per_input;
-            let floor = eps_gp_floor(buf.predict.means(), &buf.sds, z_alpha);
+            let floor = eps_gp_floor(&buf.means, &buf.sds, z_alpha);
             // A floor over the budget proves ε_GP is. A non-finite
             // prediction (NaN floor) goes to the bound stage to be rejected
             // as ever — here, before anything below mutates the model.
@@ -587,7 +635,7 @@ impl Olgapro {
                 // envelopes are the new predictions widened by that z, not
                 // the `z2` ones the bound was just computed on; Ŷ′ is the
                 // same sorted means either way.
-                let (y_s, y_l) = band_ecdfs(buf.predict.means(), &buf.sds, z_alpha)?;
+                let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha)?;
                 bounded = Some((eps_gp, (y_hat, y_s, y_l)));
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
@@ -631,8 +679,8 @@ impl Olgapro {
     }
 
     /// One inference pass: blocked local (or global) prediction at every
-    /// sample. The per-sample means/sds are left in `buf.predict.means()` /
-    /// `buf.sds` for [`bound`](Self::bound) and the counting shortcuts.
+    /// sample. The per-sample means/sds are left in `buf.means` / `buf.sds`
+    /// for [`bound`](Self::bound) and the counting shortcuts.
     ///
     /// All m samples are evaluated as one kernel-matrix build + one
     /// multi-RHS solve ([`udf_gp::batch`]), bit-identical to the former
@@ -650,53 +698,86 @@ impl Olgapro {
         buf: &mut InferBuffers,
         tuning: bool,
     ) -> Result<()> {
-        // Local inference when the kernel is isotropic; global otherwise.
-        // An *empty* selection is legitimate (every training point is far
-        // enough that its weight is below Γ) but the local predictor needs
-        // at least one point — fall back to global inference there too.
-        let use_local =
-            match select_local_with(&self.model, bbox, self.config.gamma, &mut buf.select) {
-                Ok(_) => !buf.select.selected.is_empty(),
-                Err(udf_gp::GpError::InvalidParameter { .. }) => false,
-                Err(e) => return Err(e.into()),
-            };
-        if use_local {
-            let selected = &buf.select.selected;
-            let origin = if tuning {
-                buf.cache
-                    .predict_tuning(&self.model, selected, samples, &mut buf.predict)?
-            } else {
-                let (lp, hit) = buf.cache.get_or_build(&self.model, selected)?;
-                lp.predict_batch_scratch(samples, &mut buf.predict)?;
-                if hit {
-                    FactorOrigin::CacheHit
-                } else {
-                    FactorOrigin::Built
-                }
-            };
-            match origin {
-                FactorOrigin::CacheHit => self.metrics.lp_cache_hits.inc(),
-                FactorOrigin::Built => self.metrics.lp_cache_misses.inc(),
-                FactorOrigin::Extended => {
-                    self.metrics.lp_cache_misses.inc();
-                    self.metrics.tuning_extends.inc();
-                }
-            }
-        } else {
-            self.model
-                .predict_batch_scratch(samples, &mut buf.predict)?;
-        }
+        buf.means.clear();
         buf.sds.clear();
-        let vars = buf.predict.variances();
-        buf.sds.extend(vars.iter().map(|v| v.sqrt()));
+        let local = self.select(bbox, buf)?;
+        if tuning && local {
+            let selected = &buf.select.selected;
+            let origin =
+                buf.cache
+                    .predict_tuning(&self.model, selected, samples, &mut buf.predict)?;
+            self.note_factor(origin);
+            buf.gather();
+            Ok(())
+        } else {
+            let predictor = self.predictor(local, buf)?;
+            self.predict(predictor.as_ref(), samples, buf)
+        }
+    }
+
+    /// Select the training points around `bbox` into `buf.select`: `true`
+    /// for local inference, `false` for global — a kernel that is not
+    /// isotropic, or an *empty* selection, which is legitimate (every
+    /// training point is far enough that its weight is below Γ) but leaves
+    /// the local predictor nothing to stand on.
+    fn select(&self, bbox: &BoundingBox, buf: &mut InferBuffers) -> Result<bool> {
+        match select_local_with(&self.model, bbox, self.config.gamma, &mut buf.select) {
+            Ok(_) => Ok(!buf.select.selected.is_empty()),
+            Err(udf_gp::GpError::InvalidParameter { .. }) => Ok(false),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The local predictor over the latest selection, its subset factor
+    /// taken from `buf.cache` or built into it; `None` for global inference.
+    fn predictor(&self, local: bool, buf: &mut InferBuffers) -> Result<Option<LocalPredictor<'_>>> {
+        if !local {
+            return Ok(None);
+        }
+        let (lp, hit) = buf.cache.get_or_build(&self.model, &buf.select.selected)?;
+        self.note_factor(if hit {
+            FactorOrigin::CacheHit
+        } else {
+            FactorOrigin::Built
+        });
+        Ok(Some(lp))
+    }
+
+    /// Predict at `samples` through `predictor` (the whole model without
+    /// one) and append their means and sds to `buf`'s.
+    fn predict(
+        &self,
+        predictor: Option<&LocalPredictor<'_>>,
+        samples: &[Vec<f64>],
+        buf: &mut InferBuffers,
+    ) -> Result<()> {
+        match predictor {
+            Some(lp) => lp.predict_batch_scratch(samples, &mut buf.predict)?,
+            None => self
+                .model
+                .predict_batch_scratch(samples, &mut buf.predict)?,
+        }
+        buf.gather();
         Ok(())
+    }
+
+    /// Count where a local inference's subset factor came from.
+    fn note_factor(&self, origin: FactorOrigin) {
+        match origin {
+            FactorOrigin::CacheHit => self.metrics.lp_cache_hits.inc(),
+            FactorOrigin::Built => self.metrics.lp_cache_misses.inc(),
+            FactorOrigin::Extended => {
+                self.metrics.lp_cache_misses.inc();
+                self.metrics.tuning_extends.inc();
+            }
+        }
     }
 
     /// The bound stage of the latest [`infer`](Self::infer): the envelope
     /// ECDFs at `z_alpha` and the Algorithm-3 / Prop-4.2 error bound on them.
     fn bound(&self, buf: &mut InferBuffers, z_alpha: f64) -> Result<(f64, Envelopes)> {
         self.metrics.bounds_built.inc();
-        let (y_hat, y_s, y_l) = envelope_ecdfs(buf.predict.means(), &buf.sds, z_alpha)?;
+        let (y_hat, y_s, y_l) = envelope_ecdfs(&buf.means, &buf.sds, z_alpha)?;
         let eps_gp = match self.config.accuracy.metric {
             Metric::Discrepancy => lambda_discrepancy_bound_with(
                 &y_hat,
@@ -1043,15 +1124,16 @@ mod tests {
             let caps = (
                 scratch.buf.bound.capacities(),
                 scratch.buf.predict.capacities(),
-                scratch.buf.sds.capacity(),
+                [&scratch.buf.means, &scratch.buf.sds].map(Vec::capacity),
             );
             assert_eq!(*after_first.get_or_insert(caps), caps, "call {i}");
         }
         let m = olga.config().samples_per_input();
-        let (bound, predict, sds) = after_first.unwrap();
+        let (bound, predict, gathered) = after_first.unwrap();
         assert!(bound.iter().all(|&c| c >= m + 2));
         // (`K` beside `V` is the tuning loop's; the read path never fills it.)
-        assert!(predict[..5].iter().all(|&c| c >= m) && predict[5] == 0 && sds >= m);
+        assert!(predict[..5].iter().all(|&c| c >= m) && predict[5] == 0);
+        assert!(gathered.iter().all(|&c| c >= m));
     }
 
     #[test]
@@ -1246,8 +1328,7 @@ mod tests {
                     retrained = true;
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     (eps_gp, _) = infer_and_bound(self, &mut scratch.buf, z2, false)?;
-                    envelopes =
-                        envelope_ecdfs(scratch.buf.predict.means(), &scratch.buf.sds, z_alpha)?;
+                    envelopes = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
                 }
             }
 
@@ -1460,7 +1541,8 @@ mod tests {
                         udf_calls,
                     } => {
                         assert!(rho_u < theta, "tuple {i} θ {theta}: dropped at ρ_U {rho_u}");
-                        assert_eq!((rho_upper.to_bits(), udf_calls), (rho_u.to_bits(), 0));
+                        // (Ruled early, the certificate can sit above ρ_U.)
+                        assert!(rho_u <= rho_upper && rho_upper < theta && udf_calls == 0);
                         filtered += 1;
                     }
                     FilterDecision::Kept { output, tep } => {
@@ -1480,6 +1562,210 @@ mod tests {
         assert!(
             kept > 100 && filtered > 100 && ties > 50,
             "{kept} {filtered} {ties}"
+        );
+    }
+
+    /// `rho_upper_by_counting` as it was: one count over all m samples.
+    fn rho_upper_by_counting(means: &[f64], sds: &[f64], z: f64, lo: f64, hi: f64) -> f64 {
+        let (mut r_s, mut r_l, mut finite) = (0usize, 0usize, true);
+        for (m, s) in means.iter().zip(sds) {
+            let (low, high) = (m - z * s, m + z * s);
+            finite &= low.is_finite() && high.is_finite();
+            r_s += usize::from(low <= hi);
+            r_l += usize::from(high <= lo);
+        }
+        let m = means.len() as f64;
+        if finite {
+            (r_s as f64 / m - r_l as f64 / m).clamp(0.0, 1.0)
+        } else {
+            f64::NAN
+        }
+    }
+
+    impl Olgapro {
+        /// `infer_ruled_with` as it was before it ruled over sample blocks:
+        /// all m samples inferred in one call, then ρ_U counted once. The
+        /// reference the block-ruled path must match, ruling for ruling.
+        fn ruled_oracle(
+            &self,
+            input: &InputDistribution,
+            rng: &mut dyn rand::RngCore,
+            scratch: &mut InferScratch,
+            predicate: Option<&Predicate>,
+        ) -> Result<FilterDecision<GpOutput>> {
+            if input.dim() != self.udf.dim() {
+                return Err(CoreError::DimensionMismatch {
+                    expected: self.udf.dim(),
+                    found: input.dim(),
+                });
+            }
+            if self.model.is_empty() {
+                return Err(CoreError::Gp(udf_gp::GpError::EmptyModel));
+            }
+            let split = self.config.split();
+            let m = self.config.samples_per_input();
+            input.sample_n_into(rng, m, &mut scratch.samples);
+            let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
+            let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
+            let buf = &mut scratch.buf;
+            self.infer(&scratch.samples, &bbox, buf, false)?;
+            if let Some(p) = predicate {
+                let rho_upper = rho_upper_by_counting(&buf.means, &buf.sds, z_alpha, p.lo, p.hi);
+                if rho_upper < p.theta {
+                    return Ok(FilterDecision::Filtered {
+                        rho_upper,
+                        udf_calls: 0,
+                    });
+                }
+            }
+            let (eps_gp, (y_hat, y_s, y_l)) = self.bound(buf, z_alpha)?;
+            let output = GpOutput {
+                y_hat,
+                y_s,
+                y_l,
+                eps_gp,
+                eps_mc: split.eps_mc,
+                z_alpha,
+                points_added: 0,
+                retrained: false,
+                udf_calls: 0,
+            };
+            let tep = predicate.map_or(1.0, |p| output.tep_bounds(p.lo, p.hi).1);
+            Ok(FilterDecision::Kept { output, tep })
+        }
+    }
+
+    /// A ruling as bits: `Err(message)`, `Filtered` at its ρ_U, or `Kept`
+    /// with its envelopes, `[ε_GP, z_α, tep]`.
+    #[derive(Debug, PartialEq)]
+    enum Ruled {
+        Err(String),
+        Filtered(f64),
+        Kept(Vec<Vec<u64>>, [u64; 3]),
+    }
+
+    fn ruled(r: Result<FilterDecision<GpOutput>>) -> Ruled {
+        match r {
+            Err(e) => Ruled::Err(e.to_string()),
+            Ok(FilterDecision::Filtered { rho_upper, .. }) => Ruled::Filtered(rho_upper),
+            Ok(FilterDecision::Kept { output: o, tep }) => Ruled::Kept(
+                [&o.y_hat, &o.y_s, &o.y_l]
+                    .map(|e| bits(e.values()))
+                    .to_vec(),
+                [o.eps_gp, o.z_alpha, tep].map(f64::to_bits),
+            ),
+        }
+    }
+
+    #[test]
+    fn block_ruling_matches_the_whole_batch_oracle() {
+        // One scratch through every case: blocks of one tuple must not leak
+        // into the next, whatever their sizes.
+        let mut scratch = InferScratch::default();
+        let (mut cases, mut far_drops, mut early) = (0, 0, 0);
+        for shape in 0..4 {
+            for isotropic in [true, false] {
+                let udf = shaped_udf(shape);
+                let dim = udf.dim();
+                let kernel: Box<dyn Kernel> = if isotropic {
+                    Box::new(SquaredExponential::new(1.0, 1.0))
+                } else {
+                    Box::new(udf_gp::SquaredExponentialArd::new(1.0, &vec![1.0; dim]))
+                };
+                let obs = Obs {
+                    metrics: MetricsRegistry::new(),
+                    tracer: TraceBuffer::disabled(),
+                };
+                let mut olga = Olgapro::with_kernel(udf, config(0.2), kernel).with_obs(&obs);
+                let mut rng = StdRng::seed_from_u64(70 + shape as u64);
+                let at = |mu: f64| {
+                    let dims: Vec<(f64, f64)> =
+                        (0..dim).map(|d| (mu + 0.3 * d as f64, 0.4)).collect();
+                    InputDistribution::diagonal_gaussian(&dims).unwrap()
+                };
+                for i in 0..8 {
+                    olga.process(&at(0.8 * i as f64), &mut rng).unwrap();
+                }
+                let factors = olga.metrics.lp_cache_hits.get() + olga.metrics.lp_cache_misses.get();
+                assert_eq!(factors > 0, isotropic, "shape {shape}: local inference");
+                for t in 0..10u64 {
+                    let input = at(0.61 * t as f64);
+                    let seed = 1000 * shape as u64 + t;
+                    let full = olga
+                        .infer_only(&input, &mut StdRng::seed_from_u64(seed))
+                        .unwrap();
+                    let (y, span) = (&full.y_hat, full.y_s.max() - full.y_l.min() + 1.0);
+                    let intervals = [
+                        (y.quantile(0.3), y.quantile(0.7)),           // inside
+                        (y.quantile(0.5), y.max() + span),            // straddling
+                        (y.max() + 3.0 * span, y.max() + 4.0 * span), // far above
+                        (y.min() - 4.0 * span, y.min() - 3.0 * span), // far below
+                    ];
+                    let mut predicates = vec![(None, false)];
+                    for (k, (lo, hi)) in intervals.into_iter().enumerate() {
+                        for theta in [0.05, 0.5, 0.95] {
+                            if let Ok(p) = Predicate::new(lo, hi, theta) {
+                                predicates.push((Some(p), k >= 2));
+                            }
+                        }
+                    }
+                    for (pred, far) in predicates {
+                        let what = format!("shape {shape} iso {isotropic} tuple {t} {pred:?}");
+                        let before = olga.metrics.ruled_early.get();
+                        let got = ruled(olga.infer_ruled_with(
+                            &input,
+                            &mut StdRng::seed_from_u64(seed),
+                            &mut scratch,
+                            pred.as_ref(),
+                        ));
+                        let want = ruled(olga.ruled_oracle(
+                            &input,
+                            &mut StdRng::seed_from_u64(seed),
+                            &mut InferScratch::default(),
+                            pred.as_ref(),
+                        ));
+                        let ruled_early = olga.metrics.ruled_early.get() > before;
+                        match (&got, &want) {
+                            (Ruled::Filtered(reported), Ruled::Filtered(rho_u)) => {
+                                let theta = pred.unwrap().theta;
+                                assert!(rho_u <= reported && *reported < theta, "{what}");
+                                assert!(ruled_early || reported == rho_u, "{what}");
+                                far_drops += usize::from(far);
+                                early += usize::from(far && ruled_early);
+                            }
+                            _ => assert_eq!(got, want, "{what}"),
+                        }
+                        assert!(!ruled_early || matches!(got, Ruled::Filtered(_)), "{what}");
+                        cases += 1;
+                    }
+                }
+
+                // A model whose weights overflow infers a non-finite band:
+                // no certificate, whatever θ — both paths reject it.
+                let mut broken = olga.clone();
+                broken.model.add_point(vec![1.0; dim], 1.7e308).unwrap();
+                let pred = Predicate::new(1e6, 1e6 + 1.0, 0.95).unwrap();
+                let got = broken.infer_ruled_with(
+                    &at(1.0),
+                    &mut StdRng::seed_from_u64(5),
+                    &mut scratch,
+                    Some(&pred),
+                );
+                let want = broken.ruled_oracle(
+                    &at(1.0),
+                    &mut StdRng::seed_from_u64(5),
+                    &mut InferScratch::default(),
+                    Some(&pred),
+                );
+                let (got, want) = (ruled(got), ruled(want));
+                assert!(matches!(got, Ruled::Err(_)), "shape {shape}: {got:?}");
+                assert_eq!(got, want, "shape {shape}: non-finite band");
+            }
+        }
+        assert!(cases > 1000, "{cases}");
+        assert!(
+            far_drops > 100 && 2 * early > far_drops,
+            "{early} of {far_drops}"
         );
     }
 

@@ -548,6 +548,62 @@ mod tests {
     }
 
     #[test]
+    fn contiguous_blocks_predict_what_one_call_does_bitwise() {
+        // What ruling a tuple block by block rests on: reductions run over
+        // training rows, so splitting the samples changes no sample's bits —
+        // at any split, local or global, through one reused scratch.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let mut reused = PredictScratch::default();
+        let mut blocks = 0;
+        for case in 0..80 {
+            let dim = 1 + case % 2;
+            let point = |rng: &mut StdRng| -> Vec<f64> {
+                (0..dim).map(|_| rng.gen_range(0.0..6.0)).collect()
+            };
+            let mut m = GpModel::new(
+                Box::new(SquaredExponential::new(
+                    0.5 + rng.gen::<f64>(),
+                    0.4 + rng.gen::<f64>(),
+                )),
+                dim,
+            );
+            let xs: Vec<Vec<f64>> = (0..rng.gen_range(2..20)).map(|_| point(&mut rng)).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.3).sin()).collect();
+            m.fit(xs, ys).unwrap();
+            let subset: Vec<usize> = (0..m.len()).step_by(1 + case % 3).collect();
+            let local = LocalPredictor::new(&m, subset).unwrap();
+            let queries: Vec<Vec<f64>> = (0..rng.gen_range(1..300))
+                .map(|_| point(&mut rng))
+                .collect();
+            type Predict<'p> = &'p dyn Fn(&[Vec<f64>], &mut PredictScratch) -> Result<()>;
+            let global: Predict = &|qs, s| m.predict_batch_scratch(qs, s);
+            let subset: Predict = &|qs, s| local.predict_batch_scratch(qs, s);
+            for predict in [global, subset] {
+                let mut whole = PredictScratch::default();
+                predict(&queries, &mut whole).unwrap();
+                let (mut means, mut vars) = (Vec::new(), Vec::new());
+                let mut start = 0;
+                while start < queries.len() {
+                    let end = (start + rng.gen_range(1..=70usize)).min(queries.len());
+                    predict(&queries[start..end], &mut reused).unwrap();
+                    means.extend_from_slice(reused.means());
+                    vars.extend_from_slice(reused.variances());
+                    (start, blocks) = (end, blocks + 1);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&means), bits(whole.means()), "case {case}: means");
+                assert_eq!(
+                    bits(&vars),
+                    bits(whole.variances()),
+                    "case {case}: variances"
+                );
+            }
+        }
+        assert!(blocks > 500, "{blocks}");
+    }
+
+    #[test]
     fn empty_query_batch_is_empty() {
         let m = model(8);
         assert!(m.predict_batch(&[]).unwrap().is_empty());

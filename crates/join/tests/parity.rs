@@ -302,6 +302,23 @@ fn invalid_specs_are_refused() {
         JoinExecutor::new(&no_pred),
         Err(JoinError::InvalidSpec(m)) if m.contains("predicate")
     ));
+
+    // A valid accuracy asking ~10¹⁵ samples of each pair is an error, not
+    // an allocation that takes the process down.
+    let tiny = AccuracyRequirement::new(1e-7, 0.05, 0.0, Metric::Ks).unwrap();
+    for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
+        let args = [(Side::Left, "z"), (Side::Right, "z")];
+        let spec = JoinSpec::new(&g, "a", &g, "b", entry.udf.clone(), &args, tiny, 1.0)
+            .unwrap()
+            .strategy(strategy);
+        let err = JoinExecutor::new(&spec)
+            .and_then(|mut ex| ex.run(&BatchScheduler::new(1)))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("samples per tuple"),
+            "{strategy:?}: {err}"
+        );
+    }
 }
 
 /// A projection join (no WHERE) emits every candidate pair with TEP 1.

@@ -21,7 +21,9 @@ use crate::ast::{
 use crate::error::{LangError, Result, Span, Spanned};
 use crate::exec::Context;
 use std::fmt;
-use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
+use udf_core::config::{
+    check_samples_per_tuple, AccuracyRequirement, Metric, OlgaproConfig, MAX_SAMPLES_PER_TUPLE,
+};
 use udf_core::filtering::Predicate;
 use udf_core::hybrid::{rule_based_choice, HybridChoice};
 use udf_core::udf::BlackBoxUdf;
@@ -538,12 +540,6 @@ pub struct ParamSlot {
     pub what: &'static str,
 }
 
-/// The most samples an accuracy clause may ask of one tuple (2²⁴: ε ≈ 7·10⁻⁴
-/// under `USING mc`, ≈ 10⁻³ under `USING gp`, at δ = 0.05). The binder
-/// rejects a tighter accuracy; the sample buffers it would need are
-/// allocated in one piece.
-pub const MAX_SAMPLES_PER_TUPLE: usize = 1 << 24;
-
 /// Catalog bindings resolved once at prepare time, per source form.
 /// Numeric fields stay in the stored [`Select`] as
 /// [`NumExpr`]/[`UintExpr`] slots and are resolved per execution by
@@ -681,9 +677,8 @@ impl PreparedPlan {
                 let delta = num(&acc.delta);
                 let accuracy = AccuracyRequirement::new(eps.node, delta.node, self.lambda, metric)
                     .map_err(|e| accuracy_diagnostic(e, eps.span, delta.span))?;
-                // The evaluators allocate their sample buffers up front, so
-                // a valid but tiny ε (the count grows as 1/ε²) would die in
-                // the allocator instead of failing with a span.
+                // The evaluators refuse a valid but tiny ε (the count grows
+                // as 1/ε²) too; here it fails with a span.
                 let samples = if is_mc {
                     accuracy.mc_samples()
                 } else {
@@ -691,7 +686,7 @@ impl PreparedPlan {
                         .expect("accuracy and output_range validated above")
                         .samples_per_input()
                 };
-                if samples > MAX_SAMPLES_PER_TUPLE {
+                if check_samples_per_tuple(samples).is_err() {
                     return Err(LangError::semantic(
                         eps.span,
                         format!(

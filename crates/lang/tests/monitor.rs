@@ -7,11 +7,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+use udf_core::udf::{CostModel, UdfFunction};
 use udf_lang::{run_uql, Context, QueryOutput};
 use udf_query::{ProjectedTuple, Relation, Schema, Tuple, Value};
 use udf_stream::SyntheticSource;
 use udf_workloads::astro::GalaxyCatalog;
+use udf_workloads::UdfEntry;
 
 fn sky() -> Relation {
     let mut rng = StdRng::seed_from_u64(42);
@@ -134,6 +138,80 @@ fn monitor_is_output_blind_across_worker_counts() {
             digest_on, digest_off,
             "monitor-blind stream digest, workers={workers}"
         );
+    }
+}
+
+/// A UDF that panics on its `bad`-th call, once, and is healthy otherwise.
+struct PanicsOnce {
+    calls: AtomicU64,
+    bad: u64,
+}
+
+impl UdfFunction for PanicsOnce {
+    fn dim(&self) -> usize {
+        1
+    }
+    fn eval(&self, x: &[f64]) -> f64 {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        assert!(call != self.bad, "injected UDF panic");
+        (x[0] * 3.0).sin()
+    }
+    fn name(&self) -> &str {
+        "Boom"
+    }
+}
+
+fn boom_ctx(bad: u64) -> Context {
+    let mut ctx = demo_ctx();
+    let boom = PanicsOnce {
+        calls: AtomicU64::new(0),
+        bad,
+    };
+    let domain = vec![(0.0, 2.0)];
+    let entry = UdfEntry::probed(Arc::new(boom), CostModel::Free, domain, Some(2.0), "");
+    ctx.udfs_mut().register(entry);
+    ctx
+}
+
+/// A UDF panicking mid-statement under a 1 ms background sampler: the
+/// statement fails — the panic unwinds out of the sequential path (GP) or
+/// comes back as a worker error (MC) — while the sampler keeps sampling,
+/// the next statement in the same context returns what a fresh context
+/// returns, and dropping the sampler joins its thread.
+#[test]
+fn a_panicking_udf_under_a_running_sampler_fails_only_its_statement() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    // Call 8 is inside the first GP tuple's tuning loop; call 300 is on a
+    // pool worker in the middle of the MC batch.
+    for (using, bad) in [("gp", 8), ("mc", 300)] {
+        let q = format!("SELECT Boom(z) FROM sky USING {using} WORKERS 2 SEED 7");
+        let mut ctx = boom_ctx(bad);
+        let sampler = ctx.monitor().start(Duration::from_millis(1));
+        let failed = catch_unwind(AssertUnwindSafe(|| run_uql(&q, &mut ctx)));
+        assert!(
+            !matches!(failed, Ok(Ok(_))),
+            "{using}: the statement succeeded"
+        );
+
+        let (before, t0) = (ctx.monitor().samples(), std::time::Instant::now());
+        while ctx.monitor().samples() == before {
+            let waited = t0.elapsed();
+            assert!(
+                waited < Duration::from_secs(10),
+                "{using}: sampling stopped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let QueryOutput::Rows(again) = run_uql(&q, &mut ctx).unwrap() else {
+            panic!("rows")
+        };
+        let QueryOutput::Rows(fresh) = run_uql(&q, &mut boom_ctx(u64::MAX)).unwrap() else {
+            panic!("rows")
+        };
+        assert_eq!(again.rows.len(), 64, "{using}");
+        assert_rows_identical(&again.rows, &fresh.rows, using);
+        drop(sampler);
     }
 }
 

@@ -22,7 +22,7 @@
 use crate::relation::{Relation, UdfCall};
 use crate::Result;
 use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
-use udf_core::config::{AccuracyRequirement, ModelBudget, OlgaproConfig};
+use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
@@ -114,9 +114,13 @@ impl Executor {
     ) -> Result<Self> {
         let udf = call.udf.clone();
         let eval = match strategy {
-            EvalStrategy::Mc => Evaluator::Mc { udf, accuracy },
+            EvalStrategy::Mc => {
+                check_samples_per_tuple(accuracy.mc_samples())?;
+                Evaluator::Mc { udf, accuracy }
+            }
             EvalStrategy::Gp => {
                 let cfg = OlgaproConfig::new(accuracy, output_range)?;
+                check_samples_per_tuple(cfg.samples_per_input())?;
                 Evaluator::Gp(Box::new(Olgapro::new(udf, cfg)))
             }
         };
@@ -315,6 +319,22 @@ mod tests {
 
     fn acc(metric: Metric) -> AccuracyRequirement {
         AccuracyRequirement::new(0.2, 0.05, 0.02, metric).unwrap()
+    }
+
+    #[test]
+    fn a_tiny_eps_is_an_error_not_an_allocation() {
+        // Valid, and ~10¹⁵ samples per tuple under either strategy.
+        let r = rel(2);
+        let udf = BlackBoxUdf::from_fn("sq", 1, |x| x[0] * x[0]);
+        let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
+        let tiny = AccuracyRequirement::new(1e-7, 0.05, 0.0, Metric::Ks).unwrap();
+        for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
+            let err = Executor::new(strategy, tiny, &call, 10.0).unwrap_err();
+            assert!(
+                err.to_string().contains("samples per tuple"),
+                "{strategy:?}: {err}"
+            );
+        }
     }
 
     #[test]

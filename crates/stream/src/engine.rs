@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Instant;
 use udf_core::batch::{BatchSpec, Evaluator};
-use udf_core::config::{AccuracyRequirement, ModelBudget, OlgaproConfig};
+use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::hybrid::{rule_based_choice, HybridChoice};
 use udf_core::olgapro::Olgapro;
@@ -294,10 +294,13 @@ impl StreamEngine {
         };
         let dim = params.udf.dim();
         let eval = match strategy {
-            StreamStrategy::Mc => Evaluator::Mc {
-                udf: params.udf,
-                accuracy: params.accuracy,
-            },
+            StreamStrategy::Mc => {
+                check_samples_per_tuple(params.accuracy.mc_samples())?;
+                Evaluator::Mc {
+                    udf: params.udf,
+                    accuracy: params.accuracy,
+                }
+            }
             StreamStrategy::Gp | StreamStrategy::Auto => {
                 // The model-size budget lives in the core config, so the
                 // slow path (Algorithm 5) enforces it itself — a burst of
@@ -306,6 +309,7 @@ impl StreamEngine {
                 // bootstrap size instead of letting them thrash.
                 let cfg = OlgaproConfig::new(params.accuracy, params.output_range)?
                     .with_model_cap(params.max_model_points, ModelBudget::StopGrowing)?;
+                check_samples_per_tuple(cfg.samples_per_input())?;
                 Evaluator::Gp(Box::new(Olgapro::new(params.udf, cfg).with_obs(&self.obs)))
             }
         };

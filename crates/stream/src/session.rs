@@ -458,6 +458,28 @@ mod tests {
     }
 
     #[test]
+    fn subscribe_rejects_a_tiny_eps() {
+        // Valid, and ~10¹⁵ samples per tuple under either strategy.
+        let tiny = AccuracyRequirement::new(1e-7, 0.05, 0.0, Metric::Ks).unwrap();
+        for strategy in [StreamStrategy::Mc, StreamStrategy::Gp] {
+            let mut session = Session::new(EngineConfig::new());
+            let err = session
+                .subscribe(QuerySpec::new("tiny", sin_udf(), tiny, strategy).output_range(2.0))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    crate::StreamError::Core(udf_core::CoreError::InvalidConfig {
+                        what: "samples per tuple",
+                        ..
+                    })
+                ),
+                "{strategy:?}: got {err}"
+            );
+        }
+    }
+
+    #[test]
     fn subscribe_rejects_cap_below_bootstrap() {
         for bad in [1usize, 2, 4] {
             let mut session = Session::new(EngineConfig::new());
