@@ -618,25 +618,31 @@ impl Olgapro {
             };
             if do_retrain {
                 let t_retrain = self.metrics.retrain_ns.enabled().then(Instant::now);
+                let epoch = self.model.epoch();
                 let iterations = train(&mut self.model, &TrainConfig::default())?.iterations;
                 self.stats.retrains += 1;
                 self.stats.train_iterations += iterations as u64;
                 self.metrics.train_iters.record(iterations as u64);
                 retrained = true;
                 // Re-run inference with the new hyperparameters (step 12);
-                // whatever the loop's last one left unbuilt stays unbuilt.
-                self.metrics
-                    .bounds_skipped
-                    .add(u64::from(bounded.is_none()));
-                let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-                self.infer(&scratch.samples, &bbox, buf, false)?;
-                let (eps_gp, (y_hat, ..)) = self.bound(buf, z2)?;
-                // The output reports the pre-retrain `z_alpha`, so its
-                // envelopes are the new predictions widened by that z, not
-                // the `z2` ones the bound was just computed on; Ŷ′ is the
-                // same sorted means either way.
-                let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha)?;
-                bounded = Some((eps_gp, (y_hat, y_s, y_l)));
+                // whatever the loop's last one left unbuilt stays unbuilt. A
+                // `train` that proposed nothing left the model the loop's
+                // last inference read: re-inferring would reproduce it, and
+                // `z2` would be `z_alpha`, so `bounded` stands.
+                if self.model.epoch() != epoch {
+                    self.metrics
+                        .bounds_skipped
+                        .add(u64::from(bounded.is_none()));
+                    let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
+                    self.infer(&scratch.samples, &bbox, buf, false)?;
+                    let (eps_gp, (y_hat, ..)) = self.bound(buf, z2)?;
+                    // The output reports the pre-retrain `z_alpha`, so its
+                    // envelopes are the new predictions widened by that z,
+                    // not the `z2` ones the bound was just computed on; Ŷ′
+                    // is the same sorted means either way.
+                    let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha)?;
+                    bounded = Some((eps_gp, (y_hat, y_s, y_l)));
+                }
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
                 }
@@ -1079,7 +1085,8 @@ mod tests {
         // after a retrain, where the bound is recomputed at the new
         // hyperparameters' z while the output keeps the z (and envelopes
         // at that z) from before. Goldens captured on the commit before
-        // envelope reuse, so the reuse cannot move an emitted bit.
+        // envelope reuse, so the reuse cannot move an emitted bit; re-recorded
+        // when the SE kernel's own `exp` and the Newton z_α solve came in.
         let mut cfg = config(0.2);
         cfg.retrain = RetrainStrategy::Eager;
         let mut olga = Olgapro::new(smooth_udf(), cfg);
@@ -1099,9 +1106,9 @@ mod tests {
 
         let ends = |e: &Ecdf| [e.min().to_bits(), e.max().to_bits()];
         assert_eq!(out.eps_gp.to_bits(), 0x3f90125e227080a0);
-        assert_eq!(out.z_alpha.to_bits(), 0x40058100f84adba0);
-        assert_eq!(ends(&out.y_s), [0xbfa47819f75f1aca, 0x3feff387c1ca4cba]);
-        assert_eq!(ends(&out.y_l), [0xbf9e3aab349b5a6c, 0x3ff00125f4050523]);
+        assert_eq!(out.z_alpha.to_bits(), 0x40058100f84adba1);
+        assert_eq!(ends(&out.y_s), [0xbfa47819f75494ea, 0x3feff387c1c9b8f6]);
+        assert_eq!(ends(&out.y_l), [0xbf9e3aab34b2d62b, 0x3ff00125f4053885]);
     }
 
     #[test]
@@ -1500,6 +1507,55 @@ mod tests {
             certified > 100 && fell_back > 10 && superseded > 100,
             "certified {certified}, fell back {fell_back}, superseded {superseded}"
         );
+    }
+
+    #[test]
+    fn a_retrain_that_accepts_no_step_keeps_the_bound_it_had() {
+        // F2 away from its spike, with both hyperparameters on the walls of
+        // the box and both gradients pointing out of it: `train` takes one
+        // gradient and proposes nothing, so the step-12 re-inference the
+        // oracle still runs reproduces the tuning loop's last one.
+        let f2 = BlackBoxUdf::from_fn("f2", 1, |x| (-(x[0] - 9.54).powi(2) / 0.72).exp());
+        let mut cfg = config(0.2);
+        cfg.retrain = RetrainStrategy::Eager;
+        let mut kernel = SquaredExponential::new(1.0, 1.0);
+        kernel.set_params(&[-8.0, 8.0]);
+        let mut proposed_nothing = 0;
+        for t in 0..8u64 {
+            let mk = || {
+                let obs = Obs {
+                    metrics: MetricsRegistry::new(),
+                    tracer: TraceBuffer::new(1, 1 << 12),
+                };
+                let kernel = Box::new(kernel.clone());
+                let olga = Olgapro::with_kernel(f2.clone(), cfg.clone(), kernel).with_obs(&obs);
+                (olga, obs)
+            };
+            let ((mut skip, skip_obs), (mut oracle, oracle_obs)) = (mk(), mk());
+            let input = InputDistribution::diagonal_gaussian(&[(0.7 * t as f64, 0.4)]).unwrap();
+            let rng = || StdRng::seed_from_u64(t);
+            let got = skip.process_with(&input, &mut rng(), &mut InferScratch::default());
+            let want = oracle.process_oracle(&input, &mut rng(), &mut InferScratch::default());
+            assert_eq!(
+                observe(&skip, &skip_obs, got),
+                observe(&oracle, &oracle_obs, want),
+                "tuple {t}"
+            );
+            // The bootstrap points make every tuple retrain, once, and only
+            // the oracle infers after it.
+            assert_eq!(skip.stats().retrains, 1, "tuple {t}");
+            proposed_nothing += usize::from(skip.stats().train_iterations == 1);
+            let inferences = |obs: &Obs| {
+                let counters = obs.metrics.snapshot().counters;
+                counters["olgapro.lp_cache.hits"] + counters["olgapro.lp_cache.misses"]
+            };
+            assert_eq!(
+                inferences(&skip_obs) + 1,
+                inferences(&oracle_obs),
+                "tuple {t}"
+            );
+        }
+        assert_eq!(proposed_nothing, 8);
     }
 
     #[test]

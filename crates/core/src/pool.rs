@@ -1,7 +1,8 @@
 //! The persistent worker pool under [`crate::sched::BatchScheduler`] — and
-//! the workspace's only `unsafe`: a lifetime erasure that hands a borrowed
-//! task to long-lived threads, sound because [`WorkerPool::run`] does not
-//! return until every thread it dispatched to has reported back.
+//! one of the workspace's two `unsafe`s (the other: `udf_gp`'s AVX2 row map):
+//! a lifetime erasure that hands a borrowed task to long-lived threads, sound
+//! because [`WorkerPool::run`] does not return until every thread it
+//! dispatched to has reported back.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;

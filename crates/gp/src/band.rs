@@ -16,10 +16,10 @@
 //!
 //! with `e_j` the elementary symmetric polynomials (sum over j-dimensional
 //! faces of the box) and `H` the probabilists' Hermite polynomials. We solve
-//! `2·E[φ(A_{z_α})] = α` (two-sided band, |Z| ≥ z) for `z_α` by bisection —
-//! once per tuple on the warm path, so the factors that do not depend on `z`
-//! (`e_j`, the powers of `2π`) are computed once per solve and the bisection
-//! stops when its bracket is one ulp wide, where further steps cannot move it.
+//! `2·E[φ(A_{z_α})] = α` (two-sided band, |Z| ≥ z) for `z_α` once per tuple
+//! on the warm path: the `z`-free factors (`e_j`, powers of `2π`) once per
+//! solve, then Newton on `ln E[φ]` from the pointwise quantile, safeguarded
+//! by bisection — about eight evaluations where bisection to one ulp took 57.
 //!
 //! Conservativeness: the standardized posterior error field is not exactly
 //! stationary; using the *prior* spectral moments is the standard practice
@@ -29,13 +29,13 @@
 use crate::kernel::Kernel;
 use crate::model::GpModel;
 use crate::{GpError, Result};
-use udf_prob::special::{hermite, norm_sf};
+use udf_prob::special::{hermite, norm_ppf, norm_sf};
 use udf_spatial::BoundingBox;
 
-/// `z ↦ E[φ(A_z)]` over `domain`, with the factors that do not depend on the
-/// level — `e_j(T√λ₂)` and `(2π)^{−(j+1)/2}` for `j = 1..=d` — computed once:
-/// [`simultaneous_z`] evaluates the formula at up to 82 levels per domain.
-fn euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox) -> impl Fn(f64) -> f64 {
+/// `z ↦ (E[φ(A_z)], dE[φ(A_z)]/dz)` over `domain`, the factors that do not
+/// depend on `z` — `e_j(T√λ₂)`, `(2π)^{−(j+1)/2}` — computed once. Termwise,
+/// `dΦ̄/dz = −φ` and `d(H_k e^{−z²/2})/dz = −H_{k+1} e^{−z²/2}`.
+fn euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox) -> impl Fn(f64) -> (f64, f64) {
     let moments = kernel.spectral_moment();
     // a_i = T_i sqrt(λ₂,i); isotropic kernels report one moment for all dims.
     let a: Vec<f64> = (0..domain.dim())
@@ -51,18 +51,20 @@ fn euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox) -> impl Fn(f6
     move |z| {
         let gauss = (-0.5 * z * z).exp();
         let mut total = norm_sf(z);
+        let mut slope = -gauss / two_pi.sqrt();
         for (j, (e_j, power_j)) in factors.iter().enumerate() {
             let rho_j = power_j * hermite(j, z) * gauss;
             total += e_j * rho_j;
+            slope -= e_j * power_j * hermite(j + 1, z) * gauss;
         }
-        total
+        (total, slope)
     }
 }
 
 /// Expected Euler characteristic of the excursion set of a standardized
 /// stationary field above level `z` over `domain`.
 pub fn expected_euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox, z: f64) -> f64 {
-    euler_characteristic(kernel, domain)(z)
+    euler_characteristic(kernel, domain)(z).0
 }
 
 /// Solve for the two-sided simultaneous band multiplier `z_α`:
@@ -76,26 +78,36 @@ pub fn simultaneous_z(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> 
     let ec = euler_characteristic(kernel, domain);
     // E[φ] is decreasing in z on the z ≥ 1 regime of interest.
     let (mut lo, mut hi) = (1.0, 16.0);
-    if ec(lo) <= target {
+    if ec(lo).0 <= target {
         return lo;
     }
-    if ec(hi) >= target {
+    if ec(hi).0 >= target {
         return hi;
     }
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        // A bracket one ulp wide is final: `mid` is one of its ends, and
-        // re-testing an end leaves both where they are.
-        if mid == lo || mid == hi {
+    // Newton on g(z) = ln E[φ(A_z)] − ln(α/2) from the pointwise quantile
+    // (E[φ] ≥ Φ̄, so the root lies above it), keeping [lo, hi] around the
+    // root; a step that leaves it, or fails to halve the one before, bisects.
+    let ln_target = target.ln();
+    let mut z = (-norm_ppf(target)).clamp(lo, hi);
+    let mut step = hi - lo;
+    for _ in 0..128 {
+        let (e, slope) = ec(z);
+        let g = e.ln() - ln_target;
+        (lo, hi) = if g > 0.0 { (z, hi) } else { (lo, z) };
+        let newton = z - g * e / slope;
+        let next = if (lo..=hi).contains(&newton) && 2.0 * (newton - z).abs() <= step {
+            newton
+        } else {
+            0.5 * (lo + hi)
+        };
+        step = (next - z).abs();
+        z = next;
+        // A step under an ulp or two is final, as is a bracket one ulp wide.
+        if step <= f64::EPSILON * z || z == lo || z == hi {
             break;
         }
-        if ec(mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
     }
-    0.5 * (lo + hi)
+    z
 }
 
 /// Sound bracketing of the simultaneous band `f̂(x) ± z·σ(x)` over whole
@@ -292,7 +304,8 @@ mod tests {
         total
     }
 
-    /// [`simultaneous_z`] over [`ec_oracle`], all 80 bisection steps taken.
+    /// `z_α` by bisection over [`ec_oracle`], all 80 steps taken: the
+    /// root to the last bit.
     fn simultaneous_z_oracle(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> f64 {
         let target = alpha / 2.0;
         let f = |z: f64| ec_oracle(kernel, domain, z);
@@ -315,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_bisection_matches_the_per_step_oracle_bitwise() {
+    fn newton_z_alpha_matches_the_bisection_oracle() {
         use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -345,16 +358,33 @@ mod tests {
             } else {
                 10f64.powf(rng.gen_range(-4.0..0.3f64.log10()))
             };
+            // The formula is the oracle's to the bit, its slope the
+            // formula's central difference.
             let z = rng.gen_range(1.0..16.0);
-            let ec = expected_euler_characteristic(kernel.as_ref(), &domain, z);
+            let ec = euler_characteristic(kernel.as_ref(), &domain);
+            let (value, slope) = ec(z);
+            let want = ec_oracle(kernel.as_ref(), &domain, z);
             assert_eq!(
-                ec.to_bits(),
-                ec_oracle(kernel.as_ref(), &domain, z).to_bits(),
+                value.to_bits(),
+                want.to_bits(),
                 "case {case}: E[φ] at z = {z}"
             );
+            let h = 1e-6 * z;
+            let fd = (ec(z + h).0 - ec(z - h).0) / (2.0 * h);
+            let tol = 1e-5 * (slope.abs() + value.abs());
+            assert!(
+                (fd - slope).abs() <= tol,
+                "case {case}: slope {slope} vs {fd}"
+            );
+            // The root within 16 ulps; the clamp exits exact.
             let got = simultaneous_z(kernel.as_ref(), &domain, alpha);
             let want = simultaneous_z_oracle(kernel.as_ref(), &domain, alpha);
-            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: α = {alpha}");
+            let ulps = got.to_bits().abs_diff(want.to_bits());
+            let clamped = [1.0, 16.0].contains(&want);
+            assert!(
+                ulps <= if clamped { 0 } else { 16 },
+                "case {case}: α = {alpha}, {got} vs {want}"
+            );
             at_lo += usize::from(got == 1.0);
             at_hi += usize::from(got == 16.0);
             inside += usize::from(got > 1.0 && got < 16.0);

@@ -7,6 +7,10 @@
 //! The paper works with the squared-exponential kernel
 //! `k(x, x') = σ_f² exp(−‖x−x'‖² / (2ℓ²))` and notes that Matérn kernels
 //! suit rougher functions (§3.2); all are provided.
+//!
+//! The SE kernel's per-entry `exp` is this module's own, IEEE multiplies,
+//! adds and one division only (Rust never contracts floats): the same bits
+//! on every target, and four lanes at a time where the CPU has AVX2.
 
 /// A positive-definite covariance function with log-space hyperparameters.
 pub trait Kernel: Send + Sync + std::fmt::Debug {
@@ -189,6 +193,68 @@ pub(crate) fn sq_dists_flat(x: &[f64], flat: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `eˣ` within 1 ulp of libm's, exact at NaN, ±∞, ±0, overflow and
+/// underflow: musl's Cody–Waite reduction `x = k ln 2 + r`, `|r| ≤ ½ ln 2`,
+/// and rational form `eʳ = 1 + r + r·c/(2 − c)`, `c` a polynomial in `r²`;
+/// `2ᵏ` is applied as two multiplies.
+#[inline(always)]
+fn exp(x: f64) -> f64 {
+    // 1.5·2⁵²: `x·log₂e + SHIFT` is `SHIFT + k` exactly, k in its low bits.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    const INV_LN2: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    const P1: f64 = f64::from_bits(0x3fc5_5555_5555_553e);
+    const P2: f64 = f64::from_bits(0xbf66_c16c_16be_bd93);
+    const P3: f64 = f64::from_bits(0x3f11_566a_af25_de2c);
+    const P4: f64 = f64::from_bits(0xbebb_bd41_c5d2_6bf1);
+    const P5: f64 = f64::from_bits(0x3e66_3769_72be_a4d0);
+    // Past these eˣ is 0 or ∞ anyway, and inside them both factors of 2ᵏ
+    // below are normal. NaN passes the clamp and every step after it.
+    let x = x.clamp(-760.0, 720.0);
+    let t = x * INV_LN2 + SHIFT;
+    let k = t - SHIFT;
+    let (hi, lo) = (x - k * LN2_HI, k * LN2_LO);
+    let r = hi - lo;
+    let rr = r * r;
+    let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
+    let y = 1.0 + (r * c / (2.0 - c) - lo + hi);
+    // 2ᵏ = 2^⌊k/2⌋ · 2^⌈k/2⌉, exponents read off `t`'s bits (SHIFT's low 51
+    // are zero): the first product is exact, the second rounds once.
+    let bits = t.to_bits();
+    let pow2 = |e: u64| f64::from_bits((e + 1023) << 52);
+    y * pow2(bits >> 1) * pow2(bits - (bits >> 1))
+}
+
+/// `d ← σ_f² · exp(c·d)` over a row of squared distances, `c = −1/(2ℓ²)`:
+/// [`SquaredExponential::eval`]'s expression, for both builds of the loop.
+#[inline(always)]
+fn se_map(d2: &mut [f64], sf2: f64, c: f64) {
+    for d in d2 {
+        *d = sf2 * exp(c * *d);
+    }
+}
+
+/// [`se_map`] compiled for AVX2: the same operations, four lanes at a time.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn se_map_avx2(d2: &mut [f64], sf2: f64, c: f64) {
+    se_map(d2, sf2, c)
+}
+
+/// [`se_map`] at the widest vectors the CPU has; the same bits either way.
+fn se_row(d2: &mut [f64], sf2: f64, c: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected.
+        return unsafe { se_map_avx2(d2, sf2, c) };
+    }
+    se_map(d2, sf2, c)
+}
+
 /// Isotropic squared-exponential kernel
 /// `k(a, b) = σ_f² exp(−‖a−b‖²/(2ℓ²))` — the paper's default (§3.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -225,20 +291,23 @@ impl SquaredExponential {
     pub fn sigma_f(&self) -> f64 {
         self.log_sigma_f.exp()
     }
+
+    /// `(σ_f², ℓ², −1/(2ℓ²))`: `k = σ_f² · exp(c · r²)` at every site.
+    fn scales(&self) -> (f64, f64, f64) {
+        let l2 = (2.0 * self.log_len).exp();
+        ((2.0 * self.log_sigma_f).exp(), l2, -0.5 / l2)
+    }
 }
 
 impl Kernel for SquaredExponential {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let l2 = (2.0 * self.log_len).exp();
-        (2.0 * self.log_sigma_f).exp() * (-0.5 * sq_dist(a, b) / l2).exp()
+        let (sf2, _, c) = self.scales();
+        sf2 * exp(c * sq_dist(a, b))
     }
 
     fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
-        let l2 = (2.0 * self.log_len).exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for d in d2 {
-            *d = sf2 * (-0.5 * *d / l2).exp();
-        }
+        let (sf2, _, c) = self.scales();
+        se_row(d2, sf2, c);
         true
     }
 
@@ -246,11 +315,10 @@ impl Kernel for SquaredExponential {
         let m = qs.len();
         assert_eq!(out.len(), 2 * m, "grad_row: wrong length");
         // `grad` with the transforms hoisted: one `exp` per entry, not four.
-        let l2 = (2.0 * self.log_len).exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
+        let (sf2, l2, c) = self.scales();
         let (d_sigma, d_len) = out.split_at_mut(m);
         for ((gs, gl), q) in d_sigma.iter_mut().zip(d_len).zip(qs) {
-            let k = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+            let k = sf2 * exp(c * sq_dist(x, q));
             let u = sq_dist(x, q) / l2;
             *gs = 2.0 * k;
             *gl = k * u;
@@ -260,11 +328,10 @@ impl Kernel for SquaredExponential {
     fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
         let m = qs.len();
         assert_eq!(out.len(), 2 * m, "second_deriv_row: wrong length");
-        let l2 = (2.0 * self.log_len).exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
+        let (sf2, l2, c) = self.scales();
         let (d_sigma, d_len) = out.split_at_mut(m);
         for ((hs, hl), q) in d_sigma.iter_mut().zip(d_len).zip(qs) {
-            let k = sf2 * (-0.5 * sq_dist(x, q) / l2).exp();
+            let k = sf2 * exp(c * sq_dist(x, q));
             let u = sq_dist(x, q) / l2;
             *hs = 4.0 * k;
             *hl = k * (u * u - 2.0 * u);
@@ -301,19 +368,17 @@ impl Kernel for SquaredExponential {
     }
 
     fn eval_dist(&self, r: f64) -> Option<f64> {
-        let l2 = (2.0 * self.log_len).exp();
-        Some((2.0 * self.log_sigma_f).exp() * (-0.5 * r * r / l2).exp())
+        let (sf2, _, c) = self.scales();
+        Some(sf2 * exp(c * (r * r)))
     }
 
     fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
         // `eval_dist` with the transforms hoisted; bit-identical per entry.
-        let l2 = (2.0 * self.log_len).exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
         for (o, &r) in out.iter_mut().zip(rs) {
-            *o = sf2 * (-0.5 * r * r / l2).exp();
+            *o = r * r;
         }
-        true
+        self.eval_sq_dists(out)
     }
 
     fn spectral_moment(&self) -> Vec<f64> {
@@ -827,6 +892,77 @@ mod tests {
                 for (&i, v) in idx.iter().zip(&sub) {
                     assert_eq!(k.eval(&x, &qs[i]).to_bits(), v.to_bits(), "{k:?} gather");
                 }
+            }
+        }
+    }
+
+    /// How many floats apart two non-negative results are.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn exp_is_within_one_ulp_of_libm_and_exact_at_the_edges() {
+        // A dense sweep over everything between certain underflow and
+        // certain overflow, then finer ones where the sweep is coarse: near
+        // 0, and through the subnormal tail (one ulp there is 5e-324).
+        let sweep = |lo: f64, hi: f64, n: u32| {
+            (0..n).map(move |i| lo + (hi - lo) * (f64::from(i) + 0.5) / f64::from(n))
+        };
+        let xs = sweep(-760.0, 720.0, 20_000_000)
+            .chain(sweep(-1e-3, 1e-3, 1_000_000))
+            .chain(sweep(-746.0, -708.0, 1_000_000));
+        let worst = xs.map(|x| (ulps(exp(x), x.exp()), x)).max_by_key(|w| w.0);
+        assert!(worst.unwrap().0 <= 1, "{worst:?}");
+        let edges = [
+            0.0,
+            -0.0,
+            5e-324,
+            1e-300,
+            -1e-20,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            709.8,
+            -745.2,
+            -1e4,
+        ];
+        for x in edges {
+            assert_eq!(exp(x).to_bits(), x.exp().to_bits(), "x = {x}");
+        }
+        assert!(exp(f64::NAN).is_nan() && exp(-f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn se_row_map_is_the_same_bits_at_every_width() {
+        // Every kernel value the map can see — and a length that leaves a
+        // remainder for each vector width.
+        let mut row: Vec<f64> = (0..4099).map(|i| (i as f64 * 0.37).powi(2)).collect();
+        row.extend([0.0, -0.0, 1e-310, 1e300, f64::INFINITY, f64::NAN]);
+        let same = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        for (sf2, len) in [(1.0, 1.0), (2.25, 0.05), (3e-7, 2981.0), (1e4, 30.0)] {
+            let c = -0.5 / (len * len);
+            let mut scalar = row.clone();
+            // (`black_box` keeps this loop one lane wide.)
+            scalar
+                .iter_mut()
+                .for_each(|d| *d = sf2 * exp(c * std::hint::black_box(*d)));
+            let mut generic = row.clone();
+            se_map(&mut generic, sf2, c);
+            let mut dispatched = row.clone();
+            se_row(&mut dispatched, sf2, c);
+            assert!(same(&scalar, &generic) && same(&scalar, &dispatched));
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut wide = row.clone();
+                // SAFETY: AVX2 support was just detected.
+                unsafe { se_map_avx2(&mut wide, sf2, c) };
+                assert!(same(&scalar, &wide), "σ_f² = {sf2}, ℓ = {len}");
             }
         }
     }

@@ -606,9 +606,12 @@ fn tuning_loop_extends_instead_of_rebuilding_on_f2() {
     let loop_inferences = field("udf_calls=") - bootstrap;
     // extends + rebuilds = tuning-loop inferences: the subset-factor cache
     // saw one lookup per inference — the fast phase's `n − 1`, each slow
-    // tuple's first, each retrain's last, and the loop's — and whatever of
-    // the loop's was not an extension was a rebuild.
-    let retrains = snap.histograms["olgapro.retrain_ns"].count;
+    // tuple's first, the last of each retrain that moved the model (one
+    // that proposed nothing took one iteration and re-infers nothing), and
+    // the loop's — and whatever of the loop's was not an extension was a
+    // rebuild.
+    let train_iters = &snap.histograms["olgapro.train_iters"];
+    let retrains = train_iters.count - train_iters.buckets[1];
     let lookups = count("olgapro.lp_cache.hits") + count("olgapro.lp_cache.misses");
     let rebuilds = lookups - (n - 1) - field("slow=") - retrains - extends;
     assert_eq!(extends + rebuilds, loop_inferences, "{report}");
