@@ -15,9 +15,14 @@
 //! envelope gaps, and one forward sweep over `a` the supremum, in which the
 //! smallest admissible `b` (`a + λ`) and the case split of `ρ′_L` are two
 //! pointers that only move right, since `a + λ` and `F_S(a)` never decrease.
-//! The `O(m log m)` left in an inference is [`envelope_ecdfs`]' three sorts.
-//! All buffers live in a `BoundScratch`, so a lane that keeps one allocates
-//! nothing per bound.
+//! Each pointer first takes up to four steps at once — four compares
+//! against the next four entries, summed, on arrays padded with NaN past the
+//! upper sentinel — so the usual short advance costs no data-dependent
+//! branch; only a longer jump falls through to the one-step loop. The
+//! running and suffix maxima are plain compares. The `O(m log m)` left in an
+//! inference is [`envelope_ecdfs`]' three sorts, of integer keys
+//! ([`Ecdf::new`]). All buffers live in a `BoundScratch`, so a lane that
+//! keeps one allocates nothing per bound.
 //!
 //! Interval convention: probabilities are CDF differences (`(a, b]`
 //! half-open), consistent across all three CDFs, matching Algorithm 3's use
@@ -28,8 +33,9 @@ use udf_prob::metrics::ks;
 use udf_prob::{Ecdf, MergedSupport};
 
 /// The six buffers of one Algorithm-3 sweep, each `distinct support + 2`
-/// long: the candidate endpoints, the three CDFs there, and the two suffix
-/// maxima. Reused across calls they stop growing after the first.
+/// long (two of them padded by [`STEPS`]): the candidate endpoints, the
+/// three CDFs there, and the two suffix maxima. Reused across calls they
+/// stop growing after the first.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BoundScratch([Vec<f64>; 6]);
 
@@ -63,7 +69,7 @@ pub(crate) fn lambda_discrepancy_bound_with(
     for buf in &mut scratch.0 {
         buf.clear();
         // The most the merge can yield, so ties never decide the capacity.
-        buf.reserve(y_hat.len() + y_s.len() + y_l.len() + 2);
+        buf.reserve(y_hat.len() + y_s.len() + y_l.len() + 2 + STEPS);
     }
     let [vals, f_hat, f_s, f_l, sm_su, sm_hl] = &mut scratch.0;
 
@@ -84,6 +90,10 @@ pub(crate) fn lambda_discrepancy_bound_with(
         f_l.push(r_l as f64 / m_l);
     }
     let k = vals.len();
+    // Room for `steps_le`'s window past the upper sentinel: NaN is `≤`
+    // nothing, not even an `a + λ` that rounded to +∞.
+    vals.extend([f64::NAN; STEPS]);
+    f_l.extend([f64::NAN; STEPS]);
 
     // Suffix maxima (Algorithm 3 Step 2):
     //   sm_su[j] = max_{i ≥ j} (F_S − F̂)(v_i)   — for ρ′_U − ρ̂′
@@ -94,8 +104,8 @@ pub(crate) fn lambda_discrepancy_bound_with(
     sm_hl.resize(k, 0.0);
     let (mut su, mut hl) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for j in (0..k).rev() {
-        su = su.max(f_s[j] - f_hat[j]);
-        hl = hl.max(f_hat[j] - f_l[j]);
+        raise(&mut su, f_s[j] - f_hat[j]);
+        raise(&mut hl, f_hat[j] - f_l[j]);
         sm_su[j] = su;
         sm_hl[j] = hl;
     }
@@ -111,37 +121,65 @@ pub(crate) fn lambda_discrepancy_bound_with(
         if t > hi_sent {
             break; // every later a + λ is at least as large
         }
+        floor += steps_le(vals, floor + 1, t);
         while floor + 1 < k && vals[floor + 1] <= t {
             floor += 1;
         }
 
         // --- ρ′_U − ρ̂′ = (F_S − F̂)(b) + (F̂ − F_L)(a), b ≥ t.
-        best_u = best_u.max(sm_su[floor] + (f_hat[ai] - f_l[ai]));
+        raise(&mut best_u, sm_su[floor] + (f_hat[ai] - f_l[ai]));
 
         // --- ρ̂′ − ρ′_L = F̂(b) − F̂(a) − max(0, F_L(b) − F_S(a)), b ≥ t.
         let c = f_s[ai];
         // Case A: F_L(b) ≤ c. F_L(b) ≤ c holds for b < vals[k1]; on that
         // region F̂ is maximized just below vals[k1] (i.e. at index k1-1),
         // subject to b ≥ t.
+        k1 += steps_le(f_l, k1, c);
         while k1 < k && f_l[k1] <= c {
             k1 += 1;
         }
         if k1 > 0 {
             let b_region_top = k1 - 1; // largest index with F_L ≤ c
             if vals[b_region_top] >= t {
-                best_a = best_a.max(f_hat[b_region_top] - f_hat[ai]);
+                raise(&mut best_a, f_hat[b_region_top] - f_hat[ai]);
             } else if k1 < k && t < vals[k1] {
                 // b ∈ [t, vals[k1]) nonempty; F̂ there equals F̂(floor(t)).
-                best_a = best_a.max(f_hat[floor] - f_hat[ai]);
+                raise(&mut best_a, f_hat[floor] - f_hat[ai]);
             }
         }
         // Case B: F_L(b) > c, i.e. b ≥ vals[k1] (if any); also b ≥ t.
         if k1 < k {
             let from = if t >= vals[k1] { floor } else { k1 };
-            best_b = best_b.max(sm_hl[from] + (c - f_hat[ai]));
+            raise(&mut best_b, sm_hl[from] + (c - f_hat[ai]));
         }
     }
     best_u.max(best_a).max(best_b)
+}
+
+/// How far [`steps_le`] looks ahead.
+const STEPS: usize = 4;
+
+/// How many of `xs[at..at + STEPS]` are `≤ t`: four compares and no branch.
+/// On an ascending `xs` those are a leading run, so a pointer advanced by
+/// the count lands where stepping one element at a time would have stopped
+/// — unless all four were, and the plain loop goes on from there.
+#[inline(always)]
+fn steps_le(xs: &[f64], at: usize, t: f64) -> usize {
+    xs[at..at + STEPS]
+        .iter()
+        .map(|&x| usize::from(x <= t))
+        .sum()
+}
+
+/// `*max = max.max(x)` as one compare: `x` is finite here and never `−0.0`
+/// (CDF values are `+0.0` or positive, and no difference or sum of values
+/// that are not `−0.0` rounds to `−0.0`), so `f64::max`'s NaN and
+/// signed-zero handling has nothing to decide.
+#[inline(always)]
+fn raise(max: &mut f64, x: f64) {
+    if x > *max {
+        *max = x;
+    }
 }
 
 /// Naive O(k²) reference implementation (used by tests and available for
@@ -445,16 +483,39 @@ mod tests {
         // not leak into the next bound.
         let mut scratch = BoundScratch::default();
         let mut cases = 0;
-        for_each_triple(|case, (h, s, l), _, rng| {
+        let mut check = |(h, s, l): (&Ecdf, &Ecdf, &Ecdf), lambda: f64, case: usize| {
+            let want = lambda_discrepancy_bound_oracle(h, s, l, lambda);
+            let got = lambda_discrepancy_bound_with(h, s, l, lambda, &mut scratch);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}, λ = {lambda}");
+            cases += 1;
+        };
+        for_each_triple(|case, triple, _, rng| {
+            let (h, s, l) = triple;
             let width = h.max().max(s.max()).max(l.max()) - h.min().min(s.min()).min(l.min());
             for lambda in [0.0, 1e-3, width * rng.gen_range(0.05..0.6), width + 1.0] {
-                let want = lambda_discrepancy_bound_oracle(h, s, l, lambda);
-                let got = lambda_discrepancy_bound_with(h, s, l, lambda, &mut scratch);
-                assert_eq!(got.to_bits(), want.to_bits(), "case {case}, λ = {lambda}");
-                cases += 1;
+                check(triple, lambda, case);
             }
         });
-        assert!(cases >= 10_000);
+        // Supports of one to four distinct points, where the pointer steps
+        // look at nothing but the padding past the upper sentinel; every
+        // other case so far out that `a + λ` rounds to +∞ on the support.
+        let mut rng = StdRng::seed_from_u64(0x5ba11);
+        let mut at_infinity = 0;
+        for case in 0..2000 {
+            let distinct = 1 + case % 4;
+            let scale = if case % 2 == 0 { 1.0 } else { 1e300 };
+            let mut one = || {
+                let m = rng.gen_range(1..=6);
+                let ys = (0..m).map(|_| scale * (rng.gen_range(0..distinct) as f64 + 1.0));
+                Ecdf::new(ys.collect()).unwrap()
+            };
+            let (h, s, l) = (one(), one(), one());
+            for lambda in [0.0, 0.5 * scale, 2.0 * scale, f64::MAX] {
+                check((&h, &s, &l), lambda, case);
+                at_infinity += usize::from(h.max() + lambda == f64::INFINITY);
+            }
+        }
+        assert!(cases >= 18_000 && at_infinity >= 500);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The persistent worker pool under [`crate::sched::BatchScheduler`] — and
-//! one of the workspace's two `unsafe`s (the other: `udf_gp`'s AVX2 row map):
+//! one of the workspace's three `unsafe`s (the others call AVX2 builds of
+//! `udf_gp`'s SE row map and `udf_linalg`'s forward solve where detected):
 //! a lifetime erasure that hands a borrowed task to long-lived threads, sound
 //! because [`WorkerPool::run`] does not return until every thread it
 //! dispatched to has reported back.

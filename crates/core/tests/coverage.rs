@@ -33,7 +33,12 @@
 //! recorded, not hidden by loosening the check.
 //!
 //! Each cell also prints the share of its kept GP rows whose band
-//! multiplier sits at `simultaneous_z`'s floor of 1.
+//! multiplier sits at `simultaneous_z`'s floor of 1, and — a diagnostic,
+//! asserted nowhere — `LOO>z`: the share of the final model's training
+//! points whose standardized leave-one-out residual `|αᵢ|/√[K⁻¹]ᵢᵢ` (GPML
+//! §5.4.2) exceeds the band multiplier that model puts on the last tuple.
+//! A model whose own training points fall outside its band that often is
+//! refuted by its training set.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +48,8 @@ use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::sched::{mix_seed, BatchScheduler};
 use udf_core::Olgapro;
 use udf_gp::band::simultaneous_z;
+use udf_gp::GpModel;
+use udf_linalg::{Cholesky, Matrix};
 use udf_prob::bounds::dkw_halfwidth;
 use udf_prob::metrics::lambda_discrepancy;
 use udf_prob::special::norm_ppf;
@@ -178,6 +185,8 @@ struct Cell {
     at_floor: usize,
     /// Σ error_bound / ε over the kept rows.
     bound_over_eps: f64,
+    /// The final model's `LOO>z` share (GP cells only).
+    loo_over_z: Option<f64>,
 }
 
 /// `simultaneous_z` of the tuple the batch operator is about to rule: its
@@ -188,6 +197,21 @@ fn band_multiplier(olga: &Olgapro, input: &InputDistribution, spec: &BatchSpec, 
     let samples = input.sample_n(&mut rng, olga.config().samples_per_input());
     let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
     simultaneous_z(olga.model().kernel(), &bbox, olga.config().split().delta_gp)
+}
+
+/// The share of `model`'s training points whose standardized leave-one-out
+/// residual `|αᵢ|/√[K⁻¹]ᵢᵢ` exceeds `z`, with `K` rebuilt the way the model
+/// factors it: the kernel over `inputs()`, plus `jitter()` on the diagonal.
+fn loo_over(model: &GpModel, z: f64) -> f64 {
+    let xs = model.inputs();
+    let k = Matrix::from_symmetric_fn(xs.len(), |i, j| model.kernel().eval(&xs[i], &xs[j]));
+    let (chol, _) = Cholesky::factor_with_jitter(&k, model.jitter(), 8).unwrap();
+    let alpha = chol.solve(model.targets()).unwrap();
+    let inverse = chol.inverse().unwrap();
+    let over = (0..xs.len())
+        .filter(|&i| alpha[i].abs() / inverse[(i, i)].sqrt() > z)
+        .count();
+    over as f64 / xs.len() as f64
 }
 
 fn run_cell(entry: &UdfEntry, tuples: &[Tuple], predicate: Predicate, mode: Mode) -> Cell {
@@ -239,6 +263,10 @@ fn run_cell(entry: &UdfEntry, tuples: &[Tuple], predicate: Predicate, mode: Mode
             }
         }
     }
+    if let (Some(olga), Some(last)) = (eval.olgapro(), tuples.last()) {
+        let z = band_multiplier(olga, &last.input, &spec, tuples.len() as u64 - 1);
+        cell.loo_over_z = Some(loo_over(olga.model(), z));
+    }
     cell
 }
 
@@ -261,8 +289,8 @@ fn check_udf(name: &str) {
     assert!(2.0 * dkw_halfwidth(TRUTH_MC, 1e-3) <= TRUTH_ERR);
     let (entry, tuples, predicate) = workload(name);
     let mut table = format!(
-        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9}\n",
-        "cell", "kept", "misses", "slack", "dropped", "unsound", "z = 1", "bound/ε"
+        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9} {:>6}\n",
+        "cell", "kept", "misses", "slack", "dropped", "unsound", "z = 1", "bound/ε", "LOO>z"
     );
     let mut failures = Vec::new();
     for mode in Mode::ALL {
@@ -277,8 +305,11 @@ fn check_udf(name: &str) {
             Mode::Mc => "-".to_string(),
             _ => format!("{:.2}", per_row(cell.at_floor as f64)),
         };
+        let loo = cell
+            .loo_over_z
+            .map_or("-".to_string(), |s| format!("{s:.2}"));
         table += &format!(
-            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2}\n",
+            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2} {:>6}\n",
             mode.label(),
             cell.kept,
             cell.misses,
@@ -287,6 +318,7 @@ fn check_udf(name: &str) {
             cell.unsound,
             at_floor,
             per_row(cell.bound_over_eps),
+            loo,
         );
         if cell.misses > open + slack {
             failures.push(format!("{}: {} misses", mode.label(), cell.misses));

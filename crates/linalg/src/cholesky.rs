@@ -17,6 +17,9 @@
 //!   once, the warm read path's `V = L⁻¹K` (§5.1): one row routine holds
 //!   sixteen columns of the row being solved in registers across the whole
 //!   elimination; per column it is the scalar substitution, bit for bit.
+//!   The forward solve dispatches at run time to an AVX2 build of the same
+//!   loop where the CPU has it (like `udf_gp`'s SE row map): one column per
+//!   lane, so two lanes or four give the same bits.
 
 use crate::{dot, LinalgError, Matrix, Result};
 
@@ -180,7 +183,9 @@ impl Cholesky {
     /// column `c` performs exactly the scalar [`Cholesky::solve_lower`] sequence —
     /// `sum = b[i]`, then `sum -= L[i][k] * y[k]` for `k` ascending, then a
     /// true division by `L[i][i]` — so the result is bit-identical to
-    /// calling `solve_lower` once per column.
+    /// calling `solve_lower` once per column. Where the CPU has AVX2 the
+    /// same loop runs from a build for it: wider registers hold more
+    /// columns, and no column's operations change.
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub fn solve_lower_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
@@ -192,21 +197,42 @@ impl Cholesky {
                 context: "Cholesky::solve_lower_in_place",
             });
         }
-        if cols == 0 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just detected.
+            unsafe { self.forward_panels_avx2(rhs, cols) };
             return Ok(());
         }
+        self.forward_panels(rhs, cols);
+        Ok(())
+    }
+
+    /// The panel loop of [`solve_lower_in_place`](Self::solve_lower_in_place),
+    /// for both builds of it.
+    #[inline(always)]
+    fn forward_panels(&self, rhs: &mut [f64], cols: usize) {
         for j0 in (0..cols).step_by(Self::RHS_BLOCK) {
             let jw = Self::RHS_BLOCK.min(cols - j0);
-            for i in 0..n {
+            for i in 0..self.dim() {
                 self.forward_row(i, rhs, cols, j0, jw);
             }
         }
-        Ok(())
+    }
+
+    /// [`forward_panels`](Self::forward_panels) compiled for AVX2: every
+    /// column runs the same operations, four to a register instead of two.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn forward_panels_avx2(&self, rhs: &mut [f64], cols: usize) {
+        self.forward_panels(rhs, cols)
     }
 
     /// Row `i`, columns `j0..j0 + jw`, of the multi-RHS forward
     /// substitution: rows `0..i` of `rhs` hold the solution already.
-    #[inline]
+    #[inline(always)]
     fn forward_row(&self, i: usize, rhs: &mut [f64], cols: usize, j0: usize, jw: usize) {
         let lrow = self.l.row(i);
         let (solved, rest) = rhs.split_at_mut(i * cols);
@@ -453,7 +479,7 @@ const REG_BLOCK: usize = 16;
 /// substitution verbatim — `sum = b`, one `sum -= coef·y` per term, a true
 /// division — run [`REG_BLOCK`] columns at a time, then four, then one.
 /// Every `solved` slice must be at least as long as `cur`.
-#[inline]
+#[inline(always)]
 fn solve_row<'a>(
     terms: impl Iterator<Item = (f64, &'a [f64])> + Clone,
     diag: f64,
@@ -705,6 +731,38 @@ mod tests {
                             assert_eq!(got_last.to_bits(), want_lo[i].to_bits(), "last {at:?}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_forward_solve_is_the_generic_loop_bitwise() {
+        // Column counts on both sides of every register width (16, 4, 1)
+        // and of the 64-column panel.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let widths = [1, 3, 4, 5, 15, 16, 17, 21, 63, 64, 65, 129];
+            for n in 1..=100 {
+                let a = Matrix::from_symmetric_fn(n, |i, j| {
+                    let d = (i as f64 - j as f64).abs();
+                    (-d * d / 50.0).exp() + if i == j { 0.1 } else { 0.0 }
+                });
+                let c = Cholesky::factor(&a).unwrap();
+                for cols in widths {
+                    let b: Vec<f64> = (0..n * cols)
+                        .map(|i| ((i as f64) * 0.417).sin() * 2.5)
+                        .collect();
+                    let mut generic = b.clone();
+                    c.forward_panels(&mut generic, cols);
+                    let mut wide = b.clone();
+                    // SAFETY: AVX2 support was just detected.
+                    unsafe { c.forward_panels_avx2(&mut wide, cols) };
+                    let mut dispatched = b;
+                    c.solve_lower_in_place(&mut dispatched, cols).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&wide), bits(&generic), "n = {n}, cols = {cols}");
+                    assert_eq!(bits(&dispatched), bits(&generic), "n = {n}, cols = {cols}");
                 }
             }
         }

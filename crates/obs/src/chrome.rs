@@ -89,7 +89,7 @@ impl TraceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use crate::json::reader::validate;
     use crate::trace::{RerouteReason, TracePhase};
 
     #[test]

@@ -904,7 +904,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert!(!lines.is_empty());
         for line in &lines {
-            crate::json::validate(line).expect("each line is one JSON object");
+            crate::json::reader::validate(line).expect("each line is one JSON object");
             assert!(line.starts_with("{\"series\": "), "{line}");
         }
         assert!(out.contains("\"series\": \"c.rate\""));

@@ -4,20 +4,40 @@
 //! `Pr(Y' ≤ y) = (1/m) Σ 1[y_i, ∞)(y)` — an [`Ecdf`] built from output
 //! samples. Queries are O(log m) binary searches over the sorted sample
 //! array.
+//!
+//! The sort is IEEE 754's total order, run on integer keys: each float's
+//! bits map to a `u64` whose unsigned order is the floats' order, so the
+//! sort compares integers instead of calling a float comparator. On finite
+//! values that is the numeric order, with `−0.0` placed before `+0.0`.
 
 use crate::{ProbError, Result};
 
 /// Empirical CDF over a sorted sample of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
-    /// Sorted, finite sample values.
+    /// Sorted, finite sample values (`−0.0` before `+0.0`).
     values: Vec<f64>,
 }
 
+/// The order-preserving `u64` image of a float: a negative one has every
+/// bit flipped, a non-negative one only its sign bit.
+#[inline]
+fn key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ if bits >> 63 == 1 { !0 } else { 1 << 63 }
+}
+
+/// The inverse of [`key`].
+#[inline]
+fn unkey(k: u64) -> f64 {
+    f64::from_bits(k ^ if k >> 63 == 1 { 1 << 63 } else { !0 })
+}
+
 impl Ecdf {
-    /// Build from samples (sorted internally). Non-finite samples are
-    /// rejected — they would poison every quantile query downstream.
-    pub fn new(mut samples: Vec<f64>) -> Result<Self> {
+    /// Build from samples (sorted internally, see the module docs).
+    /// Non-finite samples are rejected — they would poison every quantile
+    /// query downstream.
+    pub fn new(samples: Vec<f64>) -> Result<Self> {
         if samples.is_empty() {
             return Err(ProbError::Empty("ECDF samples"));
         }
@@ -27,8 +47,11 @@ impl Ecdf {
                 value,
             });
         }
-        samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Ok(Ecdf { values: samples })
+        // Both maps collect into the allocation they consume.
+        let mut keys: Vec<u64> = samples.into_iter().map(key).collect();
+        keys.sort_unstable();
+        let values = keys.into_iter().map(unkey).collect();
+        Ok(Ecdf { values })
     }
 
     /// Number of samples `m`.
@@ -189,6 +212,63 @@ mod tests {
                 })
             );
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn integer_key_sort_is_the_comparator_sort_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xec0f);
+        let mut mixed_zeros = 0;
+        for case in 0..10_000 {
+            let m = if rng.gen_bool(0.05) {
+                rng.gen_range(1..=2000)
+            } else {
+                rng.gen_range(1..=48)
+            };
+            let samples: Vec<f64> = (0..m)
+                .map(|_| {
+                    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                    match (case % 5, rng.gen_range(0..8)) {
+                        (0, _) => rng.gen_range(-3.0..3.0),
+                        (1, k) => 0.5 * f64::from(k - 4),
+                        (2, _) => sign * f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                        (3, _) => sign * 1e300 * rng.gen_range(0.5..1.5),
+                        // Everything at once, signed zeros half the time.
+                        (_, 0 | 1) => sign * 0.0,
+                        (_, 2) => sign * f64::MIN_POSITIVE * rng.gen_range(0.0..2.0),
+                        (_, 3) => sign * 1e300,
+                        (_, k) => 0.5 * f64::from(k - 5),
+                    }
+                })
+                .collect();
+            let got = Ecdf::new(samples.clone()).unwrap();
+            let mut total = samples.clone();
+            total.sort_by(f64::total_cmp);
+            assert_eq!(bits(got.values()), bits(&total), "case {case}");
+            // The comparator sort it replaces leaves only the order of −0.0
+            // and +0.0 open.
+            let mut before = samples.clone();
+            before.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(got.values(), &before[..], "case {case}");
+            let zeros = |sign: f64| samples.iter().any(|&x| x == 0.0 && x.signum() == sign);
+            if zeros(-1.0) && zeros(1.0) {
+                mixed_zeros += 1;
+            } else {
+                assert_eq!(bits(got.values()), bits(&before), "case {case}");
+            }
+        }
+        assert!(mixed_zeros > 500);
+    }
+
+    #[test]
+    fn negative_zero_sorts_before_positive_zero() {
+        let d = e(&[0.0, -0.0, 1.0, 0.0, -0.0, -1.0]);
+        assert_eq!(bits(d.values()), bits(&[-1.0, -0.0, -0.0, 0.0, 0.0, 1.0]));
     }
 
     #[test]
