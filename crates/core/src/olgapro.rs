@@ -204,9 +204,9 @@ pub struct OlgaproStats {
 
 /// The online evaluator (Algorithm 5).
 ///
-/// Cloning snapshots the evaluator — model (under a fresh `model_id`, see
-/// [`GpModel`]'s `Clone`), stats, and config — so a warmed evaluator can be
-/// captured once and restored per execution (prepared-statement reuse).
+/// Cloning copies the evaluator — model (under a fresh `model_id`, see
+/// [`GpModel`]'s `Clone`), stats, and config — so a twin can be driven
+/// from the same state as the original.
 #[derive(Clone, Debug)]
 pub struct Olgapro {
     udf: BlackBoxUdf,
@@ -266,8 +266,8 @@ impl Olgapro {
         self
     }
 
-    /// Rewire a live evaluator in place (a restored snapshot, or a
-    /// subscription whose session is wired after it registered).
+    /// Rewire a live evaluator in place (a subscription whose session is
+    /// wired after it registered).
     pub fn set_obs(&mut self, obs: &Obs) {
         self.metrics = OlgaproMetrics::register(&obs.metrics);
         self.tracer = obs.tracer.clone();

@@ -209,36 +209,6 @@ const LEFT_BLOCK: usize = 64;
 /// execution paths hand back to [`JoinExecutor::run`].
 type RowsAndCoords = (Vec<ProjectedTuple>, BTreeMap<usize, (usize, usize)>);
 
-/// Post-warmup snapshot of a GP join: the warmed inner executor (model,
-/// cached factors, accumulated stats) plus the warmup round's surviving
-/// rows and stat contributions. Re-executing a prepared join clones this
-/// instead of re-running the sequential warmup — the main round starts
-/// from identical model state and identical per-pair seeds, so the output
-/// is byte-identical to a cold run while the re-execution emits no
-/// `Warmup` trace phase and mutates no shared state.
-#[derive(Clone, Debug)]
-pub struct WarmJoinState {
-    executor: Executor,
-    rows: Vec<ProjectedTuple>,
-    counts: BatchCounts,
-}
-
-/// How a run treats the GP warmup round.
-#[derive(Debug, Default)]
-pub enum WarmMode<'w> {
-    /// Run the warmup round normally and keep nothing (one-shot).
-    #[default]
-    Cold,
-    /// Run the warmup round, then snapshot the post-warmup state for
-    /// later [`Restore`](WarmMode::Restore) runs. MC joins have no
-    /// warmup round and capture nothing.
-    Capture,
-    /// Skip the warmup round: clone the snapshot's executor and splice
-    /// in its warmup rows, then run only the main round. Behaves like
-    /// [`Cold`](WarmMode::Cold) on joins without a warmup round.
-    Restore(&'w WarmJoinState),
-}
-
 /// Executes one [`JoinSpec`] — see the [module docs](self) for the
 /// two-round shape and the pruning contract.
 pub struct JoinExecutor<'s, 'a> {
@@ -305,19 +275,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
 
     /// Run the join on `sched`'s worker pool.
     pub fn run(&mut self, sched: &BatchScheduler) -> Result<JoinOutput> {
-        Ok(self.run_warm(sched, WarmMode::Cold)?.0)
-    }
-
-    /// Run the join with explicit warm-state handling: under
-    /// [`WarmMode::Capture`] a GP join also returns its post-warmup
-    /// [`WarmJoinState`]; under [`WarmMode::Restore`] the warmup round is
-    /// skipped in favor of the snapshot. Every mode produces byte-identical
-    /// output (pinned by the prepared-statement digest tests).
-    pub fn run_warm(
-        &mut self,
-        sched: &BatchScheduler,
-        mode: WarmMode<'_>,
-    ) -> Result<(JoinOutput, Option<WarmJoinState>)> {
         let spec = self.spec;
         let (nl, nr) = (spec.left.len(), spec.right.len());
         let cross = (nl as u64).checked_mul(nr as u64);
@@ -328,12 +285,11 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             }));
         }
         let mut stats = JoinStats::default();
-        let mut snapshot = None;
         let (mut rows, pair_of) = match (spec.strategy, spec.prune) {
             (EvalStrategy::Mc, _) | (EvalStrategy::Gp, false) => {
-                self.run_materialized(sched, &mut stats, &mode, &mut snapshot)?
+                self.run_materialized(sched, &mut stats)?
             }
-            (EvalStrategy::Gp, true) => self.run_pruned(sched, &mut stats, &mode, &mut snapshot)?,
+            (EvalStrategy::Gp, true) => self.run_pruned(sched, &mut stats)?,
         };
         rows.sort_by_key(|r| r.source);
 
@@ -357,15 +313,12 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 tep: row.tep,
             });
         }
-        Ok((
-            JoinOutput {
-                relation: Relation::new(self.schema.clone(), tuples)?,
-                rows: joined,
-                stats,
-                query_stats: q,
-            },
-            snapshot,
-        ))
+        Ok(JoinOutput {
+            relation: Relation::new(self.schema.clone(), tuples)?,
+            rows: joined,
+            stats,
+            query_stats: q,
+        })
     }
 
     /// Materialized path (MC, and GP without pruning): filtered cross
@@ -375,8 +328,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         &mut self,
         sched: &BatchScheduler,
         stats: &mut JoinStats,
-        mode: &WarmMode<'_>,
-        snapshot: &mut Option<WarmJoinState>,
     ) -> Result<RowsAndCoords> {
         let spec = self.spec;
         let pairs_rel =
@@ -404,7 +355,9 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 let mut rounds = split_rounds(inputs, &warmup_indices(total));
                 let main = rounds.pop().expect("split_rounds returns two rounds");
                 let warm = rounds.pop().expect("split_rounds returns two rounds");
-                self.warmup_or_restore(&warm, stats, mode, snapshot, &mut rows)?;
+                let (r, counts) = self.warmup(&warm)?;
+                stats.absorb(counts);
+                rows.extend(r);
                 main
             }
         };
@@ -420,8 +373,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         &mut self,
         sched: &BatchScheduler,
         stats: &mut JoinStats,
-        mode: &WarmMode<'_>,
-        snapshot: &mut Option<WarmJoinState>,
     ) -> Result<RowsAndCoords> {
         let spec = self.spec;
         let pred = spec.predicate.expect("validated in new()");
@@ -444,12 +395,12 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         }
 
         // Warmup round: strided pairs train the model across the input
-        // space before anything is certified against it. (On restore the
-        // coordinate pass still runs — pair indices must map to (i, j) —
-        // but no pair is evaluated.)
+        // space before anything is certified against it.
         let warm = warmup_indices(total);
         let warm_inputs = self.collect_pairs(&warm, &mut pair_of)?;
-        self.warmup_or_restore(&warm_inputs, stats, mode, snapshot, &mut rows)?;
+        let (r, counts) = self.warmup(&warm_inputs)?;
+        stats.absorb(counts);
+        rows.extend(r);
         let in_warmup = |idx: usize| warm.binary_search(&idx).is_ok();
 
         // Main-round pre-pass: R-tree screen + exact certificates, in
@@ -565,41 +516,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             },
         );
         stats.absorb(counts);
-        rows.extend(r);
-        Ok(())
-    }
-
-    /// Run the warmup round per `mode`: evaluate it (snapshotting the
-    /// post-warmup state under [`WarmMode::Capture`]), or splice in a
-    /// snapshot's executor and rows under [`WarmMode::Restore`] — no
-    /// `Warmup` trace phase, no model mutation, identical downstream
-    /// state.
-    fn warmup_or_restore(
-        &mut self,
-        warm: &[(usize, InputDistribution)],
-        stats: &mut JoinStats,
-        mode: &WarmMode<'_>,
-        snapshot: &mut Option<WarmJoinState>,
-        rows: &mut Vec<ProjectedTuple>,
-    ) -> Result<()> {
-        if let WarmMode::Restore(state) = mode {
-            // The snapshot's executor was wired to the capturing run's
-            // observability; re-wire the clone to this run's, so
-            // re-executions report where they actually run.
-            self.executor = state.executor.clone().with_obs(&self.obs);
-            rows.extend(state.rows.iter().cloned());
-            stats.absorb(state.counts);
-            return Ok(());
-        }
-        let (r, counts) = self.warmup(warm)?;
-        stats.absorb(counts);
-        if matches!(mode, WarmMode::Capture) {
-            *snapshot = Some(WarmJoinState {
-                executor: self.executor.clone(),
-                rows: r.clone(),
-                counts,
-            });
-        }
         rows.extend(r);
         Ok(())
     }

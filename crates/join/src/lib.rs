@@ -62,10 +62,7 @@ pub mod executor;
 pub mod prune;
 pub mod spec;
 
-pub use executor::{
-    warmup_indices, JoinExecutor, JoinMetrics, JoinOutput, JoinStats, JoinedPair, WarmJoinState,
-    WarmMode,
-};
+pub use executor::{warmup_indices, JoinExecutor, JoinMetrics, JoinOutput, JoinStats, JoinedPair};
 pub use prune::PairPruner;
 pub use spec::{JoinAttr, JoinSpec, OnCondition, Side};
 

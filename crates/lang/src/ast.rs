@@ -26,75 +26,6 @@ pub enum ExplainMode {
     Trace,
 }
 
-/// A full UQL statement: a query, or one of the prepared-statement verbs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A plain (optionally `EXPLAIN`-prefixed) query.
-    Select(Box<Query>),
-    /// `PREPARE name AS SELECT …` — compile once, cache under `name`.
-    Prepare {
-        /// The statement name the plan is cached under.
-        name: Spanned<String>,
-        /// The SELECT body, possibly containing `$n` parameters.
-        select: Box<Select>,
-    },
-    /// `EXECUTE name [(args…)]` — run a prepared plan with bound
-    /// arguments. Composes with `EXPLAIN`/`ANALYZE`/`TRACE` like a query.
-    Execute {
-        /// `EXPLAIN` / `EXPLAIN ANALYZE` / `EXPLAIN TRACE` prefix.
-        explain: ExplainMode,
-        /// The prepared statement to run.
-        name: Spanned<String>,
-        /// Positional arguments for `$1..$n`, in order.
-        args: Vec<Spanned<f64>>,
-    },
-    /// `DEALLOCATE name` — drop a prepared plan and its warm state.
-    Deallocate {
-        /// The prepared statement to drop.
-        name: Spanned<String>,
-    },
-}
-
-impl fmt::Display for Statement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Statement::Select(q) => write!(f, "{q}"),
-            Statement::Prepare { name, select } => {
-                write!(f, "PREPARE {} AS {select}", name.node)
-            }
-            Statement::Execute {
-                explain,
-                name,
-                args,
-            } => {
-                write!(f, "{}", explain_prefix(*explain))?;
-                write!(f, "EXECUTE {}", name.node)?;
-                if !args.is_empty() {
-                    write!(f, " (")?;
-                    for (i, a) in args.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{:?}", a.node)?;
-                    }
-                    write!(f, ")")?;
-                }
-                Ok(())
-            }
-            Statement::Deallocate { name } => write!(f, "DEALLOCATE {}", name.node),
-        }
-    }
-}
-
-fn explain_prefix(mode: ExplainMode) -> &'static str {
-    match mode {
-        ExplainMode::None => "",
-        ExplainMode::Plan => "EXPLAIN ",
-        ExplainMode::Analyze => "EXPLAIN ANALYZE ",
-        ExplainMode::Trace => "EXPLAIN TRACE ",
-    }
-}
-
 /// A full UQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
@@ -102,77 +33,6 @@ pub struct Query {
     pub explain: ExplainMode,
     /// The SELECT body.
     pub select: Select,
-}
-
-/// A numeric position that is either a literal or a `$n` parameter of a
-/// prepared statement (1-based).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NumExpr {
-    /// A literal number.
-    Lit(f64),
-    /// `$n` — bound at `EXECUTE` time.
-    Param(usize),
-}
-
-impl NumExpr {
-    /// The literal value, when this is not a parameter.
-    pub fn as_lit(self) -> Option<f64> {
-        match self {
-            NumExpr::Lit(v) => Some(v),
-            NumExpr::Param(_) => None,
-        }
-    }
-}
-
-impl From<f64> for NumExpr {
-    fn from(v: f64) -> Self {
-        NumExpr::Lit(v)
-    }
-}
-
-impl fmt::Display for NumExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NumExpr::Lit(v) => write!(f, "{v:?}"),
-            NumExpr::Param(n) => write!(f, "${n}"),
-        }
-    }
-}
-
-/// An unsigned-integer position (`WORKERS`/`BATCH`/`SEED`/`LIMIT`/
-/// `MODEL CAP`) that is either a literal or a `$n` parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UintExpr {
-    /// A literal integer.
-    Lit(u64),
-    /// `$n` — bound at `EXECUTE` time (the argument must be a
-    /// non-negative integer below 2^53).
-    Param(usize),
-}
-
-impl UintExpr {
-    /// The literal value, when this is not a parameter.
-    pub fn as_lit(self) -> Option<u64> {
-        match self {
-            UintExpr::Lit(v) => Some(v),
-            UintExpr::Param(_) => None,
-        }
-    }
-}
-
-impl From<u64> for UintExpr {
-    fn from(v: u64) -> Self {
-        UintExpr::Lit(v)
-    }
-}
-
-impl fmt::Display for UintExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UintExpr::Lit(v) => write!(f, "{v}"),
-            UintExpr::Param(n) => write!(f, "${n}"),
-        }
-    }
 }
 
 /// The SELECT body.
@@ -250,9 +110,9 @@ impl PartialEq for CallExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyClause {
     /// Error tolerance ε.
-    pub eps: Spanned<NumExpr>,
+    pub eps: Spanned<f64>,
     /// Failure probability δ.
-    pub delta: Spanned<NumExpr>,
+    pub delta: Spanned<f64>,
     /// Optional metric (defaults to the paper's λ-discrepancy).
     pub metric: Option<Spanned<MetricName>>,
 }
@@ -344,11 +204,11 @@ pub struct PrFilterExpr {
     /// The UDF call inside `PR(...)`.
     pub call: CallExpr,
     /// Interval lower bound.
-    pub lo: Spanned<NumExpr>,
+    pub lo: Spanned<f64>,
     /// Interval upper bound.
-    pub hi: Spanned<NumExpr>,
+    pub hi: Spanned<f64>,
     /// TEP threshold θ.
-    pub theta: Spanned<NumExpr>,
+    pub theta: Spanned<f64>,
     /// Span of the whole clause.
     pub span: Span,
 }
@@ -390,15 +250,15 @@ pub struct Options {
     /// `USING mc|gp|auto` — evaluation strategy (default AUTO).
     pub strategy: Option<Spanned<StrategyName>>,
     /// `WORKERS n` — fast-path worker threads.
-    pub workers: Option<Spanned<UintExpr>>,
+    pub workers: Option<Spanned<u64>>,
     /// `BATCH n` — stream micro-batch size.
-    pub batch: Option<Spanned<UintExpr>>,
+    pub batch: Option<Spanned<u64>>,
     /// `SEED n` — master RNG seed.
-    pub seed: Option<Spanned<UintExpr>>,
+    pub seed: Option<Spanned<u64>>,
     /// `LIMIT n` — stop a stream after n tuples.
-    pub limit: Option<Spanned<UintExpr>>,
+    pub limit: Option<Spanned<u64>>,
     /// `MODEL CAP n` — GP model-size budget (0 = uncapped).
-    pub model_cap: Option<Spanned<UintExpr>>,
+    pub model_cap: Option<Spanned<u64>>,
     /// `PRUNE` — envelope-based pair pruning (GP joins with a WHERE
     /// clause only).
     pub prune: Option<Spanned<bool>>,
@@ -419,7 +279,13 @@ impl fmt::Display for CallExpr {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", explain_prefix(self.explain), self.select)
+        let prefix = match self.explain {
+            ExplainMode::None => "",
+            ExplainMode::Plan => "EXPLAIN ",
+            ExplainMode::Analyze => "EXPLAIN ANALYZE ",
+            ExplainMode::Trace => "EXPLAIN TRACE ",
+        };
+        write!(f, "{prefix}{}", self.select)
     }
 }
 
@@ -427,7 +293,7 @@ impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT {}", self.call)?;
         if let Some(acc) = &self.accuracy {
-            write!(f, " WITH ACCURACY {} {}", acc.eps.node, acc.delta.node)?;
+            write!(f, " WITH ACCURACY {:?} {:?}", acc.eps.node, acc.delta.node)?;
             if let Some(m) = &acc.metric {
                 write!(f, " METRIC {}", m.node)?;
             }
@@ -449,7 +315,7 @@ impl fmt::Display for Select {
         if let Some(p) = &self.predicate {
             write!(
                 f,
-                " WHERE PR({} IN [{}, {}]) >= {}",
+                " WHERE PR({} IN [{:?}, {:?}]) >= {:?}",
                 p.call, p.lo.node, p.hi.node, p.theta.node
             )?;
         }

@@ -145,8 +145,9 @@ impl LangError {
                 span,
                 message,
             } => {
-                // Clamped to `src` and to its character boundaries: an
-                // EXECUTE's span is an offset into its PREPARE's text.
+                // Clamped to `src` and to its character boundaries: the
+                // caller passes the text, which need not be the one the
+                // span was taken from.
                 let start = src.floor_char_boundary(span.start);
                 let end = src.floor_char_boundary(span.end).max(start);
                 // The line containing the span start.

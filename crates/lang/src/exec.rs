@@ -12,19 +12,15 @@
 //! source, so a UQL stream query produces exactly the determinism digest of
 //! the equivalent hand-built subscription.
 
-use crate::ast::{ExplainMode, Statement};
-use crate::error::{LangError, Result, Spanned};
-use crate::parser::{parse, parse_statement};
-use crate::plan::{
-    bind, prepare, BoundQuery, JoinPlan, PhysicalPlan, PreparedPlan, RelPlan, StreamPlan,
-};
+use crate::ast::ExplainMode;
+use crate::error::{LangError, Result};
+use crate::parser::parse_statement;
+use crate::plan::{bind, BoundQuery, JoinPlan, PhysicalPlan, RelPlan, StreamPlan};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use udf_core::config::ModelBudget;
 use udf_core::sched::BatchScheduler;
-use udf_join::{
-    JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition, WarmJoinState, WarmMode,
-};
+use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
 use udf_obs::{
     MetricsRegistry, Monitor, Obs, Snapshot, TraceBuffer, TraceEvent, TracePhase, TraceSummary,
 };
@@ -51,61 +47,6 @@ pub struct Context {
     schedulers: BTreeMap<usize, BatchScheduler>,
     obs: Obs,
     monitor: Monitor,
-    prepared: BTreeMap<String, PreparedEntry>,
-    catalog_epoch: u64,
-}
-
-/// A cached prepared statement: the canonical body text, the compiled
-/// [`PreparedPlan`], and the warm execution state `EXECUTE` reuses.
-#[derive(Debug, Clone)]
-pub struct PreparedEntry {
-    text: String,
-    plan: PreparedPlan,
-    /// [`Context::catalog_epoch`] at prepare time; a registration since
-    /// then forces a transparent re-prepare at the next `EXECUTE`.
-    epoch: u64,
-    execs: u64,
-    warm: Option<WarmSlot>,
-}
-
-impl PreparedEntry {
-    /// The canonical `SELECT` body the plan was prepared from.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// The compiled plan.
-    pub fn plan(&self) -> &PreparedPlan {
-        &self.plan
-    }
-
-    /// Number of arguments `EXECUTE` must supply.
-    pub fn arity(&self) -> usize {
-        self.plan.arity()
-    }
-
-    /// How many times the plan has executed.
-    pub fn executions(&self) -> u64 {
-        self.execs
-    }
-
-    /// Whether a warm slot (bound plan + any captured join model state)
-    /// is resident for the most recent argument set.
-    pub fn is_warm(&self) -> bool {
-        self.warm.is_some()
-    }
-}
-
-/// The per-plan warm state: the physical plan bound for one argument set
-/// (keyed by the exact bit patterns, so a re-`EXECUTE` with the same
-/// arguments skips `bind_args` entirely) and, for joins, the post-warmup
-/// [`WarmJoinState`] snapshot that lets re-executions restore the warmed
-/// `GpModel` instead of paying a second warmup.
-#[derive(Debug, Clone)]
-struct WarmSlot {
-    args_key: Vec<u64>,
-    physical: PhysicalPlan,
-    join_warm: Option<WarmJoinState>,
 }
 
 /// Ring lanes in the context's [`TraceBuffer`] — one per worker slot, up
@@ -137,8 +78,6 @@ impl Context {
                 tracer: TraceBuffer::new(TRACE_LANES, TRACE_CAPACITY),
             },
             monitor,
-            prepared: BTreeMap::new(),
-            catalog_epoch: 0,
         }
     }
 
@@ -157,16 +96,12 @@ impl Context {
     }
 
     /// Mutable access to the UDF catalog (for registering custom UDFs).
-    /// Taking it bumps the catalog epoch: prepared plans resolved names
-    /// against the old catalog, so their next `EXECUTE` re-prepares.
     pub fn udfs_mut(&mut self) -> &mut UdfCatalog {
-        self.catalog_epoch += 1;
         &mut self.udfs
     }
 
     /// Register (or replace) a named finite relation.
     pub fn register_relation(&mut self, name: impl Into<String>, rel: Relation) {
-        self.catalog_epoch += 1;
         self.relations.insert(name.into(), rel);
     }
 
@@ -189,7 +124,6 @@ impl Context {
         dim: usize,
         factory: impl Fn() -> Box<dyn Source + Send> + 'static,
     ) {
-        self.catalog_epoch += 1;
         self.streams.insert(name.into(), (dim, Box::new(factory)));
     }
 
@@ -237,24 +171,16 @@ impl Context {
         &self.monitor
     }
 
-    /// Parse, bind, and (unless `EXPLAIN`) execute one UQL statement —
-    /// including the prepared-statement verbs (`PREPARE` / `EXECUTE` /
-    /// `DEALLOCATE`).
+    /// Parse, bind, and (unless `EXPLAIN`) execute one UQL statement.
     pub fn run(&mut self, src: &str) -> Result<QueryOutput> {
         run_uql(src, self)
     }
 
-    /// Parse and bind a one-shot query without executing (what `EXPLAIN`
+    /// Parse and bind a statement without executing (what `EXPLAIN`
     /// uses).
     pub fn compile(&self, src: &str) -> Result<BoundQuery> {
-        let query = parse(src)?;
+        let query = parse_statement(src)?;
         bind(&query, self)
-    }
-
-    /// The plan cache: prepared statements by name, sorted. The REPL's
-    /// `\prepared` listing renders this.
-    pub fn prepared(&self) -> &BTreeMap<String, PreparedEntry> {
-        &self.prepared
     }
 }
 
@@ -275,18 +201,6 @@ pub enum QueryOutput {
     Join(JoinRowsOutput),
     /// A stream query's run summary.
     Stream(StreamOutput),
-    /// `PREPARE`: the plan was compiled and cached under `name`.
-    Prepared {
-        /// The cache key `EXECUTE` runs it by.
-        name: String,
-        /// Number of `$n` parameters the plan takes.
-        arity: usize,
-    },
-    /// `DEALLOCATE`: the plan and its warm state were dropped.
-    Deallocated {
-        /// The dropped cache key.
-        name: String,
-    },
 }
 
 /// Result of a `JOIN` query.
@@ -398,10 +312,6 @@ impl QueryOutput {
                 "stream run: {} tuple(s), {} batch(es) in {:.2?}\n  {}\n  digest=0x{:016x}\n",
                 o.engine.tuples, o.engine.batches, o.engine.elapsed, o.stats, o.digest,
             ),
-            QueryOutput::Prepared { name, arity } => {
-                format!("prepared `{name}` ({arity} parameter(s))\n")
-            }
-            QueryOutput::Deallocated { name } => format!("deallocated `{name}`\n"),
         }
     }
 }
@@ -409,23 +319,10 @@ impl QueryOutput {
 /// The one-shot facade: parse, bind, and execute one UQL statement
 /// against `ctx`.
 ///
-/// Plain queries run the full `Parse → Bind → Exec` pipeline, with each
+/// Every statement runs the full `Parse → Bind → Exec` pipeline, with each
 /// phase timed (`uql.parse_ns` / `uql.bind_ns` / `uql.exec_ns`) and
 /// bracketed in the trace buffer; `EXPLAIN` stops after binding,
 /// `EXPLAIN ANALYZE` / `EXPLAIN TRACE` execute and annotate the plan.
-///
-/// The prepared-statement verbs split that pipeline. `PREPARE name AS …`
-/// runs Parse + Bind once and caches the [`PreparedPlan`] on the context.
-/// `EXECUTE name (args…)` skips both phases — argument binding is timed
-/// separately under `uql.execute_bind_ns`, and an `EXPLAIN TRACE` of a
-/// re-execution shows no Parse/Bind bracket at all. `DEALLOCATE name`
-/// drops the cached plan. `EXECUTE` reuses the plan's warm state when the
-/// argument bit patterns match the previous execution
-/// (`uql.prepared_cache.hits`; any rebind counts a miss): the bound
-/// physical plan is reused as-is, and a join restores its captured
-/// post-warmup model snapshot instead of paying a second warmup — while
-/// staying byte-identical to the one-shot statement, which the digest
-/// suite pins at workers 1/2/8.
 pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
     let reg = ctx.obs.metrics.clone();
     let tracer = ctx.obs.tracer.clone();
@@ -443,253 +340,42 @@ pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
             },
         );
     };
-    // EXECUTE and DEALLOCATE exist to skip the Parse/Bind pipeline, so
-    // their few-token parse is neither bracketed as a Parse phase (the
-    // re-execution trace contract) nor recorded under `uql.parse_ns`.
-    let stmt = if skips_parse_phase(src) {
-        parse_statement(src)?
-    } else {
-        phase(TracePhase::Parse, true);
-        let stmt = reg.histogram("uql.parse_ns").time(|| parse_statement(src));
-        phase(TracePhase::Parse, false);
-        stmt?
-    };
-    match stmt {
-        Statement::Select(query) => {
-            phase(TracePhase::Bind, true);
-            let bound = reg.histogram("uql.bind_ns").time(|| bind(&query, ctx));
-            phase(TracePhase::Bind, false);
-            let bound = bound?;
-            let plan = bound.explain();
-            if query.explain == ExplainMode::Plan {
-                return Ok(QueryOutput::Plan(plan));
-            }
-            let (out, _) = execute_physical(
-                bound.physical,
-                plan,
-                query.explain,
-                WarmMode::Cold,
-                ctx,
-                &reg,
-                &tracer,
-                mark,
-            )?;
-            Ok(out)
-        }
-        Statement::Prepare { name, select } => {
-            if ctx.prepared.contains_key(&name.node) {
-                return Err(LangError::semantic(
-                    name.span,
-                    format!(
-                        "prepared statement `{}` already exists (DEALLOCATE it first)",
-                        name.node,
-                    ),
-                ));
-            }
-            phase(TracePhase::Bind, true);
-            let plan = reg.histogram("uql.bind_ns").time(|| prepare(&select, ctx));
-            phase(TracePhase::Bind, false);
-            let plan = plan?;
-            let arity = plan.arity();
-            ctx.prepared.insert(
-                name.node.clone(),
-                PreparedEntry {
-                    text: select.to_string(),
-                    plan,
-                    epoch: ctx.catalog_epoch,
-                    execs: 0,
-                    warm: None,
-                },
-            );
-            Ok(QueryOutput::Prepared {
-                name: name.node,
-                arity,
-            })
-        }
-        Statement::Execute {
-            explain,
-            name,
-            args,
-        } => {
-            let Some(mut entry) = ctx.prepared.remove(&name.node) else {
-                return Err(LangError::semantic(
-                    name.span,
-                    format!(
-                        "no prepared statement named `{}` (prepared: {})",
-                        name.node,
-                        render_names(ctx.prepared.keys()),
-                    ),
-                ));
-            };
-            // The entry is moved out of the cache while it runs (the
-            // executors need `&mut Context`) and put back regardless of
-            // the outcome — a failed EXECUTE must not deallocate.
-            let result = run_prepared(&mut entry, explain, &name, &args, ctx, &reg, &tracer, mark);
-            ctx.prepared.insert(name.node, entry);
-            result
-        }
-        Statement::Deallocate { name } => {
-            if ctx.prepared.remove(&name.node).is_none() {
-                return Err(LangError::semantic(
-                    name.span,
-                    format!(
-                        "no prepared statement named `{}` (prepared: {})",
-                        name.node,
-                        render_names(ctx.prepared.keys()),
-                    ),
-                ));
-            }
-            Ok(QueryOutput::Deallocated { name: name.node })
-        }
-    }
-}
-
-/// Whether the statement's leading verb is `EXECUTE` or `DEALLOCATE`
-/// (possibly behind an `EXPLAIN [ANALYZE|TRACE]` prefix) — decided on the
-/// raw text, so the decision can precede (and exclude) the parse itself.
-fn skips_parse_phase(src: &str) -> bool {
-    let mut words = src.split_whitespace().map(|w| w.to_ascii_uppercase());
-    match words.next().as_deref() {
-        Some("EXECUTE") | Some("DEALLOCATE") => true,
-        Some("EXPLAIN") => {
-            let w = words.next();
-            let w = match w.as_deref() {
-                Some("ANALYZE") | Some("TRACE") => words.next(),
-                _ => w,
-            };
-            w.as_deref() == Some("EXECUTE")
-        }
-        _ => false,
-    }
-}
-
-/// Sorted name list for "no such prepared statement" diagnostics.
-fn render_names<'a>(names: impl Iterator<Item = &'a String>) -> String {
-    let joined = names.map(String::as_str).collect::<Vec<_>>().join(", ");
-    if joined.is_empty() {
-        "none".to_string()
-    } else {
-        joined
-    }
-}
-
-/// Run one `EXECUTE` against its cache entry: transparently re-prepare if
-/// the catalog changed since prepare time, bind the argument set (or
-/// reuse the warm binding when the bit patterns match), and execute with
-/// the join warm state wired through.
-#[allow(clippy::too_many_arguments)]
-fn run_prepared(
-    entry: &mut PreparedEntry,
-    explain: ExplainMode,
-    name: &Spanned<String>,
-    args: &[Spanned<f64>],
-    ctx: &mut Context,
-    reg: &MetricsRegistry,
-    tracer: &TraceBuffer,
-    mark: u64,
-) -> Result<QueryOutput> {
-    // A registration since prepare time may have replaced any name the
-    // plan resolved — re-prepare from the stored body (spans still point
-    // into the original PREPARE text) and drop the warm state.
-    if entry.epoch != ctx.catalog_epoch {
-        let sel = entry.plan.select().clone();
-        entry.plan = prepare(&sel, ctx)?;
-        entry.warm = None;
-        entry.epoch = ctx.catalog_epoch;
-    }
-    let key: Vec<u64> = args.iter().map(|a| a.node.to_bits()).collect();
-    let hit = entry.warm.as_ref().is_some_and(|w| w.args_key == key);
-    reg.counter(if hit {
-        "uql.prepared_cache.hits"
-    } else {
-        "uql.prepared_cache.misses"
-    })
-    .inc();
-    let physical = match entry.warm.as_ref().filter(|w| w.args_key == key) {
-        Some(w) => w.physical.clone(),
-        None => {
-            let physical = reg
-                .histogram("uql.execute_bind_ns")
-                .time(|| entry.plan.bind_args(args, name.span))?;
-            entry.warm = Some(WarmSlot {
-                args_key: key,
-                physical: physical.clone(),
-                join_warm: None,
-            });
-            physical
-        }
-    };
-    let bound = BoundQuery {
-        logical: entry.plan.logical.clone(),
-        optimized: entry.plan.optimized.clone(),
-        physical,
-    };
+    phase(TracePhase::Parse, true);
+    let query = reg.histogram("uql.parse_ns").time(|| parse_statement(src));
+    phase(TracePhase::Parse, false);
+    let query = query?;
+    phase(TracePhase::Bind, true);
+    let bound = reg.histogram("uql.bind_ns").time(|| bind(&query, ctx));
+    phase(TracePhase::Bind, false);
+    let bound = bound?;
     let plan = bound.explain();
-    if explain == ExplainMode::Plan {
+    if query.explain == ExplainMode::Plan {
         return Ok(QueryOutput::Plan(plan));
     }
-    entry.execs += 1;
-    let mode = match entry.warm.as_ref().and_then(|w| w.join_warm.as_ref()) {
-        Some(state) if hit => WarmMode::Restore(state),
-        _ if matches!(bound.physical, PhysicalPlan::Join(_)) => WarmMode::Capture,
-        _ => WarmMode::Cold,
-    };
-    let (out, snapshot) =
-        execute_physical(bound.physical, plan, explain, mode, ctx, reg, tracer, mark)?;
-    if let (Some(snap), Some(w)) = (snapshot, entry.warm.as_mut()) {
-        w.join_warm = Some(snap);
-    }
-    Ok(out)
-}
-
-/// Execute a bound physical plan under the Exec phase bracket and apply
-/// any `EXPLAIN ANALYZE` / `EXPLAIN TRACE` annotation. Returns the output
-/// plus the captured join warm state when `mode` asked for capture.
-#[allow(clippy::too_many_arguments)]
-fn execute_physical(
-    physical: PhysicalPlan,
-    plan: String,
-    explain: ExplainMode,
-    mode: WarmMode<'_>,
-    ctx: &mut Context,
-    reg: &MetricsRegistry,
-    tracer: &TraceBuffer,
-    mark: u64,
-) -> Result<(QueryOutput, Option<WarmJoinState>)> {
-    let phase = |p: TracePhase, start: bool| {
-        tracer.emit(
-            0,
-            if start {
-                TraceEvent::PhaseStart { phase: p }
-            } else {
-                TraceEvent::PhaseEnd { phase: p }
-            },
-        );
-    };
     // For ANALYZE, attribute this statement's metrics via a snapshot
     // window around execution.
-    let before = (explain == ExplainMode::Analyze).then(|| reg.snapshot());
+    let before = (query.explain == ExplainMode::Analyze).then(|| reg.snapshot());
     let exec_ns = reg.histogram("uql.exec_ns");
     phase(TracePhase::Exec, true);
     let out = {
         let _exec_span = exec_ns.span();
-        match &physical {
-            PhysicalPlan::Relation(p) => exec_relation(p, ctx, plan).map(|o| (o, None)),
-            PhysicalPlan::Join(p) => exec_join(p, ctx, plan, mode),
-            PhysicalPlan::Stream(p) => exec_stream(p, ctx, plan).map(|o| (o, None)),
+        match &bound.physical {
+            PhysicalPlan::Relation(p) => exec_relation(p, ctx, plan),
+            PhysicalPlan::Join(p) => exec_join(p, ctx, plan),
+            PhysicalPlan::Stream(p) => exec_stream(p, ctx, plan),
         }
     };
     phase(TracePhase::Exec, false);
-    let (out, snapshot) = out?;
+    let out = out?;
     if let Some(before) = before {
         let delta = reg.snapshot().delta(&before);
-        return Ok((QueryOutput::Plan(annotate_analyze(&out, &delta)), snapshot));
+        return Ok(QueryOutput::Plan(annotate_analyze(&out, &delta)));
     }
-    if explain == ExplainMode::Trace {
+    if query.explain == ExplainMode::Trace {
         let summary = tracer.summary_since(mark);
-        return Ok((QueryOutput::Plan(annotate_trace(&out, &summary)), snapshot));
+        return Ok(QueryOutput::Plan(annotate_trace(&out, &summary)));
     }
-    Ok((out, snapshot))
+    Ok(out)
 }
 
 /// The executed plan plus its per-operator summary line — the header the
@@ -698,9 +384,7 @@ fn execute_physical(
 fn plan_and_op(out: &QueryOutput) -> Option<(&str, String)> {
     use udf_obs::fmt::KvLine;
     match out {
-        QueryOutput::Plan(_) | QueryOutput::Prepared { .. } | QueryOutput::Deallocated { .. } => {
-            None
-        }
+        QueryOutput::Plan(_) => None,
         QueryOutput::Rows(r) => Some((
             r.plan.as_str(),
             KvLine::new()
@@ -799,12 +483,12 @@ fn annotate_trace(out: &QueryOutput, summary: &TraceSummary) -> String {
 }
 
 /// A bound plan references a catalog name that no longer resolves. Can't
-/// happen through `run_uql` (a catalog change re-prepares before
-/// executing), but a caller holding a stale [`PhysicalPlan`] gets a
-/// bind-stage-style error, never a panic.
+/// happen through `run_uql` (it binds and executes against one catalog),
+/// but a caller holding a stale [`PhysicalPlan`] gets a bind-stage-style
+/// error, never a panic.
 fn stale_name(kind: &str, name: &str) -> LangError {
     LangError::Exec(format!(
-        "{kind} `{name}` is no longer registered (stale plan; re-prepare the statement)"
+        "{kind} `{name}` is no longer registered (stale plan; bind the statement again)"
     ))
 }
 
@@ -839,12 +523,7 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context, plan: String) -> Result<QueryOu
     }))
 }
 
-fn exec_join(
-    p: &JoinPlan,
-    ctx: &mut Context,
-    plan: String,
-    mode: WarmMode<'_>,
-) -> Result<(QueryOutput, Option<WarmJoinState>)> {
+fn exec_join(p: &JoinPlan, ctx: &mut Context, plan: String) -> Result<QueryOutput> {
     // Field-level borrows, like exec_relation: relations (shared) and the
     // scheduler cache (mutable) are disjoint fields.
     let left = ctx
@@ -898,18 +577,15 @@ fn exec_join(
     }
     let t0 = Instant::now();
     let mut executor = JoinExecutor::new(&spec).map_err(join_err)?.with_obs(obs);
-    let (out, snapshot) = executor.run_warm(sched, mode).map_err(join_err)?;
-    Ok((
-        QueryOutput::Join(JoinRowsOutput {
-            rows: out.rows,
-            relation: out.relation,
-            stats: out.stats,
-            query_stats: out.query_stats,
-            elapsed: t0.elapsed(),
-            plan,
-        }),
-        snapshot,
-    ))
+    let out = executor.run(sched).map_err(join_err)?;
+    Ok(QueryOutput::Join(JoinRowsOutput {
+        rows: out.rows,
+        relation: out.relation,
+        stats: out.stats,
+        query_stats: out.query_stats,
+        elapsed: t0.elapsed(),
+        plan,
+    }))
 }
 
 fn join_err(e: udf_join::JoinError) -> LangError {

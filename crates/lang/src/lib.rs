@@ -68,16 +68,11 @@ pub mod plan;
 pub mod token;
 
 pub use ast::{
-    AttrRef, ExplainMode, JoinSource, MetricName, NumExpr, OnExpr, Query, Select, SourceRef,
-    Statement, StrategyName, UintExpr,
+    AttrRef, ExplainMode, JoinSource, MetricName, OnExpr, Query, Select, SourceRef, StrategyName,
 };
 pub use error::{LangError, Result, Span, Spanned, Stage};
 pub use exec::{
-    run_uql, Context, JoinRowsOutput, PreparedEntry, QueryOutput, RowsOutput, SourceFactory,
-    StreamOutput,
+    run_uql, Context, JoinRowsOutput, QueryOutput, RowsOutput, SourceFactory, StreamOutput,
 };
-pub use parser::{parse, parse_statement};
-pub use plan::{
-    bind, prepare, BoundQuery, JoinPlan, LogicalPlan, ParamSlot, ParamType, PhysicalPlan,
-    PreparedPlan, RelPlan, StreamPlan,
-};
+pub use parser::parse_statement;
+pub use plan::{bind, BoundQuery, JoinPlan, LogicalPlan, PhysicalPlan, RelPlan, StreamPlan};

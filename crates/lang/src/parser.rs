@@ -3,31 +3,19 @@
 //! Grammar (EBNF; keywords are case-insensitive):
 //!
 //! ```text
-//! statement := "PREPARE" IDENT "AS" select
-//!            | [ explain ] "EXECUTE" IDENT [ "(" NUMBER { "," NUMBER } ")" ]
-//!            | "DEALLOCATE" IDENT
-//!            | query ;
-//! query     := [ explain ] select ;
-//! explain   := "EXPLAIN" [ "ANALYZE" | "TRACE" ] ;
+//! query     := [ "EXPLAIN" [ "ANALYZE" | "TRACE" ] ] select ;
 //! select    := "SELECT" call [ accuracy ] "FROM" source [ where ] { option } ;
 //! call      := IDENT "(" attr { "," attr } ")" ;
 //! attr      := IDENT [ "." IDENT ] ;
-//! accuracy  := "WITH" "ACCURACY" num num [ "METRIC" ( "KS" | "DISC" ) ] ;
+//! accuracy  := "WITH" "ACCURACY" NUMBER NUMBER [ "METRIC" ( "KS" | "DISC" ) ] ;
 //! source    := "STREAM" IDENT
 //!            | IDENT IDENT "JOIN" IDENT IDENT [ "ON" attr "<" attr ]
 //!            | IDENT ;
-//! where     := "WHERE" "PR" "(" call "IN" "[" num "," num "]" ")" ">=" num ;
+//! where     := "WHERE" "PR" "(" call "IN" "[" NUMBER "," NUMBER "]" ")" ">=" NUMBER ;
 //! option    := "USING" ( "MC" | "GP" | "AUTO" )
-//!            | "WORKERS" uint | "BATCH" uint | "SEED" uint | "LIMIT" uint
-//!            | "MODEL" "CAP" uint | "PRUNE" ;
-//! num       := NUMBER | PARAM ;
-//! uint      := INT | PARAM ;
+//!            | "WORKERS" INT | "BATCH" INT | "SEED" INT | "LIMIT" INT
+//!            | "MODEL" "CAP" INT | "PRUNE" ;
 //! ```
-//!
-//! `PARAM` is a `$1`-style positional parameter (1-based). Parameters are
-//! accepted anywhere a number goes — accuracy ε/δ, predicate bounds and θ,
-//! and the integer options — but only survive binding inside a `PREPARE`
-//! body; a one-shot statement with a `$n` is a semantic error.
 //!
 //! Qualified attributes (`a.z`) and the `JOIN` source form go together:
 //! the binder rejects qualification outside a join and requires it inside
@@ -40,16 +28,14 @@
 //! identity on the AST.
 
 use crate::ast::{
-    AccuracyClause, AttrRef, CallExpr, ExplainMode, JoinSource, MetricName, NumExpr, OnExpr,
-    Options, PrFilterExpr, Query, Select, SourceRef, Statement, StrategyName, UintExpr,
+    AccuracyClause, AttrRef, CallExpr, ExplainMode, JoinSource, MetricName, OnExpr, Options,
+    PrFilterExpr, Query, Select, SourceRef, StrategyName,
 };
 use crate::error::{LangError, Result, Span, Spanned};
 use crate::token::{lex, Tok, Token};
 
-/// Parse one UQL query (a [`Select`], optionally `EXPLAIN`-prefixed).
-/// The prepared-statement verbs are not accepted here — use
-/// [`parse_statement`] for the full statement grammar.
-pub fn parse(src: &str) -> Result<Query> {
+/// Parse one UQL statement: a [`Select`], optionally `EXPLAIN`-prefixed.
+pub fn parse_statement(src: &str) -> Result<Query> {
     let tokens = lex(src)?;
     let mut p = Parser {
         tokens,
@@ -59,19 +45,6 @@ pub fn parse(src: &str) -> Result<Query> {
     let q = p.query()?;
     p.expect_end()?;
     Ok(q)
-}
-
-/// Parse one UQL statement: `PREPARE`/`EXECUTE`/`DEALLOCATE` or a query.
-pub fn parse_statement(src: &str) -> Result<Statement> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        eof: Span::new(src.len(), src.len()),
-    };
-    let s = p.statement()?;
-    p.expect_end()?;
-    Ok(s)
 }
 
 struct Parser {
@@ -200,98 +173,6 @@ impl Parser {
         Ok(Spanned::new(n.node as u64, n.span))
     }
 
-    /// A `$n` parameter, if one is next.
-    fn eat_param(&mut self) -> Option<Spanned<usize>> {
-        match self.peek() {
-            Some(Token {
-                tok: Tok::Param(_), ..
-            }) => {
-                let t = self.next().expect("peeked");
-                let Tok::Param(n) = t.tok else { unreachable!() };
-                Some(Spanned::new(n as usize, t.span))
-            }
-            _ => None,
-        }
-    }
-
-    /// A numeric position: literal or `$n` parameter.
-    fn expect_num_expr(&mut self, what: &str) -> Result<Spanned<NumExpr>> {
-        if let Some(p) = self.eat_param() {
-            return Ok(Spanned::new(NumExpr::Param(p.node), p.span));
-        }
-        let n = self.expect_number(what)?;
-        Ok(Spanned::new(NumExpr::Lit(n.node), n.span))
-    }
-
-    /// An unsigned-integer position: literal or `$n` parameter.
-    fn expect_uint_expr(&mut self, what: &str) -> Result<Spanned<UintExpr>> {
-        if let Some(p) = self.eat_param() {
-            return Ok(Spanned::new(UintExpr::Param(p.node), p.span));
-        }
-        let n = self.expect_uint(what)?;
-        Ok(Spanned::new(UintExpr::Lit(n.node), n.span))
-    }
-
-    fn statement(&mut self) -> Result<Statement> {
-        if self.at_keyword("PREPARE") {
-            self.next();
-            let name = self.expect_ident("prepared statement name")?;
-            self.expect_keyword("AS")?;
-            let select = self.select()?;
-            return Ok(Statement::Prepare {
-                name,
-                select: Box::new(select),
-            });
-        }
-        if self.at_keyword("DEALLOCATE") {
-            self.next();
-            let name = self.expect_ident("prepared statement name")?;
-            return Ok(Statement::Deallocate { name });
-        }
-        if self.at_keyword("EXECUTE") {
-            return self.execute(ExplainMode::None);
-        }
-        // `EXPLAIN [ANALYZE|TRACE] EXECUTE …` composes like a query;
-        // rewind when the explain prefix turns out to front a SELECT.
-        if self.at_keyword("EXPLAIN") {
-            let save = self.pos;
-            self.next();
-            let mode = if self.eat_keyword("ANALYZE").is_some() {
-                ExplainMode::Analyze
-            } else if self.eat_keyword("TRACE").is_some() {
-                ExplainMode::Trace
-            } else {
-                ExplainMode::Plan
-            };
-            if self.at_keyword("EXECUTE") {
-                return self.execute(mode);
-            }
-            self.pos = save;
-        }
-        Ok(Statement::Select(Box::new(self.query()?)))
-    }
-
-    /// `EXECUTE name [ "(" NUMBER { "," NUMBER } ")" ]`.
-    fn execute(&mut self, explain: ExplainMode) -> Result<Statement> {
-        self.expect_keyword("EXECUTE")?;
-        let name = self.expect_ident("prepared statement name")?;
-        let mut args = Vec::new();
-        if self.peek().is_some_and(|t| t.tok == Tok::LParen) {
-            self.next();
-            args.push(self.expect_number("argument value")?);
-            while self.peek().is_some_and(|t| t.tok == Tok::Comma) {
-                self.next();
-                args.push(self.expect_number("argument value")?);
-            }
-            self.expect_tok(Tok::RParen, "`)` or `,` in the argument list")?;
-        }
-        Ok(Statement::Execute {
-            explain,
-            name,
-            args,
-        })
-    }
-
     fn query(&mut self) -> Result<Query> {
         let explain = if self.eat_keyword("EXPLAIN").is_some() {
             if self.eat_keyword("ANALYZE").is_some() {
@@ -405,8 +286,8 @@ impl Parser {
 
     fn accuracy_clause(&mut self) -> Result<AccuracyClause> {
         self.expect_keyword("ACCURACY")?;
-        let eps = self.expect_num_expr("accuracy ε (a number in (0, 1))")?;
-        let delta = self.expect_num_expr("accuracy δ (a number in (0, 1))")?;
+        let eps = self.expect_number("accuracy ε (a number in (0, 1))")?;
+        let delta = self.expect_number("accuracy δ (a number in (0, 1))")?;
         let metric = if self.eat_keyword("METRIC").is_some() {
             let here = self.here();
             let name = self.expect_ident("metric name (`ks` or `disc`)")?;
@@ -434,13 +315,13 @@ impl Parser {
         let call = self.call()?;
         self.expect_keyword("IN")?;
         self.expect_tok(Tok::LBracket, "`[` opening the interval")?;
-        let lo = self.expect_num_expr("interval lower bound")?;
+        let lo = self.expect_number("interval lower bound")?;
         self.expect_tok(Tok::Comma, "`,` between interval bounds")?;
-        let hi = self.expect_num_expr("interval upper bound")?;
+        let hi = self.expect_number("interval upper bound")?;
         self.expect_tok(Tok::RBracket, "`]` closing the interval")?;
         self.expect_tok(Tok::RParen, "`)` closing PR(...)")?;
         self.expect_tok(Tok::Ge, "`>=` before the probability threshold")?;
-        let theta = self.expect_num_expr("probability threshold θ")?;
+        let theta = self.expect_number("probability threshold θ")?;
         let span = start.to(theta.span);
         Ok(PrFilterExpr {
             call,
@@ -476,24 +357,24 @@ impl Parser {
                 set_once(&mut o.strategy, Spanned::new(s, name.span), kw, "USING")?;
             } else if self.at_keyword("WORKERS") {
                 let kw = self.next().expect("peeked").span;
-                let n = self.expect_uint_expr("WORKERS count")?;
+                let n = self.expect_uint("WORKERS count")?;
                 set_once(&mut o.workers, n, kw, "WORKERS")?;
             } else if self.at_keyword("BATCH") {
                 let kw = self.next().expect("peeked").span;
-                let n = self.expect_uint_expr("BATCH size")?;
+                let n = self.expect_uint("BATCH size")?;
                 set_once(&mut o.batch, n, kw, "BATCH")?;
             } else if self.at_keyword("SEED") {
                 let kw = self.next().expect("peeked").span;
-                let n = self.expect_uint_expr("SEED value")?;
+                let n = self.expect_uint("SEED value")?;
                 set_once(&mut o.seed, n, kw, "SEED")?;
             } else if self.at_keyword("LIMIT") {
                 let kw = self.next().expect("peeked").span;
-                let n = self.expect_uint_expr("LIMIT count")?;
+                let n = self.expect_uint("LIMIT count")?;
                 set_once(&mut o.limit, n, kw, "LIMIT")?;
             } else if self.at_keyword("MODEL") {
                 let kw = self.next().expect("peeked").span;
                 self.expect_keyword("CAP")?;
-                let n = self.expect_uint_expr("MODEL CAP size")?;
+                let n = self.expect_uint("MODEL CAP size")?;
                 set_once(&mut o.model_cap, n, kw, "MODEL CAP")?;
             } else if self.at_keyword("PRUNE") {
                 let kw = self.next().expect("peeked").span;
@@ -522,7 +403,7 @@ mod tests {
 
     #[test]
     fn parses_the_motivating_query() {
-        let q = parse(
+        let q = parse_statement(
             "SELECT GalAge(z) WITH ACCURACY 0.1 0.05 METRIC disc FROM sky \
              WHERE PR(ComoveVol(z, z2) IN [0.1, 0.4]) >= 0.8 USING gp WORKERS 4 SEED 7",
         )
@@ -531,81 +412,68 @@ mod tests {
         assert_eq!(q.select.call.name.node, "GalAge");
         assert_eq!(q.select.call.args.len(), 1);
         let acc = q.select.accuracy.as_ref().unwrap();
-        assert_eq!(acc.eps.node, NumExpr::Lit(0.1));
+        assert_eq!(acc.eps.node, 0.1);
         assert_eq!(acc.metric.as_ref().unwrap().node, MetricName::Disc);
         assert!(matches!(q.select.source, SourceRef::Relation(_)));
         let p = q.select.predicate.as_ref().unwrap();
         assert_eq!(p.call.args.len(), 2);
-        assert_eq!(p.theta.node, NumExpr::Lit(0.8));
-        assert_eq!(
-            q.select.options.workers.as_ref().unwrap().node,
-            UintExpr::Lit(4)
-        );
-        assert_eq!(
-            q.select.options.seed.as_ref().unwrap().node,
-            UintExpr::Lit(7)
-        );
+        assert_eq!(p.theta.node, 0.8);
+        assert_eq!(q.select.options.workers.as_ref().unwrap().node, 4);
+        assert_eq!(q.select.options.seed.as_ref().unwrap().node, 7);
         assert!(q.select.options.limit.is_none());
     }
 
     #[test]
     fn parses_stream_and_explain() {
-        let q = parse("EXPLAIN SELECT F3(x) FROM STREAM synth LIMIT 1000 BATCH 64").unwrap();
+        let q =
+            parse_statement("EXPLAIN SELECT F3(x) FROM STREAM synth LIMIT 1000 BATCH 64").unwrap();
         assert_eq!(q.explain, ExplainMode::Plan);
         assert!(matches!(q.select.source, SourceRef::Stream(_)));
-        assert_eq!(
-            q.select.options.limit.as_ref().unwrap().node,
-            UintExpr::Lit(1000)
-        );
-        assert_eq!(
-            q.select.options.batch.as_ref().unwrap().node,
-            UintExpr::Lit(64)
-        );
-        let q = parse("EXPLAIN ANALYZE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
+        assert_eq!(q.select.options.limit.as_ref().unwrap().node, 1000);
+        assert_eq!(q.select.options.batch.as_ref().unwrap().node, 64);
+        let q =
+            parse_statement("EXPLAIN ANALYZE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
         assert_eq!(q.explain, ExplainMode::Analyze);
-        let q = parse("EXPLAIN TRACE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
+        let q = parse_statement("EXPLAIN TRACE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
         assert_eq!(q.explain, ExplainMode::Trace);
         // TRACE only carries meaning after EXPLAIN: elsewhere it is a
         // plain identifier (here, a relation named `trace`).
-        let q = parse("SELECT F1(x) FROM trace").unwrap();
+        let q = parse_statement("SELECT F1(x) FROM trace").unwrap();
         assert_eq!(q.explain, ExplainMode::None);
     }
 
     #[test]
     fn keywords_are_case_insensitive() {
-        let a = parse("select F1(x) from sky using mc").unwrap();
-        let b = parse("SELECT F1(x) FROM sky USING MC").unwrap();
+        let a = parse_statement("select F1(x) from sky using mc").unwrap();
+        let b = parse_statement("SELECT F1(x) FROM sky USING MC").unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn options_accept_any_order_but_not_duplicates() {
-        let a = parse("SELECT F1(x) FROM sky SEED 3 USING gp WORKERS 2").unwrap();
-        let b = parse("SELECT F1(x) FROM sky USING gp WORKERS 2 SEED 3").unwrap();
+        let a = parse_statement("SELECT F1(x) FROM sky SEED 3 USING gp WORKERS 2").unwrap();
+        let b = parse_statement("SELECT F1(x) FROM sky USING gp WORKERS 2 SEED 3").unwrap();
         assert_eq!(a, b);
-        let err = parse("SELECT F1(x) FROM sky SEED 3 SEED 4").unwrap_err();
+        let err = parse_statement("SELECT F1(x) FROM sky SEED 3 SEED 4").unwrap_err();
         assert!(err.to_string().contains("duplicate `SEED`"), "{err}");
     }
 
     #[test]
     fn parses_model_cap() {
-        let q = parse("SELECT F2(x) FROM pts USING gp MODEL CAP 32 SEED 1").unwrap();
-        assert_eq!(
-            q.select.options.model_cap.as_ref().unwrap().node,
-            UintExpr::Lit(32)
-        );
+        let q = parse_statement("SELECT F2(x) FROM pts USING gp MODEL CAP 32 SEED 1").unwrap();
+        assert_eq!(q.select.options.model_cap.as_ref().unwrap().node, 32);
         // Two-keyword clause: `MODEL` without `CAP` is a parse error.
-        let err = parse("SELECT F2(x) FROM pts MODEL 32").unwrap_err();
+        let err = parse_statement("SELECT F2(x) FROM pts MODEL 32").unwrap_err();
         assert!(err.to_string().contains("keyword `CAP`"), "{err}");
-        let err = parse("SELECT F2(x) FROM pts MODEL CAP 8 MODEL CAP 9").unwrap_err();
+        let err = parse_statement("SELECT F2(x) FROM pts MODEL CAP 8 MODEL CAP 9").unwrap_err();
         assert!(err.to_string().contains("duplicate `MODEL CAP`"), "{err}");
-        let err = parse("SELECT F2(x) FROM pts MODEL CAP -3").unwrap_err();
+        let err = parse_statement("SELECT F2(x) FROM pts MODEL CAP -3").unwrap_err();
         assert!(err.to_string().contains("non-negative integer"), "{err}");
     }
 
     #[test]
     fn parses_join_source_with_qualified_refs() {
-        let q = parse(
+        let q = parse_statement(
             "SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID < b.objID \
              WHERE PR(AngDist(a.z, b.z) IN [0.1, 0.3]) >= 0.5 USING gp PRUNE SEED 2",
         )
@@ -623,29 +491,30 @@ mod tests {
         assert!(q.select.options.prune.is_some());
 
         // Join without ON; bare FROM still parses as a plain relation.
-        let q = parse("SELECT AngDist(a.z, b.z) FROM sky a JOIN stars b").unwrap();
+        let q = parse_statement("SELECT AngDist(a.z, b.z) FROM sky a JOIN stars b").unwrap();
         let SourceRef::Join(j) = &q.select.source else {
             panic!("join")
         };
         assert!(j.on.is_none());
         assert_eq!(j.right.node, "stars");
-        let q = parse("SELECT GalAge(z) FROM sky USING mc").unwrap();
+        let q = parse_statement("SELECT GalAge(z) FROM sky USING mc").unwrap();
         assert!(matches!(q.select.source, SourceRef::Relation(_)));
     }
 
     #[test]
     fn join_parse_errors_have_spans() {
-        let err = parse("SELECT AngDist(a.z, b.z) FROM sky a JOIN sky").unwrap_err();
+        let err = parse_statement("SELECT AngDist(a.z, b.z) FROM sky a JOIN sky").unwrap_err();
         assert!(err.to_string().contains("right join alias"), "{err}");
-        let err = parse("SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID >= b.objID")
-            .unwrap_err();
+        let err =
+            parse_statement("SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID >= b.objID")
+                .unwrap_err();
         assert!(err.to_string().contains("`<` between ON key"), "{err}");
-        let err = parse("SELECT AngDist(a., b.z) FROM sky a JOIN sky b").unwrap_err();
+        let err = parse_statement("SELECT AngDist(a., b.z) FROM sky a JOIN sky b").unwrap_err();
         assert!(
             err.to_string().contains("attribute name after `.`"),
             "{err}"
         );
-        let err = parse("SELECT F1(x) FROM sky PRUNE PRUNE").unwrap_err();
+        let err = parse_statement("SELECT F1(x) FROM sky PRUNE PRUNE").unwrap_err();
         assert!(err.to_string().contains("duplicate `PRUNE`"), "{err}");
     }
 
@@ -661,116 +530,52 @@ mod tests {
              where pr(AngDist(a.z, b.z) in [0.1, 0.3]) >= 0.5 using gp workers 2 prune",
         ];
         for src in srcs {
-            let ast = parse(src).unwrap();
+            let ast = parse_statement(src).unwrap();
             let printed = ast.to_string();
-            let reparsed = parse(&printed).unwrap();
+            let reparsed = parse_statement(&printed).unwrap();
             assert_eq!(ast, reparsed, "canonical form {printed:?}");
         }
     }
 
     #[test]
-    fn parses_prepare_with_parameters() {
-        let s = parse_statement(
-            "PREPARE q AS SELECT GalAge(z) WITH ACCURACY $1 $2 FROM sky \
-             WHERE PR(GalAge(z) IN [$3, 0.4]) >= $4 USING gp WORKERS $5 SEED 7",
-        )
-        .unwrap();
-        let Statement::Prepare { name, select } = &s else {
-            panic!("PREPARE expected, got {s}")
-        };
-        assert_eq!(name.node, "q");
-        let acc = select.accuracy.as_ref().unwrap();
-        assert_eq!(acc.eps.node, NumExpr::Param(1));
-        assert_eq!(acc.delta.node, NumExpr::Param(2));
-        let p = select.predicate.as_ref().unwrap();
-        assert_eq!(p.lo.node, NumExpr::Param(3));
-        assert_eq!(p.hi.node, NumExpr::Lit(0.4));
-        assert_eq!(p.theta.node, NumExpr::Param(4));
-        assert_eq!(
-            select.options.workers.as_ref().unwrap().node,
-            UintExpr::Param(5)
-        );
-        assert_eq!(select.options.seed.as_ref().unwrap().node, UintExpr::Lit(7));
-    }
-
-    #[test]
-    fn parses_execute_and_deallocate() {
-        let s = parse_statement("EXECUTE q").unwrap();
-        let Statement::Execute {
-            explain,
-            name,
-            args,
-        } = &s
-        else {
-            panic!("EXECUTE expected")
-        };
-        assert_eq!(*explain, ExplainMode::None);
-        assert_eq!(name.node, "q");
-        assert!(args.is_empty());
-
-        let s = parse_statement("EXECUTE q (0.5, 2)").unwrap();
-        let Statement::Execute { args, .. } = &s else {
-            panic!("EXECUTE expected")
-        };
-        assert_eq!(args.len(), 2);
-        assert_eq!(args[0].node, 0.5);
-        assert_eq!(args[1].node, 2.0);
-
-        let s = parse_statement("EXPLAIN ANALYZE EXECUTE q (1)").unwrap();
-        let Statement::Execute { explain, .. } = &s else {
-            panic!("EXECUTE expected")
-        };
-        assert_eq!(*explain, ExplainMode::Analyze);
-
-        let s = parse_statement("DEALLOCATE q").unwrap();
-        let Statement::Deallocate { name } = &s else {
-            panic!("DEALLOCATE expected")
-        };
-        assert_eq!(name.node, "q");
-
-        // A plain query still parses as a statement.
-        let s = parse_statement("SELECT F1(x) FROM sky").unwrap();
-        assert!(matches!(s, Statement::Select(_)));
-        // And EXPLAIN on a query rewinds correctly after the EXECUTE lookahead.
-        let s = parse_statement("EXPLAIN TRACE SELECT F1(x) FROM sky").unwrap();
-        let Statement::Select(q) = &s else {
-            panic!("SELECT expected")
-        };
-        assert_eq!(q.explain, ExplainMode::Trace);
-    }
-
-    #[test]
     fn statement_parse_errors() {
-        let err = parse_statement("PREPARE").unwrap_err();
-        assert!(err.to_string().contains("statement name"), "{err}");
-        let err = parse_statement("PREPARE q SELECT F1(x) FROM sky").unwrap_err();
-        assert!(err.to_string().contains("`AS`"), "{err}");
-        let err = parse_statement("EXECUTE q (1,)").unwrap_err();
-        assert!(err.to_string().contains("argument value"), "{err}");
-        let err = parse_statement("EXECUTE q (1 2)").unwrap_err();
-        assert!(err.to_string().contains("argument list"), "{err}");
-        let err = parse_statement("DEALLOCATE").unwrap_err();
-        assert!(err.to_string().contains("statement name"), "{err}");
-        let err = parse_statement("EXECUTE q extra").unwrap_err();
-        assert!(err.to_string().contains("trailing input"), "{err}");
+        // The prepared-statement verbs are not part of the grammar: each
+        // is a parse error at the verb, behind an EXPLAIN prefix or not.
+        for (src, verb) in [
+            ("PREPARE q AS SELECT F1(x) FROM sky", "PREPARE"),
+            ("EXECUTE q (0.5)", "EXECUTE"),
+            ("EXPLAIN EXECUTE q", "EXECUTE"),
+            ("EXPLAIN ANALYZE EXECUTE q", "EXECUTE"),
+            ("DEALLOCATE q", "DEALLOCATE"),
+        ] {
+            let err = parse_statement(src).unwrap_err();
+            let span = err.span().unwrap();
+            assert_eq!(&src[span.start..span.end], verb, "{src}: {err}");
+            assert!(
+                err.to_string().contains("expected keyword `SELECT`"),
+                "{err}"
+            );
+        }
+        let err = parse_statement("").unwrap_err();
+        assert!(err.to_string().contains("found end of input"), "{err}");
+        let err = parse_statement("EXPLAIN TRACE").unwrap_err();
+        assert!(err.to_string().contains("found end of input"), "{err}");
     }
 
     #[test]
     fn statements_round_trip_through_display() {
+        // Every EXPLAIN prefix survives print → reparse.
         let srcs = [
-            "PREPARE q AS SELECT GalAge(z) WITH ACCURACY $1 0.05 FROM sky \
-             WHERE PR(GalAge(z) IN [$2, $3]) >= 0.5 USING gp WORKERS $4 SEED 7",
-            "EXECUTE q",
-            "EXECUTE q (0.5, 2.0)",
-            "EXPLAIN ANALYZE EXECUTE q (1.0)",
-            "DEALLOCATE q",
-            "SELECT F1(x) FROM sky USING mc",
+            "SELECT F1(x) FROM sky USING MC",
+            "EXPLAIN SELECT F1(x) FROM sky USING MC",
+            "EXPLAIN ANALYZE SELECT F1(x) FROM sky USING MC",
+            "EXPLAIN TRACE SELECT F1(x) FROM sky USING MC",
         ];
         for src in srcs {
             let ast = parse_statement(src).unwrap();
             let printed = ast.to_string();
-            let reparsed = parse_statement(&printed).unwrap();
-            assert_eq!(ast, reparsed, "canonical form {printed:?}");
+            assert_eq!(printed, src);
+            assert_eq!(ast, parse_statement(&printed).unwrap());
         }
     }
 }

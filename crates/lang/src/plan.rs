@@ -15,9 +15,7 @@
 //!    accuracy and predicate validated into engine types, strategy fixed
 //!    (AUTO resolves by the paper's §6.3 rules), ready to execute.
 
-use crate::ast::{
-    AttrRef, JoinSource, MetricName, NumExpr, Query, Select, SourceRef, StrategyName, UintExpr,
-};
+use crate::ast::{AttrRef, JoinSource, MetricName, Query, Select, SourceRef, StrategyName};
 use crate::error::{LangError, Result, Span, Spanned};
 use crate::exec::Context;
 use std::fmt;
@@ -30,6 +28,7 @@ use udf_core::udf::BlackBoxUdf;
 use udf_join::Side;
 use udf_query::EvalStrategy;
 use udf_stream::StreamStrategy;
+use udf_workloads::registry::UdfEntry;
 
 /// A logical-plan operator tree (used for `EXPLAIN`; the physical plan
 /// carries the bound engine objects).
@@ -482,384 +481,13 @@ fn indent(s: &str) -> String {
     })
 }
 
-/// Bind a parsed one-shot query against a [`Context`]. The one-shot path
-/// is prepare-then-execute-once: the statement is compiled with
-/// [`prepare`] and its (necessarily empty) parameter set is bound
-/// immediately, so one-shot and `PREPARE`d statements share every
-/// resolution and validation rule.
-pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
-    let prepared = prepare(&query.select, ctx)?;
-    if let Some(p) = prepared.params.first() {
-        return Err(LangError::semantic(
-            p.span,
-            format!(
-                "positional parameter `${}` is only allowed inside `PREPARE name AS ...` \
-                 (bind it with `EXECUTE`)",
-                p.index,
-            ),
-        ));
-    }
-    let physical = prepared.bind_args(&[], Span::new(0, 0))?;
-    Ok(BoundQuery {
-        logical: prepared.logical,
-        optimized: prepared.optimized,
-        physical,
-    })
-}
-
-/// The value shape a parameter slot accepts, decided by position at
-/// prepare time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamType {
-    /// Any number: accuracy ε/δ, interval bounds, the threshold θ.
-    Number,
-    /// A non-negative integer: WORKERS, BATCH, SEED, LIMIT, MODEL CAP.
-    Integer,
-}
-
-impl fmt::Display for ParamType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParamType::Number => write!(f, "number"),
-            ParamType::Integer => write!(f, "integer"),
-        }
-    }
-}
-
-/// One distinct `$n` slot of a prepared statement, typed at prepare time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParamSlot {
-    /// 1-based parameter number (`$1` has index 1).
-    pub index: usize,
-    /// The shape `EXECUTE` arguments are checked against. A parameter
-    /// used in both a numeric and an integer position binds as Integer.
-    pub ty: ParamType,
-    /// Span of one use inside the `PREPARE` text.
-    pub span: Span,
-    /// The clause the slot feeds (`WORKERS`, `accuracy ε`, ...).
-    pub what: &'static str,
-}
-
-/// Catalog bindings resolved once at prepare time, per source form.
-/// Numeric fields stay in the stored [`Select`] as
-/// [`NumExpr`]/[`UintExpr`] slots and are resolved per execution by
-/// [`PreparedPlan::bind_args`].
-#[derive(Debug, Clone)]
-enum SourceTemplate {
-    Relation {
-        relation: String,
-        args: Vec<String>,
-        strategy: EvalStrategy,
-    },
-    Stream {
-        source: String,
-        strategy: StreamStrategy,
-        resolves_to_mc: bool,
-    },
-    Join {
-        left: String,
-        left_alias: String,
-        right: String,
-        right_alias: String,
-        on: Option<((Side, String), (Side, String))>,
-        args: Vec<(Side, String)>,
-        strategy: EvalStrategy,
-        prune: bool,
-    },
-}
-
-/// A statement compiled against the catalog with its numeric slots still
-/// open: names, schemas, and the strategy resolve once at prepare time
-/// (with span diagnostics), the logical plans are built, and
-/// [`bind_args`](Self::bind_args) then turns one set of `EXECUTE`
-/// arguments into a [`PhysicalPlan`]. Bad arity or a bad argument at
-/// `EXECUTE` is a bind-stage [`LangError`], never a panic.
-#[derive(Debug, Clone)]
-pub struct PreparedPlan {
-    /// The SELECT body as written (parameter slots included).
-    select: Select,
-    /// Names and strategy resolved against the catalog.
-    source: SourceTemplate,
-    /// The bound UDF (cloned from the catalog).
-    udf: BlackBoxUdf,
-    /// λ from the catalog's output-range estimate (§6.1-C).
-    lambda: f64,
-    /// Output-range estimate, validated finite and positive.
-    output_range: f64,
-    /// The query as written.
-    pub logical: LogicalPlan,
-    /// After predicate pushdown.
-    pub optimized: LogicalPlan,
-    /// Distinct parameter slots, sorted `$1..$n` (always contiguous).
-    pub params: Vec<ParamSlot>,
-}
-
-impl PreparedPlan {
-    /// Number of arguments `EXECUTE` must supply.
-    pub fn arity(&self) -> usize {
-        self.params.len()
-    }
-
-    /// The SELECT body this plan was prepared from.
-    pub fn select(&self) -> &Select {
-        &self.select
-    }
-
-    /// Bind one set of `EXECUTE` arguments: check arity and slot types,
-    /// substitute the values, and run the same numeric validation the
-    /// one-shot binder applies (accuracy, predicate, option ranges).
-    /// `stmt_span` anchors arity diagnostics in the `EXECUTE` text;
-    /// per-value diagnostics point at the argument that supplied the
-    /// value (or at the literal in the prepared text).
-    pub fn bind_args(&self, args: &[Spanned<f64>], stmt_span: Span) -> Result<PhysicalPlan> {
-        if args.len() != self.params.len() {
-            return Err(LangError::semantic(
-                stmt_span,
-                format!(
-                    "prepared statement takes {} argument(s), got {}",
-                    self.params.len(),
-                    args.len(),
-                ),
-            ));
-        }
-        for (slot, arg) in self.params.iter().zip(args) {
-            let v = arg.node;
-            let integral = v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v < 2f64.powi(53);
-            if slot.ty == ParamType::Integer && !integral {
-                return Err(LangError::semantic(
-                    arg.span,
-                    format!(
-                        "parameter `${}` feeds {} and must be a non-negative integer, got {v:?}",
-                        slot.index, slot.what,
-                    ),
-                ));
-            }
-        }
-        let num = |e: &Spanned<NumExpr>| -> Spanned<f64> {
-            match e.node {
-                NumExpr::Lit(v) => Spanned::new(v, e.span),
-                NumExpr::Param(n) => {
-                    let a = &args[n - 1];
-                    Spanned::new(a.node, a.span)
-                }
-            }
-        };
-        let uint = |e: &Spanned<UintExpr>| -> Spanned<u64> {
-            match e.node {
-                UintExpr::Lit(v) => Spanned::new(v, e.span),
-                UintExpr::Param(n) => {
-                    let a = &args[n - 1];
-                    Spanned::new(a.node as u64, a.span)
-                }
-            }
-        };
-        let sel = &self.select;
-
-        // Whether the strategy resolved to MC, explicitly (`USING mc`) or
-        // by AUTO.
-        let is_mc = match &self.source {
-            SourceTemplate::Relation { strategy, .. } | SourceTemplate::Join { strategy, .. } => {
-                *strategy == EvalStrategy::Mc
-            }
-            SourceTemplate::Stream { resolves_to_mc, .. } => *resolves_to_mc,
-        };
-
-        // Accuracy: explicit clause or the paper's defaults.
-        let accuracy = match &sel.accuracy {
-            None => AccuracyRequirement::new(0.1, 0.05, self.lambda, Metric::Discrepancy)
-                .expect("paper defaults with a validated lambda"),
-            Some(acc) => {
-                let metric = match acc.metric.as_ref().map(|m| m.node) {
-                    Some(MetricName::Ks) => Metric::Ks,
-                    _ => Metric::Discrepancy,
-                };
-                let eps = num(&acc.eps);
-                let delta = num(&acc.delta);
-                let accuracy = AccuracyRequirement::new(eps.node, delta.node, self.lambda, metric)
-                    .map_err(|e| accuracy_diagnostic(e, eps.span, delta.span))?;
-                // The evaluators refuse a valid but tiny ε (the count grows
-                // as 1/ε²) too; here it fails with a span.
-                let samples = if is_mc {
-                    accuracy.mc_samples()
-                } else {
-                    OlgaproConfig::new(accuracy, self.output_range)
-                        .expect("accuracy and output_range validated above")
-                        .samples_per_input()
-                };
-                if check_samples_per_tuple(samples).is_err() {
-                    return Err(LangError::semantic(
-                        eps.span,
-                        format!(
-                            "accuracy ε={} δ={} needs {samples} samples per tuple with the {} \
-                             strategy; the limit is {MAX_SAMPLES_PER_TUPLE}",
-                            eps.node,
-                            delta.node,
-                            if is_mc { "mc" } else { "gp" },
-                        ),
-                    ));
-                }
-                accuracy
-            }
-        };
-
-        // The WHERE predicate (the same-call shape was checked at prepare
-        // time; values are validated here, where parameters have values).
-        let predicate = match &sel.predicate {
-            None => None,
-            Some(p) => {
-                let lo = num(&p.lo);
-                let hi = num(&p.hi);
-                let theta = num(&p.theta);
-                Some(
-                    Predicate::new(lo.node, hi.node, theta.node)
-                        .map_err(|e| predicate_diagnostic(e, lo, hi, theta, p.span))?,
-                )
-            }
-        };
-
-        // Options.
-        let workers = match &sel.options.workers {
-            None => 1,
-            Some(w) => {
-                let w = uint(w);
-                if (1..=1024).contains(&w.node) {
-                    w.node as usize
-                } else {
-                    return Err(LangError::semantic(
-                        w.span,
-                        format!("WORKERS must be in 1..=1024, got {}", w.node),
-                    ));
-                }
-            }
-        };
-        let seed = sel.options.seed.as_ref().map_or(0, |s| uint(s).node);
-        let model_cap = match &sel.options.model_cap {
-            None => 0usize,
-            Some(c) => {
-                let c = uint(c);
-                if c.node > 1_000_000 {
-                    return Err(LangError::semantic(
-                        c.span,
-                        format!("MODEL CAP must be at most 1000000, got {}", c.node),
-                    ));
-                }
-                // Caps the model could never bootstrap under are rejected
-                // here with a span, rather than as an engine error at run
-                // time.
-                let min = OlgaproConfig::new(accuracy, self.output_range)
-                    .expect("accuracy and output_range validated above")
-                    .min_model_cap();
-                if c.node > 0 && (c.node as usize) < min {
-                    return Err(LangError::semantic(
-                        c.span,
-                        format!(
-                            "MODEL CAP must be 0 (uncapped) or at least the GP bootstrap \
-                             size ({min}), got {}",
-                            c.node
-                        ),
-                    ));
-                }
-                // A nonzero cap on a query whose strategy resolved to MC
-                // would be silently dropped (MC has no model) — reject it,
-                // whether the MC choice was explicit (`USING mc`) or made
-                // by AUTO.
-                if c.node > 0 && is_mc {
-                    return Err(LangError::semantic(
-                        c.span,
-                        "MODEL CAP bounds the GP model, but this query's strategy resolved \
-                         to MC (explicitly or via AUTO's §6.3 rules); use `USING gp` or \
-                         drop the cap",
-                    ));
-                }
-                c.node as usize
-            }
-        };
-
-        match &self.source {
-            SourceTemplate::Relation {
-                relation,
-                args: cols,
-                strategy,
-            } => Ok(PhysicalPlan::Relation(RelPlan {
-                relation: relation.clone(),
-                udf: self.udf.clone(),
-                args: cols.clone(),
-                strategy: *strategy,
-                accuracy,
-                output_range: self.output_range,
-                predicate,
-                workers,
-                seed,
-                model_cap,
-            })),
-            SourceTemplate::Stream {
-                source, strategy, ..
-            } => {
-                let batch = match &sel.options.batch {
-                    None => 256,
-                    Some(b) => {
-                        let b = uint(b);
-                        if (1..=1_048_576).contains(&b.node) {
-                            b.node as usize
-                        } else {
-                            return Err(LangError::semantic(
-                                b.span,
-                                format!("BATCH must be in 1..=1048576, got {}", b.node),
-                            ));
-                        }
-                    }
-                };
-                Ok(PhysicalPlan::Stream(StreamPlan {
-                    source: source.clone(),
-                    udf: self.udf.clone(),
-                    strategy: *strategy,
-                    accuracy,
-                    output_range: self.output_range,
-                    predicate,
-                    workers,
-                    batch,
-                    seed,
-                    limit: sel.options.limit.as_ref().map(|l| uint(l).node),
-                    model_cap,
-                }))
-            }
-            SourceTemplate::Join {
-                left,
-                left_alias,
-                right,
-                right_alias,
-                on,
-                args: pair_args,
-                strategy,
-                prune,
-            } => Ok(PhysicalPlan::Join(JoinPlan {
-                left: left.clone(),
-                left_alias: left_alias.clone(),
-                right: right.clone(),
-                right_alias: right_alias.clone(),
-                on: on.clone(),
-                udf: self.udf.clone(),
-                args: pair_args.clone(),
-                strategy: *strategy,
-                accuracy,
-                output_range: self.output_range,
-                predicate,
-                workers,
-                seed,
-                model_cap,
-                prune: *prune,
-            })),
-        }
-    }
-}
-
-/// Compile a SELECT body against a [`Context`]: resolve the UDF and the
+/// Bind a parsed query against a [`Context`]: resolve the UDF and the
 /// source against the catalog, fix the strategy (AUTO resolves by the
-/// paper's §6.3 rules), build the logical plans, and collect the `$n`
-/// parameter slots with their types. Every name/shape/structure error
-/// surfaces here, at prepare time; numeric validation runs per execution
-/// in [`PreparedPlan::bind_args`].
-pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
+/// paper's §6.3 rules), build the logical plans, and validate the numeric
+/// clauses into engine types. Every name/shape/structure error surfaces
+/// before any numeric one, each with the span at fault.
+pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
+    let sel = &query.select;
     // 1. The projected UDF must exist in the catalog.
     let entry = ctx.udfs().get(&sel.call.name.node).ok_or_else(|| {
         LangError::semantic(
@@ -871,7 +499,7 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
             ),
         )
     })?;
-    let udf = entry.udf.clone();
+    let udf = &entry.udf;
     if sel.call.args.len() != udf.dim() {
         return Err(LangError::semantic(
             sel.call.span,
@@ -887,7 +515,6 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
     // 2. λ is always 1% of the catalog's output-range estimate (§6.1-C).
     //    The range comes from a user-registrable entry, so a poisoned
     //    value (negative, NaN) must surface as a diagnostic, not a panic.
-    let lambda = entry.default_lambda();
     let output_range = entry.output_range;
     if !(output_range > 0.0 && output_range.is_finite()) {
         return Err(LangError::semantic(
@@ -919,7 +546,8 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
     }
 
     // 4. Source-specific resolution. The strategy fixes here (it depends
-    //    only on the UDF), so PRUNE/cap checks can rule on it.
+    //    only on the UDF), so PRUNE/cap checks can rule on it; the numeric
+    //    clauses are validated last, once it is known.
     let strategy_name = sel
         .options
         .strategy
@@ -928,7 +556,7 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
     let call_text = sel.call.to_string();
     let pred_text = sel.predicate.as_ref().map(|p| {
         format!(
-            "Pr[{} ∈ [{}, {}]] ≥ {}",
+            "Pr[{} ∈ [{:?}, {:?}]] ≥ {:?}",
             p.call, p.lo.node, p.hi.node, p.theta.node
         )
     });
@@ -940,7 +568,7 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
             "PRUNE applies to `JOIN` queries only (it prunes candidate pairs)",
         ));
     }
-    let (source, scan, prune) = match &sel.source {
+    let (physical, scan, prune) = match &sel.source {
         SourceRef::Relation(name) => {
             if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
                 return Err(LangError::semantic(
@@ -973,22 +601,27 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
                     ));
                 }
             }
-            let strategy = resolve_strategy(strategy_name, &udf);
+            let strategy = resolve_strategy(strategy_name, udf);
             let scan = LogicalPlan::Scan {
                 relation: name.node.clone(),
                 rows: rel.len(),
             };
-            (
-                SourceTemplate::Relation {
-                    relation: name.node.clone(),
-                    args: sel.call.args.iter().map(|a| a.node.name.clone()).collect(),
-                    strategy,
-                },
-                scan,
-                false,
-            )
+            let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
+            let plan = PhysicalPlan::Relation(RelPlan {
+                relation: name.node.clone(),
+                udf: udf.clone(),
+                args: sel.call.args.iter().map(|a| a.node.name.clone()).collect(),
+                strategy,
+                accuracy: n.accuracy,
+                output_range,
+                predicate: n.predicate,
+                workers: n.workers,
+                seed: n.seed,
+                model_cap: n.model_cap,
+            });
+            (plan, scan, false)
         }
-        SourceRef::Join(join) => prepare_join(sel, join, &udf, strategy_name, ctx)?,
+        SourceRef::Join(join) => bind_join(sel, join, entry, strategy_name, ctx)?,
         SourceRef::Stream(name) => {
             let dim = ctx.stream_dim(&name.node).ok_or_else(|| {
                 LangError::semantic(
@@ -1022,8 +655,8 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
             };
             // AUTO stays symbolic on streams (the engine resolves it at
             // subscribe), but it resolves by the same deterministic §6.3
-            // rule — record the outcome so a cap AUTO would drop is
-            // rejected with a span instead of silently ignored.
+            // rule — use the outcome so a cap AUTO would drop is rejected
+            // with a span instead of silently ignored.
             let resolves_to_mc = match strategy {
                 StreamStrategy::Mc => true,
                 StreamStrategy::Gp => false,
@@ -1036,107 +669,163 @@ pub fn prepare(sel: &Select, ctx: &Context) -> Result<PreparedPlan> {
                 source: name.node.clone(),
                 dim,
             };
-            (
-                SourceTemplate::Stream {
-                    source: name.node.clone(),
-                    strategy,
-                    resolves_to_mc,
-                },
-                scan,
-                false,
-            )
+            let n = bind_numbers(sel, entry, resolves_to_mc)?;
+            let batch = match &sel.options.batch {
+                None => 256,
+                Some(b) if (1..=1_048_576).contains(&b.node) => b.node as usize,
+                Some(b) => {
+                    return Err(LangError::semantic(
+                        b.span,
+                        format!("BATCH must be in 1..=1048576, got {}", b.node),
+                    ))
+                }
+            };
+            let plan = PhysicalPlan::Stream(StreamPlan {
+                source: name.node.clone(),
+                udf: udf.clone(),
+                strategy,
+                accuracy: n.accuracy,
+                output_range,
+                predicate: n.predicate,
+                workers: n.workers,
+                batch,
+                seed: n.seed,
+                limit: sel.options.limit.as_ref().map(|l| l.node),
+                model_cap: n.model_cap,
+            });
+            (plan, scan, false)
         }
     };
     let logical = build_logical(scan, &call_text, pred_text.as_deref());
     let optimized = logical.clone().optimize(prune);
-    let params = collect_params(sel)?;
-    Ok(PreparedPlan {
-        select: sel.clone(),
-        source,
-        udf,
-        lambda,
-        output_range,
+    Ok(BoundQuery {
         logical,
         optimized,
-        params,
+        physical,
     })
 }
 
-/// Record one `$n` use; a later use of the same index upgrades the slot
-/// to Integer (the stricter shape) but never downgrades it.
-fn add_slot(
-    slots: &mut Vec<ParamSlot>,
-    index: usize,
-    ty: ParamType,
-    span: Span,
-    what: &'static str,
-) {
-    if let Some(s) = slots.iter_mut().find(|s| s.index == index) {
-        if ty == ParamType::Integer && s.ty == ParamType::Number {
-            s.ty = ty;
-            s.span = span;
-            s.what = what;
-        }
-    } else {
-        slots.push(ParamSlot {
-            index,
-            ty,
-            span,
-            what,
-        });
-    }
+/// The numeric clauses of a statement, validated into engine types.
+struct Numbers {
+    accuracy: AccuracyRequirement,
+    predicate: Option<Predicate>,
+    workers: usize,
+    seed: u64,
+    model_cap: usize,
 }
 
-/// Walk every numeric position of a SELECT body and collect its distinct
-/// `$n` slots, typed by position. Indices must be contiguous from `$1`.
-fn collect_params(sel: &Select) -> Result<Vec<ParamSlot>> {
-    let mut slots = Vec::new();
-    if let Some(acc) = &sel.accuracy {
-        for (e, what) in [(&acc.eps, "accuracy ε"), (&acc.delta, "accuracy δ")] {
-            if let NumExpr::Param(n) = e.node {
-                add_slot(&mut slots, n, ParamType::Number, e.span, what);
+/// Validate the accuracy, predicate and option values of `sel` against
+/// the catalog `entry`, once the source has resolved whether the strategy
+/// is MC (`is_mc`, explicitly or by AUTO). Diagnostics point at the
+/// literal at fault.
+fn bind_numbers(sel: &Select, entry: &UdfEntry, is_mc: bool) -> Result<Numbers> {
+    let lambda = entry.default_lambda();
+    let output_range = entry.output_range;
+    // Accuracy: explicit clause or the paper's defaults.
+    let accuracy = match &sel.accuracy {
+        None => AccuracyRequirement::new(0.1, 0.05, lambda, Metric::Discrepancy)
+            .expect("paper defaults with a validated lambda"),
+        Some(acc) => {
+            let metric = match acc.metric.as_ref().map(|m| m.node) {
+                Some(MetricName::Ks) => Metric::Ks,
+                _ => Metric::Discrepancy,
+            };
+            let (eps, delta) = (acc.eps, acc.delta);
+            let accuracy = AccuracyRequirement::new(eps.node, delta.node, lambda, metric)
+                .map_err(|e| accuracy_diagnostic(e, eps.span, delta.span))?;
+            // The evaluators refuse a valid but tiny ε (the count grows
+            // as 1/ε²) too; here it fails with a span.
+            let samples = if is_mc {
+                accuracy.mc_samples()
+            } else {
+                OlgaproConfig::new(accuracy, output_range)
+                    .expect("accuracy and output_range validated above")
+                    .samples_per_input()
+            };
+            if check_samples_per_tuple(samples).is_err() {
+                return Err(LangError::semantic(
+                    eps.span,
+                    format!(
+                        "accuracy ε={} δ={} needs {samples} samples per tuple with the {} \
+                         strategy; the limit is {MAX_SAMPLES_PER_TUPLE}",
+                        eps.node,
+                        delta.node,
+                        if is_mc { "mc" } else { "gp" },
+                    ),
+                ));
             }
+            accuracy
         }
-    }
-    if let Some(p) = &sel.predicate {
-        for (e, what) in [
-            (&p.lo, "the interval lower bound"),
-            (&p.hi, "the interval upper bound"),
-            (&p.theta, "the threshold θ"),
-        ] {
-            if let NumExpr::Param(n) = e.node {
-                add_slot(&mut slots, n, ParamType::Number, e.span, what);
-            }
-        }
-    }
-    for (e, what) in [
-        (&sel.options.workers, "WORKERS"),
-        (&sel.options.batch, "BATCH"),
-        (&sel.options.seed, "SEED"),
-        (&sel.options.limit, "LIMIT"),
-        (&sel.options.model_cap, "MODEL CAP"),
-    ] {
-        if let Some(e) = e {
-            if let UintExpr::Param(n) = e.node {
-                add_slot(&mut slots, n, ParamType::Integer, e.span, what);
-            }
-        }
-    }
-    slots.sort_by_key(|s| s.index);
-    for (i, s) in slots.iter().enumerate() {
-        if s.index != i + 1 {
+    };
+
+    // The WHERE predicate (its same-call shape was checked by the caller).
+    let predicate = match &sel.predicate {
+        None => None,
+        Some(p) => Some(
+            Predicate::new(p.lo.node, p.hi.node, p.theta.node)
+                .map_err(|e| predicate_diagnostic(e, p.lo, p.hi, p.theta, p.span))?,
+        ),
+    };
+
+    // Options.
+    let workers = match &sel.options.workers {
+        None => 1,
+        Some(w) if (1..=1024).contains(&w.node) => w.node as usize,
+        Some(w) => {
             return Err(LangError::semantic(
-                s.span,
-                format!(
-                    "parameters must be numbered contiguously from $1 \
-                     (`${}` is used but `${}` is not)",
-                    s.index,
-                    i + 1,
-                ),
-            ));
+                w.span,
+                format!("WORKERS must be in 1..=1024, got {}", w.node),
+            ))
         }
-    }
-    Ok(slots)
+    };
+    let seed = sel.options.seed.as_ref().map_or(0, |s| s.node);
+    let model_cap = match &sel.options.model_cap {
+        None => 0usize,
+        Some(c) => {
+            if c.node > 1_000_000 {
+                return Err(LangError::semantic(
+                    c.span,
+                    format!("MODEL CAP must be at most 1000000, got {}", c.node),
+                ));
+            }
+            // Caps the model could never bootstrap under are rejected
+            // here with a span, rather than as an engine error at run
+            // time.
+            let min = OlgaproConfig::new(accuracy, output_range)
+                .expect("accuracy and output_range validated above")
+                .min_model_cap();
+            if c.node > 0 && (c.node as usize) < min {
+                return Err(LangError::semantic(
+                    c.span,
+                    format!(
+                        "MODEL CAP must be 0 (uncapped) or at least the GP bootstrap \
+                         size ({min}), got {}",
+                        c.node
+                    ),
+                ));
+            }
+            // A nonzero cap on a query whose strategy resolved to MC
+            // would be silently dropped (MC has no model) — reject it,
+            // whether the MC choice was explicit (`USING mc`) or made
+            // by AUTO.
+            if c.node > 0 && is_mc {
+                return Err(LangError::semantic(
+                    c.span,
+                    "MODEL CAP bounds the GP model, but this query's strategy resolved \
+                     to MC (explicitly or via AUTO's §6.3 rules); use `USING gp` or \
+                     drop the cap",
+                ));
+            }
+            c.node as usize
+        }
+    };
+    Ok(Numbers {
+        accuracy,
+        predicate,
+        workers,
+        seed,
+        model_cap,
+    })
 }
 
 /// Resolve `USING mc|gp|auto` to a relational strategy; AUTO applies the
@@ -1169,14 +858,14 @@ fn reject_alias_outside_join(arg: &Spanned<AttrRef>) -> Result<()> {
     }
 }
 
-/// Resolve the `FROM rel a JOIN rel b` source form against the catalog.
-fn prepare_join(
+/// Bind the `FROM rel a JOIN rel b` source form against the catalog.
+fn bind_join(
     sel: &Select,
     join: &JoinSource,
-    udf: &BlackBoxUdf,
+    entry: &UdfEntry,
     strategy_name: StrategyName,
     ctx: &Context,
-) -> Result<(SourceTemplate, LogicalPlan, bool)> {
+) -> Result<(PhysicalPlan, LogicalPlan, bool)> {
     if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
         return Err(LangError::semantic(
             c.span,
@@ -1260,7 +949,7 @@ fn prepare_join(
         Some(on) => Some((resolve(&on.lhs)?, resolve(&on.rhs)?)),
     };
 
-    let strategy = resolve_strategy(strategy_name, udf);
+    let strategy = resolve_strategy(strategy_name, &entry.udf);
     let prune = match &sel.options.prune {
         None => false,
         Some(p) => {
@@ -1294,20 +983,25 @@ fn prepare_join(
             .as_ref()
             .map(|o| format!("{} < {}", o.lhs.node, o.rhs.node)),
     };
-    Ok((
-        SourceTemplate::Join {
-            left: join.left.node.clone(),
-            left_alias: join.left_alias.node.clone(),
-            right: join.right.node.clone(),
-            right_alias: join.right_alias.node.clone(),
-            on,
-            args,
-            strategy,
-            prune,
-        },
-        join_node,
+    let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
+    let plan = PhysicalPlan::Join(JoinPlan {
+        left: join.left.node.clone(),
+        left_alias: join.left_alias.node.clone(),
+        right: join.right.node.clone(),
+        right_alias: join.right_alias.node.clone(),
+        on,
+        udf: entry.udf.clone(),
+        args,
+        strategy,
+        accuracy: n.accuracy,
+        output_range: entry.output_range,
+        predicate: n.predicate,
+        workers: n.workers,
+        seed: n.seed,
+        model_cap: n.model_cap,
         prune,
-    ))
+    });
+    Ok((plan, join_node, prune))
 }
 
 fn build_logical(scan: LogicalPlan, call: &str, pred: Option<&str>) -> LogicalPlan {
@@ -1343,9 +1037,7 @@ fn accuracy_diagnostic(e: udf_core::CoreError, eps: Span, delta: Span) -> LangEr
     }
 }
 
-/// Map a [`Predicate`] construction error onto the value at fault — the
-/// literal in the statement text, or the `EXECUTE` argument that supplied
-/// the parameter.
+/// Map a [`Predicate`] construction error onto the literal at fault.
 fn predicate_diagnostic(
     e: udf_core::CoreError,
     lo: Spanned<f64>,

@@ -29,8 +29,6 @@ pub enum Tok {
     Ge,
     /// `<` (join `ON` comparisons)
     Lt,
-    /// `$n` — positional parameter of a prepared statement (1-based).
-    Param(u32),
 }
 
 impl Tok {
@@ -47,7 +45,6 @@ impl Tok {
             Tok::Dot => "`.`".into(),
             Tok::Ge => "`>=`".into(),
             Tok::Lt => "`<`".into(),
-            Tok::Param(n) => format!("parameter `${n}`"),
         }
     }
 }
@@ -122,27 +119,6 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
             '.' if !bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) => {
                 i += 1;
                 Tok::Dot
-            }
-            '$' => {
-                let mut j = i + 1;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let digits = &src[i + 1..j];
-                let n: u32 = digits.parse().map_err(|_| {
-                    LangError::lex(
-                        Span::new(i, j.max(i + 1)),
-                        "expected a parameter number after `$` (e.g. `$1`)",
-                    )
-                })?;
-                if n == 0 {
-                    return Err(LangError::lex(
-                        Span::new(i, j),
-                        "parameters are numbered from `$1`",
-                    ));
-                }
-                i = j;
-                Tok::Param(n)
             }
             _ if c.is_ascii_alphabetic() || c == '_' => {
                 while i < bytes.len()
@@ -310,16 +286,16 @@ mod tests {
 
     #[test]
     fn positional_parameters() {
-        assert_eq!(
-            toks("PR $1 $23"),
-            vec![Tok::Ident("PR".into()), Tok::Param(1), Tok::Param(23)]
-        );
-        // `$` needs digits, and parameters are 1-based.
-        for src in ["$", "$x", "$0"] {
+        // `$n` is not part of the grammar: the `$` is rejected where it
+        // stands, whatever follows it.
+        for src in ["$", "$1", "$0", "PR $1"] {
             let err = lex(src).unwrap_err();
-            assert_eq!(err.span().unwrap().start, 0, "source {src:?}: {err}");
+            let span = err.span().unwrap();
+            assert_eq!(&src[span.start..span.end], "$", "source {src:?}: {err}");
+            assert!(
+                err.to_string().contains("unexpected character `$`"),
+                "{err}"
+            );
         }
-        let ts = lex("a $12").unwrap();
-        assert_eq!(ts[1].span, Span::new(2, 5));
     }
 }

@@ -34,8 +34,6 @@ fn ctx() -> Context {
     ctx.register_stream("synth", 1, || {
         Box::new(SyntheticSource::gaussian(1, 0.5, 1).with_limit(256))
     });
-    // So that `EXECUTE q (..)` and `DEALLOCATE q` find something.
-    run_uql(CORPUS[8], &mut ctx).expect("the corpus' PREPARE is well-formed");
     ctx
 }
 
@@ -54,6 +52,8 @@ const CORPUS: &[&str] = &[
     "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
      USING gp WORKERS 2 SEED 7",
     "EXPLAIN TRACE SELECT GalAge(z) FROM sky USING gp WORKERS 2 SEED 7",
+    // Prepared-statement forms, which are not UQL: each is rejected where
+    // it starts.
     "PREPARE q AS SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [$1, 0.9]) >= 0.6 \
      USING gp WORKERS 2 SEED 7",
     "EXECUTE q (0.5)",
@@ -72,7 +72,7 @@ const CORPUS: &[&str] = &[
     "SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID < c.objID USING gp",
     "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [$0, 1]) >= 0.5",
     "EXECUTE q (0.5, 2.5)",
-    // Rejected with a span into the PREPARE text, rendered against this one.
+    // A rejected verb, then a comment of multi-byte characters.
     "EXECUTE q(5)--≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥≥",
 ];
 
@@ -244,8 +244,10 @@ fn no_input_makes_run_uql_panic() {
                 assert!(!rendered.is_empty(), "input {i}: {text:?}");
                 let stage = match e {
                     LangError::Diagnostic { stage, span, .. } => {
-                        // (An EXECUTE's span may point into its PREPARE's text.)
-                        assert!(span.start <= span.end, "input {i}: {e:?} on {text:?}");
+                        assert!(
+                            span.start <= span.end && span.end <= text.len(),
+                            "input {i}: {e:?} on {text:?}"
+                        );
                         [Stage::Lex, Stage::Parse, Stage::Semantic]
                             .iter()
                             .position(|s| s == stage)
@@ -257,9 +259,9 @@ fn no_input_makes_run_uql_panic() {
                 stage >= 2
             }
         };
-        // A statement that got as far as binding may have prepared a plan or
-        // spun up a worker pool (up to WORKERS 1024): start the next one
-        // from a clean session so nothing accumulates.
+        // A statement that got as far as binding may have spun up a worker
+        // pool (up to WORKERS 1024): start the next one from a clean session
+        // so nothing accumulates.
         if past_the_parser {
             ctx = self::ctx();
         }

@@ -245,6 +245,10 @@ fn explain_trace_attributes_certify_misses() {
     assert!(report.contains("certify:"), "certify line:\n{report}");
     assert!(report.contains("fails="), "fail count:\n{report}");
     assert!(report.contains("max_gap="), "bound gap:\n{report}");
+    // Every statement pays its own parse, bind and warmup round.
+    for phase in ["parse=", "bind=", "warmup=", "main="] {
+        assert!(report.contains(phase), "{phase} phase:\n{report}");
+    }
 }
 
 /// EXPLAIN ANALYZE on a pruned join reports the JoinExec timing line with

@@ -5,11 +5,11 @@
 
 use proptest::prelude::*;
 use udf_lang::ast::{
-    AccuracyClause, AttrRef, CallExpr, ExplainMode, JoinSource, MetricName, NumExpr, OnExpr,
-    Options, PrFilterExpr, Query, Select, SourceRef, Statement, StrategyName, UintExpr,
+    AccuracyClause, AttrRef, CallExpr, ExplainMode, JoinSource, MetricName, OnExpr, Options,
+    PrFilterExpr, Query, Select, SourceRef, StrategyName,
 };
 use udf_lang::error::{Span, Spanned};
-use udf_lang::{parse, parse_statement};
+use udf_lang::parse_statement;
 
 fn sp<T>(node: T) -> Spanned<T> {
     Spanned::new(node, Span::default())
@@ -53,8 +53,8 @@ fn call(args: usize) -> impl Strategy<Value = CallExpr> {
 
 fn accuracy() -> impl Strategy<Value = AccuracyClause> {
     (0.0001f64..0.9999, 0.0001f64..0.9999, 0u8..3).prop_map(|(eps, delta, m)| AccuracyClause {
-        eps: sp(NumExpr::Lit(eps)),
-        delta: sp(NumExpr::Lit(delta)),
+        eps: sp(eps),
+        delta: sp(delta),
         metric: match m {
             0 => None,
             1 => Some(sp(MetricName::Ks)),
@@ -80,11 +80,11 @@ fn options() -> impl Strategy<Value = Options> {
                     _ => StrategyName::Auto,
                 })
             }),
-            workers: (mask & 2 != 0).then(|| sp(UintExpr::Lit(w))),
-            batch: (mask & 4 != 0).then(|| sp(UintExpr::Lit(b))),
-            seed: (mask & 8 != 0).then(|| sp(UintExpr::Lit(seed))),
-            limit: (mask & 16 != 0).then(|| sp(UintExpr::Lit(l))),
-            model_cap: (mask & 32 != 0).then(|| sp(UintExpr::Lit(cap))),
+            workers: (mask & 2 != 0).then(|| sp(w)),
+            batch: (mask & 4 != 0).then(|| sp(b)),
+            seed: (mask & 8 != 0).then(|| sp(seed)),
+            limit: (mask & 16 != 0).then(|| sp(l)),
+            model_cap: (mask & 32 != 0).then(|| sp(cap)),
             prune: (mask & 64 != 0).then(|| sp(true)),
         })
 }
@@ -135,9 +135,9 @@ fn query() -> impl Strategy<Value = Query> {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                 let predicate = with_pred.then(|| PrFilterExpr {
                     call: call.clone(),
-                    lo: sp(NumExpr::Lit(lo)),
-                    hi: sp(NumExpr::Lit(hi + 1.0)),
-                    theta: sp(NumExpr::Lit(theta)),
+                    lo: sp(lo),
+                    hi: sp(hi + 1.0),
+                    theta: sp(theta),
                     span: Span::default(),
                 });
                 let source = match flags & 24 {
@@ -159,80 +159,13 @@ fn query() -> impl Strategy<Value = Query> {
         )
 }
 
-/// Replace up to `k` numeric positions of `sel` (in a fixed clause order)
-/// with `$1..$n`, keeping parameter numbering contiguous. Returns how
-/// many were placed.
-fn parameterize(sel: &mut Select, k: usize) -> usize {
-    let mut n = 0usize;
-    let mut nums: Vec<&mut Spanned<NumExpr>> = Vec::new();
-    if let Some(acc) = sel.accuracy.as_mut() {
-        nums.push(&mut acc.eps);
-        nums.push(&mut acc.delta);
-    }
-    if let Some(p) = sel.predicate.as_mut() {
-        nums.push(&mut p.lo);
-        nums.push(&mut p.hi);
-        nums.push(&mut p.theta);
-    }
-    for e in nums {
-        if n < k {
-            n += 1;
-            e.node = NumExpr::Param(n);
-        }
-    }
-    let uints = [
-        sel.options.workers.as_mut(),
-        sel.options.batch.as_mut(),
-        sel.options.seed.as_mut(),
-        sel.options.limit.as_mut(),
-        sel.options.model_cap.as_mut(),
-    ];
-    for e in uints.into_iter().flatten() {
-        if n < k {
-            n += 1;
-            e.node = UintExpr::Param(n);
-        }
-    }
-    n
-}
-
-/// The full statement grammar: a plain query, a PREPARE with `$n`
-/// parameters scattered over its numeric positions, an EXECUTE (with an
-/// optional EXPLAIN prefix and argument list), or a DEALLOCATE.
-fn statement() -> impl Strategy<Value = Statement> {
-    (
-        query(),
-        ident(),
-        0usize..8,
-        prop::collection::vec(0.001f64..1000.0, 0..4),
-        0u8..4,
-    )
-        .prop_map(|(q, name, k, args, kind)| match kind {
-            0 => Statement::Select(Box::new(q)),
-            1 => {
-                let mut select = q.select;
-                parameterize(&mut select, k);
-                Statement::Prepare {
-                    name: sp(name),
-                    select: Box::new(select),
-                }
-            }
-            2 => Statement::Execute {
-                explain: q.explain,
-                name: sp(name),
-                args: args.into_iter().map(sp).collect(),
-            },
-            _ => Statement::Deallocate { name: sp(name) },
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn pretty_print_reparses_to_identical_ast(q in query()) {
         let printed = q.to_string();
-        let reparsed = parse(&printed)
+        let reparsed = parse_statement(&printed)
             .unwrap_or_else(|e| panic!("canonical form must reparse: {printed:?}\n{}", e.render(&printed)));
         prop_assert_eq!(&q, &reparsed, "round-trip drift on {}", printed);
         // And the canonical form is a fixed point of printing.
@@ -242,19 +175,9 @@ proptest! {
     #[test]
     fn numeric_literals_round_trip_exactly(x in 1e-9f64..1e9) {
         let src = format!("SELECT f(a) FROM r WHERE PR(f(a) IN [{x:?}, 1e12]) >= 0.5");
-        let q = parse(&src).unwrap();
+        let q = parse_statement(&src).unwrap();
         let p = q.select.predicate.as_ref().unwrap();
-        prop_assert_eq!(p.lo.node, NumExpr::Lit(x), "literal {:?} drifted", x);
-    }
-
-    #[test]
-    fn statements_pretty_print_reparse_identically(s in statement()) {
-        let printed = s.to_string();
-        let reparsed = parse_statement(&printed)
-            .unwrap_or_else(|e| panic!("canonical form must reparse: {printed:?}\n{}", e.render(&printed)));
-        prop_assert_eq!(&s, &reparsed, "round-trip drift on {}", printed);
-        // And the canonical form is a fixed point of printing.
-        prop_assert_eq!(printed.clone(), reparsed.to_string());
+        prop_assert_eq!(p.lo.node, x, "literal {:?} drifted", x);
     }
 
     #[test]
@@ -264,13 +187,13 @@ proptest! {
             .split(' ')
             .collect::<Vec<_>>()
             .join(&" ".repeat(pad));
-        prop_assert_eq!(parse(&printed).unwrap(), parse(&spaced).unwrap());
+        prop_assert_eq!(parse_statement(&printed).unwrap(), parse_statement(&spaced).unwrap());
     }
 
     #[test]
     fn qualified_refs_round_trip(alias in ident(), name in ident()) {
         let src = format!("SELECT f({alias}.{name}) FROM r a JOIN s b");
-        let q = parse(&src).unwrap();
+        let q = parse_statement(&src).unwrap();
         let got = &q.select.call.args[0].node;
         prop_assert_eq!(got.alias.as_deref(), Some(alias.as_str()));
         prop_assert_eq!(&got.name, &name);

@@ -393,13 +393,13 @@ mod tests {
     #[test]
     fn filtered_keeps_one_subsystem() {
         let reg = MetricsRegistry::new();
-        reg.counter("uql.prepared_cache.hits").add(2);
+        reg.counter("uql.statements").add(2);
         reg.counter("sched.verdict.accept").add(9);
         reg.gauge("olgapro.model_points").set(16);
         reg.histogram("uql.exec_ns").record(500);
         let f = reg.snapshot().filtered("uql.");
         assert_eq!(f.counters.len(), 1);
-        assert_eq!(f.counters["uql.prepared_cache.hits"], 2);
+        assert_eq!(f.counters["uql.statements"], 2);
         assert!(f.gauges.is_empty());
         assert_eq!(f.histograms.len(), 1);
         let text = f.render();

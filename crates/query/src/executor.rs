@@ -91,11 +91,7 @@ pub struct ProjectedTuple {
 /// the `call` passed to the relation-level methods must be the one the
 /// executor was built for (it contributes the argument/column bindings;
 /// its UDF handle is the same shared black box).
-///
-/// Cloning snapshots the executor — including its warmed GP evaluator, if
-/// any — so a post-warmup state can be captured once and restored per
-/// execution (the prepared-statement warm-reuse path).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Executor {
     eval: Evaluator,
     stats: QueryStats,

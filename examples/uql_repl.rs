@@ -111,7 +111,7 @@ fn print_catalog(ctx: &UqlContext) {
 
 fn main() {
     let mut ctx = demo_context();
-    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\prepared` lists prepared statements, `\\metrics` dumps counters, `\\top` shows the live dashboard, `\\trace` / `\\profile` export the trace, `\\q` quits.");
+    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows the live dashboard, `\\trace` / `\\profile` export the trace, `\\q` quits.");
     println!("Example: SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7");
 
     let stdin = io::stdin();
@@ -144,22 +144,6 @@ fn main() {
                 print!("{}", ctx.monitor().render_top(8));
                 continue;
             }
-            "\\prepared" => {
-                if ctx.prepared().is_empty() {
-                    println!("no prepared statements (PREPARE name AS SELECT ...)");
-                } else {
-                    for (name, entry) in ctx.prepared() {
-                        println!(
-                            "  {name:<12} params={} execs={} {} {}",
-                            entry.arity(),
-                            entry.executions(),
-                            if entry.is_warm() { "warm" } else { "cold" },
-                            entry.text(),
-                        );
-                    }
-                }
-                continue;
-            }
             "\\metrics reset" => {
                 ctx.metrics().reset();
                 println!("metrics reset (uptime clock restarted)");
@@ -174,14 +158,10 @@ fn main() {
                      [PRUNE]\n\
                      JOIN queries qualify attributes with their alias (AngDist(a.z, b.z));\n\
                      PRUNE enables envelope-based pair pruning on GP joins with a WHERE.\n\
-                     PREPARE name AS SELECT ... prepares a plan ($1, $2, ... as\n\
-                     parameters in numeric positions); EXECUTE name (args...) runs it\n\
-                     (re-execution reuses the warmed model); DEALLOCATE name drops it.\n\
                      Prefix with EXPLAIN to print the plan without executing,\n\
                      EXPLAIN ANALYZE to execute and print per-operator timings, or\n\
                      EXPLAIN TRACE to execute and print the statement's trace\n\
                      (reroute causes, model lifecycle, certificate misses);\n\
-                     `\\prepared` lists the session's prepared statements,\n\
                      `\\metrics` dumps the session's metrics registry,\n\
                      `\\metrics <prefix>` dumps only metrics under a prefix,\n\
                      `\\metrics reset` zeroes it,\n\
