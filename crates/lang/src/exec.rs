@@ -64,10 +64,7 @@ impl Context {
     /// every one of them into a no-op.
     pub fn new() -> Self {
         let metrics = MetricsRegistry::new();
-        let monitor = Monitor::new(&metrics);
-        for rule in Monitor::standard_rules() {
-            monitor.add_rule(rule);
-        }
+        let monitor = Monitor::new(&metrics, Monitor::standard_rules());
         Context {
             udfs: UdfCatalog::new(),
             relations: BTreeMap::new(),
@@ -159,16 +156,19 @@ impl Context {
         &self.obs.tracer
     }
 
-    /// The context's registry-wide monitor: bounded per-metric
-    /// time-series rings plus the [`Monitor::standard_rules`] alert set,
-    /// pre-wired over [`Context::metrics`]. Nothing ticks it implicitly —
-    /// call [`Monitor::tick`] at whatever cadence suits the host (the
-    /// REPL ticks once per executed statement), or lease a background
-    /// [`udf_obs::Sampler`] via [`Monitor::start`]. Same observability
-    /// contract as the registry itself: sampling only reads snapshots, so
-    /// digests are byte-identical with the monitor running or idle.
+    /// The context's monitor: the [`Monitor::standard_rules`] alert
+    /// (`cap_hits_burst`) over [`Context::metrics`]. Nothing ticks it
+    /// implicitly — call [`Monitor::tick`] whenever the host wants a
+    /// verdict (the REPL ticks once per executed statement). Same
+    /// observability contract as the registry itself: a tick only reads a
+    /// snapshot, so digests are byte-identical whether it ticks or not.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
+    }
+
+    /// Mutable access to the monitor, for [`Monitor::tick`].
+    pub fn monitor_mut(&mut self) -> &mut Monitor {
+        &mut self.monitor
     }
 
     /// Parse, bind, and (unless `EXPLAIN`) execute one UQL statement.

@@ -1,15 +1,13 @@
-//! The continuous monitor must be *output-blind*: a context whose
-//! monitor is ticking (even from a background sampler thread) produces
-//! byte-identical rows, join pairs, and stream digests to one whose
-//! monitor never samples — at workers 1/2/8. Plus e2e coverage for the
-//! two REPL-facing exports: the collapsed-stack profile and the
-//! tick-populated time-series/alert surface.
+//! The monitor must be *output-blind*: a context whose monitor ticks
+//! between statements produces byte-identical rows, join pairs, and stream
+//! digests to one whose monitor never ticks — at workers 1/2/8. Plus e2e
+//! coverage for two REPL-facing surfaces: the collapsed-stack profile and
+//! the tick-driven `cap_hits_burst` alert.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use udf_core::udf::{CostModel, UdfFunction};
 use udf_lang::{run_uql, Context, QueryOutput};
 use udf_query::{ProjectedTuple, Relation, Schema, Tuple, Value};
@@ -76,18 +74,16 @@ fn assert_rows_identical(a: &[ProjectedTuple], b: &[ProjectedTuple], label: &str
     }
 }
 
-/// Run the three query shapes in one context. `monitored` interleaves
-/// explicit ticks *and* keeps a fast background sampler alive for the
-/// whole run — the strongest perturbation the monitor can exert.
+/// Run the three query shapes in one context. `monitored` ticks the
+/// monitor before and after every statement.
 fn run_all(workers: usize, monitored: bool) -> (Vec<ProjectedTuple>, Vec<(usize, usize)>, u64) {
     let mut ctx = demo_ctx();
-    let _sampler = monitored.then(|| ctx.monitor().start(Duration::from_millis(1)));
-    let tick = |ctx: &Context| {
+    let tick = |ctx: &mut Context| {
         if monitored {
-            ctx.monitor().tick();
+            ctx.monitor_mut().tick();
         }
     };
-    tick(&ctx);
+    tick(&mut ctx);
 
     let q = format!(
         "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
@@ -96,7 +92,7 @@ fn run_all(workers: usize, monitored: bool) -> (Vec<ProjectedTuple>, Vec<(usize,
     let QueryOutput::Rows(rows) = run_uql(&q, &mut ctx).unwrap() else {
         panic!("rows")
     };
-    tick(&ctx);
+    tick(&mut ctx);
 
     let q = format!(
         "SELECT AngDist(a.z, b.z) FROM stars a JOIN stars b ON a.objID < b.objID \
@@ -106,7 +102,7 @@ fn run_all(workers: usize, monitored: bool) -> (Vec<ProjectedTuple>, Vec<(usize,
     let QueryOutput::Join(join) = run_uql(&q, &mut ctx).unwrap() else {
         panic!("join")
     };
-    tick(&ctx);
+    tick(&mut ctx);
 
     let q = format!(
         "SELECT F3(x) WITH ACCURACY 0.2 0.05 METRIC disc FROM STREAM synth \
@@ -116,14 +112,14 @@ fn run_all(workers: usize, monitored: bool) -> (Vec<ProjectedTuple>, Vec<(usize,
     let QueryOutput::Stream(stream) = run_uql(&q, &mut ctx).unwrap() else {
         panic!("stream")
     };
-    tick(&ctx);
+    tick(&mut ctx);
 
     let pairs = join.rows.iter().map(|p| (p.left, p.right)).collect();
     (rows.rows, pairs, stream.digest)
 }
 
-/// The acceptance criterion: sampler on vs. off changes nothing, at
-/// workers 1/2/8.
+/// The acceptance criterion: ticking vs. not changes nothing, at workers
+/// 1/2/8.
 #[test]
 fn monitor_is_output_blind_across_worker_counts() {
     for workers in [1usize, 2, 8] {
@@ -173,35 +169,23 @@ fn boom_ctx(bad: u64) -> Context {
     ctx
 }
 
-/// A UDF panicking mid-statement under a 1 ms background sampler: the
-/// statement fails — the panic unwinds out of the sequential path (GP) or
-/// comes back as a worker error (MC) — while the sampler keeps sampling,
-/// the next statement in the same context returns what a fresh context
-/// returns, and dropping the sampler joins its thread.
+/// A UDF panicking mid-statement: the statement fails — the panic unwinds
+/// out of the sequential path (GP) or comes back as a worker error (MC) —
+/// and the next statement in the same context returns what a fresh
+/// context returns.
 #[test]
-fn a_panicking_udf_under_a_running_sampler_fails_only_its_statement() {
+fn a_panicking_udf_fails_only_its_statement() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     // Call 8 is inside the first GP tuple's tuning loop; call 300 is on a
     // pool worker in the middle of the MC batch.
     for (using, bad) in [("gp", 8), ("mc", 300)] {
         let q = format!("SELECT Boom(z) FROM sky USING {using} WORKERS 2 SEED 7");
         let mut ctx = boom_ctx(bad);
-        let sampler = ctx.monitor().start(Duration::from_millis(1));
         let failed = catch_unwind(AssertUnwindSafe(|| run_uql(&q, &mut ctx)));
         assert!(
             !matches!(failed, Ok(Ok(_))),
             "{using}: the statement succeeded"
         );
-
-        let (before, t0) = (ctx.monitor().samples(), std::time::Instant::now());
-        while ctx.monitor().samples() == before {
-            let waited = t0.elapsed();
-            assert!(
-                waited < Duration::from_secs(10),
-                "{using}: sampling stopped"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
 
         let QueryOutput::Rows(again) = run_uql(&q, &mut ctx).unwrap() else {
             panic!("rows")
@@ -211,7 +195,6 @@ fn a_panicking_udf_under_a_running_sampler_fails_only_its_statement() {
         };
         assert_eq!(again.rows.len(), 64, "{using}");
         assert_rows_identical(&again.rows, &fresh.rows, using);
-        drop(sampler);
     }
 }
 
@@ -238,39 +221,56 @@ fn profile_export_folds_phase_brackets() {
     }
 }
 
-/// Ticking the context's monitor around statements populates rate series
-/// from the registry's counters and drives the standard alert set: a
-/// MODEL CAP query bursts `olgapro.cap_hits`, firing `cap_hits_burst`.
+const CAPPED: &str = "SELECT GalAge(z) FROM sky USING gp SEED 7 MODEL CAP 8";
+const UNCAPPED: &str = "SELECT GalAge(z) FROM sky USING mc SEED 7";
+
+fn cap_hits_burst_fires(ctx: &Context) -> bool {
+    ctx.monitor()
+        .active_alerts()
+        .iter()
+        .any(|rule| rule == "cap_hits_burst")
+}
+
+/// Ticking the context's monitor around statements drives the standard
+/// alert: a MODEL CAP query bursts `olgapro.cap_hits`, firing
+/// `cap_hits_burst`.
 #[test]
 fn context_ticks_populate_series_and_alerts() {
     let mut ctx = demo_ctx();
-    assert_eq!(ctx.monitor().rule_count(), 3, "standard rules pre-wired");
-    ctx.monitor().tick(); // baseline
-    run_uql(
-        "SELECT GalAge(z) FROM sky USING gp SEED 7 MODEL CAP 8",
-        &mut ctx,
-    )
-    .unwrap();
-    ctx.monitor().tick();
+    assert_eq!(ctx.monitor().rule_count(), 1, "standard rule pre-wired");
+    ctx.monitor_mut().tick(); // baseline
+    run_uql(CAPPED, &mut ctx).unwrap();
+    ctx.monitor_mut().tick();
     assert!(
-        ctx.monitor().latest("olgapro.cap_hits.rate").unwrap() > 0.0,
-        "cap-hit burst visible as a rate point"
-    );
-    assert!(
-        ctx.monitor()
-            .active_alerts()
-            .iter()
-            .any(|(rule, _, _)| rule == "cap_hits_burst"),
+        cap_hits_burst_fires(&ctx),
         "standard cap_hits_burst rule fires"
     );
-    let dashboard = ctx.monitor().render_top(8);
+    let dashboard = ctx.monitor().render_top();
     assert!(
         dashboard.contains("FIRING cap_hits_burst"),
         "dashboard:\n{dashboard}"
     );
-    let jsonl = ctx.monitor().export_jsonl();
+}
+
+/// `\metrics reset` between two identical capped statements: the second
+/// burst leaves `olgapro.cap_hits` below the pre-reset total, and must
+/// still fire `cap_hits_burst`.
+#[test]
+fn cap_burst_after_a_metrics_reset_fires() {
+    let mut ctx = demo_ctx();
+    ctx.monitor_mut().tick();
+    run_uql(CAPPED, &mut ctx).unwrap();
+    ctx.monitor_mut().tick();
+    assert!(cap_hits_burst_fires(&ctx), "first burst fires");
+    run_uql(UNCAPPED, &mut ctx).unwrap();
+    ctx.monitor_mut().tick();
+    assert!(!cap_hits_burst_fires(&ctx), "a clean statement resolves");
+    ctx.metrics().reset();
+    run_uql(CAPPED, &mut ctx).unwrap();
+    ctx.monitor_mut().tick();
     assert!(
-        jsonl.lines().any(|l| l.contains("olgapro.cap_hits.rate")),
-        "export carries the series"
+        cap_hits_burst_fires(&ctx),
+        "the burst after the reset fires:\n{}",
+        ctx.monitor().render_top()
     );
 }

@@ -1,7 +1,6 @@
 //! A hand-rolled JSON writer. The workspace has no crates.io access, so
-//! there is no serde; everything that emits JSON —
-//! [`crate::TraceBuffer::to_chrome_json`], the monitor's JSON Lines export —
-//! goes through these builders. The reader the tests check them with is
+//! there is no serde; what emits JSON —
+//! [`crate::TraceBuffer::to_chrome_json`] — goes through these builders. The reader the tests check them with is
 //! compiled for tests only.
 
 use std::fmt::Write as _;

@@ -30,17 +30,16 @@
 //!   [`TraceBuffer::to_chrome_json`]. Both hard rules above apply
 //!   unchanged: tracing is output-blind and a disabled buffer costs one
 //!   relaxed load and a branch per emit.
-//! * [`monitor`] — continuous monitoring over the whole registry:
-//!   bounded per-metric time-series rings fed by snapshot-delta rate
-//!   points (tick-driven or from a background [`Sampler`] thread),
-//!   declarative [`AlertRule`]s with firing/resolved transitions, and
-//!   the REPL's `\top` dashboard. [`collapsed_stacks`] folds the trace
-//!   ring's phase brackets into flamegraph-compatible `a;b;c count`
-//!   lines. Same hard rules: sampling only reads snapshots.
+//! * [`monitor`] — the `cap_hits_burst` alert behind the REPL's `\top`:
+//!   each [`Monitor::tick`] reads the registry once and fires an
+//!   [`AlertRule`] while its counter grows between ticks.
+//!   [`collapsed_stacks`] folds the trace ring's phase brackets into
+//!   flamegraph-compatible `a;b;c count` lines. Same hard rules: ticking
+//!   only reads snapshots.
 //! * [`Obs`] — the one handle a component is wired with: the registry and
 //!   the trace buffer together, passed once at construction.
-//! * [`json`] — the hand-rolled JSON writer behind the chrome and monitor
-//!   exports, a validator, and the small materializing parser its
+//! * [`json`] — the hand-rolled JSON writer behind the chrome export, a
+//!   validator, and the small materializing parser its
 //!   round-trip tests read the output back with; there is no serde in
 //!   this workspace.
 //! * [`fmt`] — the shared `key=value` stats-line builder every report
@@ -59,9 +58,7 @@ pub use metrics::{
     bucket_index, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, Span,
     HISTOGRAM_BUCKETS,
 };
-pub use monitor::{
-    AlertEvent, AlertRule, Condition, Monitor, Sampler, Threshold, Trend, TsPoint, TsRing, TsStore,
-};
+pub use monitor::{AlertEvent, AlertRule, Monitor};
 pub use profile::collapsed_stacks;
 pub use registry::{MetricsRegistry, Snapshot};
 pub use trace::{RerouteReason, TimedEvent, TraceBuffer, TraceEvent, TracePhase, TraceSummary};

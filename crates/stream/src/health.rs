@@ -1,5 +1,5 @@
-//! The stream health monitor: a bounded time-series of periodic samples
-//! for throughput / reroute-rate trend detection.
+//! The stream health monitor: a bounded ring of periodic samples for
+//! throughput / reroute-rate trend detection.
 //!
 //! Every [`sample_every`](HealthMonitor::sample_every) micro-batches the
 //! engine folds one [`HealthSample`] into a fixed-capacity ring
@@ -11,21 +11,13 @@
 //! reroute rate) or whose throughput is decaying shows up without any
 //! external scrape loop.
 //!
-//! Since the registry-wide monitor landed, this type is a thin adapter
-//! over [`udf_obs::TsStore`]: the four cumulative counters live as one
-//! store series each (`tuples_in` / `kept` / `slow_path` / `reroutes`,
-//! pushed together at one timestamp), and [`samples`](
-//! HealthMonitor::samples) re-zips them. What stays stream-specific is
-//! the micro-batch cadence and the [`HealthTrend`] rate algebra over
-//! *cumulative* totals — the generic store trends over per-window rate
-//! points instead.
-//!
 //! Purely observational, like every other layer in the obs stack: emitted
 //! distributions and digests are byte-identical with the monitor on or
 //! off.
 
+use std::collections::VecDeque;
 use std::time::Instant;
-use udf_obs::{MetricsRegistry, Snapshot, TsStore};
+use udf_obs::{MetricsRegistry, Snapshot};
 
 /// One periodic reading. Tuple counters are *cumulative* engine-lifetime
 /// totals (summed across subscriptions); rates come from differencing
@@ -60,15 +52,14 @@ pub struct HealthTrend {
     pub reroute_rate_delta: Option<f64>,
 }
 
-/// The store-backed ring plus the sampling cadence. Owned by the engine;
-/// sampled from `process_batch`.
+/// The ring plus the sampling cadence. Owned by the engine; sampled from
+/// `process_batch`.
 pub struct HealthMonitor {
     epoch: Instant,
     every: u64,
     batches: u64,
-    /// One series per cumulative counter, pushed in lockstep — see the
-    /// module docs.
-    store: TsStore,
+    capacity: usize,
+    ring: VecDeque<HealthSample>,
     /// Snapshot at the previous sample (for counter deltas).
     last_snap: Snapshot,
     registry: Option<MetricsRegistry>,
@@ -80,18 +71,17 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 4;
 /// Default ring capacity, in samples.
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// The store series one [`HealthSample`] spreads across.
-const SERIES: [&str; 4] = ["tuples_in", "kept", "slow_path", "reroutes"];
-
 impl HealthMonitor {
     /// A monitor sampling every `every` micro-batches into a ring of
     /// `capacity` samples (both clamped to ≥ 1).
     pub fn new(every: u64, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         HealthMonitor {
             epoch: Instant::now(),
             every: every.max(1),
             batches: 0,
-            store: TsStore::new(capacity),
+            capacity,
+            ring: VecDeque::with_capacity(capacity),
             last_snap: Snapshot::default(),
             registry: None,
         }
@@ -110,44 +100,20 @@ impl HealthMonitor {
 
     /// The ring's bounded capacity.
     pub fn capacity(&self) -> usize {
-        self.store.capacity()
+        self.capacity
     }
 
-    /// The backing time-series store (one series per cumulative counter).
-    pub fn store(&self) -> &TsStore {
-        &self.store
-    }
-
-    /// The ring's current contents, oldest first, re-zipped from the
-    /// store's four lockstep series.
+    /// The ring's current contents, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = HealthSample> + '_ {
-        let series = |name: &'static str| {
-            self.store
-                .get(name)
-                .into_iter()
-                .flat_map(udf_obs::TsRing::iter)
-        };
-        series("tuples_in")
-            .zip(series("kept"))
-            .zip(series("slow_path"))
-            .zip(series("reroutes"))
-            .map(|(((t, k), s), r)| HealthSample {
-                t_ns: t.t_ns,
-                tuples_in: t.value as u64,
-                kept: k.value as u64,
-                slow_path: s.value as u64,
-                reroutes: r.value as u64,
-            })
+        self.ring.iter().copied()
     }
 
-    /// Append one sample to all four series at one timestamp.
+    /// Append one sample, dropping the oldest when full.
     fn push_sample(&mut self, s: HealthSample) {
-        for (name, v) in SERIES
-            .iter()
-            .zip([s.tuples_in, s.kept, s.slow_path, s.reroutes])
-        {
-            self.store.push(name, s.t_ns, v as f64);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
+        self.ring.push_back(s);
     }
 
     /// Called once per engine micro-batch; folds a sample every
@@ -183,7 +149,7 @@ impl HealthMonitor {
     /// reroute rate, plus half-over-half drift. `None` with fewer than two
     /// samples (no window to difference).
     pub fn trend(&self) -> Option<HealthTrend> {
-        let samples: Vec<HealthSample> = self.samples().collect();
+        let samples = &self.ring;
         let n = samples.len();
         if n < 2 {
             return None;
@@ -218,13 +184,13 @@ impl HealthMonitor {
         let Some(t) = self.trend() else {
             return format!(
                 "health: {} sample(s), trend needs 2+ (cadence {} batch(es))",
-                self.samples().count(),
+                self.ring.len(),
                 self.every
             );
         };
         let mut line = udf_obs::fmt::KvLine::new()
             .raw("health:")
-            .field("samples", self.samples().count())
+            .field("samples", self.ring.len())
             .raw(&format!("throughput={:.0}tup/s", t.throughput))
             .raw(&format!("reroute_rate={:.4}", t.reroute_rate));
         if let Some(r) = t.throughput_ratio {
@@ -369,17 +335,35 @@ mod tests {
     }
 
     #[test]
-    fn samples_rezip_the_store_series() {
+    fn samples_return_the_pushed_integers_in_order() {
         let mut mon = HealthMonitor::new(1, 8);
-        push(&mut mon, 7, 100, 3);
-        let s = mon.samples().next().unwrap();
+        let pushed = [
+            HealthSample {
+                t_ns: 7,
+                tuples_in: 100,
+                kept: 90,
+                slow_path: 3,
+                reroutes: 2,
+            },
+            HealthSample {
+                t_ns: 9,
+                tuples_in: u64::MAX,
+                kept: (1 << 53) + 1,
+                slow_path: 4,
+                reroutes: 0,
+            },
+        ];
+        for s in pushed {
+            mon.push_sample(s);
+        }
+        let got: Vec<_> = mon
+            .samples()
+            .map(|s| (s.t_ns, s.tuples_in, s.kept, s.slow_path, s.reroutes))
+            .collect();
         assert_eq!(
-            (s.t_ns, s.tuples_in, s.kept, s.slow_path, s.reroutes),
-            (7, 100, 100, 3, 3)
+            got,
+            vec![(7, 100, 90, 3, 2), (9, u64::MAX, (1 << 53) + 1, 4, 0)]
         );
-        // The adapter exposes its backing store: four lockstep series.
-        assert_eq!(mon.store().series_count(), 4);
-        assert_eq!(mon.store().get("tuples_in").unwrap().len(), 1);
     }
 
     #[test]

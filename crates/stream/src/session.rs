@@ -151,7 +151,7 @@ impl Session {
     /// [`HealthMonitor`](crate::health::HealthMonitor)): every
     /// `monitor.sample_every()` micro-batches the engine folds cumulative
     /// tuple totals (plus scheduler counter deltas when metrics are wired)
-    /// into the monitor's bounded time-series ring.
+    /// into the monitor's bounded sample ring.
     pub fn enable_health(&mut self, monitor: crate::health::HealthMonitor) {
         self.engine.enable_health(monitor);
     }

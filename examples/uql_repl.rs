@@ -111,7 +111,7 @@ fn print_catalog(ctx: &UqlContext) {
 
 fn main() {
     let mut ctx = demo_context();
-    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows the live dashboard, `\\trace` / `\\profile` export the trace, `\\q` quits.");
+    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows firing alerts, `\\trace` / `\\profile` export the trace, `\\q` quits.");
     println!("Example: SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7");
 
     let stdin = io::stdin();
@@ -140,13 +140,13 @@ fn main() {
             "\\top" => {
                 // The loop already ticks once per executed statement, so
                 // the dashboard is current; ticking again here would fold
-                // a near-empty window and spuriously resolve rate alerts.
-                print!("{}", ctx.monitor().render_top(8));
+                // an empty window and resolve every alert.
+                print!("{}", ctx.monitor().render_top());
                 continue;
             }
             "\\metrics reset" => {
                 ctx.metrics().reset();
-                println!("metrics reset (uptime clock restarted)");
+                println!("metrics reset (the monitor's next window starts from zero)");
                 continue;
             }
             "\\h" | "help" => {
@@ -165,8 +165,7 @@ fn main() {
                      `\\metrics` dumps the session's metrics registry,\n\
                      `\\metrics <prefix>` dumps only metrics under a prefix,\n\
                      `\\metrics reset` zeroes it,\n\
-                     `\\top` shows the live dashboard (top rates, alerts, trends),\n\
-                     `\\monitor export [path]` dumps the monitor's time-series as JSON Lines,\n\
+                     `\\top` shows the monitor (firing alerts, recent transitions),\n\
                      `\\trace [path]` exports the session trace as chrome://tracing JSON,\n\
                      `\\profile [path]` exports it as collapsed stacks for flamegraph.pl."
                 );
@@ -203,22 +202,6 @@ fn main() {
             }
             continue;
         }
-        if let Some(rest) = line.strip_prefix("\\monitor export") {
-            let path = rest.trim();
-            let jsonl = ctx.monitor().export_jsonl();
-            if path.is_empty() {
-                print!("{jsonl}");
-            } else {
-                match std::fs::write(path, &jsonl) {
-                    Ok(()) => println!(
-                        "monitor series written to {path} ({} points)",
-                        jsonl.lines().count()
-                    ),
-                    Err(e) => println!("cannot write {path}: {e}"),
-                }
-            }
-            continue;
-        }
         if let Some(rest) = line.strip_prefix("\\metrics ") {
             let prefix = rest.trim();
             if !prefix.is_empty() {
@@ -231,10 +214,10 @@ fn main() {
             Ok(out) => print!("{}", out.report()),
             Err(e) => println!("{}", e.render(line)),
         }
-        // One monitor sample per executed statement, so `\top` trends and
-        // alert debounce advance in statement time even without a
-        // background sampler. Output-blind: the tick only reads snapshots.
-        ctx.monitor().tick();
+        // One monitor tick per executed statement, so each `\top` verdict
+        // covers the statements since the previous one. Output-blind: the
+        // tick only reads a snapshot.
+        ctx.monitor_mut().tick();
     }
     println!("bye");
 }
