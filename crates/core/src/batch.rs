@@ -11,7 +11,10 @@
 //!   model — and dropped there, before their bound stage, if `ρ_U < θ` —
 //!   then ruled in tuple order: accept iff `ε_GP` is within budget or the
 //!   model is full (a counted cap hit); otherwise re-run through the full
-//!   model-mutating path.
+//!   model-mutating path. "Full" is read when the fold reaches the tuple:
+//!   once earlier slow tuples of the batch have filled a stop-growing
+//!   model, an over-budget fast result is accepted as inferred against the
+//!   batch-start model — not what a reroute on the full model would give.
 //! * [`run_sequential`](Evaluator::run_sequential) — every tuple through
 //!   that same full path in order, each one tuning the model *before* the
 //!   next is judged. Unlike a fast phase (which judges a whole batch
@@ -317,11 +320,13 @@ impl BatchOps for GpBatch<'_, '_> {
 
     fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
         // (`fast_ruled` has already dropped what the filter drops.) A full
-        // stop-growing model accepts at the achieved bound: the slow path
-        // could neither tune nor change the result (`process` degenerates
-        // to `infer_only` there), so rerouting would only pay a second
-        // inference pass for byte-identical output — and this keeps
-        // per-tuple cost bounded on long streams.
+        // stop-growing model accepts at the achieved bound, which keeps
+        // per-tuple cost bounded on long streams: the slow path could not
+        // tune (`process` degenerates to `infer_only` there). Rerouting
+        // would give byte-identical output only if the model was already
+        // full when the fast phase read it. If earlier slow tuples of this
+        // batch filled it, `out` is the batch-start model's inference, not
+        // the full model's, and it is accepted all the same.
         if out.eps_gp <= self.budget || self.olga.model_full() {
             Verdict::Accept
         } else {
@@ -569,6 +574,51 @@ mod tests {
             assert_eq!(x.ecdf.values(), y.ecdf.values(), "tuple {i}");
             assert_eq!(x.error_bound, y.error_bound, "tuple {i}");
         }
+    }
+
+    #[test]
+    fn cap_reached_mid_fold_accepts_what_the_batch_start_model_inferred() {
+        // A cold model capped at 6 points, tuned at most 2 points a tuple:
+        // the first slow tuples of the second batch fill it, and every
+        // over-budget tuple ruled after them is accepted at its fast-phase
+        // output — `infer_only` on the batch-start model.
+        let mut olga = setup(0.12);
+        olga.set_model_cap(6, ModelBudget::StopGrowing).unwrap();
+        olga.set_tuning_budget(2).unwrap();
+        let mut par = Par::new(olga, 2);
+        let batch: Vec<InputDistribution> = (0..24)
+            .map(|i| InputDistribution::diagonal_gaussian(&[(0.5 * i as f64, 0.3)]).unwrap())
+            .collect();
+        par.process_batch(&batch[..1], 5);
+        let start = par.olga().clone();
+        assert!(!start.model_full(), "the cap must be reached mid-fold");
+        let (outs, counts) = par.process_batch(&batch, 6);
+        assert!(par.olga().model_full() && counts.slow() > 0, "{counts:?}");
+        let split = start.config().split();
+        let infer = |olga: &Olgapro, i: usize| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(6, 0, i as u64));
+            olga.infer_only(&batch[i], &mut rng)
+                .unwrap()
+                .into_distribution()
+        };
+        let (mut stale, mut moved) = (0, 0);
+        for (i, out) in outs.iter().enumerate() {
+            // Over budget at no UDF call: accepted because the model was
+            // full when the fold reached it.
+            if out.udf_calls > 0 || out.error_bound <= split.eps_mc + split.eps_gp {
+                continue;
+            }
+            let want = infer(&start, i);
+            assert_eq!(out.ecdf.values(), want.ecdf.values(), "tuple {i}");
+            assert_eq!(out.error_bound, want.error_bound, "tuple {i}");
+            stale += 1;
+            moved += usize::from(infer(par.olga(), i).ecdf.values() != want.ecdf.values());
+        }
+        assert!(
+            stale > 0 && moved > 0,
+            "{stale} stale, {moved} moved: {counts:?}"
+        );
+        assert!(counts.cap_hits >= stale, "{counts:?}");
     }
 
     #[test]

@@ -39,14 +39,6 @@ use udf_prob::{Ecdf, MergedSupport};
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BoundScratch([Vec<f64>; 6]);
 
-impl BoundScratch {
-    /// Heap capacity of each buffer (what "allocates nothing" is tested on).
-    #[cfg(test)]
-    pub(crate) fn capacities(&self) -> [usize; 6] {
-        self.0.each_ref().map(Vec::capacity)
-    }
-}
-
 /// The λ-discrepancy GP error bound ε_GP (Algorithm 3).
 ///
 /// `y_hat`, `y_s`, `y_l` are the empirical CDFs of the mean and of the
@@ -342,6 +334,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    impl BoundScratch {
+        /// Heap capacity of each buffer (what "allocates nothing" is tested on).
+        pub(crate) fn capacities(&self) -> [usize; 6] {
+            self.0.each_ref().map(Vec::capacity)
+        }
+    }
 
     fn random_triple(seed: u64, m: usize) -> (Ecdf, Ecdf, Ecdf) {
         let mut rng = StdRng::seed_from_u64(seed);

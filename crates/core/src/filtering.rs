@@ -287,9 +287,9 @@ enum BoxClass {
 ///
 /// The bracket is evaluated against the same training subset the fast
 /// path's local inference would select (empty selection falls back to the
-/// whole model, exactly like inference does). Non-isotropic kernels and
-/// cold models return [`Undecided`](EnvelopeDecision::Undecided) — callers
-/// must then evaluate normally, which is always sound.
+/// whole model, exactly like inference does). A cold model returns
+/// [`Undecided`](EnvelopeDecision::Undecided) — callers must then evaluate
+/// normally, which is always sound.
 pub fn envelope_certify(
     olga: &Olgapro,
     bbox: &BoundingBox,
@@ -308,9 +308,8 @@ pub fn envelope_certify(
 /// entirely below `pred.lo`, or band strictly inside `[pred.lo, pred.hi]`.
 /// A decision certified at the root has gap 0; refinement can still decide
 /// a positive-gap box, so the gap measures *difficulty*, not the verdict.
-/// [`f64::INFINITY`] means no bracket was computable (cold model,
-/// non-isotropic kernel, failed factorization) — consumers exporting JSON
-/// get `null` there.
+/// [`f64::INFINITY`] means no bracket was computable (cold model, failed
+/// factorization) — consumers exporting JSON get `null` there.
 pub fn envelope_certify_gap(
     olga: &Olgapro,
     bbox: &BoundingBox,

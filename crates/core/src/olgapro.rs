@@ -233,8 +233,8 @@ impl Olgapro {
         Self::with_kernel(udf, config, kernel)
     }
 
-    /// Create with an explicit kernel (must be isotropic for local
-    /// inference; non-isotropic kernels fall back to global inference).
+    /// Create with an explicit kernel (Matérn instead of the paper's SE,
+    /// say).
     pub fn with_kernel(udf: BlackBoxUdf, config: OlgaproConfig, kernel: Box<dyn Kernel>) -> Self {
         let dim = udf.dim();
         Olgapro {
@@ -325,8 +325,9 @@ impl Olgapro {
     /// [`ModelBudget::StopGrowing`] policy. Batch accept hooks use this to
     /// emit over-budget fast-path results at the achieved bound instead of
     /// rerouting — with a full stop-growing model, [`process`](Olgapro::process)
-    /// computes exactly what [`infer_only`](Olgapro::infer_only) already
-    /// did, so accepting is byte-identical and strictly cheaper.
+    /// computes exactly what [`infer_only`](Olgapro::infer_only) does, so
+    /// accepting is byte-identical and strictly cheaper *if* the model was
+    /// already full when the fast result was inferred.
     pub fn model_full(&self) -> bool {
         self.config.max_model_points > 0
             && self.model.len() >= self.config.max_model_points
@@ -722,10 +723,10 @@ impl Olgapro {
     }
 
     /// Select the training points around `bbox` into `buf.select`: `true`
-    /// for local inference, `false` for global — a kernel that is not
-    /// isotropic, or an *empty* selection, which is legitimate (every
-    /// training point is far enough that its weight is below Γ) but leaves
-    /// the local predictor nothing to stand on.
+    /// for local inference, `false` for global — an *empty* selection,
+    /// which is legitimate (every training point is far enough that its
+    /// weight is below Γ) but leaves the local predictor nothing to stand
+    /// on, or a Γ that is not positive.
     fn select(&self, bbox: &BoundingBox, buf: &mut InferBuffers) -> Result<bool> {
         match select_local_with(&self.model, bbox, self.config.gamma, &mut buf.select) {
             Ok(_) => Ok(!buf.select.selected.is_empty()),
@@ -1720,14 +1721,10 @@ mod tests {
         let mut scratch = InferScratch::default();
         let (mut cases, mut far_drops, mut early) = (0, 0, 0);
         for shape in 0..4 {
-            for isotropic in [true, false] {
+            for global in [false, true] {
                 let udf = shaped_udf(shape);
                 let dim = udf.dim();
-                let kernel: Box<dyn Kernel> = if isotropic {
-                    Box::new(SquaredExponential::new(1.0, 1.0))
-                } else {
-                    Box::new(udf_gp::SquaredExponentialArd::new(1.0, &vec![1.0; dim]))
-                };
+                let kernel: Box<dyn Kernel> = Box::new(SquaredExponential::new(1.0, 1.0));
                 let obs = Obs {
                     metrics: MetricsRegistry::new(),
                     tracer: TraceBuffer::disabled(),
@@ -1742,15 +1739,21 @@ mod tests {
                 for i in 0..8 {
                     olga.process(&at(0.8 * i as f64), &mut rng).unwrap();
                 }
-                let factors = olga.metrics.lp_cache_hits.get() + olga.metrics.lp_cache_misses.get();
-                assert_eq!(factors > 0, isotropic, "shape {shape}: local inference");
+                // The global arm's tuples sit eight half-value distances
+                // beyond the last training input: no training point is
+                // selected, and inference runs on the whole model.
+                let step = olga.model.half_value_distance().unwrap();
+                let offset = if global { 0.8 * 7.0 + 8.0 * step } else { 0.0 };
+                let factors_before =
+                    olga.metrics.lp_cache_hits.get() + olga.metrics.lp_cache_misses.get();
                 for t in 0..10u64 {
-                    let input = at(0.61 * t as f64);
+                    let input = at(offset + 0.61 * t as f64);
                     let seed = 1000 * shape as u64 + t;
                     let full = olga
                         .infer_only(&input, &mut StdRng::seed_from_u64(seed))
                         .unwrap();
-                    let (y, span) = (&full.y_hat, full.y_s.max() - full.y_l.min() + 1.0);
+                    let y = &full.y_hat;
+                    let span = (full.y_s.max() - full.y_l.min()).abs() + 1.0;
                     let intervals = [
                         (y.quantile(0.3), y.quantile(0.7)),           // inside
                         (y.quantile(0.5), y.max() + span),            // straddling
@@ -1766,7 +1769,7 @@ mod tests {
                         }
                     }
                     for (pred, far) in predicates {
-                        let what = format!("shape {shape} iso {isotropic} tuple {t} {pred:?}");
+                        let what = format!("shape {shape} global {global} tuple {t} {pred:?}");
                         let before = olga.metrics.ruled_early.get();
                         let got = ruled(olga.infer_ruled_with(
                             &input,
@@ -1795,6 +1798,8 @@ mod tests {
                         cases += 1;
                     }
                 }
+                let factors = olga.metrics.lp_cache_hits.get() + olga.metrics.lp_cache_misses.get();
+                assert_eq!(factors == factors_before, global, "shape {shape}: global");
 
                 // A model whose weights overflow infers a non-finite band:
                 // no certificate, whatever θ — both paths reject it.
@@ -1802,13 +1807,13 @@ mod tests {
                 broken.model.add_point(vec![1.0; dim], 1.7e308).unwrap();
                 let pred = Predicate::new(1e6, 1e6 + 1.0, 0.95).unwrap();
                 let got = broken.infer_ruled_with(
-                    &at(1.0),
+                    &at(offset + 1.0),
                     &mut StdRng::seed_from_u64(5),
                     &mut scratch,
                     Some(&pred),
                 );
                 let want = broken.ruled_oracle(
-                    &at(1.0),
+                    &at(offset + 1.0),
                     &mut StdRng::seed_from_u64(5),
                     &mut InferScratch::default(),
                     Some(&pred),

@@ -260,7 +260,7 @@ fn stratified_design(
     let d = lo.len();
     debug_assert_eq!(d, hi.len());
     if d == 1 {
-        // Uniform grid including endpoints.
+        // Evenly spaced grid including endpoints.
         return (0..n)
             .map(|i| {
                 let t = if n > 1 {

@@ -36,13 +36,10 @@ use udf_spatial::BoundingBox;
 /// depend on `z` — `e_j(T√λ₂)`, `(2π)^{−(j+1)/2}` — computed once. Termwise,
 /// `dΦ̄/dz = −φ` and `d(H_k e^{−z²/2})/dz = −H_{k+1} e^{−z²/2}`.
 fn euler_characteristic(kernel: &dyn Kernel, domain: &BoundingBox) -> impl Fn(f64) -> (f64, f64) {
-    let moments = kernel.spectral_moment();
-    // a_i = T_i sqrt(λ₂,i); isotropic kernels report one moment for all dims.
+    // a_i = T_i sqrt(λ₂), one moment for every dimension.
+    let root = kernel.spectral_moment().sqrt();
     let a: Vec<f64> = (0..domain.dim())
-        .map(|i| {
-            let lam = moments[if moments.len() == 1 { 0 } else { i }];
-            (domain.hi()[i] - domain.lo()[i]) * lam.sqrt()
-        })
+        .map(|i| (domain.hi()[i] - domain.lo()[i]) * root)
         .collect();
     let two_pi = 2.0 * std::f64::consts::PI;
     let power = |j: usize| two_pi.powf(-((j as f64 + 1.0) / 2.0));
@@ -120,10 +117,10 @@ pub fn simultaneous_z(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> 
 /// (udf-join) builds one `BandBoxBound` per candidate and brackets many
 /// refinement sub-boxes with it.
 ///
-/// Three sound ingredients (all need an isotropic kernel), phrased around
-/// the kernel metric `d_k(x, c)² = k(x,x) + k(c,c) − 2k(x, c)
-/// = 2(k(0) − k(‖x − c‖))`, which shrinks linearly with the box radius —
-/// so bisection refinement actually converges:
+/// Three sound ingredients, phrased around the kernel metric
+/// `d_k(x, c)² = k(x,x) + k(c,c) − 2k(x, c) = 2(k(0) − k(‖x − c‖))`, which
+/// shrinks linearly with the box radius — so bisection refinement actually
+/// converges:
 ///
 /// * **mean**: the restricted mean `f̂(x) = Σ_{i∈indices} k(x, x*_i) α_i`
 ///   lies in the kernel's RKHS with norm `‖f̂‖² = α_Iᵀ K_II α_I`, so
@@ -162,12 +159,6 @@ impl<'m> BandBoxBound<'m> {
     pub fn new(model: &'m GpModel, indices: Vec<usize>) -> Result<Self> {
         if model.is_empty() || indices.is_empty() {
             return Err(GpError::EmptyModel);
-        }
-        if model.kernel().eval_dist(0.0).is_none() {
-            return Err(GpError::InvalidParameter {
-                what: "band box bounds require an isotropic kernel",
-                value: f64::NAN,
-            });
         }
         let kernel = model.kernel();
         let xs = model.inputs();
@@ -216,11 +207,11 @@ impl<'m> BandBoxBound<'m> {
         let mut k_far_best = 0.0f64;
         for &i in &self.indices {
             let far = bbox.max_dist(&xs[i]);
-            k_far_best = k_far_best.max(kernel.eval_dist(far).expect("isotropic"));
+            k_far_best = k_far_best.max(kernel.eval_dist(far));
         }
         // Kernel-metric radius to the farthest box point from the center.
         let r_max = bbox.max_dist(&center);
-        let k_r = kernel.eval_dist(r_max).expect("isotropic");
+        let k_r = kernel.eval_dist(r_max);
         let d_k = (2.0 * (k0 - k_r)).max(0.0).sqrt();
         let mean_slack = self.hnorm * d_k;
         let var_single = (k0 - k_far_best * k_far_best / (k0 + self.model.jitter())).clamp(0.0, k0);
@@ -286,12 +277,9 @@ mod tests {
     /// The EC formula as it was before its `z`-independent factors were
     /// hoisted: everything re-derived at every level.
     fn ec_oracle(kernel: &dyn Kernel, domain: &BoundingBox, z: f64) -> f64 {
-        let moments = kernel.spectral_moment();
+        let lam = kernel.spectral_moment();
         let a: Vec<f64> = (0..domain.dim())
-            .map(|i| {
-                let lam = moments[if moments.len() == 1 { 0 } else { i }];
-                (domain.hi()[i] - domain.lo()[i]) * lam.sqrt()
-            })
+            .map(|i| (domain.hi()[i] - domain.lo()[i]) * lam.sqrt())
             .collect();
         let e = elementary_symmetric(&a);
         let two_pi = 2.0 * std::f64::consts::PI;
@@ -329,7 +317,7 @@ mod tests {
 
     #[test]
     fn newton_z_alpha_matches_the_bisection_oracle() {
-        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use crate::kernel::{Matern32, Matern52};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(0xBA2D);
@@ -340,7 +328,7 @@ mod tests {
             let kernel: Box<dyn Kernel> = match case % 5 {
                 0 => Box::new(Matern32::new(1.3, len)),
                 1 => Box::new(Matern52::new(0.7, len)),
-                2 => Box::new(SquaredExponentialArd::new(1.0, &vec![len; d])),
+                2 => Box::new(Matern52::new(1.0, 2.0 * len)),
                 _ => Box::new(SquaredExponential::new(1.0, len)),
             };
             // Sides from a thousandth of a lengthscale up; every 40th box
@@ -493,7 +481,6 @@ mod tests {
 
     #[test]
     fn band_box_bracket_rejects_bad_inputs() {
-        use crate::kernel::SquaredExponentialArd;
         use crate::model::GpModel;
 
         let empty = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
@@ -511,12 +498,6 @@ mod tests {
         let bound = BandBoxBound::new(&m, vec![0]).unwrap();
         assert!(matches!(
             bound.bracket(&b, f64::NAN),
-            Err(GpError::InvalidParameter { .. })
-        ));
-        let mut ard = GpModel::new(Box::new(SquaredExponentialArd::new(1.0, &[1.0])), 1);
-        ard.add_point(vec![0.5], 1.0).unwrap();
-        assert!(matches!(
-            BandBoxBound::new(&ard, vec![0]),
             Err(GpError::InvalidParameter { .. })
         ));
     }

@@ -122,13 +122,14 @@ impl PredictScratch {
         out.extend(pairs.map(|(&mean, &var)| Prediction { mean, var }));
     }
 
-    /// Variances from the squared norms. A kernel of the squared distance
-    /// alone has `k(q, q)` = its value at `‖q − q‖²`, which is `+0.0` for
-    /// every finite `q`: one evaluation serves them all. Anything else (ARD,
-    /// a non-finite coordinate) evaluates `k(q, q)` per query.
+    /// Variances from the squared norms. Every kernel is a function of the
+    /// squared distance alone, so `k(q, q)` is its value at `‖q − q‖²`,
+    /// which is `+0.0` for every finite `q`: one evaluation serves them all.
+    /// A batch with a non-finite coordinate evaluates `k(q, q)` per query.
     fn finish(&mut self, kernel: &dyn Kernel, queries: &[Vec<f64>]) {
         let mut prior = [sq_dist(&queries[0], &queries[0])];
-        let hoisted = self.flat.iter().all(|v| v.is_finite()) && kernel.eval_sq_dists(&mut prior);
+        kernel.eval_sq_dists(&mut prior);
+        let hoisted = self.flat.iter().all(|v| v.is_finite());
         let kqq = |q: &Vec<f64>| if hoisted { prior[0] } else { kernel.eval(q, q) };
         let vars = queries.iter().zip(&self.sq);
         self.var.clear();
@@ -136,15 +137,12 @@ impl PredictScratch {
     }
 }
 
-/// One row of `K`: `out[c] = k(x, queries[c])`, bit-identical to `eval` —
-/// a squared-distance pass over the flat copy of the queries
-/// ([`sq_dist`]'s additions, in its order) and one kernel map over the row;
-/// a kernel without such a map builds the row itself.
-fn kernel_row(kernel: &dyn Kernel, x: &[f64], flat: &[f64], queries: &[Vec<f64>], out: &mut [f64]) {
+/// One row of `K`: `out[c] = k(x, q_c)`, bit-identical to `eval` — a
+/// squared-distance pass over the flat copy of the queries ([`sq_dist`]'s
+/// additions, in its order) and one kernel map over the row.
+fn kernel_row(kernel: &dyn Kernel, x: &[f64], flat: &[f64], out: &mut [f64]) {
     sq_dists_flat(x, flat, out);
-    if !kernel.eval_sq_dists(out) {
-        kernel.eval_row(x, queries, out);
-    }
+    kernel.eval_sq_dists(out);
 }
 
 /// Shared core of [`GpModel::predict_batch_scratch`] and
@@ -198,7 +196,7 @@ pub(crate) fn batch_predict_core(
     k.clear();
     k.resize(l * m, 0.0);
     for (r, row) in k.chunks_exact_mut(m).enumerate() {
-        kernel_row(kernel, &xs[row_of(r)], &scratch.flat, queries, row);
+        kernel_row(kernel, &xs[row_of(r)], &scratch.flat, row);
     }
 
     // 2. Means: Kᵀ α.
@@ -402,7 +400,7 @@ impl LocalPredictorCache {
         scratch.retained = None;
         scratch.k.resize((l + 1) * m, 0.0);
         let row = &mut scratch.k[l * m..];
-        kernel_row(kernel, &xs[new], &scratch.flat, queries, row);
+        kernel_row(kernel, &xs[new], &scratch.flat, row);
         scratch.kv.extend_from_slice(&scratch.k[l * m..]);
         chol.solve_lower_last_row(&mut scratch.kv, m)?;
         lanes::sq_accum(&scratch.kv[l * m..], &mut scratch.sq);
@@ -466,7 +464,7 @@ mod tests {
 
     #[test]
     fn flat_rows_and_hoisted_prior_match_eval_bitwise() {
-        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use crate::kernel::{Matern32, Matern52};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
@@ -474,10 +472,9 @@ mod tests {
         for case in 0..60 {
             let dim = 1 + case % 3;
             let (sf, len) = (0.3 + 2.0 * rng.gen::<f64>(), 0.2 + 2.0 * rng.gen::<f64>());
-            let lens: Vec<f64> = (0..dim).map(|d| len * (1.0 + d as f64)).collect();
             let kernels: Vec<Box<dyn Kernel>> = vec![
                 Box::new(SquaredExponential::new(sf, len)),
-                Box::new(SquaredExponentialArd::new(sf, &lens)),
+                Box::new(SquaredExponential::new(sf, len * dim as f64)),
                 Box::new(Matern32::new(sf, len)),
                 Box::new(Matern52::new(sf, len)),
             ];
@@ -505,22 +502,18 @@ mod tests {
                 // Rows: distance pass + kernel map ≡ `eval` per entry.
                 let mut row = vec![f64::NAN; m];
                 for x in &xs {
-                    kernel_row(kernel.as_ref(), x, &flat, &queries, &mut row);
+                    kernel_row(kernel.as_ref(), x, &flat, &mut row);
                     for (q, &k) in queries.iter().zip(&row) {
                         assert!(same(k, kernel.eval(x, q)), "{kernel:?}: k({x:?}, {q:?})");
                     }
                 }
                 // Prior variance: the map at ‖q − q‖² ≡ `eval(q, q)` for
-                // every finite q, on exactly the isotropic kernels.
+                // every finite q.
                 let mut prior = [sq_dist(&queries[0], &queries[0])];
-                let mapped = kernel.eval_sq_dists(&mut prior);
-                assert_eq!(mapped, kernel.eval_dist(0.0).is_some(), "{kernel:?}");
+                kernel.eval_sq_dists(&mut prior);
                 for q in &queries[..finite] {
                     let kqq = kernel.eval(q, q);
-                    assert!(
-                        !mapped || same(prior[0], kqq),
-                        "{kernel:?}: k(q, q) at {q:?}"
-                    );
+                    assert!(same(prior[0], kqq), "{kernel:?}: k(q, q) at {q:?}");
                 }
                 // End to end, hoisted (finite batch) and not (with the
                 // infinite query): batch ≡ scalar, global and local.
@@ -834,7 +827,7 @@ mod tests {
     #[test]
     fn half_value_distance_cached_and_invalidated() {
         let mut m = model(10);
-        let d0 = m.half_value_distance().expect("isotropic");
+        let d0 = m.half_value_distance().unwrap();
         assert_eq!(
             d0.to_bits(),
             m.half_value_distance().unwrap().to_bits(),

@@ -6,7 +6,9 @@
 //!
 //! The paper works with the squared-exponential kernel
 //! `k(x, x') = σ_f² exp(−‖x−x'‖² / (2ℓ²))` and notes that Matérn kernels
-//! suit rougher functions (§3.2); all are provided.
+//! suit rougher functions (§3.2); all are provided, and all are isotropic:
+//! functions of the distance `‖x − x'‖` alone, which §5.1's near/far-corner
+//! bound for local inference needs.
 //!
 //! The SE kernel's per-entry `exp` is this module's own, IEEE multiplies,
 //! adds and one division only (Rust never contracts floats): the same bits
@@ -46,13 +48,10 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// order from `-0.0` (`Iterator::sum`'s fold); on return
     /// `d2[c] = eval(a_c, b_c)` **bit for bit**: hyperparameter transforms
     /// hoisted (`exp` of the same input is deterministic), the per-entry
-    /// arithmetic exactly `eval`'s. Returns `false`, `d2` untouched, for a
-    /// kernel that is not a function of the squared distance alone (ARD, and
-    /// this default). Every blocked row builder is one distance pass, then
-    /// this map: one virtual call per row, each kernel's expression once.
-    fn eval_sq_dists(&self, _d2: &mut [f64]) -> bool {
-        false
-    }
+    /// arithmetic exactly `eval`'s. Every blocked row builder is one
+    /// distance pass, then this map: one virtual call per row, each
+    /// kernel's expression once.
+    fn eval_sq_dists(&self, d2: &mut [f64]);
 
     /// Evaluate `k(x, q)` for every `q` in `qs` into `out` (same length),
     /// bitwise identical to calling [`Kernel::eval`] per point.
@@ -115,32 +114,26 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// For isotropic kernels: `k` as a function of Euclidean distance `r`.
-    /// `None` for non-isotropic kernels (e.g. ARD); local inference's
-    /// near/far-corner bound requires isotropy.
-    fn eval_dist(&self, r: f64) -> Option<f64>;
+    /// `k` as a function of the Euclidean distance `r` — what local
+    /// inference's near/far-corner bound evaluates (§5.1).
+    fn eval_dist(&self, r: f64) -> f64;
 
     /// Bulk [`Kernel::eval_dist`]: `out[i] = eval_dist(rs[i])` for every
-    /// `i`, bitwise identical to the scalar calls. Returns `false` (with
-    /// `out` unspecified) for non-isotropic kernels.
+    /// `i`, bitwise identical to the scalar calls.
     ///
     /// # Panics
     /// Panics if `out.len() != rs.len()` (caller bug).
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
         for (o, &r) in out.iter_mut().zip(rs) {
-            match self.eval_dist(r) {
-                Some(v) => *o = v,
-                None => return false,
-            }
+            *o = self.eval_dist(r);
         }
-        true
     }
 
-    /// Second spectral moment `λ₂` per input dimension of the associated
-    /// stationary field (`λ₂ = −k''(0)/k(0)` for isotropic kernels),
-    /// used by the Euler-characteristic confidence band (§4.2).
-    fn spectral_moment(&self) -> Vec<f64>;
+    /// Second spectral moment `λ₂ = −k''(0)/k(0)` of the associated
+    /// stationary field, the same in every input dimension; used by the
+    /// Euler-characteristic confidence band (§4.2).
+    fn spectral_moment(&self) -> f64;
 
     /// Signal variance `σ_f²` (the prior variance at a point).
     fn signal_variance(&self) -> f64;
@@ -163,21 +156,17 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `out[c] = k(x, points[c])`: one [`sq_dist`] pass, then the kernel's map over
-/// the row — or `eval` per entry for a kernel that has none.
+/// the row.
 fn eval_points<'a, K: Kernel + ?Sized>(
     kernel: &K,
     x: &[f64],
-    points: impl Iterator<Item = &'a Vec<f64>> + Clone,
+    points: impl Iterator<Item = &'a Vec<f64>>,
     out: &mut [f64],
 ) {
-    for (o, p) in out.iter_mut().zip(points.clone()) {
+    for (o, p) in out.iter_mut().zip(points) {
         *o = sq_dist(x, p);
     }
-    if !kernel.eval_sq_dists(out) {
-        for (o, p) in out.iter_mut().zip(points) {
-            *o = kernel.eval(x, p);
-        }
-    }
+    kernel.eval_sq_dists(out);
 }
 
 /// [`sq_dist`] of `x` against `out.len()` points stored one dimension after
@@ -305,10 +294,9 @@ impl Kernel for SquaredExponential {
         sf2 * exp(c * sq_dist(a, b))
     }
 
-    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
+    fn eval_sq_dists(&self, d2: &mut [f64]) {
         let (sf2, _, c) = self.scales();
         se_row(d2, sf2, c);
-        true
     }
 
     fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
@@ -367,12 +355,12 @@ impl Kernel for SquaredExponential {
         vec![4.0 * k, k * (u * u - 2.0 * u)]
     }
 
-    fn eval_dist(&self, r: f64) -> Option<f64> {
+    fn eval_dist(&self, r: f64) -> f64 {
         let (sf2, _, c) = self.scales();
-        Some(sf2 * exp(c * (r * r)))
+        sf2 * exp(c * (r * r))
     }
 
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
         // `eval_dist` with the transforms hoisted; bit-identical per entry.
         for (o, &r) in out.iter_mut().zip(rs) {
@@ -381,109 +369,9 @@ impl Kernel for SquaredExponential {
         self.eval_sq_dists(out)
     }
 
-    fn spectral_moment(&self) -> Vec<f64> {
-        // λ₂ = 1/ℓ² for the SE kernel (per dimension; isotropic).
-        vec![(-2.0 * self.log_len).exp()]
-    }
-
-    fn signal_variance(&self) -> f64 {
-        (2.0 * self.log_sigma_f).exp()
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
-/// Squared-exponential kernel with per-dimension (ARD) lengthscales:
-/// `k(a, b) = σ_f² exp(−½ Σ_i (a_i−b_i)²/ℓ_i²)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SquaredExponentialArd {
-    log_sigma_f: f64,
-    log_lens: Vec<f64>,
-}
-
-impl SquaredExponentialArd {
-    /// Create with natural-scale parameters.
-    ///
-    /// # Panics
-    /// Panics when any parameter is non-positive or no lengthscales given.
-    pub fn new(sigma_f: f64, lengthscales: &[f64]) -> Self {
-        assert!(sigma_f > 0.0, "sigma_f must be positive");
-        assert!(
-            !lengthscales.is_empty() && lengthscales.iter().all(|l| *l > 0.0),
-            "lengthscales must be positive and non-empty"
-        );
-        SquaredExponentialArd {
-            log_sigma_f: sigma_f.ln(),
-            log_lens: lengthscales.iter().map(|l| l.ln()).collect(),
-        }
-    }
-
-    fn weighted_sq_dist(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.log_lens.len());
-        a.iter()
-            .zip(b)
-            .zip(&self.log_lens)
-            .map(|((x, y), ll)| {
-                let d = x - y;
-                d * d * (-2.0 * ll).exp()
-            })
-            .sum()
-    }
-}
-
-impl Kernel for SquaredExponentialArd {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        (2.0 * self.log_sigma_f).exp() * (-0.5 * self.weighted_sq_dist(a, b)).exp()
-    }
-
-    fn n_params(&self) -> usize {
-        1 + self.log_lens.len()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        let mut p = Vec::with_capacity(self.n_params());
-        p.push(self.log_sigma_f);
-        p.extend_from_slice(&self.log_lens);
-        p
-    }
-
-    fn set_params(&mut self, theta: &[f64]) {
-        assert_eq!(theta.len(), self.n_params(), "wrong hyperparameter count");
-        self.log_sigma_f = theta[0];
-        self.log_lens.copy_from_slice(&theta[1..]);
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let k = self.eval(a, b);
-        let mut g = Vec::with_capacity(self.n_params());
-        g.push(2.0 * k);
-        for (i, ll) in self.log_lens.iter().enumerate() {
-            let d = a[i] - b[i];
-            g.push(k * d * d * (-2.0 * ll).exp());
-        }
-        g
-    }
-
-    fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let k = self.eval(a, b);
-        let mut h = Vec::with_capacity(self.n_params());
-        h.push(4.0 * k);
-        for (i, ll) in self.log_lens.iter().enumerate() {
-            let d = a[i] - b[i];
-            let u = d * d * (-2.0 * ll).exp();
-            h.push(k * (u * u - 2.0 * u));
-        }
-        h
-    }
-
-    fn eval_dist(&self, _r: f64) -> Option<f64> {
-        None // not isotropic
-    }
-
-    fn spectral_moment(&self) -> Vec<f64> {
-        self.log_lens.iter().map(|ll| (-2.0 * ll).exp()).collect()
+    fn spectral_moment(&self) -> f64 {
+        // λ₂ = 1/ℓ² for the SE kernel.
+        (-2.0 * self.log_len).exp()
     }
 
     fn signal_variance(&self) -> f64 {
@@ -533,7 +421,7 @@ impl Matern32 {
 
 impl Kernel for Matern32 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval_dist(sq_dist(a, b).sqrt()).expect("isotropic")
+        self.eval_dist(sq_dist(a, b).sqrt())
     }
 
     fn n_params(&self) -> usize {
@@ -569,27 +457,25 @@ impl Kernel for Matern32 {
         ]
     }
 
-    fn eval_dist(&self, r: f64) -> Option<f64> {
+    fn eval_dist(&self, r: f64) -> f64 {
         let s = 3.0f64.sqrt() * r / self.log_len.exp();
-        Some((2.0 * self.log_sigma_f).exp() * (1.0 + s) * (-s).exp())
+        (2.0 * self.log_sigma_f).exp() * (1.0 + s) * (-s).exp()
     }
 
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
         out.copy_from_slice(rs);
         self.map_dists(out);
-        true
     }
 
-    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
+    fn eval_sq_dists(&self, d2: &mut [f64]) {
         d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
         self.map_dists(d2);
-        true
     }
 
-    fn spectral_moment(&self) -> Vec<f64> {
+    fn spectral_moment(&self) -> f64 {
         // λ₂ = 3/ℓ².
-        vec![3.0 * (-2.0 * self.log_len).exp()]
+        3.0 * (-2.0 * self.log_len).exp()
     }
 
     fn signal_variance(&self) -> f64 {
@@ -638,7 +524,7 @@ impl Matern52 {
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval_dist(sq_dist(a, b).sqrt()).expect("isotropic")
+        self.eval_dist(sq_dist(a, b).sqrt())
     }
 
     fn n_params(&self) -> usize {
@@ -676,27 +562,25 @@ impl Kernel for Matern52 {
         ]
     }
 
-    fn eval_dist(&self, r: f64) -> Option<f64> {
+    fn eval_dist(&self, r: f64) -> f64 {
         let s = 5.0f64.sqrt() * r / self.log_len.exp();
-        Some((2.0 * self.log_sigma_f).exp() * (1.0 + s + s * s / 3.0) * (-s).exp())
+        (2.0 * self.log_sigma_f).exp() * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
 
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) -> bool {
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
         out.copy_from_slice(rs);
         self.map_dists(out);
-        true
     }
 
-    fn eval_sq_dists(&self, d2: &mut [f64]) -> bool {
+    fn eval_sq_dists(&self, d2: &mut [f64]) {
         d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
         self.map_dists(d2);
-        true
     }
 
-    fn spectral_moment(&self) -> Vec<f64> {
+    fn spectral_moment(&self) -> f64 {
         // λ₂ = 5/(3ℓ²).
-        vec![5.0 / 3.0 * (-2.0 * self.log_len).exp()]
+        5.0 / 3.0 * (-2.0 * self.log_len).exp()
     }
 
     fn signal_variance(&self) -> f64 {
@@ -757,19 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn ard_derivatives_and_anisotropy() {
-        let mut k = SquaredExponentialArd::new(1.0, &[0.5, 5.0]);
-        let a = [0.0, 0.0];
-        // Displacement along the short lengthscale decays much faster.
-        let bx = [1.0, 0.0];
-        let by = [0.0, 1.0];
-        assert!(k.eval(&a, &bx) < k.eval(&a, &by));
-        check_grad_fd(&mut k, &a, &bx);
-        assert!(k.eval_dist(1.0).is_none());
-        assert_eq!(k.spectral_moment().len(), 2);
-    }
-
-    #[test]
     fn matern32_derivatives() {
         let mut k = Matern32::new(2.0, 1.3);
         check_grad_fd(&mut k, &[0.1, 0.9], &[-0.4, 0.3]);
@@ -784,7 +655,7 @@ mod tests {
         let k32 = Matern32::new(1.0, 1.0);
         let k52 = Matern52::new(1.0, 1.0);
         let r = 0.5;
-        assert!(k52.eval_dist(r).unwrap() > k32.eval_dist(r).unwrap());
+        assert!(k52.eval_dist(r) > k32.eval_dist(r));
     }
 
     #[test]
@@ -795,9 +666,9 @@ mod tests {
             Box::new(Matern52::new(1.0, 1.0)),
         ];
         for k in &kernels {
-            let mut prev = k.eval_dist(0.0).unwrap();
+            let mut prev = k.eval_dist(0.0);
             for i in 1..50 {
-                let v = k.eval_dist(i as f64 * 0.2).unwrap();
+                let v = k.eval_dist(i as f64 * 0.2);
                 assert!(
                     v <= prev + 1e-15,
                     "{k:?} not monotone at r={}",
@@ -810,10 +681,10 @@ mod tests {
 
     #[test]
     fn spectral_moments_positive() {
-        assert!(SquaredExponential::new(1.0, 2.0).spectral_moment()[0] > 0.0);
-        assert!((SquaredExponential::new(1.0, 2.0).spectral_moment()[0] - 0.25).abs() < 1e-12);
-        assert!((Matern32::new(1.0, 1.0).spectral_moment()[0] - 3.0).abs() < 1e-12);
-        assert!((Matern52::new(1.0, 1.0).spectral_moment()[0] - 5.0 / 3.0).abs() < 1e-12);
+        assert!(SquaredExponential::new(1.0, 2.0).spectral_moment() > 0.0);
+        assert!((SquaredExponential::new(1.0, 2.0).spectral_moment() - 0.25).abs() < 1e-12);
+        assert!((Matern32::new(1.0, 1.0).spectral_moment() - 3.0).abs() < 1e-12);
+        assert!((Matern52::new(1.0, 1.0).spectral_moment() - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -822,7 +693,6 @@ mod tests {
         // bit — the blocked fast path's correctness rests on this.
         let kernels: Vec<Box<dyn Kernel>> = vec![
             Box::new(SquaredExponential::new(1.5, 0.8)),
-            Box::new(SquaredExponentialArd::new(1.0, &[0.5, 5.0])),
             Box::new(Matern32::new(2.0, 1.3)),
             Box::new(Matern52::new(0.7, 0.4)),
         ];
@@ -838,16 +708,9 @@ mod tests {
                 assert_eq!(k.eval(&x, q).to_bits(), v.to_bits(), "{k:?} at {q:?}");
             }
             let mut kv = vec![0.0; rs.len()];
-            let iso = k.eval_dist_many(&rs, &mut kv);
-            assert_eq!(iso, k.eval_dist(0.0).is_some(), "{k:?} isotropy flag");
-            if iso {
-                for (r, v) in rs.iter().zip(&kv) {
-                    assert_eq!(
-                        k.eval_dist(*r).unwrap().to_bits(),
-                        v.to_bits(),
-                        "{k:?} at r={r}"
-                    );
-                }
+            k.eval_dist_many(&rs, &mut kv);
+            for (r, v) in rs.iter().zip(&kv) {
+                assert_eq!(k.eval_dist(*r).to_bits(), v.to_bits(), "{k:?} at r={r}");
             }
         }
     }
@@ -863,7 +726,7 @@ mod tests {
             let (sf, l1, l2) = (0.2 + 3.0 * next(), 0.1 + 4.0 * next(), 0.1 + 4.0 * next());
             let kernels: Vec<Box<dyn Kernel>> = vec![
                 Box::new(SquaredExponential::new(sf, l1)),
-                Box::new(SquaredExponentialArd::new(sf, &[l1, l2])),
+                Box::new(SquaredExponential::new(sf, l2)),
                 Box::new(Matern32::new(sf, l1)),
                 Box::new(Matern52::new(sf, l1)),
             ];

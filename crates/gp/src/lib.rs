@@ -4,8 +4,8 @@
 //! posterior mean `f̂` serves as a cheap emulator and the posterior variance
 //! `σ²(x)` quantifies modeling error. This crate provides:
 //!
-//! * [`kernel`] — covariance functions (squared-exponential, isotropic and
-//!   ARD, plus Matérn 3/2 and 5/2) with analytic first and second
+//! * [`kernel`] — isotropic covariance functions (squared-exponential,
+//!   Matérn 3/2 and 5/2) with analytic first and second
 //!   derivatives w.r.t. log-hyperparameters (needed for MLE training, §3.4,
 //!   and the Newton retraining heuristic, §5.3);
 //! * [`model`] — exact GP regression with Cholesky factors, **incremental
@@ -27,7 +27,7 @@ pub mod model;
 pub mod train;
 
 pub use batch::{FactorOrigin, LocalPredictorCache, PredictScratch};
-pub use kernel::{Kernel, Matern32, Matern52, SquaredExponential, SquaredExponentialArd};
+pub use kernel::{Kernel, Matern32, Matern52, SquaredExponential};
 pub use local::{LocalSelection, SelectScratch};
 pub use model::GpModel;
 

@@ -57,8 +57,7 @@ struct GammaBufs {
 /// Choose training points near `sample_box` so the mean-approximation error
 /// is at most `gamma_threshold` (the paper's Γ).
 ///
-/// Requires an isotropic kernel (near/far-corner bracketing); returns
-/// [`GpError::InvalidParameter`] otherwise.
+/// Returns [`GpError::InvalidParameter`] for a Γ that is not positive.
 pub fn select_local(
     model: &GpModel,
     sample_box: &BoundingBox,
@@ -86,12 +85,6 @@ pub fn select_local_with(
     if model.is_empty() {
         return Err(GpError::EmptyModel);
     }
-    if model.kernel().eval_dist(0.0).is_none() {
-        return Err(GpError::InvalidParameter {
-            what: "local inference requires an isotropic kernel",
-            value: f64::NAN,
-        });
-    }
     if gamma_threshold <= 0.0 || gamma_threshold.is_nan() {
         return Err(GpError::InvalidParameter {
             what: "gamma_threshold",
@@ -102,7 +95,7 @@ pub fn select_local_with(
     let n = model.len();
     // Radius step: the kernel's half-value distance (bisected once per
     // hyperparameter setting and cached on the model).
-    let step = model.half_value_distance().expect("checked isotropic");
+    let step = model.half_value_distance().expect("always Some");
     // The near/far corner distances — and so the per-point kernel brackets —
     // depend only on the sample box and the training set, never on the
     // current selection, so every radius-expansion iteration reuses one
@@ -140,9 +133,6 @@ pub fn gamma_bound(model: &GpModel, sample_box: &BoundingBox, selected: &[usize]
 /// `k(near corner)` / `k(far corner)` of training point `l` against sub-box
 /// `s`. Selection-independent, so one evaluation serves every iteration of
 /// the radius-expansion loop. Returns the sub-box count.
-///
-/// # Panics
-/// Panics for non-isotropic kernels (callers check first).
 fn gamma_precompute(model: &GpModel, sample_box: &BoundingBox, bufs: &mut GammaBufs) -> usize {
     let xs = model.inputs();
     // Sub-box refinement: split along the longest axes (2^min(d,3) boxes).
@@ -155,8 +145,7 @@ fn gamma_precompute(model: &GpModel, sample_box: &BoundingBox, bufs: &mut GammaB
         }
     }
     bufs.kvals.resize(bufs.dists.len(), 0.0);
-    let isotropic = model.kernel().eval_dist_many(&bufs.dists, &mut bufs.kvals);
-    assert!(isotropic, "gamma_bound requires an isotropic kernel");
+    model.kernel().eval_dist_many(&bufs.dists, &mut bufs.kvals);
     sub_boxes.len()
 }
 
@@ -360,7 +349,7 @@ impl<'m> LocalPredictor<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{SquaredExponential, SquaredExponentialArd};
+    use crate::kernel::SquaredExponential;
     use crate::model::GpModel;
 
     /// 1-D model with clustered training data far from / near the query box.
@@ -429,18 +418,6 @@ mod tests {
         let loose = select_local(&m, &qbox, 1e-2).unwrap();
         let tight = select_local(&m, &qbox, 1e-10).unwrap();
         assert!(tight.indices.len() >= loose.indices.len());
-    }
-
-    #[test]
-    fn ard_kernel_rejected() {
-        let mut m = GpModel::new(Box::new(SquaredExponentialArd::new(1.0, &[1.0, 1.0])), 2);
-        m.fit(vec![vec![0.0, 0.0], vec![1.0, 1.0]], vec![0.0, 1.0])
-            .unwrap();
-        let qbox = BoundingBox::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        assert!(matches!(
-            select_local(&m, &qbox, 0.1),
-            Err(GpError::InvalidParameter { .. })
-        ));
     }
 
     #[test]

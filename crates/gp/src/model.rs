@@ -215,17 +215,14 @@ impl GpModel {
     }
 
     /// Distance at which the kernel decays to half its zero-distance value,
-    /// found by bisection once and cached until the hyperparameters change.
-    /// `None` for non-isotropic kernels. This is the radius step of the
-    /// local-inference selection loop (§5.1), which used to re-run the
-    /// 60-iteration bisection on every call.
+    /// found by bisection once and cached until the hyperparameters change:
+    /// the radius step of the local-inference selection loop (§5.1), which
+    /// asks for it on every call. Always `Some`, every kernel being
+    /// isotropic; the `Option` stays because `benchmark/src/bin/ladder.rs`
+    /// reads it with `unwrap_or`.
     pub fn half_value_distance(&self) -> Option<f64> {
-        self.kernel.eval_dist(0.0)?;
-        Some(
-            *self
-                .half_value
-                .get_or_init(|| half_value_bisect(self.kernel.as_ref())),
-        )
+        let kernel = self.kernel.as_ref();
+        Some(*self.half_value.get_or_init(|| half_value_bisect(kernel)))
     }
 
     /// Replace all training data and refactor (O(n³)).
@@ -584,20 +581,19 @@ impl GpModel {
     }
 }
 
-/// Bisection for the distance at which an isotropic kernel decays to half
-/// its zero-distance value (callers go through the cached
+/// Bisection for the distance at which the kernel decays to half its
+/// zero-distance value (callers go through the cached
 /// [`GpModel::half_value_distance`]).
 fn half_value_bisect(k: &dyn Kernel) -> f64 {
-    let k0 = k.eval_dist(0.0).expect("checked isotropic");
-    let target = 0.5 * k0;
+    let target = 0.5 * k.eval_dist(0.0);
     let mut hi = 1.0;
-    while k.eval_dist(hi).expect("isotropic") > target && hi < 1e6 {
+    while k.eval_dist(hi) > target && hi < 1e6 {
         hi *= 2.0;
     }
     let mut lo = 0.0;
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if k.eval_dist(mid).expect("isotropic") > target {
+        if k.eval_dist(mid) > target {
             lo = mid;
         } else {
             hi = mid;
@@ -760,10 +756,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Seeded models over all four kernels: random hyperparameters, 1-D or
+    /// Seeded models over all three kernels: random hyperparameters, 1-D or
     /// 2-D inputs, half of them grown point by point (an appended factor).
     pub(crate) fn seeded_models(cases: usize) -> Vec<GpModel> {
-        use crate::kernel::{Matern32, Matern52, SquaredExponentialArd};
+        use crate::kernel::{Matern32, Matern52};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xD1B5);
         let mut next = move || rng.gen::<f64>();
@@ -772,7 +768,7 @@ pub(crate) mod tests {
                 let (sf, l1, l2) = (0.5 + 2.0 * next(), 0.3 + 2.0 * next(), 0.3 + 2.0 * next());
                 let (kernel, dim): (Box<dyn Kernel>, usize) = match case % 4 {
                     0 => (Box::new(SquaredExponential::new(sf, l1)), 1),
-                    1 => (Box::new(SquaredExponentialArd::new(sf, &[l1, l2])), 2),
+                    1 => (Box::new(SquaredExponential::new(sf, l2)), 2),
                     2 => (Box::new(Matern32::new(sf, l1)), 2),
                     _ => (Box::new(Matern52::new(sf, l1)), 1),
                 };

@@ -16,12 +16,25 @@ struct CliffKernel {
     broken: Arc<AtomicBool>,
 }
 
+impl CliffKernel {
+    fn over_cliff(&self) -> bool {
+        self.inner.params()[1] > self.max_log_len || self.broken.load(Ordering::Relaxed)
+    }
+}
+
 impl Kernel for CliffKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        if self.inner.params()[1] > self.max_log_len || self.broken.load(Ordering::Relaxed) {
+        if self.over_cliff() {
             return f64::NAN;
         }
         self.inner.eval(a, b)
+    }
+    fn eval_sq_dists(&self, d2: &mut [f64]) {
+        if self.over_cliff() {
+            d2.fill(f64::NAN)
+        } else {
+            self.inner.eval_sq_dists(d2)
+        }
     }
     fn n_params(&self) -> usize {
         self.inner.n_params()
@@ -38,10 +51,10 @@ impl Kernel for CliffKernel {
     fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
         self.inner.second_deriv(a, b)
     }
-    fn eval_dist(&self, r: f64) -> Option<f64> {
+    fn eval_dist(&self, r: f64) -> f64 {
         self.inner.eval_dist(r)
     }
-    fn spectral_moment(&self) -> Vec<f64> {
+    fn spectral_moment(&self) -> f64 {
         self.inner.spectral_moment()
     }
     fn signal_variance(&self) -> f64 {

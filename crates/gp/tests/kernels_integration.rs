@@ -1,12 +1,12 @@
 //! Cross-kernel integration tests: every kernel must behave correctly
-//! through the full regression/training path, including ARD anisotropy and
-//! Matérn local inference.
+//! through the full regression/training path, including Matérn local
+//! inference.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use udf_gp::local::{select_local, LocalPredictor};
 use udf_gp::train::{train, TrainConfig};
-use udf_gp::{GpModel, Kernel, Matern32, Matern52, SquaredExponential, SquaredExponentialArd};
+use udf_gp::{GpModel, Kernel, Matern32, Matern52, SquaredExponential};
 use udf_spatial::BoundingBox;
 
 fn sample_2d(n: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -14,34 +14,6 @@ fn sample_2d(n: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n)
         .map(|_| vec![rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)])
         .collect()
-}
-
-/// A function that varies quickly along x₀ and slowly along x₁.
-fn anisotropic(x: &[f64]) -> f64 {
-    (x[0] * 2.0).sin() + 0.1 * x[1]
-}
-
-#[test]
-fn ard_learns_anisotropy() {
-    let xs = sample_2d(60, 1);
-    let ys: Vec<f64> = xs.iter().map(|x| anisotropic(x)).collect();
-    let mut m = GpModel::new(Box::new(SquaredExponentialArd::new(1.0, &[1.0, 1.0])), 2);
-    m.fit(xs, ys).unwrap();
-    train(
-        &mut m,
-        &TrainConfig {
-            max_iters: 150,
-            ..TrainConfig::default()
-        },
-    )
-    .unwrap();
-    let theta = m.kernel().params();
-    // θ = [log σ_f, log ℓ₀, log ℓ₁]: the fast axis needs the shorter scale.
-    let (l0, l1) = (theta[1].exp(), theta[2].exp());
-    assert!(
-        l0 < l1,
-        "ARD should learn ℓ₀ < ℓ₁ for a fast-x₀ function: {l0} vs {l1}"
-    );
 }
 
 #[test]
@@ -55,7 +27,6 @@ fn all_kernels_regress_a_smooth_function() {
         Box::new(SquaredExponential::new(1.0, 1.5)),
         Box::new(Matern32::new(1.0, 1.5)),
         Box::new(Matern52::new(1.0, 1.5)),
-        Box::new(SquaredExponentialArd::new(1.0, &[1.5, 1.5])),
     ];
     for kernel in kernels {
         let name = format!("{kernel:?}");

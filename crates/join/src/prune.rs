@@ -38,30 +38,26 @@ use udf_spatial::{BoundingBox, RTree};
 /// docs), so this needs to be plausible, not sound.
 const SCREEN_MARGIN_WIDTHS: f64 = 1.0;
 
-/// Screen coverage radius: the distance at which the (isotropic) kernel
-/// decays to this fraction of its zero-distance value. Beyond it the
-/// single-point variance bound is already a sizeable fraction of the
-/// prior sd, so certificates rarely decide — screens skip such regions.
+/// Screen coverage radius: the distance at which the kernel decays to this
+/// fraction of its zero-distance value. Beyond it the single-point variance
+/// bound is already a sizeable fraction of the prior sd, so certificates
+/// rarely decide — screens skip such regions.
 const COVERAGE_KERNEL_FRACTION: f64 = 0.9;
 
-/// Distance where `k(r) = COVERAGE_KERNEL_FRACTION · k(0)` (bisection;
-/// prior-sd fallback of 0 disables attempts for non-isotropic kernels).
+/// Distance where `k(r) = COVERAGE_KERNEL_FRACTION · k(0)` (bisection).
 /// Depends only on the model's kernel — compute once per join and pass
 /// into every [`PairPruner::attempts`] call.
 pub fn coverage_radius(olga: &Olgapro) -> f64 {
     let kernel = olga.model().kernel();
-    let Some(k0) = kernel.eval_dist(0.0) else {
-        return 0.0;
-    };
-    let target = COVERAGE_KERNEL_FRACTION * k0;
+    let target = COVERAGE_KERNEL_FRACTION * kernel.eval_dist(0.0);
     let mut hi = 1.0;
-    while kernel.eval_dist(hi).expect("isotropic") > target && hi < 1e6 {
+    while kernel.eval_dist(hi) > target && hi < 1e6 {
         hi *= 2.0;
     }
     let mut lo = 0.0;
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        if kernel.eval_dist(mid).expect("isotropic") > target {
+        if kernel.eval_dist(mid) > target {
             lo = mid;
         } else {
             hi = mid;

@@ -150,12 +150,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major storage.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Matrix-vector product `A x`.
     ///
     /// Returns an error on dimension mismatch.
@@ -282,25 +276,6 @@ impl Matrix {
             });
         }
         Ok((0..self.rows).map(|i| self[(i, i)]).sum())
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute asymmetry `max |A_ij - A_ji|` (0 for non-square).
-    pub fn asymmetry(&self) -> f64 {
-        if !self.is_square() {
-            return 0.0;
-        }
-        let mut m = 0.0f64;
-        for i in 0..self.rows {
-            for j in 0..i {
-                m = m.max((self[(i, j)] - self[(j, i)]).abs());
-            }
-        }
-        m
     }
 }
 
@@ -449,7 +424,7 @@ mod tests {
     #[test]
     fn symmetric_generator_is_symmetric() {
         let m = Matrix::from_symmetric_fn(4, |i, j| (i * 7 + j * 3) as f64);
-        assert_eq!(m.asymmetry(), 0.0);
+        assert_eq!(m.transpose(), m);
         let by_rows = Matrix::from_symmetric_rows(4, |i, row| {
             assert_eq!(row.len(), i + 1);
             for (j, v) in row.iter_mut().enumerate() {
@@ -466,11 +441,5 @@ mod tests {
         assert_eq!(m.trace().unwrap(), 4.5);
         let rect = Matrix::zeros(2, 3);
         assert!(rect.trace().is_err());
-    }
-
-    #[test]
-    fn frobenius() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 }

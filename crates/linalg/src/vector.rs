@@ -14,18 +14,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm `‖a‖₂`.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Infinity norm `‖a‖∞` (0 for the empty slice).
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
 /// In-place `y ← y + alpha * x`.
 ///
 /// # Panics
@@ -64,13 +52,6 @@ mod tests {
     fn dot_basic() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn norms() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Univariate distributions with sampling (via `rand`), pdf/cdf, and moments.
 //!
 //! The paper evaluates on Gaussian inputs by default and additionally on
-//! Gamma and exponential inputs (§6.1-B); Gaussian mixtures double as the
-//! synthetic UDF *shape* generator (§6.1-A). Sampling algorithms:
+//! Gamma and exponential inputs (§6.1-B); a point mass carries deterministic
+//! attributes. Sampling algorithms:
 //! Box–Muller-free polar method for the normal, inverse CDF for the
 //! exponential, Marsaglia–Tsang for the Gamma.
 
@@ -75,16 +75,6 @@ impl Normal {
         }
         Ok(Normal { mu, sigma })
     }
-
-    /// Mean parameter.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Standard deviation parameter.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
 }
 
 impl Univariate for Normal {
@@ -105,51 +95,6 @@ impl Univariate for Normal {
     }
     fn quantile(&self, p: f64) -> f64 {
         self.mu + self.sigma * norm_ppf(p)
-    }
-}
-
-/// Continuous uniform on `[a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    a: f64,
-    b: f64,
-}
-
-impl Uniform {
-    /// Create `U[a, b)`; requires `a < b`.
-    pub fn new(a: f64, b: f64) -> Result<Self> {
-        if !(a < b && a.is_finite() && b.is_finite()) {
-            return Err(ProbError::InvalidParameter {
-                what: "Uniform bounds",
-                value: b - a,
-            });
-        }
-        Ok(Uniform { a, b })
-    }
-}
-
-impl Univariate for Uniform {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        rng.gen_range(self.a..self.b)
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        if x >= self.a && x < self.b {
-            1.0 / (self.b - self.a)
-        } else {
-            0.0
-        }
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.a) / (self.b - self.a)).clamp(0.0, 1.0)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.a + self.b)
-    }
-    fn variance(&self) -> f64 {
-        (self.b - self.a).powi(2) / 12.0
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        self.a + p * (self.b - self.a)
     }
 }
 
@@ -282,86 +227,6 @@ impl Univariate for Gamma {
     }
 }
 
-/// Normal distribution truncated to `[lo, hi]`, used when a selection
-/// predicate truncates a result distribution (§2.1, Q2 discussion).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruncatedNormal {
-    base: Normal,
-    lo: f64,
-    hi: f64,
-    /// Φ((lo-μ)/σ), cached.
-    cdf_lo: f64,
-    /// Mass of the untruncated distribution inside [lo, hi], cached.
-    mass: f64,
-}
-
-impl TruncatedNormal {
-    /// Truncate `base` to `[lo, hi]`; requires `lo < hi` and nonzero mass.
-    pub fn new(base: Normal, lo: f64, hi: f64) -> Result<Self> {
-        if lo >= hi {
-            return Err(ProbError::InvalidParameter {
-                what: "TruncatedNormal bounds",
-                value: hi - lo,
-            });
-        }
-        let cdf_lo = base.cdf(lo);
-        let mass = base.cdf(hi) - cdf_lo;
-        if mass <= 0.0 {
-            return Err(ProbError::InvalidParameter {
-                what: "TruncatedNormal mass",
-                value: mass,
-            });
-        }
-        Ok(TruncatedNormal {
-            base,
-            lo,
-            hi,
-            cdf_lo,
-            mass,
-        })
-    }
-}
-
-impl Univariate for TruncatedNormal {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        // Inverse-CDF sampling; exact and branch-free for moderate truncation.
-        let u: f64 = rng.gen_range(0.0f64..1.0);
-        self.base.quantile(self.cdf_lo + u * self.mass)
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            0.0
-        } else {
-            self.base.pdf(x) / self.mass
-        }
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        if x < self.lo {
-            0.0
-        } else if x >= self.hi {
-            1.0
-        } else {
-            (self.base.cdf(x) - self.cdf_lo) / self.mass
-        }
-    }
-    fn mean(&self) -> f64 {
-        // μ + σ (φ(α) − φ(β)) / Z with α, β standardized bounds.
-        let (mu, s) = (self.base.mu(), self.base.sigma());
-        let a = (self.lo - mu) / s;
-        let b = (self.hi - mu) / s;
-        mu + s * (norm_pdf(a) - norm_pdf(b)) / self.mass
-    }
-    fn variance(&self) -> f64 {
-        let (mu, s) = (self.base.mu(), self.base.sigma());
-        let a = (self.lo - mu) / s;
-        let b = (self.hi - mu) / s;
-        let z = self.mass;
-        let term = (a * norm_pdf(a) - b * norm_pdf(b)) / z;
-        let shift = (norm_pdf(a) - norm_pdf(b)) / z;
-        s * s * (1.0 + term - shift * shift)
-    }
-}
-
 /// A degenerate (point-mass) distribution — a deterministic attribute viewed
 /// as a random variable, so deterministic and uncertain columns mix freely
 /// in one input vector (Q2 passes the constant `AREA` to `ComoveVol`).
@@ -412,70 +277,6 @@ impl Univariate for Degenerate {
     }
 }
 
-/// One-dimensional Gaussian mixture `Σ w_i N(mu_i, sigma_i²)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaussianMixture1d {
-    components: Vec<(f64, Normal)>,
-}
-
-impl GaussianMixture1d {
-    /// Create a mixture from `(weight, component)` pairs; weights must be
-    /// positive and are normalized to sum to 1.
-    pub fn new(components: Vec<(f64, Normal)>) -> Result<Self> {
-        if components.is_empty() {
-            return Err(ProbError::Empty("mixture components"));
-        }
-        let total: f64 = components.iter().map(|(w, _)| w).sum();
-        if !(total > 0.0 && total.is_finite()) {
-            return Err(ProbError::InvalidParameter {
-                what: "mixture weight sum",
-                value: total,
-            });
-        }
-        Ok(GaussianMixture1d {
-            components: components
-                .into_iter()
-                .map(|(w, n)| (w / total, n))
-                .collect(),
-        })
-    }
-
-    /// Component view.
-    pub fn components(&self) -> &[(f64, Normal)] {
-        &self.components
-    }
-}
-
-impl Univariate for GaussianMixture1d {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let mut u: f64 = rng.gen_range(0.0f64..1.0);
-        for (w, n) in &self.components {
-            if u < *w {
-                return n.sample(rng);
-            }
-            u -= w;
-        }
-        // Guard against floating-point slop in the weight sum.
-        self.components.last().expect("non-empty").1.sample(rng)
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        self.components.iter().map(|(w, n)| w * n.pdf(x)).sum()
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        self.components.iter().map(|(w, n)| w * n.cdf(x)).sum()
-    }
-    fn mean(&self) -> f64 {
-        self.components.iter().map(|(w, n)| w * n.mean()).sum()
-    }
-    fn variance(&self) -> f64 {
-        let m = self.mean();
-        self.components
-            .iter()
-            .map(|(w, n)| w * (n.variance() + (n.mean() - m).powi(2)))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,17 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_basics() {
-        let d = Uniform::new(-1.0, 3.0).unwrap();
-        assert_eq!(d.mean(), 1.0);
-        assert!((d.variance() - 16.0 / 12.0).abs() < 1e-12);
-        assert_eq!(d.cdf(-2.0), 0.0);
-        assert_eq!(d.cdf(5.0), 1.0);
-        assert!((d.quantile(0.25) - 0.0).abs() < 1e-12);
-        assert!(Uniform::new(1.0, 1.0).is_err());
-    }
-
-    #[test]
     fn exponential_cdf_sampling() {
         let d = Exponential::new(2.0).unwrap();
         assert!((d.mean() - 0.5).abs() < 1e-12);
@@ -544,45 +334,6 @@ mod tests {
         let d2 = Gamma::new(0.5, 1.0).unwrap();
         let (m2, _) = sample_stats(&d2, 60_000, 13);
         assert!((m2 - 0.5).abs() < 0.02, "mean {m2}");
-    }
-
-    #[test]
-    fn truncated_normal_mass_and_moments() {
-        let base = Normal::new(0.0, 1.0).unwrap();
-        let d = TruncatedNormal::new(base, -1.0, 2.0).unwrap();
-        assert_eq!(d.cdf(-1.5), 0.0);
-        assert_eq!(d.cdf(2.5), 1.0);
-        let (m, v) = sample_stats(&d, 60_000, 17);
-        assert!((m - d.mean()).abs() < 0.02, "mean {m} vs {}", d.mean());
-        assert!((v - d.variance()).abs() < 0.02);
-        // Zero-mass truncation rejected.
-        assert!(TruncatedNormal::new(base, 50.0, 51.0).is_err());
-        assert!(TruncatedNormal::new(base, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn mixture_normalizes_weights() {
-        let m = GaussianMixture1d::new(vec![
-            (2.0, Normal::new(-2.0, 0.5).unwrap()),
-            (2.0, Normal::new(2.0, 0.5).unwrap()),
-        ])
-        .unwrap();
-        assert!((m.mean()).abs() < 1e-12);
-        assert!((m.cdf(0.0) - 0.5).abs() < 1e-9);
-        let (mean, _) = sample_stats(&m, 40_000, 19);
-        assert!(mean.abs() < 0.05);
-        assert!(GaussianMixture1d::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn mixture_variance_law_of_total_variance() {
-        let m = GaussianMixture1d::new(vec![
-            (1.0, Normal::new(0.0, 1.0).unwrap()),
-            (1.0, Normal::new(4.0, 1.0).unwrap()),
-        ])
-        .unwrap();
-        // Var = E[Var] + Var[E] = 1 + 4.
-        assert!((m.variance() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -25,9 +25,7 @@ pub mod merged;
 pub mod metrics;
 pub mod special;
 
-pub use dist::{
-    Degenerate, Exponential, Gamma, GaussianMixture1d, Normal, TruncatedNormal, Uniform, Univariate,
-};
+pub use dist::{Degenerate, Exponential, Gamma, Normal, Univariate};
 pub use ecdf::Ecdf;
 pub use input::InputDistribution;
 pub use merged::MergedSupport;

@@ -97,40 +97,6 @@ impl Cosmology {
         let d2 = self.comoving_distance(z2);
         area / 3.0 * (d2.powi(3) - d1.powi(3))
     }
-
-    /// Luminosity distance `d_L(z) = (1+z) D_C(z)` (flat) in `c/H0` units
-    /// (IDL `lumdist`).
-    pub fn luminosity_distance(&self, z: f64) -> f64 {
-        (1.0 + z.max(0.0)) * self.comoving_distance(z)
-    }
-
-    /// Angular-diameter distance to a single redshift,
-    /// `d_A(z) = D_C(z) / (1+z)` (IDL `dangdis`).
-    pub fn angular_diameter_distance(&self, z: f64) -> f64 {
-        self.comoving_distance(z) / (1.0 + z.max(0.0))
-    }
-
-    /// Distance modulus `μ(z) = 5 log₁₀(d_L / 10 pc)`; needs the Hubble
-    /// distance in megaparsecs (`c/H0` ≈ 4283 Mpc for h = 0.7) to convert
-    /// the dimensionless `d_L` into physical units.
-    pub fn distance_modulus(&self, z: f64, hubble_distance_mpc: f64) -> f64 {
-        let dl_mpc = self.luminosity_distance(z) * hubble_distance_mpc;
-        // 10 pc = 1e-5 Mpc.
-        5.0 * (dl_mpc / 1e-5).log10()
-    }
-
-    /// Differential comoving volume element
-    /// `dV/dz/dΩ = D_C(z)² / E(z)` in `(c/H0)³` per steradian per unit z
-    /// (IDL `dcomvoldz`).
-    pub fn differential_comoving_volume(&self, z: f64) -> f64 {
-        let d = self.comoving_distance(z.max(0.0));
-        d * d / self.e(z.max(0.0))
-    }
-
-    /// Lookback time `t_L(z) = t(0) − t(z)` in `1/H0` units.
-    pub fn lookback_time(&self, z: f64) -> f64 {
-        self.age_at(0.0) - self.age_at(z.max(0.0))
-    }
 }
 
 /// `GalAge(z)` — age of a galaxy's light-emission epoch (1-D UDF of Q1).
@@ -213,119 +179,6 @@ pub fn astro_udfs(cosmology: Cosmology, area: f64) -> Vec<BlackBoxUdf> {
         mk(Arc::new(GalAge(cosmology))),
         mk(Arc::new(ComoveVol { cosmology, area })),
     ]
-}
-
-/// `LumDist(z)` — luminosity distance (1-D).
-#[derive(Debug, Clone)]
-pub struct LumDist(pub Cosmology);
-
-impl UdfFunction for LumDist {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.0.luminosity_distance(x[0].max(0.0))
-    }
-    fn name(&self) -> &str {
-        "LumDist"
-    }
-}
-
-/// `DAngDis(z)` — angular-diameter distance to one redshift (1-D).
-#[derive(Debug, Clone)]
-pub struct DAngDis(pub Cosmology);
-
-impl UdfFunction for DAngDis {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.0.angular_diameter_distance(x[0].max(0.0))
-    }
-    fn name(&self) -> &str {
-        "DAngDis"
-    }
-}
-
-/// `DistMod(z)` — distance modulus for h = 0.7 (1-D).
-#[derive(Debug, Clone)]
-pub struct DistMod(pub Cosmology);
-
-/// Hubble distance `c/H0` in Mpc for h = 0.7.
-pub const HUBBLE_DISTANCE_MPC: f64 = 4282.7;
-
-impl UdfFunction for DistMod {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        // Guard z ≈ 0 where μ → −∞.
-        self.0.distance_modulus(x[0].max(1e-4), HUBBLE_DISTANCE_MPC)
-    }
-    fn name(&self) -> &str {
-        "DistMod"
-    }
-}
-
-/// `DComVolDz(z)` — differential comoving volume element (1-D).
-#[derive(Debug, Clone)]
-pub struct DComVolDz(pub Cosmology);
-
-impl UdfFunction for DComVolDz {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.0.differential_comoving_volume(x[0])
-    }
-    fn name(&self) -> &str {
-        "DComVolDz"
-    }
-}
-
-/// `LookbackTime(z)` — lookback time (1-D).
-#[derive(Debug, Clone)]
-pub struct LookbackTime(pub Cosmology);
-
-impl UdfFunction for LookbackTime {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.0.lookback_time(x[0])
-    }
-    fn name(&self) -> &str {
-        "LookbackTime"
-    }
-}
-
-/// All eight scalar astro UDFs (the paper reports finding eight scalar
-/// functions in the IDL library; the first three are the ones it
-/// benchmarks). The extended five carry no paper-reported cost, so they
-/// default to [`CostModel::Free`].
-pub fn extended_astro_udfs(cosmology: Cosmology, area: f64) -> Vec<BlackBoxUdf> {
-    let mut udfs = astro_udfs(cosmology, area);
-    udfs.push(BlackBoxUdf::new(
-        Arc::new(LumDist(cosmology)),
-        CostModel::Free,
-    ));
-    udfs.push(BlackBoxUdf::new(
-        Arc::new(DAngDis(cosmology)),
-        CostModel::Free,
-    ));
-    udfs.push(BlackBoxUdf::new(
-        Arc::new(DistMod(cosmology)),
-        CostModel::Free,
-    ));
-    udfs.push(BlackBoxUdf::new(
-        Arc::new(DComVolDz(cosmology)),
-        CostModel::Free,
-    ));
-    udfs.push(BlackBoxUdf::new(
-        Arc::new(LookbackTime(cosmology)),
-        CostModel::Free,
-    ));
-    udfs
 }
 
 /// A synthetic SDSS-like galaxy catalog: each row has an object id and a
@@ -514,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn luminosity_angular_diameter_identity() {
-        // Etherington reciprocity: d_L = (1+z)² d_A.
-        let c = cosmo();
-        for z in [0.1, 0.5, 1.0, 2.0] {
-            let dl = c.luminosity_distance(z);
-            let da = c.angular_diameter_distance(z);
-            assert!(
-                (dl - (1.0 + z).powi(2) * da).abs() < 1e-12,
-                "z = {z}: d_L {dl} vs (1+z)² d_A {}",
-                (1.0 + z).powi(2) * da
-            );
-        }
-    }
-
-    #[test]
     fn differential_volume_is_derivative_of_shell_volume() {
         // d/dz [V(0, z, Ω)] = Ω · D_C(z)²/E(z) — check by central difference.
         let c = cosmo();
@@ -537,45 +375,11 @@ mod tests {
             let h = 1e-4;
             let fd = (c.comoving_volume(0.0, z + h, area) - c.comoving_volume(0.0, z - h, area))
                 / (2.0 * h);
-            let analytic = area * c.differential_comoving_volume(z);
+            let analytic = area * c.comoving_distance(z).powi(2) / c.e(z);
             assert!(
                 (fd - analytic).abs() < 1e-5 * analytic,
                 "z = {z}: fd {fd} vs analytic {analytic}"
             );
-        }
-    }
-
-    #[test]
-    fn distance_modulus_known_value() {
-        // For (Ω_M, Ω_Λ) = (0.27, 0.73), h = 0.7: μ(z = 0.5) ≈ 42.3 mag.
-        let c = cosmo();
-        let mu = c.distance_modulus(0.5, HUBBLE_DISTANCE_MPC);
-        assert!((mu - 42.3).abs() < 0.2, "μ(0.5) = {mu}");
-        // Monotone in z.
-        assert!(c.distance_modulus(1.0, HUBBLE_DISTANCE_MPC) > mu);
-    }
-
-    #[test]
-    fn lookback_plus_age_is_present_age() {
-        let c = cosmo();
-        for z in [0.2, 1.0, 3.0] {
-            let total = c.lookback_time(z) + c.age_at(z);
-            assert!((total - c.age_at(0.0)).abs() < 1e-10, "z = {z}");
-        }
-        assert!(c.lookback_time(0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extended_udf_set_has_eight_functions() {
-        let udfs = extended_astro_udfs(cosmo(), 0.1);
-        assert_eq!(udfs.len(), 8, "the paper reports eight scalar functions");
-        let names: Vec<&str> = udfs.iter().map(|u| u.name()).collect();
-        assert!(names.contains(&"LumDist"));
-        assert!(names.contains(&"DistMod"));
-        // All evaluate to finite values on a probe redshift.
-        for u in &udfs {
-            let x = vec![0.5; u.dim()];
-            assert!(u.eval(&x).is_finite(), "{} produced non-finite", u.name());
         }
     }
 }
