@@ -296,64 +296,22 @@ pub fn envelope_certify(
     z_alpha: f64,
     pred: &Predicate,
 ) -> EnvelopeDecision {
-    envelope_certify_gap(olga, bbox, z_alpha, pred).0
-}
-
-/// [`envelope_certify`] plus a root-cause diagnostic: how far the
-/// *root-box* band bracket was from any certificate.
-///
-/// The gap is the smallest width (in output units) by which the bracket
-/// `[band_lo, band_hi]` would have to tighten for one of the three
-/// certificates to hold at the root: band entirely above `pred.hi`, band
-/// entirely below `pred.lo`, or band strictly inside `[pred.lo, pred.hi]`.
-/// A decision certified at the root has gap 0; refinement can still decide
-/// a positive-gap box, so the gap measures *difficulty*, not the verdict.
-/// [`f64::INFINITY`] means no bracket was computable (cold model, failed
-/// factorization) — consumers exporting JSON get `null` there.
-pub fn envelope_certify_gap(
-    olga: &Olgapro,
-    bbox: &BoundingBox,
-    z_alpha: f64,
-    pred: &Predicate,
-) -> (EnvelopeDecision, f64) {
     let model = olga.model();
     if model.is_empty() {
-        return (EnvelopeDecision::Undecided, f64::INFINITY);
+        return EnvelopeDecision::Undecided;
     }
     let indices = match select_local(model, bbox, olga.config().gamma) {
         Ok(sel) if !sel.indices.is_empty() => sel.indices,
         Ok(_) => (0..model.len()).collect(),
-        Err(_) => return (EnvelopeDecision::Undecided, f64::INFINITY),
+        Err(_) => return EnvelopeDecision::Undecided,
     };
     let Ok(bound) = BandBoxBound::new(model, indices) else {
-        return (EnvelopeDecision::Undecided, f64::INFINITY);
+        return EnvelopeDecision::Undecided;
     };
-    let gap = match bound.bracket(bbox, z_alpha) {
-        Ok((band_lo, band_hi)) => certificate_gap(band_lo, band_hi, pred),
-        Err(_) => f64::INFINITY,
-    };
-    let decision = match classify_box(&bound, bbox, z_alpha, pred, MAX_REFINE_DEPTH) {
+    match classify_box(&bound, bbox, z_alpha, pred, MAX_REFINE_DEPTH) {
         BoxClass::Outside => EnvelopeDecision::DefiniteReject,
         BoxClass::Inside => EnvelopeDecision::DefiniteAccept,
         BoxClass::Mixed => EnvelopeDecision::Undecided,
-    };
-    (decision, gap)
-}
-
-/// Distance from the root bracket `[band_lo, band_hi]` to the nearest
-/// certificate (see [`envelope_certify_gap`]). NaN inputs yield infinity.
-fn certificate_gap(band_lo: f64, band_hi: f64, pred: &Predicate) -> f64 {
-    // Outside-above needs band_lo > pred.hi: short by (pred.hi − band_lo).
-    let above = (pred.hi - band_lo).max(0.0);
-    // Outside-below needs band_hi < pred.lo: short by (band_hi − pred.lo).
-    let below = (band_hi - pred.lo).max(0.0);
-    // Inside needs band_lo > pred.lo and band_hi < pred.hi.
-    let inside = (pred.lo - band_lo).max(0.0) + (band_hi - pred.hi).max(0.0);
-    let gap = above.min(below).min(inside);
-    if gap.is_nan() {
-        f64::INFINITY
-    } else {
-        gap
     }
 }
 
@@ -536,35 +494,6 @@ mod tests {
             EnvelopeDecision::Undecided,
             "empty model must never certify"
         );
-        let (decision, gap) = envelope_certify_gap(&olga, &bbox, 3.0, &pred);
-        assert_eq!(decision, EnvelopeDecision::Undecided);
-        assert!(
-            gap.is_infinite(),
-            "cold model has no bracket, gap must be ∞ (got {gap})"
-        );
-    }
-
-    #[test]
-    fn certificate_gap_measures_distance_to_each_certificate() {
-        let pred = Predicate::new(0.0, 1.0, 0.3).unwrap();
-        // Band already entirely above the interval: certified, gap 0.
-        assert_eq!(certificate_gap(2.0, 3.0, &pred), 0.0);
-        // Band already entirely below: gap 0.
-        assert_eq!(certificate_gap(-3.0, -2.0, &pred), 0.0);
-        // Band strictly inside: gap 0.
-        assert_eq!(certificate_gap(0.25, 0.75, &pred), 0.0);
-        // Band [0.9, 1.5]: above needs band_lo > 1 (short 0.1); inside
-        // needs band_hi < 1 (short 0.5); below needs band_hi < 0 (short
-        // 1.5). Nearest certificate is 0.1 away.
-        assert!((certificate_gap(0.9, 1.5, &pred) - 0.1).abs() < 1e-12);
-        // Band [-0.5, 0.2]: below is 0.2 away, inside is 0.5 away, above
-        // is 1.5 away.
-        assert!((certificate_gap(-0.5, 0.2, &pred) - 0.2).abs() < 1e-12);
-        // A wide straddling band is far from everything: above needs
-        // band_lo > 1 (short 3), below needs band_hi < 0 (short 3),
-        // inside needs both ends pulled in (short 2 + 2 = 4).
-        let g = certificate_gap(-2.0, 3.0, &pred);
-        assert!((g - 3.0).abs() < 1e-12, "straddle gap = {g}");
     }
 
     #[test]
@@ -582,9 +511,19 @@ mod tests {
         let pred = Predicate::new(50.0, 51.0, 0.3).unwrap();
         let bbox = udf_spatial::BoundingBox::new(vec![1.0], vec![2.0]);
         let z = udf_gp::band::simultaneous_z(olga.model().kernel(), &bbox, 0.05);
-        let (decision, gap) = envelope_certify_gap(&olga, &bbox, z, &pred);
-        assert_eq!(decision, EnvelopeDecision::DefiniteReject);
-        assert_eq!(gap, 0.0, "root-certified decision must have zero gap");
+        assert_eq!(
+            envelope_certify(&olga, &bbox, z, &pred),
+            EnvelopeDecision::DefiniteReject
+        );
+        // No refinement was needed: the root box's bracket is already
+        // entirely below the interval.
+        let model = olga.model();
+        let sel = select_local(model, &bbox, olga.config().gamma).unwrap();
+        let (_, band_hi) = BandBoxBound::new(model, sel.indices)
+            .unwrap()
+            .bracket(&bbox, z)
+            .unwrap();
+        assert!(band_hi < pred.lo, "root bracket reaches {band_hi}");
     }
 
     #[test]

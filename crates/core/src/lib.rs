@@ -43,7 +43,7 @@ pub use hybrid::{HybridChoice, HybridEvaluator};
 pub use mc::McEvaluator;
 pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
 pub use output::{GpOutput, OutputDistribution};
-pub use sched::{mix_seed, BatchOps, BatchScheduler, BatchStats, SchedMetrics, Verdict};
+pub use sched::{mix_seed, BatchOps, BatchScheduler, SchedMetrics, Verdict};
 pub use udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
 
 use std::fmt;

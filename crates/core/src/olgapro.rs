@@ -35,7 +35,7 @@ use udf_gp::{
     FactorOrigin, GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch,
     SquaredExponential,
 };
-use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, Obs, TraceBuffer, TraceEvent};
+use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use udf_prob::{Ecdf, InputDistribution};
 use udf_spatial::BoundingBox;
 
@@ -215,10 +215,6 @@ pub struct Olgapro {
     tuning: TuningHeuristic,
     stats: OlgaproStats,
     metrics: OlgaproMetrics,
-    /// Structured event log (model growth / eviction / cap hits), emitted
-    /// on lane 0: every model mutation happens on the sequential slow
-    /// path. Disabled by default; purely observational.
-    tracer: TraceBuffer,
     /// Buffers reused across sequential [`Olgapro::process`] calls.
     scratch: InferScratch,
 }
@@ -244,7 +240,6 @@ impl Olgapro {
             tuning: TuningHeuristic::LargestVariance,
             stats: OlgaproStats::default(),
             metrics: OlgaproMetrics::disabled(),
-            tracer: TraceBuffer::disabled(),
             scratch: InferScratch::default(),
         }
     }
@@ -256,21 +251,17 @@ impl Olgapro {
     }
 
     /// Wire observability (builder form): the `olgapro.*` handles (see
-    /// [`OlgaproMetrics`]) register in `obs.metrics`; model growth,
-    /// evictions, and cap hits are emitted into `obs.tracer` on lane 0 —
-    /// model mutations only happen on the sequential slow path. Timings,
-    /// counters and events only observe; the evaluation itself is blind to
-    /// them.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.set_obs(obs);
+    /// [`OlgaproMetrics`]) register in `metrics`. Timings and counters only
+    /// observe; the evaluation itself is blind to them.
+    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
+        self.set_metrics(metrics);
         self
     }
 
     /// Rewire a live evaluator in place (a subscription whose session is
     /// wired after it registered).
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.metrics = OlgaproMetrics::register(&obs.metrics);
-        self.tracer = obs.tracer.clone();
+    pub fn set_metrics(&mut self, metrics: &MetricsRegistry) {
+        self.metrics = OlgaproMetrics::register(metrics);
     }
 
     /// Borrow the model (training-set size, hyperparameters, ...).
@@ -341,13 +332,6 @@ impl Olgapro {
     pub fn note_cap_hit(&mut self) {
         self.stats.cap_hits += 1;
         self.metrics.cap_hits.inc();
-        self.tracer.emit(
-            0,
-            TraceEvent::CapHit {
-                points: self.model.len() as u64,
-                budget: self.config.max_model_points as u64,
-            },
-        );
     }
 
     /// True when the training set is at the cap (either policy).
@@ -529,13 +513,6 @@ impl Olgapro {
             let x = samples[idx.min(samples.len() - 1)].clone();
             let y = self.eval_udf(&x)?;
             self.model.add_point(x, y)?;
-            self.tracer.emit(
-                0,
-                TraceEvent::ModelGrow {
-                    points: self.model.len() as u64,
-                    budget: self.config.max_model_points as u64,
-                },
-            );
             points_added += 1;
         }
 
@@ -575,13 +552,6 @@ impl Olgapro {
                     }
                     ModelBudget::EvictOldest => {
                         self.model.remove_oldest()?;
-                        self.tracer.emit(
-                            0,
-                            TraceEvent::ModelEvict {
-                                points: self.model.len() as u64,
-                                budget: self.config.max_model_points as u64,
-                            },
-                        );
                     }
                 }
             }
@@ -589,13 +559,6 @@ impl Olgapro {
             let x = scratch.samples[pick].clone();
             let y = self.eval_udf(&x)?;
             self.model.add_point(x, y)?;
-            self.tracer.emit(
-                0,
-                TraceEvent::ModelGrow {
-                    points: self.model.len() as u64,
-                    budget: self.config.max_model_points as u64,
-                },
-            );
             points_added += 1;
             self.metrics
                 .bounds_skipped
@@ -857,6 +820,7 @@ mod tests {
     use crate::config::AccuracyRequirement;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use udf_obs::HistogramSnapshot;
 
     fn smooth_udf() -> BlackBoxUdf {
         BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin())
@@ -1260,13 +1224,6 @@ mod tests {
                 let x = samples[idx.min(samples.len() - 1)].clone();
                 let y = self.eval_udf(&x)?;
                 self.model.add_point(x, y)?;
-                self.tracer.emit(
-                    0,
-                    TraceEvent::ModelGrow {
-                        points: self.model.len() as u64,
-                        budget: self.config.max_model_points as u64,
-                    },
-                );
                 points_added += 1;
             }
 
@@ -1283,24 +1240,10 @@ mod tests {
                         ModelBudget::StopGrowing => {
                             self.stats.cap_hits += 1;
                             self.metrics.cap_hits.inc();
-                            self.tracer.emit(
-                                0,
-                                TraceEvent::CapHit {
-                                    points: self.model.len() as u64,
-                                    budget: self.config.max_model_points as u64,
-                                },
-                            );
                             break;
                         }
                         ModelBudget::EvictOldest => {
                             self.model.remove_oldest()?;
-                            self.tracer.emit(
-                                0,
-                                TraceEvent::ModelEvict {
-                                    points: self.model.len() as u64,
-                                    budget: self.config.max_model_points as u64,
-                                },
-                            );
                         }
                     }
                 }
@@ -1308,13 +1251,6 @@ mod tests {
                 let x = samples[pick].clone();
                 let y = self.eval_udf(&x)?;
                 self.model.add_point(x, y)?;
-                self.tracer.emit(
-                    0,
-                    TraceEvent::ModelGrow {
-                        points: self.model.len() as u64,
-                        budget: self.config.max_model_points as u64,
-                    },
-                );
                 points_added += 1;
                 (eps_gp, envelopes) = infer_and_bound(self, &mut scratch.buf, z_alpha, true)?;
             }
@@ -1342,6 +1278,8 @@ mod tests {
 
             self.stats.inputs += 1;
             self.stats.points_added += points_added as u64;
+            self.metrics.model_points.set(self.model.len() as u64);
+            self.metrics.model_size.record(self.model.len() as u64);
             let (y_hat, y_s, y_l) = envelopes;
             Ok(GpOutput {
                 y_hat,
@@ -1369,14 +1307,18 @@ mod tests {
         len_epoch: (usize, u64),
         stats: OlgaproStats,
         udf_calls: u64,
-        events: Vec<TraceEvent>,
+        /// The registry's record of model growth, evictions and cap hits:
+        /// `olgapro.cap_hits`, and the `olgapro.model_points` gauge and
+        /// `olgapro.model_size` histogram after every tuple.
+        model_metrics: (u64, u64, HistogramSnapshot),
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn observe(olga: &Olgapro, obs: &Obs, out: Result<GpOutput>) -> Observed {
+    fn observe(olga: &Olgapro, metrics: &MetricsRegistry, out: Result<GpOutput>) -> Observed {
+        let mut snap = metrics.snapshot();
         Observed {
             out: out
                 .map(|o| {
@@ -1396,7 +1338,11 @@ mod tests {
             len_epoch: (olga.model().len(), olga.model().epoch()),
             stats: olga.stats(),
             udf_calls: olga.udf().calls(),
-            events: obs.tracer.events().iter().map(|e| e.event).collect(),
+            model_metrics: (
+                snap.counters["olgapro.cap_hits"],
+                snap.gauges["olgapro.model_points"],
+                snap.histograms.remove("olgapro.model_size").unwrap(),
+            ),
         }
     }
 
@@ -1444,17 +1390,14 @@ mod tests {
                                 cfg = cfg.with_model_cap(cap, budget).unwrap();
                             }
                             let mk = || {
-                                let obs = Obs {
-                                    metrics: MetricsRegistry::new(),
-                                    tracer: TraceBuffer::new(1, 1 << 12),
-                                };
+                                let metrics = MetricsRegistry::new();
                                 let olga = Olgapro::new(shaped_udf(shape), cfg.clone())
                                     .with_tuning(heuristic)
-                                    .with_obs(&obs);
-                                (olga, obs, InferScratch::default())
+                                    .with_metrics(&metrics);
+                                (olga, metrics, InferScratch::default())
                             };
-                            let (mut lazy, lazy_obs, mut lazy_scratch) = mk();
-                            let (mut eager, eager_obs, mut eager_scratch) = mk();
+                            let (mut lazy, lazy_metrics, mut lazy_scratch) = mk();
+                            let (mut eager, eager_metrics, mut eager_scratch) = mk();
                             runs += 1;
                             let tuples = if heuristic == TuningHeuristic::OptimalGreedy {
                                 3
@@ -1478,8 +1421,8 @@ mod tests {
                                     &mut eager_scratch,
                                 );
                                 assert_eq!(
-                                    observe(&lazy, &lazy_obs, got),
-                                    observe(&eager, &eager_obs, want),
+                                    observe(&lazy, &lazy_metrics, got),
+                                    observe(&eager, &eager_metrics, want),
                                     "{shape} {cap} {budget:?} {metric:?} {heuristic:?} {retrain:?}, tuple {t}"
                                 );
                             }
@@ -1487,7 +1430,7 @@ mod tests {
                             // certified one, and a bound built beyond each
                             // tuple's emitted one is a certificate that
                             // failed on a loop that did go on.
-                            let snap = lazy_obs.metrics.snapshot();
+                            let snap = lazy_metrics.snapshot();
                             let (built, skipped) = (
                                 snap.counters["olgapro.bounds_built"],
                                 snap.counters["olgapro.bounds_skipped"],
@@ -1524,35 +1467,33 @@ mod tests {
         let mut proposed_nothing = 0;
         for t in 0..8u64 {
             let mk = || {
-                let obs = Obs {
-                    metrics: MetricsRegistry::new(),
-                    tracer: TraceBuffer::new(1, 1 << 12),
-                };
+                let metrics = MetricsRegistry::new();
                 let kernel = Box::new(kernel.clone());
-                let olga = Olgapro::with_kernel(f2.clone(), cfg.clone(), kernel).with_obs(&obs);
-                (olga, obs)
+                let olga =
+                    Olgapro::with_kernel(f2.clone(), cfg.clone(), kernel).with_metrics(&metrics);
+                (olga, metrics)
             };
-            let ((mut skip, skip_obs), (mut oracle, oracle_obs)) = (mk(), mk());
+            let ((mut skip, skip_metrics), (mut oracle, oracle_metrics)) = (mk(), mk());
             let input = InputDistribution::diagonal_gaussian(&[(0.7 * t as f64, 0.4)]).unwrap();
             let rng = || StdRng::seed_from_u64(t);
             let got = skip.process_with(&input, &mut rng(), &mut InferScratch::default());
             let want = oracle.process_oracle(&input, &mut rng(), &mut InferScratch::default());
             assert_eq!(
-                observe(&skip, &skip_obs, got),
-                observe(&oracle, &oracle_obs, want),
+                observe(&skip, &skip_metrics, got),
+                observe(&oracle, &oracle_metrics, want),
                 "tuple {t}"
             );
             // The bootstrap points make every tuple retrain, once, and only
             // the oracle infers after it.
             assert_eq!(skip.stats().retrains, 1, "tuple {t}");
             proposed_nothing += usize::from(skip.stats().train_iterations == 1);
-            let inferences = |obs: &Obs| {
-                let counters = obs.metrics.snapshot().counters;
+            let inferences = |metrics: &MetricsRegistry| {
+                let counters = metrics.snapshot().counters;
                 counters["olgapro.lp_cache.hits"] + counters["olgapro.lp_cache.misses"]
             };
             assert_eq!(
-                inferences(&skip_obs) + 1,
-                inferences(&oracle_obs),
+                inferences(&skip_metrics) + 1,
+                inferences(&oracle_metrics),
                 "tuple {t}"
             );
         }
@@ -1725,11 +1666,9 @@ mod tests {
                 let udf = shaped_udf(shape);
                 let dim = udf.dim();
                 let kernel: Box<dyn Kernel> = Box::new(SquaredExponential::new(1.0, 1.0));
-                let obs = Obs {
-                    metrics: MetricsRegistry::new(),
-                    tracer: TraceBuffer::disabled(),
-                };
-                let mut olga = Olgapro::with_kernel(udf, config(0.2), kernel).with_obs(&obs);
+                let metrics = MetricsRegistry::new();
+                let mut olga =
+                    Olgapro::with_kernel(udf, config(0.2), kernel).with_metrics(&metrics);
                 let mut rng = StdRng::seed_from_u64(70 + shape as u64);
                 let at = |mu: f64| {
                     let dims: Vec<(f64, f64)> =

@@ -61,9 +61,7 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use udf_obs::{
-    Counter, Histogram, MetricsRegistry, Obs, RerouteReason, TraceBuffer, TraceEvent, TracePhase,
-};
+use udf_obs::{Counter, Histogram, MetricsRegistry};
 
 /// The scheduler's observability handles. Purely observational: nothing
 /// here feeds back into scheduling or evaluation, so outputs are
@@ -149,17 +147,6 @@ pub enum Verdict {
     },
 }
 
-/// Outcome counters for one batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Tuples fully served by the parallel read-only phase.
-    pub fast_path: usize,
-    /// Tuples that needed the sequential slow phase (bootstrap included).
-    pub slow_path: usize,
-    /// Tuples dropped by the accept hook's filter verdict.
-    pub filtered: usize,
-}
-
 /// What a caller plugs into [`BatchScheduler::run_two_phase`]. The
 /// implementor owns the batch state (model, inputs, output sink); the
 /// scheduler sequences the borrows: `&self` methods run during the
@@ -238,10 +225,6 @@ pub struct BatchScheduler {
     /// allocation-free.
     scratch: Vec<Mutex<InferScratch>>,
     metrics: SchedMetrics,
-    /// Structured event log. Like the metrics, purely observational: a
-    /// disabled buffer (the default) costs one relaxed load per emit and
-    /// events never feed back into scheduling.
-    tracer: TraceBuffer,
 }
 
 impl std::fmt::Debug for BatchScheduler {
@@ -265,18 +248,14 @@ impl BatchScheduler {
             pool,
             scratch,
             metrics: SchedMetrics::disabled(),
-            tracer: TraceBuffer::disabled(),
         }
     }
 
     /// Wire observability: the `sched.*` handles (see [`SchedMetrics`])
-    /// register in `obs.metrics`, and reroute causes plus fast/slow phase
-    /// brackets are emitted into `obs.tracer` on lane 0 (the sequential
-    /// fold runs on the calling thread). Timings, counters and events never
-    /// affect what the scheduler computes.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = SchedMetrics::register(&obs.metrics);
-        self.tracer = obs.tracer.clone();
+    /// register in `metrics`. Timings and counters never affect what the
+    /// scheduler computes.
+    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
+        self.metrics = SchedMetrics::register(metrics);
         self
     }
 
@@ -301,10 +280,9 @@ impl BatchScheduler {
 
     /// [`try_map`](Self::try_map) variant whose closure also receives the
     /// executing worker's slot id (`0..workers`) — the key into per-worker
-    /// state such as the scheduler-owned [`InferScratch`] pool or a
-    /// per-lane [`TraceBuffer`] ring. Placement is still dynamic (chunk
-    /// stealing), so the worker id must only select *which cache or lane*
-    /// to use, never affect the computed value.
+    /// state such as the scheduler-owned [`InferScratch`] pool. Placement is
+    /// still dynamic (chunk stealing), so the worker id must only select
+    /// *which cache* to use, never affect the computed value.
     pub fn try_map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
     where
         T: Send,
@@ -358,39 +336,25 @@ impl BatchScheduler {
     ///    [`Reroute`](Verdict::Reroute), and rerouted tuples (plus any
     ///    tuple whose fast pass hit an empty model) re-run via
     ///    [`BatchOps::slow`].
-    pub fn run_two_phase<O>(&self, ops: &mut O, n: usize) -> Result<BatchStats>
+    pub fn run_two_phase<O>(&self, ops: &mut O, n: usize) -> Result<()>
     where
         O: BatchOps + Sync,
     {
-        let mut stats = BatchStats::default();
         if n == 0 {
-            return Ok(stats);
+            return Ok(());
         }
         let mut start = 0usize;
         if ops.needs_bootstrap() {
-            self.tracer.emit(
-                0,
-                TraceEvent::Reroute {
-                    tuple: 0,
-                    reason: RerouteReason::Forced,
-                },
-            );
-            slow_tuple(ops, 0, &mut stats)?;
+            slow_tuple(ops, 0)?;
             start = 1;
             if start == n {
-                return Ok(stats);
+                return Ok(());
             }
         }
 
         // Phase 1: parallel read-only inference against the frozen model.
         let shared: &O = ops;
         let t_fast = self.metrics.fast_phase_ns.enabled().then(Instant::now);
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseStart {
-                phase: TracePhase::Fast,
-            },
-        );
         let inferred = self.try_map_indexed(n - start, |worker, i| {
             let idx = start + i;
             let mut rng = StdRng::seed_from_u64(shared.tuple_seed(idx));
@@ -403,24 +367,12 @@ impl BatchScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             shared.fast_ruled(idx, &mut rng, &mut scratch)
         })?;
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseEnd {
-                phase: TracePhase::Fast,
-            },
-        );
         if let Some(t0) = t_fast {
             self.metrics.fast_phase_ns.record_duration(t0.elapsed());
         }
 
         // Phase 2: sequential fold in tuple order.
         let _slow_span = self.metrics.slow_phase_ns.span();
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseStart {
-                phase: TracePhase::Slow,
-            },
-        );
         for (i, res) in inferred.into_iter().enumerate() {
             let idx = start + i;
             match res {
@@ -428,29 +380,19 @@ impl BatchScheduler {
                 Ok(FilterDecision::Filtered { rho_upper, .. }) => {
                     self.metrics.filters.inc();
                     ops.emit_filtered(idx, rho_upper)?;
-                    stats.filtered += 1;
                 }
                 Ok(FilterDecision::Kept { output: out, .. }) => match ops.accept(idx, &out) {
                     Verdict::Accept => {
                         self.metrics.accepts.inc();
                         ops.emit_fast(idx, out)?;
-                        stats.fast_path += 1;
                     }
                     Verdict::Filter { rho_upper } => {
                         self.metrics.filters.inc();
                         ops.emit_filtered(idx, rho_upper)?;
-                        stats.filtered += 1;
                     }
                     Verdict::Reroute => {
                         self.metrics.reroutes.inc();
-                        self.tracer.emit(
-                            0,
-                            TraceEvent::Reroute {
-                                tuple: idx as u64,
-                                reason: RerouteReason::AccuracyMiss,
-                            },
-                        );
-                        slow_tuple(ops, idx, &mut stats)?;
+                        slow_tuple(ops, idx)?;
                     }
                 },
                 // A racing reader can see the pre-bootstrap empty model only
@@ -458,34 +400,19 @@ impl BatchScheduler {
                 // through the slow path like any other miss.
                 Err(CoreError::Gp(udf_gp::GpError::EmptyModel)) => {
                     self.metrics.reroutes.inc();
-                    self.tracer.emit(
-                        0,
-                        TraceEvent::Reroute {
-                            tuple: idx as u64,
-                            reason: RerouteReason::ColdModel,
-                        },
-                    );
-                    slow_tuple(ops, idx, &mut stats)?
+                    slow_tuple(ops, idx)?
                 }
                 Err(e) => return Err(e),
             }
         }
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseEnd {
-                phase: TracePhase::Slow,
-            },
-        );
-        Ok(stats)
+        Ok(())
     }
 }
 
 /// Run one tuple through the slow path with its canonical RNG.
-fn slow_tuple<O: BatchOps>(ops: &mut O, idx: usize, stats: &mut BatchStats) -> Result<()> {
+fn slow_tuple<O: BatchOps>(ops: &mut O, idx: usize) -> Result<()> {
     let mut rng = StdRng::seed_from_u64(ops.tuple_seed(idx));
-    ops.slow(idx, &mut rng)?;
-    stats.slow_path += 1;
-    Ok(())
+    ops.slow(idx, &mut rng)
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ use udf_core::batch::BatchCounts;
 use udf_core::filtering::EnvelopeDecision;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
-use udf_obs::{Histogram, MetricsRegistry, Obs, TraceEvent, TracePhase};
+use udf_obs::{Histogram, MetricsRegistry};
 use udf_prob::InputDistribution;
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, QueryStats, Relation, Schema, UdfCall};
 
@@ -217,7 +217,6 @@ pub struct JoinExecutor<'s, 'a> {
     call: UdfCall,
     executor: Executor,
     metrics: JoinMetrics,
-    obs: Obs,
 }
 
 impl<'s, 'a> JoinExecutor<'s, 'a> {
@@ -248,23 +247,16 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             call,
             executor,
             metrics: JoinMetrics::disabled(),
-            obs: Obs::disabled(),
         })
     }
 
     /// Wire observability: the `join.*` phase timers plus the inner
-    /// executor's model handles (`olgapro.*`) register in `obs.metrics`;
-    /// the join brackets its warmup/main rounds with [`TracePhase`] events
-    /// in `obs.tracer`, attributes every attempted-but-undecided
-    /// certificate as a [`TraceEvent::CertifyFail`] with its `bound_gap`,
-    /// and shares the buffer with the inner executor's model so
-    /// `ModelGrow`/`ModelEvict`/`CapHit` carry through. Purely
-    /// observational — results are byte-identical wired or not.
+    /// executor's model handles (`olgapro.*`) register in `metrics`.
+    /// Purely observational — results are byte-identical wired or not.
     #[must_use]
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.metrics = JoinMetrics::register(&obs.metrics);
-        self.executor = self.executor.with_obs(obs);
-        self.obs = obs.clone();
+    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
+        self.metrics = JoinMetrics::register(metrics);
+        self.executor = self.executor.with_metrics(metrics);
         self
     }
 
@@ -408,14 +400,13 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         // frozen post-warmup model.
         let pruner = PairPruner::new(spec);
         let metrics = &self.metrics;
-        let tracer = &self.obs.tracer;
         let olga = self.executor.olgapro().expect("pruning requires GP");
         let coverage = coverage_radius(olga);
         let mut survivors: Vec<(usize, InputDistribution)> = Vec::new();
         for block_start in (0..nl).step_by(LEFT_BLOCK) {
             let block_len = LEFT_BLOCK.min(nl - block_start);
             #[allow(clippy::needless_range_loop)] // j drives keep() and attempt[] in lockstep
-            let decisions = sched.try_map_indexed(block_len, |worker, b| -> Result<_> {
+            let decisions = sched.try_map(block_len, |b| -> Result<_> {
                 let i = block_start + b;
                 let t_screen = metrics.screen_ns.enabled().then(Instant::now);
                 let attempt = pruner.attempts(spec, i, olga, &pred, coverage);
@@ -435,21 +426,10 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                     }
                     if attempt[j] {
                         let t_cert = metrics.certify_ns.enabled().then(Instant::now);
-                        let (decision, gap, input) =
+                        let (decision, input) =
                             pruner.certify_pair(spec, olga, &pred, i, j, this)?;
                         if let Some(t0) = t_cert {
                             metrics.certify_ns.record_duration(t0.elapsed());
-                        }
-                        if decision == EnvelopeDecision::Undecided {
-                            // Attempted but unprovable: attribute the miss
-                            // with how far the bracket was from certifying.
-                            tracer.emit(
-                                worker,
-                                TraceEvent::CertifyFail {
-                                    pair: (i as u32, j as u32),
-                                    bound_gap: gap,
-                                },
-                            );
                         }
                         out.push((this, j, true, decision, Some(input)));
                     } else {
@@ -500,21 +480,9 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         }
         let spec = self.spec;
         let _main_span = self.metrics.main_ns.span();
-        self.obs.tracer.emit(
-            0,
-            TraceEvent::PhaseStart {
-                phase: TracePhase::Main,
-            },
-        );
         let (r, counts) =
             self.executor
                 .batch_indexed(pairs, spec.predicate.as_ref(), sched, spec.seed)?;
-        self.obs.tracer.emit(
-            0,
-            TraceEvent::PhaseEnd {
-                phase: TracePhase::Main,
-            },
-        );
         stats.absorb(counts);
         rows.extend(r);
         Ok(())
@@ -530,22 +498,9 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
     ) -> Result<(Vec<ProjectedTuple>, BatchCounts)> {
         let spec = self.spec;
         let _warmup_span = self.metrics.warmup_ns.span();
-        self.obs.tracer.emit(
-            0,
-            TraceEvent::PhaseStart {
-                phase: TracePhase::Warmup,
-            },
-        );
-        let out = self
+        Ok(self
             .executor
-            .sequential_indexed(warm, spec.predicate.as_ref(), spec.seed)?;
-        self.obs.tracer.emit(
-            0,
-            TraceEvent::PhaseEnd {
-                phase: TracePhase::Warmup,
-            },
-        );
-        Ok(out)
+            .sequential_indexed(warm, spec.predicate.as_ref(), spec.seed)?)
     }
 
     /// Resolve a sorted list of global pair indices to `(idx, input)`

@@ -13,7 +13,7 @@
 //! 2. **exact per-pair certificate** — draws the pair's canonical Monte
 //!    Carlo samples (same seed stream as the fast path would use), takes
 //!    their bounding box and the fast path's own `z_α`, and asks
-//!    [`envelope_certify_gap`] to prove `ρ_U = 0` from band bounds over the
+//!    [`envelope_certify`] to prove `ρ_U = 0` from band bounds over the
 //!    box. A certified pair is *provably* one the two-phase accept hook
 //!    would have filtered at fast-path cost, so skipping it cannot change
 //!    any output — the parity tests pin this byte-for-byte. What it saves
@@ -25,7 +25,7 @@ use crate::spec::{JoinSpec, Side};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use udf_core::filtering::{envelope_certify_gap, EnvelopeDecision, Predicate};
+use udf_core::filtering::{envelope_certify, EnvelopeDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::sched::mix_seed;
 use udf_gp::band::simultaneous_z;
@@ -196,10 +196,8 @@ impl PairPruner {
     /// The exact certificate for pair `(i, j)` at global pair index `idx`:
     /// draw the pair's canonical samples, bracket the band over their
     /// bounding box with the fast path's own `z_α`, and decide. Returns
-    /// the decision, the root-box `bound_gap` diagnostic (how far the
-    /// bracket was from any certificate — see
-    /// [`envelope_certify_gap`]), and the pair's input distribution
-    /// (reused by the caller when the pair must be evaluated after all).
+    /// the decision and the pair's input distribution (reused by the
+    /// caller when the pair must be evaluated after all).
     pub fn certify_pair(
         &self,
         spec: &JoinSpec<'_>,
@@ -208,7 +206,7 @@ impl PairPruner {
         i: usize,
         j: usize,
         idx: usize,
-    ) -> Result<(EnvelopeDecision, f64, InputDistribution)> {
+    ) -> Result<(EnvelopeDecision, InputDistribution)> {
         let input = pair_input(spec, i, j)?;
         let m = olga.config().samples_per_input();
         let delta_gp = olga.config().split().delta_gp;
@@ -216,7 +214,6 @@ impl PairPruner {
         let samples = input.sample_n(&mut rng, m);
         let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
         let z = simultaneous_z(olga.model().kernel(), &bbox, delta_gp);
-        let (decision, gap) = envelope_certify_gap(olga, &bbox, z, pred);
-        Ok((decision, gap, input))
+        Ok((envelope_certify(olga, &bbox, z, pred), input))
     }
 }

@@ -20,10 +20,6 @@ pub enum ExplainMode {
     /// `EXPLAIN ANALYZE`: execute, then render the plan annotated with
     /// per-operator elapsed time and counters.
     Analyze,
-    /// `EXPLAIN TRACE`: execute, then render the plan annotated with this
-    /// statement's structured trace window — reroute reasons, model
-    /// lifecycle (grow/evict/cap), certificate misses, and phase timings.
-    Trace,
 }
 
 /// A full UQL statement.
@@ -283,7 +279,6 @@ impl fmt::Display for Query {
             ExplainMode::None => "",
             ExplainMode::Plan => "EXPLAIN ",
             ExplainMode::Analyze => "EXPLAIN ANALYZE ",
-            ExplainMode::Trace => "EXPLAIN TRACE ",
         };
         write!(f, "{prefix}{}", self.select)
     }

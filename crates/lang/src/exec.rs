@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 use udf_core::config::ModelBudget;
 use udf_core::sched::BatchScheduler;
 use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
-use udf_obs::{
-    MetricsRegistry, Monitor, Obs, Snapshot, TraceBuffer, TraceEvent, TracePhase, TraceSummary,
-};
+use udf_obs::fmt::KvLine;
+use udf_obs::{Histogram, MetricsRegistry, Monitor, Snapshot};
 use udf_query::{Executor, ProjectedTuple, QueryStats, Relation, UdfCall};
 use udf_stream::{
     EngineConfig, EngineStats, HealthMonitor, KeptSummary, QuerySpec, Session, Source, StreamStats,
@@ -45,17 +44,9 @@ pub struct Context {
     relations: BTreeMap<String, Relation>,
     streams: BTreeMap<String, (usize, SourceFactory)>,
     schedulers: BTreeMap<usize, BatchScheduler>,
-    obs: Obs,
+    metrics: MetricsRegistry,
     monitor: Monitor,
 }
-
-/// Ring lanes in the context's [`TraceBuffer`] — one per worker slot, up
-/// to this many (higher worker ids wrap).
-const TRACE_LANES: usize = 8;
-
-/// Per-lane event capacity of the context's [`TraceBuffer`] (drop-oldest
-/// beyond it).
-const TRACE_CAPACITY: usize = 4096;
 
 impl Context {
     /// An empty context (no UDFs, relations, or streams). Metrics are on
@@ -70,10 +61,7 @@ impl Context {
             relations: BTreeMap::new(),
             streams: BTreeMap::new(),
             schedulers: BTreeMap::new(),
-            obs: Obs {
-                metrics,
-                tracer: TraceBuffer::new(TRACE_LANES, TRACE_CAPACITY),
-            },
+            metrics,
             monitor,
         }
     }
@@ -140,20 +128,7 @@ impl Context {
     /// `join.*` phase timers. Metrics never perturb results — digests are
     /// byte-identical with the registry enabled or disabled.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.obs.metrics
-    }
-
-    /// The context's structured trace buffer. Every statement run through
-    /// this context emits typed events into it: `uql` phase brackets,
-    /// scheduler reroutes with their reasons, model-lifecycle events
-    /// (grow/evict/cap), and join certificate misses. On by default, like
-    /// the metrics registry — a disabled buffer costs one relaxed load per
-    /// emission site — and just as output-blind: digests are byte-identical
-    /// with tracing on or off. `EXPLAIN TRACE` renders the per-statement
-    /// window; [`TraceBuffer::to_chrome_json`] exports the whole ring for
-    /// chrome://tracing.
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.obs.tracer
+        &self.metrics
     }
 
     /// The context's monitor: the [`Monitor::standard_rules`] alert
@@ -257,7 +232,7 @@ impl QueryOutput {
         match self {
             QueryOutput::Plan(p) => p.clone(),
             QueryOutput::Rows(r) => {
-                let counters = udf_obs::fmt::KvLine::new()
+                let counters = KvLine::new()
                     .field("in", r.stats.tuples_in)
                     .field("out", r.stats.tuples_out)
                     .field("fast", r.stats.fast_path)
@@ -320,33 +295,14 @@ impl QueryOutput {
 /// against `ctx`.
 ///
 /// Every statement runs the full `Parse → Bind → Exec` pipeline, with each
-/// phase timed (`uql.parse_ns` / `uql.bind_ns` / `uql.exec_ns`) and
-/// bracketed in the trace buffer; `EXPLAIN` stops after binding,
-/// `EXPLAIN ANALYZE` / `EXPLAIN TRACE` execute and annotate the plan.
+/// phase timed (`uql.parse_ns` / `uql.bind_ns` / `uql.exec_ns`);
+/// `EXPLAIN` stops after binding, `EXPLAIN ANALYZE` executes and annotates
+/// the plan.
 pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
-    let reg = ctx.obs.metrics.clone();
-    let tracer = ctx.obs.tracer.clone();
-    // Watermark before parsing so a TRACE statement's window covers its
-    // own parse/bind phases too (taken unconditionally: the mode is only
-    // known after parsing, and a watermark is three atomic loads).
-    let mark = tracer.watermark();
-    let phase = |p: TracePhase, start: bool| {
-        tracer.emit(
-            0,
-            if start {
-                TraceEvent::PhaseStart { phase: p }
-            } else {
-                TraceEvent::PhaseEnd { phase: p }
-            },
-        );
-    };
-    phase(TracePhase::Parse, true);
-    let query = reg.histogram("uql.parse_ns").time(|| parse_statement(src));
-    phase(TracePhase::Parse, false);
+    let reg = ctx.metrics.clone();
+    let (query, parse_time) = timed(&reg.histogram("uql.parse_ns"), || parse_statement(src));
     let query = query?;
-    phase(TracePhase::Bind, true);
-    let bound = reg.histogram("uql.bind_ns").time(|| bind(&query, ctx));
-    phase(TracePhase::Bind, false);
+    let (bound, bind_time) = timed(&reg.histogram("uql.bind_ns"), || bind(&query, ctx));
     let bound = bound?;
     let plan = bound.explain();
     if query.explain == ExplainMode::Plan {
@@ -355,38 +311,54 @@ pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
     // For ANALYZE, attribute this statement's metrics via a snapshot
     // window around execution.
     let before = (query.explain == ExplainMode::Analyze).then(|| reg.snapshot());
-    let exec_ns = reg.histogram("uql.exec_ns");
-    phase(TracePhase::Exec, true);
-    let out = {
-        let _exec_span = exec_ns.span();
-        match &bound.physical {
+    let out = reg
+        .histogram("uql.exec_ns")
+        .time(|| match &bound.physical {
             PhysicalPlan::Relation(p) => exec_relation(p, ctx, plan),
             PhysicalPlan::Join(p) => exec_join(p, ctx, plan),
             PhysicalPlan::Stream(p) => exec_stream(p, ctx, plan),
-        }
-    };
-    phase(TracePhase::Exec, false);
-    let out = out?;
+        })?;
     if let Some(before) = before {
         let delta = reg.snapshot().delta(&before);
-        return Ok(QueryOutput::Plan(annotate_analyze(&out, &delta)));
-    }
-    if query.explain == ExplainMode::Trace {
-        let summary = tracer.summary_since(mark);
-        return Ok(QueryOutput::Plan(annotate_trace(&out, &summary)));
+        return Ok(QueryOutput::Plan(annotate_analyze(
+            &out, delta, parse_time, bind_time,
+        )));
     }
     Ok(out)
 }
 
-/// The executed plan plus its per-operator summary line — the header the
-/// `EXPLAIN ANALYZE` and `EXPLAIN TRACE` renderings share. `None` for the
-/// plan-only variant (which never executed anything).
-fn plan_and_op(out: &QueryOutput) -> Option<(&str, String)> {
-    use udf_obs::fmt::KvLine;
-    match out {
-        QueryOutput::Plan(_) => None,
-        QueryOutput::Rows(r) => Some((
-            r.plan.as_str(),
+/// Run `f`, record its wall time in `hist`, and return both. The clock is
+/// read even when `hist` is disabled: `EXPLAIN ANALYZE` prints the
+/// statement's own parse and bind times, not the registry's.
+fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    let out = f();
+    let elapsed = t0.elapsed();
+    hist.record_duration(elapsed);
+    (out, elapsed)
+}
+
+/// The `EXPLAIN ANALYZE` rendering: the executed plan, a per-operator
+/// line with elapsed time, routing counters and the statement's own
+/// `parse`/`bind` times — for GP statements also `tuning_extends`, the
+/// tuning-loop inferences that grew the tuple's retained kernel rows
+/// instead of rebuilding them — then the metrics-registry delta of its
+/// execution. Histograms that recorded nothing in the window are left
+/// out (a delta keeps the lifetime maximum, which would otherwise print
+/// beside a zero count). Stream statements append the health monitor's
+/// trend line when one sampled.
+fn annotate_analyze(
+    out: &QueryOutput,
+    mut delta: Snapshot,
+    parse_time: Duration,
+    bind_time: Duration,
+) -> String {
+    let (plan, op) = match out {
+        // Unreachable in practice (ANALYZE always executes), but degrade
+        // to the plain report rather than panicking.
+        QueryOutput::Plan(_) => return out.report(),
+        QueryOutput::Rows(r) => (
+            &r.plan,
             KvLine::new()
                 .raw(&format!("  BatchExec: time={:.2?}", r.elapsed))
                 .field("rows", r.rows.len())
@@ -395,19 +367,18 @@ fn plan_and_op(out: &QueryOutput) -> Option<(&str, String)> {
                 .field("fast", r.stats.fast_path)
                 .field("slow", r.stats.slow_path)
                 .field("udf_calls", r.stats.udf_calls)
-                .field("cap_hits", r.stats.cap_hits)
-                .finish(),
-        )),
-        QueryOutput::Join(r) => Some((
-            r.plan.as_str(),
+                .field("cap_hits", r.stats.cap_hits),
+        ),
+        QueryOutput::Join(r) => (
+            &r.plan,
             KvLine::new()
                 .raw(&format!("  JoinExec: time={:.2?}", r.elapsed))
                 .raw(&r.stats.to_string())
                 .field("prune_attempts", r.stats.prune_attempts)
-                .finish(),
-        )),
-        QueryOutput::Stream(o) => Some((
-            o.plan.as_str(),
+                .field("certain_accepts", r.stats.certain_accepts),
+        ),
+        QueryOutput::Stream(o) => (
+            &o.plan,
             KvLine::new()
                 .raw(&format!("  StreamExec: time={:.2?}", o.engine.elapsed))
                 .field("tuples", o.engine.tuples)
@@ -417,57 +388,20 @@ fn plan_and_op(out: &QueryOutput) -> Option<(&str, String)> {
                 .field("fast", o.stats.fast_path)
                 .field("slow", o.stats.slow_path)
                 .field("cap_hits", o.stats.cap_hits)
-                .raw(&format!("digest=0x{:016x}", o.digest))
-                .finish(),
-        )),
-    }
-}
-
-/// The `EXPLAIN ANALYZE` rendering: the executed plan, a per-operator
-/// line with elapsed time and routing counters — for GP statements also
-/// `tuning_extends`, the tuning-loop inferences that grew the tuple's
-/// retained kernel rows instead of rebuilding them — and the statement's
-/// metrics-registry delta.
-fn annotate_analyze(out: &QueryOutput, delta: &Snapshot) -> String {
-    let Some((plan, mut op)) = plan_and_op(out) else {
-        // Unreachable in practice (ANALYZE always executes), but degrade
-        // to the plain report rather than panicking.
-        return out.report();
+                .raw(&format!("digest=0x{:016x}", o.digest)),
+        ),
     };
+    let mut op = op.raw(&format!("parse={parse_time:.2?} bind={bind_time:.2?}"));
     if let Some(extends) = delta.counters.get("olgapro.tuning_extends") {
-        op = udf_obs::fmt::KvLine::new()
-            .raw(&op)
-            .field("tuning_extends", extends)
-            .finish();
+        op = op.field("tuning_extends", extends);
     }
-    let mut s = String::from(plan);
+    delta.histograms.retain(|_, h| h.count > 0);
+    let mut s = plan.clone();
     s.push_str("Execution (ANALYZE):\n");
-    s.push_str(&op);
+    s.push_str(&op.finish());
     s.push('\n');
     s.push_str("Metrics delta for this statement:\n");
     for line in delta.render().lines() {
-        s.push_str("  ");
-        s.push_str(line);
-        s.push('\n');
-    }
-    s
-}
-
-/// The `EXPLAIN TRACE` rendering: the executed plan, the shared
-/// per-operator line, and the statement's trace-window summary — event
-/// counts, top reroute reasons, model-lifecycle attribution, certificate
-/// misses with the worst `bound_gap`, and phase timings. Stream
-/// statements append the health monitor's trend line when one sampled.
-fn annotate_trace(out: &QueryOutput, summary: &TraceSummary) -> String {
-    let Some((plan, op)) = plan_and_op(out) else {
-        return out.report();
-    };
-    let mut s = String::from(plan);
-    s.push_str("Execution (TRACE):\n");
-    s.push_str(&op);
-    s.push('\n');
-    s.push_str("Trace for this statement:\n");
-    for line in summary.render().lines() {
         s.push_str("  ");
         s.push_str(line);
         s.push('\n');
@@ -500,16 +434,16 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context, plan: String) -> Result<QueryOu
         .relations
         .get(&p.relation)
         .ok_or_else(|| stale_name("relation", &p.relation))?;
-    let obs = &ctx.obs;
+    let metrics = &ctx.metrics;
     let sched = ctx
         .schedulers
         .entry(p.workers)
-        .or_insert_with(|| BatchScheduler::new(p.workers).with_obs(obs));
+        .or_insert_with(|| BatchScheduler::new(p.workers).with_metrics(metrics));
     let args: Vec<&str> = p.args.iter().map(String::as_str).collect();
     let call = UdfCall::resolve(p.udf.clone(), rel.schema(), &args)?;
     let mut executor = Executor::new(p.strategy, p.accuracy, &call, p.output_range)?
         .with_model_cap(p.model_cap, ModelBudget::StopGrowing)?
-        .with_obs(obs);
+        .with_metrics(metrics);
     let t0 = Instant::now();
     let rows = match &p.predicate {
         Some(pred) => executor.select_batch(rel, &call, pred, sched, p.seed)?,
@@ -534,11 +468,11 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context, plan: String) -> Result<QueryOutpu
         .relations
         .get(&p.right)
         .ok_or_else(|| stale_name("relation", &p.right))?;
-    let obs = &ctx.obs;
+    let metrics = &ctx.metrics;
     let sched = ctx
         .schedulers
         .entry(p.workers)
-        .or_insert_with(|| BatchScheduler::new(p.workers).with_obs(obs));
+        .or_insert_with(|| BatchScheduler::new(p.workers).with_metrics(metrics));
     let args: Vec<(udf_join::Side, &str)> = p.args.iter().map(|(s, c)| (*s, c.as_str())).collect();
     let mut spec = JoinSpec::new(
         left,
@@ -576,7 +510,9 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context, plan: String) -> Result<QueryOutpu
         });
     }
     let t0 = Instant::now();
-    let mut executor = JoinExecutor::new(&spec).map_err(join_err)?.with_obs(obs);
+    let mut executor = JoinExecutor::new(&spec)
+        .map_err(join_err)?
+        .with_metrics(metrics);
     let out = executor.run(sched).map_err(join_err)?;
     Ok(QueryOutput::Join(JoinRowsOutput {
         rows: out.rows,
@@ -614,7 +550,7 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context, plan: String) -> Result<QueryO
             .batch_size(p.batch)
             .seed(p.seed),
     )
-    .with_obs(&ctx.obs)
+    .with_metrics(&ctx.metrics)
     .with_health(HealthMonitor::new(
         udf_stream::health::DEFAULT_SAMPLE_EVERY,
         udf_stream::health::DEFAULT_CAPACITY,

@@ -3,7 +3,7 @@
 //! Grammar (EBNF; keywords are case-insensitive):
 //!
 //! ```text
-//! query     := [ "EXPLAIN" [ "ANALYZE" | "TRACE" ] ] select ;
+//! query     := [ "EXPLAIN" [ "ANALYZE" ] ] select ;
 //! select    := "SELECT" call [ accuracy ] "FROM" source [ where ] { option } ;
 //! call      := IDENT "(" attr { "," attr } ")" ;
 //! attr      := IDENT [ "." IDENT ] ;
@@ -177,8 +177,6 @@ impl Parser {
         let explain = if self.eat_keyword("EXPLAIN").is_some() {
             if self.eat_keyword("ANALYZE").is_some() {
                 ExplainMode::Analyze
-            } else if self.eat_keyword("TRACE").is_some() {
-                ExplainMode::Trace
             } else {
                 ExplainMode::Plan
             }
@@ -434,10 +432,8 @@ mod tests {
         let q =
             parse_statement("EXPLAIN ANALYZE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
         assert_eq!(q.explain, ExplainMode::Analyze);
-        let q = parse_statement("EXPLAIN TRACE SELECT F3(x) FROM STREAM synth LIMIT 1000").unwrap();
-        assert_eq!(q.explain, ExplainMode::Trace);
-        // TRACE only carries meaning after EXPLAIN: elsewhere it is a
-        // plain identifier (here, a relation named `trace`).
+        // TRACE is no keyword: it is a plain identifier (here, a relation
+        // named `trace`).
         let q = parse_statement("SELECT F1(x) FROM trace").unwrap();
         assert_eq!(q.explain, ExplainMode::None);
     }
@@ -558,7 +554,7 @@ mod tests {
         }
         let err = parse_statement("").unwrap_err();
         assert!(err.to_string().contains("found end of input"), "{err}");
-        let err = parse_statement("EXPLAIN TRACE").unwrap_err();
+        let err = parse_statement("EXPLAIN ANALYZE").unwrap_err();
         assert!(err.to_string().contains("found end of input"), "{err}");
     }
 
@@ -569,7 +565,6 @@ mod tests {
             "SELECT F1(x) FROM sky USING MC",
             "EXPLAIN SELECT F1(x) FROM sky USING MC",
             "EXPLAIN ANALYZE SELECT F1(x) FROM sky USING MC",
-            "EXPLAIN TRACE SELECT F1(x) FROM sky USING MC",
         ];
         for src in srcs {
             let ast = parse_statement(src).unwrap();

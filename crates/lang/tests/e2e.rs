@@ -356,41 +356,45 @@ fn metrics_switch_never_perturbs_outputs() {
     }
 }
 
-/// EXPLAIN TRACE executes and annotates the physical plan with the
-/// statement's structured trace window: reroute causes (the GP bootstrap
-/// always forces at least one), phase timings, and — on streams — the
-/// health-monitor trend line.
+/// EXPLAIN ANALYZE says what the statement itself did: its own parse and
+/// bind times on the operator line, no histogram that recorded nothing in
+/// its window (a delta keeps the lifetime maximum, which would print
+/// beside `count=0`), and — on streams — the health-monitor trend line.
 #[test]
-fn explain_trace_reports_attribution() {
+fn explain_analyze_reports_attribution() {
     let mut ctx = ctx_with_sky();
-    let QueryOutput::Plan(report) = run_uql(
-        "EXPLAIN TRACE SELECT GalAge(z) FROM sky \
-         WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7",
-        &mut ctx,
-    )
-    .unwrap() else {
-        panic!("TRACE returns the annotated plan")
+    let q = "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
+             USING gp WORKERS 2 SEED 7";
+    // A statement before the window: every `uql.*` histogram now has a
+    // lifetime maximum.
+    run_uql(q, &mut ctx).unwrap();
+    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN ANALYZE {q}"), &mut ctx).unwrap()
+    else {
+        panic!("ANALYZE returns the annotated plan")
     };
-    assert!(report.contains("UdfSelect"), "plan shown:\n{report}");
+    let op = report
+        .lines()
+        .find(|l| l.contains("BatchExec: time="))
+        .unwrap_or_else(|| panic!("operator line:\n{report}"));
     assert!(
-        report.contains("Execution (TRACE):"),
-        "exec section:\n{report}"
+        op.contains(" parse=") && op.contains(" bind="),
+        "parse/bind on the operator line:\n{report}"
     );
+    let (_, delta) = report
+        .split_once("Metrics delta for this statement:")
+        .unwrap_or_else(|| panic!("delta section:\n{report}"));
+    assert!(delta.contains("uql.exec_ns"), "exec timer:\n{report}");
     assert!(
-        report.contains("BatchExec: time="),
-        "operator line:\n{report}"
+        !delta.contains("count=0 "),
+        "empty histogram in the window:\n{report}"
     );
-    assert!(
-        report.contains("Trace for this statement:"),
-        "trace section:\n{report}"
-    );
-    assert!(report.contains("Trace summary:"), "summary:\n{report}");
-    // Root-cause attribution: the GP bootstrap reroutes the seed tuple by
-    // fiat, so a `forced=` cause is always present on a cold model.
-    assert!(report.contains("reroutes:"), "reroute causes:\n{report}");
-    assert!(report.contains("forced="), "bootstrap cause:\n{report}");
-    assert!(report.contains("phases:"), "phase timings:\n{report}");
-    assert!(report.contains("exec="), "exec phase:\n{report}");
+    // Parsing and binding happen before the window opens.
+    for outside in ["uql.parse_ns", "uql.bind_ns"] {
+        assert!(
+            !delta.contains(outside),
+            "{outside} in the delta:\n{report}"
+        );
+    }
 
     // The stream shape additionally carries the digest and health trend.
     let mut ctx = Context::standard();
@@ -398,91 +402,50 @@ fn explain_trace_reports_attribution() {
         Box::new(SyntheticSource::gaussian(1, 0.5, 3))
     });
     let QueryOutput::Plan(report) = run_uql(
-        "EXPLAIN TRACE SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
+        "EXPLAIN ANALYZE SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
          USING gp BATCH 32 SEED 4 LIMIT 320",
         &mut ctx,
     )
     .unwrap() else {
-        panic!("stream TRACE returns the annotated plan")
+        panic!("stream ANALYZE returns the annotated plan")
     };
     assert!(
         report.contains("StreamExec: time="),
         "stream timing:\n{report}"
     );
     assert!(report.contains("digest=0x"), "digest line:\n{report}");
-    assert!(report.contains("Trace summary:"), "summary:\n{report}");
     assert!(report.contains("health:"), "health trend:\n{report}");
     assert!(report.contains("throughput="), "throughput:\n{report}");
 }
 
-/// TRACE must not change what a subsequent identical query computes: the
-/// digest in the annotated report equals the plain query's digest.
+/// The one reroute `sched.verdict.reroute` does not count is the cold
+/// model's bootstrap: a cold GP relation statement's slow tuples are its
+/// accuracy-miss reroutes plus exactly one, at workers 1/2/8.
 #[test]
-fn explain_trace_is_execution_faithful() {
-    let q = "SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
-             USING gp BATCH 32 SEED 4 LIMIT 96";
-    let mut ctx = Context::standard();
-    ctx.register_stream("synth", 1, || {
-        Box::new(SyntheticSource::gaussian(1, 0.5, 3))
-    });
-    let QueryOutput::Stream(plain) = run_uql(q, &mut ctx).unwrap() else {
-        panic!("stream")
-    };
-    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN TRACE {q}"), &mut ctx).unwrap()
-    else {
-        panic!("plan")
-    };
-    assert!(
-        report.contains(&format!("digest=0x{:016x}", plain.digest)),
-        "TRACE ran a different computation:\n{report}"
-    );
-}
-
-/// The tracing layer must be output-blind, like the metrics registry:
-/// rows and digests are byte-identical with the trace buffer recording
-/// vs. switched off, at workers 1/2/8.
-#[test]
-fn tracing_switch_never_perturbs_outputs() {
+fn explain_analyze_slow_tuples_are_reroutes_plus_the_bootstrap() {
     for workers in [1usize, 2, 8] {
-        let rows = |enabled: bool| {
-            let mut ctx = ctx_with_sky();
-            ctx.trace().set_enabled(enabled);
-            let q = format!(
-                "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
-                 USING gp WORKERS {workers} SEED 11"
-            );
-            let QueryOutput::Rows(out) = run_uql(&q, &mut ctx).unwrap() else {
-                panic!("rows")
-            };
-            out.rows
+        let mut ctx = ctx_with_sky();
+        let QueryOutput::Plan(report) = run_uql(
+            &format!(
+                "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky \
+                 WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS {workers} SEED 7"
+            ),
+            &mut ctx,
+        )
+        .unwrap() else {
+            panic!("ANALYZE returns the annotated plan")
         };
-        assert_rows_identical(
-            &rows(true),
-            &rows(false),
-            &format!("trace-blind/w{workers}"),
-        );
-
-        let digest = |enabled: bool| {
-            let mut ctx = Context::standard();
-            ctx.register_stream("synth", 1, || {
-                Box::new(SyntheticSource::gaussian(1, 0.5, 11))
-            });
-            ctx.trace().set_enabled(enabled);
-            let q = format!(
-                "SELECT F3(x) WITH ACCURACY 0.2 0.05 METRIC disc FROM STREAM synth \
-                 WHERE PR(F3(x) IN [0.4, 1.5]) >= 0.3 \
-                 USING gp WORKERS {workers} BATCH 64 SEED 9 LIMIT 192"
-            );
-            let QueryOutput::Stream(out) = run_uql(&q, &mut ctx).unwrap() else {
-                panic!("stream")
-            };
-            out.digest
+        let number_after = |key: &str| -> u64 {
+            let (_, rest) = report
+                .split_once(key)
+                .unwrap_or_else(|| panic!("{key}:\n{report}"));
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
         };
-        assert_eq!(
-            digest(true),
-            digest(false),
-            "trace-blind stream digest, workers={workers}"
-        );
+        let slow = number_after(" slow=");
+        let reroutes = number_after("sched.verdict.reroute = ");
+        assert!(reroutes > 0, "workers={workers}: a cold model reroutes");
+        assert_eq!(slow, reroutes + 1, "workers={workers}:\n{report}");
     }
 }
 

@@ -51,9 +51,11 @@ const CORPUS: &[&str] = &[
      USING gp WORKERS 2 SEED 9 PRUNE",
     "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
      USING gp WORKERS 2 SEED 7",
+    "EXPLAIN ANALYZE SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
+     USING gp BATCH 32 SEED 4 LIMIT 96",
+    // `EXPLAIN TRACE` and the prepared-statement forms, which are not UQL:
+    // each is rejected where it starts.
     "EXPLAIN TRACE SELECT GalAge(z) FROM sky USING gp WORKERS 2 SEED 7",
-    // Prepared-statement forms, which are not UQL: each is rejected where
-    // it starts.
     "PREPARE q AS SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [$1, 0.9]) >= 0.6 \
      USING gp WORKERS 2 SEED 7",
     "EXECUTE q (0.5)",

@@ -496,9 +496,10 @@ fn exec_errors_are_explained() {
         .contains("LIMIT"));
 }
 
-/// Prepared-statement forms are not UQL, and each is rejected where it
-/// starts, never a panic: a `$n` parameter at the lexer's `$`, the
-/// `PREPARE`/`EXECUTE`/`DEALLOCATE` verbs at the parser's verb.
+/// Prepared-statement forms and `EXPLAIN TRACE` are not UQL, and each is
+/// rejected where it starts, never a panic: a `$n` parameter at the
+/// lexer's `$`, the `PREPARE`/`EXECUTE`/`DEALLOCATE` verbs and `TRACE` at
+/// the parser's word.
 #[test]
 fn malformed_prepared_statements_fail_with_spans() {
     let cases = [
@@ -538,6 +539,13 @@ fn malformed_prepared_statements_fail_with_spans() {
             stage: Stage::Parse,
             message: "expected keyword `SELECT`, found `DEALLOCATE`",
             at: "DEALLOCATE",
+        },
+        Case {
+            query: "EXPLAIN TRACE SELECT GalAge(z) FROM sky \
+                    WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7",
+            stage: Stage::Parse,
+            message: "expected keyword `SELECT`, found `TRACE`",
+            at: "TRACE",
         },
     ];
     let mut ctx = ctx();

@@ -1,8 +1,7 @@
 //! The monitor must be *output-blind*: a context whose monitor ticks
 //! between statements produces byte-identical rows, join pairs, and stream
 //! digests to one whose monitor never ticks — at workers 1/2/8. Plus e2e
-//! coverage for two REPL-facing surfaces: the collapsed-stack profile and
-//! the tick-driven `cap_hits_burst` alert.
+//! coverage for the REPL-facing tick-driven `cap_hits_burst` alert.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -195,29 +194,6 @@ fn a_panicking_udf_fails_only_its_statement() {
         };
         assert_eq!(again.rows.len(), 64, "{using}");
         assert_rows_identical(&again.rows, &fresh.rows, using);
-    }
-}
-
-/// After a GP relation query the trace ring holds parse/bind/exec and the
-/// scheduler's fast/slow brackets, so the collapsed export shows the
-/// nested `exec;fast` path with integer nanosecond counts.
-#[test]
-fn profile_export_folds_phase_brackets() {
-    let mut ctx = demo_ctx();
-    run_uql(
-        "SELECT GalAge(z) FROM sky USING gp WORKERS 2 SEED 7",
-        &mut ctx,
-    )
-    .unwrap();
-    let folded = ctx.trace().to_collapsed();
-    assert!(
-        folded.lines().any(|l| l.starts_with("exec;fast ")),
-        "fast phase nests under exec:\n{folded}"
-    );
-    for line in folded.lines() {
-        let (path, count) = line.rsplit_once(' ').expect("`path count` shape");
-        assert!(!path.is_empty());
-        count.parse::<u64>().expect("integer ns count");
     }
 }
 

@@ -123,8 +123,6 @@ fn query() -> impl Strategy<Value = Query> {
             |((call, acc), (src, join), (a, b, theta), options, flags)| {
                 let explain = if flags & 1 == 0 {
                     ExplainMode::None
-                } else if flags & 64 != 0 {
-                    ExplainMode::Trace
                 } else if flags & 32 != 0 {
                     ExplainMode::Analyze
                 } else {

@@ -143,14 +143,12 @@ impl Executor {
     }
 
     /// Wire observability: the executor's OLGAPRO instance (if any)
-    /// registers its `olgapro.*` handles in `obs.metrics` and emits
-    /// model-lifecycle events (`ModelGrow`/`ModelEvict`/`CapHit`) into
-    /// `obs.tracer`. Purely observational — results are byte-identical
-    /// wired or not. The MC strategy has no per-executor timers and no
-    /// model, and ignores this.
-    pub fn with_obs(mut self, obs: &udf_obs::Obs) -> Self {
+    /// registers its `olgapro.*` handles in `metrics`. Purely
+    /// observational — results are byte-identical wired or not. The MC
+    /// strategy has no per-executor timers and no model, and ignores this.
+    pub fn with_metrics(mut self, metrics: &udf_obs::MetricsRegistry) -> Self {
         if let Some(olga) = self.eval.olgapro_mut() {
-            olga.set_obs(obs);
+            olga.set_metrics(metrics);
         }
         self
     }

@@ -46,7 +46,7 @@ use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
 use udf_core::udf::BlackBoxUdf;
-use udf_obs::{Histogram, MetricsRegistry, Obs};
+use udf_obs::{Histogram, MetricsRegistry};
 use udf_prob::InputDistribution;
 
 /// The engine's own observability handles (the layers below wire their
@@ -196,7 +196,7 @@ pub struct StreamEngine {
     last_run: EngineStats,
     metrics: EngineMetrics,
     /// What the engine is wired to; later subscriptions share it too.
-    obs: Obs,
+    registry: MetricsRegistry,
     /// Set when health sampling is enabled ([`enable_health`](Self::enable_health)).
     health: Option<HealthMonitor>,
 }
@@ -211,28 +211,28 @@ impl StreamEngine {
             tuples_seen: 0,
             last_run: EngineStats::default(),
             metrics: EngineMetrics::disabled(),
-            obs: Obs::disabled(),
+            registry: MetricsRegistry::disabled(),
             health: None,
         }
     }
 
     /// Wire observability: the engine's batch/backpressure timers, the
-    /// scheduler's `sched.*` handles and reroute/phase events, and every
-    /// (current and future) GP subscription's `olgapro.*` handles and
-    /// model-lifecycle events go to `obs`. Purely observational — digests
-    /// are byte-identical wired or not (pinned by the determinism tests).
-    pub(crate) fn with_obs(mut self, obs: &Obs) -> Self {
-        self.sched = self.sched.with_obs(obs);
+    /// scheduler's `sched.*` handles, and every (current and future) GP
+    /// subscription's `olgapro.*` handles register in `metrics`. Purely
+    /// observational — digests are byte-identical wired or not (pinned by
+    /// the determinism tests).
+    pub(crate) fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
+        self.sched = self.sched.with_metrics(metrics);
         for sub in &mut self.queries {
             if let Some(olga) = sub.eval.olgapro_mut() {
-                olga.set_obs(obs);
+                olga.set_metrics(metrics);
             }
         }
-        self.metrics = EngineMetrics::register(&obs.metrics);
+        self.metrics = EngineMetrics::register(metrics);
         if let Some(h) = &mut self.health {
-            h.set_registry(&obs.metrics);
+            h.set_registry(metrics);
         }
-        self.obs = obs.clone();
+        self.registry = metrics.clone();
         self
     }
 
@@ -240,7 +240,7 @@ impl StreamEngine {
     /// carry the wired registry's counter deltas; wiring observability
     /// later re-points the monitor in place.
     pub(crate) fn enable_health(&mut self, mut monitor: HealthMonitor) {
-        monitor.set_registry(&self.obs.metrics);
+        monitor.set_registry(&self.registry);
         self.health = Some(monitor);
     }
 
@@ -310,7 +310,9 @@ impl StreamEngine {
                 let cfg = OlgaproConfig::new(params.accuracy, params.output_range)?
                     .with_model_cap(params.max_model_points, ModelBudget::StopGrowing)?;
                 check_samples_per_tuple(cfg.samples_per_input())?;
-                Evaluator::Gp(Box::new(Olgapro::new(params.udf, cfg).with_obs(&self.obs)))
+                Evaluator::Gp(Box::new(
+                    Olgapro::new(params.udf, cfg).with_metrics(&self.registry),
+                ))
             }
         };
         let stats = StreamStats {

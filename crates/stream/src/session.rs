@@ -137,13 +137,11 @@ impl Session {
 
     /// Wire observability into the session: scheduler, engine, and every
     /// GP subscription (current and future) register their handles in
-    /// `obs.metrics` and share `obs.tracer`'s per-lane rings (the
-    /// scheduler's reroute and phase events, each model's lifecycle
-    /// events). Purely observational — run digests are byte-identical
+    /// `metrics`. Purely observational — run digests are byte-identical
     /// whether or not anything is attached.
     #[must_use]
-    pub fn with_obs(mut self, obs: &udf_obs::Obs) -> Self {
-        self.engine = self.engine.with_obs(obs);
+    pub fn with_metrics(mut self, metrics: &udf_obs::MetricsRegistry) -> Self {
+        self.engine = self.engine.with_metrics(metrics);
         self
     }
 

@@ -35,12 +35,9 @@ fn run_with_workers_metrics(workers: usize, metrics: Option<bool>) -> Vec<u64> {
             .seed(0xD5EED),
     );
     if let Some(enabled) = metrics {
-        let obs = udf_obs::Obs {
-            metrics: udf_obs::MetricsRegistry::new(),
-            tracer: udf_obs::TraceBuffer::disabled(),
-        };
-        obs.metrics.set_enabled(enabled);
-        session = session.with_obs(&obs);
+        let metrics = udf_obs::MetricsRegistry::new();
+        metrics.set_enabled(enabled);
+        session = session.with_metrics(&metrics);
     }
     let ids = vec![
         session

@@ -111,7 +111,7 @@ fn print_catalog(ctx: &UqlContext) {
 
 fn main() {
     let mut ctx = demo_context();
-    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows firing alerts, `\\trace` / `\\profile` export the trace, `\\q` quits.");
+    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows firing alerts, `\\q` quits.");
     println!("Example: SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7");
 
     let stdin = io::stdin();
@@ -158,49 +158,17 @@ fn main() {
                      [PRUNE]\n\
                      JOIN queries qualify attributes with their alias (AngDist(a.z, b.z));\n\
                      PRUNE enables envelope-based pair pruning on GP joins with a WHERE.\n\
-                     Prefix with EXPLAIN to print the plan without executing,\n\
-                     EXPLAIN ANALYZE to execute and print per-operator timings, or\n\
-                     EXPLAIN TRACE to execute and print the statement's trace\n\
-                     (reroute causes, model lifecycle, certificate misses);\n\
+                     Prefix with EXPLAIN to print the plan without executing, or\n\
+                     EXPLAIN ANALYZE to execute and print per-operator timings and\n\
+                     the statement's metrics delta (reroutes, model size, cap hits);\n\
                      `\\metrics` dumps the session's metrics registry,\n\
                      `\\metrics <prefix>` dumps only metrics under a prefix,\n\
                      `\\metrics reset` zeroes it,\n\
-                     `\\top` shows the monitor (firing alerts, recent transitions),\n\
-                     `\\trace [path]` exports the session trace as chrome://tracing JSON,\n\
-                     `\\profile [path]` exports it as collapsed stacks for flamegraph.pl."
+                     `\\top` shows the monitor (firing alerts, recent transitions)."
                 );
                 continue;
             }
             _ => {}
-        }
-        if let Some(rest) = line.strip_prefix("\\trace") {
-            let path = rest.trim();
-            let json = ctx.trace().to_chrome_json();
-            if path.is_empty() {
-                println!("{json}");
-            } else {
-                match std::fs::write(path, &json) {
-                    Ok(()) => println!("trace written to {path} ({} bytes)", json.len()),
-                    Err(e) => println!("cannot write {path}: {e}"),
-                }
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("\\profile") {
-            let path = rest.trim();
-            let folded = ctx.trace().to_collapsed();
-            if path.is_empty() {
-                print!("{folded}");
-            } else {
-                match std::fs::write(path, &folded) {
-                    Ok(()) => println!(
-                        "profile written to {path} ({} frames; flamegraph.pl renders it)",
-                        folded.lines().count()
-                    ),
-                    Err(e) => println!("cannot write {path}: {e}"),
-                }
-            }
-            continue;
         }
         if let Some(rest) = line.strip_prefix("\\metrics ") {
             let prefix = rest.trim();

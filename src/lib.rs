@@ -60,13 +60,13 @@ pub mod prelude {
     pub use udf_core::mc::McEvaluator;
     pub use udf_core::olgapro::Olgapro;
     pub use udf_core::output::{GpOutput, OutputDistribution};
-    pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, BatchStats, Verdict};
+    pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
     pub use udf_core::udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
     pub use udf_join::{
         JoinExecutor, JoinOutput, JoinSpec, JoinStats, JoinedPair, OnCondition, Side,
     };
     pub use udf_lang::{run_uql, Context as UqlContext, LangError, QueryOutput};
-    pub use udf_obs::{MetricsRegistry, Obs, Snapshot};
+    pub use udf_obs::{MetricsRegistry, Snapshot};
     pub use udf_prob::{Ecdf, InputDistribution, Normal, Univariate};
     pub use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall, Value};
     pub use udf_stream::{
