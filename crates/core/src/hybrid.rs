@@ -1,30 +1,21 @@
 //! The hybrid MC/GP solution (§5.4, rules calibrated in §6.3).
 //!
-//! Function complexity and evaluation time are unknown up front, so the
-//! hybrid evaluator explores them on the fly: it measures the UDF's
-//! evaluation time while collecting training data, runs the GP to
-//! convergence, measures its per-input inference time, and then commits to
-//! whichever approach is cheaper. A rule-based shortcut encodes the paper's
-//! §6.3 findings for callers that know `T` and `d` in advance.
+//! The paper's hybrid picks Monte Carlo or GP emulation per UDF from its
+//! dimensionality `d` and evaluation time `T`. [`rule_based_choice`]
+//! encodes the §6.3 findings; the UQL binder applies it once per statement
+//! to resolve `USING auto`, for relations, joins and streams alike. The
+//! rule reads the UDF's nominal cost, not a wall clock, so the pick is
+//! deterministic.
 
-use crate::config::OlgaproConfig;
-use crate::olgapro::Olgapro;
-use crate::output::OutputDistribution;
-use crate::udf::BlackBoxUdf;
-use crate::McEvaluator;
-use crate::Result;
-use std::time::{Duration, Instant};
-use udf_prob::InputDistribution;
+use std::time::Duration;
 
-/// Which approach the hybrid evaluator selected.
+/// Which approach the hybrid rules select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HybridChoice {
     /// Direct Monte Carlo sampling.
     Mc,
     /// GP emulation via OLGAPRO.
     Gp,
-    /// Still calibrating (both are exercised).
-    Calibrating,
 }
 
 /// The paper's §6.3 decision rules from known dimensionality and (nominal)
@@ -57,96 +48,9 @@ pub fn rule_based_choice(dim: usize, eval_time: Duration) -> HybridChoice {
     }
 }
 
-/// A measuring hybrid evaluator: runs both approaches during a calibration
-/// window, then commits to the cheaper one.
-#[derive(Debug)]
-pub struct HybridEvaluator {
-    mc: McEvaluator,
-    olgapro: Olgapro,
-    calibration_inputs: usize,
-    seen: usize,
-    mc_time: Duration,
-    gp_time: Duration,
-    committed: Option<HybridChoice>,
-}
-
-impl HybridEvaluator {
-    /// Create with a calibration window of `calibration_inputs` tuples.
-    pub fn new(udf: BlackBoxUdf, config: OlgaproConfig, calibration_inputs: usize) -> Self {
-        HybridEvaluator {
-            mc: McEvaluator::new(udf.clone()),
-            olgapro: Olgapro::new(udf, config),
-            calibration_inputs: calibration_inputs.max(1),
-            seen: 0,
-            mc_time: Duration::ZERO,
-            gp_time: Duration::ZERO,
-            committed: None,
-        }
-    }
-
-    /// The current decision state.
-    pub fn choice(&self) -> HybridChoice {
-        self.committed.unwrap_or(HybridChoice::Calibrating)
-    }
-
-    /// Measured cumulative times (calibration window) as
-    /// `(mc_including_cost, gp_including_cost)`.
-    pub fn measured(&self) -> (Duration, Duration) {
-        (self.mc_time, self.gp_time)
-    }
-
-    /// Process one input. During calibration both approaches run and are
-    /// timed (wall time + charged nominal UDF cost); afterwards only the
-    /// winner runs.
-    pub fn process(
-        &mut self,
-        input: &InputDistribution,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<OutputDistribution> {
-        match self.committed {
-            Some(HybridChoice::Mc) => {
-                self.mc
-                    .compute(input, &self.olgapro.config().accuracy.clone(), rng)
-            }
-            Some(HybridChoice::Gp) | Some(HybridChoice::Calibrating) => {
-                Ok(self.olgapro.process(input, rng)?.into_distribution())
-            }
-            None => {
-                let per_call = self.mc.udf().cost_model().per_call();
-                // Time the GP path.
-                let calls0 = self.olgapro.udf().calls();
-                let t0 = Instant::now();
-                let gp_out = self.olgapro.process(input, rng)?;
-                self.gp_time +=
-                    t0.elapsed() + per_call * (self.olgapro.udf().calls() - calls0) as u32;
-                // Time the MC path.
-                let calls1 = self.mc.udf().calls();
-                let t1 = Instant::now();
-                let accuracy = self.olgapro.config().accuracy;
-                let _ = self.mc.compute(input, &accuracy, rng)?;
-                self.mc_time += t1.elapsed() + per_call * (self.mc.udf().calls() - calls1) as u32;
-
-                self.seen += 1;
-                if self.seen >= self.calibration_inputs {
-                    self.committed = Some(if self.gp_time <= self.mc_time {
-                        HybridChoice::Gp
-                    } else {
-                        HybridChoice::Mc
-                    });
-                }
-                Ok(gp_out.into_distribution())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AccuracyRequirement, Metric};
-    use crate::udf::CostModel;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rules_match_paper_findings() {
@@ -181,38 +85,5 @@ mod tests {
             rule_based_choice(5, Duration::from_millis(50)),
             HybridChoice::Gp
         );
-    }
-
-    #[test]
-    fn measured_hybrid_picks_gp_for_expensive_udf() {
-        // 2 ms simulated per call: MC needs thousands of calls per input,
-        // the converged GP almost none.
-        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin())
-            .with_cost(CostModel::Simulated(Duration::from_millis(2)));
-        let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-        let mut hybrid = HybridEvaluator::new(udf, cfg, 3);
-        let mut rng = StdRng::seed_from_u64(30);
-        for i in 0..5 {
-            let input = InputDistribution::diagonal_gaussian(&[(2.0 + i as f64, 0.4)]).unwrap();
-            hybrid.process(&input, &mut rng).unwrap();
-        }
-        assert_eq!(hybrid.choice(), HybridChoice::Gp);
-        let (mc_t, gp_t) = hybrid.measured();
-        assert!(gp_t < mc_t, "GP {gp_t:?} should beat MC {mc_t:?}");
-    }
-
-    #[test]
-    fn measured_hybrid_picks_mc_for_free_udf() {
-        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
-        let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-        let mut hybrid = HybridEvaluator::new(udf, cfg, 3);
-        let mut rng = StdRng::seed_from_u64(31);
-        for i in 0..5 {
-            let input = InputDistribution::diagonal_gaussian(&[(2.0 + i as f64, 0.4)]).unwrap();
-            hybrid.process(&input, &mut rng).unwrap();
-        }
-        assert_eq!(hybrid.choice(), HybridChoice::Mc);
     }
 }

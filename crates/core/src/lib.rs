@@ -17,7 +17,8 @@
 //!   retraining;
 //! * [`filtering`] — online filtering against selection predicates
 //!   (Remark 2.1 for MC, §5.5 for GP);
-//! * [`hybrid`] — the §5.4 hybrid solution that picks MC or GP per UDF;
+//! * [`hybrid`] — the §5.4 hybrid's §6.3 rules that pick MC or GP per UDF
+//!   from its dimensionality and nominal cost;
 //! * [`sched`] — the two-phase batch scheduler (a §8 future-work item):
 //!   a persistent worker pool plus the fast/slow scheduling pattern;
 //! * [`batch`] — the batch operator on top of it: how one tuple of a batch
@@ -39,7 +40,7 @@ pub mod udf;
 pub use batch::{BatchCounts, BatchSpec, Evaluator, Ruling};
 pub use config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
 pub use filtering::{FilterDecision, Predicate};
-pub use hybrid::{HybridChoice, HybridEvaluator};
+pub use hybrid::HybridChoice;
 pub use mc::McEvaluator;
 pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
 pub use output::{GpOutput, OutputDistribution};

@@ -191,8 +191,6 @@ pub struct JoinRowsOutput {
     pub query_stats: QueryStats,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
-    /// The rendered plan that ran.
-    pub plan: String,
 }
 
 /// Result of a one-shot relation query.
@@ -204,8 +202,6 @@ pub struct RowsOutput {
     pub stats: QueryStats,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
-    /// The rendered plan that ran.
-    pub plan: String,
 }
 
 /// Result of a bounded stream query.
@@ -222,8 +218,6 @@ pub struct StreamOutput {
     /// The health monitor's rendered trend line, when it sampled at least
     /// once during the run.
     pub health: Option<String>,
-    /// The rendered plan that ran.
-    pub plan: String,
 }
 
 impl QueryOutput {
@@ -304,9 +298,8 @@ pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
     let query = query?;
     let (bound, bind_time) = timed(&reg.histogram("uql.bind_ns"), || bind(&query, ctx));
     let bound = bound?;
-    let plan = bound.explain();
     if query.explain == ExplainMode::Plan {
-        return Ok(QueryOutput::Plan(plan));
+        return Ok(QueryOutput::Plan(bound.explain()));
     }
     // For ANALYZE, attribute this statement's metrics via a snapshot
     // window around execution.
@@ -314,14 +307,14 @@ pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
     let out = reg
         .histogram("uql.exec_ns")
         .time(|| match &bound.physical {
-            PhysicalPlan::Relation(p) => exec_relation(p, ctx, plan),
-            PhysicalPlan::Join(p) => exec_join(p, ctx, plan),
-            PhysicalPlan::Stream(p) => exec_stream(p, ctx, plan),
+            PhysicalPlan::Relation(p) => exec_relation(p, ctx),
+            PhysicalPlan::Join(p) => exec_join(p, ctx),
+            PhysicalPlan::Stream(p) => exec_stream(p, ctx),
         })?;
     if let Some(before) = before {
         let delta = reg.snapshot().delta(&before);
         return Ok(QueryOutput::Plan(annotate_analyze(
-            &out, delta, parse_time, bind_time,
+            &bound, &out, delta, parse_time, bind_time,
         )));
     }
     Ok(out)
@@ -348,55 +341,47 @@ fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> (T, Duration) {
 /// beside a zero count). Stream statements append the health monitor's
 /// trend line when one sampled.
 fn annotate_analyze(
+    bound: &BoundQuery,
     out: &QueryOutput,
     mut delta: Snapshot,
     parse_time: Duration,
     bind_time: Duration,
 ) -> String {
-    let (plan, op) = match out {
+    let op = match out {
         // Unreachable in practice (ANALYZE always executes), but degrade
         // to the plain report rather than panicking.
         QueryOutput::Plan(_) => return out.report(),
-        QueryOutput::Rows(r) => (
-            &r.plan,
-            KvLine::new()
-                .raw(&format!("  BatchExec: time={:.2?}", r.elapsed))
-                .field("rows", r.rows.len())
-                .field("in", r.stats.tuples_in)
-                .field("out", r.stats.tuples_out)
-                .field("fast", r.stats.fast_path)
-                .field("slow", r.stats.slow_path)
-                .field("udf_calls", r.stats.udf_calls)
-                .field("cap_hits", r.stats.cap_hits),
-        ),
-        QueryOutput::Join(r) => (
-            &r.plan,
-            KvLine::new()
-                .raw(&format!("  JoinExec: time={:.2?}", r.elapsed))
-                .raw(&r.stats.to_string())
-                .field("prune_attempts", r.stats.prune_attempts)
-                .field("certain_accepts", r.stats.certain_accepts),
-        ),
-        QueryOutput::Stream(o) => (
-            &o.plan,
-            KvLine::new()
-                .raw(&format!("  StreamExec: time={:.2?}", o.engine.elapsed))
-                .field("tuples", o.engine.tuples)
-                .field("batches", o.engine.batches)
-                .field("kept", o.stats.kept)
-                .field("filtered", o.stats.filtered)
-                .field("fast", o.stats.fast_path)
-                .field("slow", o.stats.slow_path)
-                .field("cap_hits", o.stats.cap_hits)
-                .raw(&format!("digest=0x{:016x}", o.digest)),
-        ),
+        QueryOutput::Rows(r) => KvLine::new()
+            .raw(&format!("  BatchExec: time={:.2?}", r.elapsed))
+            .field("rows", r.rows.len())
+            .field("in", r.stats.tuples_in)
+            .field("out", r.stats.tuples_out)
+            .field("fast", r.stats.fast_path)
+            .field("slow", r.stats.slow_path)
+            .field("udf_calls", r.stats.udf_calls)
+            .field("cap_hits", r.stats.cap_hits),
+        QueryOutput::Join(r) => KvLine::new()
+            .raw(&format!("  JoinExec: time={:.2?}", r.elapsed))
+            .raw(&r.stats.to_string())
+            .field("prune_attempts", r.stats.prune_attempts)
+            .field("certain_accepts", r.stats.certain_accepts),
+        QueryOutput::Stream(o) => KvLine::new()
+            .raw(&format!("  StreamExec: time={:.2?}", o.engine.elapsed))
+            .field("tuples", o.engine.tuples)
+            .field("batches", o.engine.batches)
+            .field("kept", o.stats.kept)
+            .field("filtered", o.stats.filtered)
+            .field("fast", o.stats.fast_path)
+            .field("slow", o.stats.slow_path)
+            .field("cap_hits", o.stats.cap_hits)
+            .raw(&format!("digest=0x{:016x}", o.digest)),
     };
     let mut op = op.raw(&format!("parse={parse_time:.2?} bind={bind_time:.2?}"));
     if let Some(extends) = delta.counters.get("olgapro.tuning_extends") {
         op = op.field("tuning_extends", extends);
     }
     delta.histograms.retain(|_, h| h.count > 0);
-    let mut s = plan.clone();
+    let mut s = bound.explain();
     s.push_str("Execution (ANALYZE):\n");
     s.push_str(&op.finish());
     s.push('\n');
@@ -426,7 +411,7 @@ fn stale_name(kind: &str, name: &str) -> LangError {
     ))
 }
 
-fn exec_relation(p: &RelPlan, ctx: &mut Context, plan: String) -> Result<QueryOutput> {
+fn exec_relation(p: &RelPlan, ctx: &mut Context) -> Result<QueryOutput> {
     // Field-level borrows: the relation map and the scheduler cache are
     // disjoint, so the pool entry can be created while the relation is
     // held.
@@ -453,11 +438,10 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context, plan: String) -> Result<QueryOu
         rows,
         stats: executor.stats(),
         elapsed: t0.elapsed(),
-        plan,
     }))
 }
 
-fn exec_join(p: &JoinPlan, ctx: &mut Context, plan: String) -> Result<QueryOutput> {
+fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
     // Field-level borrows, like exec_relation: relations (shared) and the
     // scheduler cache (mutable) are disjoint fields.
     let left = ctx
@@ -520,7 +504,6 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context, plan: String) -> Result<QueryOutpu
         stats: out.stats,
         query_stats: out.query_stats,
         elapsed: t0.elapsed(),
-        plan,
     }))
 }
 
@@ -531,7 +514,7 @@ fn join_err(e: udf_join::JoinError) -> LangError {
 // `&mut Context` like the other executors — execution is uniformly
 // mutating (one coherent mutability story), even though the stream path
 // happens not to touch the scheduler cache today.
-fn exec_stream(p: &StreamPlan, ctx: &mut Context, plan: String) -> Result<QueryOutput> {
+fn exec_stream(p: &StreamPlan, ctx: &mut Context) -> Result<QueryOutput> {
     if p.limit.is_none() {
         return Err(LangError::Exec(
             "stream query has no LIMIT and UQL sources may be unbounded; \
@@ -578,6 +561,5 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context, plan: String) -> Result<QueryO
         recent: session.recent(id)?,
         engine,
         health,
-        plan,
     }))
 }

@@ -8,9 +8,10 @@
 //!
 //! UQL is that surface as a small language over this workspace's engine: a
 //! std-only lexer ([`token`]), a recursive-descent parser into a typed AST
-//! ([`ast`], [`parser`]), a logical-plan layer with predicate pushdown and
-//! a binder that validates names/accuracies/predicates against a catalog
-//! ([`plan`]), and three execution backends ([`exec`]):
+//! ([`ast`], [`parser`]), a binder that validates names/accuracies/
+//! predicates against a catalog, resolves `USING auto` by the paper's §6.3
+//! rules, and produces the one physical plan that both runs and is what
+//! `EXPLAIN` prints ([`plan`]), and three execution backends ([`exec`]):
 //!
 //! * finite relations run batch-parallel through
 //!   [`udf_query::Executor::select_batch`] on a
@@ -75,4 +76,4 @@ pub use exec::{
     run_uql, Context, JoinRowsOutput, QueryOutput, RowsOutput, SourceFactory, StreamOutput,
 };
 pub use parser::parse_statement;
-pub use plan::{bind, BoundQuery, JoinPlan, LogicalPlan, PhysicalPlan, RelPlan, StreamPlan};
+pub use plan::{bind, BoundQuery, JoinPlan, PhysicalPlan, RelPlan, StreamPlan};

@@ -1,24 +1,18 @@
-//! Logical plans, the predicate-pushdown rewrite, and the binder that
-//! lowers UQL onto the execution engine.
+//! The binder that lowers UQL onto the execution engine, and the plan it
+//! produces.
 //!
-//! Compilation is three stages past parsing:
-//!
-//! 1. **naive logical plan** — the query as written:
-//!    `PrFilter(UdfProject(Scan))`;
-//! 2. **optimized logical plan** — predicate pushdown fuses the filter into
-//!    the UDF operator (`UdfSelect(Scan)`), which is what routes selections
-//!    through the engine's envelope-filtering fast path (§5.5): the
-//!    predicate is ruled on the GP fast-path bounds *before* any
-//!    model-mutating work is scheduled, and MC evaluation early-stops on
-//!    the Hoeffding bound (Remark 2.1);
-//! 3. **physical plan** — names resolved against the catalog/context,
-//!    accuracy and predicate validated into engine types, strategy fixed
-//!    (AUTO resolves by the paper's §6.3 rules), ready to execute.
+//! Binding resolves names against the catalog/context, validates the
+//! accuracy and predicate into engine types, and fixes the strategy (AUTO
+//! resolves by the paper's §6.3 rules, once, here, for every source). The
+//! result, a [`PhysicalPlan`], is the only description of how a statement
+//! runs: execution dispatches on it and `EXPLAIN` prints it. A `WHERE`
+//! predicate always runs inside the UDF operator, never after it: the
+//! engine rules it on the GP fast-path bounds (§5.5) or the Monte Carlo
+//! Hoeffding bound (Remark 2.1) before any model-mutating work.
 
 use crate::ast::{AttrRef, JoinSource, MetricName, Query, Select, SourceRef, StrategyName};
 use crate::error::{LangError, Result, Span, Spanned};
 use crate::exec::Context;
-use std::fmt;
 use udf_core::config::{
     check_samples_per_tuple, AccuracyRequirement, Metric, OlgaproConfig, MAX_SAMPLES_PER_TUPLE,
 };
@@ -27,211 +21,7 @@ use udf_core::hybrid::{rule_based_choice, HybridChoice};
 use udf_core::udf::BlackBoxUdf;
 use udf_join::Side;
 use udf_query::EvalStrategy;
-use udf_stream::StreamStrategy;
 use udf_workloads::registry::UdfEntry;
-
-/// A logical-plan operator tree (used for `EXPLAIN`; the physical plan
-/// carries the bound engine objects).
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogicalPlan {
-    /// Scan a finite registered relation.
-    Scan {
-        /// Relation name.
-        relation: String,
-        /// Row count at bind time.
-        rows: usize,
-    },
-    /// Scan a registered stream source.
-    StreamScan {
-        /// Source name.
-        source: String,
-        /// Tuple dimensionality.
-        dim: usize,
-    },
-    /// Compute a UDF output distribution per tuple (query Q1).
-    UdfProject {
-        /// Input operator.
-        input: Box<LogicalPlan>,
-        /// Rendered call, e.g. `GalAge(z)`.
-        call: String,
-    },
-    /// Keep tuples with `Pr[g(x) ∈ [lo, hi]] ≥ θ` (query Q2's selection).
-    PrFilter {
-        /// Input operator.
-        input: Box<LogicalPlan>,
-        /// Rendered predicate.
-        predicate: String,
-    },
-    /// The fused projection + filter produced by predicate pushdown: the
-    /// engine rules the predicate from fast-path bounds before paying for
-    /// full evaluation.
-    UdfSelect {
-        /// Input operator.
-        input: Box<LogicalPlan>,
-        /// Rendered call.
-        call: String,
-        /// Rendered predicate.
-        predicate: String,
-    },
-    /// Candidate-pair generation for a θ-join (`FROM rel a JOIN rel b`).
-    Join {
-        /// Left input.
-        left: Box<LogicalPlan>,
-        /// Right input.
-        right: Box<LogicalPlan>,
-        /// Rendered `ON` filter, when present.
-        on: Option<String>,
-    },
-    /// The fused join operator produced by pushdown: pair generation, the
-    /// pair UDF, and the PR predicate execute inside `udf_join` — which
-    /// is what enables envelope-based pair pruning (§4.2/§5.5) before any
-    /// per-pair inference.
-    UdfJoin {
-        /// Left input.
-        left: Box<LogicalPlan>,
-        /// Right input.
-        right: Box<LogicalPlan>,
-        /// Rendered `ON` filter, when present.
-        on: Option<String>,
-        /// Rendered pair call.
-        call: String,
-        /// Rendered predicate, when present.
-        predicate: Option<String>,
-        /// Whether envelope pair pruning is enabled.
-        prune: bool,
-    },
-}
-
-impl LogicalPlan {
-    /// Predicate pushdown: `PrFilter(UdfProject(x))` fuses into
-    /// `UdfSelect(x)` so the filter is evaluated inside the UDF operator
-    /// (envelope bounds / Hoeffding early stop) instead of after full
-    /// materialization. Over a [`Join`](LogicalPlan::Join) input the fused
-    /// operator is [`UdfJoin`](LogicalPlan::UdfJoin): the predicate (and
-    /// with `PRUNE`, the §4.2 envelope certificate over candidate pairs)
-    /// executes inside the join instead of over a materialized cross
-    /// product. `prune` marks the produced `UdfJoin` operators.
-    pub fn optimize(self, prune: bool) -> LogicalPlan {
-        match self {
-            LogicalPlan::PrFilter { input, predicate } => match input.optimize(prune) {
-                LogicalPlan::UdfProject { input, call } => LogicalPlan::UdfSelect {
-                    input,
-                    call,
-                    predicate,
-                },
-                // The project already fused into the join operator; push
-                // the filter into it too.
-                LogicalPlan::UdfJoin {
-                    left,
-                    right,
-                    on,
-                    call,
-                    predicate: None,
-                    prune: p,
-                } => LogicalPlan::UdfJoin {
-                    left,
-                    right,
-                    on,
-                    call,
-                    predicate: Some(predicate),
-                    prune: p,
-                },
-                other => LogicalPlan::PrFilter {
-                    input: Box::new(other),
-                    predicate,
-                },
-            },
-            LogicalPlan::UdfProject { input, call } => match *input {
-                LogicalPlan::Join { left, right, on } => LogicalPlan::UdfJoin {
-                    left,
-                    right,
-                    on,
-                    call,
-                    predicate: None,
-                    prune,
-                },
-                other => LogicalPlan::UdfProject {
-                    input: Box::new(other.optimize(prune)),
-                    call,
-                },
-            },
-            leaf => leaf,
-        }
-    }
-
-    fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        let pad = "  ".repeat(depth);
-        match self {
-            LogicalPlan::Scan { relation, rows } => {
-                writeln!(f, "{pad}Scan {relation} ({rows} rows)")
-            }
-            LogicalPlan::StreamScan { source, dim } => {
-                writeln!(f, "{pad}StreamScan {source} (dim {dim})")
-            }
-            LogicalPlan::UdfProject { input, call } => {
-                writeln!(f, "{pad}UdfProject {call}")?;
-                input.fmt_indented(f, depth + 1)
-            }
-            LogicalPlan::PrFilter { input, predicate } => {
-                writeln!(f, "{pad}PrFilter {predicate}")?;
-                input.fmt_indented(f, depth + 1)
-            }
-            LogicalPlan::UdfSelect {
-                input,
-                call,
-                predicate,
-            } => {
-                writeln!(
-                    f,
-                    "{pad}UdfSelect {call} {predicate}   [pushdown: fast-path filtering §5.5]"
-                )?;
-                input.fmt_indented(f, depth + 1)
-            }
-            LogicalPlan::Join { left, right, on } => {
-                match on {
-                    Some(on) => writeln!(f, "{pad}Join ON {on}")?,
-                    None => writeln!(f, "{pad}Join")?,
-                }
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-            LogicalPlan::UdfJoin {
-                left,
-                right,
-                on,
-                call,
-                predicate,
-                prune,
-            } => {
-                write!(f, "{pad}UdfJoin {call}")?;
-                if let Some(on) = on {
-                    write!(f, " ON {on}")?;
-                }
-                if let Some(p) = predicate {
-                    write!(f, " {p}")?;
-                }
-                writeln!(
-                    f,
-                    "   [pushdown: pair {}filtering §5.5{}]",
-                    if *prune { "pruning §4.2 + " } else { "" },
-                    if predicate.is_some() {
-                        ""
-                    } else {
-                        " n/a (projection)"
-                    },
-                )?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-        }
-    }
-}
-
-impl fmt::Display for LogicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_indented(f, 0)
-    }
-}
 
 /// A fully bound, executable plan over a finite relation.
 #[derive(Debug, Clone)]
@@ -266,7 +56,7 @@ pub struct StreamPlan {
     /// The bound UDF (cloned from the catalog).
     pub udf: BlackBoxUdf,
     /// Resolved evaluation strategy.
-    pub strategy: StreamStrategy,
+    pub strategy: EvalStrategy,
     /// Validated accuracy requirement.
     pub accuracy: AccuracyRequirement,
     /// Output-range estimate from the catalog.
@@ -336,26 +126,15 @@ pub enum PhysicalPlan {
 /// Everything compilation produced for one statement.
 #[derive(Debug, Clone)]
 pub struct BoundQuery {
-    /// The query as written.
-    pub logical: LogicalPlan,
-    /// After predicate pushdown.
-    pub optimized: LogicalPlan,
     /// The executable binding.
     pub physical: PhysicalPlan,
 }
 
 impl BoundQuery {
-    /// The `EXPLAIN` rendering: both logical plans plus the physical
-    /// binding details.
+    /// The `EXPLAIN` rendering: the operator the statement runs as, its
+    /// accuracy, and where its predicate is ruled.
     pub fn explain(&self) -> String {
-        let mut s = String::new();
-        s.push_str("Logical plan:\n");
-        s.push_str(&indent(&self.logical.to_string()));
-        if self.optimized != self.logical {
-            s.push_str("Optimized plan (predicate pushdown):\n");
-            s.push_str(&indent(&self.optimized.to_string()));
-        }
-        s.push_str("Physical plan:\n");
+        let mut s = String::from("Physical plan:\n");
         match &self.physical {
             PhysicalPlan::Relation(p) => {
                 s.push_str(&format!(
@@ -367,10 +146,7 @@ impl BoundQuery {
                     p.seed,
                     render_model_cap(p.model_cap),
                 ));
-                s.push_str(&format!(
-                    "    accuracy: eps={} delta={} lambda={:.4} metric={:?}\n",
-                    p.accuracy.eps, p.accuracy.delta, p.accuracy.lambda, p.accuracy.metric,
-                ));
+                s.push_str(&render_accuracy(&p.accuracy));
                 match &p.predicate {
                     Some(pr) => s.push_str(&format!(
                         "    predicate: Pr[y ∈ [{}, {}]] ≥ {} — pushed into the {} fast path\n",
@@ -406,10 +182,7 @@ impl BoundQuery {
                         side_alias(p, *rs),
                     ));
                 }
-                s.push_str(&format!(
-                    "    accuracy: eps={} delta={} lambda={:.4} metric={:?}\n",
-                    p.accuracy.eps, p.accuracy.delta, p.accuracy.lambda, p.accuracy.metric,
-                ));
+                s.push_str(&render_accuracy(&p.accuracy));
                 match &p.predicate {
                     Some(pr) => s.push_str(&format!(
                         "    predicate: Pr[y ∈ [{}, {}]] ≥ {} — {}\n",
@@ -440,10 +213,7 @@ impl BoundQuery {
                         None => format!("{} (unbounded)", render_model_cap(p.model_cap)),
                     },
                 ));
-                s.push_str(&format!(
-                    "    accuracy: eps={} delta={} lambda={:.4} metric={:?}\n",
-                    p.accuracy.eps, p.accuracy.delta, p.accuracy.lambda, p.accuracy.metric,
-                ));
+                s.push_str(&render_accuracy(&p.accuracy));
                 match &p.predicate {
                     Some(pr) => s.push_str(&format!(
                         "    predicate: Pr[y ∈ [{}, {}]] ≥ {} — online filter in the accept hook\n",
@@ -472,20 +242,18 @@ fn render_model_cap(cap: usize) -> String {
     }
 }
 
-fn indent(s: &str) -> String {
-    s.lines().fold(String::new(), |mut acc, l| {
-        acc.push_str("  ");
-        acc.push_str(l);
-        acc.push('\n');
-        acc
-    })
+fn render_accuracy(a: &AccuracyRequirement) -> String {
+    format!(
+        "    accuracy: eps={} delta={} lambda={:.4} metric={:?}\n",
+        a.eps, a.delta, a.lambda, a.metric,
+    )
 }
 
 /// Bind a parsed query against a [`Context`]: resolve the UDF and the
 /// source against the catalog, fix the strategy (AUTO resolves by the
-/// paper's §6.3 rules), build the logical plans, and validate the numeric
-/// clauses into engine types. Every name/shape/structure error surfaces
-/// before any numeric one, each with the span at fault.
+/// paper's §6.3 rules), and validate the numeric clauses into engine
+/// types. Every name/shape/structure error surfaces before any numeric
+/// one, each with the span at fault.
 pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
     let sel = &query.select;
     // 1. The projected UDF must exist in the catalog.
@@ -548,18 +316,13 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
     // 4. Source-specific resolution. The strategy fixes here (it depends
     //    only on the UDF), so PRUNE/cap checks can rule on it; the numeric
     //    clauses are validated last, once it is known.
-    let strategy_name = sel
-        .options
-        .strategy
-        .as_ref()
-        .map_or(StrategyName::Auto, |s| s.node);
-    let call_text = sel.call.to_string();
-    let pred_text = sel.predicate.as_ref().map(|p| {
-        format!(
-            "Pr[{} ∈ [{:?}, {:?}]] ≥ {:?}",
-            p.call, p.lo.node, p.hi.node, p.theta.node
-        )
-    });
+    let strategy = resolve_strategy(
+        sel.options
+            .strategy
+            .as_ref()
+            .map_or(StrategyName::Auto, |s| s.node),
+        udf,
+    );
     // PRUNE is a join-operator knob; resolve it here so relation/stream
     // queries reject it with a span instead of silently ignoring it.
     if let (Some(p), false) = (&sel.options.prune, matches!(sel.source, SourceRef::Join(_))) {
@@ -568,7 +331,7 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
             "PRUNE applies to `JOIN` queries only (it prunes candidate pairs)",
         ));
     }
-    let (physical, scan, prune) = match &sel.source {
+    let physical = match &sel.source {
         SourceRef::Relation(name) => {
             if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
                 return Err(LangError::semantic(
@@ -601,13 +364,8 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
                     ));
                 }
             }
-            let strategy = resolve_strategy(strategy_name, udf);
-            let scan = LogicalPlan::Scan {
-                relation: name.node.clone(),
-                rows: rel.len(),
-            };
             let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
-            let plan = PhysicalPlan::Relation(RelPlan {
+            PhysicalPlan::Relation(RelPlan {
                 relation: name.node.clone(),
                 udf: udf.clone(),
                 args: sel.call.args.iter().map(|a| a.node.name.clone()).collect(),
@@ -618,10 +376,9 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
                 workers: n.workers,
                 seed: n.seed,
                 model_cap: n.model_cap,
-            });
-            (plan, scan, false)
+            })
         }
-        SourceRef::Join(join) => bind_join(sel, join, entry, strategy_name, ctx)?,
+        SourceRef::Join(join) => bind_join(sel, join, entry, strategy, ctx)?,
         SourceRef::Stream(name) => {
             let dim = ctx.stream_dim(&name.node).ok_or_else(|| {
                 LangError::semantic(
@@ -648,28 +405,7 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
                     ),
                 ));
             }
-            let strategy = match strategy_name {
-                StrategyName::Mc => StreamStrategy::Mc,
-                StrategyName::Gp => StreamStrategy::Gp,
-                StrategyName::Auto => StreamStrategy::Auto,
-            };
-            // AUTO stays symbolic on streams (the engine resolves it at
-            // subscribe), but it resolves by the same deterministic §6.3
-            // rule — use the outcome so a cap AUTO would drop is rejected
-            // with a span instead of silently ignored.
-            let resolves_to_mc = match strategy {
-                StreamStrategy::Mc => true,
-                StreamStrategy::Gp => false,
-                StreamStrategy::Auto => matches!(
-                    rule_based_choice(udf.dim(), udf.cost_model().per_call()),
-                    HybridChoice::Mc
-                ),
-            };
-            let scan = LogicalPlan::StreamScan {
-                source: name.node.clone(),
-                dim,
-            };
-            let n = bind_numbers(sel, entry, resolves_to_mc)?;
+            let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
             let batch = match &sel.options.batch {
                 None => 256,
                 Some(b) if (1..=1_048_576).contains(&b.node) => b.node as usize,
@@ -680,7 +416,7 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
                     ))
                 }
             };
-            let plan = PhysicalPlan::Stream(StreamPlan {
+            PhysicalPlan::Stream(StreamPlan {
                 source: name.node.clone(),
                 udf: udf.clone(),
                 strategy,
@@ -692,17 +428,10 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
                 seed: n.seed,
                 limit: sel.options.limit.as_ref().map(|l| l.node),
                 model_cap: n.model_cap,
-            });
-            (plan, scan, false)
+            })
         }
     };
-    let logical = build_logical(scan, &call_text, pred_text.as_deref());
-    let optimized = logical.clone().optimize(prune);
-    Ok(BoundQuery {
-        logical,
-        optimized,
-        physical,
-    })
+    Ok(BoundQuery { physical })
 }
 
 /// The numeric clauses of a statement, validated into engine types.
@@ -828,16 +557,16 @@ fn bind_numbers(sel: &Select, entry: &UdfEntry, is_mc: bool) -> Result<Numbers> 
     })
 }
 
-/// Resolve `USING mc|gp|auto` to a relational strategy; AUTO applies the
-/// paper's §6.3 cost rules. One definition shared by the relation and
-/// join binding arms, so both resolve AUTO identically.
+/// Resolve `USING mc|gp|auto` to a strategy; AUTO applies the paper's
+/// §6.3 cost rules. The one place AUTO resolves, for relations, joins and
+/// streams alike.
 fn resolve_strategy(name: StrategyName, udf: &BlackBoxUdf) -> EvalStrategy {
     match name {
         StrategyName::Mc => EvalStrategy::Mc,
         StrategyName::Gp => EvalStrategy::Gp,
         StrategyName::Auto => match rule_based_choice(udf.dim(), udf.cost_model().per_call()) {
             HybridChoice::Mc => EvalStrategy::Mc,
-            HybridChoice::Gp | HybridChoice::Calibrating => EvalStrategy::Gp,
+            HybridChoice::Gp => EvalStrategy::Gp,
         },
     }
 }
@@ -863,9 +592,9 @@ fn bind_join(
     sel: &Select,
     join: &JoinSource,
     entry: &UdfEntry,
-    strategy_name: StrategyName,
+    strategy: EvalStrategy,
     ctx: &Context,
-) -> Result<(PhysicalPlan, LogicalPlan, bool)> {
+) -> Result<PhysicalPlan> {
     if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
         return Err(LangError::semantic(
             c.span,
@@ -949,7 +678,6 @@ fn bind_join(
         Some(on) => Some((resolve(&on.lhs)?, resolve(&on.rhs)?)),
     };
 
-    let strategy = resolve_strategy(strategy_name, &entry.udf);
     let prune = match &sel.options.prune {
         None => false,
         Some(p) => {
@@ -971,20 +699,8 @@ fn bind_join(
         }
     };
 
-    let scan = |name: &str, rows: usize| LogicalPlan::Scan {
-        relation: name.to_string(),
-        rows,
-    };
-    let join_node = LogicalPlan::Join {
-        left: Box::new(scan(&join.left.node, left.len())),
-        right: Box::new(scan(&join.right.node, right.len())),
-        on: join
-            .on
-            .as_ref()
-            .map(|o| format!("{} < {}", o.lhs.node, o.rhs.node)),
-    };
     let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
-    let plan = PhysicalPlan::Join(JoinPlan {
+    Ok(PhysicalPlan::Join(JoinPlan {
         left: join.left.node.clone(),
         left_alias: join.left_alias.node.clone(),
         right: join.right.node.clone(),
@@ -1000,22 +716,7 @@ fn bind_join(
         seed: n.seed,
         model_cap: n.model_cap,
         prune,
-    });
-    Ok((plan, join_node, prune))
-}
-
-fn build_logical(scan: LogicalPlan, call: &str, pred: Option<&str>) -> LogicalPlan {
-    let project = LogicalPlan::UdfProject {
-        input: Box::new(scan),
-        call: call.to_string(),
-    };
-    match pred {
-        None => project,
-        Some(p) => LogicalPlan::PrFilter {
-            input: Box::new(project),
-            predicate: p.to_string(),
-        },
-    }
+    }))
 }
 
 /// Map an [`AccuracyRequirement`] construction error onto the literal at
@@ -1078,5 +779,77 @@ fn predicate_diagnostic(
             format!("probability threshold θ must lie in (0, 1), got {value}"),
         ),
         _ => LangError::semantic(whole, e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use udf_core::udf::CostModel;
+    use udf_query::{Relation, Schema, Tuple, Value};
+    use udf_stream::SyntheticSource;
+
+    /// A context with a free and a 2 ms version of a 1-D and a 2-D UDF,
+    /// a relation and a stream to bind them against.
+    fn context() -> Context {
+        let mut ctx = Context::standard();
+        for (name, cost) in [
+            ("Free", CostModel::Free),
+            ("Slow", CostModel::Simulated(Duration::from_millis(2))),
+        ] {
+            let one = BlackBoxUdf::from_fn(name, 1, |x| x[0].sin()).with_cost(cost);
+            let two = BlackBoxUdf::from_fn(format!("{name}2"), 2, |x| x[0] - x[1]).with_cost(cost);
+            for (udf, domain) in [(one, vec![(0.0, 2.0)]), (two, vec![(0.0, 2.0); 2])] {
+                ctx.udfs_mut().register(UdfEntry {
+                    udf,
+                    domain,
+                    output_range: 2.0,
+                    description: String::new(),
+                });
+            }
+        }
+        let tuples = vec![Tuple::new(vec![Value::Gaussian {
+            mu: 1.0,
+            sigma: 0.1,
+        }])];
+        ctx.register_relation("r", Relation::new(Schema::new(&["x"]), tuples).unwrap());
+        ctx.register_stream("s", 1, || Box::new(SyntheticSource::gaussian(1, 0.4, 4)));
+        ctx
+    }
+
+    fn strategy(ctx: &Context, statement: &str) -> EvalStrategy {
+        match ctx.compile(statement).unwrap().physical {
+            PhysicalPlan::Relation(p) => p.strategy,
+            PhysicalPlan::Join(p) => p.strategy,
+            PhysicalPlan::Stream(p) => p.strategy,
+        }
+    }
+
+    /// `USING auto` (and no `USING` at all) binds by the §6.3 rules, the
+    /// same way for every source: a free UDF to MC, a 2 ms one to GP.
+    #[test]
+    fn auto_strategy_resolves_by_cost() {
+        let ctx = context();
+        for (udf, want) in [("Free", EvalStrategy::Mc), ("Slow", EvalStrategy::Gp)] {
+            for using in ["USING auto", ""] {
+                for statement in [
+                    format!("SELECT {udf}(x) FROM r {using}"),
+                    format!("SELECT {udf}2(a.x, b.x) FROM r a JOIN r b {using}"),
+                    format!("SELECT {udf}(x) FROM STREAM s {using} LIMIT 8"),
+                ] {
+                    assert_eq!(strategy(&ctx, &statement), want, "{statement}");
+                }
+            }
+        }
+        // An explicit strategy is never overridden.
+        assert_eq!(
+            strategy(&ctx, "SELECT Free(x) FROM STREAM s USING gp"),
+            EvalStrategy::Gp
+        );
+        assert_eq!(
+            strategy(&ctx, "SELECT Slow(x) FROM STREAM s USING mc"),
+            EvalStrategy::Mc
+        );
     }
 }

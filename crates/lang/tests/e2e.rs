@@ -212,7 +212,8 @@ fn uql_stream_digest_matches_hand_built_subscription() {
     }
 }
 
-/// EXPLAIN compiles and renders the pushdown without executing.
+/// EXPLAIN compiles and renders the bound plan without executing: the
+/// operator, the resolved strategy, and the predicate ruled inside it.
 #[test]
 fn explain_renders_pushdown_plan() {
     let mut ctx = ctx_with_sky();
@@ -223,13 +224,17 @@ fn explain_renders_pushdown_plan() {
     .unwrap() else {
         panic!("EXPLAIN returns a plan")
     };
-    assert!(plan.contains("PrFilter"), "naive plan shown:\n{plan}");
-    assert!(plan.contains("UdfSelect"), "pushdown shown:\n{plan}");
-    assert!(plan.contains("BatchExec"), "physical plan shown:\n{plan}");
     assert!(
-        plan.contains("GP-envelope"),
+        plan.contains("  BatchExec relation=sky udf=GalAge strategy=Gp workers=1 seed=0\n"),
+        "operator shown:\n{plan}"
+    );
+    assert!(
+        plan.contains(
+            "    predicate: Pr[y ∈ [0.5, 0.9]] ≥ 0.6 — pushed into the GP-envelope (§5.5) fast path\n"
+        ),
         "fast-path routing shown:\n{plan}"
     );
+    assert_eq!(plan.lines().count(), 4, "one plan, no other tree:\n{plan}");
 }
 
 /// EXPLAIN ANALYZE executes and annotates the physical plan with
@@ -246,7 +251,10 @@ fn explain_analyze_reports_operator_timings() {
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
     };
-    assert!(report.contains("UdfSelect"), "plan shown:\n{report}");
+    assert!(
+        report.contains("BatchExec relation=sky udf=GalAge strategy=Gp workers=2 seed=7"),
+        "plan shown:\n{report}"
+    );
     assert!(
         report.contains("BatchExec: time="),
         "operator timing:\n{report}"

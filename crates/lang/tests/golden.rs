@@ -137,7 +137,10 @@ const JOIN: &str = "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM small a
                     ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5";
 
 /// `(label, statement, strategy clause, clauses after WORKERS, digest)`.
-const GOLDEN: [(&str, &str, &str, &str, u64); 8] = [
+/// The two `USING auto` rows carry no digest of their own: AUTO resolves
+/// in the binder (GalAge's 0.29 ms → GP, the free F3 → MC), so each must
+/// reproduce the recorded digest of the strategy it resolves to.
+const GOLDEN: [(&str, &str, &str, &str, u64); 10] = [
     (
         "select/mc",
         SELECT,
@@ -153,6 +156,13 @@ const GOLDEN: [(&str, &str, &str, &str, u64); 8] = [
         0x2a92_7646_3fdb_0757,
     ),
     (
+        "select/auto",
+        SELECT,
+        "USING auto",
+        "SEED 7",
+        0x2a92_7646_3fdb_0757,
+    ),
+    (
         "project/gp/cap",
         "SELECT GalAge(z) FROM sky",
         "USING gp",
@@ -163,6 +173,13 @@ const GOLDEN: [(&str, &str, &str, &str, u64); 8] = [
         "stream/mc",
         STREAM,
         "USING mc",
+        STREAM_TAIL,
+        0x7fa1_e8b7_e670_5677,
+    ),
+    (
+        "stream/auto",
+        STREAM,
+        "USING auto",
         STREAM_TAIL,
         0x7fa1_e8b7_e670_5677,
     ),

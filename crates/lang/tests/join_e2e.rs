@@ -198,7 +198,10 @@ fn explain_analyze_reports_join_counters() {
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
     };
-    assert!(report.contains("UdfJoin"), "plan shown:\n{report}");
+    assert!(
+        report.contains("JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=2 seed=9 prune"),
+        "plan shown:\n{report}"
+    );
     assert!(
         report.contains("JoinExec: time="),
         "operator timing:\n{report}"
@@ -230,7 +233,8 @@ fn explain_analyze_reports_join_counters() {
     assert!(report.contains(&format!("olgapro.bounds_skipped = {skipped}\n")));
 }
 
-/// EXPLAIN renders the join pushdown and the physical JoinExec binding.
+/// EXPLAIN renders the physical JoinExec binding: the `ON` filter, the
+/// `prune` flag, and the predicate ruled inside the join.
 #[test]
 fn explain_renders_join_pushdown() {
     let mut ctx = ctx_with_sky(8);
@@ -242,11 +246,17 @@ fn explain_renders_join_pushdown() {
     .unwrap() else {
         panic!("EXPLAIN returns a plan")
     };
-    assert!(plan.contains("Join ON a.objID < b.objID"), "naive:\n{plan}");
-    assert!(plan.contains("UdfJoin"), "pushdown:\n{plan}");
-    assert!(plan.contains("pair pruning §4.2"), "prune marker:\n{plan}");
-    assert!(plan.contains("JoinExec"), "physical:\n{plan}");
-    assert!(plan.contains("prune"), "physical prune flag:\n{plan}");
+    assert!(
+        plan.contains(
+            "  JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=1 seed=0 prune\n"
+        ),
+        "physical prune flag:\n{plan}"
+    );
+    assert!(plan.contains("    on: a.objID < b.objID\n"), "on:\n{plan}");
+    assert!(
+        plan.contains("— envelope pair pruning (§4.2) + GP fast-path filter (§5.5)\n"),
+        "predicate route:\n{plan}"
+    );
 }
 
 /// The joined output relation carries prefixed columns and the kept pair

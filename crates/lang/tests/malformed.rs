@@ -439,21 +439,14 @@ fn poisoned_catalog_entry_is_a_diagnostic() {
     assert_eq!(*stage, Stage::Semantic);
     assert!(message.contains("invalid output_range"), "{message}");
 
-    // Re-registering a relation replaces it for the next statement: the
-    // new row count binds, and a schema that lost the column is a
-    // diagnostic at the column.
+    // Re-registering a relation replaces it for the next statement: a
+    // schema that lost the column is a diagnostic at the column.
     let bad = Relation::new(
         Schema::new(&["objID"]),
         vec![Tuple::new(vec![Value::Det(0.0)])],
     )
     .unwrap();
     ctx.register_relation("sky", bad);
-    let plan = run_uql("EXPLAIN SELECT GalAge(objID) FROM sky", &mut ctx).unwrap();
-    assert!(
-        plan.report().contains("Scan sky (1 rows)"),
-        "{}",
-        plan.report()
-    );
     let err = run_uql("SELECT GalAge(z) FROM sky", &mut ctx).unwrap_err();
     assert!(err.to_string().contains("no column `z`"), "{err}");
 }

@@ -62,11 +62,6 @@ impl MetricsRegistry {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether handles currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
     /// The counter registered under `name` (created on first use).
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.inner.counters.lock().expect("counter registry");

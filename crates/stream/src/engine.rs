@@ -41,7 +41,6 @@ use std::time::Instant;
 use udf_core::batch::{BatchSpec, Evaluator};
 use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
-use udf_core::hybrid::{rule_based_choice, HybridChoice};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
@@ -75,22 +74,11 @@ impl EngineMetrics {
     }
 }
 
-/// How a subscription evaluates its UDF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamStrategy {
-    /// Direct Monte Carlo sampling (Algorithm 1) — embarrassingly parallel,
-    /// always fast-path.
-    Mc,
-    /// OLGAPRO (Algorithm 5) with a warm persistent model — parallel
-    /// read-only inference plus a sequential tuning path.
-    Gp,
-    /// Pick MC or GP from the UDF's dimensionality and nominal cost using
-    /// the paper's §6.3 rules ([`rule_based_choice`]). Unlike the measuring
-    /// [`udf_core::hybrid::HybridEvaluator`], the rule-based pick does not
-    /// depend on wall-clock timing, so it preserves the engine's
-    /// determinism contract.
-    Auto,
-}
+/// How a subscription evaluates its UDF: Monte Carlo (always fast-path)
+/// or OLGAPRO with a warm persistent model. The relational executor's
+/// strategy under the stream's name; a front-end resolves `USING auto` to
+/// one of the two before it subscribes.
+pub use udf_query::EvalStrategy as StreamStrategy;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -283,17 +271,8 @@ impl StreamEngine {
 
     /// Register a subscription; returns its index.
     pub(crate) fn subscribe(&mut self, params: SubscribeParams) -> Result<usize> {
-        let strategy = match params.strategy {
-            StreamStrategy::Auto => {
-                match rule_based_choice(params.udf.dim(), params.udf.cost_model().per_call()) {
-                    HybridChoice::Mc => StreamStrategy::Mc,
-                    HybridChoice::Gp | HybridChoice::Calibrating => StreamStrategy::Gp,
-                }
-            }
-            s => s,
-        };
         let dim = params.udf.dim();
-        let eval = match strategy {
+        let eval = match params.strategy {
             StreamStrategy::Mc => {
                 check_samples_per_tuple(params.accuracy.mc_samples())?;
                 Evaluator::Mc {
@@ -301,7 +280,7 @@ impl StreamEngine {
                     accuracy: params.accuracy,
                 }
             }
-            StreamStrategy::Gp | StreamStrategy::Auto => {
+            StreamStrategy::Gp => {
                 // The model-size budget lives in the core config, so the
                 // slow path (Algorithm 5) enforces it itself — a burst of
                 // mid-batch reroutes can no longer overshoot the cap. The

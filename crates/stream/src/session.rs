@@ -215,11 +215,6 @@ impl Session {
         self.engine.query(id.0).map(|q| &q.stats)
     }
 
-    /// Statistics for every subscription, in registration order.
-    pub fn all_stats(&self) -> Vec<&StreamStats> {
-        self.engine.queries().map(|q| &q.stats).collect()
-    }
-
     /// Determinism witness: a hash over every distribution this query has
     /// emitted (and every filter decision), in stream order.
     pub fn digest(&self, id: QueryId) -> Result<u64> {
@@ -538,43 +533,5 @@ mod tests {
         assert!(matches!(err, crate::StreamError::DimensionMismatch { .. }));
 
         assert!(session.stats(QueryId(99)).is_err());
-    }
-
-    #[test]
-    fn auto_strategy_resolves_by_cost() {
-        use std::time::Duration;
-        use udf_core::udf::CostModel;
-        let mut session = Session::new(EngineConfig::new().batch_size(8).seed(2));
-        // Free UDF → MC; 2 ms UDF → GP (§6.3 rules).
-        let fast = session
-            .subscribe(QuerySpec::new(
-                "fast",
-                sin_udf(),
-                acc(),
-                StreamStrategy::Auto,
-            ))
-            .unwrap();
-        let slow = session
-            .subscribe(
-                QuerySpec::new(
-                    "slow",
-                    sin_udf().with_cost(CostModel::Simulated(Duration::from_millis(2))),
-                    acc(),
-                    StreamStrategy::Auto,
-                )
-                .output_range(2.0),
-            )
-            .unwrap();
-        session
-            .run(SyntheticSource::gaussian(1, 0.4, 4).with_limit(16), None)
-            .unwrap();
-        // MC spends m calls per tuple; GP's warm model spends almost none.
-        let fast_calls = session.stats(fast).unwrap().udf_calls;
-        let slow_calls = session.stats(slow).unwrap().udf_calls;
-        assert!(
-            fast_calls > slow_calls,
-            "MC {fast_calls} vs GP {slow_calls}"
-        );
-        assert!(session.stats(slow).unwrap().slow_path > 0);
     }
 }

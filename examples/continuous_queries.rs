@@ -1,8 +1,8 @@
 //! Continuous queries: many concurrent `(query, UDF)` subscriptions over
 //! one unbounded uncertain-tuple stream, driven by the `udf_stream` engine.
 //!
-//! Five subscriptions with mixed strategies (warm-model GP, direct MC,
-//! rule-based auto) and mixed shapes (projections and filtered selections)
+//! Five subscriptions with mixed strategies (warm-model GP, direct MC, a
+//! 2 ms UDF the §6.3 rules assign to GP) and mixed shapes (projections and filtered selections)
 //! ride a single synthetic stream. With the default 25 000 tuples that is
 //! 125 000 tuple-evaluations across ≥ 4 concurrent queries.
 //!
@@ -78,15 +78,16 @@ fn main() {
         )
         .unwrap();
 
-    // Q5: the §6.3 rule-based hybrid pick — a nominally 2 ms UDF resolves
-    // to GP, a free one to MC.
+    // Q5: a nominally 2 ms UDF. The §6.3 rules pick GP for it (a free one
+    // would get MC); UQL's `USING auto` resolves that pick in the binder and
+    // subscribes exactly this strategy.
     let q5 = session
         .subscribe(
             QuerySpec::new(
-                "f1-auto",
+                "f1-gp-2ms",
                 udf(&f1).with_cost(CostModel::Simulated(std::time::Duration::from_millis(2))),
                 acc,
-                StreamStrategy::Auto,
+                StreamStrategy::Gp,
             )
             .output_range(f1.output_range())
             .max_model_points(128),

@@ -56,7 +56,6 @@ pub mod prelude {
     pub use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
     pub use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig, RetrainStrategy};
     pub use udf_core::filtering::{FilterDecision, Predicate};
-    pub use udf_core::hybrid::{HybridChoice, HybridEvaluator};
     pub use udf_core::mc::McEvaluator;
     pub use udf_core::olgapro::Olgapro;
     pub use udf_core::output::{GpOutput, OutputDistribution};
