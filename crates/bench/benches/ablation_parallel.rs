@@ -12,7 +12,7 @@ use udf_core::{BatchCounts, BatchScheduler, BatchSpec, Evaluator};
 use udf_prob::InputDistribution;
 use udf_workloads::synthetic::PaperFunction;
 
-/// One unfiltered batch on `sched`'s pool, tuple id = index.
+/// One unfiltered batch on `sched`'s workers, tuple id = index.
 fn process_batch(
     eval: &mut Evaluator,
     sched: &BatchScheduler,
@@ -59,7 +59,7 @@ fn main() {
             warm.as_secs_f64() * 1e3,
             steady.as_secs_f64() * 1e3,
             base / steady.as_secs_f64(),
-            stats.accepted_fast,
+            stats.fast,
         );
     }
 }

@@ -28,15 +28,16 @@ fn main() {
         TuningHeuristic::LargestVariance,
         TuningHeuristic::OptimalGreedy,
     ];
-    let mut curves: Vec<Vec<u64>> = Vec::new();
+    let mut curves: Vec<Vec<usize>> = Vec::new();
     for h in heuristics {
         let cfg = OlgaproConfig::new(acc, range).expect("config");
         let mut olga = Olgapro::new(as_udf(&f, Duration::ZERO), cfg).with_tuning(h);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(56);
         let mut curve = Vec::with_capacity(inputs.len());
+        let mut added = 0;
         for input in &inputs {
-            olga.process(input, &mut rng).expect("process");
-            curve.push(olga.stats().points_added);
+            added += olga.process(input, &mut rng).expect("process").points_added;
+            curve.push(added);
         }
         curves.push(curve);
     }

@@ -57,7 +57,7 @@ fn main() {
             label,
             err / inputs.len() as f64,
             per_input * 1e3,
-            olga.stats().retrains
+            outs.iter().filter(|o| o.retrained).count()
         );
     }
     println!("\nExpected shape: thresholded ≈ eager accuracy with fewer retrains; Never is fastest but least accurate.");

@@ -30,9 +30,9 @@
 //! would have dropped on the fast path (they mutate nothing).
 
 use crate::config::AccuracyRequirement;
-use crate::filtering::{gp_filtered, mc_eval_tuple, FilterDecision, Predicate};
+use crate::filtering::{mc_eval_tuple, rule_tuned, FilterDecision, Predicate};
 use crate::olgapro::{InferScratch, Olgapro};
-use crate::output::{GpOutput, OutputDistribution};
+use crate::output::{GpOutput, OutputDistribution, TuneStop};
 use crate::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
 use crate::udf::BlackBoxUdf;
 use crate::Result;
@@ -82,69 +82,80 @@ impl BatchSpec {
     }
 }
 
-/// Outcome counters of one batch — orthogonal, so every front-end's stats
-/// are sums of these.
+/// What a batch did with its tuples: the one counter block the relation,
+/// join and stream front-ends all sum over their batches and print.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchCounts {
     /// Tuples examined.
     pub tuples_in: u64,
-    /// Kept straight from the parallel read-only phase.
-    pub accepted_fast: u64,
-    /// Dropped by the filter at fast-phase cost.
-    pub filtered_fast: u64,
-    /// Kept after the sequential full path.
-    pub kept_slow: u64,
-    /// Dropped by the filter after the sequential full path.
-    pub filtered_slow: u64,
+    /// Tuples emitted.
+    pub kept: u64,
+    /// Tuples the filter dropped, on either path.
+    pub filtered: u64,
+    /// Tuples settled without the slow path: kept or dropped straight from
+    /// the parallel read-only phase.
+    pub fast: u64,
+    /// The kept ones among `fast`.
+    pub fast_kept: u64,
+    /// Tuples that took the sequential full path.
+    pub slow: u64,
     /// UDF invocations across all tuples, kept or dropped.
     pub udf_calls: u64,
     /// Tuples emitted at a degraded (achieved) error bound because the
-    /// model cap blocked further tuning.
+    /// model cap blocked further tuning ([`TuneStop::ModelCap`], or an
+    /// over-budget fast-path result accepted on a full model).
     pub cap_hits: u64,
+    /// Tuples whose tuning loop added its
+    /// [`max_points_per_input`](crate::config::OlgaproConfig::max_points_per_input)
+    /// points and stopped over budget ([`TuneStop::TuningBudget`]).
+    pub tuning_budget: u64,
 }
 
 impl BatchCounts {
-    /// Tuples emitted.
-    pub fn kept(&self) -> u64 {
-        self.accepted_fast + self.kept_slow
-    }
-
-    /// Tuples the filter dropped, on either path.
-    pub fn filtered(&self) -> u64 {
-        self.filtered_fast + self.filtered_slow
-    }
-
-    /// Tuples that took the sequential full path.
-    pub fn slow(&self) -> u64 {
-        self.kept_slow + self.filtered_slow
-    }
-
     fn note(&mut self, ruling: &Ruling, fast: bool) {
         self.tuples_in += 1;
-        let (calls, fast_tally, slow_tally) = match ruling {
-            FilterDecision::Kept { output, .. } => (
-                output.udf_calls,
-                &mut self.accepted_fast,
-                &mut self.kept_slow,
-            ),
-            FilterDecision::Filtered { udf_calls, .. } => {
-                (*udf_calls, &mut self.filtered_fast, &mut self.filtered_slow)
-            }
+        let (calls, kept) = match ruling {
+            FilterDecision::Kept { output, .. } => (output.udf_calls, true),
+            FilterDecision::Filtered { udf_calls, .. } => (*udf_calls, false),
         };
-        *(if fast { fast_tally } else { slow_tally }) += 1;
         self.udf_calls += calls;
+        self.kept += u64::from(kept);
+        self.filtered += u64::from(!kept);
+        if fast {
+            self.fast += 1;
+            self.fast_kept += u64::from(kept);
+        } else {
+            self.slow += 1;
+        }
     }
 }
 
 impl std::ops::AddAssign for BatchCounts {
     fn add_assign(&mut self, b: Self) {
         self.tuples_in += b.tuples_in;
-        self.accepted_fast += b.accepted_fast;
-        self.filtered_fast += b.filtered_fast;
-        self.kept_slow += b.kept_slow;
-        self.filtered_slow += b.filtered_slow;
+        self.kept += b.kept;
+        self.filtered += b.filtered;
+        self.fast += b.fast;
+        self.fast_kept += b.fast_kept;
+        self.slow += b.slow;
         self.udf_calls += b.udf_calls;
         self.cap_hits += b.cap_hits;
+        self.tuning_budget += b.tuning_budget;
+    }
+}
+
+impl std::fmt::Display for BatchCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let line = udf_obs::fmt::KvLine::new()
+            .field("in", self.tuples_in)
+            .field("kept", self.kept)
+            .field("filtered", self.filtered)
+            .field("fast", self.fast)
+            .field("slow", self.slow)
+            .field("udf_calls", self.udf_calls)
+            .field("cap_hits", self.cap_hits)
+            .field("tuning_budget", self.tuning_budget);
+        f.write_str(&line.finish())
     }
 }
 
@@ -248,9 +259,9 @@ impl Evaluator {
 }
 
 /// The full model-mutating path of one GP tuple: Algorithm 5, behind the
-/// §5.5 filter when a predicate is attached. A tuple that crosses the model
-/// cap mid-tuning is a degraded acceptance too — Algorithm 5 counts it in
-/// the core stats, and the delta lands in `counts`.
+/// §5.5 filter when a predicate is attached. Why its tuning stopped is
+/// counted before the filter rules, so a dropped tuple that hit the cap or
+/// the tuning budget counts too.
 fn slow_tuple(
     olga: &mut Olgapro,
     input: &InputDistribution,
@@ -258,16 +269,20 @@ fn slow_tuple(
     rng: &mut StdRng,
     counts: &mut BatchCounts,
 ) -> Result<Ruling> {
-    let cap_before = olga.stats().cap_hits;
+    let out = olga.process(input, rng)?;
+    match out.stop {
+        Some(TuneStop::ModelCap) => counts.cap_hits += 1,
+        Some(TuneStop::TuningBudget) => counts.tuning_budget += 1,
+        Some(TuneStop::WithinBudget) | None => {}
+    }
     let ruling = match predicate {
-        Some(pred) => gp_filtered(olga, input, pred, rng)?.map(GpOutput::into_distribution),
+        Some(pred) => rule_tuned(out, pred),
         None => FilterDecision::Kept {
-            output: olga.process(input, rng)?.into_distribution(),
+            output: out,
             tep: 1.0,
         },
     };
-    counts.cap_hits += olga.stats().cap_hits - cap_before;
-    Ok(ruling)
+    Ok(ruling.map(GpOutput::into_distribution))
 }
 
 /// The [`BatchOps`] of one GP batch: fast path = read-only inference,
@@ -446,8 +461,8 @@ mod tests {
         let (outs, counts) = par.process_batch(&batch, 7);
         assert_eq!(outs.len(), 10);
         assert_eq!(counts.tuples_in, 10);
-        assert_eq!(counts.accepted_fast + counts.slow(), 10);
-        assert_eq!(counts.filtered(), 0, "no predicate on this batch");
+        assert_eq!(counts.fast + counts.slow, 10);
+        assert_eq!(counts.filtered, 0, "no predicate on this batch");
         assert_eq!(
             counts.udf_calls,
             outs.iter().map(|o| o.udf_calls).sum::<u64>()
@@ -472,7 +487,7 @@ mod tests {
         par.process_batch(&batch, 2);
         let (_, counts) = par.process_batch(&batch, 3);
         assert!(
-            counts.accepted_fast >= 7,
+            counts.fast >= 7,
             "converged batch should be almost all fast-path: {counts:?}"
         );
     }
@@ -492,8 +507,7 @@ mod tests {
         let (ob, cb) = b.process_batch(&batch, 99);
         assert_eq!(ca, cb, "routing must not depend on worker count");
         assert_eq!(
-            ca.slow(),
-            0,
+            ca.slow, 0,
             "warm-up insufficient: still tuning after 5 batches"
         );
         // Same seed, different worker counts → identical outputs, with no
@@ -526,7 +540,7 @@ mod tests {
         let (oa, ca) = a.process_batch(&batch, 11);
         let (ob, cb) = b.process_batch(&batch, 11);
         assert_eq!(ca, cb);
-        assert!(ca.slow() > 0, "cold batch must exercise the slow path");
+        assert!(ca.slow > 0, "cold batch must exercise the slow path");
         for (i, (x, y)) in oa.iter().zip(&ob).enumerate() {
             assert_eq!(x.ecdf.values(), y.ecdf.values(), "tuple {i}");
         }
@@ -536,7 +550,8 @@ mod tests {
     fn full_model_accepts_on_the_fast_path_identically_for_any_workers() {
         let cap = 8usize;
         let run = |workers: usize| {
-            let mut olga = setup(0.12);
+            let metrics = udf_obs::MetricsRegistry::new();
+            let mut olga = setup(0.12).with_metrics(&metrics);
             olga.set_model_cap(cap, ModelBudget::StopGrowing).unwrap();
             let mut par = Par::new(olga, workers);
             let batch: Vec<InputDistribution> = (0..24)
@@ -544,30 +559,27 @@ mod tests {
                 .collect();
             let (_, cold) = par.process_batch(&batch, 5);
             let (outs, counts) = par.process_batch(&batch, 6);
-            (outs, cold, counts, par)
+            let registry_hits = metrics.snapshot().counters["olgapro.cap_hits"];
+            (outs, cold, counts, par, registry_hits)
         };
-        let (o2, cold2, c2, p2) = run(2);
-        let (o8, cold8, c8, p8) = run(8);
+        let (o2, cold2, c2, p2, hits2) = run(2);
+        let (o8, cold8, c8, _, hits8) = run(8);
         assert!(p2.olga().model().len() <= cap, "cap overshoot");
         assert!(
             p2.olga().model_full(),
             "workload too easy: cap never reached"
         );
-        assert!(
-            p2.olga().stats().cap_hits > 0,
-            "degraded accepts not counted"
-        );
+        assert!(c2.cap_hits > 0, "degraded accepts not counted");
         assert_eq!(
-            c2.slow(),
-            0,
+            c2.slow, 0,
             "a full stop-growing model must not reroute: {c2:?}"
         );
         assert_eq!(c2, c8, "routing must not depend on worker count");
-        assert_eq!(p2.olga().stats().cap_hits, p8.olga().stats().cap_hits);
+        assert_eq!(hits2, hits8);
         assert_eq!(
             cold2.cap_hits + c2.cap_hits,
-            p2.olga().stats().cap_hits,
-            "the counter block must see every cap hit the evaluator counted"
+            hits2,
+            "the counter block must see every cap hit the registry counted"
         );
         assert_eq!(cold2, cold8);
         for (i, (x, y)) in o2.iter().zip(&o8).enumerate() {
@@ -593,7 +605,7 @@ mod tests {
         let start = par.olga().clone();
         assert!(!start.model_full(), "the cap must be reached mid-fold");
         let (outs, counts) = par.process_batch(&batch, 6);
-        assert!(par.olga().model_full() && counts.slow() > 0, "{counts:?}");
+        assert!(par.olga().model_full() && counts.slow > 0, "{counts:?}");
         let split = start.config().split();
         let infer = |olga: &Olgapro, i: usize| {
             let mut rng = StdRng::seed_from_u64(mix_seed(6, 0, i as u64));
@@ -659,12 +671,12 @@ mod tests {
             .run_sequential(spec, 12, tuple, |id, r| seq.push(render(id, r)))
             .unwrap();
         assert_eq!(par, seq);
-        assert!(cp.accepted_fast > 0 && cp.filtered_fast > 0, "{cp:?}");
-        assert_eq!((cp.slow(), cs.accepted_fast + cs.filtered_fast), (0, 0));
+        assert!(cp.fast_kept > 0 && cp.fast > cp.fast_kept, "{cp:?}");
+        assert_eq!((cp.slow, cs.fast, cs.fast_kept), (0, 0, 0));
+        assert_eq!(cs.slow, cp.fast);
         assert_eq!(
-            (cs.kept_slow, cs.filtered_slow),
-            (cp.accepted_fast, cp.filtered_fast)
+            (cs.tuples_in, cs.kept, cs.filtered, cs.udf_calls),
+            (cp.tuples_in, cp.kept, cp.filtered, cp.udf_calls)
         );
-        assert_eq!((cs.tuples_in, cs.udf_calls), (cp.tuples_in, cp.udf_calls));
     }
 }

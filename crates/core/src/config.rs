@@ -122,7 +122,7 @@ pub enum ModelBudget {
     /// Stop adding training points: over-budget tuples are emitted at the
     /// *achieved* error bound (which stays attached to every output), and
     /// each such degraded acceptance is counted in
-    /// [`crate::olgapro::OlgaproStats::cap_hits`]. The default.
+    /// [`crate::batch::BatchCounts::cap_hits`]. The default.
     #[default]
     StopGrowing,
     /// Evict the oldest training point to make room, so the model keeps

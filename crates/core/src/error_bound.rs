@@ -577,6 +577,7 @@ mod tests {
                 points_added: 0,
                 retrained: false,
                 udf_calls: 0,
+                stop: None,
             };
             // Interval ends on band values (ties) and off them.
             let ends = [s.min(), l.max(), h.quantile(0.3), rng.gen_range(-3.0..3.0)];

@@ -213,19 +213,24 @@ pub fn gp_filtered(
     predicate: &Predicate,
     rng: &mut dyn rand::RngCore,
 ) -> Result<FilterDecision<GpOutput>> {
-    let calls_before = olgapro.udf().calls();
-    let out = olgapro.process(input, rng)?;
+    Ok(rule_tuned(olgapro.process(input, rng)?, predicate))
+}
+
+/// [`gp_filtered`]'s ruling on an output [`Olgapro::process`] returned:
+/// dropped at its `ρ_U` with the UDF calls its tuning spent, or kept at
+/// `ρ̂`.
+pub(crate) fn rule_tuned(out: GpOutput, predicate: &Predicate) -> FilterDecision<GpOutput> {
     let (_, rho_hat, rho_u) = out.tep_bounds(predicate.lo, predicate.hi);
     if rho_u < predicate.theta {
-        Ok(FilterDecision::Filtered {
+        FilterDecision::Filtered {
             rho_upper: rho_u,
-            udf_calls: olgapro.udf().calls() - calls_before,
-        })
+            udf_calls: out.udf_calls,
+        }
     } else {
-        Ok(FilterDecision::Kept {
+        FilterDecision::Kept {
             output: out,
             tep: rho_hat,
-        })
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! * [`hybrid`] — the §5.4 hybrid's §6.3 rules that pick MC or GP per UDF
 //!   from its dimensionality and nominal cost;
 //! * [`sched`] — the two-phase batch scheduler (a §8 future-work item):
-//!   a persistent worker pool plus the fast/slow scheduling pattern;
+//!   chunk-stealing scoped workers plus the fast/slow scheduling pattern;
 //! * [`batch`] — the batch operator on top of it: how one tuple of a batch
 //!   is ruled, emitted and counted, written once for the relational
 //!   executor, the join and the stream engine.
@@ -33,7 +33,6 @@ pub mod hybrid;
 pub mod mc;
 pub mod olgapro;
 pub mod output;
-mod pool;
 pub mod sched;
 pub mod udf;
 
@@ -43,7 +42,7 @@ pub use filtering::{FilterDecision, Predicate};
 pub use hybrid::HybridChoice;
 pub use mc::McEvaluator;
 pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
-pub use output::{GpOutput, OutputDistribution};
+pub use output::{GpOutput, OutputDistribution, TuneStop};
 pub use sched::{mix_seed, BatchOps, BatchScheduler, SchedMetrics, Verdict};
 pub use udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
 

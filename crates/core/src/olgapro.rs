@@ -24,7 +24,7 @@ use crate::error_bound::{
     lambda_discrepancy_bound_with, BoundScratch, RhoCount,
 };
 use crate::filtering::{FilterDecision, Predicate};
-use crate::output::GpOutput;
+use crate::output::{GpOutput, TuneStop};
 use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
 use std::time::Instant;
@@ -181,31 +181,10 @@ pub enum TuningHeuristic {
     OptimalGreedy,
 }
 
-/// Cumulative statistics across processed inputs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OlgaproStats {
-    /// Inputs processed.
-    pub inputs: u64,
-    /// Training points added by online tuning.
-    pub points_added: u64,
-    /// Retraining runs performed.
-    pub retrains: u64,
-    /// Gradient-ascent iterations over all retraining runs.
-    pub train_iterations: u64,
-    /// Retraining decisions evaluated (Newton heuristic invocations).
-    pub retrain_checks: u64,
-    /// Inputs accepted at a *degraded* (achieved) error bound because the
-    /// model cap blocked further online tuning
-    /// ([`OlgaproConfig::max_model_points`] under
-    /// [`ModelBudget::StopGrowing`]). Nonzero means outputs may carry
-    /// `eps_gp` above the GP budget — observable, never silent.
-    pub cap_hits: u64,
-}
-
 /// The online evaluator (Algorithm 5).
 ///
 /// Cloning copies the evaluator — model (under a fresh `model_id`, see
-/// [`GpModel`]'s `Clone`), stats, and config — so a twin can be driven
+/// [`GpModel`]'s `Clone`) and config — so a twin can be driven
 /// from the same state as the original.
 #[derive(Clone, Debug)]
 pub struct Olgapro {
@@ -213,7 +192,6 @@ pub struct Olgapro {
     model: GpModel,
     config: OlgaproConfig,
     tuning: TuningHeuristic,
-    stats: OlgaproStats,
     metrics: OlgaproMetrics,
     /// Buffers reused across sequential [`Olgapro::process`] calls.
     scratch: InferScratch,
@@ -238,7 +216,6 @@ impl Olgapro {
             model: GpModel::new(kernel, dim),
             config,
             tuning: TuningHeuristic::LargestVariance,
-            stats: OlgaproStats::default(),
             metrics: OlgaproMetrics::disabled(),
             scratch: InferScratch::default(),
         }
@@ -272,11 +249,6 @@ impl Olgapro {
     /// Borrow the UDF (call accounting).
     pub fn udf(&self) -> &BlackBoxUdf {
         &self.udf
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> OlgaproStats {
-        self.stats
     }
 
     /// Configuration in effect.
@@ -325,12 +297,11 @@ impl Olgapro {
             && self.config.model_budget == ModelBudget::StopGrowing
     }
 
-    /// Record a degraded-accuracy acceptance decided on a caller's fast
-    /// path (the batch operator accepts over-budget results itself when
-    /// [`model_full`](Olgapro::model_full), bypassing
-    /// [`process`](Olgapro::process) and its own counting).
-    pub fn note_cap_hit(&mut self) {
-        self.stats.cap_hits += 1;
+    /// Count a degraded-accuracy acceptance in the registry's
+    /// `olgapro.cap_hits`: the tuning loop's [`TuneStop::ModelCap`] exit,
+    /// and an over-budget fast-path result a caller accepts because the
+    /// model is [`full`](Olgapro::model_full).
+    pub fn note_cap_hit(&self) {
         self.metrics.cap_hits.inc();
     }
 
@@ -454,6 +425,7 @@ impl Olgapro {
             points_added: 0,
             retrained: false,
             udf_calls: 0,
+            stop: None,
         };
         let tep = predicate.map_or(1.0, |p| output.tep_bounds(p.lo, p.hi).1);
         Ok(FilterDecision::Kept { output, tep })
@@ -526,6 +498,7 @@ impl Olgapro {
         let buf = &mut scratch.buf;
         self.infer(&scratch.samples, &bbox, buf, true)?;
         let mut bounded;
+        let mut capped = false;
         loop {
             let may_add = points_added < self.config.max_points_per_input;
             let floor = eps_gp_floor(&buf.means, &buf.sds, z_alpha);
@@ -548,6 +521,7 @@ impl Olgapro {
                         // Accept this input at the achieved bound; the
                         // degradation is counted, not silent.
                         self.note_cap_hit();
+                        capped = true;
                         break;
                     }
                     ModelBudget::EvictOldest => {
@@ -575,17 +549,12 @@ impl Olgapro {
             let do_retrain = match self.config.retrain {
                 RetrainStrategy::Never => false,
                 RetrainStrategy::Eager => true,
-                RetrainStrategy::NewtonThreshold(dt) => {
-                    self.stats.retrain_checks += 1;
-                    newton_step_norm(&self.model)? > dt
-                }
+                RetrainStrategy::NewtonThreshold(dt) => newton_step_norm(&self.model)? > dt,
             };
             if do_retrain {
                 let t_retrain = self.metrics.retrain_ns.enabled().then(Instant::now);
                 let epoch = self.model.epoch();
                 let iterations = train(&mut self.model, &TrainConfig::default())?.iterations;
-                self.stats.retrains += 1;
-                self.stats.train_iterations += iterations as u64;
                 self.metrics.train_iters.record(iterations as u64);
                 retrained = true;
                 // Re-run inference with the new hyperparameters (step 12);
@@ -616,9 +585,16 @@ impl Olgapro {
             Some(b) => b,
             None => self.bound(buf, z_alpha)?,
         };
-
-        self.stats.inputs += 1;
-        self.stats.points_added += points_added as u64;
+        // The loop leaves at the tuning budget without bounding its last
+        // inference, so whether it stopped over budget is read off the
+        // emitted ε_GP.
+        let stop = if capped {
+            TuneStop::ModelCap
+        } else if points_added >= self.config.max_points_per_input && eps_gp > split.eps_gp {
+            TuneStop::TuningBudget
+        } else {
+            TuneStop::WithinBudget
+        };
         self.metrics.model_points.set(self.model.len() as u64);
         self.metrics.model_size.record(self.model.len() as u64);
 
@@ -632,6 +608,7 @@ impl Olgapro {
             points_added,
             retrained,
             udf_calls: self.udf.calls() - calls_before,
+            stop: Some(stop),
         })
     }
 
@@ -849,7 +826,6 @@ mod tests {
                 split.eps_gp
             );
         }
-        assert!(olga.stats().inputs == 8);
         assert!(olga.model().len() >= 2);
     }
 
@@ -906,32 +882,34 @@ mod tests {
         let mut eager = Olgapro::new(smooth_udf(), cfg.clone());
         cfg.retrain = RetrainStrategy::Never;
         let mut never = Olgapro::new(smooth_udf(), cfg);
+        let (mut eager_retrains, mut never_retrains) = (0, 0);
         for i in 0..4 {
             let input =
                 InputDistribution::diagonal_gaussian(&[(1.0 + 2.0 * i as f64, 0.4)]).unwrap();
-            eager.process(&input, &mut rng).unwrap();
-            never.process(&input, &mut rng).unwrap();
+            eager_retrains += u32::from(eager.process(&input, &mut rng).unwrap().retrained);
+            never_retrains += u32::from(never.process(&input, &mut rng).unwrap().retrained);
         }
-        assert!(eager.stats().retrains > 0);
-        assert_eq!(never.stats().retrains, 0);
-        assert!(eager.stats().retrains >= never.stats().retrains);
+        assert!(eager_retrains > 0);
+        assert_eq!(never_retrains, 0);
     }
 
     #[test]
     fn random_tuning_adds_more_points_than_largest_variance() {
         let mut rng = StdRng::seed_from_u64(14);
-        let run = |heur: TuningHeuristic, rng: &mut StdRng| -> u64 {
+        let run = |heur: TuningHeuristic, rng: &mut StdRng| -> usize {
             let mut olga = Olgapro::new(
                 BlackBoxUdf::from_fn("bumpy", 1, |x| (x[0] * 3.0).sin() + (x[0] * 7.0).cos()),
                 config(0.15),
             )
             .with_tuning(heur);
-            for i in 0..10 {
-                let input =
-                    InputDistribution::diagonal_gaussian(&[(0.5 + 0.9 * i as f64, 0.5)]).unwrap();
-                olga.process(&input, rng).unwrap();
-            }
-            olga.stats().points_added
+            (0..10)
+                .map(|i| {
+                    let input =
+                        InputDistribution::diagonal_gaussian(&[(0.5 + 0.9 * i as f64, 0.5)])
+                            .unwrap();
+                    olga.process(&input, rng).unwrap().points_added
+                })
+                .sum()
         };
         let lv = run(TuningHeuristic::LargestVariance, &mut rng);
         let rnd = run(TuningHeuristic::Random, &mut rng);
@@ -961,10 +939,12 @@ mod tests {
         let mut uncapped = mk(0);
         let mut rng_a = StdRng::seed_from_u64(40);
         let mut rng_b = StdRng::seed_from_u64(40);
+        let cap_hit = |out: GpOutput| u32::from(out.stop == Some(TuneStop::ModelCap));
+        let (mut capped_hits, mut uncapped_hits) = (0, 0);
         for i in 0..24 {
             let input = InputDistribution::diagonal_gaussian(&[(0.4 * i as f64, 0.3)]).unwrap();
-            capped.process(&input, &mut rng_a).unwrap();
-            uncapped.process(&input, &mut rng_b).unwrap();
+            capped_hits += cap_hit(capped.process(&input, &mut rng_a).unwrap());
+            uncapped_hits += cap_hit(uncapped.process(&input, &mut rng_b).unwrap());
             assert!(
                 capped.model().len() <= cap,
                 "input {i}: model {} exceeds cap {cap}",
@@ -975,8 +955,8 @@ mod tests {
             uncapped.model().len() > cap,
             "workload too easy for the test"
         );
-        assert!(capped.stats().cap_hits > 0, "cap never hit");
-        assert_eq!(uncapped.stats().cap_hits, 0, "uncapped run counted hits");
+        assert!(capped_hits > 0, "cap never hit");
+        assert_eq!(uncapped_hits, 0, "uncapped run counted hits");
         assert!(
             capped.udf().calls() < uncapped.udf().calls(),
             "cap must bound training cost: {} vs {}",
@@ -1234,12 +1214,13 @@ mod tests {
             let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
             let (mut eps_gp, mut envelopes) =
                 infer_and_bound(self, &mut scratch.buf, z_alpha, true)?;
+            let mut capped = false;
             while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
                 if self.at_capacity() {
                     match self.config.model_budget {
                         ModelBudget::StopGrowing => {
-                            self.stats.cap_hits += 1;
                             self.metrics.cap_hits.inc();
+                            capped = true;
                             break;
                         }
                         ModelBudget::EvictOldest => {
@@ -1260,15 +1241,10 @@ mod tests {
                 let do_retrain = match self.config.retrain {
                     RetrainStrategy::Never => false,
                     RetrainStrategy::Eager => true,
-                    RetrainStrategy::NewtonThreshold(dt) => {
-                        self.stats.retrain_checks += 1;
-                        newton_step_norm(&self.model)? > dt
-                    }
+                    RetrainStrategy::NewtonThreshold(dt) => newton_step_norm(&self.model)? > dt,
                 };
                 if do_retrain {
-                    let trained = train(&mut self.model, &TrainConfig::default())?;
-                    self.stats.retrains += 1;
-                    self.stats.train_iterations += trained.iterations as u64;
+                    train(&mut self.model, &TrainConfig::default())?;
                     retrained = true;
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     (eps_gp, _) = infer_and_bound(self, &mut scratch.buf, z2, false)?;
@@ -1276,8 +1252,14 @@ mod tests {
                 }
             }
 
-            self.stats.inputs += 1;
-            self.stats.points_added += points_added as u64;
+            let exhausted = points_added >= self.config.max_points_per_input;
+            let stop = if capped {
+                TuneStop::ModelCap
+            } else if exhausted && eps_gp > split.eps_gp {
+                TuneStop::TuningBudget
+            } else {
+                TuneStop::WithinBudget
+            };
             self.metrics.model_points.set(self.model.len() as u64);
             self.metrics.model_size.record(self.model.len() as u64);
             let (y_hat, y_s, y_l) = envelopes;
@@ -1291,21 +1273,22 @@ mod tests {
                 points_added,
                 retrained,
                 udf_calls: self.udf.calls() - calls_before,
+                stop: Some(stop),
             })
         }
     }
 
-    type OutputBits = (Vec<Vec<u64>>, [u64; 2], usize, bool, u64);
+    type OutputBits = (Vec<Vec<u64>>, [u64; 2], usize, bool, u64, Option<TuneStop>);
 
     /// Everything one evaluation leaves observable, as bits.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        /// The envelopes, `[ε_GP, z_α]`, points added, retrained, UDF calls.
+        /// The envelopes, `[ε_GP, z_α]`, points added, retrained, UDF calls,
+        /// why tuning stopped.
         out: std::result::Result<OutputBits, String>,
         alpha: Vec<u64>,
         theta: Vec<u64>,
         len_epoch: (usize, u64),
-        stats: OlgaproStats,
         udf_calls: u64,
         /// The registry's record of model growth, evictions and cap hits:
         /// `olgapro.cap_hits`, and the `olgapro.model_points` gauge and
@@ -1330,13 +1313,13 @@ mod tests {
                         o.points_added,
                         o.retrained,
                         o.udf_calls,
+                        o.stop,
                     )
                 })
                 .map_err(|e| e.to_string()),
             alpha: bits(olga.model().alpha()),
             theta: bits(&olga.model().kernel().params()),
             len_epoch: (olga.model().len(), olga.model().epoch()),
-            stats: olga.stats(),
             udf_calls: olga.udf().calls(),
             model_metrics: (
                 snap.counters["olgapro.cap_hits"],
@@ -1431,13 +1414,14 @@ mod tests {
                             // tuple's emitted one is a certificate that
                             // failed on a loop that did go on.
                             let snap = lazy_metrics.snapshot();
-                            let (built, skipped) = (
+                            let (built, skipped, emitted) = (
                                 snap.counters["olgapro.bounds_built"],
                                 snap.counters["olgapro.bounds_skipped"],
+                                snap.histograms["olgapro.model_size"].count,
                             );
                             if retrain == RetrainStrategy::Never {
                                 certified += skipped;
-                                fell_back += built - lazy.stats().inputs;
+                                fell_back += built - emitted;
                             } else {
                                 superseded += skipped;
                             }
@@ -1485,8 +1469,9 @@ mod tests {
             );
             // The bootstrap points make every tuple retrain, once, and only
             // the oracle infers after it.
-            assert_eq!(skip.stats().retrains, 1, "tuple {t}");
-            proposed_nothing += usize::from(skip.stats().train_iterations == 1);
+            let iters = &skip_metrics.snapshot().histograms["olgapro.train_iters"];
+            assert_eq!(iters.count, 1, "tuple {t}");
+            proposed_nothing += usize::from(iters.sum == 1);
             let inferences = |metrics: &MetricsRegistry| {
                 let counters = metrics.snapshot().counters;
                 counters["olgapro.lp_cache.hits"] + counters["olgapro.lp_cache.misses"]
@@ -1627,6 +1612,7 @@ mod tests {
                 points_added: 0,
                 retrained: false,
                 udf_calls: 0,
+                stop: None,
             };
             let tep = predicate.map_or(1.0, |p| output.tep_bounds(p.lo, p.hi).1);
             Ok(FilterDecision::Kept { output, tep })

@@ -22,6 +22,21 @@ impl OutputDistribution {
     }
 }
 
+/// Why Algorithm 5's online-tuning loop stopped for one tuple. (A
+/// non-finite prediction stops it too, with an error instead of an output.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TuneStop {
+    /// ε_GP fits its budget.
+    WithinBudget,
+    /// [`max_points_per_input`](crate::config::OlgaproConfig::max_points_per_input)
+    /// points were added and the emitted ε_GP is still over budget.
+    TuningBudget,
+    /// The model is at its cap under
+    /// [`ModelBudget::StopGrowing`](crate::config::ModelBudget::StopGrowing):
+    /// the tuple is emitted at the achieved bound.
+    ModelCap,
+}
+
 /// GP evaluator output: the mean-function distribution plus the envelope
 /// distributions used by the error bounds (§4.2, Fig. 2).
 #[derive(Debug, Clone)]
@@ -46,6 +61,9 @@ pub struct GpOutput {
     pub retrained: bool,
     /// UDF calls spent on this input (bootstrap + tuning).
     pub udf_calls: u64,
+    /// Why the tuning loop stopped; `None` from the read-only fast path,
+    /// which tunes nothing.
+    pub stop: Option<TuneStop>,
 }
 
 impl GpOutput {
@@ -94,6 +112,7 @@ mod tests {
             points_added: 2,
             retrained: false,
             udf_calls: 7,
+            stop: None,
         }
     }
 

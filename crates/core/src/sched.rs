@@ -33,15 +33,14 @@
 //! call; the trait stays public for harnesses that rebuild the pattern by
 //! hand.
 //!
-//! The fast phase runs on a **persistent worker pool**: threads are spawned
-//! once per scheduler and reused across batches, pulling chunks of the
-//! batch from a shared counter (chunk stealing) instead of being carved a
-//! fixed shard, so a stream micro-batch pays a wake-up per worker, not a
-//! thread spawn and join as a fresh `std::thread::scope` per batch would.
-//! Each execution slot additionally owns a persistent
-//! [`InferScratch`] handed to [`BatchOps::fast`],
-//! so warm fast passes reuse sample buffers, kernel-matrix scratch, and the
-//! per-slot local-predictor cache instead of allocating per tuple.
+//! The fast phase runs on the calling thread plus up to `workers − 1`
+//! helpers spawned for the batch in a `std::thread::scope`, all pulling
+//! chunks of the batch from a shared counter (chunk stealing) instead of
+//! being carved a fixed shard. One worker runs inline, with no thread.
+//! Each execution slot owns an [`InferScratch`] that persists across
+//! batches and is handed to [`BatchOps::fast`], so warm fast passes reuse
+//! sample buffers, kernel-matrix scratch, and the per-slot local-predictor
+//! cache instead of allocating per tuple.
 //!
 //! ## Determinism
 //!
@@ -54,10 +53,10 @@
 use crate::filtering::FilterDecision;
 use crate::olgapro::InferScratch;
 use crate::output::GpOutput;
-use crate::pool::WorkerPool;
 use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -75,7 +74,7 @@ pub struct SchedMetrics {
     /// Wall time of the sequential fold (accepts, filters, slow reruns),
     /// per batch.
     pub slow_phase_ns: Histogram,
-    /// Time the calling thread spent waiting for pool stragglers after
+    /// Time the calling thread spent waiting for helper stragglers after
     /// finishing its own share of a batch.
     pub queue_wait_ns: Histogram,
     /// Steal-able chunks dispatched across all batches.
@@ -214,10 +213,21 @@ pub trait BatchOps {
 /// boundary can be 10× its neighbors); fewer chunks cut counter traffic.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// The shared batch-execution core: a persistent worker pool plus the
-/// two-phase fast/slow driver. See the [module docs](self) for the pattern.
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast::<&'static str>() {
+            Ok(s) => (*s).to_string(),
+            Err(_) => "<non-string panic payload>".to_string(),
+        },
+    }
+}
+
+/// The shared batch-execution core: per-slot scratch plus the two-phase
+/// fast/slow driver. See the [module docs](self) for the pattern.
 pub struct BatchScheduler {
-    pool: WorkerPool,
+    workers: usize,
     /// One [`InferScratch`] per execution slot. A worker locks its own slot
     /// for each stolen chunk (never another worker's, so the mutexes are
     /// uncontended); buffers and the per-slot `LocalPredictorCache` persist
@@ -230,22 +240,22 @@ pub struct BatchScheduler {
 impl std::fmt::Debug for BatchScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchScheduler")
-            .field("workers", &self.pool.workers)
+            .field("workers", &self.workers)
             .finish()
     }
 }
 
 impl BatchScheduler {
     /// Create a scheduler with `workers` total execution slots (clamped to
-    /// ≥ 1). `workers - 1` pool threads are spawned now and reused for every
-    /// subsequent batch; the calling thread fills the last slot.
+    /// ≥ 1): up to `workers - 1` helper threads per batch, and the calling
+    /// thread in the last slot.
     pub fn new(workers: usize) -> Self {
-        let pool = WorkerPool::new(workers);
-        let scratch = (0..pool.workers)
+        let workers = workers.max(1);
+        let scratch = (0..workers)
             .map(|_| Mutex::new(InferScratch::default()))
             .collect();
         BatchScheduler {
-            pool,
+            workers,
             scratch,
             metrics: SchedMetrics::disabled(),
         }
@@ -259,17 +269,17 @@ impl BatchScheduler {
         self
     }
 
-    /// Total execution slots (pool threads + the calling thread).
+    /// Total execution slots (helper threads + the calling thread).
     pub fn workers(&self) -> usize {
-        self.pool.workers
+        self.workers
     }
 
-    /// Evaluate `f(i)` for every `i in 0..n` across the pool and return the
-    /// results in index order. Workers steal chunks from a shared counter,
-    /// so placement is dynamic but `out[i]` is always `f(i)`.
+    /// Evaluate `f(i)` for every `i in 0..n` across the workers and return
+    /// the results in index order. Workers steal chunks from a shared
+    /// counter, so placement is dynamic but `out[i]` is always `f(i)`.
     ///
     /// Returns [`CoreError::WorkerPanicked`] when any invocation of `f`
-    /// panicked (the panic is contained; the pool stays usable).
+    /// panicked (the panic is contained; the scheduler stays usable).
     pub fn try_map<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
     where
         T: Send,
@@ -280,7 +290,7 @@ impl BatchScheduler {
 
     /// [`try_map`](Self::try_map) variant whose closure also receives the
     /// executing worker's slot id (`0..workers`) — the key into per-worker
-    /// state such as the scheduler-owned [`InferScratch`] pool. Placement is
+    /// state such as the scheduler-owned [`InferScratch`] slots. Placement is
     /// still dynamic (chunk stealing), so the worker id must only select
     /// *which cache* to use, never affect the computed value.
     pub fn try_map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
@@ -294,11 +304,10 @@ impl BatchScheduler {
         let slots: Mutex<Vec<Option<T>>> =
             Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
         let next = AtomicUsize::new(0);
-        let chunk = n.div_ceil(self.pool.workers * CHUNKS_PER_WORKER).max(1);
-        // Wake only as many pool threads as there are chunks to steal
-        // (minus the caller's slot): a 2-tuple batch on an 8-worker pool
-        // should not pay 7 wake-ups.
-        let helpers = n.div_ceil(chunk).saturating_sub(1);
+        let chunk = n.div_ceil(self.workers * CHUNKS_PER_WORKER).max(1);
+        // Spawn only as many helpers as there are chunks to steal (minus
+        // the caller's): a 2-tuple batch on 8 workers spawns one thread.
+        let helpers = (n.div_ceil(chunk) - 1).min(self.workers - 1);
         self.metrics.chunks.add(n.div_ceil(chunk) as u64);
         let task = |worker: usize| loop {
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -313,7 +322,22 @@ impl BatchScheduler {
                 guard[i] = Some(v);
             }
         };
-        match self.pool.run(&task, helpers, &self.metrics.queue_wait_ns) {
+        let task = &task;
+        let res = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (0..helpers)
+                .map(|worker| scope.spawn(move || task(worker)))
+                .collect();
+            // The caller is the last worker; a helper's panic comes back
+            // from its `join`.
+            let mut res =
+                catch_unwind(AssertUnwindSafe(|| task(self.workers - 1))).map_err(panic_message);
+            let _wait = self.metrics.queue_wait_ns.span();
+            for helper in helpers {
+                res = res.and(helper.join().map_err(panic_message));
+            }
+            res
+        });
+        match res {
             Ok(()) => Ok(slots
                 .into_inner()
                 .expect("result mutex")

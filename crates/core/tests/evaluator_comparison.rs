@@ -244,6 +244,7 @@ impl OfflineGpEvaluator {
             points_added: 0,
             retrained: false,
             udf_calls: 0,
+            stop: None,
         })
     }
 }

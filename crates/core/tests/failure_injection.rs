@@ -298,10 +298,6 @@ fn a_fault_inside_the_tuning_loop_leaves_no_retained_rows_behind() {
     }
 }
 
-/// The same fault through the batch operator: a UDF that dies in the
-/// sequential fold of a two-phase batch takes the statement down, not the
-/// scheduler — its pool and per-lane scratch serve the next batch, with the
-/// rows a fresh scheduler would have produced.
 /// A UDF value can be finite and still too large for the model: α = K⁻¹y
 /// overflows and the next inference's means come out non-finite. The bound
 /// stage has always rejected that *before* the retraining decision, and
@@ -337,7 +333,6 @@ fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
             (
                 err.to_string(),
                 (model.len(), model.epoch(), model.kernel().params()),
-                olga.stats(),
                 olga.udf().calls(),
             )
         };
@@ -352,13 +347,17 @@ fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
         let points = bad_call as usize + 1;
         assert_eq!((eager.1 .0, eager.1 .1), (points, points as u64));
         assert_eq!(
-            eager.3,
+            eager.2,
             bad_call + 1,
             "the Err came with the first inference after"
         );
     }
 }
 
+/// The same fault through the batch operator: a UDF that dies in the
+/// sequential fold of a two-phase batch takes the statement down, not the
+/// scheduler — its per-lane scratch serves the next batch, with the rows a
+/// fresh scheduler would have produced.
 #[test]
 fn a_fault_in_the_slow_fold_leaves_the_scheduler_usable() {
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -90,7 +90,7 @@ proptest! {
         let out = udf_core::output::GpOutput {
             y_hat: h, y_s: s, y_l: l,
             eps_gp: 0.0, eps_mc: 0.0, z_alpha: 2.0,
-            points_added: 0, retrained: false, udf_calls: 0,
+            points_added: 0, retrained: false, udf_calls: 0, stop: None,
         };
         let (lo, mid, hi) = out.tep_bounds(a, a + width);
         prop_assert!(lo <= mid + 1e-12 && mid <= hi + 1e-12);

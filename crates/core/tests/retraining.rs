@@ -31,7 +31,8 @@ fn f2_retrains_stop_at_the_wall() {
             AccuracyRequirement::new(0.1, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
         let mut config = OlgaproConfig::new(accuracy, range).unwrap();
         config.set_model_cap(96, ModelBudget::StopGrowing).unwrap();
-        let mut olga = Olgapro::new(udf, config);
+        let metrics = udf_obs::MetricsRegistry::new();
+        let mut olga = Olgapro::new(udf, config).with_metrics(&metrics);
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..64 {
             let input =
@@ -39,17 +40,19 @@ fn f2_retrains_stop_at_the_wall() {
             let out = olga.process(&input, &mut rng).unwrap();
             assert!(out.error_bound().is_finite(), "seed {seed}, tuple {i}");
         }
-        let stats = olga.stats();
         assert_eq!(olga.udf().calls(), 96, "seed {seed}: the cap is the budget");
+        let snap = metrics.snapshot();
+        // One `train_iters` record per retrain, its value the iterations.
+        let iters = &snap.histograms["olgapro.train_iters"];
         assert!(
-            stats.retrains > 0 && stats.cap_hits > 0,
-            "seed {seed}: {stats:?}"
+            iters.count > 0 && snap.counters["olgapro.cap_hits"] > 0,
+            "seed {seed}: {iters:?}"
         );
         assert!(
-            stats.train_iterations <= 15 * stats.retrains,
+            iters.sum <= 15 * iters.count,
             "seed {seed}: {} iterations over {} retrains",
-            stats.train_iterations,
-            stats.retrains
+            iters.sum,
+            iters.count
         );
     }
 }

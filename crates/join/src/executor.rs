@@ -48,7 +48,7 @@ use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
 use udf_obs::{Histogram, MetricsRegistry};
 use udf_prob::InputDistribution;
-use udf_query::{EvalStrategy, Executor, ProjectedTuple, QueryStats, Relation, Schema, UdfCall};
+use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, UdfCall};
 
 /// The join executor's observability handles. Purely observational:
 /// pruning decisions, RNG streams, and emitted rows are identical whether
@@ -107,10 +107,10 @@ pub fn warmup_indices(total: usize) -> Vec<usize> {
     out
 }
 
-/// Join-level counters (the per-pair evaluation counters are sums of the
-/// batch operator's [`BatchCounts`] over both rounds, plus the executor's
-/// [`QueryStats`]). Every generated pair ends in exactly one of three ways:
-/// `pairs_generated = pairs_pruned + filtered + pairs_kept`.
+/// Join-level counters: what pairs add beside the batch operator's
+/// [`BatchCounts`], which are summed over both rounds and count evaluated
+/// pairs as tuples. Every generated pair ends in exactly one of three ways:
+/// `pairs_generated = pairs_pruned + counts.kept + counts.filtered`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Candidate pairs after the `ON` filter.
@@ -123,33 +123,8 @@ pub struct JoinStats {
     /// Pairs the certificate proved *certainly kept* (`ρ_L = 1 ≥ θ`);
     /// they are still evaluated to produce their output distribution.
     pub certain_accepts: u64,
-    /// Pairs kept straight from the parallel read-only fast path.
-    pub fast_path: u64,
-    /// Pairs that took the sequential model-mutating slow path (the whole
-    /// warmup round, plus the main round's reroutes).
-    pub slow_path: u64,
-    /// Evaluated pairs the §5.5 / Remark 2.1 filter dropped — on the fast
-    /// path or after the slow path, in either round.
-    pub filtered: u64,
-    /// Output rows.
-    pub pairs_kept: u64,
-    /// Degraded acceptances under the model cap.
-    pub cap_hits: u64,
-    /// UDF invocations across the whole join.
-    pub udf_calls: u64,
-}
-
-impl JoinStats {
-    /// Pairs that went through MC/GP evaluation (generated − pruned).
-    pub fn pairs_evaluated(&self) -> u64 {
-        self.pairs_generated - self.pairs_pruned
-    }
-
-    fn absorb(&mut self, c: BatchCounts) {
-        self.fast_path += c.accepted_fast;
-        self.slow_path += c.slow();
-        self.filtered += c.filtered();
-    }
+    /// The evaluated pairs' counter block.
+    pub counts: BatchCounts,
 }
 
 impl fmt::Display for JoinStats {
@@ -157,12 +132,7 @@ impl fmt::Display for JoinStats {
         let line = udf_obs::fmt::KvLine::new()
             .field("pairs_generated", self.pairs_generated)
             .field("pairs_pruned", self.pairs_pruned)
-            .field("pairs_kept", self.pairs_kept)
-            .field("fast", self.fast_path)
-            .field("slow", self.slow_path)
-            .field("filtered", self.filtered)
-            .field("cap_hits", self.cap_hits)
-            .field("udf_calls", self.udf_calls);
+            .raw(&self.counts.to_string());
         f.write_str(&line.finish())
     }
 }
@@ -196,9 +166,6 @@ pub struct JoinOutput {
     pub rows: Vec<JoinedPair>,
     /// Join-level counters.
     pub stats: JoinStats,
-    /// The inner executor's counters (tuples in/out there count
-    /// *evaluated* pairs — pruned pairs never reach it).
-    pub query_stats: QueryStats,
 }
 
 /// How many left tuples each streamed pre-pass block covers (bounds the
@@ -260,11 +227,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         self
     }
 
-    /// The inner executor's counters so far.
-    pub fn query_stats(&self) -> QueryStats {
-        self.executor.stats()
-    }
-
     /// Run the join on `sched`'s worker pool.
     pub fn run(&mut self, sched: &BatchScheduler) -> Result<JoinOutput> {
         let spec = self.spec;
@@ -285,11 +247,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         };
         rows.sort_by_key(|r| r.source);
 
-        let q = self.executor.stats();
-        stats.udf_calls = q.udf_calls;
-        stats.cap_hits = q.cap_hits;
-        stats.pairs_kept = rows.len() as u64;
-
         let mut tuples = Vec::with_capacity(rows.len());
         let mut joined = Vec::with_capacity(rows.len());
         for row in rows {
@@ -309,7 +266,6 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             relation: Relation::new(self.schema.clone(), tuples)?,
             rows: joined,
             stats,
-            query_stats: q,
         })
     }
 
@@ -348,7 +304,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 let main = rounds.pop().expect("split_rounds returns two rounds");
                 let warm = rounds.pop().expect("split_rounds returns two rounds");
                 let (r, counts) = self.warmup(&warm)?;
-                stats.absorb(counts);
+                stats.counts += counts;
                 rows.extend(r);
                 main
             }
@@ -391,7 +347,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         let warm = warmup_indices(total);
         let warm_inputs = self.collect_pairs(&warm, &mut pair_of)?;
         let (r, counts) = self.warmup(&warm_inputs)?;
-        stats.absorb(counts);
+        stats.counts += counts;
         rows.extend(r);
         let in_warmup = |idx: usize| warm.binary_search(&idx).is_ok();
 
@@ -483,7 +439,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         let (r, counts) =
             self.executor
                 .batch_indexed(pairs, spec.predicate.as_ref(), sched, spec.seed)?;
-        stats.absorb(counts);
+        stats.counts += counts;
         rows.extend(r);
         Ok(())
     }

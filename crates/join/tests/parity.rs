@@ -102,14 +102,16 @@ fn hand_built(
 /// Every generated pair is pruned, filtered or kept — exactly one of the
 /// three — and every evaluated pair is settled on exactly one path.
 fn assert_adds_up(s: &JoinStats, label: &str) {
+    let c = &s.counts;
     assert_eq!(
         s.pairs_generated,
-        s.pairs_pruned + s.filtered + s.pairs_kept,
+        s.pairs_pruned + c.filtered + c.kept,
         "{label}: generated ≠ pruned + filtered + kept: {s:?}"
     );
-    assert!(
-        s.fast_path + s.slow_path <= s.pairs_evaluated(),
-        "{label}: a pair was settled twice: {s:?}"
+    assert_eq!(
+        c.fast + c.slow,
+        s.pairs_generated - s.pairs_pruned,
+        "{label}: an evaluated pair was settled twice or not at all: {s:?}"
     );
 }
 
@@ -200,7 +202,7 @@ fn pruning_changes_no_output_and_prunes_pairs() {
             "{label}: warm model never pruned a pair"
         );
         assert!(
-            on.stats.pairs_evaluated() < off.stats.pairs_evaluated(),
+            on.stats.counts.tuples_in < off.stats.counts.tuples_in,
             "{label}: pruning must evaluate fewer pairs"
         );
         assert_eq!(
@@ -209,12 +211,15 @@ fn pruning_changes_no_output_and_prunes_pairs() {
         );
         // Pruned pairs are exactly fast-path filter decisions skipped early.
         assert_eq!(
-            off.stats.filtered,
-            on.stats.filtered + on.stats.pairs_pruned,
+            off.stats.counts.filtered,
+            on.stats.counts.filtered + on.stats.pairs_pruned,
             "{label}: pruned + filtered must cover the same pairs"
         );
         // UDF call accounting unchanged: pruning skips only inference.
-        assert_eq!(off.stats.udf_calls, on.stats.udf_calls, "{label}");
+        assert_eq!(
+            off.stats.counts.udf_calls, on.stats.counts.udf_calls,
+            "{label}"
+        );
 
         match &reference {
             None => reference = Some(on.rows),
@@ -246,8 +251,8 @@ fn join_stats_add_up() {
     let off = run(EvalStrategy::Gp, false);
     let on = run(EvalStrategy::Gp, true);
     assert!(on.pairs_pruned > 0, "warm model never pruned a pair");
-    assert_eq!(off.filtered, on.filtered + on.pairs_pruned);
-    assert_eq!(off.pairs_kept, on.pairs_kept);
+    assert_eq!(off.counts.filtered, on.counts.filtered + on.pairs_pruned);
+    assert_eq!(off.counts.kept, on.counts.kept);
 }
 
 /// MC joins over the same spec agree with cross_join + select_batch (the
@@ -348,5 +353,5 @@ fn projection_join_keeps_every_pair() {
     let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
     assert_eq!(out.rows.len(), 15);
     assert!(out.rows.iter().all(|r| r.tep == 1.0));
-    assert_eq!(out.stats.pairs_kept, 15);
+    assert_eq!(out.stats.counts.kept, 15);
 }

@@ -18,15 +18,14 @@ use crate::parser::parse_statement;
 use crate::plan::{bind, BoundQuery, JoinPlan, PhysicalPlan, RelPlan, StreamPlan};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+use udf_core::batch::BatchCounts;
 use udf_core::config::ModelBudget;
 use udf_core::sched::BatchScheduler;
 use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
 use udf_obs::fmt::KvLine;
 use udf_obs::{Histogram, MetricsRegistry, Monitor, Snapshot};
-use udf_query::{Executor, ProjectedTuple, QueryStats, Relation, UdfCall};
-use udf_stream::{
-    EngineConfig, EngineStats, HealthMonitor, KeptSummary, QuerySpec, Session, Source, StreamStats,
-};
+use udf_query::{Executor, ProjectedTuple, Relation, UdfCall};
+use udf_stream::{EngineConfig, HealthMonitor, KeptSummary, QuerySpec, Session, Source};
 use udf_workloads::UdfCatalog;
 
 /// A factory producing fresh instances of a registered stream source. Each
@@ -36,9 +35,8 @@ pub type SourceFactory = Box<dyn Fn() -> Box<dyn Source + Send>>;
 
 /// Everything a UQL statement can reference by name: the UDF catalog,
 /// finite relations, and stream-source factories. Relation queries reuse
-/// one persistent [`BatchScheduler`] worker pool per `WORKERS` value
-/// across statements, so repeated queries pay channel traffic instead of
-/// thread spawns (the point of the pool — see `udf_core::sched`).
+/// one [`BatchScheduler`] per `WORKERS` value across statements, so its
+/// per-worker scratch and predictor caches stay warm.
 pub struct Context {
     udfs: UdfCatalog,
     relations: BTreeMap<String, Relation>,
@@ -185,10 +183,9 @@ pub struct JoinRowsOutput {
     pub rows: Vec<JoinedPair>,
     /// The joined relation of kept pairs (prefixed schema).
     pub relation: Relation,
-    /// Join-level counters (incl. `pairs_pruned`).
+    /// Join-level counters (incl. `pairs_pruned`) and the evaluated
+    /// pairs' counter block.
     pub stats: JoinStats,
-    /// The inner pair executor's counters.
-    pub query_stats: QueryStats,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
 }
@@ -199,7 +196,7 @@ pub struct RowsOutput {
     /// Kept rows, in source-tuple order.
     pub rows: Vec<ProjectedTuple>,
     /// Executor counters.
-    pub stats: QueryStats,
+    pub stats: BatchCounts,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
 }
@@ -207,14 +204,16 @@ pub struct RowsOutput {
 /// Result of a bounded stream query.
 #[derive(Debug)]
 pub struct StreamOutput {
-    /// Per-query stream statistics.
-    pub stats: StreamStats,
+    /// The subscription's counters.
+    pub stats: BatchCounts,
+    /// Micro-batches the run dispatched.
+    pub batches: u64,
+    /// Wall-clock run time (excluding parse/bind).
+    pub elapsed: Duration,
     /// Determinism digest over every emitted distribution and decision.
     pub digest: u64,
     /// The subscription's most recent emitted tuples.
     pub recent: Vec<KeptSummary>,
-    /// Engine-level counters for the run.
-    pub engine: EngineStats,
     /// The health monitor's rendered trend line, when it sampled at least
     /// once during the run.
     pub health: Option<String>,
@@ -226,18 +225,11 @@ impl QueryOutput {
         match self {
             QueryOutput::Plan(p) => p.clone(),
             QueryOutput::Rows(r) => {
-                let counters = KvLine::new()
-                    .field("in", r.stats.tuples_in)
-                    .field("out", r.stats.tuples_out)
-                    .field("fast", r.stats.fast_path)
-                    .field("slow", r.stats.slow_path)
-                    .field("udf_calls", r.stats.udf_calls)
-                    .field("cap_hits", r.stats.cap_hits)
-                    .finish();
                 let mut s = format!(
-                    "{} row(s) in {:.2?}  [{counters}]\n",
+                    "{} row(s) in {:.2?}  [{}]\n",
                     r.rows.len(),
-                    r.elapsed
+                    r.elapsed,
+                    r.stats
                 );
                 const SHOW: usize = 10;
                 for row in r.rows.iter().take(SHOW) {
@@ -278,8 +270,8 @@ impl QueryOutput {
                 s
             }
             QueryOutput::Stream(o) => format!(
-                "stream run: {} tuple(s), {} batch(es) in {:.2?}\n  {}\n  digest=0x{:016x}\n",
-                o.engine.tuples, o.engine.batches, o.engine.elapsed, o.stats, o.digest,
+                "stream run: {} tuple(s), {} batch(es) in {:.2?}\n  [{}]\n  digest=0x{:016x}\n",
+                o.stats.tuples_in, o.batches, o.elapsed, o.stats, o.digest,
             ),
         }
     }
@@ -354,26 +346,16 @@ fn annotate_analyze(
         QueryOutput::Rows(r) => KvLine::new()
             .raw(&format!("  BatchExec: time={:.2?}", r.elapsed))
             .field("rows", r.rows.len())
-            .field("in", r.stats.tuples_in)
-            .field("out", r.stats.tuples_out)
-            .field("fast", r.stats.fast_path)
-            .field("slow", r.stats.slow_path)
-            .field("udf_calls", r.stats.udf_calls)
-            .field("cap_hits", r.stats.cap_hits),
+            .raw(&r.stats.to_string()),
         QueryOutput::Join(r) => KvLine::new()
             .raw(&format!("  JoinExec: time={:.2?}", r.elapsed))
             .raw(&r.stats.to_string())
             .field("prune_attempts", r.stats.prune_attempts)
             .field("certain_accepts", r.stats.certain_accepts),
         QueryOutput::Stream(o) => KvLine::new()
-            .raw(&format!("  StreamExec: time={:.2?}", o.engine.elapsed))
-            .field("tuples", o.engine.tuples)
-            .field("batches", o.engine.batches)
-            .field("kept", o.stats.kept)
-            .field("filtered", o.stats.filtered)
-            .field("fast", o.stats.fast_path)
-            .field("slow", o.stats.slow_path)
-            .field("cap_hits", o.stats.cap_hits)
+            .raw(&format!("  StreamExec: time={:.2?}", o.elapsed))
+            .field("batches", o.batches)
+            .raw(&o.stats.to_string())
             .raw(&format!("digest=0x{:016x}", o.digest)),
     };
     let mut op = op.raw(&format!("parse={parse_time:.2?} bind={bind_time:.2?}"));
@@ -502,7 +484,6 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
         rows: out.rows,
         relation: out.relation,
         stats: out.stats,
-        query_stats: out.query_stats,
         elapsed: t0.elapsed(),
     }))
 }
@@ -550,16 +531,19 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context) -> Result<QueryOutput> {
         spec = spec.predicate(pred);
     }
     let id = session.subscribe(spec)?;
-    let engine = session.run(source, p.limit)?;
+    let t0 = Instant::now();
+    let batches = session.run(source, p.limit)?;
+    let elapsed = t0.elapsed();
     let health = session
         .health()
         .filter(|h| h.samples().next().is_some())
         .map(|h| h.render());
     Ok(QueryOutput::Stream(StreamOutput {
-        stats: session.stats(id)?.clone(),
+        stats: *session.stats(id)?,
+        batches,
+        elapsed,
         digest: session.digest(id)?,
         recent: session.recent(id)?,
-        engine,
         health,
     }))
 }

@@ -23,6 +23,11 @@
 //! * `FROM STREAM` queries lower to [`udf_stream::Session`] subscriptions
 //!   and inherit the stream engine's determinism digests.
 //!
+//! Every backend reports the statement's
+//! [`BatchCounts`](udf_core::BatchCounts) (a join adds its pair counts in
+//! [`udf_join::JoinStats`]), and [`QueryOutput::report`] prints them as the
+//! same one counter line.
+//!
 //! ## Quickstart
 //!
 //! ```

@@ -111,7 +111,7 @@ fn uql_selection_matches_hand_built_select_batch() {
             );
             assert_rows_identical(&uql.rows, &hand, &label);
             assert_eq!(uql.stats.tuples_in, 64, "{label}");
-            assert_eq!(uql.stats.tuples_out, hand.len() as u64, "{label}");
+            assert_eq!(uql.stats.kept, hand.len() as u64, "{label}");
         }
     }
 }

@@ -261,9 +261,9 @@ fn no_input_makes_run_uql_panic() {
                 stage >= 2
             }
         };
-        // A statement that got as far as binding may have spun up a worker
-        // pool (up to WORKERS 1024): start the next one from a clean session
-        // so nothing accumulates.
+        // A statement that got as far as binding may have built a scheduler
+        // (up to WORKERS 1024 scratch slots): start the next one from a clean
+        // session so nothing accumulates.
         if past_the_parser {
             ctx = self::ctx();
         }

@@ -6,7 +6,12 @@
 //! passes them all. These constants do not move with the code: a digest
 //! folds every emitted row — `(source | pair, tep, error_bound, udf_calls,
 //! ECDF values)` — plus the statement's counters, and each statement must
-//! reproduce its constant at `WORKERS` 1, 2 and 8.
+//! reproduce its constant at `WORKERS` 1, 2 and 8. The counters are hashed
+//! as the words of the recording commit, derived from today's
+//! [`BatchCounts`](udf_core::BatchCounts): relations and joins counted as
+//! `fast` only the tuples *kept* there (`fast_kept`), streams every tuple
+//! settled there (`fast`). Before hashing, the counts are checked against
+//! the rows they describe.
 //!
 //! The six GP digests were re-recorded when the squared-exponential kernel
 //! got its own `exp` and z_α its Newton solve: both change the bits every
@@ -69,6 +74,23 @@ fn context() -> Context {
     ctx
 }
 
+/// The counts a statement reported must describe the rows it returned:
+/// every returned row is a kept tuple, and no row spent a UDF call the
+/// counts did not see.
+fn check_counts<'a>(
+    c: &udf_core::BatchCounts,
+    rows: impl ExactSizeIterator<Item = &'a udf_core::OutputDistribution>,
+    statement: &str,
+) {
+    assert_eq!(c.kept, rows.len() as u64, "{statement}: kept ≠ rows");
+    let row_calls: u64 = rows.map(|o| o.udf_calls).sum();
+    assert!(
+        c.udf_calls >= row_calls,
+        "{statement}: {} UDF calls counted, the rows spent {row_calls}",
+        c.udf_calls
+    );
+}
+
 /// Run one statement and fold everything it reported.
 fn digest(statement: &str) -> u64 {
     let mut fnv = Fnv::new();
@@ -78,13 +100,14 @@ fn digest(statement: &str) -> u64 {
                 fnv.row(r.source, r.tep, &r.output);
             }
             let s = out.stats;
+            check_counts(&s, out.rows.iter().map(|r| &r.output), statement);
             for w in [
                 s.tuples_in,
-                s.tuples_out,
+                s.kept,
                 s.udf_calls,
                 s.cap_hits,
-                s.fast_path,
-                s.slow_path,
+                s.fast_kept,
+                s.slow,
             ] {
                 fnv.word(w);
             }
@@ -93,18 +116,23 @@ fn digest(statement: &str) -> u64 {
             for r in &out.rows {
                 fnv.row(r.pair, r.tep, &r.output);
             }
-            // `JoinStats::filtered` is left out on purpose: it under-counted
-            // slow-path drops at the recording commit (see
-            // `crates/join/tests/parity.rs` for the identity it now obeys).
-            let s = out.stats;
+            // `filtered` is left out on purpose: the join under-counted
+            // slow-path drops at the recording commit.
+            let (s, c) = (out.stats, out.stats.counts);
+            check_counts(&c, out.rows.iter().map(|r| &r.output), statement);
+            assert_eq!(
+                s.pairs_generated,
+                s.pairs_pruned + c.kept + c.filtered,
+                "{statement}: a pair was lost or counted twice"
+            );
             for w in [
                 s.pairs_generated,
                 s.pairs_pruned,
-                s.pairs_kept,
-                s.fast_path,
-                s.slow_path,
-                s.cap_hits,
-                s.udf_calls,
+                c.kept,
+                c.fast_kept,
+                c.slow,
+                c.cap_hits,
+                c.udf_calls,
             ] {
                 fnv.word(w);
             }
@@ -116,8 +144,8 @@ fn digest(statement: &str) -> u64 {
                 s.tuples_in,
                 s.kept,
                 s.filtered,
-                s.fast_path,
-                s.slow_path,
+                s.fast,
+                s.slow,
                 s.udf_calls,
                 s.cap_hits,
             ] {

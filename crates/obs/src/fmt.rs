@@ -1,7 +1,7 @@
 //! The shared `key=value` stats-line builder.
 //!
 //! Every human-facing counter block in the workspace — the REPL report,
-//! `StreamStats` / `JoinStats` `Display`, the examples — renders through
+//! `BatchCounts` / `JoinStats` `Display`, the examples — renders through
 //! [`KvLine`], so counters spell identically everywhere (`cap_hits=3`,
 //! `pairs_pruned=120`, …) and scripts can grep one format.
 

@@ -4,8 +4,7 @@
 //! one query) and is a caller of the batch operator in
 //! [`udf_core::batch`], which rules, emits and counts every tuple; this
 //! module only turns relations into `(index, input)` lists, the operator's
-//! rulings into [`ProjectedTuple`] rows, and its counter block into
-//! [`QueryStats`].
+//! rulings into [`ProjectedTuple`] rows, and sums its [`BatchCounts`].
 //!
 //! [`project_batch`](Executor::project_batch) and
 //! [`select_batch`](Executor::select_batch) run a whole relation as one
@@ -39,39 +38,6 @@ pub enum EvalStrategy {
     Gp,
 }
 
-/// Execution counters for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Tuples examined.
-    pub tuples_in: u64,
-    /// Tuples emitted (survived filters).
-    pub tuples_out: u64,
-    /// UDF invocations across all tuples.
-    pub udf_calls: u64,
-    /// Tuples evaluated at a degraded (achieved) error bound because the
-    /// GP model cap blocked further online tuning — nonzero only when a
-    /// cap is set via [`Executor::with_model_cap`].
-    pub cap_hits: u64,
-    /// Tuples kept straight from the parallel read-only fast path
-    /// ([`BatchCounts::accepted_fast`]).
-    pub fast_path: u64,
-    /// Tuples that took the sequential model-mutating slow path —
-    /// rerouted batch tuples plus every tuple of
-    /// [`Executor::sequential_indexed`], which always runs the full path.
-    pub slow_path: u64,
-}
-
-impl QueryStats {
-    fn absorb(&mut self, c: BatchCounts) {
-        self.tuples_in += c.tuples_in;
-        self.tuples_out += c.kept();
-        self.udf_calls += c.udf_calls;
-        self.cap_hits += c.cap_hits;
-        self.fast_path += c.accepted_fast;
-        self.slow_path += c.slow();
-    }
-}
-
 /// One output row of a UDF projection.
 #[derive(Debug, Clone)]
 pub struct ProjectedTuple {
@@ -94,7 +60,7 @@ pub struct ProjectedTuple {
 #[derive(Debug)]
 pub struct Executor {
     eval: Evaluator,
-    stats: QueryStats,
+    stats: BatchCounts,
 }
 
 impl Executor {
@@ -122,7 +88,7 @@ impl Executor {
         };
         Ok(Executor {
             eval,
-            stats: QueryStats::default(),
+            stats: BatchCounts::default(),
         })
     }
 
@@ -134,7 +100,7 @@ impl Executor {
     ///
     /// Capped runs accept over-budget tuples at their *achieved* error
     /// bound (attached to every output row) and count them in
-    /// [`QueryStats::cap_hits`].
+    /// [`BatchCounts::cap_hits`].
     pub fn with_model_cap(mut self, n: usize, budget: ModelBudget) -> Result<Self> {
         if let Some(olga) = self.eval.olgapro_mut() {
             olga.set_model_cap(n, budget)?;
@@ -159,8 +125,8 @@ impl Executor {
         self.eval.olgapro()
     }
 
-    /// Execution counters so far.
-    pub fn stats(&self) -> QueryStats {
+    /// Execution counters so far, summed over every batch.
+    pub fn stats(&self) -> BatchCounts {
         self.stats
     }
 
@@ -271,7 +237,7 @@ impl Executor {
                 .run_two_phase(sched, spec, inputs.len(), tuple, sink)?,
             None => self.eval.run_sequential(spec, inputs.len(), tuple, sink)?,
         };
-        self.stats.absorb(counts);
+        self.stats += counts;
         Ok((rows, counts))
     }
 }
@@ -345,7 +311,7 @@ mod tests {
             let got = row.output.ecdf.quantile(0.5);
             assert!((got - want).abs() < 0.3, "row {i}: {got} vs {want}");
         }
-        assert_eq!(ex.stats().tuples_out, 4);
+        assert_eq!(ex.stats().kept, 4);
     }
 
     #[test]
@@ -378,7 +344,7 @@ mod tests {
         let kept: Vec<usize> = rows.iter().map(|r| r.source).collect();
         assert!(kept.contains(&3), "mu = 2.5 row should survive");
         assert!(!kept.contains(&0), "mu = 1.0 row should be filtered");
-        assert!(ex.stats().tuples_out < ex.stats().tuples_in);
+        assert!(ex.stats().kept < ex.stats().tuples_in);
         for row in &rows {
             assert!(row.tep >= 0.5 - 0.1, "kept tuple TEP {}", row.tep);
         }
@@ -397,6 +363,6 @@ mod tests {
             rows.is_empty(),
             "impossible predicate must filter everything"
         );
-        assert_eq!(ex.stats().tuples_out, 0);
+        assert_eq!(ex.stats().kept, 0);
     }
 }

@@ -18,7 +18,7 @@
 pub mod executor;
 pub mod relation;
 
-pub use executor::{EvalStrategy, Executor, ProjectedTuple, QueryStats};
+pub use executor::{EvalStrategy, Executor, ProjectedTuple};
 pub use relation::{Relation, Schema, Tuple, UdfCall, Value};
 
 use std::fmt;

@@ -1,8 +1,9 @@
 //! The model-cap contract on the relational executor: a capped
 //! `select_batch` over a spiky UDF (F2) at a tight accuracy keeps the GP
 //! model bounded and total UDF calls linear in the batch length, where the
-//! uncapped run's model grows with the relation — and cap decisions are
-//! deterministic under the scheduler (workers 1/2/8 byte-identity).
+//! uncapped run's model grows with the relation, its loose tuples counted
+//! as tuning-budget stops — and cap decisions are deterministic under the
+//! scheduler (workers 1/2/8 byte-identity).
 
 use std::sync::Arc;
 use udf_core::config::{AccuracyRequirement, Metric, ModelBudget};
@@ -84,6 +85,13 @@ fn capped_f2_bounds_model_where_uncapped_grows() {
     );
     assert!(capped.stats().cap_hits > 0, "cap hits must be observable");
     assert_eq!(uncapped.stats().cap_hits, 0);
+    // Uncapped, the loose tuples are the ones whose tuning loop spent its
+    // `max_points_per_input` points and still missed the budget.
+    assert!(
+        uncapped.stats().tuning_budget > 0,
+        "tuning-budget stops must be observable: {}",
+        uncapped.stats()
+    );
     assert!(
         capped.stats().udf_calls < uncapped.stats().udf_calls,
         "cap must bound training cost: {} vs {}",

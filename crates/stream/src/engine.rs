@@ -12,14 +12,14 @@
 //!
 //! Per-query evaluation is one call of the batch operator,
 //! [`Evaluator::run_two_phase`], per (subscription, micro-batch) on the
-//! engine's persistent [`BatchScheduler`] pool: GP inference against the
+//! engine's one [`BatchScheduler`]: GP inference against the
 //! frozen model (and MC sampling, which never mutates anything) runs in
 //! parallel; tuples whose error bound misses the GP budget fall back to the
 //! sequential, model-mutating path of Algorithm 5. Online filtering is
 //! ruled *before* the slow path, so a subscription with a selective
 //! predicate drops most tuples at fast-path cost (§5.5 / Remark 2.1). The
 //! engine only folds the operator's rulings into each query's digest and
-//! ring, and its counter block into [`StreamStats`].
+//! ring, and sums its [`BatchCounts`].
 //!
 //! ## Determinism
 //!
@@ -33,12 +33,12 @@
 
 use crate::health::HealthMonitor;
 use crate::source::Source;
-use crate::stats::{Digest, EngineStats, KeptSummary, StreamStats};
+use crate::stats::{Digest, KeptSummary};
 use crate::{Result, StreamError};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Instant;
-use udf_core::batch::{BatchSpec, Evaluator};
+use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
@@ -151,7 +151,7 @@ pub(crate) struct QueryState {
     /// The UDF's input dimensionality (checked against each source).
     dim: usize,
     predicate: Option<Predicate>,
-    pub(crate) stats: StreamStats,
+    pub(crate) stats: BatchCounts,
     pub(crate) digest: Digest,
     pub(crate) recent: VecDeque<KeptSummary>,
     retain: usize,
@@ -176,12 +176,10 @@ pub(crate) struct SubscribeParams {
 pub struct StreamEngine {
     config: EngineConfig,
     queries: Vec<Subscription>,
-    /// The shared two-phase execution core. Its worker pool persists for
-    /// the engine's lifetime and is reused for every micro-batch of every
-    /// subscription — no per-batch thread spawning on the hot path.
+    /// The shared two-phase execution core, reused for every micro-batch of
+    /// every subscription (its per-worker scratch stays warm).
     sched: BatchScheduler,
     tuples_seen: u64,
-    last_run: EngineStats,
     metrics: EngineMetrics,
     /// What the engine is wired to; later subscriptions share it too.
     registry: MetricsRegistry,
@@ -197,7 +195,6 @@ impl StreamEngine {
             config,
             queries: Vec::new(),
             tuples_seen: 0,
-            last_run: EngineStats::default(),
             metrics: EngineMetrics::disabled(),
             registry: MetricsRegistry::disabled(),
             health: None,
@@ -260,10 +257,6 @@ impl StreamEngine {
         Ok(olga.map(|olga| olga.model().len()))
     }
 
-    pub(crate) fn last_run(&self) -> EngineStats {
-        self.last_run
-    }
-
     /// Total tuples ingested over the engine's lifetime.
     pub(crate) fn tuples_seen(&self) -> u64 {
         self.tuples_seen
@@ -294,15 +287,11 @@ impl StreamEngine {
                 ))
             }
         };
-        let stats = StreamStats {
-            query: params.name.clone(),
-            ..StreamStats::default()
-        };
         let q = QueryState {
             name: params.name,
             dim,
             predicate: params.predicate,
-            stats,
+            stats: BatchCounts::default(),
             digest: Digest::default(),
             recent: VecDeque::with_capacity(params.retain),
             retain: params.retain,
@@ -313,13 +302,14 @@ impl StreamEngine {
     }
 
     /// Drive every subscription over `source` until it is exhausted or
-    /// `limit` tuples have been ingested. May be called repeatedly; model
-    /// state, stats, and the global tuple index persist across runs.
+    /// `limit` tuples have been ingested, and return the number of
+    /// micro-batches dispatched. May be called repeatedly; model state,
+    /// counts, and the global tuple index persist across runs.
     pub(crate) fn run<S: Source + Send>(
         &mut self,
         mut source: S,
         limit: Option<u64>,
-    ) -> Result<EngineStats> {
+    ) -> Result<u64> {
         if self.queries.is_empty() {
             return Err(StreamError::NoSubscriptions);
         }
@@ -337,8 +327,6 @@ impl StreamEngine {
         let batch_size = self.config.batch_size;
         let (tx, rx) = mpsc::sync_channel::<Vec<InputDistribution>>(self.config.queue_depth);
         let ingest_wait = self.metrics.ingest_wait_ns.clone();
-        let t0 = Instant::now();
-        let mut tuples = 0u64;
         let mut batches = 0u64;
 
         let run_result: Result<()> = std::thread::scope(|scope| {
@@ -376,7 +364,6 @@ impl StreamEngine {
 
             let mut res = Ok(());
             for batch in &rx {
-                tuples += batch.len() as u64;
                 batches += 1;
                 if let Err(e) = self.process_batch(&batch) {
                     res = Err(e);
@@ -390,15 +377,7 @@ impl StreamEngine {
             res
         });
         run_result?;
-
-        self.last_run = EngineStats {
-            tuples,
-            batches,
-            elapsed: t0.elapsed(),
-            workers: self.config.workers,
-            queries: self.queries.len(),
-        };
-        Ok(self.last_run)
+        Ok(batches)
     }
 
     /// Run every subscription over one micro-batch.
@@ -409,7 +388,7 @@ impl StreamEngine {
         let sched = &self.sched;
         let batch_ns = &self.metrics.batch_ns;
         for (qid, Subscription { eval, q }) in self.queries.iter_mut().enumerate() {
-            let t0 = Instant::now();
+            let _batch_span = batch_ns.span();
             let spec = BatchSpec {
                 seed,
                 stream: qid as u64,
@@ -424,18 +403,14 @@ impl StreamEngine {
                         record_filtered(q, gidx, rho_upper)
                     }
                 })?;
-            q.stats.absorb(counts);
-            q.stats.batches += 1;
-            let dt = t0.elapsed();
-            q.stats.busy += dt;
-            batch_ns.record_duration(dt);
+            q.stats += counts;
         }
         if let Some(h) = &mut self.health {
             let mut totals = (0u64, 0u64, 0u64);
             for Subscription { q, .. } in &self.queries {
                 totals.0 += q.stats.tuples_in;
                 totals.1 += q.stats.kept;
-                totals.2 += q.stats.slow_path;
+                totals.2 += q.stats.slow;
             }
             h.on_batch(totals);
         }

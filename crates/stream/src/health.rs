@@ -3,7 +3,7 @@
 //!
 //! Every [`sample_every`](HealthMonitor::sample_every) micro-batches the
 //! engine folds one [`HealthSample`] into a fixed-capacity ring
-//! (drop-oldest): cumulative [`StreamStats`](crate::stats::StreamStats)
+//! (drop-oldest): cumulative [`BatchCounts`](udf_core::BatchCounts)
 //! totals across all subscriptions, plus the window's
 //! [`Snapshot::delta`](udf_obs::Snapshot::delta) of the scheduler's
 //! reroute counter when a metrics registry is wired. Trends compare the

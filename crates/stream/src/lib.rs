@@ -15,14 +15,15 @@
 //!   `(query, UDF)` subscriptions, then drive them all over one stream;
 //! * a micro-batching scheduler ([`engine`]) that pipelines ingest against
 //!   evaluation through a bounded channel (backpressure) and runs each
-//!   batch through [`udf_core::batch::Evaluator`] on the persistent worker
-//!   pool of [`udf_core::sched::BatchScheduler`] — the same operator the
+//!   batch through [`udf_core::batch::Evaluator`] on the workers of one
+//!   [`udf_core::sched::BatchScheduler`] — the same operator the
 //!   `udf_query` executor and `udf_join` call;
 //! * per-query online filtering: subscriptions with a selection
 //!   [`Predicate`](udf_core::filtering::Predicate) drop tuples from the
 //!   envelope/Hoeffding upper bounds before paying for full evaluation;
-//! * [`stats::StreamStats`] — a per-query registry of
-//!   throughput, fast/slow-path counts, filter selectivity, and latency.
+//! * per-query [`BatchCounts`](udf_core::BatchCounts) — the same counter
+//!   block the relational executor and the join report — beside each
+//!   subscription's determinism [`digest`](session::Session::digest).
 //!
 //! ## Determinism
 //!
@@ -67,7 +68,7 @@ pub use engine::{EngineConfig, StreamStrategy};
 pub use health::{HealthMonitor, HealthSample, HealthTrend};
 pub use session::{QueryId, QuerySpec, Session};
 pub use source::{AstroSource, Source, SyntheticSource, VecSource};
-pub use stats::{EngineStats, KeptSummary, StreamStats};
+pub use stats::KeptSummary;
 
 use std::fmt;
 
@@ -133,5 +134,4 @@ pub mod prelude {
     pub use crate::engine::{EngineConfig, StreamStrategy};
     pub use crate::session::{QueryId, QuerySpec, Session};
     pub use crate::source::{AstroSource, Source, SyntheticSource, VecSource};
-    pub use crate::stats::{EngineStats, StreamStats};
 }

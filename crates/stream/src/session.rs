@@ -12,8 +12,9 @@
 
 use crate::engine::{EngineConfig, StreamEngine, StreamStrategy, SubscribeParams};
 use crate::source::Source;
-use crate::stats::{EngineStats, KeptSummary, StreamStats};
+use crate::stats::KeptSummary;
 use crate::Result;
+use udf_core::batch::BatchCounts;
 use udf_core::config::AccuracyRequirement;
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
@@ -95,7 +96,7 @@ impl QuerySpec {
     /// into a quadratic/cubic wall. Set a cap for any long-running GP
     /// subscription; over-budget tuples are then emitted fast-path at
     /// their *achieved* error bound (which stays attached to every output)
-    /// and counted in [`StreamStats::cap_hits`].
+    /// and counted in [`BatchCounts::cap_hits`].
     ///
     /// Nonzero caps smaller than the GP bootstrap size are rejected by
     /// [`Session::subscribe`] — such a model could never finish
@@ -205,13 +206,13 @@ impl Session {
 
     /// Drive every subscription over `source` until exhaustion, or until
     /// `limit` tuples have been ingested (whichever comes first). Returns
-    /// engine-level counters for this run.
-    pub fn run<S: Source + Send>(&mut self, source: S, limit: Option<u64>) -> Result<EngineStats> {
+    /// the number of micro-batches this run dispatched.
+    pub fn run<S: Source + Send>(&mut self, source: S, limit: Option<u64>) -> Result<u64> {
         self.engine.run(source, limit)
     }
 
-    /// Per-query statistics.
-    pub fn stats(&self, id: QueryId) -> Result<&StreamStats> {
+    /// A subscription's counts, summed over every micro-batch so far.
+    pub fn stats(&self, id: QueryId) -> Result<&BatchCounts> {
         self.engine.query(id.0).map(|q| &q.stats)
     }
 
@@ -242,11 +243,6 @@ impl Session {
     /// Algorithm 5 itself, not just at the batch-routing layer).
     pub fn model_points(&self, id: QueryId) -> Result<Option<usize>> {
         self.engine.model_points(id.0)
-    }
-
-    /// Counters for the most recent [`run`](Session::run).
-    pub fn last_run(&self) -> EngineStats {
-        self.engine.last_run()
     }
 
     /// Total tuples ingested over the session's lifetime.
@@ -286,8 +282,7 @@ mod tests {
             session
                 .run(SyntheticSource::gaussian(1, 0.6, 21).with_limit(256), None)
                 .unwrap();
-            let s = session.stats(q).unwrap().clone();
-            s
+            *session.stats(q).unwrap()
         };
         let uncapped = run(0);
         let capped = run(12);
@@ -304,10 +299,10 @@ mod tests {
             capped.udf_calls
         );
         assert!(
-            capped.slow_path < uncapped.slow_path,
+            capped.slow < uncapped.slow,
             "capped slow-path {} should be below uncapped {}",
-            capped.slow_path,
-            uncapped.slow_path
+            capped.slow,
+            uncapped.slow
         );
         assert!(
             capped.cap_hits > 0,
@@ -326,19 +321,16 @@ mod tests {
             .subscribe(QuerySpec::new("mc", sin_udf(), acc(), StreamStrategy::Mc))
             .unwrap();
 
-        let run = session
+        let batches = session
             .run(SyntheticSource::gaussian(1, 0.4, 9).with_limit(96), None)
             .unwrap();
-        assert_eq!(run.tuples, 96);
-        assert_eq!(run.batches, 3);
-        assert_eq!(run.queries, 2);
+        assert_eq!(batches, 3);
 
         for id in [gp, mc] {
             let s = session.stats(id).unwrap();
             assert_eq!(s.tuples_in, 96);
             assert_eq!(s.kept, 96);
             assert_eq!(s.filtered, 0);
-            assert_eq!(s.selectivity(), Some(1.0));
         }
         // GP reuses its model: far fewer calls than MC's m-per-tuple.
         let gp_calls = session.stats(gp).unwrap().udf_calls;

@@ -77,8 +77,8 @@ fn run_with_workers_metrics(workers: usize, metrics: Option<bool>) -> Vec<u64> {
 
     // Sanity: the workload must exercise both paths and the filter.
     let gp = session.stats(ids[0]).unwrap();
-    assert!(gp.slow_path > 0, "stream too easy: no slow-path tuples");
-    assert!(gp.fast_path > 0, "stream too hard: no fast-path tuples");
+    assert!(gp.slow > 0, "stream too easy: no slow-path tuples");
+    assert!(gp.fast > 0, "stream too hard: no fast-path tuples");
     let sel = session.stats(ids[2]).unwrap();
     assert!(sel.filtered > 0 && sel.kept > 0, "predicate not selective");
 

@@ -52,7 +52,7 @@ fn mid_batch_reroute_burst_cannot_overshoot_the_cap() {
     let stats = session.stats(q).unwrap();
     assert_eq!(stats.kept, 192, "the cap must not drop tuples");
     assert!(
-        stats.slow_path > 0,
+        stats.slow > 0,
         "workload too easy: the slow path was never exercised"
     );
     assert!(

@@ -3,7 +3,7 @@
 //!
 //! A `SELECT GalAge(z) FROM galaxies` projection and a
 //! `... WHERE sin(z) ∈ [a, b] WITH Pr ≥ θ` selection run as single batches
-//! on a persistent `BatchScheduler` worker pool: read-only GP inference
+//! on a `BatchScheduler`'s workers: read-only GP inference
 //! fans out across workers, only ε_GP-budget misses take the sequential
 //! tuning path, and the rows are byte-identical for any worker count.
 //!

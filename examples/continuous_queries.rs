@@ -96,18 +96,18 @@ fn main() {
 
     println!("streaming {tuples} tuples into 5 subscriptions ({workers} workers)...\n");
     let source = SyntheticSource::gaussian(1, 0.5, 7).with_limit(tuples);
-    let run = session.run(source, None).unwrap();
+    let t0 = std::time::Instant::now();
+    let batches = session.run(source, None).unwrap();
+    let elapsed = t0.elapsed();
 
-    // One line per subscription via the shared `StreamStats` display (the
-    // same KvLine-backed rendering the REPL and CI smoke greps consume).
-    for id in [q1, q2, q3, q4, q5] {
-        println!("{}", session.stats(id).unwrap());
+    // One line per subscription via the shared `BatchCounts` display (the
+    // same line the REPL prints and the CI smoke greps).
+    let names = ["f1-gp", "f2-mc", "f3-gp-sel", "f4-mc-sel", "f1-gp-2ms"];
+    for (name, id) in names.iter().zip([q1, q2, q3, q4, q5]) {
+        println!("{name:<10} {}", session.stats(id).unwrap());
     }
 
-    println!(
-        "\nlast emitted tuples of {}:",
-        session.stats(q3).unwrap().query
-    );
+    println!("\nlast emitted tuples of f3-gp-sel:");
     for k in session.recent(q3).unwrap().iter().take(4) {
         println!(
             "  tuple {:>8}  median {:>8.4}  ±{:<7.4}  TEP {:.3}",
@@ -115,7 +115,11 @@ fn main() {
         );
     }
 
-    println!("\nengine: {run}");
+    println!(
+        "\nengine: {tuples} tuples × 5 queries in {elapsed:.2?} ({batches} batches, {workers} workers): \
+         {:.0} tuple-evals/s",
+        (5 * tuples) as f64 / elapsed.as_secs_f64()
+    );
     println!(
         "digests (determinism witnesses): {:#018x} {:#018x} {:#018x} {:#018x} {:#018x}",
         session.digest(q1).unwrap(),

@@ -9,7 +9,7 @@
 use std::time::Instant;
 use udf_uncertain::prelude::*;
 
-/// One unfiltered batch on `sched`'s pool, tuple id = index; returns the
+/// One unfiltered batch on `sched`'s workers, tuple id = index; returns the
 /// first tuple's median and the batch's counters.
 fn process_batch(
     eval: &mut Evaluator,
@@ -69,9 +69,9 @@ fn main() {
         println!(
             "workers = {workers}: warm-up {warm_time:>10.2?} ({} tuned), steady {steady_time:>10.2?} \
              ({} fast-path, {} tuned), model {} pts, median[0] {:+.3}",
-            warm.slow(),
-            steady.accepted_fast,
-            steady.slow(),
+            warm.slow,
+            steady.fast,
+            steady.slow,
             eval.olgapro().expect("GP evaluator").model().len(),
             median,
         );

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use udf_core::filtering::{FilterDecision, Predicate};
     pub use udf_core::mc::McEvaluator;
     pub use udf_core::olgapro::Olgapro;
-    pub use udf_core::output::{GpOutput, OutputDistribution};
+    pub use udf_core::output::{GpOutput, OutputDistribution, TuneStop};
     pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
     pub use udf_core::udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
     pub use udf_join::{
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use udf_prob::{Ecdf, InputDistribution, Normal, Univariate};
     pub use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall, Value};
     pub use udf_stream::{
-        AstroSource, EngineConfig, EngineStats, QueryId, QuerySpec, Session, Source, StreamStats,
-        StreamStrategy, SyntheticSource, VecSource,
+        AstroSource, EngineConfig, QueryId, QuerySpec, Session, Source, StreamStrategy,
+        SyntheticSource, VecSource,
     };
     pub use udf_workloads::{UdfCatalog, UdfEntry};
 }

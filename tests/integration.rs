@@ -37,11 +37,11 @@ fn olgapro_meets_accuracy_on_all_paper_functions() {
         let inputs = generate_inputs(InputKind::Gaussian, 1, 6, 0.5, &mut rng);
         // Replay the stream until convergence (no additions in a pass).
         for _pass in 0..12 {
-            let before = olga.stats().points_added;
+            let mut added = 0;
             for input in &inputs {
-                olga.process(input, &mut rng).unwrap();
+                added += olga.process(input, &mut rng).unwrap().points_added;
             }
-            if olga.stats().points_added == before {
+            if added == 0 {
                 break;
             }
         }

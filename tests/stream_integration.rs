@@ -87,7 +87,7 @@ fn stream_filter_decisions_agree_with_executor_mc_baseline() {
     assert_eq!(stats.kept as usize, want.len());
     assert_eq!(stats.filtered as usize, n - want.len());
     assert_eq!(
-        executor.stats().tuples_out as usize,
+        executor.stats().kept as usize,
         want.len(),
         "executor baseline emitted an unexpected row count"
     );
