@@ -11,9 +11,9 @@ use std::time::Instant;
 use udf_bench::{ground_truth, header, paper_accuracy, standard_inputs};
 use udf_core::error_bound::{envelope_ecdfs, lambda_discrepancy_bound};
 use udf_core::udf::UdfFunction;
-use udf_gp::local::{select_local, LocalPredictor};
+use udf_gp::local::{select_local_with, LocalPredictor};
 use udf_gp::train::{train, TrainConfig};
-use udf_gp::{GpModel, SquaredExponential};
+use udf_gp::{GpModel, SelectScratch, SquaredExponential};
 use udf_prob::metrics::lambda_discrepancy;
 use udf_spatial::BoundingBox;
 
@@ -83,10 +83,9 @@ fn main() {
         for input in &inputs {
             let samples = input.sample_n(&mut rng2, m);
             let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
-            subset += select_local(&model, &bbox, gamma)
-                .expect("select")
-                .indices
-                .len();
+            let mut sel = SelectScratch::default();
+            select_local_with(&model, &bbox, gamma, &mut sel).expect("select");
+            subset += sel.selected.len();
         }
         println!(
             "{:>7.1}%      local    {err:>9.4}   {bound:>10.4}   {:>8.2}    {:>6}",
@@ -125,8 +124,9 @@ fn run(
                 .unzip(),
             Some(g) => {
                 let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
-                let sel = select_local(model, &bbox, g).expect("select");
-                let lp = LocalPredictor::new(model, sel.indices).expect("local predictor");
+                let mut sel = SelectScratch::default();
+                select_local_with(model, &bbox, g, &mut sel).expect("select");
+                let lp = LocalPredictor::new(model, sel.selected).expect("local predictor");
                 samples
                     .iter()
                     .map(|s| {

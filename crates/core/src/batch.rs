@@ -177,7 +177,7 @@ impl Evaluator {
         }
     }
 
-    /// Run `n` tuples as one batch on `sched`'s worker pool.
+    /// Run `n` tuples as one batch on `sched`'s workers.
     ///
     /// `tuple(i)` yields the `i`-th tuple's caller-chosen id (its seed word
     /// and the label `sink` receives) and its input; `sink` is called once

@@ -20,11 +20,8 @@ use crate::olgapro::Olgapro;
 use crate::output::{GpOutput, OutputDistribution};
 use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
-use udf_gp::band::BandBoxBound;
-use udf_gp::local::select_local;
 use udf_prob::bounds::hoeffding_halfwidth;
 use udf_prob::{Ecdf, InputDistribution};
-use udf_spatial::BoundingBox;
 
 /// A selection predicate `f(X) ∈ [lo, hi]` with TEP threshold θ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,130 +231,6 @@ pub(crate) fn rule_tuned(out: GpOutput, predicate: &Predicate) -> FilterDecision
     }
 }
 
-/// What the §4.2 box certificate can prove about a predicate over an input
-/// region, *without* per-sample inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvelopeDecision {
-    /// Every sample's band value provably falls outside `[lo, hi]`, so the
-    /// envelope TEP upper bound `ρ_U = F_S(b) − F_L(a)` is exactly 0 — the
-    /// fast path's accept hook would rule
-    /// [`Verdict::Filter`](crate::sched::Verdict::Filter) with certainty.
-    DefiniteReject,
-    /// Every sample's band lies strictly inside `[lo, hi]`, so the TEP
-    /// lower bound `ρ_L` is exactly 1 ≥ θ: the tuple certainly survives
-    /// the filter (it still needs evaluation to produce its output
-    /// distribution).
-    DefiniteAccept,
-    /// The box bracket cannot decide; evaluate normally.
-    Undecided,
-}
-
-/// Refinement budget for [`envelope_certify`]: each level bisects an
-/// undecided box along its longest axis, so the worst case evaluates
-/// `2^MAX_REFINE_DEPTH` brackets (with early exit on the first box that
-/// stays undecided at the bottom).
-const MAX_REFINE_DEPTH: usize = 6;
-
-/// Internal per-box classification for [`envelope_certify`].
-#[derive(Clone, Copy, PartialEq)]
-enum BoxClass {
-    /// The whole band over the box is outside `[lo, hi]` (above *or*
-    /// below — both zero out the box's contribution to `ρ_U`).
-    Outside,
-    /// The whole band over the box is strictly inside `[lo, hi]`.
-    Inside,
-    /// Undecidable at the refinement budget.
-    Mixed,
-}
-
-/// The §5.5 envelope certificate over an input box (Remark 2.1's spirit
-/// applied to the GP band of §4.2): decide
-/// `Pr[f(X) ∈ [lo, hi]] ≥ θ` from band *bounds over the box* instead of
-/// per-sample inference.
-///
-/// `bbox` must be the bounding box of the samples the fast path would
-/// draw, and `z_alpha` the simultaneous band multiplier it would use
-/// ([`udf_gp::band::simultaneous_z`] on that same box) — then the
-/// certificate is **exact** with respect to the fast path:
-///
-/// * every sample's lower-envelope value is `f̂(x) − z_α σ(x)` for some
-///   `x ∈ bbox`; if each refinement sub-box's band bracket is entirely
-///   above `hi` or entirely below `lo`, each sample contributes either
-///   `0 − 0` (band above) or `1 − 1` (band below) to
-///   `ρ_U = F_S(hi) − F_L(lo)`, so `ρ_U = 0 < θ` exactly and the accept
-///   hook would have filtered the tuple at fast-path cost
-///   ([`DefiniteReject`](EnvelopeDecision::DefiniteReject));
-/// * if every sub-box's band is strictly inside, `ρ_L = 1 ≥ θ`
-///   ([`DefiniteAccept`](EnvelopeDecision::DefiniteAccept)).
-///
-/// The bracket is evaluated against the same training subset the fast
-/// path's local inference would select (empty selection falls back to the
-/// whole model, exactly like inference does). A cold model returns
-/// [`Undecided`](EnvelopeDecision::Undecided) — callers must then evaluate
-/// normally, which is always sound.
-pub fn envelope_certify(
-    olga: &Olgapro,
-    bbox: &BoundingBox,
-    z_alpha: f64,
-    pred: &Predicate,
-) -> EnvelopeDecision {
-    let model = olga.model();
-    if model.is_empty() {
-        return EnvelopeDecision::Undecided;
-    }
-    let indices = match select_local(model, bbox, olga.config().gamma) {
-        Ok(sel) if !sel.indices.is_empty() => sel.indices,
-        Ok(_) => (0..model.len()).collect(),
-        Err(_) => return EnvelopeDecision::Undecided,
-    };
-    let Ok(bound) = BandBoxBound::new(model, indices) else {
-        return EnvelopeDecision::Undecided;
-    };
-    match classify_box(&bound, bbox, z_alpha, pred, MAX_REFINE_DEPTH) {
-        BoxClass::Outside => EnvelopeDecision::DefiniteReject,
-        BoxClass::Inside => EnvelopeDecision::DefiniteAccept,
-        BoxClass::Mixed => EnvelopeDecision::Undecided,
-    }
-}
-
-fn classify_box(
-    bound: &BandBoxBound<'_>,
-    bbox: &BoundingBox,
-    z_alpha: f64,
-    pred: &Predicate,
-    depth: usize,
-) -> BoxClass {
-    let Ok((band_lo, band_hi)) = bound.bracket(bbox, z_alpha) else {
-        return BoxClass::Mixed;
-    };
-    // Strict comparisons: boundary ties could land a sample's envelope
-    // value exactly on an ECDF step.
-    if band_lo > pred.hi || band_hi < pred.lo {
-        return BoxClass::Outside;
-    }
-    if band_lo > pred.lo && band_hi < pred.hi {
-        return BoxClass::Inside;
-    }
-    if depth == 0 {
-        return BoxClass::Mixed;
-    }
-    let mut combined: Option<BoxClass> = None;
-    for child in bbox.bisect(1) {
-        let c = classify_box(bound, &child, z_alpha, pred, depth - 1);
-        if c == BoxClass::Mixed {
-            return BoxClass::Mixed;
-        }
-        match combined {
-            None => combined = Some(c),
-            // Outside + Inside children: some samples are certainly in the
-            // interval and some certainly out — neither verdict holds.
-            Some(prev) if prev != c => return BoxClass::Mixed,
-            Some(_) => {}
-        }
-    }
-    combined.unwrap_or(BoxClass::Mixed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,105 +303,6 @@ mod tests {
         assert!(!mc_filtered(&udf, &input, &acc(), &pred, &mut rng)
             .unwrap()
             .is_filtered());
-    }
-
-    /// The certificate must agree *exactly* with the fast path: a
-    /// DefiniteReject box has sample-envelope ρ_U = 0, a DefiniteAccept box
-    /// has ρ_L = 1, for the very samples `infer_only` would draw.
-    #[test]
-    fn envelope_certificate_is_exact_wrt_fast_path() {
-        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
-        let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-        let mut olga = Olgapro::new(udf, cfg);
-        let mut rng = StdRng::seed_from_u64(31);
-        for i in 0..10 {
-            let input = InputDistribution::diagonal_gaussian(&[(0.8 * i as f64, 0.25)]).unwrap();
-            olga.process(&input, &mut rng).unwrap();
-        }
-
-        // sin(0.8x) ∈ [−1, 1]: [5, 6] is certainly-rejectable, [−2, 2] is
-        // certainly-acceptable once the model is warm.
-        let reject = Predicate::new(5.0, 6.0, 0.3).unwrap();
-        let accept = Predicate::new(-2.0, 2.0, 0.3).unwrap();
-        let m = olga.config().samples_per_input();
-        let delta_gp = olga.config().split().delta_gp;
-        let (mut rejects, mut accepts) = (0, 0);
-        for i in 0..10 {
-            let input =
-                InputDistribution::diagonal_gaussian(&[(0.4 + 0.7 * i as f64, 0.2)]).unwrap();
-            let seed = 1000 + i;
-            let samples = input.sample_n(&mut StdRng::seed_from_u64(seed), m);
-            let bbox = udf_spatial::BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
-            let z = udf_gp::band::simultaneous_z(olga.model().kernel(), &bbox, delta_gp);
-            let out = olga
-                .infer_only(&input, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            for (pred, which) in [(&reject, "reject"), (&accept, "accept")] {
-                let (rho_l, _, rho_u) = out.tep_bounds(pred.lo, pred.hi);
-                match envelope_certify(&olga, &bbox, z, pred) {
-                    EnvelopeDecision::DefiniteReject => {
-                        rejects += 1;
-                        assert_eq!(rho_u, 0.0, "{which} input {i}: certified but ρ_U > 0");
-                    }
-                    EnvelopeDecision::DefiniteAccept => {
-                        accepts += 1;
-                        assert_eq!(rho_l, 1.0, "{which} input {i}: certified but ρ_L < 1");
-                    }
-                    EnvelopeDecision::Undecided => {}
-                }
-            }
-        }
-        assert!(rejects > 0, "warm model never certified a far predicate");
-        assert!(
-            accepts > 0,
-            "warm model never certified a covering predicate"
-        );
-    }
-
-    #[test]
-    fn envelope_certificate_is_undecided_when_cold() {
-        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
-        let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-        let olga = Olgapro::new(udf, cfg);
-        let bbox = udf_spatial::BoundingBox::new(vec![0.0], vec![1.0]);
-        let pred = Predicate::new(5.0, 6.0, 0.3).unwrap();
-        assert_eq!(
-            envelope_certify(&olga, &bbox, 3.0, &pred),
-            EnvelopeDecision::Undecided,
-            "empty model must never certify"
-        );
-    }
-
-    #[test]
-    fn envelope_gap_is_zero_when_root_bracket_certifies() {
-        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
-        let acc = AccuracyRequirement::new(0.2, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-        let mut olga = Olgapro::new(udf, cfg);
-        let mut rng = StdRng::seed_from_u64(31);
-        for i in 0..10 {
-            let input = InputDistribution::diagonal_gaussian(&[(0.8 * i as f64, 0.25)]).unwrap();
-            olga.process(&input, &mut rng).unwrap();
-        }
-        // sin(0.8x) ∈ [−1, 1]: a far predicate certifies at the root.
-        let pred = Predicate::new(50.0, 51.0, 0.3).unwrap();
-        let bbox = udf_spatial::BoundingBox::new(vec![1.0], vec![2.0]);
-        let z = udf_gp::band::simultaneous_z(olga.model().kernel(), &bbox, 0.05);
-        assert_eq!(
-            envelope_certify(&olga, &bbox, z, &pred),
-            EnvelopeDecision::DefiniteReject
-        );
-        // No refinement was needed: the root box's bracket is already
-        // entirely below the interval.
-        let model = olga.model();
-        let sel = select_local(model, &bbox, olga.config().gamma).unwrap();
-        let (_, band_hi) = BandBoxBound::new(model, sel.indices)
-            .unwrap()
-            .bracket(&bbox, z)
-            .unwrap();
-        assert!(band_hi < pred.lo, "root bracket reaches {band_hi}");
     }
 
     #[test]

@@ -353,8 +353,10 @@ impl BatchScheduler {
     /// 1. if [`BatchOps::needs_bootstrap`], tuple 0 runs the slow path
     ///    sequentially so the fast phase has a model to read;
     /// 2. the remaining tuples run [`BatchOps::fast_ruled`] (by default,
-    ///    [`BatchOps::fast`]) concurrently on the pool, each with an RNG
-    ///    from [`BatchOps::tuple_seed`];
+    ///    [`BatchOps::fast`]) concurrently — on helper threads scoped to
+    ///    this batch plus the calling thread as the last worker, or inline
+    ///    when there is one worker — each with an RNG from
+    ///    [`BatchOps::tuple_seed`];
     /// 3. results fold sequentially in tuple order: the accept hook rules
     ///    [`Accept`](Verdict::Accept) / [`Filter`](Verdict::Filter) /
     ///    [`Reroute`](Verdict::Reroute), and rerouted tuples (plus any

@@ -27,8 +27,6 @@
 //! probability for the large-z regime of interest (small α).
 
 use crate::kernel::Kernel;
-use crate::model::GpModel;
-use crate::{GpError, Result};
 use udf_prob::special::{hermite, norm_ppf, norm_sf};
 use udf_spatial::BoundingBox;
 
@@ -105,120 +103,6 @@ pub fn simultaneous_z(kernel: &dyn Kernel, domain: &BoundingBox, alpha: f64) -> 
         }
     }
     z
-}
-
-/// Sound bracketing of the simultaneous band `f̂(x) ± z·σ(x)` over whole
-/// input boxes, for a predictor conditioned on the training subset
-/// `indices` (§4.2's envelope evaluated over a box instead of per sample).
-///
-/// Construction precomputes the one quantity that is quadratic in the
-/// subset size — the RKHS norm of the restricted posterior mean — so each
-/// [`bracket`](BandBoxBound::bracket) call is `O(|indices|)`; pair pruning
-/// (udf-join) builds one `BandBoxBound` per candidate and brackets many
-/// refinement sub-boxes with it.
-///
-/// Three sound ingredients, phrased around the kernel metric
-/// `d_k(x, c)² = k(x,x) + k(c,c) − 2k(x, c) = 2(k(0) − k(‖x − c‖))`, which
-/// shrinks linearly with the box radius — so bisection refinement actually
-/// converges:
-///
-/// * **mean**: the restricted mean `f̂(x) = Σ_{i∈indices} k(x, x*_i) α_i`
-///   lies in the kernel's RKHS with norm `‖f̂‖² = α_Iᵀ K_II α_I`, so
-///   `|f̂(x) − f̂(c)| ≤ ‖f̂‖ · d_k(x, c)`; evaluating `f̂` at the box
-///   center `c` preserves the cancellation in α (a naive per-point
-///   interval sum is off by orders of magnitude on dense, near-singular
-///   training sets);
-/// * **sd, local**: the subset-conditioned sd is 1-Lipschitz in the
-///   kernel metric — with `P = I − Φ_I(K_II + jI)⁻¹Φ_Iᵀ` we have
-///   `0 ⪯ P ⪯ I` and `σ(x) = ‖P^{1/2} k(·,x)‖`, hence
-///   `|σ(x) − σ(c)| ≤ ‖P^{1/2}(k(·,x) − k(·,c))‖ ≤ d_k(x, c)` — so
-///   `σ(c)` computed by the *fast path's own*
-///   [`LocalPredictor`](crate::local::LocalPredictor) plus a
-///   `d_k` slack bounds the sd over the box;
-/// * **sd, global backstop**: posterior variance never increases as
-///   observations are added (fixed jitter), so conditioning on the single
-///   best subset point gives
-///   `σ²(x) ≤ k(0) − k(x, x*_i)² / (k(0) + jitter)` with `k(x, x*_i)` at
-///   least the kernel value at the box's farthest corner — loose, but
-///   independent of the box size; the bracket takes the smaller of the
-///   two sd bounds.
-#[derive(Debug)]
-pub struct BandBoxBound<'m> {
-    model: &'m GpModel,
-    predictor: crate::local::LocalPredictor<'m>,
-    indices: Vec<usize>,
-    /// RKHS norm ‖f̂_I‖ of the restricted posterior mean.
-    hnorm: f64,
-}
-
-impl<'m> BandBoxBound<'m> {
-    /// Precompute the bound context for a training subset —
-    /// `O(|indices|²)` kernel evaluations for the RKHS norm plus the
-    /// subset predictor's `O(|indices|³)` factorization (the same factor
-    /// the fast path's local inference would build).
-    pub fn new(model: &'m GpModel, indices: Vec<usize>) -> Result<Self> {
-        if model.is_empty() || indices.is_empty() {
-            return Err(GpError::EmptyModel);
-        }
-        let kernel = model.kernel();
-        let xs = model.inputs();
-        let alpha = model.alpha();
-        let mut norm_sq = 0.0;
-        for &i in &indices {
-            for &j in &indices {
-                norm_sq += alpha[i] * alpha[j] * kernel.eval(&xs[i], &xs[j]);
-            }
-        }
-        let predictor = crate::local::LocalPredictor::new(model, indices.clone())?;
-        Ok(BandBoxBound {
-            model,
-            predictor,
-            indices,
-            // The Gram quadratic form is PSD; clamp numerical noise.
-            hnorm: norm_sq.max(0.0).sqrt(),
-        })
-    }
-
-    /// The training subset the bound is conditioned on.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// `(band_lo, band_hi)` with `band_lo ≤ f̂(x) − z·σ(x)` and
-    /// `f̂(x) + z·σ(x) ≤ band_hi` for **all** `x ∈ bbox`, where `f̂`/`σ`
-    /// are the subset predictor's posterior mean and sd.
-    pub fn bracket(&self, bbox: &BoundingBox, z: f64) -> Result<(f64, f64)> {
-        if !(z > 0.0 && z.is_finite()) {
-            return Err(GpError::InvalidParameter {
-                what: "band multiplier z",
-                value: z,
-            });
-        }
-        let kernel = self.model.kernel();
-        let xs = self.model.inputs();
-        let k0 = kernel.signal_variance();
-        let center: Vec<f64> = bbox
-            .lo()
-            .iter()
-            .zip(bbox.hi())
-            .map(|(l, h)| 0.5 * (l + h))
-            .collect();
-        let at_center = self.predictor.predict(&center)?;
-        let mut k_far_best = 0.0f64;
-        for &i in &self.indices {
-            let far = bbox.max_dist(&xs[i]);
-            k_far_best = k_far_best.max(kernel.eval_dist(far));
-        }
-        // Kernel-metric radius to the farthest box point from the center.
-        let r_max = bbox.max_dist(&center);
-        let k_r = kernel.eval_dist(r_max);
-        let d_k = (2.0 * (k0 - k_r)).max(0.0).sqrt();
-        let mean_slack = self.hnorm * d_k;
-        let var_single = (k0 - k_far_best * k_far_best / (k0 + self.model.jitter())).clamp(0.0, k0);
-        let sd_ub = (at_center.var.sqrt() + d_k).min(var_single.sqrt());
-        let pad = mean_slack + z * sd_ub;
-        Ok((at_center.mean - pad, at_center.mean + pad))
-    }
 }
 
 /// Elementary symmetric polynomials `e_0..e_n` of `a` (DP in O(n²)).
@@ -412,94 +296,6 @@ mod tests {
         let z1 = simultaneous_z(&k, &d1, 0.05);
         let z2 = simultaneous_z(&k, &d2, 0.05);
         assert!(z2 > z1, "2-D field has more excursions: {z1} vs {z2}");
-    }
-
-    #[test]
-    fn band_box_bracket_dominates_pointwise_band() {
-        use crate::local::LocalPredictor;
-        use crate::model::GpModel;
-
-        // Model trained on a dense 1-D grid; the bracket must contain the
-        // pointwise band of both the global predictor and any local subset
-        // predictor, at every probe point inside the box.
-        let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, 0.6)), 1);
-        for i in 0..24 {
-            let x = i as f64 * 0.25;
-            m.add_point(vec![x], (x * 0.9).sin()).unwrap();
-        }
-        let all: Vec<usize> = (0..m.len()).collect();
-        let sub: Vec<usize> = (4..16).collect();
-        let local = LocalPredictor::new(&m, sub.clone()).unwrap();
-        let global_bound = BandBoxBound::new(&m, all).unwrap();
-        let local_bound = BandBoxBound::new(&m, sub).unwrap();
-        let bbox = BoundingBox::new(vec![1.4], vec![2.1]);
-        for z in [1.5, 3.0] {
-            let (g_lo, g_hi) = global_bound.bracket(&bbox, z).unwrap();
-            let (l_lo, l_hi) = local_bound.bracket(&bbox, z).unwrap();
-            for i in 0..=40 {
-                let x = [1.4 + 0.7 * i as f64 / 40.0];
-                let g = m.predict(&x).unwrap();
-                let sd = g.var.sqrt();
-                assert!(g_lo <= g.mean - z * sd + 1e-12, "global lower at {x:?}");
-                assert!(g.mean + z * sd <= g_hi + 1e-12, "global upper at {x:?}");
-                let l = local.predict(&x).unwrap();
-                let lsd = l.var.sqrt();
-                assert!(l_lo <= l.mean - z * lsd + 1e-12, "local lower at {x:?}");
-                assert!(l.mean + z * lsd <= l_hi + 1e-12, "local upper at {x:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn band_box_bracket_tightens_in_warm_regions() {
-        use crate::model::GpModel;
-
-        // In a densely-sampled region the single-point variance bound is
-        // nearly the jitter, so the bracket is far narrower than the prior
-        // band ±z·σ_f — that gap is exactly what makes pair pruning fire.
-        let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        for i in 0..30 {
-            let x = i as f64 * 0.1;
-            m.add_point(vec![x], 5.0).unwrap();
-        }
-        let all: Vec<usize> = (0..m.len()).collect();
-        let bound = BandBoxBound::new(&m, all).unwrap();
-        let warm = BoundingBox::new(vec![1.0], vec![1.2]);
-        let z = 3.0;
-        let (lo, hi) = bound.bracket(&warm, z).unwrap();
-        assert!(
-            hi - lo < 2.0 * z * 0.5,
-            "warm bracket too wide: [{lo}, {hi}]"
-        );
-        // A constant-5 function must bracket around 5, far from 0.
-        assert!(lo > 3.5 && hi < 6.5, "bracket [{lo}, {hi}] off target");
-        // Far from the data the sd bound degrades toward the prior σ_f.
-        let cold = BoundingBox::new(vec![90.0], vec![90.1]);
-        let (clo, chi) = bound.bracket(&cold, z).unwrap();
-        assert!(chi - clo > 2.0 * z * 0.9, "cold bracket suspiciously tight");
-    }
-
-    #[test]
-    fn band_box_bracket_rejects_bad_inputs() {
-        use crate::model::GpModel;
-
-        let empty = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        let b = BoundingBox::new(vec![0.0], vec![1.0]);
-        assert!(matches!(
-            BandBoxBound::new(&empty, vec![0]),
-            Err(GpError::EmptyModel)
-        ));
-        let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        m.add_point(vec![0.5], 1.0).unwrap();
-        assert!(matches!(
-            BandBoxBound::new(&m, vec![]),
-            Err(GpError::EmptyModel)
-        ));
-        let bound = BandBoxBound::new(&m, vec![0]).unwrap();
-        assert!(matches!(
-            bound.bracket(&b, f64::NAN),
-            Err(GpError::InvalidParameter { .. })
-        ));
     }
 
     #[test]

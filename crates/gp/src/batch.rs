@@ -423,7 +423,7 @@ impl LocalPredictorCache {
 mod tests {
     use super::*;
     use crate::kernel::SquaredExponential;
-    use crate::local::select_local;
+    use crate::local::{select_local_with, SelectScratch};
     use udf_spatial::BoundingBox;
 
     fn model(n: usize) -> GpModel {
@@ -451,8 +451,9 @@ mod tests {
     fn local_batch_bit_identical_to_scalar() {
         let m = model(60);
         let qbox = BoundingBox::new(vec![2.0], vec![4.0]);
-        let sel = select_local(&m, &qbox, 1e-5).unwrap();
-        let lp = LocalPredictor::new(&m, sel.indices).unwrap();
+        let mut sel = SelectScratch::default();
+        select_local_with(&m, &qbox, 1e-5, &mut sel).unwrap();
+        let lp = LocalPredictor::new(&m, sel.selected).unwrap();
         let queries: Vec<Vec<f64>> = (0..64).map(|i| vec![2.0 + i as f64 * 2.0 / 63.0]).collect();
         let batch = lp.predict_batch(&queries).unwrap();
         for (q, b) in queries.iter().zip(&batch) {

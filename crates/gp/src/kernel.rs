@@ -135,9 +135,6 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// Euler-characteristic confidence band (§4.2).
     fn spectral_moment(&self) -> f64;
 
-    /// Signal variance `σ_f²` (the prior variance at a point).
-    fn signal_variance(&self) -> f64;
-
     /// Clone into a boxed trait object.
     fn clone_box(&self) -> Box<dyn Kernel>;
 }
@@ -374,10 +371,6 @@ impl Kernel for SquaredExponential {
         (-2.0 * self.log_len).exp()
     }
 
-    fn signal_variance(&self) -> f64 {
-        (2.0 * self.log_sigma_f).exp()
-    }
-
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
     }
@@ -476,10 +469,6 @@ impl Kernel for Matern32 {
     fn spectral_moment(&self) -> f64 {
         // λ₂ = 3/ℓ².
         3.0 * (-2.0 * self.log_len).exp()
-    }
-
-    fn signal_variance(&self) -> f64 {
-        (2.0 * self.log_sigma_f).exp()
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -581,10 +570,6 @@ impl Kernel for Matern52 {
     fn spectral_moment(&self) -> f64 {
         // λ₂ = 5/(3ℓ²).
         5.0 / 3.0 * (-2.0 * self.log_len).exp()
-    }
-
-    fn signal_variance(&self) -> f64 {
-        (2.0 * self.log_sigma_f).exp()
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {

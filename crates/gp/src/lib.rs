@@ -28,7 +28,7 @@ pub mod train;
 
 pub use batch::{FactorOrigin, LocalPredictorCache, PredictScratch};
 pub use kernel::{Kernel, Matern32, Matern52, SquaredExponential};
-pub use local::{LocalSelection, SelectScratch};
+pub use local::SelectScratch;
 pub use model::GpModel;
 
 use std::fmt;

@@ -19,17 +19,6 @@ use std::sync::Arc;
 use udf_linalg::{dot, Cholesky, Matrix};
 use udf_spatial::BoundingBox;
 
-/// Result of choosing training points for local inference.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalSelection {
-    /// Selected training-point indices (into the model's training arrays).
-    pub indices: Vec<usize>,
-    /// Upper bound on the posterior-mean error |f̂ − f̂_L| over the sample box.
-    pub gamma: f64,
-    /// Final retrieval radius around the sample bounding box.
-    pub radius: f64,
-}
-
 /// Reusable buffers for the selection loop. One instance per worker (or per
 /// sequential caller) makes steady-state selection allocation-free: the
 /// R-tree query fills `selected` in place and `gamma_bound` reuses its mask
@@ -55,27 +44,11 @@ struct GammaBufs {
 }
 
 /// Choose training points near `sample_box` so the mean-approximation error
-/// is at most `gamma_threshold` (the paper's Γ).
+/// is at most `gamma_threshold` (the paper's Γ): returns `(gamma, radius)`
+/// and leaves the selected indices (sorted ascending) in
+/// `scratch.selected`.
 ///
 /// Returns [`GpError::InvalidParameter`] for a Γ that is not positive.
-pub fn select_local(
-    model: &GpModel,
-    sample_box: &BoundingBox,
-    gamma_threshold: f64,
-) -> Result<LocalSelection> {
-    let mut scratch = SelectScratch::default();
-    let (gamma, radius) = select_local_with(model, sample_box, gamma_threshold, &mut scratch)?;
-    Ok(LocalSelection {
-        indices: scratch.selected,
-        gamma,
-        radius,
-    })
-}
-
-/// [`select_local`] with caller-provided scratch: returns `(gamma, radius)`
-/// and leaves the selected indices (sorted ascending) in
-/// `scratch.selected`. Identical selection, γ, and radius to
-/// [`select_local`] — only the allocations differ.
 pub fn select_local_with(
     model: &GpModel,
     sample_box: &BoundingBox,
@@ -266,21 +239,6 @@ impl<'m> LocalPredictor<'m> {
         &self.chol
     }
 
-    /// The selected training-point indices.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Number of selected training points `l`.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// True when no points were selected (unreachable by construction).
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
     /// Posterior mean/variance at `x` using only the selected subset —
     /// O(l) mean, O(l²) variance.
     pub fn predict(&self, x: &[f64]) -> Result<Prediction> {
@@ -352,6 +310,14 @@ mod tests {
     use crate::kernel::SquaredExponential;
     use crate::model::GpModel;
 
+    /// The indices [`select_local_with`] picks at threshold `gamma`, and
+    /// the γ it reached.
+    fn selected(m: &GpModel, qbox: &BoundingBox, gamma: f64) -> (Vec<usize>, f64) {
+        let mut scratch = SelectScratch::default();
+        let (reached, _) = select_local_with(m, qbox, gamma, &mut scratch).unwrap();
+        (scratch.selected, reached)
+    }
+
     /// 1-D model with clustered training data far from / near the query box.
     fn clustered_model() -> GpModel {
         let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, 0.5)), 1);
@@ -372,14 +338,14 @@ mod tests {
     fn far_cluster_is_excluded() {
         let m = clustered_model();
         let qbox = BoundingBox::new(vec![0.5], vec![1.5]);
-        let sel = select_local(&m, &qbox, 1e-6).unwrap();
-        assert!(sel.indices.len() < m.len(), "should not select everything");
+        let (sel, gamma) = selected(&m, &qbox, 1e-6);
+        assert!(sel.len() < m.len(), "should not select everything");
         assert!(
-            sel.indices.iter().all(|&i| i < 20),
+            sel.iter().all(|&i| i < 20),
             "far cluster leaked into selection: {:?}",
-            sel.indices
+            sel
         );
-        assert!(sel.gamma <= 1e-6);
+        assert!(gamma <= 1e-6);
     }
 
     #[test]
@@ -387,8 +353,8 @@ mod tests {
         let m = clustered_model();
         let qbox = BoundingBox::new(vec![0.5], vec![1.5]);
         let gamma_threshold = 1e-4;
-        let sel = select_local(&m, &qbox, gamma_threshold).unwrap();
-        let lp = LocalPredictor::new(&m, sel.indices.clone()).unwrap();
+        let (sel, _) = selected(&m, &qbox, gamma_threshold);
+        let lp = LocalPredictor::new(&m, sel).unwrap();
         for q in [0.55, 0.9, 1.2, 1.45] {
             let g = m.predict(&[q]).unwrap();
             let l = lp.predict(&[q]).unwrap();
@@ -415,9 +381,9 @@ mod tests {
     fn tighter_threshold_selects_more_points() {
         let m = clustered_model();
         let qbox = BoundingBox::new(vec![0.5], vec![1.5]);
-        let loose = select_local(&m, &qbox, 1e-2).unwrap();
-        let tight = select_local(&m, &qbox, 1e-10).unwrap();
-        assert!(tight.indices.len() >= loose.indices.len());
+        let (loose, _) = selected(&m, &qbox, 1e-2);
+        let (tight, _) = selected(&m, &qbox, 1e-10);
+        assert!(tight.len() >= loose.len());
     }
 
     #[test]
@@ -427,17 +393,17 @@ mod tests {
         let m = clustered_model();
         let qbox = BoundingBox::new(vec![1.0], vec![3.0]);
         for threshold in [1e-2, 1e-4] {
-            let sel = select_local(&m, &qbox, threshold).unwrap();
-            let lp = LocalPredictor::new(&m, sel.indices.clone()).unwrap();
+            let (sel, gamma) = selected(&m, &qbox, threshold);
+            let lp = LocalPredictor::new(&m, sel).unwrap();
             for i in 0..=20 {
                 let q = 1.0 + 2.0 * i as f64 / 20.0;
                 let g = m.predict_mean(&[q]).unwrap();
                 let l = lp.predict(&[q]).unwrap().mean;
                 assert!(
-                    (g - l).abs() <= sel.gamma + 1e-12,
+                    (g - l).abs() <= gamma + 1e-12,
                     "actual error {} exceeds γ {}",
                     (g - l).abs(),
-                    sel.gamma
+                    gamma
                 );
             }
         }

@@ -57,9 +57,6 @@ impl Kernel for CliffKernel {
     fn spectral_moment(&self) -> f64 {
         self.inner.spectral_moment()
     }
-    fn signal_variance(&self) -> f64 {
-        self.inner.signal_variance()
-    }
     fn clone_box(&self) -> Box<dyn Kernel> {
         Box::new(self.clone())
     }

@@ -4,9 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use udf_gp::local::{select_local, LocalPredictor};
+use udf_gp::local::{select_local_with, LocalPredictor};
 use udf_gp::train::{train, TrainConfig};
-use udf_gp::{GpModel, Kernel, Matern32, Matern52, SquaredExponential};
+use udf_gp::{GpModel, Kernel, Matern32, Matern52, SelectScratch, SquaredExponential};
 use udf_spatial::BoundingBox;
 
 fn sample_2d(n: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -58,21 +58,22 @@ fn matern_local_inference_bounds_hold() {
     let mut m = GpModel::new(Box::new(Matern32::new(1.0, 0.8)), 1);
     m.fit(xs, ys).unwrap();
     let qbox = BoundingBox::new(vec![2.0], vec![6.0]);
-    let sel = select_local(&m, &qbox, 1e-4).unwrap();
+    let mut sel = SelectScratch::default();
+    let (gamma, _) = select_local_with(&m, &qbox, 1e-4, &mut sel).unwrap();
     assert!(
-        sel.indices.len() < m.len(),
+        sel.selected.len() < m.len(),
         "far cluster should be excluded"
     );
-    let lp = LocalPredictor::new(&m, sel.indices.clone()).unwrap();
+    let lp = LocalPredictor::new(&m, sel.selected).unwrap();
     for i in 0..=16 {
         let q = 2.0 + 4.0 * i as f64 / 16.0;
         let g = m.predict_mean(&[q]).unwrap();
         let l = lp.predict(&[q]).unwrap().mean;
         assert!(
-            (g - l).abs() <= sel.gamma + 1e-12,
+            (g - l).abs() <= gamma + 1e-12,
             "q={q}: error {} > γ {}",
             (g - l).abs(),
-            sel.gamma
+            gamma
         );
     }
 }

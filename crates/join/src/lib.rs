@@ -14,14 +14,7 @@
 //!   results are byte-identical to running
 //!   [`Relation::cross_join`](udf_query::Relation::cross_join) +
 //!   [`Executor::select_batch`](udf_query::Executor::select_batch) by
-//!   hand, for any worker count;
-//! * the **pruning layer** ([`prune`]) indexes each side's input-domain
-//!   boxes in the `udf_spatial` R-tree and, once the GP model is warm,
-//!   certifies `TEP = 0` (or `= 1`) over a candidate pair's sample box
-//!   from the §4.2 envelope band bounds — skipping per-sample inference
-//!   entirely for provably-rejectable pairs. Pruning never changes the
-//!   result: it only skips pairs the envelope proves the accept hook
-//!   would have filtered, which the parity tests pin byte-for-byte.
+//!   hand, for any worker count.
 //!
 //! ```
 //! use udf_core::config::{AccuracyRequirement, Metric};
@@ -50,7 +43,6 @@
 //!     .unwrap()
 //!     .predicate(Predicate::new(0.15, 0.25, 0.5).unwrap())
 //!     .strategy(EvalStrategy::Gp)
-//!     .prune(true)
 //!     .seed(7);
 //! let sched = BatchScheduler::new(2);
 //! let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
@@ -59,11 +51,9 @@
 //! ```
 
 pub mod executor;
-pub mod prune;
 pub mod spec;
 
 pub use executor::{warmup_indices, JoinExecutor, JoinMetrics, JoinOutput, JoinStats, JoinedPair};
-pub use prune::PairPruner;
 pub use spec::{JoinAttr, JoinSpec, OnCondition, Side};
 
 use std::fmt;
@@ -71,15 +61,10 @@ use std::fmt;
 /// Errors raised by join construction and execution.
 #[derive(Debug)]
 pub enum JoinError {
-    /// The spec is inconsistent (bad argument binding, pruning without a
-    /// predicate, pruning under MC, …).
+    /// The spec is inconsistent (bad argument binding, `prune(true)`, …).
     InvalidSpec(String),
     /// Relational-layer failure (duplicate columns, pair blowup, …).
     Query(udf_query::QueryError),
-    /// Evaluation-framework failure.
-    Core(udf_core::CoreError),
-    /// Probability-layer failure.
-    Prob(udf_prob::ProbError),
 }
 
 impl fmt::Display for JoinError {
@@ -87,8 +72,6 @@ impl fmt::Display for JoinError {
         match self {
             JoinError::InvalidSpec(m) => write!(f, "invalid join spec: {m}"),
             JoinError::Query(e) => write!(f, "{e}"),
-            JoinError::Core(e) => write!(f, "evaluation error: {e}"),
-            JoinError::Prob(e) => write!(f, "probability error: {e}"),
         }
     }
 }
@@ -98,18 +81,6 @@ impl std::error::Error for JoinError {}
 impl From<udf_query::QueryError> for JoinError {
     fn from(e: udf_query::QueryError) -> Self {
         JoinError::Query(e)
-    }
-}
-
-impl From<udf_core::CoreError> for JoinError {
-    fn from(e: udf_core::CoreError) -> Self {
-        JoinError::Core(e)
-    }
-}
-
-impl From<udf_prob::ProbError> for JoinError {
-    fn from(e: udf_prob::ProbError) -> Self {
-        JoinError::Prob(e)
     }
 }
 

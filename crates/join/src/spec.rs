@@ -4,7 +4,7 @@ use crate::{JoinError, Result};
 use udf_core::config::{AccuracyRequirement, ModelBudget};
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
-use udf_query::{EvalStrategy, Relation, Schema, Tuple, Value};
+use udf_query::{EvalStrategy, Relation, Schema, Tuple};
 
 /// Which join side an argument or key column is drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,7 @@ impl OnCondition {
 /// Everything one uncertain θ-join needs: sides with prefixes, pair
 /// filter, pair UDF with per-side argument bindings, the PR predicate,
 /// and execution knobs. Build with [`JoinSpec::new`] and the chained
-/// setters; [`crate::JoinExecutor::new`] validates cross-field rules
-/// (pruning requires GP + a predicate).
+/// setters.
 #[derive(Debug)]
 pub struct JoinSpec<'a> {
     /// Left relation.
@@ -84,7 +83,10 @@ pub struct JoinSpec<'a> {
     /// GP model cap (0 = uncapped), enforced through
     /// [`udf_query::Executor::with_model_cap`].
     pub model_cap: usize,
-    /// Enable envelope-based pair pruning (GP + predicate only).
+    /// Always `false`: pair pruning was removed, and
+    /// [`crate::JoinExecutor::new`] rejects a spec that sets it. Kept only
+    /// for the benchmark ladder's `.prune(p.prune)` call; it goes when the
+    /// ladder drops that call (ROADMAP item 11).
     pub prune: bool,
     /// Master RNG seed; pair `k` evaluates under
     /// [`mix_seed`](udf_core::sched::mix_seed)`(seed, 0, k)`.
@@ -163,7 +165,9 @@ impl<'a> JoinSpec<'a> {
         self
     }
 
-    /// Toggle envelope pruning (default off).
+    /// Set [`prune`](JoinSpec::prune); `true` makes
+    /// [`crate::JoinExecutor::new`] fail with
+    /// [`JoinError::InvalidSpec`].
     pub fn prune(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -216,17 +220,6 @@ impl<'a> JoinSpec<'a> {
             Some(on) => on.keep(&self.left.tuples()[i], &self.right.tuples()[j]),
         }
     }
-
-    /// The argument values of pair `(i, j)`, in call order.
-    pub fn arg_values(&self, i: usize, j: usize) -> Vec<&Value> {
-        self.args
-            .iter()
-            .map(|a| match a.side {
-                Side::Left => self.left.tuples()[i].value(a.index),
-                Side::Right => self.right.tuples()[j].value(a.index),
-            })
-            .collect()
-    }
 }
 
 fn resolve(left: &Relation, right: &Relation, side: Side, name: &str) -> Result<JoinAttr> {
@@ -246,7 +239,7 @@ fn resolve(left: &Relation, right: &Relation, side: Side, name: &str) -> Result<
 mod tests {
     use super::*;
     use udf_core::config::Metric;
-    use udf_query::Schema;
+    use udf_query::Value;
 
     fn rel() -> Relation {
         let tuples = (0..3)

@@ -1,6 +1,5 @@
 //! Join acceptance: the executor must be *indistinguishable* from the
-//! hand-built Q2 construction over the materialized cross product, and
-//! envelope pruning must change no output while provably skipping pairs.
+//! hand-built Q2 construction over the materialized cross product.
 
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
@@ -27,12 +26,7 @@ fn galaxies(n: usize) -> Relation {
     Relation::new(Schema::new(&["objID", "z"]), tuples).unwrap()
 }
 
-fn angdist_spec<'a>(
-    g: &'a Relation,
-    strategy: EvalStrategy,
-    prune: bool,
-    seed: u64,
-) -> (JoinSpec<'a>, Predicate) {
+fn angdist_spec(g: &Relation, strategy: EvalStrategy, seed: u64) -> (JoinSpec<'_>, Predicate) {
     let cat = UdfCatalog::standard();
     let entry = cat.get("AngDist").unwrap();
     let accuracy =
@@ -53,7 +47,6 @@ fn angdist_spec<'a>(
     .unwrap()
     .predicate(pred)
     .strategy(strategy)
-    .prune(prune)
     .seed(seed);
     (spec, pred)
 }
@@ -99,19 +92,19 @@ fn hand_built(
     rows
 }
 
-/// Every generated pair is pruned, filtered or kept — exactly one of the
-/// three — and every evaluated pair is settled on exactly one path.
+/// Every generated pair is filtered or kept — exactly one of the two —
+/// and settled on exactly one path.
 fn assert_adds_up(s: &JoinStats, label: &str) {
     let c = &s.counts;
     assert_eq!(
         s.pairs_generated,
-        s.pairs_pruned + c.filtered + c.kept,
-        "{label}: generated ≠ pruned + filtered + kept: {s:?}"
+        c.filtered + c.kept,
+        "{label}: generated ≠ filtered + kept: {s:?}"
     );
     assert_eq!(
         c.fast + c.slow,
-        s.pairs_generated - s.pairs_pruned,
-        "{label}: an evaluated pair was settled twice or not at all: {s:?}"
+        s.pairs_generated,
+        "{label}: a pair was settled twice or not at all: {s:?}"
     );
 }
 
@@ -146,7 +139,7 @@ fn join_matches_hand_built_q2_construction() {
     let g = galaxies(12); // 66 ordered pairs
     for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
         for workers in [1usize, 2, 8] {
-            let (spec, pred) = angdist_spec(&g, strategy, false, 7);
+            let (spec, pred) = angdist_spec(&g, strategy, 7);
             let sched = BatchScheduler::new(workers);
             let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
             let hand = hand_built(&g, strategy, &pred, workers, 7);
@@ -169,90 +162,19 @@ fn join_matches_hand_built_q2_construction() {
     }
 }
 
-/// Envelope pruning must change no output byte while skipping pairs, for
-/// every worker count.
-#[test]
-fn pruning_changes_no_output_and_prunes_pairs() {
-    let g = galaxies(24); // 276 ordered pairs
-    let mut reference: Option<Vec<JoinedPair>> = None;
-    for workers in [1usize, 2, 8] {
-        let (off_spec, _) = angdist_spec(&g, EvalStrategy::Gp, false, 9);
-        let (on_spec, _) = angdist_spec(&g, EvalStrategy::Gp, true, 9);
-        let sched = BatchScheduler::new(workers);
-        let off = JoinExecutor::new(&off_spec).unwrap().run(&sched).unwrap();
-        let on = JoinExecutor::new(&on_spec).unwrap().run(&sched).unwrap();
-        let label = format!("workers={workers}");
-
-        assert_adds_up(&off.stats, &format!("{label}/off"));
-        assert_adds_up(&on.stats, &format!("{label}/prune"));
-        assert_eq!(off.rows.len(), on.rows.len(), "{label}: kept counts");
-        for (a, b) in off.rows.iter().zip(&on.rows) {
-            assert_eq!(a.pair, b.pair, "{label}");
-            assert_eq!(a.tep.to_bits(), b.tep.to_bits(), "{label}: pair {}", a.pair);
-            assert_eq!(
-                a.output.error_bound.to_bits(),
-                b.output.error_bound.to_bits(),
-                "{label}: pair {}",
-                a.pair
-            );
-            assert_eq!(a.output.ecdf, b.output.ecdf, "{label}: pair {}", a.pair);
-        }
-        assert!(
-            on.stats.pairs_pruned > 0,
-            "{label}: warm model never pruned a pair"
-        );
-        assert!(
-            on.stats.counts.tuples_in < off.stats.counts.tuples_in,
-            "{label}: pruning must evaluate fewer pairs"
-        );
-        assert_eq!(
-            off.stats.pairs_pruned, 0,
-            "{label}: prune-off counted prunes"
-        );
-        // Pruned pairs are exactly fast-path filter decisions skipped early.
-        assert_eq!(
-            off.stats.counts.filtered,
-            on.stats.counts.filtered + on.stats.pairs_pruned,
-            "{label}: pruned + filtered must cover the same pairs"
-        );
-        // UDF call accounting unchanged: pruning skips only inference.
-        assert_eq!(
-            off.stats.counts.udf_calls, on.stats.counts.udf_calls,
-            "{label}"
-        );
-
-        match &reference {
-            None => reference = Some(on.rows),
-            Some(want) => {
-                assert_eq!(want.len(), on.rows.len(), "{label}: cross-worker");
-                for (a, b) in want.iter().zip(&on.rows) {
-                    assert_eq!(a.output.ecdf, b.output.ecdf, "{label}: cross-worker");
-                }
-            }
-        }
-    }
-}
-
-/// `JoinStats` adds up for MC, GP and GP + `PRUNE`. At this seed two
-/// main-round pairs reroute and are then dropped by the slow path's own
-/// filter — the drops the GP join used to leave uncounted (it reported
-/// 274 of 276 pairs).
+/// `JoinStats` adds up for MC and GP. At this seed two main-round pairs
+/// reroute and are then dropped by the slow path's own filter — the drops
+/// the GP join used to leave uncounted (it reported 274 of 276 pairs).
 #[test]
 fn join_stats_add_up() {
     let g = galaxies(24);
     let sched = BatchScheduler::new(2);
-    let run = |strategy, prune| {
-        let (spec, _) = angdist_spec(&g, strategy, prune, 4);
+    for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
+        let (spec, _) = angdist_spec(&g, strategy, 4);
         let stats = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap().stats;
-        assert_adds_up(&stats, &format!("{strategy:?}/prune={prune}"));
-        stats
-    };
-    run(EvalStrategy::Mc, false);
-    let off = run(EvalStrategy::Gp, false);
-    let on = run(EvalStrategy::Gp, true);
-    assert!(on.pairs_pruned > 0, "warm model never pruned a pair");
-    assert_eq!(off.counts.filtered, on.counts.filtered + on.pairs_pruned);
-    assert_eq!(off.counts.kept, on.counts.kept);
+        assert_adds_up(&stats, &format!("{strategy:?}"));
+        assert_eq!(stats.pairs_generated, 276, "{strategy:?}");
+    }
 }
 
 /// MC joins over the same spec agree with cross_join + select_batch (the
@@ -260,7 +182,7 @@ fn join_stats_add_up() {
 #[test]
 fn mc_join_has_no_warmup_rounds() {
     let g = galaxies(10);
-    let (spec, pred) = angdist_spec(&g, EvalStrategy::Mc, false, 3);
+    let (spec, pred) = angdist_spec(&g, EvalStrategy::Mc, 3);
     let sched = BatchScheduler::new(2);
     let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
 
@@ -275,38 +197,31 @@ fn mc_join_has_no_warmup_rounds() {
     assert_rows_identical(&out.rows, &hand, "mc single batch");
 }
 
-/// Spec validation: pruning without GP or without a predicate is refused,
-/// oversized joins are refused before any work.
+/// Pair pruning was removed: a spec that still asks for it is refused,
+/// on either strategy, before any work.
+#[test]
+fn pruning_spec_is_refused() {
+    let g = galaxies(4);
+    for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
+        let (spec, _) = angdist_spec(&g, strategy, 1);
+        let spec = spec.prune(true);
+        assert!(
+            matches!(
+                JoinExecutor::new(&spec),
+                Err(JoinError::InvalidSpec(m)) if m.contains("pruning was removed")
+            ),
+            "{strategy:?}"
+        );
+    }
+}
+
+/// Spec validation: an accuracy past the per-pair sample limit is refused
+/// before any work.
 #[test]
 fn invalid_specs_are_refused() {
     let g = galaxies(4);
-    let (spec, _) = angdist_spec(&g, EvalStrategy::Mc, true, 1);
-    assert!(matches!(
-        JoinExecutor::new(&spec),
-        Err(JoinError::InvalidSpec(m)) if m.contains("GP")
-    ));
-
     let cat = UdfCatalog::standard();
     let entry = cat.get("AngDist").unwrap();
-    let accuracy =
-        AccuracyRequirement::new(0.2, 0.05, entry.default_lambda(), Metric::Discrepancy).unwrap();
-    let no_pred = JoinSpec::new(
-        &g,
-        "a",
-        &g,
-        "b",
-        entry.udf.clone(),
-        &[(Side::Left, "z"), (Side::Right, "z")],
-        accuracy,
-        entry.output_range,
-    )
-    .unwrap()
-    .strategy(EvalStrategy::Gp)
-    .prune(true);
-    assert!(matches!(
-        JoinExecutor::new(&no_pred),
-        Err(JoinError::InvalidSpec(m)) if m.contains("predicate")
-    ));
 
     // A valid accuracy asking ~10¹⁵ samples of each pair is an error, not
     // an allocation that takes the process down.

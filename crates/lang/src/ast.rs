@@ -255,9 +255,6 @@ pub struct Options {
     pub limit: Option<Spanned<u64>>,
     /// `MODEL CAP n` — GP model-size budget (0 = uncapped).
     pub model_cap: Option<Spanned<u64>>,
-    /// `PRUNE` — envelope-based pair pruning (GP joins with a WHERE
-    /// clause only).
-    pub prune: Option<Spanned<bool>>,
 }
 
 impl fmt::Display for CallExpr {
@@ -332,9 +329,6 @@ impl fmt::Display for Select {
         }
         if let Some(c) = &o.model_cap {
             write!(f, " MODEL CAP {}", c.node)?;
-        }
-        if o.prune.is_some() {
-            write!(f, " PRUNE")?;
         }
         Ok(())
     }

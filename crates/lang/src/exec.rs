@@ -1,16 +1,15 @@
 //! Query execution: a [`Context`] of registered objects plus the
 //! dispatcher that runs bound plans on the engine.
 //!
-//! Relation queries run as one batch on a [`BatchScheduler`] worker pool
-//! through
+//! Relation queries run as one batch on a [`BatchScheduler`] through
 //! [`Executor::select_batch`] / [`Executor::project_batch`] — byte-identical
 //! results for any `WORKERS` count. `JOIN` queries lower onto a
-//! [`udf_join::JoinExecutor`] over the same pool (warmup + main rounds,
-//! optional envelope pair pruning — byte-identical to the hand-built
-//! `cross_join` construction). `FROM STREAM` queries subscribe a
-//! [`QuerySpec`] on a fresh [`Session`] and drive it over the registered
-//! source, so a UQL stream query produces exactly the determinism digest of
-//! the equivalent hand-built subscription.
+//! [`udf_join::JoinExecutor`] over the same scheduler (warmup + main
+//! rounds, byte-identical to the hand-built `cross_join` construction).
+//! `FROM STREAM` queries subscribe a [`QuerySpec`] on a fresh [`Session`]
+//! and drive it over the registered source, so a UQL stream query produces
+//! exactly the determinism digest of the equivalent hand-built
+//! subscription.
 
 use crate::ast::ExplainMode;
 use crate::error::{LangError, Result};
@@ -183,8 +182,8 @@ pub struct JoinRowsOutput {
     pub rows: Vec<JoinedPair>,
     /// The joined relation of kept pairs (prefixed schema).
     pub relation: Relation,
-    /// Join-level counters (incl. `pairs_pruned`) and the evaluated
-    /// pairs' counter block.
+    /// Join-level counters (`pairs_generated`) and the evaluated pairs'
+    /// counter block.
     pub stats: JoinStats,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
@@ -349,9 +348,7 @@ fn annotate_analyze(
             .raw(&r.stats.to_string()),
         QueryOutput::Join(r) => KvLine::new()
             .raw(&format!("  JoinExec: time={:.2?}", r.elapsed))
-            .raw(&r.stats.to_string())
-            .field("prune_attempts", r.stats.prune_attempts)
-            .field("certain_accepts", r.stats.certain_accepts),
+            .raw(&r.stats.to_string()),
         QueryOutput::Stream(o) => KvLine::new()
             .raw(&format!("  StreamExec: time={:.2?}", o.elapsed))
             .field("batches", o.batches)
@@ -395,8 +392,8 @@ fn stale_name(kind: &str, name: &str) -> LangError {
 
 fn exec_relation(p: &RelPlan, ctx: &mut Context) -> Result<QueryOutput> {
     // Field-level borrows: the relation map and the scheduler cache are
-    // disjoint, so the pool entry can be created while the relation is
-    // held.
+    // disjoint, so the scheduler entry can be created while the relation
+    // is held.
     let rel = ctx
         .relations
         .get(&p.relation)
@@ -452,7 +449,6 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
     )
     .map_err(join_err)?
     .strategy(p.strategy)
-    .prune(p.prune)
     .seed(p.seed)
     .model_cap(p.model_cap);
     if let Some(pred) = p.predicate {

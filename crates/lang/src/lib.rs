@@ -15,11 +15,10 @@
 //!
 //! * finite relations run batch-parallel through
 //!   [`udf_query::Executor::select_batch`] on a
-//!   [`BatchScheduler`](udf_core::sched::BatchScheduler) pool — selections
+//!   [`BatchScheduler`](udf_core::sched::BatchScheduler) — selections
 //!   ride the GP-envelope filtering fast path (§5.5);
 //! * `FROM rel a JOIN rel b` θ-joins (the paper's Q2 shape) lower to
-//!   [`udf_join::JoinExecutor`], with optional `PRUNE` envelope-based
-//!   pair pruning (§4.2);
+//!   [`udf_join::JoinExecutor`];
 //! * `FROM STREAM` queries lower to [`udf_stream::Session`] subscriptions
 //!   and inherit the stream engine's determinism digests.
 //!

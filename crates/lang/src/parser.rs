@@ -14,7 +14,7 @@
 //! where     := "WHERE" "PR" "(" call "IN" "[" NUMBER "," NUMBER "]" ")" ">=" NUMBER ;
 //! option    := "USING" ( "MC" | "GP" | "AUTO" )
 //!            | "WORKERS" INT | "BATCH" INT | "SEED" INT | "LIMIT" INT
-//!            | "MODEL" "CAP" INT | "PRUNE" ;
+//!            | "MODEL" "CAP" INT ;
 //! ```
 //!
 //! Qualified attributes (`a.z`) and the `JOIN` source form go together:
@@ -25,7 +25,8 @@
 //!
 //! Options may appear in any order but at most once each; the AST
 //! pretty-printer emits them canonically, so pretty-print → reparse is an
-//! identity on the AST.
+//! identity on the AST. `PRUNE`, the removed pair-pruning option, is
+//! rejected at its token with a diagnostic that says so.
 
 use crate::ast::{
     AccuracyClause, AttrRef, CallExpr, ExplainMode, JoinSource, MetricName, OnExpr, Options,
@@ -375,8 +376,10 @@ impl Parser {
                 let n = self.expect_uint("MODEL CAP size")?;
                 set_once(&mut o.model_cap, n, kw, "MODEL CAP")?;
             } else if self.at_keyword("PRUNE") {
-                let kw = self.next().expect("peeked").span;
-                set_once(&mut o.prune, Spanned::new(true, kw), kw, "PRUNE")?;
+                return Err(LangError::parse(
+                    self.here(),
+                    "`PRUNE` was removed: pair pruning saved no time; drop the option",
+                ));
             } else {
                 return Ok(o);
             }
@@ -471,7 +474,7 @@ mod tests {
     fn parses_join_source_with_qualified_refs() {
         let q = parse_statement(
             "SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID < b.objID \
-             WHERE PR(AngDist(a.z, b.z) IN [0.1, 0.3]) >= 0.5 USING gp PRUNE SEED 2",
+             WHERE PR(AngDist(a.z, b.z) IN [0.1, 0.3]) >= 0.5 USING gp SEED 2",
         )
         .unwrap();
         let SourceRef::Join(j) = &q.select.source else {
@@ -484,7 +487,6 @@ mod tests {
         assert_eq!(on.lhs.node, AttrRef::qualified("a", "objID"));
         assert_eq!(on.rhs.node, AttrRef::qualified("b", "objID"));
         assert_eq!(q.select.call.args[0].node, AttrRef::qualified("a", "z"));
-        assert!(q.select.options.prune.is_some());
 
         // Join without ON; bare FROM still parses as a plain relation.
         let q = parse_statement("SELECT AngDist(a.z, b.z) FROM sky a JOIN stars b").unwrap();
@@ -510,8 +512,6 @@ mod tests {
             err.to_string().contains("attribute name after `.`"),
             "{err}"
         );
-        let err = parse_statement("SELECT F1(x) FROM sky PRUNE PRUNE").unwrap_err();
-        assert!(err.to_string().contains("duplicate `PRUNE`"), "{err}");
     }
 
     #[test]
@@ -523,7 +523,7 @@ mod tests {
              where pr(AngDist(z1, z2) in [0.1, 0.3]) >= 0.5 using gp workers 8 batch 32 seed 9 \
              limit 500 model cap 64",
             "select AngDist(a.z, b.z) from sky a join sky b on a.objID < b.objID \
-             where pr(AngDist(a.z, b.z) in [0.1, 0.3]) >= 0.5 using gp workers 2 prune",
+             where pr(AngDist(a.z, b.z) in [0.1, 0.3]) >= 0.5 using gp workers 2",
         ];
         for src in srcs {
             let ast = parse_statement(src).unwrap();

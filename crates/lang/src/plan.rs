@@ -106,7 +106,9 @@ pub struct JoinPlan {
     pub seed: u64,
     /// GP model-size budget (0 = uncapped).
     pub model_cap: usize,
-    /// Envelope-based pair pruning.
+    /// Always `false`: the parser rejects `PRUNE`. Kept only for the
+    /// benchmark ladder's `.prune(p.prune)` call; it goes when the ladder
+    /// drops that call (ROADMAP item 11).
     pub prune: bool,
 }
 
@@ -163,7 +165,7 @@ impl BoundQuery {
             }
             PhysicalPlan::Join(p) => {
                 s.push_str(&format!(
-                    "  JoinExec {} {} JOIN {} {} udf={} strategy={:?} workers={} seed={}{}{}\n",
+                    "  JoinExec {} {} JOIN {} {} udf={} strategy={:?} workers={} seed={}{}\n",
                     p.left,
                     p.left_alias,
                     p.right,
@@ -173,7 +175,6 @@ impl BoundQuery {
                     p.workers,
                     p.seed,
                     render_model_cap(p.model_cap),
-                    if p.prune { " prune" } else { "" },
                 ));
                 if let Some(((ls, lc), (rs, rc))) = &p.on {
                     s.push_str(&format!(
@@ -189,11 +190,9 @@ impl BoundQuery {
                         pr.lo,
                         pr.hi,
                         pr.theta,
-                        match (p.strategy, p.prune) {
-                            (EvalStrategy::Gp, true) =>
-                                "envelope pair pruning (§4.2) + GP fast-path filter (§5.5)",
-                            (EvalStrategy::Gp, false) => "GP fast-path filter (§5.5)",
-                            (EvalStrategy::Mc, _) => "Hoeffding early-stop (Remark 2.1)",
+                        match p.strategy {
+                            EvalStrategy::Gp => "GP fast-path filter (§5.5)",
+                            EvalStrategy::Mc => "Hoeffding early-stop (Remark 2.1)",
                         },
                     )),
                     None => s.push_str("    predicate: none (pure pair projection)\n"),
@@ -314,7 +313,7 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
     }
 
     // 4. Source-specific resolution. The strategy fixes here (it depends
-    //    only on the UDF), so PRUNE/cap checks can rule on it; the numeric
+    //    only on the UDF), so cap checks can rule on it; the numeric
     //    clauses are validated last, once it is known.
     let strategy = resolve_strategy(
         sel.options
@@ -323,14 +322,6 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
             .map_or(StrategyName::Auto, |s| s.node),
         udf,
     );
-    // PRUNE is a join-operator knob; resolve it here so relation/stream
-    // queries reject it with a span instead of silently ignoring it.
-    if let (Some(p), false) = (&sel.options.prune, matches!(sel.source, SourceRef::Join(_))) {
-        return Err(LangError::semantic(
-            p.span,
-            "PRUNE applies to `JOIN` queries only (it prunes candidate pairs)",
-        ));
-    }
     let physical = match &sel.source {
         SourceRef::Relation(name) => {
             if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
@@ -678,27 +669,6 @@ fn bind_join(
         Some(on) => Some((resolve(&on.lhs)?, resolve(&on.rhs)?)),
     };
 
-    let prune = match &sel.options.prune {
-        None => false,
-        Some(p) => {
-            if strategy == EvalStrategy::Mc {
-                return Err(LangError::semantic(
-                    p.span,
-                    "PRUNE certifies pairs from the GP envelope band, but this query's \
-                     strategy resolved to MC (explicitly or via AUTO's §6.3 rules); \
-                     use `USING gp` or drop PRUNE",
-                ));
-            }
-            if sel.predicate.is_none() {
-                return Err(LangError::semantic(
-                    p.span,
-                    "PRUNE needs a `WHERE PR(...)` predicate to rule pairs against",
-                ));
-            }
-            true
-        }
-    };
-
     let n = bind_numbers(sel, entry, strategy == EvalStrategy::Mc)?;
     Ok(PhysicalPlan::Join(JoinPlan {
         left: join.left.node.clone(),
@@ -715,7 +685,7 @@ fn bind_join(
         workers: n.workers,
         seed: n.seed,
         model_cap: n.model_cap,
-        prune,
+        prune: false,
     }))
 }
 

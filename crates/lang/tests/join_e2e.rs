@@ -1,6 +1,6 @@
 //! End-to-end join acceptance: a UQL `JOIN` self-join on `AngDist` must be
 //! *indistinguishable* from the hand-built Q2 pipeline (materialized
-//! `cross_join` + the batch executor), and `PRUNE` must change no output.
+//! `cross_join` + the batch executor).
 
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
@@ -35,13 +35,12 @@ const LO: f64 = 0.3;
 const HI: f64 = 0.36;
 const THETA: f64 = 0.5;
 
-fn uql_join(n: usize, strategy: &str, workers: usize, seed: u64, prune: bool) -> JoinRowsOutput {
+fn uql_join(n: usize, strategy: &str, workers: usize, seed: u64) -> JoinRowsOutput {
     let mut ctx = ctx_with_sky(n);
     let q = format!(
         "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM sky a JOIN sky b \
          ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [{LO}, {HI}]) >= {THETA} \
-         USING {strategy} WORKERS {workers} SEED {seed}{}",
-        if prune { " PRUNE" } else { "" },
+         USING {strategy} WORKERS {workers} SEED {seed}",
     );
     match run_uql(&q, &mut ctx).unwrap() {
         QueryOutput::Join(out) => out,
@@ -91,7 +90,7 @@ fn uql_join_matches_hand_built_q2_pipeline() {
     let n = 12; // 66 ordered pairs
     for (kw, strategy) in [("mc", EvalStrategy::Mc), ("gp", EvalStrategy::Gp)] {
         for workers in [1usize, 2, 8] {
-            let uql = uql_join(n, kw, workers, 7, false);
+            let uql = uql_join(n, kw, workers, 7);
             let hand = hand_built(n, strategy, workers, 7);
             let label = format!("{kw}/workers={workers}");
             assert_eq!(uql.rows.len(), hand.len(), "{label}: row counts");
@@ -119,43 +118,9 @@ fn uql_join_matches_hand_built_q2_pipeline() {
     }
 }
 
-/// `PRUNE` changes no output byte at any worker count, and actually
-/// prunes pairs on the warm model.
-#[test]
-fn uql_prune_is_byte_identical_and_prunes() {
-    let n = 24; // 276 ordered pairs
-    for workers in [1usize, 2, 8] {
-        let off = uql_join(n, "gp", workers, 9, false);
-        let on = uql_join(n, "gp", workers, 9, true);
-        let label = format!("workers={workers}");
-        assert_eq!(off.rows.len(), on.rows.len(), "{label}");
-        for (a, b) in off.rows.iter().zip(&on.rows) {
-            assert_eq!(a.pair, b.pair, "{label}");
-            assert_eq!(a.tep.to_bits(), b.tep.to_bits(), "{label}: pair {}", a.pair);
-            assert_eq!(
-                a.output.error_bound.to_bits(),
-                b.output.error_bound.to_bits(),
-                "{label}: pair {}",
-                a.pair
-            );
-            assert_eq!(a.output.ecdf, b.output.ecdf, "{label}: pair {}", a.pair);
-        }
-        assert!(on.stats.pairs_pruned > 0, "{label}: nothing pruned");
-        assert!(
-            on.stats.counts.tuples_in < off.stats.counts.tuples_in,
-            "{label}: pruning must evaluate fewer pairs"
-        );
-        // The REPL/CI surface: the stats line carries pairs_pruned=.
-        assert!(
-            on.stats.to_string().contains("pairs_pruned="),
-            "{label}: stats display"
-        );
-    }
-}
-
-/// A pruned GP join is output-blind to the metrics switch: recording vs.
-/// disabled registries keep every kept pair bit-identical (and the same
-/// number pruned — pruning decisions are metric-free).
+/// A GP join is output-blind to the metrics switch: recording vs.
+/// disabled registries keep every kept pair bit-identical, and the same
+/// counts.
 #[test]
 fn metrics_switch_never_perturbs_join_outputs() {
     let run = |enabled: bool| {
@@ -164,7 +129,7 @@ fn metrics_switch_never_perturbs_join_outputs() {
         let q = format!(
             "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM sky a JOIN sky b \
              ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [{LO}, {HI}]) >= {THETA} \
-             USING gp WORKERS 2 SEED 9 PRUNE"
+             USING gp WORKERS 2 SEED 9"
         );
         match run_uql(&q, &mut ctx).unwrap() {
             QueryOutput::Join(out) => out,
@@ -179,12 +144,11 @@ fn metrics_switch_never_perturbs_join_outputs() {
         assert_eq!(a.tep.to_bits(), b.tep.to_bits(), "pair {}", a.pair);
         assert_eq!(a.output.ecdf, b.output.ecdf, "pair {}", a.pair);
     }
-    assert_eq!(on.stats.pairs_pruned, off.stats.pairs_pruned);
-    assert!(on.stats.pairs_pruned > 0, "workload must actually prune");
+    assert_eq!(on.stats, off.stats);
 }
 
-/// EXPLAIN ANALYZE on a pruned join reports the JoinExec timing line with
-/// the pruning counters and the join-phase histograms.
+/// EXPLAIN ANALYZE on a join reports the JoinExec timing line with the
+/// pair counters and the join-phase histograms.
 #[test]
 fn explain_analyze_reports_join_counters() {
     let mut ctx = ctx_with_sky(24);
@@ -192,36 +156,25 @@ fn explain_analyze_reports_join_counters() {
         "EXPLAIN ANALYZE SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 \
          FROM sky a JOIN sky b ON a.objID < b.objID \
          WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5 \
-         USING gp WORKERS 2 SEED 9 PRUNE",
+         USING gp WORKERS 2 SEED 9",
         &mut ctx,
     )
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
     };
     assert!(
-        report.contains("JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=2 seed=9 prune"),
+        report.contains("JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=2 seed=9\n"),
         "plan shown:\n{report}"
     );
     assert!(
         report.contains("JoinExec: time="),
         "operator timing:\n{report}"
     );
-    for key in ["pairs_pruned=", "prune_attempts=", "cap_hits="] {
+    for key in ["pairs_generated=276 ", "cap_hits="] {
         assert!(report.contains(key), "{key} counter:\n{report}");
     }
-    // The certificate misses follow from the line: attempts that neither
-    // pruned nor certainly accepted a pair.
-    let field = |key: &str| -> u64 {
-        let (_, rest) = report
-            .split_once(key)
-            .unwrap_or_else(|| panic!("{key} counter:\n{report}"));
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().unwrap()
-    };
-    let decided = field(" pairs_pruned=") + field("certain_accepts=");
-    assert!(field("prune_attempts=") > decided, "no misses:\n{report}");
-    assert!(report.contains("join.screen_ns"), "phase hist:\n{report}");
-    assert!(report.contains("join.certify_ns"), "phase hist:\n{report}");
+    assert!(report.contains("join.warmup_ns"), "phase hist:\n{report}");
+    assert!(report.contains("join.main_ns"), "phase hist:\n{report}");
     // Every pair the fast phase filtered was ruled out before its bound
     // stage (the rest of the skips are the warmup round's tuning loops).
     let counters = ctx.metrics().snapshot().counters;
@@ -233,28 +186,26 @@ fn explain_analyze_reports_join_counters() {
     assert!(report.contains(&format!("olgapro.bounds_skipped = {skipped}\n")));
 }
 
-/// EXPLAIN renders the physical JoinExec binding: the `ON` filter, the
-/// `prune` flag, and the predicate ruled inside the join.
+/// EXPLAIN renders the physical JoinExec binding: the `ON` filter and the
+/// predicate ruled inside the join.
 #[test]
 fn explain_renders_join_pushdown() {
     let mut ctx = ctx_with_sky(8);
     let QueryOutput::Plan(plan) = run_uql(
         "EXPLAIN SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID < b.objID \
-         WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5 USING gp PRUNE",
+         WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5 USING gp",
         &mut ctx,
     )
     .unwrap() else {
         panic!("EXPLAIN returns a plan")
     };
     assert!(
-        plan.contains(
-            "  JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=1 seed=0 prune\n"
-        ),
-        "physical prune flag:\n{plan}"
+        plan.contains("  JoinExec sky a JOIN sky b udf=AngDist strategy=Gp workers=1 seed=0\n"),
+        "physical join:\n{plan}"
     );
     assert!(plan.contains("    on: a.objID < b.objID\n"), "on:\n{plan}");
     assert!(
-        plan.contains("— envelope pair pruning (§4.2) + GP fast-path filter (§5.5)\n"),
+        plan.contains("— GP fast-path filter (§5.5)\n"),
         "predicate route:\n{plan}"
     );
 }
@@ -263,7 +214,7 @@ fn explain_renders_join_pushdown() {
 /// tuples.
 #[test]
 fn join_output_relation_is_prefixed() {
-    let out = uql_join(10, "gp", 2, 3, false);
+    let out = uql_join(10, "gp", 2, 3);
     let cols = out.relation.schema().columns();
     assert_eq!(cols, &["a.objID", "a.z", "b.objID", "b.z"]);
     assert_eq!(out.relation.len(), out.rows.len());

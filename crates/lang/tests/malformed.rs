@@ -335,24 +335,12 @@ fn malformed_queries_fail_with_spans() {
             at: "skyy",
         },
         Case {
-            query: "SELECT GalAge(z) FROM sky PRUNE",
-            stage: Stage::Semantic,
-            message: "PRUNE applies to `JOIN` queries only",
-            at: "PRUNE",
-        },
-        Case {
-            // AngDist is expensive → AUTO would pick GP, but explicit mc
-            // conflicts with PRUNE.
+            // Pair pruning was removed: the option is a parse error at its
+            // token that says so.
             query: "SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b \
-                    WHERE PR(AngDist(a.z, b.z) IN [0.1, 0.2]) >= 0.5 USING mc PRUNE",
-            stage: Stage::Semantic,
-            message: "strategy resolved to MC",
-            at: "PRUNE",
-        },
-        Case {
-            query: "SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b USING gp PRUNE",
-            stage: Stage::Semantic,
-            message: "PRUNE needs a `WHERE PR(...)` predicate",
+                    WHERE PR(AngDist(a.z, b.z) IN [0.1, 0.2]) >= 0.5 USING gp PRUNE",
+            stage: Stage::Parse,
+            message: "`PRUNE` was removed",
             at: "PRUNE",
         },
         Case {

@@ -70,7 +70,7 @@ fn options() -> impl Strategy<Value = Options> {
         1u64..4096,
         0u64..1_000_000,
         (1u64..100_000, 0u64..1000),
-        0u8..128,
+        0u8..64,
     )
         .prop_map(|(s, w, b, seed, (l, cap), mask)| Options {
             strategy: (mask & 1 != 0).then(|| {
@@ -85,7 +85,6 @@ fn options() -> impl Strategy<Value = Options> {
             seed: (mask & 8 != 0).then(|| sp(seed)),
             limit: (mask & 16 != 0).then(|| sp(l)),
             model_cap: (mask & 32 != 0).then(|| sp(cap)),
-            prune: (mask & 64 != 0).then(|| sp(true)),
         })
 }
 

@@ -3,7 +3,7 @@
 //! Every human-facing counter block in the workspace — the REPL report,
 //! `BatchCounts` / `JoinStats` `Display`, the examples — renders through
 //! [`KvLine`], so counters spell identically everywhere (`cap_hits=3`,
-//! `pairs_pruned=120`, …) and scripts can grep one format.
+//! `pairs_generated=780`, …) and scripts can grep one format.
 
 use std::fmt::Display;
 

@@ -8,8 +8,8 @@
 //!
 //! [`project_batch`](Executor::project_batch) and
 //! [`select_batch`](Executor::select_batch) run a whole relation as one
-//! batch on a [`BatchScheduler`] worker pool: read-only GP inference (or MC
-//! sampling) fans out across the pool, and only tuples that miss the ε_GP
+//! batch on a [`BatchScheduler`]: read-only GP inference (or MC sampling)
+//! fans out across its workers, and only tuples that miss the ε_GP
 //! budget take the sequential model-mutating path. Per-tuple RNGs derive
 //! from [`mix_seed`](udf_core::mix_seed)`(seed, 0, i)`, so results are
 //! byte-identical for any worker count. On the MC path (and on the GP path
@@ -132,7 +132,7 @@ impl Executor {
 
     /// `SELECT udf(args) FROM rel` (query Q1) — the UDF output
     /// distribution of every tuple, the whole relation as one batch on
-    /// `sched`'s worker pool.
+    /// `sched`'s workers.
     ///
     /// Tuple `i` is evaluated with an RNG seeded `mix_seed(seed, 0, i)`, so
     /// the rows are byte-identical for any worker count — and, once the GP
@@ -151,7 +151,7 @@ impl Executor {
 
     /// `SELECT udf(args) FROM rel WHERE udf(args) ∈ [lo, hi]` with TEP
     /// threshold θ (query Q2's selection), the whole relation as one batch
-    /// on `sched`'s worker pool — tuples whose existence-probability upper
+    /// on `sched`'s workers — tuples whose existence-probability upper
     /// bound falls below θ are dropped early. On the GP path, tuples are
     /// filtered from the fast-path envelope bounds (§5.5) before any
     /// model-mutating work is scheduled.
@@ -174,9 +174,9 @@ impl Executor {
     /// index, so evaluating a subset is bit-identical to the corresponding
     /// tuples of a full [`select_batch`](Executor::select_batch) run —
     /// provided the skipped tuples are ones the filter would have dropped
-    /// on the fast path (they mutate nothing and emit nothing). This is the
-    /// contract `udf_join`'s envelope pruning relies on; the returned
-    /// [`BatchCounts`] expose the batch's fast/slow/filtered split.
+    /// on the fast path (they mutate nothing and emit nothing). The
+    /// returned [`BatchCounts`] expose the batch's fast/slow/filtered
+    /// split.
     pub fn batch_indexed(
         &mut self,
         inputs: &[(usize, InputDistribution)],
@@ -205,7 +205,7 @@ impl Executor {
         self.run_indexed(inputs, predicate, None, seed)
     }
 
-    /// The one indexed primitive: a two-phase batch on `sched`'s pool, or
+    /// The one indexed primitive: a two-phase batch on `sched`, or
     /// the sequential full path without one. Tuple ids are the original
     /// indices; single-query batches use stream word 0.
     fn run_indexed(

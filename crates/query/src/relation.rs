@@ -28,10 +28,8 @@ impl Value {
         }
     }
 
-    /// View as a sampling marginal — the exact distribution
-    /// [`UdfCall::input_distribution`] builds per argument, exposed so
-    /// streaming consumers (udf-join's pair pruner) can construct
-    /// bit-identical inputs without materializing a joined tuple.
+    /// View as a sampling marginal — the distribution
+    /// [`UdfCall::input_distribution`] builds per argument.
     pub fn marginal(&self) -> Result<Box<dyn Univariate>> {
         match self {
             Value::Det(v) => Ok(Box::new(Degenerate::new(*v)?)),
@@ -174,8 +172,7 @@ impl Relation {
     /// Fails with [`QueryError::DuplicateColumn`] on colliding prefixes and
     /// with [`QueryError::JoinTooLarge`] when the cross product exceeds
     /// [`u32::MAX`] pairs — materializing (or even enumerating) more would
-    /// OOM long before producing anything useful; `udf_join`'s pruned
-    /// executor streams pair batches instead of calling this.
+    /// OOM long before producing anything useful.
     pub fn cross_join(
         &self,
         prefix_a: &str,

@@ -61,7 +61,8 @@ impl Node {
 ///     t.insert(p.to_vec(), i);
 /// }
 /// let q = BoundingBox::new(vec![0.0, 0.0], vec![1.5, 1.5]);
-/// let mut near = t.query_within(&q, 0.1);
+/// let mut near = Vec::new();
+/// t.query_within_into(&q, 0.1, &mut near);
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 /// ```
@@ -149,19 +150,12 @@ impl RTree {
         }
     }
 
-    /// IDs of all points whose Euclidean distance to the query box is at
-    /// most `radius` (the §5.1 retrieval: training points near the sample
-    /// bounding box).
-    pub fn query_within(&self, query: &BoundingBox, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.query_within_into(query, radius, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RTree::query_within`]: clears `out` and
-    /// fills it with the matching IDs, reusing its capacity. Hot loops (the
-    /// GP fast path's radius-expansion search) call this with a scratch
-    /// vector so steady state performs no per-query allocation.
+    /// Clears `out` and fills it with the IDs of all points whose Euclidean
+    /// distance to the query box is at most `radius` (the §5.1 retrieval:
+    /// training points near the sample bounding box), reusing its
+    /// capacity. Hot loops (the GP fast path's radius-expansion search)
+    /// call this with a scratch vector so steady state performs no
+    /// per-query allocation.
     pub fn query_within_into(&self, query: &BoundingBox, radius: f64, out: &mut Vec<usize>) {
         out.clear();
         if let Some(root) = &self.root {
@@ -176,32 +170,6 @@ impl RTree {
             collect_ids(root, &mut out);
         }
         out
-    }
-
-    /// The tree's leaf cells: each leaf's bounding box with the ids stored
-    /// in it. Leaves partition the id set, and every member point lies
-    /// inside its leaf's box, so the cells are spatially coherent clusters
-    /// of at most `MAX_ENTRIES` points — what group-level pruning (e.g.
-    /// udf-join's envelope screen) iterates instead of individual points.
-    pub fn leaf_groups(&self) -> Vec<(BoundingBox, Vec<usize>)> {
-        let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            collect_leaves(root, &mut out);
-        }
-        out
-    }
-}
-
-fn collect_leaves(node: &Node, out: &mut Vec<(BoundingBox, Vec<usize>)>) {
-    match node {
-        Node::Leaf { bbox, entries } => {
-            out.push((bbox.clone(), entries.iter().map(|e| e.id).collect()));
-        }
-        Node::Inner { children, .. } => {
-            for c in children {
-                collect_leaves(c, out);
-            }
-        }
     }
 }
 
@@ -452,7 +420,14 @@ mod tests {
             .collect()
     }
 
-    /// Linear-scan oracle for query_within.
+    /// What [`RTree::query_within_into`] returns, in a fresh vector.
+    fn within(t: &RTree, q: &BoundingBox, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        t.query_within_into(q, r, &mut out);
+        out
+    }
+
+    /// Linear-scan oracle for query_within_into.
     fn oracle(points: &[(Vec<f64>, usize)], q: &BoundingBox, r: f64) -> Vec<usize> {
         let mut ids: Vec<usize> = points
             .iter()
@@ -473,7 +448,7 @@ mod tests {
         assert_eq!(t.len(), 100);
         let q = BoundingBox::new(vec![2.0, 2.0], vec![4.0, 4.0]);
         for r in [0.0, 0.5, 1.5, 3.0] {
-            let mut got = t.query_within(&q, r);
+            let mut got = within(&t, &q, r);
             got.sort_unstable();
             assert_eq!(got, oracle(&pts, &q, r), "radius {r}");
         }
@@ -486,7 +461,7 @@ mod tests {
         assert_eq!(t.len(), 237);
         let q = BoundingBox::new(vec![5.0, 3.0], vec![6.0, 20.0]);
         for r in [0.0, 1.0, 2.5] {
-            let mut got = t.query_within(&q, r);
+            let mut got = within(&t, &q, r);
             got.sort_unstable();
             assert_eq!(got, oracle(&pts, &q, r), "radius {r}");
         }
@@ -500,7 +475,7 @@ mod tests {
         let t = RTree::new(3);
         assert!(t.is_empty());
         let q = BoundingBox::new(vec![0.0; 3], vec![1.0; 3]);
-        assert!(t.query_within(&q, 10.0).is_empty());
+        assert!(within(&t, &q, 10.0).is_empty());
         assert!(t.all_ids().is_empty());
     }
 
@@ -511,31 +486,7 @@ mod tests {
             t.insert(vec![1.0], i);
         }
         let q = BoundingBox::from_point(&[1.0]);
-        assert_eq!(t.query_within(&q, 0.0).len(), 20);
-    }
-
-    #[test]
-    fn leaf_groups_partition_and_contain() {
-        for tree in [RTree::bulk_load(2, grid_points(237)), {
-            let mut t = RTree::new(2);
-            for (p, id) in grid_points(100) {
-                t.insert(p, id);
-            }
-            t
-        }] {
-            let pts: Vec<(Vec<f64>, usize)> = grid_points(tree.len());
-            let groups = tree.leaf_groups();
-            let mut seen: Vec<usize> = groups.iter().flat_map(|(_, ids)| ids.clone()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..tree.len()).collect::<Vec<_>>(), "ids partition");
-            for (bbox, ids) in &groups {
-                assert!(ids.len() <= MAX_ENTRIES, "leaf overfull: {}", ids.len());
-                for &id in ids {
-                    assert!(bbox.contains(&pts[id].0), "id {id} outside its leaf box");
-                }
-            }
-        }
-        assert!(RTree::new(3).leaf_groups().is_empty());
+        assert_eq!(within(&t, &q, 0.0).len(), 20);
     }
 
     #[test]
@@ -548,10 +499,10 @@ mod tests {
             t.insert(p.clone(), *id);
         }
         let q = BoundingBox::from_point(&pts[0].0);
-        let got = t.query_within(&q, 0.0);
+        let got = within(&t, &q, 0.0);
         assert!(got.contains(&0));
         // Wide radius returns everything.
-        let all = t.query_within(&q, 1e6);
+        let all = within(&t, &q, 1e6);
         assert_eq!(all.len(), 50);
     }
 }

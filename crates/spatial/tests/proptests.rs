@@ -11,6 +11,13 @@ fn points(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Ve
     })
 }
 
+/// What [`RTree::query_within_into`] returns, in a fresh vector.
+fn within(tree: &RTree, q: &BoundingBox, radius: f64) -> Vec<usize> {
+    let mut out = Vec::new();
+    tree.query_within_into(q, radius, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -28,7 +35,7 @@ proptest! {
         for (i, p) in pts.iter().enumerate() {
             tree.insert(p.clone(), i);
         }
-        let mut got = tree.query_within(&q, radius);
+        let mut got = within(&tree, &q, radius);
         got.sort_unstable();
 
         let mut want: Vec<usize> = pts
@@ -52,8 +59,8 @@ proptest! {
         }
         let q = BoundingBox::new(vec![-2.0; 3], vec![2.0; 3]);
         for radius in [0.0, 1.0, 5.0] {
-            let mut a = bulk.query_within(&q, radius);
-            let mut b = inc.query_within(&q, radius);
+            let mut a = within(&bulk, &q, radius);
+            let mut b = within(&inc, &q, radius);
             a.sort_unstable();
             b.sort_unstable();
             prop_assert_eq!(a, b);

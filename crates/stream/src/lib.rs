@@ -118,8 +118,8 @@ impl std::error::Error for StreamError {}
 impl From<udf_core::CoreError> for StreamError {
     fn from(e: udf_core::CoreError) -> Self {
         match e {
-            // A panic contained by the scheduler pool (a UDF that panicked
-            // mid-batch) keeps its dedicated stream-level variant.
+            // A panic the scheduler contained (a UDF that panicked on one of
+            // a batch's workers) keeps its dedicated stream-level variant.
             udf_core::CoreError::WorkerPanicked { .. } => StreamError::WorkerPanicked,
             e => StreamError::Core(e),
         }

@@ -1,8 +1,7 @@
 //! The paper's §1 motivating query **Q2** end to end, twice:
 //!
 //! * declaratively, as a UQL `JOIN` statement (`FROM sky a JOIN sky b`);
-//! * programmatically, through the `udf-join` API — the same engine path,
-//!   with and without envelope-based pair pruning.
+//! * programmatically, through the `udf-join` API — the same engine path.
 //!
 //! ```sh
 //! cargo run --release --example q2_join
@@ -45,7 +44,7 @@ fn main() {
     let q = "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 \
              FROM sky a JOIN sky b ON a.objID < b.objID \
              WHERE PR(AngDist(a.z, b.z) IN [0.25, 0.32]) >= 0.5 \
-             USING gp WORKERS 2 SEED 7 PRUNE";
+             USING gp WORKERS 2 SEED 7";
     println!("uql> {q}\n");
     match ctx.run(q) {
         Ok(out) => print!("{}", out.report()),
@@ -58,36 +57,23 @@ fn main() {
     let accuracy =
         AccuracyRequirement::new(0.2, 0.05, entry.default_lambda(), Metric::Discrepancy).unwrap();
     let sched = BatchScheduler::new(2);
-    for prune in [false, true] {
-        let spec = JoinSpec::new(
-            &rel,
-            "a",
-            &rel,
-            "b",
-            entry.udf.clone(),
-            &[(Side::Left, "z"), (Side::Right, "z")],
-            accuracy,
-            entry.output_range,
-        )
-        .unwrap()
-        .on_less_than("objID", "objID")
-        .unwrap()
-        .predicate(Predicate::new(0.25, 0.32, 0.5).unwrap())
-        .strategy(EvalStrategy::Gp)
-        .prune(prune)
-        .seed(7);
-        let t0 = Instant::now();
-        let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
-        println!(
-            "\napi  prune={prune:<5} {:>8.2?}  {}",
-            t0.elapsed(),
-            out.stats
-        );
-        if prune {
-            println!(
-                "     pruning skipped {} of {} candidate pairs without per-sample inference",
-                out.stats.pairs_pruned, out.stats.pairs_generated
-            );
-        }
-    }
+    let spec = JoinSpec::new(
+        &rel,
+        "a",
+        &rel,
+        "b",
+        entry.udf.clone(),
+        &[(Side::Left, "z"), (Side::Right, "z")],
+        accuracy,
+        entry.output_range,
+    )
+    .unwrap()
+    .on_less_than("objID", "objID")
+    .unwrap()
+    .predicate(Predicate::new(0.25, 0.32, 0.5).unwrap())
+    .strategy(EvalStrategy::Gp)
+    .seed(7);
+    let t0 = Instant::now();
+    let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
+    println!("\napi  {:>8.2?}  {}", t0.elapsed(), out.stats);
 }

@@ -155,9 +155,7 @@ fn main() {
                      FROM <relation> | STREAM <source> | <rel> a JOIN <rel> b [ON a.key < b.key]\n\
                      [WHERE PR(f(attr, ...) IN [lo, hi]) >= theta]\n\
                      [USING mc|gp|auto] [WORKERS n] [BATCH n] [SEED n] [LIMIT n] [MODEL CAP n]\n\
-                     [PRUNE]\n\
-                     JOIN queries qualify attributes with their alias (AngDist(a.z, b.z));\n\
-                     PRUNE enables envelope-based pair pruning on GP joins with a WHERE.\n\
+                     JOIN queries qualify attributes with their alias (AngDist(a.z, b.z)).\n\
                      Prefix with EXPLAIN to print the plan without executing, or\n\
                      EXPLAIN ANALYZE to execute and print per-operator timings and\n\
                      the statement's metrics delta (reroutes, model size, cap hits);\n\
