@@ -388,7 +388,7 @@ impl BatchOps for GpBatch<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Metric, ModelBudget, OlgaproConfig};
+    use crate::config::{Metric, OlgaproConfig};
 
     fn setup(eps: f64) -> Olgapro {
         let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
@@ -552,7 +552,7 @@ mod tests {
         let run = |workers: usize| {
             let metrics = udf_obs::MetricsRegistry::new();
             let mut olga = setup(0.12).with_metrics(&metrics);
-            olga.set_model_cap(cap, ModelBudget::StopGrowing).unwrap();
+            olga.set_model_cap(cap).unwrap();
             let mut par = Par::new(olga, workers);
             let batch: Vec<InputDistribution> = (0..24)
                 .map(|i| InputDistribution::diagonal_gaussian(&[(0.5 * i as f64, 0.3)]).unwrap())
@@ -595,7 +595,7 @@ mod tests {
         // over-budget tuple ruled after them is accepted at its fast-phase
         // output — `infer_only` on the batch-start model.
         let mut olga = setup(0.12);
-        olga.set_model_cap(6, ModelBudget::StopGrowing).unwrap();
+        olga.set_model_cap(6).unwrap();
         olga.set_tuning_budget(2).unwrap();
         let mut par = Par::new(olga, 2);
         let batch: Vec<InputDistribution> = (0..24)

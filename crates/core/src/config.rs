@@ -110,25 +110,18 @@ fn dkw_samples(metric: Metric, eps: f64, delta: f64) -> usize {
     }
 }
 
-/// How OLGAPRO spends a bounded model budget once the training set reaches
-/// [`OlgaproConfig::max_model_points`].
-///
-/// Exact-GP cost grows with the training-set size `m`: O(m²) per inference
-/// and O(m³) per retrain, so an unbounded model turns a long run of hard
-/// tuples into a quadratic/cubic wall. A budget keeps per-tuple cost
-/// bounded, in the spirit of sparse-GP inducing-point budgets (SPGP).
+/// What happens at [`OlgaproConfig::max_model_points`]: the one policy,
+/// stop adding training points. Over-budget tuples are emitted at the
+/// *achieved* error bound (which stays attached to every output), and each
+/// such degraded acceptance is counted in
+/// [`crate::batch::BatchCounts::cap_hits`]. The type stays only because
+/// `benchmark/src/bin/ladder.rs` passes it to `with_model_cap`; ROADMAP
+/// item 11 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelBudget {
-    /// Stop adding training points: over-budget tuples are emitted at the
-    /// *achieved* error bound (which stays attached to every output), and
-    /// each such degraded acceptance is counted in
-    /// [`crate::batch::BatchCounts::cap_hits`]. The default.
+    /// Stop growing at the cap.
     #[default]
     StopGrowing,
-    /// Evict the oldest training point to make room, so the model keeps
-    /// adapting to input drift at a fixed size. Each eviction re-factors
-    /// the covariance — O(cap³), expensive but *bounded* per tuple.
-    EvictOldest,
 }
 
 /// When OLGAPRO re-learns hyperparameters (§5.3 / Expt 3).
@@ -168,9 +161,8 @@ pub struct OlgaproConfig {
     /// ([`min_model_cap`](OlgaproConfig::min_model_cap)) — set them through
     /// [`with_model_cap`](OlgaproConfig::with_model_cap) /
     /// [`set_model_cap`](OlgaproConfig::set_model_cap), which validate.
+    /// At the cap the model stops growing.
     pub max_model_points: usize,
-    /// What happens at the cap (ignored while `max_model_points == 0`).
-    pub model_budget: ModelBudget,
 }
 
 impl OlgaproConfig {
@@ -193,13 +185,11 @@ impl OlgaproConfig {
             init_lengthscale: 1.0,
             init_sigma_f: 1.0,
             max_model_points: 0,
-            model_budget: ModelBudget::StopGrowing,
         })
     }
 
     /// The smallest valid nonzero model cap: the bootstrap size. A cap
-    /// below it could never finish bootstrapping (stop-growing) or would
-    /// thrash the bootstrap set (evict-oldest).
+    /// below it could never finish bootstrapping.
     pub fn min_model_cap(&self) -> usize {
         self.bootstrap_points.max(2)
     }
@@ -207,7 +197,7 @@ impl OlgaproConfig {
     /// Set the model-size budget in place. `n == 0` removes the cap;
     /// nonzero caps below [`min_model_cap`](OlgaproConfig::min_model_cap)
     /// are rejected.
-    pub fn set_model_cap(&mut self, n: usize, budget: ModelBudget) -> Result<()> {
+    pub fn set_model_cap(&mut self, n: usize) -> Result<()> {
         if n > 0 && n < self.min_model_cap() {
             return Err(CoreError::InvalidConfig {
                 what: "max_model_points",
@@ -215,13 +205,13 @@ impl OlgaproConfig {
             });
         }
         self.max_model_points = n;
-        self.model_budget = budget;
         Ok(())
     }
 
-    /// Builder-style [`set_model_cap`](OlgaproConfig::set_model_cap).
-    pub fn with_model_cap(mut self, n: usize, budget: ModelBudget) -> Result<Self> {
-        self.set_model_cap(n, budget)?;
+    /// Builder-style [`set_model_cap`](OlgaproConfig::set_model_cap);
+    /// `_budget` has one possible value.
+    pub fn with_model_cap(mut self, n: usize, _budget: ModelBudget) -> Result<Self> {
+        self.set_model_cap(n)?;
         Ok(self)
     }
 
@@ -294,16 +284,16 @@ mod tests {
         let acc = AccuracyRequirement::paper_default(0.1);
         let cfg = OlgaproConfig::new(acc, 10.0).unwrap();
         assert_eq!(cfg.max_model_points, 0, "default is uncapped");
-        assert_eq!(cfg.model_budget, ModelBudget::StopGrowing);
         assert_eq!(cfg.min_model_cap(), 5);
-        // 0 clears the cap; caps >= bootstrap are fine; 1..bootstrap thrash.
+        // 0 clears the cap; caps >= bootstrap are fine; 1..bootstrap never
+        // finish bootstrapping.
         assert!(cfg
             .clone()
             .with_model_cap(0, ModelBudget::StopGrowing)
             .is_ok());
         assert!(cfg
             .clone()
-            .with_model_cap(5, ModelBudget::EvictOldest)
+            .with_model_cap(5, ModelBudget::StopGrowing)
             .is_ok());
         for bad in 1..5 {
             assert!(

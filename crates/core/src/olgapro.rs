@@ -18,7 +18,7 @@
 //! 5. **online retraining** (§5.3): if points were added, re-learn the
 //!    hyperparameters only when the first Newton step exceeds Δθ.
 
-use crate::config::{Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
+use crate::config::{Metric, OlgaproConfig, RetrainStrategy};
 use crate::error_bound::{
     band_ecdfs, envelope_ecdfs, eps_gp_floor, ks_bound, lambda_discrepancy_bound,
     lambda_discrepancy_bound_with, BoundScratch, RhoCount,
@@ -61,6 +61,10 @@ pub struct OlgaproMetrics {
     pub model_size: Histogram,
     /// Degraded-accuracy acceptances forced by the model cap.
     pub cap_hits: Counter,
+    /// Tuning picks whose UDF value fell outside the band the model had
+    /// just inferred there, `|y − f̂(x)| > z_α σ(x)`: an out-of-sample
+    /// check of the band, counted before the point is added.
+    pub band_misses: Counter,
     /// Time per read-only fast-path evaluation
     /// ([`Olgapro::infer_only_with`]) — the blocked warm inference loop.
     pub fastpath_ns: Histogram,
@@ -94,6 +98,7 @@ impl OlgaproMetrics {
             model_points: Gauge::disabled(),
             model_size: Histogram::disabled(),
             cap_hits: Counter::disabled(),
+            band_misses: Counter::disabled(),
             fastpath_ns: Histogram::disabled(),
             lp_cache_hits: Counter::disabled(),
             lp_cache_misses: Counter::disabled(),
@@ -113,6 +118,7 @@ impl OlgaproMetrics {
             model_points: reg.gauge("olgapro.model_points"),
             model_size: reg.histogram("olgapro.model_size"),
             cap_hits: reg.counter("olgapro.cap_hits"),
+            band_misses: reg.counter("olgapro.band_misses"),
             fastpath_ns: reg.histogram("olgapro.fastpath_ns"),
             lp_cache_hits: reg.counter("olgapro.lp_cache.hits"),
             lp_cache_misses: reg.counter("olgapro.lp_cache.misses"),
@@ -256,12 +262,12 @@ impl Olgapro {
         &self.config
     }
 
-    /// Change the model-size budget in place (validated; see
+    /// Change the model-size cap in place (validated; see
     /// [`OlgaproConfig::set_model_cap`]). Shrinking the cap below the
     /// current model size stops further growth but does not discard
     /// already-learned points.
-    pub fn set_model_cap(&mut self, n: usize, budget: ModelBudget) -> Result<()> {
-        self.config.set_model_cap(n, budget)
+    pub fn set_model_cap(&mut self, n: usize) -> Result<()> {
+        self.config.set_model_cap(n)
     }
 
     /// Change the per-tuple online-tuning budget
@@ -283,18 +289,16 @@ impl Olgapro {
         Ok(())
     }
 
-    /// True when the model cap forbids any further growth: the training
-    /// set has reached [`OlgaproConfig::max_model_points`] under the
-    /// [`ModelBudget::StopGrowing`] policy. Batch accept hooks use this to
-    /// emit over-budget fast-path results at the achieved bound instead of
-    /// rerouting — with a full stop-growing model, [`process`](Olgapro::process)
-    /// computes exactly what [`infer_only`](Olgapro::infer_only) does, so
-    /// accepting is byte-identical and strictly cheaper *if* the model was
-    /// already full when the fast result was inferred.
+    /// True when the training set is at the cap
+    /// ([`OlgaproConfig::max_model_points`]), so the model never grows
+    /// again. Batch accept hooks use this to emit over-budget fast-path
+    /// results at the achieved bound instead of rerouting — with a full
+    /// model, [`process`](Olgapro::process) computes exactly what
+    /// [`infer_only`](Olgapro::infer_only) does, so accepting is
+    /// byte-identical and strictly cheaper *if* the model was already full
+    /// when the fast result was inferred.
     pub fn model_full(&self) -> bool {
-        self.config.max_model_points > 0
-            && self.model.len() >= self.config.max_model_points
-            && self.config.model_budget == ModelBudget::StopGrowing
+        self.config.max_model_points > 0 && self.model.len() >= self.config.max_model_points
     }
 
     /// Count a degraded-accuracy acceptance in the registry's
@@ -303,11 +307,6 @@ impl Olgapro {
     /// model is [`full`](Olgapro::model_full).
     pub fn note_cap_hit(&self) {
         self.metrics.cap_hits.inc();
-    }
-
-    /// True when the training set is at the cap (either policy).
-    fn at_capacity(&self) -> bool {
-        self.config.max_model_points > 0 && self.model.len() >= self.config.max_model_points
     }
 
     /// Inference-only evaluation: compute the output distribution and error
@@ -514,24 +513,19 @@ impl Olgapro {
             if !may_add || within {
                 break;
             }
-            // Model-size budget: bounded per-tuple cost on long runs.
-            if self.at_capacity() {
-                match self.config.model_budget {
-                    ModelBudget::StopGrowing => {
-                        // Accept this input at the achieved bound; the
-                        // degradation is counted, not silent.
-                        self.note_cap_hit();
-                        capped = true;
-                        break;
-                    }
-                    ModelBudget::EvictOldest => {
-                        self.model.remove_oldest()?;
-                    }
-                }
+            // Model-size cap: bounded per-tuple cost on long runs. Accept
+            // this input at the achieved bound; the degradation is counted,
+            // not silent.
+            if self.model_full() {
+                self.note_cap_hit();
+                capped = true;
+                break;
             }
             let pick = self.pick_training_sample(&scratch.samples, &buf.sds, z_alpha, rng)?;
             let x = scratch.samples[pick].clone();
             let y = self.eval_udf(&x)?;
+            let outside = (y - buf.means[pick]).abs() > z_alpha * buf.sds[pick];
+            self.metrics.band_misses.add(u64::from(outside));
             self.model.add_point(x, y)?;
             points_added += 1;
             self.metrics
@@ -794,7 +788,7 @@ impl Olgapro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AccuracyRequirement;
+    use crate::config::{AccuracyRequirement, ModelBudget};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use udf_obs::HistogramSnapshot;
@@ -962,38 +956,6 @@ mod tests {
             "cap must bound training cost: {} vs {}",
             capped.udf().calls(),
             uncapped.udf().calls()
-        );
-    }
-
-    #[test]
-    fn evict_oldest_keeps_size_and_adapts() {
-        let cap = 8usize;
-        let cfg = config(0.12)
-            .with_model_cap(cap, ModelBudget::EvictOldest)
-            .unwrap();
-        let mut olga = Olgapro::new(
-            BlackBoxUdf::from_fn("bumpy", 1, |x| (x[0] * 3.0).sin() + (x[0] * 7.0).cos()),
-            cfg,
-        );
-        let mut rng = StdRng::seed_from_u64(41);
-        for i in 0..24 {
-            let input = InputDistribution::diagonal_gaussian(&[(0.4 * i as f64, 0.3)]).unwrap();
-            olga.process(&input, &mut rng).unwrap();
-            assert!(olga.model().len() <= cap, "input {i}");
-        }
-        assert_eq!(olga.model().len(), cap, "churn should keep the model full");
-        assert!(!olga.model_full(), "evict-oldest can always grow");
-        // The surviving training points track the recent inputs, not the
-        // early ones: eviction discarded the oldest region.
-        let oldest_kept = olga
-            .model()
-            .inputs()
-            .iter()
-            .map(|x| x[0])
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            oldest_kept > 1.0,
-            "oldest surviving point {oldest_kept} was never evicted"
         );
     }
 
@@ -1216,17 +1178,10 @@ mod tests {
                 infer_and_bound(self, &mut scratch.buf, z_alpha, true)?;
             let mut capped = false;
             while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
-                if self.at_capacity() {
-                    match self.config.model_budget {
-                        ModelBudget::StopGrowing => {
-                            self.metrics.cap_hits.inc();
-                            capped = true;
-                            break;
-                        }
-                        ModelBudget::EvictOldest => {
-                            self.model.remove_oldest()?;
-                        }
-                    }
+                if self.model_full() {
+                    self.metrics.cap_hits.inc();
+                    capped = true;
+                    break;
                 }
                 let pick = self.pick_training_sample(samples, &scratch.buf.sds, z_alpha, rng)?;
                 let x = samples[pick].clone();
@@ -1290,7 +1245,7 @@ mod tests {
         theta: Vec<u64>,
         len_epoch: (usize, u64),
         udf_calls: u64,
-        /// The registry's record of model growth, evictions and cap hits:
+        /// The registry's record of model growth and cap hits:
         /// `olgapro.cap_hits`, and the `olgapro.model_points` gauge and
         /// `olgapro.model_size` histogram after every tuple.
         model_metrics: (u64, u64, HistogramSnapshot),
@@ -1343,11 +1298,7 @@ mod tests {
 
     #[test]
     fn lazy_bounds_match_the_eager_oracle_bitwise() {
-        let caps = [
-            (0, ModelBudget::StopGrowing),
-            (9, ModelBudget::StopGrowing),
-            (9, ModelBudget::EvictOldest),
-        ];
+        let caps = [0, 9, 6];
         let heuristics = [
             TuningHeuristic::LargestVariance,
             TuningHeuristic::Random,
@@ -1360,7 +1311,7 @@ mod tests {
         ];
         let (mut runs, mut certified, mut fell_back, mut superseded) = (0, 0, 0, 0);
         for shape in 0..4 {
-            for (cap, budget) in caps {
+            for cap in caps {
                 for metric in [Metric::Discrepancy, Metric::Ks] {
                     for heuristic in heuristics {
                         for retrain in retrains {
@@ -1369,9 +1320,7 @@ mod tests {
                             cfg.init_lengthscale = 1.0;
                             cfg.retrain = retrain;
                             cfg.max_points_per_input = 4;
-                            if cap > 0 {
-                                cfg = cfg.with_model_cap(cap, budget).unwrap();
-                            }
+                            cfg.set_model_cap(cap).unwrap();
                             let mk = || {
                                 let metrics = MetricsRegistry::new();
                                 let olga = Olgapro::new(shaped_udf(shape), cfg.clone())
@@ -1406,7 +1355,7 @@ mod tests {
                                 assert_eq!(
                                     observe(&lazy, &lazy_metrics, got),
                                     observe(&eager, &eager_metrics, want),
-                                    "{shape} {cap} {budget:?} {metric:?} {heuristic:?} {retrain:?}, tuple {t}"
+                                    "{shape} {cap} {metric:?} {heuristic:?} {retrain:?}, tuple {t}"
                                 );
                             }
                             // Without retraining, a skipped bound is a

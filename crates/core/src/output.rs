@@ -31,8 +31,8 @@ pub enum TuneStop {
     /// [`max_points_per_input`](crate::config::OlgaproConfig::max_points_per_input)
     /// points were added and the emitted ε_GP is still over budget.
     TuningBudget,
-    /// The model is at its cap under
-    /// [`ModelBudget::StopGrowing`](crate::config::ModelBudget::StopGrowing):
+    /// The model is at its cap
+    /// ([`max_model_points`](crate::config::OlgaproConfig::max_model_points)):
     /// the tuple is emitted at the achieved bound.
     ModelCap,
 }

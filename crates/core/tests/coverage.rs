@@ -5,8 +5,7 @@
 //! TEP reaches `θ + ε`.
 //!
 //! **Cells.** {F1, F2, F3, F4, GalAge, AngDist} × {Monte Carlo, GP uncapped,
-//! GP capped at [`CAP`] points with `StopGrowing`, GP capped with
-//! `EvictOldest`}. Every cell runs the same [`TUPLES`] seeded tuples of its
+//! GP capped at [`CAP`] points}. Every cell runs the same [`TUPLES`] seeded tuples of its
 //! UDF through the batch operator, one tuple per batch (so each tuple's
 //! band multiplier can be read off the model it is ruled by), behind a
 //! selection predicate that keeps some tuples and drops others. The
@@ -38,18 +37,23 @@
 //! points whose standardized leave-one-out residual `|αᵢ|/√[K⁻¹]ᵢᵢ` (GPML
 //! §5.4.2) exceeds the band multiplier that model puts on the last tuple.
 //! A model whose own training points fall outside its band that often is
-//! refuted by its training set.
+//! refuted by its training set. Two more diagnostics look *away from* the
+//! training points: `picks`, the points the tuning loop added, and `pre>z`,
+//! how many of them fell outside the band the model had inferred at them
+//! just before (`olgapro.band_misses`). Under the fitted GP that share
+//! would be about δ_GP.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use udf_core::batch::{BatchSpec, Evaluator};
-use udf_core::config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig};
+use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::sched::{mix_seed, BatchScheduler};
 use udf_core::Olgapro;
 use udf_gp::band::simultaneous_z;
 use udf_gp::GpModel;
 use udf_linalg::{Cholesky, Matrix};
+use udf_obs::MetricsRegistry;
 use udf_prob::bounds::dkw_halfwidth;
 use udf_prob::metrics::lambda_discrepancy;
 use udf_prob::special::norm_ppf;
@@ -87,23 +91,17 @@ const OPEN: &[(&str, &str, usize)] = &[("F2", "GP", 9)];
 enum Mode {
     Mc,
     Gp,
-    Capped(ModelBudget),
+    Capped,
 }
 
 impl Mode {
-    const ALL: [Mode; 4] = [
-        Mode::Mc,
-        Mode::Gp,
-        Mode::Capped(ModelBudget::StopGrowing),
-        Mode::Capped(ModelBudget::EvictOldest),
-    ];
+    const ALL: [Mode; 3] = [Mode::Mc, Mode::Gp, Mode::Capped];
 
     fn label(self) -> &'static str {
         match self {
             Mode::Mc => "MC",
             Mode::Gp => "GP",
-            Mode::Capped(ModelBudget::StopGrowing) => "GP cap stop",
-            Mode::Capped(ModelBudget::EvictOldest) => "GP cap evict",
+            Mode::Capped => "GP cap",
         }
     }
 }
@@ -187,6 +185,8 @@ struct Cell {
     bound_over_eps: f64,
     /// The final model's `LOO>z` share (GP cells only).
     loo_over_z: Option<f64>,
+    /// Tuning picks, and those outside their pre-pick band (GP cells only).
+    picks: Option<(usize, u64)>,
 }
 
 /// `simultaneous_z` of the tuple the batch operator is about to rule: its
@@ -218,14 +218,15 @@ fn run_cell(entry: &UdfEntry, tuples: &[Tuple], predicate: Predicate, mode: Mode
     let lambda = entry.default_lambda();
     let accuracy = AccuracyRequirement::new(EPS, DELTA, lambda, Metric::Discrepancy).unwrap();
     let udf = entry.udf.clone();
+    let metrics = MetricsRegistry::new();
     let mut eval = match mode {
         Mode::Mc => Evaluator::Mc { udf, accuracy },
-        Mode::Gp | Mode::Capped(_) => {
+        Mode::Gp | Mode::Capped => {
             let mut config = OlgaproConfig::new(accuracy, entry.output_range).unwrap();
-            if let Mode::Capped(budget) = mode {
-                config.set_model_cap(CAP, budget).unwrap();
+            if mode == Mode::Capped {
+                config.set_model_cap(CAP).unwrap();
             }
-            Evaluator::Gp(Box::new(Olgapro::new(udf, config)))
+            Evaluator::Gp(Box::new(Olgapro::new(udf, config).with_metrics(&metrics)))
         }
     };
     let sched = BatchScheduler::new(1);
@@ -266,6 +267,10 @@ fn run_cell(entry: &UdfEntry, tuples: &[Tuple], predicate: Predicate, mode: Mode
     if let (Some(olga), Some(last)) = (eval.olgapro(), tuples.last()) {
         let z = band_multiplier(olga, &last.input, &spec, tuples.len() as u64 - 1);
         cell.loo_over_z = Some(loo_over(olga.model(), z));
+        // Nothing leaves a model, so every point past the bootstrap is a pick.
+        let picks = olga.model().len() - olga.config().bootstrap_points.max(2);
+        let outside = metrics.snapshot().counters["olgapro.band_misses"];
+        cell.picks = Some((picks, outside));
     }
     cell
 }
@@ -289,8 +294,18 @@ fn check_udf(name: &str) {
     assert!(2.0 * dkw_halfwidth(TRUTH_MC, 1e-3) <= TRUTH_ERR);
     let (entry, tuples, predicate) = workload(name);
     let mut table = format!(
-        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9} {:>6}\n",
-        "cell", "kept", "misses", "slack", "dropped", "unsound", "z = 1", "bound/ε", "LOO>z"
+        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9} {:>6} {:>5} {:>5}\n",
+        "cell",
+        "kept",
+        "misses",
+        "slack",
+        "dropped",
+        "unsound",
+        "z = 1",
+        "bound/ε",
+        "LOO>z",
+        "picks",
+        "pre>z"
     );
     let mut failures = Vec::new();
     for mode in Mode::ALL {
@@ -308,8 +323,13 @@ fn check_udf(name: &str) {
         let loo = cell
             .loo_over_z
             .map_or("-".to_string(), |s| format!("{s:.2}"));
+        let (picks, outside) = cell
+            .picks
+            .map_or(("-".to_string(), "-".to_string()), |(p, o)| {
+                (p.to_string(), o.to_string())
+            });
         table += &format!(
-            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2} {:>6}\n",
+            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2} {:>6} {:>5} {:>5}\n",
             mode.label(),
             cell.kept,
             cell.misses,
@@ -319,6 +339,8 @@ fn check_udf(name: &str) {
             at_floor,
             per_row(cell.bound_over_eps),
             loo,
+            picks,
+            outside,
         );
         if cell.misses > open + slack {
             failures.push(format!("{}: {} misses", mode.label(), cell.misses));

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use udf_core::config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig};
+use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::BlackBoxUdf;
 use udf_prob::InputDistribution;
@@ -30,7 +30,7 @@ fn f2_retrains_stop_at_the_wall() {
         let accuracy =
             AccuracyRequirement::new(0.1, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
         let mut config = OlgaproConfig::new(accuracy, range).unwrap();
-        config.set_model_cap(96, ModelBudget::StopGrowing).unwrap();
+        config.set_model_cap(96).unwrap();
         let metrics = udf_obs::MetricsRegistry::new();
         let mut olga = Olgapro::new(udf, config).with_metrics(&metrics);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -656,8 +656,8 @@ mod tests {
         AppendAndReorder,
         /// A new point, selected — after a hyperparameter change.
         Retrain,
-        /// `EvictOldest`: the oldest point removed, every index renumbered.
-        Evict,
+        /// The model refit without its oldest point: every index renumbered.
+        Refit,
         /// A new point, selected, but the caller moved to other queries.
         NewQueries,
         /// A new point, selected, after the scratch served another model.
@@ -746,14 +746,15 @@ mod tests {
                     1 if sel.len() > 1 => Step::AppendAndDrop,
                     2 if sel.len() > 1 => Step::AppendAndReorder,
                     3 => Step::Retrain,
-                    4 => Step::Evict,
+                    4 => Step::Refit,
                     5 => Step::NewQueries,
                     6 => Step::ForeignUse,
                     _ => Step::Append,
                 };
                 match next {
-                    Step::Evict => {
-                        m.remove_oldest().unwrap();
+                    Step::Refit => {
+                        let (xs, ys) = (m.inputs()[1..].to_vec(), m.targets()[1..].to_vec());
+                        m.fit(xs, ys).unwrap();
                         sel = (0..m.len()).filter(|_| rng.gen_bool(0.7)).collect();
                         if sel.is_empty() {
                             sel.push(0);
@@ -815,7 +816,8 @@ mod tests {
         m.add_point(vec![9.9], 0.1).unwrap();
         let e1 = m.epoch();
         assert!(e1 > e0);
-        m.remove_oldest().unwrap();
+        let (xs, ys) = (m.inputs()[1..].to_vec(), m.targets()[1..].to_vec());
+        m.fit(xs, ys).unwrap();
         let e2 = m.epoch();
         assert!(e2 > e1);
         let theta = m.kernel().params();

@@ -8,14 +8,13 @@
 //!   Matérn 3/2 and 5/2) with analytic first and second
 //!   derivatives w.r.t. log-hyperparameters (needed for MLE training, §3.4,
 //!   and the Newton retraining heuristic, §5.3);
-//! * [`model`] — exact GP regression with Cholesky factors, **incremental
-//!   training-point addition** (§5.2) and an integrated R-tree over the
-//!   training inputs;
+//! * [`model`] — exact GP regression with Cholesky factors and
+//!   **incremental training-point addition** (§5.2);
 //! * [`train`] — maximum-likelihood hyperparameter fitting by adaptive
 //!   gradient ascent, plus the Newton first-step size used to decide
 //!   *whether* to retrain (§5.3);
 //! * [`local`] — local inference with the bounding-box γ error bound
-//!   (§5.1);
+//!   (§5.1), selecting points by the box distances the bound measures;
 //! * [`band`] — simultaneous confidence bands `f̂ ± z_α σ` via the expected
 //!   Euler characteristic approximation (§4.2, Eq. 5, after Adler \[3\]).
 

@@ -21,13 +21,15 @@ use udf_spatial::BoundingBox;
 
 /// Reusable buffers for the selection loop. One instance per worker (or per
 /// sequential caller) makes steady-state selection allocation-free: the
-/// R-tree query fills `selected` in place and `gamma_bound` reuses its mask
+/// radius scan fills `selected` in place and `gamma_bound` reuses its mask
 /// and distance/kernel-value buffers across every radius-expansion iteration
 /// instead of allocating fresh vectors per call.
 #[derive(Debug, Default, Clone)]
 pub struct SelectScratch {
     /// Output of the last [`select_local_with`]: the selected indices.
     pub selected: Vec<usize>,
+    /// Each training point's distance to the whole sample box.
+    box_dist: Vec<f64>,
     /// γ-bound working buffers.
     bufs: GammaBufs,
 }
@@ -67,7 +69,8 @@ pub fn select_local_with(
 
     let n = model.len();
     // Radius step: the kernel's half-value distance (bisected once per
-    // hyperparameter setting and cached on the model).
+    // hyperparameter setting and cached on the model). Each step keeps the
+    // points within `radius` of the box, in ascending index order.
     let step = model.half_value_distance().expect("always Some");
     // The near/far corner distances — and so the per-point kernel brackets —
     // depend only on the sample box and the training set, never on the
@@ -76,18 +79,34 @@ pub fn select_local_with(
     // point. Same distances, same kernel values, same accumulation order:
     // γ is bit-identical to evaluating from scratch each iteration.
     let n_sub = gamma_precompute(model, sample_box, &mut scratch.bufs);
+    box_distances(&scratch.bufs.dists, n, n_sub, &mut scratch.box_dist);
     let mut radius = step;
     loop {
-        model
-            .spatial_index()
-            .query_within_into(sample_box, radius, &mut scratch.selected);
-        scratch.selected.sort_unstable();
+        let box_dist = &scratch.box_dist;
+        scratch.selected.clear();
+        scratch
+            .selected
+            .extend((0..n).filter(|&l| box_dist[l] <= radius));
         let gamma = gamma_from_precomputed(model, &scratch.selected, &mut scratch.bufs, n_sub);
         if gamma <= gamma_threshold || scratch.selected.len() == n {
             return Ok((gamma, radius));
         }
         radius += step;
     }
+}
+
+/// Each training point's distance to the whole sample box, read off the
+/// sub-box near-corner distances [`gamma_precompute`] left in `dists`: the
+/// nearest sub-box. Bit-equal to `sample_box.min_dist(x)`, because along
+/// every bisected axis one half contributes exactly the whole box's term
+/// and the other a term no smaller, and rounding is monotone.
+fn box_distances(dists: &[f64], n: usize, n_sub: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend((0..n).map(|l| {
+        (0..n_sub)
+            .map(|s| dists[s * 2 * n + 2 * l])
+            .fold(f64::INFINITY, f64::min)
+    }));
 }
 
 /// Upper bound γ on the mean-approximation error over the sample box given
@@ -404,6 +423,48 @@ mod tests {
                     "actual error {} exceeds γ {}",
                     (g - l).abs(),
                     gamma
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn box_distances_are_min_dist_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB0C5);
+        for case in 0..300 {
+            let dim = 1 + case % 5;
+            let lo: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..1.0)).collect();
+            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen_range(0.0..3.0)).collect();
+            let qbox = BoundingBox::new(lo.clone(), hi.clone());
+            // Coordinates land on the box's corners and midpoints as well as
+            // anywhere around it, so the ties at a bisection plane are hit.
+            let xs: Vec<Vec<f64>> = (0..rng.gen_range(1..40))
+                .map(|_| {
+                    (0..dim)
+                        .map(|i| match rng.gen_range(0..4) {
+                            0 => lo[i],
+                            1 => hi[i],
+                            2 => 0.5 * (lo[i] + hi[i]),
+                            _ => rng.gen_range(-6.0..6.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<f64> = xs.iter().map(|x| x[0].sin()).collect();
+            let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, 0.7)), dim);
+            m.fit(xs.clone(), ys).unwrap();
+            let mut bufs = GammaBufs::default();
+            let n_sub = gamma_precompute(&m, &qbox, &mut bufs);
+            let mut got = Vec::new();
+            box_distances(&bufs.dists, xs.len(), n_sub, &mut got);
+            for (x, d) in xs.iter().zip(&got) {
+                let want = qbox.min_dist(x);
+                assert_eq!(
+                    d.to_bits(),
+                    want.to_bits(),
+                    "case {case}: {x:?} in {qbox:?}"
                 );
             }
         }

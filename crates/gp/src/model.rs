@@ -18,8 +18,8 @@ pub const DEFAULT_JITTER: f64 = 1e-8;
 /// A Gaussian-process regression model over a black-box function.
 ///
 /// Maintains the training set `(X*, y*)`, the Cholesky factor of
-/// `K(X*, X*) + jitter·I`, the weight vector `α = K⁻¹ y*` (the paper's α,
-/// §5.1), and an R-tree over the inputs for local inference.
+/// `K(X*, X*) + jitter·I` and the weight vector `α = K⁻¹ y*` (the paper's α,
+/// §5.1).
 #[derive(Debug)]
 pub struct GpModel {
     kernel: Box<dyn Kernel>,
@@ -29,11 +29,10 @@ pub struct GpModel {
     jitter: f64,
     chol: Option<Cholesky>,
     alpha: Vec<f64>,
-    index: RTree,
     /// Process-unique identity, used by caches keyed on "same model".
     model_id: u64,
     /// Mutation counter: bumped by every operation that can change
-    /// predictions (fit / add / evict / hyperparameter change), so cached
+    /// predictions (fit / add / hyperparameter change), so cached
     /// derived state (e.g. a subset Cholesky factor) can detect staleness.
     epoch: u64,
     /// `epoch` of the last mutation that was *not* [`GpModel::add_point`]
@@ -58,7 +57,6 @@ impl Clone for GpModel {
             jitter: self.jitter,
             chol: self.chol.clone(),
             alpha: self.alpha.clone(),
-            index: self.index.clone(),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: self.epoch,
             rebuilt_at: self.rebuilt_at,
@@ -88,7 +86,6 @@ impl GpModel {
             jitter: DEFAULT_JITTER,
             chol: None,
             alpha: Vec::new(),
-            index: RTree::new(dim),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: 0,
             rebuilt_at: 0,
@@ -114,8 +111,8 @@ impl GpModel {
     /// and every training point that existed at `epoch` — index and all —
     /// are what they were, so state derived from those (kernel rows, a
     /// subset factor) is still exact and only needs *extending* by the new
-    /// points. `fit`, eviction, a hyperparameter or jitter change all
-    /// answer `false` for any earlier epoch.
+    /// points. `fit`, a hyperparameter or jitter change all answer `false`
+    /// for any earlier epoch.
     #[inline]
     pub fn appended_since(&self, epoch: u64) -> bool {
         epoch >= self.rebuilt_at
@@ -175,9 +172,16 @@ impl GpModel {
         self.kernel.as_ref()
     }
 
-    /// Borrow the spatial index over training inputs.
-    pub fn spatial_index(&self) -> &RTree {
-        &self.index
+    /// The training inputs as an [`RTree`] stand-in, built on each call.
+    /// Nothing in the engine calls it: selection reads the distances its γ
+    /// bound measures. It stays only because `benchmark/src/bin/ladder.rs`
+    /// names it, and ROADMAP item 11 deletes it.
+    pub fn spatial_index(&self) -> RTree {
+        let mut tree = RTree::new(self.dim);
+        for (i, x) in self.xs.iter().enumerate() {
+            tree.insert(x.clone(), i);
+        }
+        tree
     }
 
     /// Jitter in use.
@@ -243,15 +247,6 @@ impl GpModel {
         }
         self.xs = xs;
         self.ys = ys;
-        self.index = RTree::bulk_load(
-            self.dim,
-            self.xs
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, p)| (p, i))
-                .collect(),
-        );
         self.bump_rebuilt();
         self.refit()
     }
@@ -286,9 +281,8 @@ impl GpModel {
         self.epoch += 1;
         match &mut self.chol {
             None => {
-                self.xs.push(x.clone());
+                self.xs.push(x);
                 self.ys.push(y);
-                self.index.insert(x, self.xs.len() - 1);
                 self.refit()
             }
             Some(chol) => {
@@ -297,9 +291,8 @@ impl GpModel {
                 let kss = self.kernel.eval(&x, &x) + self.jitter;
                 match chol.append(&k, kss) {
                     Ok(()) => {
-                        self.xs.push(x.clone());
+                        self.xs.push(x);
                         self.ys.push(y);
-                        self.index.insert(x, self.xs.len() - 1);
                         self.alpha = self
                             .chol
                             .as_ref()
@@ -310,37 +303,13 @@ impl GpModel {
                     Err(_) => {
                         // Nearly duplicate point: fall back to a fresh
                         // factorization with escalated jitter.
-                        self.xs.push(x.clone());
+                        self.xs.push(x);
                         self.ys.push(y);
-                        self.index.insert(x, self.xs.len() - 1);
                         self.refit()
                     }
                 }
             }
         }
-    }
-
-    /// Remove the oldest training point and refactor from scratch —
-    /// O(n³) in the *remaining* size, so under a fixed model budget the
-    /// cost per eviction stays bounded. Used by evict-oldest model-cap
-    /// policies; errors on an empty model.
-    pub fn remove_oldest(&mut self) -> Result<()> {
-        if self.xs.is_empty() {
-            return Err(GpError::EmptyModel);
-        }
-        self.bump_rebuilt();
-        self.xs.remove(0);
-        self.ys.remove(0);
-        self.index = RTree::bulk_load(
-            self.dim,
-            self.xs
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, p)| (p, i))
-                .collect(),
-        );
-        self.refit()
     }
 
     /// Posterior mean and variance at `x` (global inference, Eq. 2).
@@ -664,28 +633,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn remove_oldest_matches_suffix_fit() {
-        let xs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 * 0.4]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0].cos()).collect();
-        let mut evicting = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        evicting.fit(xs.clone(), ys.clone()).unwrap();
-        evicting.remove_oldest().unwrap();
-        evicting.remove_oldest().unwrap();
-        let mut suffix = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        suffix.fit(xs[2..].to_vec(), ys[2..].to_vec()).unwrap();
-        assert_eq!(evicting.len(), 7);
-        assert_eq!(evicting.spatial_index().len(), 7);
-        for q in [0.1, 1.3, 2.6] {
-            let a = evicting.predict(&[q]).unwrap();
-            let b = suffix.predict(&[q]).unwrap();
-            assert!((a.mean - b.mean).abs() < 1e-9, "q={q}");
-            assert!((a.var - b.var).abs() < 1e-9, "q={q}");
-        }
-        let mut empty = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 1);
-        assert!(matches!(empty.remove_oldest(), Err(GpError::EmptyModel)));
-    }
-
-    #[test]
     fn empty_model_errors() {
         let m = GpModel::new(Box::new(SquaredExponential::new(1.0, 1.0)), 2);
         assert!(matches!(m.predict(&[0.0, 0.0]), Err(GpError::EmptyModel)));
@@ -832,21 +779,11 @@ pub(crate) mod tests {
         m.set_hyperparams(&theta).unwrap();
         assert!(!m.appended_since(e0), "hyperparameters replaced");
         let e1 = m.epoch();
-        m.remove_oldest().unwrap();
-        assert!(!m.appended_since(e1), "eviction renumbers the points");
+        let (xs, ys) = (m.inputs()[1..].to_vec(), m.targets()[1..].to_vec());
+        m.fit(xs, ys).unwrap();
+        assert!(!m.appended_since(e1), "a refit renumbers the points");
         let e2 = m.epoch();
         let m = m.with_jitter(1e-6).unwrap();
         assert!(!m.appended_since(e2) && m.appended_since(m.epoch()));
-    }
-
-    #[test]
-    fn spatial_index_stays_in_sync() {
-        let mut m = toy_model(5);
-        assert_eq!(m.spatial_index().len(), 5);
-        m.add_point(vec![9.0], 0.5).unwrap();
-        assert_eq!(m.spatial_index().len(), 6);
-        let mut all = m.spatial_index().all_ids();
-        all.sort_unstable();
-        assert_eq!(all, (0..6).collect::<Vec<_>>());
     }
 }

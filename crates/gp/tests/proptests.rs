@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use udf_gp::band::{expected_euler_characteristic, simultaneous_z};
 use udf_gp::kernel::Kernel;
-use udf_gp::local::LocalPredictor;
-use udf_gp::{GpModel, Matern52, PredictScratch, SquaredExponential};
+use udf_gp::local::{gamma_bound, select_local_with, LocalPredictor};
+use udf_gp::{GpModel, Matern52, PredictScratch, SelectScratch, SquaredExponential};
 use udf_spatial::BoundingBox;
 
 /// Distinct 1-D training inputs with bounded targets. A minimum spacing of
@@ -197,5 +197,33 @@ proptest! {
             Kernel::eval(&k, &[xs[i]], &[xs[j]])
         });
         prop_assert!(Cholesky::factor_with_jitter(&m, 1e-8, 10).is_ok());
+    }
+
+    #[test]
+    fn selection_matches_linear_scan(
+        pts in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 2), 1..80),
+        lengthscale in 0.3f64..3.0,
+        qlo in prop::collection::vec(-10.0f64..10.0, 2),
+        side in prop::collection::vec(0.0f64..6.0, 2),
+        log_threshold in -8.0f64..-1.0,
+    ) {
+        // Local selection keeps exactly the points within the radius it
+        // reports of the sample box, in ascending order, and stops only once
+        // γ ≤ Γ or nothing is left to add.
+        let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, lengthscale)), 2);
+        let ys: Vec<f64> = pts.iter().map(|p| (p[0] * 0.7).sin() + p[1].cos()).collect();
+        m.fit(pts.clone(), ys).unwrap();
+        let qhi: Vec<f64> = qlo.iter().zip(&side).map(|(l, s)| l + s).collect();
+        let qbox = BoundingBox::new(qlo, qhi);
+        let threshold = 10f64.powf(log_threshold);
+        let mut scratch = SelectScratch::default();
+        let (gamma, radius) = select_local_with(&m, &qbox, threshold, &mut scratch).unwrap();
+        let want: Vec<usize> = (0..pts.len())
+            .filter(|&i| qbox.min_dist(&pts[i]) <= radius)
+            .collect();
+        prop_assert_eq!(&scratch.selected, &want, "radius {}", radius);
+        prop_assert!(gamma <= threshold || want.len() == pts.len(), "γ {} > Γ {}", gamma, threshold);
+        let recomputed = gamma_bound(&m, &qbox, &want);
+        prop_assert_eq!(gamma.to_bits(), recomputed.to_bits());
     }
 }

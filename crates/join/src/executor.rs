@@ -33,6 +33,7 @@ use crate::spec::JoinSpec;
 use crate::{JoinError, Result};
 use std::fmt;
 use udf_core::batch::BatchCounts;
+use udf_core::config::ModelBudget;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
 use udf_obs::{Histogram, MetricsRegistry};
@@ -161,7 +162,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
         let names: Vec<&str> = qualified.iter().map(String::as_str).collect();
         let call = UdfCall::resolve(spec.udf.clone(), &schema, &names)?;
         let executor = Executor::new(spec.strategy, spec.accuracy, &call, spec.output_range)?
-            .with_model_cap(spec.model_cap, spec.budget())?;
+            .with_model_cap(spec.model_cap, ModelBudget::StopGrowing)?;
         Ok(JoinExecutor {
             spec,
             schema,

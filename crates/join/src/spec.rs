@@ -1,7 +1,7 @@
 //! The declarative description of one uncertain θ-join.
 
 use crate::{JoinError, Result};
-use udf_core::config::{AccuracyRequirement, ModelBudget};
+use udf_core::config::AccuracyRequirement;
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
 use udf_query::{EvalStrategy, Relation, Schema, Tuple};
@@ -179,16 +179,11 @@ impl<'a> JoinSpec<'a> {
         self
     }
 
-    /// Cap the GP model (0 = uncapped, the default; policy is
-    /// [`ModelBudget::StopGrowing`] like the UQL surface).
+    /// Cap the GP model (0 = uncapped, the default); at the cap it stops
+    /// growing, like the UQL surface.
     pub fn model_cap(mut self, cap: usize) -> Self {
         self.model_cap = cap;
         self
-    }
-
-    /// The model budget policy joins run under.
-    pub fn budget(&self) -> ModelBudget {
-        ModelBudget::StopGrowing
     }
 
     /// The joined (prefixed) output schema — also validates that the

@@ -24,7 +24,7 @@ use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
 use udf_obs::fmt::KvLine;
 use udf_obs::{Histogram, MetricsRegistry, Monitor, Snapshot};
 use udf_query::{Executor, ProjectedTuple, Relation, UdfCall};
-use udf_stream::{EngineConfig, HealthMonitor, KeptSummary, QuerySpec, Session, Source};
+use udf_stream::{EngineConfig, KeptSummary, QuerySpec, Session, Source};
 use udf_workloads::UdfCatalog;
 
 /// A factory producing fresh instances of a registered stream source. Each
@@ -213,9 +213,6 @@ pub struct StreamOutput {
     pub digest: u64,
     /// The subscription's most recent emitted tuples.
     pub recent: Vec<KeptSummary>,
-    /// The health monitor's rendered trend line, when it sampled at least
-    /// once during the run.
-    pub health: Option<String>,
 }
 
 impl QueryOutput {
@@ -329,8 +326,7 @@ fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> (T, Duration) {
 /// instead of rebuilding them — then the metrics-registry delta of its
 /// execution. Histograms that recorded nothing in the window are left
 /// out (a delta keeps the lifetime maximum, which would otherwise print
-/// beside a zero count). Stream statements append the health monitor's
-/// trend line when one sampled.
+/// beside a zero count).
 fn annotate_analyze(
     bound: &BoundQuery,
     out: &QueryOutput,
@@ -369,13 +365,6 @@ fn annotate_analyze(
         s.push_str("  ");
         s.push_str(line);
         s.push('\n');
-    }
-    if let QueryOutput::Stream(o) = out {
-        if let Some(h) = &o.health {
-            s.push_str("  ");
-            s.push_str(h);
-            s.push('\n');
-        }
     }
     s
 }
@@ -510,11 +499,7 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context) -> Result<QueryOutput> {
             .batch_size(p.batch)
             .seed(p.seed),
     )
-    .with_metrics(&ctx.metrics)
-    .with_health(HealthMonitor::new(
-        udf_stream::health::DEFAULT_SAMPLE_EVERY,
-        udf_stream::health::DEFAULT_CAPACITY,
-    ));
+    .with_metrics(&ctx.metrics);
     let mut spec = QuerySpec::new(
         format!("uql:{}@{}", p.udf.name(), p.source),
         p.udf.clone(),
@@ -530,16 +515,11 @@ fn exec_stream(p: &StreamPlan, ctx: &mut Context) -> Result<QueryOutput> {
     let t0 = Instant::now();
     let batches = session.run(source, p.limit)?;
     let elapsed = t0.elapsed();
-    let health = session
-        .health()
-        .filter(|h| h.samples().next().is_some())
-        .map(|h| h.render());
     Ok(QueryOutput::Stream(StreamOutput {
         stats: *session.stats(id)?,
         batches,
         elapsed,
         digest: session.digest(id)?,
         recent: session.recent(id)?,
-        health,
     }))
 }

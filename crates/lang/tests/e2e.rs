@@ -367,7 +367,7 @@ fn metrics_switch_never_perturbs_outputs() {
 /// EXPLAIN ANALYZE says what the statement itself did: its own parse and
 /// bind times on the operator line, no histogram that recorded nothing in
 /// its window (a delta keeps the lifetime maximum, which would print
-/// beside `count=0`), and — on streams — the health-monitor trend line.
+/// beside `count=0`), and — on streams — the run's digest.
 #[test]
 fn explain_analyze_reports_attribution() {
     let mut ctx = ctx_with_sky();
@@ -404,7 +404,7 @@ fn explain_analyze_reports_attribution() {
         );
     }
 
-    // The stream shape additionally carries the digest and health trend.
+    // The stream shape additionally carries the digest.
     let mut ctx = Context::standard();
     ctx.register_stream("synth", 1, || {
         Box::new(SyntheticSource::gaussian(1, 0.5, 3))
@@ -422,8 +422,6 @@ fn explain_analyze_reports_attribution() {
         "stream timing:\n{report}"
     );
     assert!(report.contains("digest=0x"), "digest line:\n{report}");
-    assert!(report.contains("health:"), "health trend:\n{report}");
-    assert!(report.contains("throughput="), "throughput:\n{report}");
 }
 
 /// The one reroute `sched.verdict.reroute` does not count is the cold

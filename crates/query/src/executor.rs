@@ -92,8 +92,8 @@ impl Executor {
         })
     }
 
-    /// Cap the GP model at `n` training points under the given budget
-    /// policy. **`0` is the uncapped sentinel (the default)** — on long
+    /// Cap the GP model at `n` training points; `_budget` has one possible
+    /// value. **`0` is the uncapped sentinel (the default)** — on long
     /// relations an uncapped model makes per-tuple inference O(m²) and
     /// retraining O(m³) in the model size m. Nonzero caps below the GP
     /// bootstrap size are rejected; the MC strategy ignores the cap.
@@ -101,9 +101,9 @@ impl Executor {
     /// Capped runs accept over-budget tuples at their *achieved* error
     /// bound (attached to every output row) and count them in
     /// [`BatchCounts::cap_hits`].
-    pub fn with_model_cap(mut self, n: usize, budget: ModelBudget) -> Result<Self> {
+    pub fn with_model_cap(mut self, n: usize, _budget: ModelBudget) -> Result<Self> {
         if let Some(olga) = self.eval.olgapro_mut() {
-            olga.set_model_cap(n, budget)?;
+            olga.set_model_cap(n)?;
         }
         Ok(self)
     }

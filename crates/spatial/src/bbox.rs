@@ -13,14 +13,6 @@ pub struct BoundingBox {
 }
 
 impl BoundingBox {
-    /// Box around a single point.
-    pub fn from_point(p: &[f64]) -> Self {
-        BoundingBox {
-            lo: p.to_vec(),
-            hi: p.to_vec(),
-        }
-    }
-
     /// Smallest box containing all `points`.
     ///
     /// # Panics
@@ -30,11 +22,15 @@ impl BoundingBox {
         I: Iterator<Item = &'a [f64]>,
     {
         let first = points.next().expect("from_points: need at least one point");
-        let mut b = BoundingBox::from_point(first);
+        let (mut lo, mut hi) = (first.to_vec(), first.to_vec());
         for p in points {
-            b.expand_point(p);
+            assert_eq!(p.len(), lo.len(), "point dimension disagrees");
+            for (i, &x) in p.iter().enumerate() {
+                lo[i] = lo[i].min(x);
+                hi[i] = hi[i].max(x);
+            }
         }
-        b
+        BoundingBox { lo, hi }
     }
 
     /// Explicit corners; `lo[i] <= hi[i]` must hold.
@@ -60,24 +56,6 @@ impl BoundingBox {
     #[inline]
     pub fn hi(&self) -> &[f64] {
         &self.hi
-    }
-
-    /// Grow to contain `p`.
-    #[allow(clippy::needless_range_loop)] // lo/hi/p indexed in lockstep
-    pub fn expand_point(&mut self, p: &[f64]) {
-        assert_eq!(p.len(), self.dim(), "point dimension disagrees");
-        for i in 0..p.len() {
-            self.lo[i] = self.lo[i].min(p[i]);
-            self.hi[i] = self.hi[i].max(p[i]);
-        }
-    }
-
-    /// Grow to contain another box.
-    pub fn expand_box(&mut self, other: &BoundingBox) {
-        for i in 0..self.dim() {
-            self.lo[i] = self.lo[i].min(other.lo[i]);
-            self.hi[i] = self.hi[i].max(other.hi[i]);
-        }
     }
 
     /// Grow every side by `margin` (Γ expansion in local inference).
@@ -137,34 +115,6 @@ impl BoundingBox {
             .sum()
     }
 
-    /// Minimum distance between two boxes (0 when they intersect).
-    pub fn min_dist_box(&self, other: &BoundingBox) -> f64 {
-        let mut s = 0.0;
-        for i in 0..self.dim() {
-            let d = if self.hi[i] < other.lo[i] {
-                other.lo[i] - self.hi[i]
-            } else if other.hi[i] < self.lo[i] {
-                self.lo[i] - other.hi[i]
-            } else {
-                0.0
-            };
-            s += d * d;
-        }
-        s.sqrt()
-    }
-
-    /// Hyper-volume (product of side lengths).
-    pub fn volume(&self) -> f64 {
-        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).product()
-    }
-
-    /// Volume increase if this box were expanded to contain `other`.
-    pub fn enlargement(&self, other: &BoundingBox) -> f64 {
-        let mut merged = self.clone();
-        merged.expand_box(other);
-        merged.volume() - self.volume()
-    }
-
     /// Split the box into `2^min(dim, max_splits_dims)` child boxes by
     /// bisecting the longest axes — the paper's refinement that tightens the
     /// local-inference γ bound by evaluating it per sub-box.
@@ -200,6 +150,11 @@ impl BoundingBox {
 mod tests {
     use super::*;
 
+    /// Hyper-volume (product of side lengths).
+    fn volume(b: &BoundingBox) -> f64 {
+        b.lo().iter().zip(b.hi()).map(|(l, h)| h - l).product()
+    }
+
     #[test]
     fn construction_and_expansion() {
         let pts = [vec![0.0, 1.0], vec![2.0, -1.0], vec![1.0, 0.5]];
@@ -223,29 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn box_to_box_distance() {
-        let a = BoundingBox::new(vec![0.0], vec![1.0]);
-        let b = BoundingBox::new(vec![3.0], vec![4.0]);
-        assert!((a.min_dist_box(&b) - 2.0).abs() < 1e-12);
-        let c = BoundingBox::new(vec![0.5], vec![0.6]);
-        assert_eq!(a.min_dist_box(&c), 0.0);
-    }
-
-    #[test]
     fn inflate_and_volume() {
         let b = BoundingBox::new(vec![0.0, 0.0], vec![1.0, 2.0]);
-        assert!((b.volume() - 2.0).abs() < 1e-12);
+        assert!((volume(&b) - 2.0).abs() < 1e-12);
         let infl = b.inflate(0.5);
         assert_eq!(infl.lo(), &[-0.5, -0.5]);
-        assert!((infl.volume() - 2.0 * 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn enlargement_is_zero_for_contained() {
-        let big = BoundingBox::new(vec![0.0, 0.0], vec![10.0, 10.0]);
-        let small = BoundingBox::new(vec![1.0, 1.0], vec![2.0, 2.0]);
-        assert_eq!(big.enlargement(&small), 0.0);
-        assert!(small.enlargement(&big) > 0.0);
+        assert!((volume(&infl) - 2.0 * 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -253,8 +191,8 @@ mod tests {
         let b = BoundingBox::new(vec![0.0, 0.0], vec![4.0, 2.0]);
         let kids = b.bisect(2);
         assert_eq!(kids.len(), 4);
-        let total: f64 = kids.iter().map(|k| k.volume()).sum();
-        assert!((total - b.volume()).abs() < 1e-12);
+        let total: f64 = kids.iter().map(volume).sum();
+        assert!((total - volume(&b)).abs() < 1e-12);
         // First split axis is the longest (x).
         assert!(kids.iter().any(|k| k.hi()[0] <= 2.0 + 1e-12));
     }

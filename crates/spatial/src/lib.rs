@@ -1,14 +1,15 @@
-//! Spatial indexing substrate for local inference (§5.1).
+//! Bounding boxes for local inference (§5.1).
 //!
-//! OLGAPRO stores GP training points in an R-tree and, per input tuple,
-//! retrieves the points whose distance to the *sample bounding box* is below
-//! a threshold derived from Γ. This crate provides:
+//! OLGAPRO selects, per input tuple, the GP training points whose distance
+//! to the *sample bounding box* is below a radius derived from Γ, and
+//! brackets the excluded points' kernel weight by the box's near and far
+//! corners. This crate provides:
 //!
 //! * [`BoundingBox`] — axis-aligned boxes with the `near`/`far` corner
 //!   distances used by the local-inference error bound γ (Fig. 3 of the
 //!   paper);
-//! * [`RTree`] — a point R-tree with quadratic-split insertion, STR bulk
-//!   loading, and range queries by distance-to-box.
+//! * [`RTree`] — a scan-backed stand-in kept only for the benchmark's
+//!   layer ladder (ROADMAP item 11 deletes it).
 
 mod bbox;
 mod rtree;

@@ -31,7 +31,6 @@
 //! not *what* it computes, and a fixed `(seed, batch_size)` yields
 //! byte-identical emitted distributions for any worker count.
 
-use crate::health::HealthMonitor;
 use crate::source::Source;
 use crate::stats::{Digest, KeptSummary};
 use crate::{Result, StreamError};
@@ -39,7 +38,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Instant;
 use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
-use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
+use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
@@ -183,8 +182,6 @@ pub struct StreamEngine {
     metrics: EngineMetrics,
     /// What the engine is wired to; later subscriptions share it too.
     registry: MetricsRegistry,
-    /// Set when health sampling is enabled ([`enable_health`](Self::enable_health)).
-    health: Option<HealthMonitor>,
 }
 
 impl StreamEngine {
@@ -197,7 +194,6 @@ impl StreamEngine {
             tuples_seen: 0,
             metrics: EngineMetrics::disabled(),
             registry: MetricsRegistry::disabled(),
-            health: None,
         }
     }
 
@@ -214,24 +210,8 @@ impl StreamEngine {
             }
         }
         self.metrics = EngineMetrics::register(metrics);
-        if let Some(h) = &mut self.health {
-            h.set_registry(metrics);
-        }
         self.registry = metrics.clone();
         self
-    }
-
-    /// Enable periodic health sampling (see [`HealthMonitor`]). Samples
-    /// carry the wired registry's counter deltas; wiring observability
-    /// later re-points the monitor in place.
-    pub(crate) fn enable_health(&mut self, mut monitor: HealthMonitor) {
-        monitor.set_registry(&self.registry);
-        self.health = Some(monitor);
-    }
-
-    /// The health monitor, when enabled.
-    pub(crate) fn health(&self) -> Option<&HealthMonitor> {
-        self.health.as_ref()
     }
 
     pub(crate) fn config(&self) -> &EngineConfig {
@@ -274,13 +254,12 @@ impl StreamEngine {
                 }
             }
             StreamStrategy::Gp => {
-                // The model-size budget lives in the core config, so the
-                // slow path (Algorithm 5) enforces it itself — a burst of
-                // mid-batch reroutes can no longer overshoot the cap. The
-                // validated constructor also rejects caps below the
-                // bootstrap size instead of letting them thrash.
-                let cfg = OlgaproConfig::new(params.accuracy, params.output_range)?
-                    .with_model_cap(params.max_model_points, ModelBudget::StopGrowing)?;
+                // The model cap lives in the core config, so the slow path
+                // (Algorithm 5) enforces it itself — a burst of mid-batch
+                // reroutes can no longer overshoot the cap. The validated
+                // setter also rejects caps below the bootstrap size.
+                let mut cfg = OlgaproConfig::new(params.accuracy, params.output_range)?;
+                cfg.set_model_cap(params.max_model_points)?;
                 check_samples_per_tuple(cfg.samples_per_input())?;
                 Evaluator::Gp(Box::new(
                     Olgapro::new(params.udf, cfg).with_metrics(&self.registry),
@@ -404,15 +383,6 @@ impl StreamEngine {
                     }
                 })?;
             q.stats += counts;
-        }
-        if let Some(h) = &mut self.health {
-            let mut totals = (0u64, 0u64, 0u64);
-            for Subscription { q, .. } in &self.queries {
-                totals.0 += q.stats.tuples_in;
-                totals.1 += q.stats.kept;
-                totals.2 += q.stats.slow;
-            }
-            h.on_batch(totals);
         }
         Ok(())
     }

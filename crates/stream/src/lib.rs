@@ -65,7 +65,7 @@ pub mod source;
 pub mod stats;
 
 pub use engine::{EngineConfig, StreamStrategy};
-pub use health::{HealthMonitor, HealthSample, HealthTrend};
+pub use health::HealthMonitor;
 pub use session::{QueryId, QuerySpec, Session};
 pub use source::{AstroSource, Source, SyntheticSource, VecSource};
 pub use stats::KeptSummary;

@@ -146,25 +146,12 @@ impl Session {
         self
     }
 
-    /// Enable the periodic stream health monitor (see
-    /// [`HealthMonitor`](crate::health::HealthMonitor)): every
-    /// `monitor.sample_every()` micro-batches the engine folds cumulative
-    /// tuple totals (plus scheduler counter deltas when metrics are wired)
-    /// into the monitor's bounded sample ring.
-    pub fn enable_health(&mut self, monitor: crate::health::HealthMonitor) {
-        self.engine.enable_health(monitor);
-    }
-
-    /// Builder-style variant of [`enable_health`](Session::enable_health).
+    /// Returns the session unchanged: the health ring it enabled was
+    /// deleted. Kept only because `benchmark/src/bin/ladder.rs` calls it;
+    /// ROADMAP item 11 deletes it.
     #[must_use]
-    pub fn with_health(mut self, monitor: crate::health::HealthMonitor) -> Self {
-        self.enable_health(monitor);
+    pub fn with_health(self, _monitor: crate::health::HealthMonitor) -> Self {
         self
-    }
-
-    /// The health monitor's trend window, when enabled.
-    pub fn health(&self) -> Option<&crate::health::HealthMonitor> {
-        self.engine.health()
     }
 
     /// The engine configuration in force.
