@@ -170,6 +170,9 @@ impl InferBuffers {
 /// ([`Olgapro::infer_ruled_with`]).
 const RULING_BLOCK: usize = 32;
 
+/// Below this many recorded residuals, [`Olgapro::band_scale`] is 1.
+const MIN_BAND_RESIDUALS: u64 = 8;
+
 /// The three ECDFs of one inference: Ŷ′, Y′_S, Y′_L.
 type Envelopes = (Ecdf, Ecdf, Ecdf);
 
@@ -201,6 +204,10 @@ pub struct Olgapro {
     metrics: OlgaproMetrics,
     /// Buffers reused across sequential [`Olgapro::process`] calls.
     scratch: InferScratch,
+    /// `(count, Σ r²)` of the tuning picks' standardized residuals
+    /// `r = (y − f̂(x)) / σ(x)` since the last retrain that moved the
+    /// model (see [`Olgapro::band_scale`]).
+    residuals: (u64, f64),
 }
 
 impl Olgapro {
@@ -224,6 +231,7 @@ impl Olgapro {
             tuning: TuningHeuristic::LargestVariance,
             metrics: OlgaproMetrics::disabled(),
             scratch: InferScratch::default(),
+            residuals: (0, 0.0),
         }
     }
 
@@ -299,6 +307,22 @@ impl Olgapro {
     /// when the fast result was inferred.
     pub fn model_full(&self) -> bool {
         self.config.max_model_points > 0 && self.model.len() >= self.config.max_model_points
+    }
+
+    /// How much wider the band should be than `simultaneous_z` makes it,
+    /// judged by the tuning loop's own out-of-sample evidence: `max(1,
+    /// RMS(r))` over the standardized residuals `r = (y − f̂(x)) / σ(x)`
+    /// the model left at each tuning pick before it saw `y`, since the
+    /// last retrain that moved it; 1 below eight of them.
+    /// Under the fitted GP each `r` is standard normal, so the scale stays
+    /// near 1; a model over-confident away from its training points reads
+    /// above 1. Nothing reads it during inference.
+    pub fn band_scale(&self) -> f64 {
+        let (n, sum_sq) = self.residuals;
+        if n < MIN_BAND_RESIDUALS {
+            return 1.0;
+        }
+        (sum_sq / n as f64).sqrt().max(1.0)
     }
 
     /// Count a degraded-accuracy acceptance in the registry's
@@ -524,8 +548,14 @@ impl Olgapro {
             let pick = self.pick_training_sample(&scratch.samples, &buf.sds, z_alpha, rng)?;
             let x = scratch.samples[pick].clone();
             let y = self.eval_udf(&x)?;
-            let outside = (y - buf.means[pick]).abs() > z_alpha * buf.sds[pick];
+            let (mean, sd) = (buf.means[pick], buf.sds[pick]);
+            let outside = (y - mean).abs() > z_alpha * sd;
             self.metrics.band_misses.add(u64::from(outside));
+            let r_sq = ((y - mean) / sd).powi(2);
+            if sd > 0.0 && r_sq.is_finite() {
+                self.residuals.0 += 1;
+                self.residuals.1 += r_sq;
+            }
             self.model.add_point(x, y)?;
             points_added += 1;
             self.metrics
@@ -557,6 +587,7 @@ impl Olgapro {
                 // last inference read: re-inferring would reproduce it, and
                 // `z2` would be `z_alpha`, so `bounded` stands.
                 if self.model.epoch() != epoch {
+                    self.residuals = (0, 0.0);
                     self.metrics
                         .bounds_skipped
                         .add(u64::from(bounded.is_none()));
@@ -885,6 +916,39 @@ mod tests {
         }
         assert!(eager_retrains > 0);
         assert_eq!(never_retrains, 0);
+    }
+
+    #[test]
+    fn band_scale_reads_the_picks_since_the_last_retrain() {
+        // Held at its initial lengthscale, far too long for a bumpy UDF,
+        // the model is over-confident between its points: without
+        // retraining, the picks' residuals pile up far outside σ. A retrain that moves the model forgets
+        // them, so an eager evaluator reads 1 after every tuple.
+        let run = |retrain: RetrainStrategy| {
+            let mut cfg = config(0.15);
+            cfg.retrain = retrain;
+            let bumpy =
+                BlackBoxUdf::from_fn("bumpy", 1, |x| (x[0] * 3.0).sin() + (x[0] * 7.0).cos());
+            let mut olga = Olgapro::new(bumpy, cfg);
+            assert_eq!(olga.band_scale(), 1.0, "no residuals yet");
+            let mut rng = StdRng::seed_from_u64(14);
+            let mut scales = Vec::new();
+            for i in 0..10 {
+                let mu = 0.5 + 0.9 * i as f64;
+                let input = InputDistribution::diagonal_gaussian(&[(mu, 0.5)]).unwrap();
+                olga.process(&input, &mut rng).unwrap();
+                scales.push(olga.band_scale());
+            }
+            scales
+        };
+        let never = run(RetrainStrategy::Never);
+        assert!(
+            never.iter().all(|&s| s >= 1.0 && s.is_finite()),
+            "{never:?}"
+        );
+        assert!(never[9] > 10.0, "{never:?}");
+        let eager = run(RetrainStrategy::Eager);
+        assert!(eager.iter().all(|&s| s == 1.0), "{eager:?}");
     }
 
     #[test]

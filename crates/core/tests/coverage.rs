@@ -41,7 +41,9 @@
 //! training points: `picks`, the points the tuning loop added, and `pre>z`,
 //! how many of them fell outside the band the model had inferred at them
 //! just before (`olgapro.band_misses`). Under the fitted GP that share
-//! would be about δ_GP.
+//! would be about δ_GP. `s` is [`Olgapro::band_scale`] after the last
+//! tuple: the RMS of those picks' standardized residuals since the last
+//! retrain that moved the model, floored at 1 (1 below its minimum count).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,6 +189,8 @@ struct Cell {
     loo_over_z: Option<f64>,
     /// Tuning picks, and those outside their pre-pick band (GP cells only).
     picks: Option<(usize, u64)>,
+    /// The final model's band scale (GP cells only).
+    band_scale: Option<f64>,
 }
 
 /// `simultaneous_z` of the tuple the batch operator is about to rule: its
@@ -271,6 +275,7 @@ fn run_cell(entry: &UdfEntry, tuples: &[Tuple], predicate: Predicate, mode: Mode
         let picks = olga.model().len() - olga.config().bootstrap_points.max(2);
         let outside = metrics.snapshot().counters["olgapro.band_misses"];
         cell.picks = Some((picks, outside));
+        cell.band_scale = Some(olga.band_scale());
     }
     cell
 }
@@ -294,7 +299,7 @@ fn check_udf(name: &str) {
     assert!(2.0 * dkw_halfwidth(TRUTH_MC, 1e-3) <= TRUTH_ERR);
     let (entry, tuples, predicate) = workload(name);
     let mut table = format!(
-        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9} {:>6} {:>5} {:>5}\n",
+        "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9} {:>6} {:>5} {:>5} {:>5}\n",
         "cell",
         "kept",
         "misses",
@@ -305,7 +310,8 @@ fn check_udf(name: &str) {
         "bound/ε",
         "LOO>z",
         "picks",
-        "pre>z"
+        "pre>z",
+        "s"
     );
     let mut failures = Vec::new();
     for mode in Mode::ALL {
@@ -328,8 +334,11 @@ fn check_udf(name: &str) {
             .map_or(("-".to_string(), "-".to_string()), |(p, o)| {
                 (p.to_string(), o.to_string())
             });
+        let scale = cell
+            .band_scale
+            .map_or("-".to_string(), |s| format!("{s:.2}"));
         table += &format!(
-            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2} {:>6} {:>5} {:>5}\n",
+            "{name:<8} {:<13} {:>5} {:>6} {:>5} {:>7} {:>7} {:>7} {:>9.2} {:>6} {:>5} {:>5} {:>5}\n",
             mode.label(),
             cell.kept,
             cell.misses,
@@ -341,6 +350,7 @@ fn check_udf(name: &str) {
             loo,
             picks,
             outside,
+            scale,
         );
         if cell.misses > open + slack {
             failures.push(format!("{}: {} misses", mode.label(), cell.misses));

@@ -22,7 +22,7 @@ use udf_core::config::ModelBudget;
 use udf_core::sched::BatchScheduler;
 use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
 use udf_obs::fmt::KvLine;
-use udf_obs::{Histogram, MetricsRegistry, Monitor, Snapshot};
+use udf_obs::{Histogram, MetricsRegistry, Snapshot};
 use udf_query::{Executor, ProjectedTuple, Relation, UdfCall};
 use udf_stream::{EngineConfig, KeptSummary, QuerySpec, Session, Source};
 use udf_workloads::UdfCatalog;
@@ -42,7 +42,6 @@ pub struct Context {
     streams: BTreeMap<String, (usize, SourceFactory)>,
     schedulers: BTreeMap<usize, BatchScheduler>,
     metrics: MetricsRegistry,
-    monitor: Monitor,
 }
 
 impl Context {
@@ -51,15 +50,12 @@ impl Context {
     /// `udf_obs`), and [`Context::metrics`]`.set_enabled(false)` turns
     /// every one of them into a no-op.
     pub fn new() -> Self {
-        let metrics = MetricsRegistry::new();
-        let monitor = Monitor::new(&metrics, Monitor::standard_rules());
         Context {
             udfs: UdfCatalog::new(),
             relations: BTreeMap::new(),
             streams: BTreeMap::new(),
             schedulers: BTreeMap::new(),
-            metrics,
-            monitor,
+            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -126,21 +122,6 @@ impl Context {
     /// byte-identical with the registry enabled or disabled.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The context's monitor: the [`Monitor::standard_rules`] alert
-    /// (`cap_hits_burst`) over [`Context::metrics`]. Nothing ticks it
-    /// implicitly — call [`Monitor::tick`] whenever the host wants a
-    /// verdict (the REPL ticks once per executed statement). Same
-    /// observability contract as the registry itself: a tick only reads a
-    /// snapshot, so digests are byte-identical whether it ticks or not.
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
-    /// Mutable access to the monitor, for [`Monitor::tick`].
-    pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
     }
 
     /// Parse, bind, and (unless `EXPLAIN`) execute one UQL statement.

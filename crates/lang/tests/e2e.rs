@@ -6,16 +6,22 @@
 //!   [`Executor::select_batch`] call — MC and GP, workers 1/2/8.
 //! * A `FROM STREAM` UQL query produces the same determinism digest as the
 //!   equivalent hand-built [`QuerySpec`] subscription.
+//! * A UDF that panics mid-statement fails only that statement: the next
+//!   one in the same context returns what a fresh context returns.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::sched::BatchScheduler;
+use udf_core::udf::{CostModel, UdfFunction};
 use udf_lang::{run_uql, Context, QueryOutput};
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 use udf_stream::{EngineConfig, QuerySpec, Session, StreamStrategy, SyntheticSource};
 use udf_workloads::astro::GalaxyCatalog;
+use udf_workloads::UdfEntry;
 
 /// The generated relation both sides query: 64 galaxies with
 /// Gaussian-uncertain redshifts.
@@ -609,4 +615,65 @@ fn tuning_loop_extends_instead_of_rebuilding_on_f2() {
         "{skipped} of {in_loop} slow-path bounds skipped"
     );
     assert!(report.contains(&format!("olgapro.bounds_skipped = {skipped}\n")));
+}
+
+/// A UDF that panics on its `bad`-th call, once, and is healthy otherwise.
+struct PanicsOnce {
+    calls: AtomicU64,
+    bad: u64,
+}
+
+impl UdfFunction for PanicsOnce {
+    fn dim(&self) -> usize {
+        1
+    }
+    fn eval(&self, x: &[f64]) -> f64 {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        assert!(call != self.bad, "injected UDF panic");
+        (x[0] * 3.0).sin()
+    }
+    fn name(&self) -> &str {
+        "Boom"
+    }
+}
+
+fn boom_ctx(bad: u64) -> Context {
+    let mut ctx = ctx_with_sky();
+    let boom = PanicsOnce {
+        calls: AtomicU64::new(0),
+        bad,
+    };
+    let domain = vec![(0.0, 2.0)];
+    let entry = UdfEntry::probed(Arc::new(boom), CostModel::Free, domain, Some(2.0), "");
+    ctx.udfs_mut().register(entry);
+    ctx
+}
+
+/// A UDF panicking mid-statement: the statement fails — the panic unwinds
+/// out of the sequential path (GP) or comes back as a worker error (MC) —
+/// and the next statement in the same context returns what a fresh
+/// context returns.
+#[test]
+fn a_panicking_udf_fails_only_its_statement() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    // Call 8 is inside the first GP tuple's tuning loop; call 300 is on a
+    // pool worker in the middle of the MC batch.
+    for (using, bad) in [("gp", 8), ("mc", 300)] {
+        let q = format!("SELECT Boom(z) FROM sky USING {using} WORKERS 2 SEED 7");
+        let mut ctx = boom_ctx(bad);
+        let failed = catch_unwind(AssertUnwindSafe(|| run_uql(&q, &mut ctx)));
+        assert!(
+            !matches!(failed, Ok(Ok(_))),
+            "{using}: the statement succeeded"
+        );
+
+        let QueryOutput::Rows(again) = run_uql(&q, &mut ctx).unwrap() else {
+            panic!("rows")
+        };
+        let QueryOutput::Rows(fresh) = run_uql(&q, &mut boom_ctx(u64::MAX)).unwrap() else {
+            panic!("rows")
+        };
+        assert_eq!(again.rows.len(), 64, "{using}");
+        assert_rows_identical(&again.rows, &fresh.rows, using);
+    }
 }

@@ -22,21 +22,17 @@
 //!   enabled/disabled switch, and snapshots everything into a
 //!   [`Snapshot`] for rendering or per-query [`Snapshot::delta`]
 //!   attribution (what `EXPLAIN ANALYZE` uses).
-//! * [`monitor`] — the `cap_hits_burst` alert behind the REPL's `\top`:
-//!   each [`Monitor::tick`] reads the registry once and fires an
-//!   [`AlertRule`] while its counter grows between ticks. Same hard rules:
-//!   ticking only reads snapshots.
 //! * [`fmt`] — the shared `key=value` stats-line builder every report
 //!   block (REPL, stream session, join executor, examples) renders with.
+//!
+//! A statement reports itself, with no monitor between: its counter line
+//! says how many answers the model cap degraded (`cap_hits=`), and its
+//! `EXPLAIN ANALYZE` delta carries the same count as `olgapro.cap_hits`,
+//! beside where its time went.
 
 pub mod fmt;
 mod metrics;
-pub mod monitor;
 mod registry;
 
-pub use metrics::{
-    bucket_index, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, Span,
-    HISTOGRAM_BUCKETS,
-};
-pub use monitor::{AlertEvent, AlertRule, Monitor};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Span};
 pub use registry::{MetricsRegistry, Snapshot};

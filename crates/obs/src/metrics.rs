@@ -6,16 +6,16 @@ use std::time::{Duration, Instant};
 
 /// Number of log₂ histogram buckets: bucket 0 holds the value 0, bucket
 /// `i ≥ 1` holds `[2^(i-1), 2^i)`, and bucket 64 tops out at `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// The log₂ bucket a value lands in (0 → 0, 1 → 1, `u64::MAX` → 64).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
 /// The largest value bucket `i` can hold (its reported quantile value).
-pub fn bucket_upper(i: usize) -> u64 {
+fn bucket_upper(i: usize) -> u64 {
     match i {
         0 => 0,
         1..=63 => (1u64 << i) - 1,
@@ -107,14 +107,6 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if self.enabled() {
             self.cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the gauge to `v` if larger (running maximum).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        if self.enabled() {
-            self.cell.fetch_max(v, Ordering::Relaxed);
         }
     }
 
@@ -429,7 +421,6 @@ mod tests {
         assert_eq!(c.get(), 0);
         let g = Gauge::disabled();
         g.set(5);
-        g.set_max(9);
         assert_eq!(g.get(), 0);
         let h = Histogram::disabled();
         h.record(5);

@@ -2,18 +2,13 @@
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[derive(Debug)]
 struct Inner {
     enabled: Arc<AtomicBool>,
-    /// Registry creation time — the origin of the monotonic `uptime_ns`
-    /// stamp the monitor puts on its samples.
-    epoch: Instant,
-    /// How many times [`MetricsRegistry::reset`] ran.
-    resets: AtomicU64,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
@@ -48,8 +43,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             inner: Arc::new(Inner {
                 enabled: Arc::new(AtomicBool::new(enabled)),
-                epoch: Instant::now(),
-                resets: AtomicU64::new(0),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
@@ -119,17 +112,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Monotonic nanoseconds since this registry was created (saturating
-    /// at `u64::MAX` after ~584 years).
-    pub fn uptime_ns(&self) -> u64 {
-        u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
     /// Zero every registered handle in place. Names and handle identity
     /// survive — components keep recording into the same cells — so this
     /// re-baselines a long-running session between experiments (REPL
-    /// `\metrics reset`). Each call bumps [`resets`](Self::resets), so a
-    /// reader holding an older snapshot can tell that its baseline is gone.
+    /// `\metrics reset`). A delta against a snapshot taken before the
+    /// reset saturates at zero instead of wrapping.
     pub fn reset(&self) {
         for c in self
             .inner
@@ -152,12 +139,6 @@ impl MetricsRegistry {
         {
             h.reset();
         }
-        self.inner.resets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// How many times [`reset`](Self::reset) ran on this registry.
-    pub fn resets(&self) -> u64 {
-        self.inner.resets.load(Ordering::Relaxed)
     }
 
     /// Render the current snapshot — see [`Snapshot::render`].
@@ -355,9 +336,7 @@ mod tests {
         c.add(7);
         g.set(9);
         h.record(1_000);
-        assert_eq!(reg.resets(), 0);
         reg.reset();
-        assert_eq!(reg.resets(), 1, "the reset is counted");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["c"], 0);
         assert_eq!(snap.gauges["g"], 0);

@@ -154,7 +154,6 @@ pub(crate) struct QueryState {
     pub(crate) digest: Digest,
     pub(crate) recent: VecDeque<KeptSummary>,
     retain: usize,
-    pub(crate) decisions: Option<Vec<(u64, bool)>>,
 }
 
 /// Parameters for registering a subscription with [`StreamEngine`].
@@ -166,7 +165,6 @@ pub(crate) struct SubscribeParams {
     pub output_range: f64,
     pub predicate: Option<Predicate>,
     pub retain: usize,
-    pub record_decisions: bool,
     pub max_model_points: usize,
 }
 
@@ -178,6 +176,7 @@ pub struct StreamEngine {
     /// The shared two-phase execution core, reused for every micro-batch of
     /// every subscription (its per-worker scratch stays warm).
     sched: BatchScheduler,
+    /// Tuples ingested so far: the global index of the next one.
     tuples_seen: u64,
     metrics: EngineMetrics,
     /// What the engine is wired to; later subscriptions share it too.
@@ -237,11 +236,6 @@ impl StreamEngine {
         Ok(olga.map(|olga| olga.model().len()))
     }
 
-    /// Total tuples ingested over the engine's lifetime.
-    pub(crate) fn tuples_seen(&self) -> u64 {
-        self.tuples_seen
-    }
-
     /// Register a subscription; returns its index.
     pub(crate) fn subscribe(&mut self, params: SubscribeParams) -> Result<usize> {
         let dim = params.udf.dim();
@@ -274,7 +268,6 @@ impl StreamEngine {
             digest: Digest::default(),
             recent: VecDeque::with_capacity(params.retain),
             retain: params.retain,
-            decisions: params.record_decisions.then(Vec::new),
         };
         self.queries.push(Subscription { eval, q });
         Ok(self.queries.len() - 1)
@@ -388,7 +381,7 @@ impl StreamEngine {
     }
 }
 
-/// Fold one kept tuple into a query's digest, ring and decision log.
+/// Fold one kept tuple into a query's digest and ring.
 fn record_kept(q: &mut QueryState, gidx: u64, output: &OutputDistribution, tep: f64) {
     q.digest.push_u64(gidx);
     q.digest.push_u64(1);
@@ -405,19 +398,13 @@ fn record_kept(q: &mut QueryState, gidx: u64, output: &OutputDistribution, tep: 
             tep,
         });
     }
-    if let Some(d) = &mut q.decisions {
-        d.push((gidx, true));
-    }
 }
 
-/// Fold one filtered tuple into a query's digest and decision log.
+/// Fold one filtered tuple into a query's digest.
 fn record_filtered(q: &mut QueryState, gidx: u64, rho_upper: f64) {
     q.digest.push_u64(gidx);
     q.digest.push_u64(0);
     q.digest.push_f64(rho_upper);
-    if let Some(d) = &mut q.decisions {
-        d.push((gidx, false));
-    }
 }
 
 #[cfg(test)]

@@ -22,8 +22,11 @@
 //!   [`Predicate`](udf_core::filtering::Predicate) drop tuples from the
 //!   envelope/Hoeffding upper bounds before paying for full evaluation;
 //! * per-query [`BatchCounts`](udf_core::BatchCounts) — the same counter
-//!   block the relational executor and the join report — beside each
-//!   subscription's determinism [`digest`](session::Session::digest).
+//!   block the relational executor and the join report, `cap_hits`
+//!   included — beside each subscription's determinism
+//!   [`digest`](session::Session::digest) and a ring of its most recent
+//!   kept tuples ([`recent`](session::Session::recent)): the one place a
+//!   subscription reports itself.
 //!
 //! ## Determinism
 //!

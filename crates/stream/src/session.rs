@@ -34,7 +34,6 @@ pub struct QuerySpec {
     pub(crate) output_range: f64,
     pub(crate) predicate: Option<Predicate>,
     pub(crate) retain: usize,
-    pub(crate) record_decisions: bool,
     pub(crate) max_model_points: usize,
 }
 
@@ -54,7 +53,6 @@ impl QuerySpec {
             output_range: 1.0,
             predicate: None,
             retain: 8,
-            record_decisions: false,
             max_model_points: 0,
         }
     }
@@ -76,14 +74,10 @@ impl QuerySpec {
     }
 
     /// How many recent emitted tuples to keep for inspection (default 8).
+    /// A ring at least as long as the stream holds every kept tuple's
+    /// global index, in stream order.
     pub fn retain(mut self, n: usize) -> Self {
         self.retain = n;
-        self
-    }
-
-    /// Record every keep/filter decision (for agreement tests and audits).
-    pub fn record_decisions(mut self) -> Self {
-        self.record_decisions = true;
         self
     }
 
@@ -173,7 +167,6 @@ impl Session {
             output_range,
             predicate,
             retain,
-            record_decisions,
             max_model_points,
         } = spec;
         self.engine
@@ -185,7 +178,6 @@ impl Session {
                 output_range,
                 predicate,
                 retain,
-                record_decisions,
                 max_model_points,
             })
             .map(QueryId)
@@ -217,12 +209,6 @@ impl Session {
             .map(|q| q.recent.iter().copied().collect())
     }
 
-    /// Keep/filter decisions `(global tuple index, kept)`, when the query
-    /// was registered with [`QuerySpec::record_decisions`].
-    pub fn decisions(&self, id: QueryId) -> Result<Option<&[(u64, bool)]>> {
-        self.engine.query(id.0).map(|q| q.decisions.as_deref())
-    }
-
     /// Current GP model size (training points) of a subscription, `None`
     /// for MC subscriptions. With [`QuerySpec::max_model_points`] set this
     /// never exceeds the cap — including mid-batch, when a burst of
@@ -230,11 +216,6 @@ impl Session {
     /// Algorithm 5 itself, not just at the batch-routing layer).
     pub fn model_points(&self, id: QueryId) -> Result<Option<usize>> {
         self.engine.model_points(id.0)
-    }
-
-    /// Total tuples ingested over the session's lifetime.
-    pub fn tuples_seen(&self) -> u64 {
-        self.engine.tuples_seen()
     }
 }
 
@@ -327,7 +308,7 @@ mod tests {
             "GP {gp_calls} calls vs MC {mc_calls}"
         );
         assert_eq!(session.recent(gp).unwrap().len(), 8);
-        assert_eq!(session.tuples_seen(), 96);
+        assert_eq!(session.stats(gp).unwrap().tuples_in, 96);
     }
 
     #[test]
@@ -377,17 +358,16 @@ mod tests {
                     StreamStrategy::Mc,
                 )
                 .predicate(pred)
-                .record_decisions(),
+                .retain(32),
             )
             .unwrap();
         session.run(VecSource::new(tuples), None).unwrap();
         let s = session.stats(q).unwrap();
         assert_eq!(s.kept, 16, "only the N(5, ·) cluster passes");
         assert_eq!(s.filtered, 16);
-        let decisions = session.decisions(q).unwrap().unwrap();
-        for &(gidx, kept) in decisions {
-            assert_eq!(kept, !gidx.is_multiple_of(2), "tuple {gidx}");
-        }
+        // The ring holds every kept tuple: exactly the odd ones.
+        let kept: Vec<u64> = session.recent(q).unwrap().iter().map(|k| k.tuple).collect();
+        assert_eq!(kept, (1..32).step_by(2).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn print_catalog(ctx: &UqlContext) {
 
 fn main() {
     let mut ctx = demo_context();
-    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\top` shows firing alerts, `\\q` quits.");
+    println!("UQL shell — `\\d` lists the catalog, `\\h` shows the grammar, `\\metrics` dumps counters, `\\q` quits.");
     println!("Example: SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7");
 
     let stdin = io::stdin();
@@ -137,16 +137,9 @@ fn main() {
                 print!("{}", ctx.metrics().render());
                 continue;
             }
-            "\\top" => {
-                // The loop already ticks once per executed statement, so
-                // the dashboard is current; ticking again here would fold
-                // an empty window and resolve every alert.
-                print!("{}", ctx.monitor().render_top());
-                continue;
-            }
             "\\metrics reset" => {
                 ctx.metrics().reset();
-                println!("metrics reset (the monitor's next window starts from zero)");
+                println!("metrics reset");
                 continue;
             }
             "\\h" | "help" => {
@@ -161,8 +154,7 @@ fn main() {
                      the statement's metrics delta (reroutes, model size, cap hits);\n\
                      `\\metrics` dumps the session's metrics registry,\n\
                      `\\metrics <prefix>` dumps only metrics under a prefix,\n\
-                     `\\metrics reset` zeroes it,\n\
-                     `\\top` shows the monitor (firing alerts, recent transitions)."
+                     `\\metrics reset` zeroes it."
                 );
                 continue;
             }
@@ -180,10 +172,6 @@ fn main() {
             Ok(out) => print!("{}", out.report()),
             Err(e) => println!("{}", e.render(line)),
         }
-        // One monitor tick per executed statement, so each `\top` verdict
-        // covers the statements since the previous one. Output-blind: the
-        // tick only reads a snapshot.
-        ctx.monitor_mut().tick();
     }
     println!("bye");
 }

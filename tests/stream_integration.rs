@@ -60,18 +60,17 @@ fn stream_filter_decisions_agree_with_executor_mc_baseline() {
         .subscribe(
             QuerySpec::new("sel", udf, acc(), StreamStrategy::Mc)
                 .predicate(pred)
-                .record_decisions(),
+                .retain(n),
         )
         .unwrap();
     session.run(VecSource::new(stream_tuples), None).unwrap();
 
+    // A ring as long as the stream holds every kept tuple, in order.
     let stream_kept: Vec<usize> = session
-        .decisions(q)
+        .recent(q)
         .unwrap()
-        .expect("decisions recorded")
         .iter()
-        .filter(|(_, kept)| *kept)
-        .map(|(gidx, _)| *gidx as usize)
+        .map(|k| k.tuple as usize)
         .collect();
 
     assert_eq!(
@@ -82,7 +81,7 @@ fn stream_filter_decisions_agree_with_executor_mc_baseline() {
     let want: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();
     assert_eq!(stream_kept, want);
 
-    // Stats agree with the decision log.
+    // Stats agree with the kept tuples.
     let stats = session.stats(q).unwrap();
     assert_eq!(stats.kept as usize, want.len());
     assert_eq!(stats.filtered as usize, n - want.len());
