@@ -1,8 +1,6 @@
 //! Ablation studies beyond the paper's figures — design choices the paper
 //! states without measuring:
 //!
-//! * **Kernels** — SE vs. Matérn 3/2 vs. 5/2 on a smooth and a bumpy
-//!   function (the paper asserts SE suffices for its UDFs; quantify it);
 //! * **Incremental Cholesky** — the §5.2 block update vs. refactorization;
 //! * **ε split** — sensitivity to the ε_MC : ε_GP allocation (Profile 3
 //!   recommends 0.7).
@@ -15,57 +13,13 @@ use udf_bench::{
 use udf_core::config::OlgaproConfig;
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::UdfFunction;
-use udf_gp::{GpModel, Kernel, Matern32, Matern52, SquaredExponential};
+use udf_gp::{GpModel, SquaredExponential};
 use udf_prob::metrics::lambda_discrepancy;
 use udf_workloads::synthetic::PaperFunction;
 
 fn main() {
-    kernels();
     incremental();
     eps_split();
-}
-
-fn kernels() {
-    header(
-        "Ablation A",
-        "kernel choice (mean actual error after OLGAPRO, F1 smooth / F4 bumpy)",
-        "kernel      Funct1 err   Funct4 err   Funct4 points",
-    );
-    let n_inputs = udf_bench::inputs_per_point().min(12);
-    type KernelFactory = Box<dyn Fn() -> Box<dyn Kernel>>;
-    let kernels: Vec<(&str, KernelFactory)> = vec![
-        (
-            "SE",
-            Box::new(|| Box::new(SquaredExponential::new(1.0, 1.0))),
-        ),
-        ("Matern32", Box::new(|| Box::new(Matern32::new(1.0, 1.0)))),
-        ("Matern52", Box::new(|| Box::new(Matern52::new(1.0, 1.0)))),
-    ];
-    for (name, mk) in &kernels {
-        let mut row = format!("{name:<11}");
-        let mut f4_points = 0;
-        for pf in [PaperFunction::F1, PaperFunction::F4] {
-            let f = pf.instantiate(2);
-            let range = f.output_range();
-            let acc = paper_accuracy(range);
-            let cfg = OlgaproConfig::new(acc, range).expect("config");
-            let inputs = standard_inputs(2, n_inputs, 200);
-            let mut olga = Olgapro::with_kernel(as_udf(&f, Duration::ZERO), cfg, mk());
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(201);
-            let mut truth_rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(202);
-            let mut err = 0.0;
-            for inp in &inputs {
-                let out = olga.process(inp, &mut rng).expect("process");
-                let truth = ground_truth(&f, inp, 20_000, &mut truth_rng);
-                err += lambda_discrepancy(&out.y_hat, &truth, acc.lambda);
-            }
-            row.push_str(&format!(" {:>10.4}", err / inputs.len() as f64));
-            if pf == PaperFunction::F4 {
-                f4_points = olga.model().len();
-            }
-        }
-        println!("{row}   {f4_points:>10}");
-    }
 }
 
 fn incremental() {

@@ -391,9 +391,15 @@ mod tests {
     use crate::config::{Metric, OlgaproConfig};
 
     fn setup(eps: f64) -> Olgapro {
+        setup_with(eps, |_| {})
+    }
+
+    /// [`setup`] with the config adjusted before the evaluator is built.
+    fn setup_with(eps: f64, adjust: impl FnOnce(&mut OlgaproConfig)) -> Olgapro {
         let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
         let acc = AccuracyRequirement::new(eps, 0.05, 0.02, Metric::Discrepancy).unwrap();
-        let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
+        let mut cfg = OlgaproConfig::new(acc, 2.0).unwrap();
+        adjust(&mut cfg);
         Olgapro::new(udf, cfg)
     }
 
@@ -594,9 +600,8 @@ mod tests {
         // the first slow tuples of the second batch fill it, and every
         // over-budget tuple ruled after them is accepted at its fast-phase
         // output — `infer_only` on the batch-start model.
-        let mut olga = setup(0.12);
+        let mut olga = setup_with(0.12, |cfg| cfg.max_points_per_input = 2);
         olga.set_model_cap(6).unwrap();
-        olga.set_tuning_budget(2).unwrap();
         let mut par = Par::new(olga, 2);
         let batch: Vec<InputDistribution> = (0..24)
             .map(|i| InputDistribution::diagonal_gaussian(&[(0.5 * i as f64, 0.3)]).unwrap())

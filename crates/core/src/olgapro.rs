@@ -32,8 +32,7 @@ use udf_gp::band::simultaneous_z;
 use udf_gp::local::{select_local_with, LocalPredictor};
 use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
-    FactorOrigin, GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch,
-    SquaredExponential,
+    FactorOrigin, GpModel, LocalPredictorCache, PredictScratch, SelectScratch, SquaredExponential,
 };
 use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use udf_prob::{Ecdf, InputDistribution};
@@ -211,22 +210,14 @@ pub struct Olgapro {
 }
 
 impl Olgapro {
-    /// Create with the paper's default squared-exponential kernel.
+    /// Create with the paper's squared-exponential kernel (§3.2) at the
+    /// config's initial hyperparameters.
     pub fn new(udf: BlackBoxUdf, config: OlgaproConfig) -> Self {
-        let kernel: Box<dyn Kernel> = Box::new(SquaredExponential::new(
-            config.init_sigma_f,
-            config.init_lengthscale,
-        ));
-        Self::with_kernel(udf, config, kernel)
-    }
-
-    /// Create with an explicit kernel (Matérn instead of the paper's SE,
-    /// say).
-    pub fn with_kernel(udf: BlackBoxUdf, config: OlgaproConfig, kernel: Box<dyn Kernel>) -> Self {
+        let kernel = SquaredExponential::new(config.init_sigma_f, config.init_lengthscale);
         let dim = udf.dim();
         Olgapro {
             udf,
-            model: GpModel::new(kernel, dim),
+            model: GpModel::new(Box::new(kernel), dim),
             config,
             tuning: TuningHeuristic::LargestVariance,
             metrics: OlgaproMetrics::disabled(),
@@ -276,25 +267,6 @@ impl Olgapro {
     /// already-learned points.
     pub fn set_model_cap(&mut self, n: usize) -> Result<()> {
         self.config.set_model_cap(n)
-    }
-
-    /// Change the per-tuple online-tuning budget
-    /// ([`OlgaproConfig::max_points_per_input`], the paper's Expt-2 knob,
-    /// default 10): each input adds at most `n` training points before it
-    /// is emitted at the achieved bound. Workloads whose accuracy target
-    /// is unreachable in fresh regions (tight λ over a wide domain) use a
-    /// small budget to *spread* model growth across inputs instead of
-    /// exhausting it on the first ones. Zero is rejected (the tuning loop
-    /// could never make progress).
-    pub fn set_tuning_budget(&mut self, n: usize) -> Result<()> {
-        if n == 0 {
-            return Err(CoreError::InvalidConfig {
-                what: "max_points_per_input",
-                value: 0.0,
-            });
-        }
-        self.config.max_points_per_input = n;
-        Ok(())
     }
 
     /// True when the training set is at the cap
@@ -1459,15 +1431,12 @@ mod tests {
         let f2 = BlackBoxUdf::from_fn("f2", 1, |x| (-(x[0] - 9.54).powi(2) / 0.72).exp());
         let mut cfg = config(0.2);
         cfg.retrain = RetrainStrategy::Eager;
-        let mut kernel = SquaredExponential::new(1.0, 1.0);
-        kernel.set_params(&[-8.0, 8.0]);
         let mut proposed_nothing = 0;
         for t in 0..8u64 {
             let mk = || {
                 let metrics = MetricsRegistry::new();
-                let kernel = Box::new(kernel.clone());
-                let olga =
-                    Olgapro::with_kernel(f2.clone(), cfg.clone(), kernel).with_metrics(&metrics);
+                let mut olga = Olgapro::new(f2.clone(), cfg.clone()).with_metrics(&metrics);
+                olga.model.set_hyperparams(&[-8.0, 8.0]).unwrap();
                 (olga, metrics)
             };
             let ((mut skip, skip_metrics), (mut oracle, oracle_metrics)) = (mk(), mk());
@@ -1664,10 +1633,8 @@ mod tests {
             for global in [false, true] {
                 let udf = shaped_udf(shape);
                 let dim = udf.dim();
-                let kernel: Box<dyn Kernel> = Box::new(SquaredExponential::new(1.0, 1.0));
                 let metrics = MetricsRegistry::new();
-                let mut olga =
-                    Olgapro::with_kernel(udf, config(0.2), kernel).with_metrics(&metrics);
+                let mut olga = Olgapro::new(udf, config(0.2)).with_metrics(&metrics);
                 let mut rng = StdRng::seed_from_u64(70 + shape as u64);
                 let at = |mu: f64| {
                     let dims: Vec<(f64, f64)> =

@@ -324,8 +324,8 @@ fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
             let mut cfg = tight();
             cfg.retrain = retrain;
             cfg.bootstrap_points = bootstrap;
+            cfg.max_points_per_input = budget;
             let mut olga = Olgapro::new(udf, cfg);
-            olga.set_tuning_budget(budget).unwrap();
             let err = olga
                 .process(&tuple(2.0), &mut StdRng::seed_from_u64(9))
                 .unwrap_err();

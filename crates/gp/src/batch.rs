@@ -465,7 +465,6 @@ mod tests {
 
     #[test]
     fn flat_rows_and_hoisted_prior_match_eval_bitwise() {
-        use crate::kernel::{Matern32, Matern52};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
@@ -476,8 +475,8 @@ mod tests {
             let kernels: Vec<Box<dyn Kernel>> = vec![
                 Box::new(SquaredExponential::new(sf, len)),
                 Box::new(SquaredExponential::new(sf, len * dim as f64)),
-                Box::new(Matern32::new(sf, len)),
-                Box::new(Matern52::new(sf, len)),
+                Box::new(SquaredExponential::new(sf + 1.0, 0.5 * len)),
+                Box::new(SquaredExponential::new(0.5 * sf, len + 1.0)),
             ];
             let point = |rng: &mut StdRng| -> Vec<f64> {
                 (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
@@ -666,7 +665,6 @@ mod tests {
 
     #[test]
     fn extension_matches_the_full_build_bitwise_over_random_sequences() {
-        use crate::kernel::Matern32;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::collections::BTreeMap;
@@ -676,18 +674,15 @@ mod tests {
         let mut escalated = 0;
         for case in 0..300 {
             let dim = 1 + case % 2;
-            let kernel: Box<dyn Kernel> = if case % 5 == 4 {
-                Box::new(Matern32::new(1.3, 0.9))
+            let kernel = if case % 5 == 4 {
+                SquaredExponential::new(1.3, 0.9)
             } else {
-                Box::new(SquaredExponential::new(
-                    0.5 + rng.gen::<f64>(),
-                    0.4 + rng.gen::<f64>(),
-                ))
+                SquaredExponential::new(0.5 + rng.gen::<f64>(), 0.4 + rng.gen::<f64>())
             };
             let point = |rng: &mut StdRng| -> Vec<f64> {
                 (0..dim).map(|_| rng.gen_range(0.0..6.0)).collect()
             };
-            let mut m = GpModel::new(kernel, dim);
+            let mut m = GpModel::new(Box::new(kernel), dim);
             // A third of the cases run without jitter, so a near-duplicate
             // really does fail the pivot and force an escalation.
             if case % 3 == 0 {

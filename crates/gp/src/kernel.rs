@@ -1,26 +1,29 @@
-//! Covariance functions.
+//! The covariance function: §3.2's squared exponential.
 //!
 //! Hyperparameters are exposed in **log space** (`θ_j = log p_j`): MLE over
 //! log-parameters keeps them positive without constrained optimization and
 //! matches the paper's gradient/Newton machinery (§3.4, §5.3).
 //!
-//! The paper works with the squared-exponential kernel
-//! `k(x, x') = σ_f² exp(−‖x−x'‖² / (2ℓ²))` and notes that Matérn kernels
-//! suit rougher functions (§3.2); all are provided, and all are isotropic:
-//! functions of the distance `‖x − x'‖` alone, which §5.1's near/far-corner
-//! bound for local inference needs.
+//! The paper runs every experiment on the squared-exponential kernel
+//! `k(x, x') = σ_f² exp(−‖x−x'‖² / (2ℓ²))`, and so does the engine. It is
+//! isotropic — a function of the distance `‖x − x'‖` alone — which §5.1's
+//! near/far-corner bound for local inference needs.
 //!
 //! The SE kernel's per-entry `exp` is this module's own, IEEE multiplies,
 //! adds and one division only (Rust never contracts floats): the same bits
 //! on every target, and four lanes at a time where the CPU has AVX2.
 
 /// A positive-definite covariance function with log-space hyperparameters.
+///
+/// [`SquaredExponential`] is its one production implementor. The trait is
+/// kept as a seam: a test can substitute a fake covariance (one that turns
+/// unfactorable mid-ascent, say) that no SE hyperparameters produce.
 pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// Covariance `k(a, b)`. Must be symmetric *to the bit* —
-    /// `eval(a, b) == eval(b, a)` — which every kernel here gets from
-    /// depending on its arguments only through `(a_i − b_i)²`: covariance
-    /// matrices are built from one triangle and mirrored, and the row
-    /// builders below put whichever argument is shared first.
+    /// `eval(a, b) == eval(b, a)` — which SE gets from depending on its
+    /// arguments only through `(a_i − b_i)²`: covariance matrices are built
+    /// from one triangle and mirrored, and the row builders below put
+    /// whichever argument is shared first.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
 
     /// Number of hyperparameters.
@@ -49,7 +52,7 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// `d2[c] = eval(a_c, b_c)` **bit for bit**: hyperparameter transforms
     /// hoisted (`exp` of the same input is deterministic), the per-entry
     /// arithmetic exactly `eval`'s. Every blocked row builder is one
-    /// distance pass, then this map: one virtual call per row, each
+    /// distance pass, then this map: one virtual call per row, the
     /// kernel's expression once.
     fn eval_sq_dists(&self, d2: &mut [f64]);
 
@@ -78,41 +81,21 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
 
     /// [`Kernel::grad`] of `x` against every `q` in `qs`, parameter-major:
     /// `out[j * qs.len() + c] = grad(x, qs[c])[j]`, bitwise identical to the
-    /// scalar calls. Overrides hoist the hyperparameter transforms and
-    /// allocate nothing per entry — training walks all n² pairs per
-    /// likelihood gradient, so the per-entry `Vec` and repeated `exp`s of
-    /// the scalar form dominate it.
+    /// scalar calls, with the hyperparameter transforms hoisted and nothing
+    /// allocated per entry — training walks all n² pairs per likelihood
+    /// gradient, so the per-entry `Vec` and repeated `exp`s of the scalar
+    /// form would dominate it.
     ///
     /// # Panics
     /// Panics if `out.len() != n_params() * qs.len()` (caller bug).
-    fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
-        let m = qs.len();
-        assert_eq!(out.len(), self.n_params() * m, "grad_row: wrong length");
-        for (c, q) in qs.iter().enumerate() {
-            for (j, g) in self.grad(x, q).into_iter().enumerate() {
-                out[j * m + c] = g;
-            }
-        }
-    }
+    fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]);
 
     /// [`Kernel::second_deriv`] in the layout and under the contract of
     /// [`grad_row`](Kernel::grad_row).
     ///
     /// # Panics
     /// Panics if `out.len() != n_params() * qs.len()` (caller bug).
-    fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
-        let m = qs.len();
-        assert_eq!(
-            out.len(),
-            self.n_params() * m,
-            "second_deriv_row: wrong length"
-        );
-        for (c, q) in qs.iter().enumerate() {
-            for (j, h) in self.second_deriv(x, q).into_iter().enumerate() {
-                out[j * m + c] = h;
-            }
-        }
-    }
+    fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]);
 
     /// `k` as a function of the Euclidean distance `r` — what local
     /// inference's near/far-corner bound evaluates (§5.1).
@@ -123,12 +106,7 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics if `out.len() != rs.len()` (caller bug).
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
-        for (o, &r) in out.iter_mut().zip(rs) {
-            *o = self.eval_dist(r);
-        }
-    }
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]);
 
     /// Second spectral moment `λ₂ = −k''(0)/k(0)` of the associated
     /// stationary field, the same in every input dimension; used by the
@@ -376,207 +354,6 @@ impl Kernel for SquaredExponential {
     }
 }
 
-/// Matérn ν = 3/2 kernel: `k = σ_f² (1 + s) e^{−s}`, `s = √3 r / ℓ` —
-/// for once-differentiable sample paths (§3.2's "less smooth" option).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matern32 {
-    log_sigma_f: f64,
-    log_len: f64,
-}
-
-impl Matern32 {
-    /// Create with natural-scale parameters.
-    ///
-    /// # Panics
-    /// Panics when parameters are not positive.
-    pub fn new(sigma_f: f64, lengthscale: f64) -> Self {
-        assert!(
-            sigma_f > 0.0 && lengthscale > 0.0,
-            "parameters must be positive"
-        );
-        Matern32 {
-            log_sigma_f: sigma_f.ln(),
-            log_len: lengthscale.ln(),
-        }
-    }
-
-    /// [`Kernel::eval_dist`] over `rs` in place, the hyperparameter
-    /// transforms hoisted; bit-identical per entry.
-    fn map_dists(&self, rs: &mut [f64]) {
-        let len = self.log_len.exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for r in rs {
-            let s = 3.0f64.sqrt() * *r / len;
-            *r = sf2 * (1.0 + s) * (-s).exp();
-        }
-    }
-}
-
-impl Kernel for Matern32 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval_dist(sq_dist(a, b).sqrt())
-    }
-
-    fn n_params(&self) -> usize {
-        2
-    }
-
-    fn params(&self) -> Vec<f64> {
-        vec![self.log_sigma_f, self.log_len]
-    }
-
-    fn set_params(&mut self, theta: &[f64]) {
-        assert_eq!(theta.len(), 2, "Matern32 has 2 hyperparameters");
-        self.log_sigma_f = theta[0];
-        self.log_len = theta[1];
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        let s = 3.0f64.sqrt() * sq_dist(a, b).sqrt() / self.log_len.exp();
-        let e = (-s).exp();
-        // ∂k/∂logσf = 2k; ∂k/∂logℓ = σ² s² e^{−s}.
-        vec![2.0 * sf2 * (1.0 + s) * e, sf2 * s * s * e]
-    }
-
-    fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        let s = 3.0f64.sqrt() * sq_dist(a, b).sqrt() / self.log_len.exp();
-        let e = (-s).exp();
-        // ∂²k/∂(logσf)² = 4k; ∂²k/∂(logℓ)² = σ² (s³ − 2s²) e^{−s}.
-        vec![
-            4.0 * sf2 * (1.0 + s) * e,
-            sf2 * (s * s * s - 2.0 * s * s) * e,
-        ]
-    }
-
-    fn eval_dist(&self, r: f64) -> f64 {
-        let s = 3.0f64.sqrt() * r / self.log_len.exp();
-        (2.0 * self.log_sigma_f).exp() * (1.0 + s) * (-s).exp()
-    }
-
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
-        out.copy_from_slice(rs);
-        self.map_dists(out);
-    }
-
-    fn eval_sq_dists(&self, d2: &mut [f64]) {
-        d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
-        self.map_dists(d2);
-    }
-
-    fn spectral_moment(&self) -> f64 {
-        // λ₂ = 3/ℓ².
-        3.0 * (-2.0 * self.log_len).exp()
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
-/// Matérn ν = 5/2 kernel: `k = σ_f² (1 + s + s²/3) e^{−s}`, `s = √5 r / ℓ`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matern52 {
-    log_sigma_f: f64,
-    log_len: f64,
-}
-
-impl Matern52 {
-    /// Create with natural-scale parameters.
-    ///
-    /// # Panics
-    /// Panics when parameters are not positive.
-    pub fn new(sigma_f: f64, lengthscale: f64) -> Self {
-        assert!(
-            sigma_f > 0.0 && lengthscale > 0.0,
-            "parameters must be positive"
-        );
-        Matern52 {
-            log_sigma_f: sigma_f.ln(),
-            log_len: lengthscale.ln(),
-        }
-    }
-
-    /// [`Kernel::eval_dist`] over `rs` in place, the hyperparameter
-    /// transforms hoisted; bit-identical per entry.
-    fn map_dists(&self, rs: &mut [f64]) {
-        let len = self.log_len.exp();
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        for r in rs {
-            let s = 5.0f64.sqrt() * *r / len;
-            *r = sf2 * (1.0 + s + s * s / 3.0) * (-s).exp();
-        }
-    }
-}
-
-impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval_dist(sq_dist(a, b).sqrt())
-    }
-
-    fn n_params(&self) -> usize {
-        2
-    }
-
-    fn params(&self) -> Vec<f64> {
-        vec![self.log_sigma_f, self.log_len]
-    }
-
-    fn set_params(&mut self, theta: &[f64]) {
-        assert_eq!(theta.len(), 2, "Matern52 has 2 hyperparameters");
-        self.log_sigma_f = theta[0];
-        self.log_len = theta[1];
-    }
-
-    fn grad(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        let s = 5.0f64.sqrt() * sq_dist(a, b).sqrt() / self.log_len.exp();
-        let e = (-s).exp();
-        let k = sf2 * (1.0 + s + s * s / 3.0) * e;
-        // ∂k/∂logℓ = σ² (s²/3)(1+s) e^{−s}.
-        vec![2.0 * k, sf2 * (s * s / 3.0) * (1.0 + s) * e]
-    }
-
-    fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let sf2 = (2.0 * self.log_sigma_f).exp();
-        let s = 5.0f64.sqrt() * sq_dist(a, b).sqrt() / self.log_len.exp();
-        let e = (-s).exp();
-        let k = sf2 * (1.0 + s + s * s / 3.0) * e;
-        // ∂²k/∂(logℓ)² = σ² (s⁴ − 2s³ − 2s²)/3 · e^{−s}.
-        vec![
-            4.0 * k,
-            sf2 * (s.powi(4) - 2.0 * s.powi(3) - 2.0 * s * s) / 3.0 * e,
-        ]
-    }
-
-    fn eval_dist(&self, r: f64) -> f64 {
-        let s = 5.0f64.sqrt() * r / self.log_len.exp();
-        (2.0 * self.log_sigma_f).exp() * (1.0 + s + s * s / 3.0) * (-s).exp()
-    }
-
-    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), rs.len(), "eval_dist_many: wrong output length");
-        out.copy_from_slice(rs);
-        self.map_dists(out);
-    }
-
-    fn eval_sq_dists(&self, d2: &mut [f64]) {
-        d2.iter_mut().for_each(|d| *d = d.sqrt()); // `eval` is `eval_dist` of the root
-        self.map_dists(d2);
-    }
-
-    fn spectral_moment(&self) -> f64 {
-        // λ₂ = 5/(3ℓ²).
-        5.0 / 3.0 * (-2.0 * self.log_len).exp()
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,29 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn matern32_derivatives() {
-        let mut k = Matern32::new(2.0, 1.3);
-        check_grad_fd(&mut k, &[0.1, 0.9], &[-0.4, 0.3]);
-        assert!((k.eval(&[0.0], &[0.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matern52_derivatives() {
-        let mut k = Matern52::new(0.7, 0.4);
-        check_grad_fd(&mut k, &[0.1], &[0.35]);
-        // Smoother than 3/2 at the same distance (closer to 1 after scaling).
-        let k32 = Matern32::new(1.0, 1.0);
-        let k52 = Matern52::new(1.0, 1.0);
-        let r = 0.5;
-        assert!(k52.eval_dist(r) > k32.eval_dist(r));
-    }
-
-    #[test]
     fn kernels_decay_monotonically() {
-        let kernels: Vec<Box<dyn Kernel>> = vec![
-            Box::new(SquaredExponential::new(1.0, 1.0)),
-            Box::new(Matern32::new(1.0, 1.0)),
-            Box::new(Matern52::new(1.0, 1.0)),
+        let kernels = [
+            SquaredExponential::new(1.0, 1.0),
+            SquaredExponential::new(2.0, 1.3),
+            SquaredExponential::new(0.7, 0.4),
         ];
         for k in &kernels {
             let mut prev = k.eval_dist(0.0);
@@ -668,18 +427,18 @@ mod tests {
     fn spectral_moments_positive() {
         assert!(SquaredExponential::new(1.0, 2.0).spectral_moment() > 0.0);
         assert!((SquaredExponential::new(1.0, 2.0).spectral_moment() - 0.25).abs() < 1e-12);
-        assert!((Matern32::new(1.0, 1.0).spectral_moment() - 3.0).abs() < 1e-12);
-        assert!((Matern52::new(1.0, 1.0).spectral_moment() - 5.0 / 3.0).abs() < 1e-12);
+        assert!((SquaredExponential::new(1.0, 1.0).spectral_moment() - 1.0).abs() < 1e-12);
+        assert!((SquaredExponential::new(0.7, 0.4).spectral_moment() - 6.25).abs() < 1e-12);
     }
 
     #[test]
     fn bulk_row_eval_bitwise_matches_scalar() {
         // The hoisted overrides must equal per-entry eval/eval_dist bit for
         // bit — the blocked fast path's correctness rests on this.
-        let kernels: Vec<Box<dyn Kernel>> = vec![
-            Box::new(SquaredExponential::new(1.5, 0.8)),
-            Box::new(Matern32::new(2.0, 1.3)),
-            Box::new(Matern52::new(0.7, 0.4)),
+        let kernels = [
+            SquaredExponential::new(1.5, 0.8),
+            SquaredExponential::new(2.0, 1.3),
+            SquaredExponential::new(0.7, 0.4),
         ];
         let x = [0.3, -0.2];
         let qs: Vec<Vec<f64>> = (0..33)
@@ -709,11 +468,11 @@ mod tests {
         let mut next = move || rng.gen::<f64>();
         for case in 0..300 {
             let (sf, l1, l2) = (0.2 + 3.0 * next(), 0.1 + 4.0 * next(), 0.1 + 4.0 * next());
-            let kernels: Vec<Box<dyn Kernel>> = vec![
-                Box::new(SquaredExponential::new(sf, l1)),
-                Box::new(SquaredExponential::new(sf, l2)),
-                Box::new(Matern32::new(sf, l1)),
-                Box::new(Matern52::new(sf, l1)),
+            let kernels = [
+                SquaredExponential::new(sf, l1),
+                SquaredExponential::new(sf, l2),
+                SquaredExponential::new(0.5 * sf, l1 + l2),
+                SquaredExponential::new(sf + 1.0, 0.5 * l1),
             ];
             let x = vec![8.0 * next() - 4.0, 8.0 * next() - 4.0];
             let mut qs: Vec<Vec<f64>> = (0..1 + case % 9)

@@ -4,9 +4,9 @@
 //! posterior mean `f̂` serves as a cheap emulator and the posterior variance
 //! `σ²(x)` quantifies modeling error. This crate provides:
 //!
-//! * [`kernel`] — isotropic covariance functions (squared-exponential,
-//!   Matérn 3/2 and 5/2) with analytic first and second
-//!   derivatives w.r.t. log-hyperparameters (needed for MLE training, §3.4,
+//! * [`kernel`] — the isotropic squared-exponential covariance function
+//!   (§3.2) with analytic first and second derivatives w.r.t.
+//!   log-hyperparameters (needed for MLE training, §3.4,
 //!   and the Newton retraining heuristic, §5.3);
 //! * [`model`] — exact GP regression with Cholesky factors and
 //!   **incremental training-point addition** (§5.2);
@@ -26,7 +26,7 @@ pub mod model;
 pub mod train;
 
 pub use batch::{FactorOrigin, LocalPredictorCache, PredictScratch};
-pub use kernel::{Kernel, Matern32, Matern52, SquaredExponential};
+pub use kernel::{Kernel, SquaredExponential};
 pub use local::SelectScratch;
 pub use model::GpModel;
 

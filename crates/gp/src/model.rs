@@ -221,7 +221,7 @@ impl GpModel {
     /// Distance at which the kernel decays to half its zero-distance value,
     /// found by bisection once and cached until the hyperparameters change:
     /// the radius step of the local-inference selection loop (§5.1), which
-    /// asks for it on every call. Always `Some`, every kernel being
+    /// asks for it on every call. Always `Some`, the kernel being
     /// isotropic; the `Option` stays because `benchmark/src/bin/ladder.rs`
     /// reads it with `unwrap_or`.
     pub fn half_value_distance(&self) -> Option<f64> {
@@ -397,7 +397,7 @@ impl GpModel {
     /// `p` symmetric `n x n` matrices from a row builder in
     /// [`Kernel::grad_row`]'s parameter-major layout: `fill(xᵢ, x₀..=xᵢ,
     /// out)` is asked for the lower triangle only and each entry mirrored
-    /// (kernels are bitwise symmetric, see [`Kernel::eval`]).
+    /// (the kernel is bitwise symmetric, see [`Kernel::eval`]).
     fn derivative_matrices(
         &self,
         p: usize,
@@ -703,28 +703,27 @@ pub(crate) mod tests {
         }
     }
 
-    /// Seeded models over all three kernels: random hyperparameters, 1-D or
-    /// 2-D inputs, half of them grown point by point (an appended factor).
+    /// Seeded SE models: random hyperparameters, 1-D or 2-D inputs, half of
+    /// them grown point by point (an appended factor).
     pub(crate) fn seeded_models(cases: usize) -> Vec<GpModel> {
-        use crate::kernel::{Matern32, Matern52};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xD1B5);
         let mut next = move || rng.gen::<f64>();
         (0..cases)
             .map(|case| {
                 let (sf, l1, l2) = (0.5 + 2.0 * next(), 0.3 + 2.0 * next(), 0.3 + 2.0 * next());
-                let (kernel, dim): (Box<dyn Kernel>, usize) = match case % 4 {
-                    0 => (Box::new(SquaredExponential::new(sf, l1)), 1),
-                    1 => (Box::new(SquaredExponential::new(sf, l2)), 2),
-                    2 => (Box::new(Matern32::new(sf, l1)), 2),
-                    _ => (Box::new(Matern52::new(sf, l1)), 1),
+                let (kernel, dim) = match case % 4 {
+                    0 => (SquaredExponential::new(sf, l1), 1),
+                    1 => (SquaredExponential::new(sf, l2), 2),
+                    2 => (SquaredExponential::new(0.5 * sf, l1 + l2), 2),
+                    _ => (SquaredExponential::new(sf + 1.0, 0.5 * l1), 1),
                 };
                 let n = 2 + case % 11;
                 let xs: Vec<Vec<f64>> = (0..n)
                     .map(|_| (0..dim).map(|_| 6.0 * next()).collect())
                     .collect();
                 let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 1.1).sin() + next()).collect();
-                let mut m = GpModel::new(kernel, dim);
+                let mut m = GpModel::new(Box::new(kernel), dim);
                 if case % 2 == 0 {
                     m.fit(xs, ys).unwrap();
                 } else {

@@ -51,8 +51,17 @@ impl Kernel for CliffKernel {
     fn second_deriv(&self, a: &[f64], b: &[f64]) -> Vec<f64> {
         self.inner.second_deriv(a, b)
     }
+    fn grad_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        self.inner.grad_row(x, qs, out)
+    }
+    fn second_deriv_row(&self, x: &[f64], qs: &[Vec<f64>], out: &mut [f64]) {
+        self.inner.second_deriv_row(x, qs, out)
+    }
     fn eval_dist(&self, r: f64) -> f64 {
         self.inner.eval_dist(r)
+    }
+    fn eval_dist_many(&self, rs: &[f64], out: &mut [f64]) {
+        self.inner.eval_dist_many(rs, out)
     }
     fn spectral_moment(&self) -> f64 {
         self.inner.spectral_moment()

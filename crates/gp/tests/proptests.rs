@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use udf_gp::band::{expected_euler_characteristic, simultaneous_z};
 use udf_gp::kernel::Kernel;
 use udf_gp::local::{gamma_bound, select_local_with, LocalPredictor};
-use udf_gp::{GpModel, Matern52, PredictScratch, SelectScratch, SquaredExponential};
+use udf_gp::{GpModel, PredictScratch, SelectScratch, SquaredExponential};
 use udf_spatial::BoundingBox;
 
 /// Distinct 1-D training inputs with bounded targets. A minimum spacing of
@@ -66,7 +66,7 @@ proptest! {
         ls in 0.3f64..3.0,
     ) {
         let inputs: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-        let mut m = GpModel::new(Box::new(Matern52::new(1.0, ls)), 1);
+        let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, ls)), 1);
         m.fit(inputs, ys).unwrap();
         let theta0 = m.kernel().params();
         let grad = m.lml_gradient().unwrap();

@@ -166,13 +166,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// True when nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self.gauges.values().all(|&v| v == 0)
-            && self.histograms.values().all(|h| h.count == 0)
-    }
-
     /// What happened between `earlier` and `self`: counters and histogram
     /// counts/sums are differenced; gauges keep the later value (they are
     /// levels, not totals); histogram maxima keep the later value (maxima

@@ -58,21 +58,6 @@ impl BoundingBox {
         &self.hi
     }
 
-    /// Grow every side by `margin` (Γ expansion in local inference).
-    pub fn inflate(&self, margin: f64) -> BoundingBox {
-        BoundingBox {
-            lo: self.lo.iter().map(|l| l - margin).collect(),
-            hi: self.hi.iter().map(|h| h + margin).collect(),
-        }
-    }
-
-    /// True if `p` lies inside (closed) the box.
-    pub fn contains(&self, p: &[f64]) -> bool {
-        p.iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .all(|(x, (l, h))| x >= l && x <= h)
-    }
-
     /// Euclidean distance from `p` to the nearest box point
     /// (`x_near` in Fig. 3); zero when `p` is inside.
     pub fn min_dist(&self, p: &[f64]) -> f64 {
@@ -161,8 +146,6 @@ mod tests {
         let b = BoundingBox::from_points(pts.iter().map(|p| p.as_slice()));
         assert_eq!(b.lo(), &[0.0, -1.0]);
         assert_eq!(b.hi(), &[2.0, 1.0]);
-        assert!(b.contains(&[1.0, 0.0]));
-        assert!(!b.contains(&[3.0, 0.0]));
     }
 
     #[test]
@@ -181,9 +164,6 @@ mod tests {
     fn inflate_and_volume() {
         let b = BoundingBox::new(vec![0.0, 0.0], vec![1.0, 2.0]);
         assert!((volume(&b) - 2.0).abs() < 1e-12);
-        let infl = b.inflate(0.5);
-        assert_eq!(infl.lo(), &[-0.5, -0.5]);
-        assert!((volume(&infl) - 2.0 * 3.0).abs() < 1e-12);
     }
 
     #[test]
