@@ -29,7 +29,7 @@
 //! tuples of the full run, provided the skipped tuples are ones the filter
 //! would have dropped on the fast path (they mutate nothing).
 
-use crate::config::AccuracyRequirement;
+use crate::config::{check_samples_per_tuple, AccuracyRequirement, OlgaproConfig};
 use crate::filtering::{mc_eval_tuple, rule_tuned, FilterDecision, Predicate};
 use crate::olgapro::{InferScratch, Olgapro};
 use crate::output::{GpOutput, OutputDistribution, TuneStop};
@@ -38,11 +38,24 @@ use crate::udf::BlackBoxUdf;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use udf_obs::MetricsRegistry;
 use udf_prob::InputDistribution;
 
 /// One tuple's ruling as the sink sees it: kept with its output
 /// distribution and TEP, or filtered at its TEP upper bound.
 pub type Ruling = FilterDecision<OutputDistribution>;
+
+/// Which of the paper's two evaluators computes each tuple's output: the
+/// one choice every front-end makes (UQL's binder resolves `USING auto` to
+/// it with [`rule_based_choice`](crate::hybrid::rule_based_choice)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvalStrategy {
+    /// Direct Monte Carlo sampling (Algorithm 1).
+    Mc,
+    /// OLGAPRO (Algorithm 5). State (the GP model) persists across tuples,
+    /// which is where the online speedup comes from.
+    Gp,
+}
 
 /// How a batch's tuples are evaluated, with the state that persists across
 /// batches.
@@ -160,6 +173,49 @@ impl std::fmt::Display for BatchCounts {
 }
 
 impl Evaluator {
+    /// Build the evaluator of one query: the one place every front-end
+    /// (relation, join, stream) validates its configuration.
+    ///
+    /// `output_range` is the caller's estimate of the UDF output spread
+    /// (it scales Γ and λ on the GP path) and must be finite and positive
+    /// under either strategy. `model_cap` caps the GP model's training
+    /// set; **`0` is the uncapped sentinel**, nonzero caps below the GP
+    /// bootstrap size are rejected, and MC ignores it. An accuracy that
+    /// needs more than [`MAX_SAMPLES_PER_TUPLE`] samples per tuple is
+    /// refused here rather than in the allocator.
+    ///
+    /// [`MAX_SAMPLES_PER_TUPLE`]: crate::config::MAX_SAMPLES_PER_TUPLE
+    pub fn new(
+        strategy: EvalStrategy,
+        udf: BlackBoxUdf,
+        accuracy: AccuracyRequirement,
+        output_range: f64,
+        model_cap: usize,
+    ) -> Result<Self> {
+        // Validates `output_range` under either strategy; only GP keeps it.
+        let mut cfg = OlgaproConfig::new(accuracy, output_range)?;
+        Ok(match strategy {
+            EvalStrategy::Mc => {
+                check_samples_per_tuple(accuracy.mc_samples())?;
+                Evaluator::Mc { udf, accuracy }
+            }
+            EvalStrategy::Gp => {
+                cfg.set_model_cap(model_cap)?;
+                check_samples_per_tuple(cfg.samples_per_input())?;
+                Evaluator::Gp(Box::new(Olgapro::new(udf, cfg)))
+            }
+        })
+    }
+
+    /// Wire observability: a GP evaluator's model registers its
+    /// `olgapro.*` handles in `metrics`; MC has none. Purely
+    /// observational — results are byte-identical wired or not.
+    pub fn set_metrics(&mut self, metrics: &MetricsRegistry) {
+        if let Some(olga) = self.olgapro_mut() {
+            olga.set_metrics(metrics);
+        }
+    }
+
     /// The GP evaluator, when this is [`Evaluator::Gp`] — model size and
     /// core statistics for observability.
     pub fn olgapro(&self) -> Option<&Olgapro> {

@@ -36,10 +36,9 @@ pub mod output;
 pub mod sched;
 pub mod udf;
 
-pub use batch::{BatchCounts, BatchSpec, Evaluator, Ruling};
+pub use batch::{BatchCounts, BatchSpec, EvalStrategy, Evaluator, Ruling};
 pub use config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
 pub use filtering::{FilterDecision, Predicate};
-pub use hybrid::HybridChoice;
 pub use mc::McEvaluator;
 pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
 pub use output::{GpOutput, OutputDistribution, TuneStop};

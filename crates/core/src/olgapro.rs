@@ -90,22 +90,7 @@ pub struct OlgaproMetrics {
 impl OlgaproMetrics {
     /// The no-op handle set.
     pub fn disabled() -> Self {
-        OlgaproMetrics {
-            tuning_ns: Histogram::disabled(),
-            retrain_ns: Histogram::disabled(),
-            train_iters: Histogram::disabled(),
-            model_points: Gauge::disabled(),
-            model_size: Histogram::disabled(),
-            cap_hits: Counter::disabled(),
-            band_misses: Counter::disabled(),
-            fastpath_ns: Histogram::disabled(),
-            lp_cache_hits: Counter::disabled(),
-            lp_cache_misses: Counter::disabled(),
-            tuning_extends: Counter::disabled(),
-            bounds_built: Counter::disabled(),
-            bounds_skipped: Counter::disabled(),
-            ruled_early: Counter::disabled(),
-        }
+        Self::register(&MetricsRegistry::disabled())
     }
 
     /// Handles registered under the shared `olgapro.*` names.

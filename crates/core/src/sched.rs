@@ -90,15 +90,7 @@ pub struct SchedMetrics {
 impl SchedMetrics {
     /// The no-op handle set (what un-wired schedulers carry).
     pub fn disabled() -> Self {
-        SchedMetrics {
-            fast_phase_ns: Histogram::disabled(),
-            slow_phase_ns: Histogram::disabled(),
-            queue_wait_ns: Histogram::disabled(),
-            chunks: Counter::disabled(),
-            accepts: Counter::disabled(),
-            reroutes: Counter::disabled(),
-            filters: Counter::disabled(),
-        }
+        Self::register(&MetricsRegistry::disabled())
     }
 
     /// Handles registered under the shared `sched.*` names.
@@ -214,7 +206,7 @@ pub trait BatchOps {
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {

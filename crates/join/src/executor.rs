@@ -53,10 +53,7 @@ pub struct JoinMetrics {
 impl JoinMetrics {
     /// No-op handles (what an un-wired executor holds).
     pub fn disabled() -> Self {
-        JoinMetrics {
-            warmup_ns: Histogram::disabled(),
-            main_ns: Histogram::disabled(),
-        }
+        Self::register(&MetricsRegistry::disabled())
     }
 
     /// Register the `join.*` handles in `reg`.

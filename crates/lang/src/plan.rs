@@ -17,7 +17,7 @@ use udf_core::config::{
     check_samples_per_tuple, AccuracyRequirement, Metric, OlgaproConfig, MAX_SAMPLES_PER_TUPLE,
 };
 use udf_core::filtering::Predicate;
-use udf_core::hybrid::{rule_based_choice, HybridChoice};
+use udf_core::hybrid::rule_based_choice;
 use udf_core::udf::BlackBoxUdf;
 use udf_join::Side;
 use udf_query::EvalStrategy;
@@ -555,10 +555,7 @@ fn resolve_strategy(name: StrategyName, udf: &BlackBoxUdf) -> EvalStrategy {
     match name {
         StrategyName::Mc => EvalStrategy::Mc,
         StrategyName::Gp => EvalStrategy::Gp,
-        StrategyName::Auto => match rule_based_choice(udf.dim(), udf.cost_model().per_call()) {
-            HybridChoice::Mc => EvalStrategy::Mc,
-            HybridChoice::Gp => EvalStrategy::Gp,
-        },
+        StrategyName::Auto => rule_based_choice(udf.dim(), udf.cost_model().per_call()),
     }
 }
 

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use udf_lang::{run_uql, Context, LangError, QueryOutput, Stage};
 use udf_query::{Relation, Schema, Tuple, Value};
-use udf_stream::SyntheticSource;
+use udf_stream::{Source, SyntheticSource, VecSource};
 
 fn ctx() -> Context {
     let mut ctx = Context::standard();
@@ -32,7 +32,9 @@ fn ctx() -> Context {
     let rel = Relation::new(Schema::new(&["id", "x"]), tuples(0.5)).unwrap();
     ctx.register_relation("points", rel);
     ctx.register_stream("synth", 1, || {
-        Box::new(SyntheticSource::gaussian(1, 0.5, 1).with_limit(256))
+        let mut tuples = Vec::new();
+        SyntheticSource::gaussian(1, 0.5, 1).next_batch(256, &mut tuples);
+        Box::new(VecSource::new(tuples))
     });
     ctx
 }

@@ -39,12 +39,6 @@ impl Counter {
         }
     }
 
-    /// A free-standing no-op counter (what un-wired components hold, so
-    /// instrumented structs never need an `Option`).
-    pub fn disabled() -> Self {
-        Counter::with_switch(Arc::new(AtomicBool::new(false)))
-    }
-
     /// Whether operations on this handle currently record.
     #[inline]
     pub fn enabled(&self) -> bool {
@@ -89,11 +83,6 @@ impl Gauge {
             enabled,
             cell: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// A free-standing no-op gauge.
-    pub fn disabled() -> Self {
-        Gauge::with_switch(Arc::new(AtomicBool::new(false)))
     }
 
     /// Whether operations on this handle currently record.
@@ -159,11 +148,6 @@ impl Histogram {
             enabled,
             core: Arc::new(HistogramCore::new()),
         }
-    }
-
-    /// A free-standing no-op histogram.
-    pub fn disabled() -> Self {
-        Histogram::with_switch(Arc::new(AtomicBool::new(false)))
     }
 
     /// Whether operations on this handle currently record.
@@ -415,14 +399,15 @@ mod tests {
 
     #[test]
     fn disabled_handles_record_nothing() {
-        let c = Counter::disabled();
+        let off = || Arc::new(AtomicBool::new(false));
+        let c = Counter::with_switch(off());
         c.inc();
         c.add(10);
         assert_eq!(c.get(), 0);
-        let g = Gauge::disabled();
+        let g = Gauge::with_switch(off());
         g.set(5);
         assert_eq!(g.get(), 0);
-        let h = Histogram::disabled();
+        let h = Histogram::with_switch(off());
         h.record(5);
         h.record_duration(Duration::from_millis(1));
         let _ = h.time(|| 42);

@@ -1,26 +1,17 @@
 //! Multivariate uncertain inputs.
 //!
 //! A tuple with uncertain attributes carries a random vector `X` (§1, problem
-//! statement). The paper's default is independent Gaussian attributes but
-//! notes that "supporting correlated input is not harder — we just need to
-//! sample from the joint distributions" (§6.1-B); both cases are supported.
+//! statement). The paper's default, and the only form here, is independent
+//! attributes: one marginal per dimension (§6.1-B).
 
-use crate::dist::{sample_standard_normal, Univariate};
+use crate::dist::Univariate;
 use crate::{ProbError, Result};
-use udf_linalg::{Cholesky, Matrix};
 
-/// The joint distribution of a tuple's uncertain attribute vector.
+/// The joint distribution of a tuple's uncertain attribute vector: a
+/// product of independent marginals, one per dimension.
 #[derive(Debug)]
-pub enum InputDistribution {
-    /// Independent marginals, one per dimension.
-    Independent(Vec<Box<dyn Univariate>>),
-    /// Correlated Gaussian `N(mean, Σ)` with pre-factored covariance.
-    Gaussian {
-        /// Mean vector.
-        mean: Vec<f64>,
-        /// Lower Cholesky factor of the covariance.
-        chol: Cholesky,
-    },
+pub struct InputDistribution {
+    marginals: Vec<Box<dyn Univariate>>,
 }
 
 impl InputDistribution {
@@ -29,22 +20,7 @@ impl InputDistribution {
         if marginals.is_empty() {
             return Err(ProbError::Empty("marginals"));
         }
-        Ok(InputDistribution::Independent(marginals))
-    }
-
-    /// Build a correlated Gaussian from a mean and full covariance matrix.
-    pub fn gaussian(mean: Vec<f64>, cov: &Matrix) -> Result<Self> {
-        if cov.rows() != mean.len() || cov.cols() != mean.len() {
-            return Err(ProbError::DimensionMismatch {
-                expected: mean.len(),
-                found: cov.rows(),
-            });
-        }
-        let chol = Cholesky::factor(cov).map_err(|_| ProbError::InvalidParameter {
-            what: "covariance (not SPD)",
-            value: f64::NAN,
-        })?;
-        Ok(InputDistribution::Gaussian { mean, chol })
+        Ok(InputDistribution { marginals })
     }
 
     /// Convenience: independent Gaussian with per-dimension `(mu, sigma)`.
@@ -60,18 +36,12 @@ impl InputDistribution {
 
     /// Dimensionality of the random vector.
     pub fn dim(&self) -> usize {
-        match self {
-            InputDistribution::Independent(m) => m.len(),
-            InputDistribution::Gaussian { mean, .. } => mean.len(),
-        }
+        self.marginals.len()
     }
 
     /// Mean vector.
     pub fn mean(&self) -> Vec<f64> {
-        match self {
-            InputDistribution::Independent(m) => m.iter().map(|d| d.mean()).collect(),
-            InputDistribution::Gaussian { mean, .. } => mean.clone(),
-        }
+        self.marginals.iter().map(|d| d.mean()).collect()
     }
 
     /// Draw one sample of `X` into a fresh vector.
@@ -87,26 +57,8 @@ impl InputDistribution {
     /// Panics if `out.len() != self.dim()` (caller bug).
     pub fn sample_into(&self, rng: &mut dyn rand::RngCore, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim(), "sample_into: wrong output length");
-        match self {
-            InputDistribution::Independent(marginals) => {
-                for (o, d) in out.iter_mut().zip(marginals) {
-                    *o = d.sample(rng);
-                }
-            }
-            InputDistribution::Gaussian { mean, chol } => {
-                let n = mean.len();
-                let z: Vec<f64> = (0..n).map(|_| sample_standard_normal(rng)).collect();
-                // x = mean + L z
-                let l = chol.lower();
-                for i in 0..n {
-                    let mut v = mean[i];
-                    let row = l.row(i);
-                    for (k, zk) in z.iter().enumerate().take(i + 1) {
-                        v += row[k] * zk;
-                    }
-                    out[i] = v;
-                }
-            }
+        for (o, d) in out.iter_mut().zip(&self.marginals) {
+            *o = d.sample(rng);
         }
     }
 
@@ -157,29 +109,8 @@ mod tests {
     }
 
     #[test]
-    fn correlated_gaussian_covariance() {
-        let cov = Matrix::from_rows(&[vec![1.0, 0.8], vec![0.8, 1.0]]).unwrap();
-        let d = InputDistribution::gaussian(vec![0.0, 0.0], &cov).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let samples = d.sample_n(&mut rng, 50_000);
-        let n = samples.len() as f64;
-        let mx = samples.iter().map(|s| s[0]).sum::<f64>() / n;
-        let my = samples.iter().map(|s| s[1]).sum::<f64>() / n;
-        let cxy = samples
-            .iter()
-            .map(|s| (s[0] - mx) * (s[1] - my))
-            .sum::<f64>()
-            / (n - 1.0);
-        assert!((cxy - 0.8).abs() < 0.03, "sample covariance {cxy}");
-    }
-
-    #[test]
     fn rejects_bad_construction() {
         assert!(InputDistribution::independent(vec![]).is_err());
-        let non_spd = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        assert!(InputDistribution::gaussian(vec![0.0, 0.0], &non_spd).is_err());
-        let wrong_dim = Matrix::identity(3);
-        assert!(InputDistribution::gaussian(vec![0.0, 0.0], &wrong_dim).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   gamma) — [`special`];
 //! * univariate distributions with sampling, pdf/cdf, mean/variance —
 //!   [`dist`];
-//! * multivariate uncertain inputs (independent marginals or a correlated
-//!   Gaussian via Cholesky) — [`input`];
+//! * multivariate uncertain inputs (independent marginals, one per
+//!   attribute) — [`input`];
 //! * empirical CDFs — [`ecdf`] — and the one linear walk over the merged
 //!   support of several of them that every metric and bound sweeps —
 //!   [`merged`];
@@ -39,8 +39,6 @@ pub enum ProbError {
     InvalidParameter { what: &'static str, value: f64 },
     /// An operation needed at least one sample / component.
     Empty(&'static str),
-    /// Dimension mismatch between an input distribution and a point.
-    DimensionMismatch { expected: usize, found: usize },
 }
 
 impl fmt::Display for ProbError {
@@ -50,9 +48,6 @@ impl fmt::Display for ProbError {
                 write!(f, "invalid parameter {what} = {value}")
             }
             ProbError::Empty(what) => write!(f, "operation requires non-empty {what}"),
-            ProbError::DimensionMismatch { expected, found } => {
-                write!(f, "dimension mismatch: expected {expected}, found {found}")
-            }
         }
     }
 }

@@ -21,22 +21,16 @@
 use crate::relation::{Relation, UdfCall};
 use crate::Result;
 use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
-use udf_core::config::{check_samples_per_tuple, AccuracyRequirement, ModelBudget, OlgaproConfig};
+use udf_core::config::{AccuracyRequirement, ModelBudget};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
 use udf_prob::InputDistribution;
 
-/// How UDF outputs are computed per tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalStrategy {
-    /// Direct Monte Carlo sampling (Algorithm 1).
-    Mc,
-    /// OLGAPRO (Algorithm 5). State (the GP model) persists across tuples,
-    /// which is where the online speedup comes from.
-    Gp,
-}
+/// How UDF outputs are computed per tuple: the batch operator's strategy,
+/// re-exported for relational callers.
+pub use udf_core::batch::EvalStrategy;
 
 /// One output row of a UDF projection.
 #[derive(Debug, Clone)]
@@ -64,30 +58,17 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Build an executor for one UDF call.
-    ///
-    /// `output_range` is the caller's estimate of the UDF output spread
-    /// (used to scale Γ and λ for the GP path).
+    /// Build an executor for one UDF call, uncapped; see [`Evaluator::new`]
+    /// for what is validated (a non-finite or non-positive `output_range`
+    /// is rejected under either strategy).
     pub fn new(
         strategy: EvalStrategy,
         accuracy: AccuracyRequirement,
         call: &UdfCall,
         output_range: f64,
     ) -> Result<Self> {
-        let udf = call.udf.clone();
-        let eval = match strategy {
-            EvalStrategy::Mc => {
-                check_samples_per_tuple(accuracy.mc_samples())?;
-                Evaluator::Mc { udf, accuracy }
-            }
-            EvalStrategy::Gp => {
-                let cfg = OlgaproConfig::new(accuracy, output_range)?;
-                check_samples_per_tuple(cfg.samples_per_input())?;
-                Evaluator::Gp(Box::new(Olgapro::new(udf, cfg)))
-            }
-        };
         Ok(Executor {
-            eval,
+            eval: Evaluator::new(strategy, call.udf.clone(), accuracy, output_range, 0)?,
             stats: BatchCounts::default(),
         })
     }
@@ -113,9 +94,7 @@ impl Executor {
     /// observational — results are byte-identical wired or not. The MC
     /// strategy has no per-executor timers and no model, and ignores this.
     pub fn with_metrics(mut self, metrics: &udf_obs::MetricsRegistry) -> Self {
-        if let Some(olga) = self.eval.olgapro_mut() {
-            olga.set_metrics(metrics);
-        }
+        self.eval.set_metrics(metrics);
         self
     }
 
@@ -283,17 +262,20 @@ mod tests {
 
     #[test]
     fn a_tiny_eps_is_an_error_not_an_allocation() {
-        // Valid, and ~10¹⁵ samples per tuple under either strategy.
+        // A valid ε that needs ~10¹⁵ samples per tuple, and a non-positive
+        // output range: each refused under either strategy.
         let r = rel(2);
         let udf = BlackBoxUdf::from_fn("sq", 1, |x| x[0] * x[0]);
         let call = UdfCall::resolve(udf, r.schema(), &["z"]).unwrap();
         let tiny = AccuracyRequirement::new(1e-7, 0.05, 0.0, Metric::Ks).unwrap();
-        for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
-            let err = Executor::new(strategy, tiny, &call, 10.0).unwrap_err();
-            assert!(
-                err.to_string().contains("samples per tuple"),
-                "{strategy:?}: {err}"
-            );
+        for (accuracy, range, what) in [
+            (tiny, 10.0, "samples per tuple"),
+            (acc(Metric::Ks), 0.0, "output_range"),
+        ] {
+            for strategy in [EvalStrategy::Mc, EvalStrategy::Gp] {
+                let err = Executor::new(strategy, accuracy, &call, range).unwrap_err();
+                assert!(err.to_string().contains(what), "{strategy:?}: {err}");
+            }
         }
     }
 

@@ -11,11 +11,11 @@
 //! * [`source::Source`] — unbounded/finite producers of uncertain
 //!   tuples, with adapters for the synthetic §6.1 workload generators and
 //!   the astrophysics catalog;
-//! * [`session::Session`] — register many concurrent
-//!   `(query, UDF)` subscriptions, then drive them all over one stream;
-//! * a micro-batching scheduler ([`engine`]) that pipelines ingest against
-//!   evaluation through a bounded channel (backpressure) and runs each
-//!   batch through [`udf_core::batch::Evaluator`] on the workers of one
+//! * [`session::Session`] — the engine: register many concurrent
+//!   `(query, UDF)` subscriptions, then drive them all over one stream.
+//!   Its run loop pipelines ingest against evaluation through a bounded
+//!   channel (backpressure) and runs each micro-batch through
+//!   [`udf_core::batch::Evaluator`] on the workers of one
 //!   [`udf_core::sched::BatchScheduler`] — the same operator the
 //!   `udf_query` executor and `udf_join` call;
 //! * per-query online filtering: subscriptions with a selection
@@ -53,23 +53,21 @@
 //!     .subscribe(QuerySpec::new("sin-stream", udf, acc, StreamStrategy::Gp).output_range(2.0))
 //!     .unwrap();
 //!
-//! let source = SyntheticSource::gaussian(1, 0.4, 11).with_limit(256);
-//! session.run(source, None).unwrap();
+//! let source = SyntheticSource::gaussian(1, 0.4, 11);
+//! session.run(source, Some(256)).unwrap();
 //!
 //! let stats = session.stats(q).unwrap();
 //! assert_eq!(stats.tuples_in, 256);
 //! assert_eq!(stats.kept, 256); // no predicate: everything is emitted
 //! ```
 
-pub mod engine;
 pub mod health;
 pub mod session;
 pub mod source;
 pub mod stats;
 
-pub use engine::{EngineConfig, StreamStrategy};
 pub use health::HealthMonitor;
-pub use session::{QueryId, QuerySpec, Session};
+pub use session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
 pub use source::{AstroSource, Source, SyntheticSource, VecSource};
 pub use stats::KeptSummary;
 
@@ -93,8 +91,12 @@ pub enum StreamError {
     UnknownQuery(usize),
     /// `run` was called with no subscriptions registered.
     NoSubscriptions,
-    /// A worker thread died (a UDF panicked mid-batch).
-    WorkerPanicked,
+    /// A thread died mid-run: a UDF panicked on one of a batch's workers,
+    /// or the source panicked on the ingest thread.
+    WorkerPanicked {
+        /// The panic's message, when it had one.
+        message: String,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -111,7 +113,9 @@ impl fmt::Display for StreamError {
             ),
             StreamError::UnknownQuery(id) => write!(f, "unknown query id {id}"),
             StreamError::NoSubscriptions => write!(f, "no subscriptions registered"),
-            StreamError::WorkerPanicked => write!(f, "a worker thread panicked"),
+            StreamError::WorkerPanicked { message } => {
+                write!(f, "a worker thread panicked: {message}")
+            }
         }
     }
 }
@@ -123,7 +127,9 @@ impl From<udf_core::CoreError> for StreamError {
         match e {
             // A panic the scheduler contained (a UDF that panicked on one of
             // a batch's workers) keeps its dedicated stream-level variant.
-            udf_core::CoreError::WorkerPanicked { .. } => StreamError::WorkerPanicked,
+            udf_core::CoreError::WorkerPanicked { message } => {
+                StreamError::WorkerPanicked { message }
+            }
             e => StreamError::Core(e),
         }
     }
@@ -134,7 +140,6 @@ pub type Result<T> = std::result::Result<T, StreamError>;
 
 /// The items most streaming applications need.
 pub mod prelude {
-    pub use crate::engine::{EngineConfig, StreamStrategy};
-    pub use crate::session::{QueryId, QuerySpec, Session};
+    pub use crate::session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
     pub use crate::source::{AstroSource, Source, SyntheticSource, VecSource};
 }

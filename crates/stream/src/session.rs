@@ -1,7 +1,5 @@
-//! The user-facing continuous-query API.
-//!
-//! A [`Session`] owns one [`crate::engine::StreamEngine`] and
-//! exposes the subscribe/run/inspect lifecycle:
+//! The continuous-query engine: one [`Session`] drives N subscriptions
+//! over one tuple stream.
 //!
 //! ```text
 //! let mut session = Session::new(EngineConfig::new().workers(4));
@@ -9,15 +7,107 @@
 //! session.run(source, Some(100_000))?;                // repeatable
 //! println!("{}", session.stats(q)?);
 //! ```
+//!
+//! [`run`](Session::run) is a two-stage pipeline:
+//!
+//! 1. an **ingest thread** pulls micro-batches from the [`Source`] and
+//!    pushes them into a channel of `QUEUE_DEPTH` (4) batches — when
+//!    evaluation falls behind the channel fills and the producer blocks
+//!    (backpressure);
+//! 2. the calling thread pops a batch and runs every subscription over it
+//!    with one call of the batch operator, [`Evaluator::run_two_phase`], on
+//!    the session's one [`BatchScheduler`]: GP inference against the frozen
+//!    model (and MC sampling, which never mutates anything) runs on
+//!    `workers` threads; tuples whose error bound misses the GP budget
+//!    fall back to the sequential, model-mutating path of Algorithm 5.
+//!    Online filtering is ruled *before* the slow path, so a subscription
+//!    with a selective predicate drops most tuples at fast-path cost
+//!    (§5.5 / Remark 2.1). The session only folds the operator's rulings
+//!    into each query's digest and ring, and sums its [`BatchCounts`].
+//!
+//! ## Determinism
+//!
+//! The RNG for tuple `g` of query `q` is seeded with
+//! [`mix_seed`](udf_core::mix_seed)`(engine_seed, q, g)`, where `g` is the
+//! tuple's global index in the stream — never the worker id or the batch
+//! offset. Slow-path work is applied in tuple order on the calling thread.
+//! Worker count therefore changes only *where* fast-path work runs, not
+//! *what* it computes, and a fixed `(seed, batch_size)` yields
+//! byte-identical emitted distributions for any worker count.
 
-use crate::engine::{EngineConfig, StreamEngine, StreamStrategy, SubscribeParams};
 use crate::source::Source;
-use crate::stats::KeptSummary;
-use crate::Result;
-use udf_core::batch::BatchCounts;
+use crate::stats::{Digest, KeptSummary};
+use crate::{Result, StreamError};
+use std::collections::VecDeque;
+use std::sync::mpsc;
+use std::time::Instant;
+use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::AccuracyRequirement;
-use udf_core::filtering::Predicate;
+use udf_core::filtering::{FilterDecision, Predicate};
+use udf_core::output::OutputDistribution;
+use udf_core::sched::{panic_message, BatchScheduler};
 use udf_core::udf::BlackBoxUdf;
+use udf_obs::{Histogram, MetricsRegistry};
+use udf_prob::InputDistribution;
+
+/// How a subscription evaluates its UDF: Monte Carlo (always fast-path)
+/// or OLGAPRO with a warm persistent model. The batch operator's strategy
+/// under the stream's name; a front-end resolves `USING auto` to one of
+/// the two before it subscribes.
+pub use udf_core::batch::EvalStrategy as StreamStrategy;
+
+/// Channel capacity, in micro-batches, between the ingest thread and the
+/// evaluating thread. When it is full the ingest thread blocks
+/// (backpressure); that stall is what `stream.ingest_wait_ns` measures.
+const QUEUE_DEPTH: usize = 4;
+
+/// Engine tuning knobs.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineConfig {
+    /// Worker threads for the fast path (≥ 1).
+    pub workers: usize,
+    /// Tuples per micro-batch (≥ 1). Part of the determinism contract:
+    /// runs with different batch sizes may tune GP models at different
+    /// points and legitimately diverge.
+    pub batch_size: usize,
+    /// Master seed; every per-tuple RNG derives from it.
+    pub seed: u64,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            workers: 1,
+            batch_size: 256,
+            seed: 0,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// Default configuration: 1 worker, 256-tuple batches, seed 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the worker-thread count.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
+    }
+
+    /// Set the micro-batch size.
+    pub fn batch_size(mut self, batch_size: usize) -> Self {
+        self.batch_size = batch_size.max(1);
+        self
+    }
+
+    /// Set the master seed.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+}
 
 /// Handle to one registered subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,14 +117,14 @@ pub struct QueryId(pub(crate) usize);
 /// strategy, and optionally a selection predicate.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
-    pub(crate) name: String,
-    pub(crate) udf: BlackBoxUdf,
-    pub(crate) accuracy: AccuracyRequirement,
-    pub(crate) strategy: StreamStrategy,
-    pub(crate) output_range: f64,
-    pub(crate) predicate: Option<Predicate>,
-    pub(crate) retain: usize,
-    pub(crate) max_model_points: usize,
+    name: String,
+    udf: BlackBoxUdf,
+    accuracy: AccuracyRequirement,
+    strategy: StreamStrategy,
+    output_range: f64,
+    predicate: Option<Predicate>,
+    retain: usize,
+    max_model_points: usize,
 }
 
 impl QuerySpec {
@@ -58,7 +148,8 @@ impl QuerySpec {
     }
 
     /// Caller's estimate of the UDF output spread — scales Γ and λ for the
-    /// GP path (ignored by MC). Defaults to 1.0.
+    /// GP path. Defaults to 1.0; must be finite and positive under either
+    /// strategy ([`Session::subscribe`] rejects it otherwise).
     pub fn output_range(mut self, range: f64) -> Self {
         self.output_range = range;
         self
@@ -99,44 +190,65 @@ impl QuerySpec {
         self.max_model_points = n;
         self
     }
+}
 
-    /// Reject invalid builder values with a typed error. Runs at
-    /// [`Session::subscribe`] for every strategy — previously a
-    /// non-finite/non-positive [`output_range`](QuerySpec::output_range)
-    /// was only caught on the GP path (via `OlgaproConfig`), letting MC
-    /// subscriptions carry poisoned configuration silently.
-    fn validate(&self) -> crate::Result<()> {
-        if !(self.output_range > 0.0 && self.output_range.is_finite()) {
-            return Err(udf_core::CoreError::InvalidConfig {
-                what: "output_range",
-                value: self.output_range,
-            }
-            .into());
-        }
-        Ok(())
-    }
+/// One registered subscription: its evaluator (for GP, the warm OLGAPRO
+/// instance) and everything it has reported so far.
+struct Subscription {
+    eval: Evaluator,
+    q: QueryState,
+}
+
+/// What a subscription reports, apart from its evaluator (so a batch's
+/// sink can fold into it while the evaluator runs).
+struct QueryState {
+    name: String,
+    /// The UDF's input dimensionality (checked against each source).
+    dim: usize,
+    predicate: Option<Predicate>,
+    stats: BatchCounts,
+    digest: Digest,
+    recent: VecDeque<KeptSummary>,
+    retain: usize,
 }
 
 /// A long-lived, multi-query streaming session.
 pub struct Session {
-    engine: StreamEngine,
+    config: EngineConfig,
+    queries: Vec<Subscription>,
+    /// The shared two-phase execution core, reused for every micro-batch of
+    /// every subscription (its per-worker scratch stays warm).
+    sched: BatchScheduler,
+    /// Tuples ingested so far: the global index of the next one.
+    tuples_seen: u64,
+    /// What the session is wired to; later subscriptions share it too.
+    registry: MetricsRegistry,
 }
 
 impl Session {
     /// Create a session with the given engine configuration.
     pub fn new(config: EngineConfig) -> Self {
         Session {
-            engine: StreamEngine::new(config),
+            sched: BatchScheduler::new(config.workers),
+            config,
+            queries: Vec::new(),
+            tuples_seen: 0,
+            registry: MetricsRegistry::disabled(),
         }
     }
 
-    /// Wire observability into the session: scheduler, engine, and every
-    /// GP subscription (current and future) register their handles in
+    /// Wire observability into the session: its batch and backpressure
+    /// timers (`stream.*`), the scheduler's `sched.*` handles, and every GP
+    /// subscription's (current and future) `olgapro.*` handles register in
     /// `metrics`. Purely observational — run digests are byte-identical
     /// whether or not anything is attached.
     #[must_use]
-    pub fn with_metrics(mut self, metrics: &udf_obs::MetricsRegistry) -> Self {
-        self.engine = self.engine.with_metrics(metrics);
+    pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
+        self.sched = self.sched.with_metrics(metrics);
+        for sub in &mut self.queries {
+            sub.eval.set_metrics(metrics);
+        }
+        self.registry = metrics.clone();
         self
     }
 
@@ -148,65 +260,159 @@ impl Session {
         self
     }
 
-    /// The engine configuration in force.
-    pub fn config(&self) -> &EngineConfig {
-        self.engine.config()
-    }
-
     /// Register a continuous query. Subscriptions persist (with their warm
-    /// model state) across [`run`](Session::run) calls. Invalid builder
-    /// values (e.g. a non-finite output range) are rejected here with a
-    /// typed error rather than at first evaluation.
+    /// model state) across [`run`](Session::run) calls. The evaluator is
+    /// built here by [`Evaluator::new`], so invalid builder values (e.g. a
+    /// non-finite output range) are rejected with a typed error rather
+    /// than at first evaluation.
     pub fn subscribe(&mut self, spec: QuerySpec) -> Result<QueryId> {
-        spec.validate()?;
-        let QuerySpec {
-            name,
-            udf,
-            accuracy,
-            strategy,
-            output_range,
-            predicate,
-            retain,
-            max_model_points,
-        } = spec;
-        self.engine
-            .subscribe(SubscribeParams {
-                name,
-                udf,
-                accuracy,
-                strategy,
-                output_range,
-                predicate,
-                retain,
-                max_model_points,
-            })
-            .map(QueryId)
+        let dim = spec.udf.dim();
+        let mut eval = Evaluator::new(
+            spec.strategy,
+            spec.udf,
+            spec.accuracy,
+            spec.output_range,
+            spec.max_model_points,
+        )?;
+        eval.set_metrics(&self.registry);
+        let q = QueryState {
+            name: spec.name,
+            dim,
+            predicate: spec.predicate,
+            stats: BatchCounts::default(),
+            digest: Digest::default(),
+            recent: VecDeque::with_capacity(spec.retain),
+            retain: spec.retain,
+        };
+        self.queries.push(Subscription { eval, q });
+        Ok(QueryId(self.queries.len() - 1))
     }
 
     /// Drive every subscription over `source` until exhaustion, or until
-    /// `limit` tuples have been ingested (whichever comes first). Returns
-    /// the number of micro-batches this run dispatched.
-    pub fn run<S: Source + Send>(&mut self, source: S, limit: Option<u64>) -> Result<u64> {
-        self.engine.run(source, limit)
+    /// `limit` tuples have been ingested (whichever comes first), and
+    /// return the number of micro-batches this run dispatched. May be
+    /// called repeatedly; model state, counts, and the global tuple index
+    /// persist across runs.
+    pub fn run<S: Source + Send>(&mut self, mut source: S, limit: Option<u64>) -> Result<u64> {
+        if self.queries.is_empty() {
+            return Err(StreamError::NoSubscriptions);
+        }
+        let source_dim = source.dim();
+        for Subscription { q, .. } in &self.queries {
+            if q.dim != source_dim {
+                return Err(StreamError::DimensionMismatch {
+                    query: q.name.clone(),
+                    udf_dim: q.dim,
+                    source_dim,
+                });
+            }
+        }
+
+        let batch_size = self.config.batch_size;
+        let (tx, rx) = mpsc::sync_channel::<Vec<InputDistribution>>(QUEUE_DEPTH);
+        let ingest_wait = self.registry.histogram("stream.ingest_wait_ns");
+        let batch_ns = self.registry.histogram("stream.batch_ns");
+        let mut batches = 0u64;
+
+        std::thread::scope(|scope| {
+            // Ingest thread: source → bounded channel. Blocks when the
+            // evaluating thread lags `QUEUE_DEPTH` batches behind.
+            let producer = scope.spawn(move || {
+                let mut remaining = limit;
+                loop {
+                    let want = match remaining {
+                        Some(r) => batch_size.min(r as usize),
+                        None => batch_size,
+                    };
+                    if want == 0 {
+                        break;
+                    }
+                    let mut buf = Vec::with_capacity(want);
+                    let n = source.next_batch(want, &mut buf);
+                    if n == 0 {
+                        break;
+                    }
+                    if let Some(r) = &mut remaining {
+                        *r -= n as u64;
+                    }
+                    let t_send = ingest_wait.enabled().then(Instant::now);
+                    let sent = tx.send(buf).is_ok();
+                    if let Some(ts) = t_send {
+                        ingest_wait.record_duration(ts.elapsed());
+                    }
+                    if !sent {
+                        break; // the evaluating thread bailed; stop producing
+                    }
+                }
+            });
+
+            let mut res = Ok(());
+            for batch in &rx {
+                batches += 1;
+                if let Err(e) = self.process_batch(&batch, &batch_ns) {
+                    res = Err(e);
+                    break;
+                }
+            }
+            drop(rx); // on error: unblock a producer stuck on send()
+            if let Err(payload) = producer.join() {
+                return Err(StreamError::WorkerPanicked {
+                    message: panic_message(payload),
+                });
+            }
+            res
+        })?;
+        Ok(batches)
+    }
+
+    /// Run every subscription over one micro-batch.
+    fn process_batch(&mut self, batch: &[InputDistribution], batch_ns: &Histogram) -> Result<()> {
+        let base = self.tuples_seen;
+        self.tuples_seen += batch.len() as u64;
+        let seed = self.config.seed;
+        let sched = &self.sched;
+        for (qid, Subscription { eval, q }) in self.queries.iter_mut().enumerate() {
+            let _batch_span = batch_ns.span();
+            let spec = BatchSpec {
+                seed,
+                stream: qid as u64,
+                predicate: q.predicate,
+            };
+            // Tuples are identified by their global stream index.
+            let tuple = |i: usize| (base + i as u64, &batch[i]);
+            let counts =
+                eval.run_two_phase(sched, spec, batch.len(), tuple, |gidx, r| match r {
+                    FilterDecision::Kept { output, tep } => record_kept(q, gidx, &output, tep),
+                    FilterDecision::Filtered { rho_upper, .. } => {
+                        record_filtered(q, gidx, rho_upper)
+                    }
+                })?;
+            q.stats += counts;
+        }
+        Ok(())
+    }
+
+    fn subscription(&self, id: QueryId) -> Result<&Subscription> {
+        self.queries
+            .get(id.0)
+            .ok_or(StreamError::UnknownQuery(id.0))
     }
 
     /// A subscription's counts, summed over every micro-batch so far.
     pub fn stats(&self, id: QueryId) -> Result<&BatchCounts> {
-        self.engine.query(id.0).map(|q| &q.stats)
+        Ok(&self.subscription(id)?.q.stats)
     }
 
     /// Determinism witness: a hash over every distribution this query has
     /// emitted (and every filter decision), in stream order.
     pub fn digest(&self, id: QueryId) -> Result<u64> {
-        self.engine.query(id.0).map(|q| q.digest.value())
+        Ok(self.subscription(id)?.q.digest.value())
     }
 
     /// The query's most recent emitted tuples (bounded by
     /// [`QuerySpec::retain`]).
     pub fn recent(&self, id: QueryId) -> Result<Vec<KeptSummary>> {
-        self.engine
-            .query(id.0)
-            .map(|q| q.recent.iter().copied().collect())
+        Ok(self.subscription(id)?.q.recent.iter().copied().collect())
     }
 
     /// Current GP model size (training points) of a subscription, `None`
@@ -215,8 +421,35 @@ impl Session {
     /// slow-path reroutes crosses it (the cap is enforced inside
     /// Algorithm 5 itself, not just at the batch-routing layer).
     pub fn model_points(&self, id: QueryId) -> Result<Option<usize>> {
-        self.engine.model_points(id.0)
+        let olga = self.subscription(id)?.eval.olgapro();
+        Ok(olga.map(|olga| olga.model().len()))
     }
+}
+
+/// Fold one kept tuple into a query's digest and ring.
+fn record_kept(q: &mut QueryState, gidx: u64, output: &OutputDistribution, tep: f64) {
+    q.digest.push_u64(gidx);
+    q.digest.push_u64(1);
+    q.digest.push_f64(tep);
+    q.digest.push_ecdf(&output.ecdf);
+    if q.retain > 0 {
+        if q.recent.len() == q.retain {
+            q.recent.pop_front();
+        }
+        q.recent.push_back(KeptSummary {
+            tuple: gidx,
+            median: output.ecdf.quantile(0.5),
+            error_bound: output.error_bound,
+            tep,
+        });
+    }
+}
+
+/// Fold one filtered tuple into a query's digest.
+fn record_filtered(q: &mut QueryState, gidx: u64, rho_upper: f64) {
+    q.digest.push_u64(gidx);
+    q.digest.push_u64(0);
+    q.digest.push_f64(rho_upper);
 }
 
 #[cfg(test)]
@@ -235,6 +468,19 @@ mod tests {
     }
 
     #[test]
+    fn engine_owns_a_pool_sized_to_its_config() {
+        let session = Session::new(EngineConfig::new().workers(3));
+        assert_eq!(session.sched.workers(), 3);
+    }
+
+    #[test]
+    fn config_builders_clamp() {
+        let cfg = EngineConfig::new().workers(0).batch_size(0);
+        assert_eq!(cfg.workers, 1);
+        assert_eq!(cfg.batch_size, 1);
+    }
+
+    #[test]
     fn model_cap_bounds_training_cost() {
         // Same workload with and without a model cap: the capped query
         // must stop paying UDF calls once its model is full, while both
@@ -248,7 +494,7 @@ mod tests {
             }
             let q = session.subscribe(spec).unwrap();
             session
-                .run(SyntheticSource::gaussian(1, 0.6, 21).with_limit(256), None)
+                .run(SyntheticSource::gaussian(1, 0.6, 21), Some(256))
                 .unwrap();
             *session.stats(q).unwrap()
         };
@@ -290,7 +536,7 @@ mod tests {
             .unwrap();
 
         let batches = session
-            .run(SyntheticSource::gaussian(1, 0.4, 9).with_limit(96), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 9), Some(96))
             .unwrap();
         assert_eq!(batches, 3);
 
@@ -320,11 +566,11 @@ mod tests {
             )
             .unwrap();
         session
-            .run(SyntheticSource::gaussian(1, 0.4, 1).with_limit(64), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 1), Some(64))
             .unwrap();
         let calls_cold = session.stats(q).unwrap().udf_calls;
         session
-            .run(SyntheticSource::gaussian(1, 0.4, 2).with_limit(64), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 2), Some(64))
             .unwrap();
         let calls_total = session.stats(q).unwrap().udf_calls;
         assert_eq!(session.stats(q).unwrap().tuples_in, 128);
@@ -378,12 +624,32 @@ mod tests {
             .subscribe(QuerySpec::new("boom", bomb, acc(), StreamStrategy::Mc))
             .unwrap();
         let err = session
-            .run(SyntheticSource::gaussian(1, 0.4, 1).with_limit(16), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 1), Some(16))
             .unwrap_err();
         assert!(
-            matches!(err, crate::StreamError::WorkerPanicked),
+            matches!(&err, crate::StreamError::WorkerPanicked { .. }),
             "expected WorkerPanicked, got {err}"
         );
+        assert!(err.to_string().contains("udf exploded"), "{err}");
+    }
+
+    #[test]
+    fn panicking_source_surfaces_its_message() {
+        struct Bomb;
+        impl Source for Bomb {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn next_batch(&mut self, _max: usize, _out: &mut Vec<InputDistribution>) -> usize {
+                panic!("source exploded")
+            }
+        }
+        let mut session = Session::new(EngineConfig::new());
+        session
+            .subscribe(QuerySpec::new("mc", sin_udf(), acc(), StreamStrategy::Mc))
+            .unwrap();
+        let err = session.run(Bomb, None).unwrap_err();
+        assert!(err.to_string().contains("source exploded"), "{err}");
     }
 
     #[test]
@@ -474,7 +740,7 @@ mod tests {
     fn errors_are_reported() {
         let mut session = Session::new(EngineConfig::new());
         let err = session
-            .run(SyntheticSource::gaussian(1, 0.4, 1).with_limit(4), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 1), Some(4))
             .unwrap_err();
         assert!(matches!(err, crate::StreamError::NoSubscriptions));
 
@@ -487,7 +753,7 @@ mod tests {
             ))
             .unwrap();
         let err = session
-            .run(SyntheticSource::gaussian(1, 0.4, 1).with_limit(4), None)
+            .run(SyntheticSource::gaussian(1, 0.4, 1), Some(4))
             .unwrap_err();
         assert!(matches!(err, crate::StreamError::DimensionMismatch { .. }));
 

@@ -31,8 +31,6 @@ pub struct SyntheticSource {
     dim: usize,
     sigma: f64,
     rng: StdRng,
-    produced: u64,
-    limit: Option<u64>,
 }
 
 impl SyntheticSource {
@@ -49,20 +47,7 @@ impl SyntheticSource {
             dim,
             sigma,
             rng: StdRng::seed_from_u64(seed),
-            produced: 0,
-            limit: None,
         }
-    }
-
-    /// Make the stream finite: exhaust after `n` tuples.
-    pub fn with_limit(mut self, n: u64) -> Self {
-        self.limit = Some(n);
-        self
-    }
-
-    /// Tuples produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
     }
 }
 
@@ -72,22 +57,14 @@ impl Source for SyntheticSource {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<InputDistribution>) -> usize {
-        let want = match self.limit {
-            Some(limit) => (limit.saturating_sub(self.produced) as usize).min(max),
-            None => max,
-        };
-        if want == 0 {
-            return 0;
-        }
         out.extend(generate_inputs(
             self.kind,
             self.dim,
-            want,
+            max,
             self.sigma,
             &mut self.rng,
         ));
-        self.produced += want as u64;
-        want
+        max
     }
 }
 
@@ -108,8 +85,6 @@ pub struct AstroSource {
     catalog: GalaxyCatalog,
     mode: AstroMode,
     cursor: usize,
-    produced: u64,
-    limit: Option<u64>,
 }
 
 impl AstroSource {
@@ -119,8 +94,6 @@ impl AstroSource {
             catalog,
             mode: AstroMode::Single,
             cursor: 0,
-            produced: 0,
-            limit: None,
         }
     }
 
@@ -130,15 +103,7 @@ impl AstroSource {
             catalog,
             mode: AstroMode::Pairs,
             cursor: 0,
-            produced: 0,
-            limit: None,
         }
-    }
-
-    /// Make the stream finite: exhaust after `n` tuples.
-    pub fn with_limit(mut self, n: u64) -> Self {
-        self.limit = Some(n);
-        self
     }
 }
 
@@ -155,11 +120,7 @@ impl Source for AstroSource {
         if n_rows == 0 {
             return 0;
         }
-        let want = match self.limit {
-            Some(limit) => (limit.saturating_sub(self.produced) as usize).min(max),
-            None => max,
-        };
-        for _ in 0..want {
+        for _ in 0..max {
             let i = self.cursor % n_rows;
             out.push(match self.mode {
                 AstroMode::Single => self.catalog.galage_input(i),
@@ -167,8 +128,7 @@ impl Source for AstroSource {
             });
             self.cursor += 1;
         }
-        self.produced += want as u64;
-        want
+        max
     }
 }
 
@@ -227,14 +187,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn synthetic_is_deterministic_and_bounded() {
-        let mut a = SyntheticSource::gaussian(2, 0.5, 42).with_limit(10);
-        let mut b = SyntheticSource::gaussian(2, 0.5, 42).with_limit(10);
+    fn synthetic_is_deterministic_across_batch_splits() {
+        let mut a = SyntheticSource::gaussian(2, 0.5, 42);
+        let mut b = SyntheticSource::gaussian(2, 0.5, 42);
         let (mut va, mut vb) = (Vec::new(), Vec::new());
         assert_eq!(a.next_batch(7, &mut va), 7);
-        assert_eq!(a.next_batch(7, &mut va), 3);
-        assert_eq!(a.next_batch(7, &mut va), 0);
-        while b.next_batch(4, &mut vb) > 0 {}
+        assert_eq!(a.next_batch(3, &mut va), 3);
+        for _ in 0..5 {
+            assert_eq!(b.next_batch(2, &mut vb), 2);
+        }
         assert_eq!(va.len(), 10);
         assert_eq!(vb.len(), 10);
         for (x, y) in va.iter().zip(&vb) {
@@ -257,9 +218,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(5);
         let catalog = GalaxyCatalog::generate(8, &mut rng);
-        let mut pairs = AstroSource::pairs(catalog).with_limit(5);
+        let mut pairs = AstroSource::pairs(catalog);
         let mut out = Vec::new();
-        assert_eq!(pairs.next_batch(20, &mut out), 5);
+        assert_eq!(pairs.next_batch(5, &mut out), 5);
         assert_eq!(out[0].dim(), 2);
     }
 

@@ -72,7 +72,7 @@ fn run_with_workers_metrics(workers: usize, metrics: Option<bool>) -> Vec<u64> {
             .unwrap(),
     ];
     session
-        .run(SyntheticSource::gaussian(1, 0.5, 99).with_limit(384), None)
+        .run(SyntheticSource::gaussian(1, 0.5, 99), Some(384))
         .unwrap();
 
     // Sanity: the workload must exercise both paths and the filter.
@@ -122,7 +122,7 @@ fn different_seed_changes_outputs() {
         )
         .unwrap();
     session
-        .run(SyntheticSource::gaussian(1, 0.5, 99).with_limit(384), None)
+        .run(SyntheticSource::gaussian(1, 0.5, 99), Some(384))
         .unwrap();
     assert_ne!(
         session.digest(q).unwrap(),

@@ -44,7 +44,6 @@ fn main() {
         EngineConfig::new()
             .workers(workers)
             .batch_size(512)
-            .queue_depth(4)
             .seed(42),
     );
 
@@ -95,9 +94,9 @@ fn main() {
         .unwrap();
 
     println!("streaming {tuples} tuples into 5 subscriptions ({workers} workers)...\n");
-    let source = SyntheticSource::gaussian(1, 0.5, 7).with_limit(tuples);
+    let source = SyntheticSource::gaussian(1, 0.5, 7);
     let t0 = std::time::Instant::now();
-    let batches = session.run(source, None).unwrap();
+    let batches = session.run(source, Some(tuples)).unwrap();
     let elapsed = t0.elapsed();
 
     // One line per subscription via the shared `BatchCounts` display (the
