@@ -16,7 +16,7 @@ use udf_core::olgapro::Olgapro;
 use udf_core::udf::{BlackBoxUdf, CostModel, UdfFunction};
 use udf_prob::metrics::lambda_discrepancy;
 use udf_prob::{Ecdf, InputDistribution};
-use udf_workloads::synthetic::{generate_inputs, GaussianMixtureFn, InputKind};
+use udf_workloads::synthetic::{generate_inputs, GaussianMixtureFn};
 
 /// Default experiment scale. The paper averages over 500 output
 /// distributions; the bench targets default to fewer inputs so the full
@@ -174,7 +174,7 @@ pub fn run_mc(
 /// inputs (σ_I = 0.5, §6.1-B default).
 pub fn standard_inputs(d: usize, n: usize, seed: u64) -> Vec<InputDistribution> {
     let mut rng = StdRng::seed_from_u64(seed);
-    generate_inputs(InputKind::Gaussian, d, n, 0.5, &mut rng)
+    generate_inputs(d, n, 0.5, &mut rng)
 }
 
 /// Wrap a synthetic function as a black-box UDF with simulated cost `t`.

@@ -1,15 +1,15 @@
 //! Query execution: a [`Context`] of registered objects plus the
 //! dispatcher that runs bound plans on the engine.
 //!
-//! Relation queries run as one batch on a [`BatchScheduler`] through
-//! [`Executor::select_batch`] / [`Executor::project_batch`] — byte-identical
-//! results for any `WORKERS` count. `JOIN` queries lower onto a
-//! [`udf_join::JoinExecutor`] over the same scheduler (warmup + main
-//! rounds, byte-identical to the hand-built `cross_join` construction).
+//! Each statement builds its own [`BatchScheduler`] (its `GpModel` is new,
+//! so predictor caches could not hit across statements anyway). Relation
+//! queries run as one batch through [`Executor::select_batch`] /
+//! [`Executor::project_batch`] — byte-identical results for any `WORKERS`
+//! count. `JOIN` queries lower onto a [`udf_join::JoinExecutor`] (warmup +
+//! main rounds, byte-identical to the hand-built `cross_join` construction).
 //! `FROM STREAM` queries subscribe a [`QuerySpec`] on a fresh [`Session`]
 //! and drive it over the registered source, so a UQL stream query produces
-//! exactly the determinism digest of the equivalent hand-built
-//! subscription.
+//! exactly the determinism digest of the equivalent hand-built subscription.
 
 use crate::ast::ExplainMode;
 use crate::error::{LangError, Result};
@@ -33,14 +33,11 @@ use udf_workloads::UdfCatalog;
 pub type SourceFactory = Box<dyn Fn() -> Box<dyn Source + Send>>;
 
 /// Everything a UQL statement can reference by name: the UDF catalog,
-/// finite relations, and stream-source factories. Relation queries reuse
-/// one [`BatchScheduler`] per `WORKERS` value across statements, so its
-/// per-worker scratch and predictor caches stay warm.
+/// finite relations, and stream-source factories.
 pub struct Context {
     udfs: UdfCatalog,
     relations: BTreeMap<String, Relation>,
     streams: BTreeMap<String, (usize, SourceFactory)>,
-    schedulers: BTreeMap<usize, BatchScheduler>,
     metrics: MetricsRegistry,
 }
 
@@ -54,7 +51,6 @@ impl Context {
             udfs: UdfCatalog::new(),
             relations: BTreeMap::new(),
             streams: BTreeMap::new(),
-            schedulers: BTreeMap::new(),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -360,19 +356,13 @@ fn stale_name(kind: &str, name: &str) -> LangError {
     ))
 }
 
-fn exec_relation(p: &RelPlan, ctx: &mut Context) -> Result<QueryOutput> {
-    // Field-level borrows: the relation map and the scheduler cache are
-    // disjoint, so the scheduler entry can be created while the relation
-    // is held.
+fn exec_relation(p: &RelPlan, ctx: &Context) -> Result<QueryOutput> {
     let rel = ctx
         .relations
         .get(&p.relation)
         .ok_or_else(|| stale_name("relation", &p.relation))?;
     let metrics = &ctx.metrics;
-    let sched = ctx
-        .schedulers
-        .entry(p.workers)
-        .or_insert_with(|| BatchScheduler::new(p.workers).with_metrics(metrics));
+    let sched = BatchScheduler::new(p.workers).with_metrics(metrics);
     let args: Vec<&str> = p.args.iter().map(String::as_str).collect();
     let call = UdfCall::resolve(p.udf.clone(), rel.schema(), &args)?;
     let mut executor = Executor::new(p.strategy, p.accuracy, &call, p.output_range)?
@@ -380,8 +370,8 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context) -> Result<QueryOutput> {
         .with_metrics(metrics);
     let t0 = Instant::now();
     let rows = match &p.predicate {
-        Some(pred) => executor.select_batch(rel, &call, pred, sched, p.seed)?,
-        None => executor.project_batch(rel, &call, sched, p.seed)?,
+        Some(pred) => executor.select_batch(rel, &call, pred, &sched, p.seed)?,
+        None => executor.project_batch(rel, &call, &sched, p.seed)?,
     };
     Ok(QueryOutput::Rows(RowsOutput {
         rows,
@@ -390,9 +380,7 @@ fn exec_relation(p: &RelPlan, ctx: &mut Context) -> Result<QueryOutput> {
     }))
 }
 
-fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
-    // Field-level borrows, like exec_relation: relations (shared) and the
-    // scheduler cache (mutable) are disjoint fields.
+fn exec_join(p: &JoinPlan, ctx: &Context) -> Result<QueryOutput> {
     let left = ctx
         .relations
         .get(&p.left)
@@ -402,10 +390,7 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
         .get(&p.right)
         .ok_or_else(|| stale_name("relation", &p.right))?;
     let metrics = &ctx.metrics;
-    let sched = ctx
-        .schedulers
-        .entry(p.workers)
-        .or_insert_with(|| BatchScheduler::new(p.workers).with_metrics(metrics));
+    let sched = BatchScheduler::new(p.workers).with_metrics(metrics);
     let args: Vec<(udf_join::Side, &str)> = p.args.iter().map(|(s, c)| (*s, c.as_str())).collect();
     let mut spec = JoinSpec::new(
         left,
@@ -445,7 +430,7 @@ fn exec_join(p: &JoinPlan, ctx: &mut Context) -> Result<QueryOutput> {
     let mut executor = JoinExecutor::new(&spec)
         .map_err(join_err)?
         .with_metrics(metrics);
-    let out = executor.run(sched).map_err(join_err)?;
+    let out = executor.run(&sched).map_err(join_err)?;
     Ok(QueryOutput::Join(JoinRowsOutput {
         rows: out.rows,
         relation: out.relation,
@@ -458,10 +443,7 @@ fn join_err(e: udf_join::JoinError) -> LangError {
     LangError::Exec(e.to_string())
 }
 
-// `&mut Context` like the other executors — execution is uniformly
-// mutating (one coherent mutability story), even though the stream path
-// happens not to touch the scheduler cache today.
-fn exec_stream(p: &StreamPlan, ctx: &mut Context) -> Result<QueryOutput> {
+fn exec_stream(p: &StreamPlan, ctx: &Context) -> Result<QueryOutput> {
     if p.limit.is_none() {
         return Err(LangError::Exec(
             "stream query has no LIMIT and UQL sources may be unbounded; \

@@ -23,7 +23,7 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use vector::{axpy, dot, scale, sub};
+pub use vector::{axpy, dot};
 
 /// Result alias for linear-algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -26,24 +26,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// In-place `x ← alpha * x`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
-/// Element-wise difference `a - b` as a new vector.
-///
-/// # Panics
-/// Panics if the slices have different lengths (caller bug).
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,13 +37,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_scale_sub() {
+    fn axpy_basic() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, vec![3.5, 4.5]);
-        assert_eq!(sub(&y, &[0.5, 0.5]), vec![3.0, 4.0]);
     }
 
     #[test]

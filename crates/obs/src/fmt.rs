@@ -14,9 +14,9 @@ use std::fmt::Display;
 /// let line = KvLine::new()
 ///     .label("q1", 4)
 ///     .field("in", 100)
-///     .field_pad("kept", 40, 6)
+///     .field("kept", 40)
 ///     .raw("1234 tup/s");
-/// assert_eq!(line.finish(), "q1  in=100 kept=40    1234 tup/s");
+/// assert_eq!(line.finish(), "q1  in=100 kept=40 1234 tup/s");
 /// ```
 #[derive(Debug, Default)]
 pub struct KvLine {
@@ -50,13 +50,6 @@ impl KvLine {
         self
     }
 
-    /// Append `key=value` with the value left-aligned to `width` columns.
-    pub fn field_pad(mut self, key: &str, value: impl Display, width: usize) -> Self {
-        self.sep();
-        self.buf.push_str(&format!("{key}={value:<width$}"));
-        self
-    }
-
     /// Append pre-formatted text verbatim (units, rates).
     pub fn raw(mut self, text: &str) -> Self {
         self.sep();
@@ -85,10 +78,10 @@ mod tests {
     fn padding_aligns_columns() {
         let line = KvLine::new()
             .label("q", 3)
-            .field_pad("in", 7, 4)
+            .field("in", 7)
             .field("out", 2)
             .finish();
-        assert_eq!(line, "q  in=7   out=2");
+        assert_eq!(line, "q  in=7 out=2");
     }
 
     #[test]

@@ -2,46 +2,41 @@
 //!
 //! A tuple with uncertain attributes carries a random vector `X` (§1, problem
 //! statement). The paper's default, and the only form here, is independent
-//! attributes: one marginal per dimension (§6.1-B).
+//! attributes: one [`Value`] marginal per dimension (§6.1-B).
 
-use crate::dist::Univariate;
-use crate::{ProbError, Result};
+use crate::{ProbError, Result, Value};
 
 /// The joint distribution of a tuple's uncertain attribute vector: a
 /// product of independent marginals, one per dimension.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct InputDistribution {
-    marginals: Vec<Box<dyn Univariate>>,
+    marginals: Vec<Value>,
 }
 
 impl InputDistribution {
-    /// Build an independent product distribution.
-    pub fn independent(marginals: Vec<Box<dyn Univariate>>) -> Result<Self> {
+    /// Build an independent product distribution; fails on an empty vector
+    /// or on a marginal with invalid parameters.
+    pub fn independent(marginals: Vec<Value>) -> Result<Self> {
         if marginals.is_empty() {
             return Err(ProbError::Empty("marginals"));
         }
+        marginals.iter().try_for_each(Value::validate)?;
         Ok(InputDistribution { marginals })
     }
 
     /// Convenience: independent Gaussian with per-dimension `(mu, sigma)`.
     pub fn diagonal_gaussian(params: &[(f64, f64)]) -> Result<Self> {
-        let marginals = params
-            .iter()
-            .map(|&(mu, sigma)| {
-                crate::Normal::new(mu, sigma).map(|n| Box::new(n) as Box<dyn Univariate>)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        InputDistribution::independent(marginals)
+        InputDistribution::independent(
+            params
+                .iter()
+                .map(|&(mu, sigma)| Value::Gaussian { mu, sigma })
+                .collect(),
+        )
     }
 
     /// Dimensionality of the random vector.
     pub fn dim(&self) -> usize {
         self.marginals.len()
-    }
-
-    /// Mean vector.
-    pub fn mean(&self) -> Vec<f64> {
-        self.marginals.iter().map(|d| d.mean()).collect()
     }
 
     /// Draw one sample of `X` into a fresh vector.
@@ -57,8 +52,8 @@ impl InputDistribution {
     /// Panics if `out.len() != self.dim()` (caller bug).
     pub fn sample_into(&self, rng: &mut dyn rand::RngCore, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim(), "sample_into: wrong output length");
-        for (o, d) in out.iter_mut().zip(&self.marginals) {
-            *o = d.sample(rng);
+        for (o, v) in out.iter_mut().zip(&self.marginals) {
+            *o = v.sample(rng);
         }
     }
 
@@ -87,15 +82,21 @@ impl InputDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Exponential, Normal};
+    use crate::dist::sample_standard_normal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn independent_sampling_matches_marginals() {
         let d = InputDistribution::independent(vec![
-            Box::new(Normal::new(1.0, 0.5).unwrap()),
-            Box::new(Exponential::new(2.0).unwrap()),
+            Value::Gaussian {
+                mu: 1.0,
+                sigma: 0.5,
+            },
+            Value::Gaussian {
+                mu: -2.0,
+                sigma: 0.1,
+            },
         ])
         .unwrap();
         assert_eq!(d.dim(), 2);
@@ -104,20 +105,58 @@ mod tests {
         let m0 = samples.iter().map(|s| s[0]).sum::<f64>() / samples.len() as f64;
         let m1 = samples.iter().map(|s| s[1]).sum::<f64>() / samples.len() as f64;
         assert!((m0 - 1.0).abs() < 0.02);
-        assert!((m1 - 0.5).abs() < 0.02);
-        assert_eq!(d.mean(), vec![1.0, 0.5]);
+        assert!((m1 + 2.0).abs() < 0.02);
+    }
+
+    #[test]
+    fn point_mass_draws_no_randomness() {
+        let d = InputDistribution::independent(vec![
+            Value::Det(2.5),
+            Value::Gaussian {
+                mu: 1.0,
+                sigma: 0.5,
+            },
+        ])
+        .unwrap();
+        for seed in 0..8 {
+            let mut r1 = StdRng::seed_from_u64(seed);
+            let mut r2 = StdRng::seed_from_u64(seed);
+            for _ in 0..4 {
+                let x = d.sample(&mut r1);
+                assert_eq!(x[0], 2.5);
+                let want = 1.0 + 0.5 * sample_standard_normal(&mut r2);
+                assert_eq!(x[1].to_bits(), want.to_bits(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
     fn rejects_bad_construction() {
-        assert!(InputDistribution::independent(vec![]).is_err());
+        assert_eq!(
+            InputDistribution::independent(vec![]).unwrap_err(),
+            ProbError::Empty("marginals")
+        );
+        let normal = |mu, sigma| Value::Gaussian { mu, sigma };
+        for (bad, what) in [
+            (normal(0.0, 0.0), "Normal sigma/mu"),
+            (normal(0.0, -1.0), "Normal sigma/mu"),
+            (normal(0.0, f64::INFINITY), "Normal sigma/mu"),
+            (normal(f64::NAN, 1.0), "Normal sigma/mu"),
+            (Value::Det(f64::INFINITY), "Degenerate value"),
+            (Value::Det(f64::NAN), "Degenerate value"),
+        ] {
+            let err = InputDistribution::independent(vec![Value::Det(1.0), bad.clone()]);
+            assert!(
+                matches!(err, Err(ProbError::InvalidParameter { what: w, .. }) if w == what),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
     fn diagonal_gaussian_helper() {
         let d = InputDistribution::diagonal_gaussian(&[(5.0, 0.5), (2.0, 0.1)]).unwrap();
         assert_eq!(d.dim(), 2);
-        assert_eq!(d.mean(), vec![5.0, 2.0]);
         assert!(InputDistribution::diagonal_gaussian(&[(0.0, -1.0)]).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * special functions (`erf`, `Φ`, `Φ⁻¹`, `ln Γ`, regularized incomplete
 //!   gamma) — [`special`];
-//! * univariate distributions with sampling, pdf/cdf, mean/variance —
+//! * the input marginal [`Value`] (Gaussian or point mass, sampled only) —
 //!   [`dist`];
 //! * multivariate uncertain inputs (independent marginals, one per
 //!   attribute) — [`input`];
@@ -25,7 +25,7 @@ pub mod merged;
 pub mod metrics;
 pub mod special;
 
-pub use dist::{Degenerate, Exponential, Gamma, Normal, Univariate};
+pub use dist::Value;
 pub use ecdf::Ecdf;
 pub use input::InputDistribution;
 pub use merged::MergedSupport;

@@ -8,7 +8,7 @@
 //!   absolute error below 1e-12 over (0, 1).
 //! * `ln_gamma`: Lanczos approximation (g = 7, n = 9).
 //! * `gamma_p`/`gamma_q`: regularized incomplete gamma via series / continued
-//!   fraction (Numerical Recipes `gammp`/`gammq`), also used by the Gamma CDF.
+//!   fraction (Numerical Recipes `gammp`/`gammq`), behind `erf`/`erfc`.
 
 use std::f64::consts::{PI, SQRT_2};
 
@@ -29,12 +29,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         gamma_q(0.5, x * x)
     }
-}
-
-/// Standard normal pdf `φ(z)`.
-#[inline]
-pub fn norm_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (2.0 * PI).sqrt()
 }
 
 /// Standard normal CDF `Φ(z)`.

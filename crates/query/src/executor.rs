@@ -224,7 +224,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{Schema, Tuple, Value};
+    use crate::{Schema, Tuple, Value};
     use udf_core::config::Metric;
     use udf_core::udf::BlackBoxUdf;
 

@@ -19,7 +19,8 @@ pub mod executor;
 pub mod relation;
 
 pub use executor::{EvalStrategy, Executor, ProjectedTuple};
-pub use relation::{Relation, Schema, Tuple, UdfCall, Value};
+pub use relation::{Relation, Schema, Tuple, UdfCall};
+pub use udf_prob::Value;
 
 use std::fmt;
 

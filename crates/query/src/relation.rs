@@ -2,41 +2,7 @@
 
 use crate::{QueryError, Result};
 use udf_core::udf::BlackBoxUdf;
-use udf_prob::{Degenerate, InputDistribution, Normal, Univariate};
-
-/// One attribute value: deterministic or Gaussian-uncertain (the paper's
-/// SDSS modeling; richer marginals can be added the same way).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Known constant.
-    Det(f64),
-    /// Gaussian-uncertain attribute `N(mu, sigma²)`.
-    Gaussian {
-        /// Mean.
-        mu: f64,
-        /// Standard deviation.
-        sigma: f64,
-    },
-}
-
-impl Value {
-    /// Expected value of the attribute.
-    pub fn mean(&self) -> f64 {
-        match self {
-            Value::Det(v) => *v,
-            Value::Gaussian { mu, .. } => *mu,
-        }
-    }
-
-    /// View as a sampling marginal — the distribution
-    /// [`UdfCall::input_distribution`] builds per argument.
-    pub fn marginal(&self) -> Result<Box<dyn Univariate>> {
-        match self {
-            Value::Det(v) => Ok(Box::new(Degenerate::new(*v)?)),
-            Value::Gaussian { mu, sigma } => Ok(Box::new(Normal::new(*mu, *sigma)?)),
-        }
-    }
-}
+use udf_prob::{InputDistribution, Value};
 
 /// Column names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,11 +193,7 @@ impl UdfCall {
 
     /// The joint distribution of the UDF's input vector on one tuple.
     pub fn input_distribution(&self, tuple: &Tuple) -> Result<InputDistribution> {
-        let marginals = self
-            .args
-            .iter()
-            .map(|&i| tuple.value(i).marginal())
-            .collect::<Result<Vec<_>>>()?;
+        let marginals = self.args.iter().map(|&i| tuple.value(i).clone()).collect();
         Ok(InputDistribution::independent(marginals)?)
     }
 
@@ -351,9 +313,9 @@ mod tests {
         let call = UdfCall::resolve(udf, r.schema(), &["redshift"]).unwrap();
         let d = call.input_distribution(&r.tuples()[0]).unwrap();
         assert_eq!(d.dim(), 1);
-        assert_eq!(d.mean(), vec![0.5]);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(d.sample(&mut rng)[0].is_finite());
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+        let want = 0.5 + 0.02 * udf_prob::dist::sample_standard_normal(&mut r2);
+        assert_eq!(d.sample(&mut r1)[0], want);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use udf_prob::InputDistribution;
 use udf_workloads::astro::GalaxyCatalog;
-use udf_workloads::synthetic::{generate_inputs, InputKind};
+use udf_workloads::synthetic::generate_inputs;
 
 /// A producer of uncertain tuples, pulled in micro-batches.
 pub trait Source {
@@ -22,12 +22,11 @@ pub trait Source {
     fn next_batch(&mut self, max: usize, out: &mut Vec<InputDistribution>) -> usize;
 }
 
-/// The §6.1-B synthetic workload as an unbounded stream: tuples with means
-/// drawn uniformly from the function domain and the configured marginal
-/// kind/spread.
+/// The §6.1-B synthetic workload as an unbounded stream: Gaussian tuples
+/// with means drawn uniformly from the function domain and the configured
+/// spread.
 #[derive(Debug)]
 pub struct SyntheticSource {
-    kind: InputKind,
     dim: usize,
     sigma: f64,
     rng: StdRng,
@@ -37,13 +36,7 @@ impl SyntheticSource {
     /// Gaussian marginals with spread `sigma` (the paper's default input
     /// model), seeded for reproducibility.
     pub fn gaussian(dim: usize, sigma: f64, seed: u64) -> Self {
-        SyntheticSource::new(InputKind::Gaussian, dim, sigma, seed)
-    }
-
-    /// Any marginal kind from the synthetic workload family.
-    pub fn new(kind: InputKind, dim: usize, sigma: f64, seed: u64) -> Self {
         SyntheticSource {
-            kind,
             dim,
             sigma,
             rng: StdRng::seed_from_u64(seed),
@@ -57,13 +50,7 @@ impl Source for SyntheticSource {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Vec<InputDistribution>) -> usize {
-        out.extend(generate_inputs(
-            self.kind,
-            self.dim,
-            max,
-            self.sigma,
-            &mut self.rng,
-        ));
+        out.extend(generate_inputs(self.dim, max, self.sigma, &mut self.rng));
         max
     }
 }
@@ -197,10 +184,7 @@ mod tests {
             assert_eq!(b.next_batch(2, &mut vb), 2);
         }
         assert_eq!(va.len(), 10);
-        assert_eq!(vb.len(), 10);
-        for (x, y) in va.iter().zip(&vb) {
-            assert_eq!(x.mean(), y.mean(), "same seed must give same tuples");
-        }
+        assert_eq!(va, vb, "same seed must give same tuples");
     }
 
     #[test]

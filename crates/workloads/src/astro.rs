@@ -22,7 +22,7 @@ use crate::quadrature::adaptive_simpson;
 use rand::Rng;
 use std::sync::Arc;
 use udf_core::udf::{BlackBoxUdf, CostModel, UdfFunction};
-use udf_prob::{InputDistribution, Normal};
+use udf_prob::InputDistribution;
 
 /// Hubble distance unit: we express distances in units of `c / H0`
 /// (≈ 4283 Mpc for h = 0.7) and ages in units of `1 / H0`
@@ -232,21 +232,15 @@ impl GalaxyCatalog {
     /// The 1-D uncertain input for `GalAge` on row `i`.
     pub fn galage_input(&self, i: usize) -> InputDistribution {
         let r = &self.rows[i];
-        InputDistribution::independent(vec![Box::new(
-            Normal::new(r.z_mean, r.z_sigma).expect("valid catalog row"),
-        )])
-        .expect("non-empty")
+        InputDistribution::diagonal_gaussian(&[(r.z_mean, r.z_sigma)]).expect("valid catalog row")
     }
 
     /// The 2-D uncertain input `(z_i, z_j)` for `AngDist` / `ComoveVol` on a
     /// pair of rows.
     pub fn pair_input(&self, i: usize, j: usize) -> InputDistribution {
         let (a, b) = (&self.rows[i], &self.rows[j]);
-        InputDistribution::independent(vec![
-            Box::new(Normal::new(a.z_mean, a.z_sigma).expect("valid row")),
-            Box::new(Normal::new(b.z_mean, b.z_sigma).expect("valid row")),
-        ])
-        .expect("non-empty")
+        InputDistribution::diagonal_gaussian(&[(a.z_mean, a.z_sigma), (b.z_mean, b.z_sigma)])
+            .expect("valid row")
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! * [`synthetic`] — UDFs generated from Gaussian mixtures with controlled
 //!   bumpiness and spikiness (the paper's F1–F4 family, Fig. 4) at any
-//!   dimensionality, plus uncertain-input generators (Gaussian, Gamma,
-//!   exponential);
+//!   dimensionality, plus Gaussian uncertain-input generators (the only
+//!   input marginals besides point masses: nothing outside their own tests
+//!   built the gamma and exponential ones);
 //! * [`astro`] — the astrophysics case study: flat-ΛCDM cosmology and the
 //!   three UDFs `GalAge`, `ComoveVol`, `AngDist` re-implemented from their
 //!   standard formulas (the paper used the IDL Astronomy Library — see

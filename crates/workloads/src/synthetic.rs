@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use udf_core::udf::UdfFunction;
-use udf_prob::{Exponential, Gamma, InputDistribution, Normal, Univariate};
+use udf_prob::InputDistribution;
 
 /// Domain bounds used throughout the synthetic evaluation.
 pub const DOMAIN: (f64, f64) = (0.0, 10.0);
@@ -151,48 +151,20 @@ impl UdfFunction for GaussianMixtureFn {
     }
 }
 
-/// Kinds of input marginals evaluated in §6.1-B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputKind {
-    /// Gaussian with per-dimension σ_I (the default).
-    Gaussian,
-    /// Gamma(shape 2) scaled so the mean sits at the drawn center.
-    Gamma,
-    /// Exponential with the mean at the drawn center.
-    Exponential,
-}
-
-/// Generate `n` uncertain input tuples for a `d`-dimensional UDF: means
+/// Generate `n` Gaussian input tuples for a `d`-dimensional UDF: means
 /// drawn uniformly from the domain, spread `sigma_i` (§6.1-B default 0.5).
 pub fn generate_inputs(
-    kind: InputKind,
     d: usize,
     n: usize,
     sigma_i: f64,
     rng: &mut dyn rand::RngCore,
 ) -> Vec<InputDistribution> {
-    use rand::Rng as _;
     (0..n)
         .map(|_| {
-            let marginals: Vec<Box<dyn Univariate>> = (0..d)
-                .map(|_| {
-                    let mu = rng.gen_range(DOMAIN.0..DOMAIN.1);
-                    match kind {
-                        InputKind::Gaussian => {
-                            Box::new(Normal::new(mu, sigma_i).expect("valid params"))
-                                as Box<dyn Univariate>
-                        }
-                        InputKind::Gamma => {
-                            // shape k = 2, scale chosen so mean = mu.
-                            Box::new(Gamma::new(2.0, (mu / 2.0).max(1e-3)).expect("valid params"))
-                        }
-                        InputKind::Exponential => {
-                            Box::new(Exponential::new(1.0 / mu.max(1e-3)).expect("valid params"))
-                        }
-                    }
-                })
+            let params: Vec<(f64, f64)> = (0..d)
+                .map(|_| (rng.gen_range(DOMAIN.0..DOMAIN.1), sigma_i))
                 .collect();
-            InputDistribution::independent(marginals).expect("non-empty marginals")
+            InputDistribution::diagonal_gaussian(&params).expect("valid params")
         })
         .collect()
 }
@@ -209,13 +181,9 @@ pub fn generate_inputs(
 pub fn sweep_inputs(d: usize, n: usize, sigma_i: f64) -> Vec<InputDistribution> {
     (0..n)
         .map(|i| {
-            let marginals: Vec<Box<dyn Univariate>> = (0..d)
-                .map(|j| {
-                    Box::new(Normal::new(sweep_mean(i * d + j), sigma_i).expect("valid params"))
-                        as Box<dyn Univariate>
-                })
-                .collect();
-            InputDistribution::independent(marginals).expect("non-empty marginals")
+            let params: Vec<(f64, f64)> =
+                (0..d).map(|j| (sweep_mean(i * d + j), sigma_i)).collect();
+            InputDistribution::diagonal_gaussian(&params).expect("valid params")
         })
         .collect()
 }
@@ -301,18 +269,12 @@ mod tests {
     #[test]
     fn input_generators_produce_valid_distributions() {
         let mut rng = StdRng::seed_from_u64(1);
-        for kind in [
-            InputKind::Gaussian,
-            InputKind::Gamma,
-            InputKind::Exponential,
-        ] {
-            let inputs = generate_inputs(kind, 3, 5, 0.5, &mut rng);
-            assert_eq!(inputs.len(), 5);
-            for inp in &inputs {
-                assert_eq!(inp.dim(), 3);
-                let s = inp.sample(&mut rng);
-                assert!(s.iter().all(|v| v.is_finite()));
-            }
+        let inputs = generate_inputs(3, 5, 0.5, &mut rng);
+        assert_eq!(inputs.len(), 5);
+        for inp in &inputs {
+            assert_eq!(inp.dim(), 3);
+            let s = inp.sample(&mut rng);
+            assert!(s.iter().all(|v| v.is_finite()));
         }
     }
 

@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use udf_lang::{run_uql, Context as UqlContext, LangError, QueryOutput};
     pub use udf_obs::{MetricsRegistry, Snapshot};
-    pub use udf_prob::{Ecdf, InputDistribution, Normal, Univariate};
-    pub use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall, Value};
+    pub use udf_prob::{Ecdf, InputDistribution, Value};
+    pub use udf_query::{EvalStrategy, Executor, Relation, Schema, Tuple, UdfCall};
     pub use udf_stream::{
         AstroSource, EngineConfig, QueryId, QuerySpec, Session, Source, StreamStrategy,
         SyntheticSource, VecSource,

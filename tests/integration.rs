@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use udf_uncertain::prelude::*;
 use udf_workloads::astro::{Cosmology, GalAge, GalaxyCatalog};
-use udf_workloads::synthetic::{generate_inputs, InputKind, PaperFunction};
+use udf_workloads::synthetic::{generate_inputs, PaperFunction};
 
 fn accuracy(eps: f64) -> AccuracyRequirement {
     AccuracyRequirement::new(eps, 0.05, 0.02, Metric::Discrepancy).unwrap()
@@ -34,7 +34,7 @@ fn olgapro_meets_accuracy_on_all_paper_functions() {
         let mut olga = Olgapro::new(udf.clone(), cfg);
         let mut rng = StdRng::seed_from_u64(42);
 
-        let inputs = generate_inputs(InputKind::Gaussian, 1, 6, 0.5, &mut rng);
+        let inputs = generate_inputs(1, 6, 0.5, &mut rng);
         // Replay the stream until convergence (no additions in a pass).
         for _pass in 0..12 {
             let mut added = 0;
@@ -96,7 +96,7 @@ fn mc_and_gp_agree_on_medians() {
     let mc = McEvaluator::new(udf.fork_counter());
     let mut olga = Olgapro::new(udf.fork_counter(), cfg);
     let mut rng = StdRng::seed_from_u64(7);
-    let inputs = generate_inputs(InputKind::Gaussian, 2, 5, 0.5, &mut rng);
+    let inputs = generate_inputs(2, 5, 0.5, &mut rng);
     for input in &inputs {
         let a = mc.compute(input, &acc, &mut rng).unwrap();
         let b = olga.process(input, &mut rng).unwrap();
@@ -156,7 +156,7 @@ fn filtering_never_drops_clearly_passing_tuples() {
     let acc = AccuracyRequirement::new(0.1, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
     let pred = Predicate::new(-1.0, range * 2.0, 0.2).unwrap(); // always true
     let mut rng = StdRng::seed_from_u64(3);
-    let inputs = generate_inputs(InputKind::Gaussian, 1, 5, 0.5, &mut rng);
+    let inputs = generate_inputs(1, 5, 0.5, &mut rng);
 
     for input in &inputs {
         let d = udf_core::filtering::mc_filtered(&udf, input, &acc, &pred, &mut rng).unwrap();
@@ -181,7 +181,7 @@ fn reported_bound_dominates_realized_error() {
     let udf = BlackBoxUdf::new(std::sync::Arc::new(f.clone()), CostModel::Free);
     let mut olga = Olgapro::new(udf, cfg);
     let mut rng = StdRng::seed_from_u64(11);
-    let inputs = generate_inputs(InputKind::Gaussian, 1, 8, 0.5, &mut rng);
+    let inputs = generate_inputs(1, 8, 0.5, &mut rng);
     let mut violations = 0;
     for (i, input) in inputs.iter().enumerate() {
         let out = olga.process(input, &mut rng).unwrap();
@@ -201,28 +201,4 @@ fn reported_bound_dominates_realized_error() {
     // δ = 0.05: allow at most 1 violation in 8 (generous slack for the
     // reference's own sampling noise).
     assert!(violations <= 1, "{violations}/8 bound violations");
-}
-
-/// Gamma- and exponential-distributed inputs work end to end (§6.1-B).
-#[test]
-fn non_gaussian_inputs_supported() {
-    let f = PaperFunction::F1.instantiate(2);
-    let range = f.output_range();
-    let acc = AccuracyRequirement::new(0.2, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
-    let cfg = OlgaproConfig::new(acc, range).unwrap();
-    let udf = BlackBoxUdf::new(std::sync::Arc::new(f), CostModel::Free);
-    let mut olga = Olgapro::new(udf, cfg);
-    let mut rng = StdRng::seed_from_u64(17);
-    for kind in [InputKind::Gamma, InputKind::Exponential] {
-        let inputs = generate_inputs(kind, 2, 3, 0.5, &mut rng);
-        // Warm-up, then assert on the steady-state pass.
-        for input in &inputs {
-            olga.process(input, &mut rng).unwrap();
-        }
-        for input in &inputs {
-            let out = olga.process(input, &mut rng).unwrap();
-            assert!(out.error_bound() < 1.0, "bound {}", out.error_bound());
-            assert!(out.y_hat.len() > 100);
-        }
-    }
 }
