@@ -393,7 +393,7 @@ impl BatchOps for GpBatch<'_, '_> {
         // (`fast_ruled` has already dropped what the filter drops.) A full
         // stop-growing model accepts at the achieved bound, which keeps
         // per-tuple cost bounded on long streams: the slow path could not
-        // tune (`process` degenerates to `infer_only` there). Rerouting
+        // tune (`process` degenerates to `infer_only_with` there). Rerouting
         // would give byte-identical output only if the model was already
         // full when the fast phase read it. If earlier slow tuples of this
         // batch filled it, `out` is the batch-start model's inference, not
@@ -581,7 +581,9 @@ mod tests {
             assert_eq!(x.error_bound, y.error_bound, "tuple {i} error bound");
             let infer = |p: &Par| {
                 let mut rng = StdRng::seed_from_u64(mix_seed(99, 0, i as u64));
-                p.olga().infer_only(&batch[i], &mut rng).unwrap()
+                p.olga()
+                    .infer_only_with(&batch[i], &mut rng, &mut InferScratch::default())
+                    .unwrap()
             };
             let (ga, gb) = (infer(&a), infer(&b));
             assert_eq!(ga.y_hat.values(), x.ecdf.values(), "tuple {i} emitted mean");
@@ -655,7 +657,7 @@ mod tests {
         // A cold model capped at 6 points, tuned at most 2 points a tuple:
         // the first slow tuples of the second batch fill it, and every
         // over-budget tuple ruled after them is accepted at its fast-phase
-        // output — `infer_only` on the batch-start model.
+        // output — `infer_only_with` on the batch-start model.
         let mut olga = setup_with(0.12, |cfg| cfg.max_points_per_input = 2);
         olga.set_model_cap(6).unwrap();
         let mut par = Par::new(olga, 2);
@@ -670,7 +672,7 @@ mod tests {
         let split = start.config().split();
         let infer = |olga: &Olgapro, i: usize| {
             let mut rng = StdRng::seed_from_u64(mix_seed(6, 0, i as u64));
-            olga.infer_only(&batch[i], &mut rng)
+            olga.infer_only_with(&batch[i], &mut rng, &mut InferScratch::default())
                 .unwrap()
                 .into_distribution()
         };

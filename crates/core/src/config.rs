@@ -57,17 +57,6 @@ impl AccuracyRequirement {
         })
     }
 
-    /// The paper's default experimental setting: ε = 0.1, δ = 0.05,
-    /// discrepancy metric (λ set by the caller relative to function range).
-    pub fn paper_default(lambda: f64) -> Self {
-        AccuracyRequirement {
-            eps: 0.1,
-            delta: 0.05,
-            lambda,
-            metric: Metric::Discrepancy,
-        }
-    }
-
     /// Number of Monte Carlo samples needed to meet this requirement by
     /// direct sampling (Algorithm 1 / §2.2-A).
     pub fn mc_samples(&self) -> usize {
@@ -224,6 +213,20 @@ impl OlgaproConfig {
     pub fn samples_per_input(&self) -> usize {
         let s = self.split();
         dkw_samples(self.accuracy.metric, s.eps_mc, s.delta_mc)
+    }
+}
+
+#[cfg(test)]
+impl AccuracyRequirement {
+    /// The paper's default experimental setting: ε = 0.1, δ = 0.05,
+    /// discrepancy metric (λ set by the caller relative to function range).
+    pub(crate) fn paper_default(lambda: f64) -> Self {
+        AccuracyRequirement {
+            eps: 0.1,
+            delta: 0.05,
+            lambda,
+            metric: Metric::Discrepancy,
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! * **GP**: the envelope upper bound `ρ_U = F_S(b) − F_L(a)` (Eq. 3)
 //!   already dominates the TEP with probability `1 − α`; when `ρ_U < θ` the
 //!   tuple is dropped. The batch fast path
-//!   ([`Olgapro::infer_ruled_with`]) counts ρ_U off the band as it is
+//!   (`Olgapro::infer_ruled_with`) counts ρ_U off the band as it is
 //!   inferred, block by block like the MC batches, and drops without
 //!   tuning — or sorting, or inferring the samples a drop no longer needs;
 //!   [`gp_filtered`], the slow path, rules the tuple it has just tuned.
@@ -76,7 +76,7 @@ pub enum FilterDecision<T> {
         /// 2.1's `ρ̃ + ε̃` on the MC path, the envelope ρ_U on the GP paths.
         /// A tuple the GP fast path drops before its last sample reports
         /// the count that settled it — the samples inferred so far, the
-        /// rest counted as inside `[lo, hi]` ([`Olgapro::infer_ruled_with`])
+        /// rest counted as inside `[lo, hi]` (`Olgapro::infer_ruled_with`)
         /// — which may exceed the ρ_U of all of them.
         rho_upper: f64,
         /// UDF calls spent before deciding.
@@ -98,7 +98,7 @@ impl<T> FilterDecision<T> {
     }
 
     /// Convert a kept tuple's output, leaving a filtered one as it is.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> FilterDecision<U> {
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> FilterDecision<U> {
         match self {
             FilterDecision::Kept { output, tep } => FilterDecision::Kept {
                 output: f(output),
@@ -201,7 +201,7 @@ pub fn mc_eval_tuple(
 ///
 /// The tuple is fully tuned by [`Olgapro::process`] first and ruled on the
 /// output that emits — dropping *without* tuning is the batch fast path's
-/// job ([`Olgapro::infer_ruled_with`]). A loose band inflates `ρ_U`, never
+/// job (`Olgapro::infer_ruled_with`). A loose band inflates `ρ_U`, never
 /// deflating it below θ spuriously, so the decision is sound with
 /// probability `1 − α` on either path.
 pub fn gp_filtered(

@@ -43,7 +43,6 @@ pub use mc::McEvaluator;
 pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
 pub use output::{GpOutput, OutputDistribution, TuneStop};
 pub use sched::{mix_seed, BatchOps, BatchScheduler, SchedMetrics, Verdict};
-pub use udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
 
 use std::fmt;
 

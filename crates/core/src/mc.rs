@@ -23,11 +23,6 @@ impl McEvaluator {
         McEvaluator { udf }
     }
 
-    /// Borrow the UDF (for call accounting).
-    pub fn udf(&self) -> &BlackBoxUdf {
-        &self.udf
-    }
-
     /// Algorithm 1: compute the output distribution of `f(X)` to the given
     /// accuracy.
     pub fn compute(

@@ -42,7 +42,7 @@ use udf_spatial::BoundingBox;
 /// where time goes between online tuning (steps 2–7) and retraining
 /// (steps 8–14), how the training set grows, and how often the model cap
 /// degrades accuracy. Purely observational; un-wired evaluators hold the
-/// [`disabled`](OlgaproMetrics::disabled) set.
+/// disabled set.
 #[derive(Clone, Debug)]
 pub struct OlgaproMetrics {
     /// Time in the online-tuning loop (inference + point additions), per
@@ -83,18 +83,18 @@ pub struct OlgaproMetrics {
     pub bounds_skipped: Counter,
     /// Tuples the fast path dropped before inferring their last sample: the
     /// ρ_U count over the samples inferred so far already certified the drop
-    /// ([`Olgapro::infer_ruled_with`]).
+    /// (`Olgapro::infer_ruled_with`).
     pub ruled_early: Counter,
 }
 
 impl OlgaproMetrics {
     /// The no-op handle set.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::register(&MetricsRegistry::disabled())
     }
 
     /// Handles registered under the shared `olgapro.*` names.
-    pub fn register(reg: &MetricsRegistry) -> Self {
+    pub(crate) fn register(reg: &MetricsRegistry) -> Self {
         OlgaproMetrics {
             tuning_ns: reg.histogram("olgapro.tuning_ns"),
             retrain_ns: reg.histogram("olgapro.retrain_ns"),
@@ -227,7 +227,7 @@ impl Olgapro {
 
     /// Rewire a live evaluator in place (a subscription whose session is
     /// wired after it registered).
-    pub fn set_metrics(&mut self, metrics: &MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, metrics: &MetricsRegistry) {
         self.metrics = OlgaproMetrics::register(metrics);
     }
 
@@ -259,7 +259,7 @@ impl Olgapro {
     /// again. Batch accept hooks use this to emit over-budget fast-path
     /// results at the achieved bound instead of rerouting — with a full
     /// model, [`process`](Olgapro::process) computes exactly what
-    /// [`infer_only`](Olgapro::infer_only) does, so accepting is
+    /// [`infer_only_with`](Olgapro::infer_only_with) does, so accepting is
     /// byte-identical and strictly cheaper *if* the model was already full
     /// when the fast result was inferred.
     pub fn model_full(&self) -> bool {
@@ -296,22 +296,10 @@ impl Olgapro {
     ///
     /// This is the read-only fast path of
     /// [`Evaluator::run_two_phase`](crate::batch::Evaluator::run_two_phase):
-    /// at convergence it is exactly
-    /// what [`Olgapro::process`] computes, and it can run concurrently
-    /// against a shared model.
-    pub fn infer_only(
-        &self,
-        input: &InputDistribution,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<GpOutput> {
-        let mut scratch = InferScratch::default();
-        self.infer_only_with(input, rng, &mut scratch)
-    }
-
-    /// [`Olgapro::infer_only`] with caller-provided scratch buffers — the
-    /// allocation-free form the scheduler's fast phase runs with per-worker
-    /// scratch. Identical outputs for identical RNG state; only the
-    /// allocations (and the subset-factor cache warmth) differ.
+    /// at convergence it is exactly what [`Olgapro::process`] computes, and
+    /// it can run concurrently against a shared model. `scratch` holds the
+    /// buffers the scheduler's fast phase keeps per worker; outputs are
+    /// identical for identical RNG state whatever buffers it brings.
     pub fn infer_only_with(
         &self,
         input: &InputDistribution,
@@ -343,7 +331,7 @@ impl Olgapro {
     /// ([`OlgaproMetrics::ruled_early`] counts these drops). A non-finite
     /// band value stops certification; samples never inferred are never
     /// checked. Without a predicate the one block is all `m` samples.
-    pub fn infer_ruled_with(
+    pub(crate) fn infer_ruled_with(
         &self,
         input: &InputDistribution,
         rng: &mut dyn rand::RngCore,
@@ -983,7 +971,7 @@ mod tests {
     #[test]
     fn full_stop_growing_process_matches_infer_only() {
         // The accept hooks rely on this: with a full stop-growing model,
-        // `process` is exactly `infer_only` (same RNG stream, no mutation).
+        // `process` is exactly `infer_only_with` (same RNG stream, no mutation).
         let cfg = config(0.12)
             .with_model_cap(6, ModelBudget::StopGrowing)
             .unwrap();
@@ -996,7 +984,11 @@ mod tests {
         assert!(olga.model_full(), "warm-up never filled the model");
         let input = InputDistribution::diagonal_gaussian(&[(7.7, 0.4)]).unwrap();
         let a = olga
-            .infer_only(&input, &mut StdRng::seed_from_u64(7))
+            .infer_only_with(
+                &input,
+                &mut StdRng::seed_from_u64(7),
+                &mut InferScratch::default(),
+            )
             .unwrap();
         let b = olga.process(&input, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a.y_hat.values(), b.y_hat.values());
@@ -1092,7 +1084,11 @@ mod tests {
                 .infer_only_with(&input, &mut StdRng::seed_from_u64(i as u64), &mut reused)
                 .unwrap();
             let b = olga
-                .infer_only(&input, &mut StdRng::seed_from_u64(i as u64))
+                .infer_only_with(
+                    &input,
+                    &mut StdRng::seed_from_u64(i as u64),
+                    &mut InferScratch::default(),
+                )
                 .unwrap();
             assert_eq!(a.y_hat.values(), b.y_hat.values(), "tuple {i} mean CDF");
             assert_eq!(a.y_s.values(), b.y_s.values(), "tuple {i} lower");
@@ -1640,7 +1636,11 @@ mod tests {
                     let input = at(offset + 0.61 * t as f64);
                     let seed = 1000 * shape as u64 + t;
                     let full = olga
-                        .infer_only(&input, &mut StdRng::seed_from_u64(seed))
+                        .infer_only_with(
+                            &input,
+                            &mut StdRng::seed_from_u64(seed),
+                            &mut InferScratch::default(),
+                        )
                         .unwrap();
                     let y = &full.y_hat;
                     let span = (full.y_s.max() - full.y_l.min()).abs() + 1.0;

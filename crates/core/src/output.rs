@@ -15,13 +15,6 @@ pub struct OutputDistribution {
     pub udf_calls: u64,
 }
 
-impl OutputDistribution {
-    /// `Pr[Y ∈ [a, b]]` from the empirical CDF.
-    pub fn interval_prob(&self, a: f64, b: f64) -> f64 {
-        self.ecdf.interval_prob(a, b)
-    }
-}
-
 /// Why Algorithm 5's online-tuning loop stopped for one tuple. (A
 /// non-finite prediction stops it too, with an error instead of an output.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +136,6 @@ mod tests {
         let d = g.into_distribution();
         assert!((d.error_bound - 0.12).abs() < 1e-15);
         assert_eq!(d.udf_calls, 7);
-        assert!((d.interval_prob(1.0, 2.0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((d.ecdf.interval_prob(1.0, 2.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 }

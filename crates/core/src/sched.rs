@@ -65,7 +65,7 @@ use udf_obs::{Counter, Histogram, MetricsRegistry};
 /// The scheduler's observability handles. Purely observational: nothing
 /// here feeds back into scheduling or evaluation, so outputs are
 /// byte-identical with metrics wired or not. Un-wired schedulers hold the
-/// [`disabled`](SchedMetrics::disabled) set, where every operation is one
+/// disabled set, where every operation is one
 /// relaxed load and a branch.
 #[derive(Clone, Debug)]
 pub struct SchedMetrics {
@@ -89,12 +89,12 @@ pub struct SchedMetrics {
 
 impl SchedMetrics {
     /// The no-op handle set (what un-wired schedulers carry).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::register(&MetricsRegistry::disabled())
     }
 
     /// Handles registered under the shared `sched.*` names.
-    pub fn register(reg: &MetricsRegistry) -> Self {
+    pub(crate) fn register(reg: &MetricsRegistry) -> Self {
         SchedMetrics {
             fast_phase_ns: reg.histogram("sched.fast_phase_ns"),
             slow_phase_ns: reg.histogram("sched.slow_phase_ns"),
@@ -285,7 +285,7 @@ impl BatchScheduler {
     /// state such as the scheduler-owned [`InferScratch`] slots. Placement is
     /// still dynamic (chunk stealing), so the worker id must only select
     /// *which cache* to use, never affect the computed value.
-    pub fn try_map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
+    pub(crate) fn try_map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,

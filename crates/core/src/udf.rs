@@ -36,7 +36,7 @@ pub struct FnUdf {
 
 impl FnUdf {
     /// Wrap a closure as a `dim`-dimensional UDF.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         dim: usize,
         f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,

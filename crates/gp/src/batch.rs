@@ -308,11 +308,11 @@ impl LocalPredictorCache {
     /// [`LocalPredictor::predict_batch_with`] computes — predictions, cache
     /// entry and `(hits, misses)`, bit for bit — and leaves the tuple's `K`
     /// and `V` in `scratch`, so that the *next* call can extend them (see
-    /// the [module docs](self)) instead of rebuilding. It does when
+    /// the `batch` module docs) instead of rebuilding. It does when
     /// `indices` is the previous call's selection plus one new last index
     /// and, since that call,
     ///
-    /// * the model only grew ([`GpModel::appended_since`]: same
+    /// * the model only grew (`GpModel::appended_since`: same
     ///   hyperparameters, same jitter, same points at the old indices);
     /// * `scratch` served no other prediction, and the caller has not
     ///   called [`PredictScratch::start_tuning`] — which it must whenever

@@ -246,16 +246,6 @@ impl SquaredExponential {
         }
     }
 
-    /// Current lengthscale ℓ.
-    pub fn lengthscale(&self) -> f64 {
-        self.log_len.exp()
-    }
-
-    /// Current signal standard deviation σ_f.
-    pub fn sigma_f(&self) -> f64 {
-        self.log_sigma_f.exp()
-    }
-
     /// `(σ_f², ℓ², −1/(2ℓ²))`: `k = σ_f² · exp(c · r²)` at every site.
     fn scales(&self) -> (f64, f64, f64) {
         let l2 = (2.0 * self.log_len).exp();

@@ -19,7 +19,7 @@
 //!   Euler characteristic approximation (§4.2, Eq. 5, after Adler \[3\]).
 
 pub mod band;
-pub mod batch;
+pub(crate) mod batch;
 pub mod kernel;
 pub mod local;
 pub mod model;
@@ -70,4 +70,4 @@ impl From<LinalgError> for GpError {
 }
 
 /// Result alias for GP operations.
-pub type Result<T> = std::result::Result<T, GpError>;
+pub(crate) type Result<T> = std::result::Result<T, GpError>;

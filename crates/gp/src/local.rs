@@ -289,7 +289,8 @@ impl<'m> LocalPredictor<'m> {
 
     /// Predict at all `m` samples of a tuple as one blocked operation (one
     /// kernel-matrix build + one multi-RHS solve). Bit-identical to calling
-    /// [`LocalPredictor::predict`] per sample — see [`crate::batch`].
+    /// [`LocalPredictor::predict`] per sample (the `batch` module docs say
+    /// how).
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>> {
         let mut scratch = crate::batch::PredictScratch::default();
         let mut out = Vec::with_capacity(xs.len());

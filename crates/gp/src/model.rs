@@ -13,7 +13,7 @@ static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(1);
 /// Default diagonal jitter added to the training covariance. The paper's
 /// UDFs are deterministic, so this is numerical regularization rather than
 /// observation noise.
-pub const DEFAULT_JITTER: f64 = 1e-8;
+pub(crate) const DEFAULT_JITTER: f64 = 1e-8;
 
 /// A Gaussian-process regression model over a black-box function.
 ///
@@ -95,7 +95,7 @@ impl GpModel {
 
     /// Process-unique identity of this model instance.
     #[inline]
-    pub fn model_id(&self) -> u64 {
+    pub(crate) fn model_id(&self) -> u64 {
         self.model_id
     }
 
@@ -114,7 +114,7 @@ impl GpModel {
     /// points. `fit`, a hyperparameter or jitter change all answer `false`
     /// for any earlier epoch.
     #[inline]
-    pub fn appended_since(&self, epoch: u64) -> bool {
+    pub(crate) fn appended_since(&self, epoch: u64) -> bool {
         epoch >= self.rebuilt_at
     }
 
@@ -122,19 +122,6 @@ impl GpModel {
     fn bump_rebuilt(&mut self) {
         self.epoch += 1;
         self.rebuilt_at = self.epoch;
-    }
-
-    /// Override the diagonal jitter (must be non-negative).
-    pub fn with_jitter(mut self, jitter: f64) -> Result<Self> {
-        if !(jitter >= 0.0 && jitter.is_finite()) {
-            return Err(GpError::InvalidParameter {
-                what: "jitter",
-                value: jitter,
-            });
-        }
-        self.jitter = jitter;
-        self.bump_rebuilt();
-        Ok(self)
     }
 
     /// Input dimensionality.
@@ -350,8 +337,8 @@ impl GpModel {
     /// lane-unrolled per-sample mean/variance accumulation.
     ///
     /// Bit-identical to calling [`GpModel::predict`] once per point — the
-    /// per-sample reduction orders are preserved exactly (see
-    /// [`crate::batch`]).
+    /// per-sample reduction orders are preserved exactly (the `batch`
+    /// module docs say how).
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>> {
         let mut scratch = crate::batch::PredictScratch::default();
         let mut out = Vec::with_capacity(xs.len());
@@ -449,20 +436,15 @@ impl GpModel {
         grad
     }
 
-    /// Diagonal second derivatives of the log marginal likelihood,
-    /// `∂²L/∂θ_j²`, used by the Newton retraining heuristic (§5.3):
+    /// [`lml_gradient`](GpModel::lml_gradient) and the diagonal second
+    /// derivatives of the log marginal likelihood, `∂²L/∂θ_j²`, from one
+    /// `K⁻¹` and one set of `K′` matrices — what the §5.3 Newton check needs:
     ///
     /// `∂²L/∂θ² = ½ αᵀK''α − αᵀK'K⁻¹K'α − ½ tr(K⁻¹K'') + ½ tr(K⁻¹K'K⁻¹K')`.
-    pub fn lml_hessian_diag(&self) -> Result<Vec<f64>> {
-        Ok(self.lml_gradient_and_hessian_diag()?.1)
-    }
-
-    /// [`lml_gradient`](GpModel::lml_gradient) and
-    /// [`lml_hessian_diag`](GpModel::lml_hessian_diag) from one `K⁻¹` and
-    /// one set of `K′` matrices — what the §5.3 Newton check needs. The two
-    /// traces are taken without forming the products
+    ///
+    /// The two traces are taken without forming the products
     /// ([`Matrix::matmul_trace`]); only `K⁻¹K′` is still multiplied out.
-    pub fn lml_gradient_and_hessian_diag(&self) -> Result<(Vec<f64>, Vec<f64>)> {
+    pub(crate) fn lml_gradient_and_hessian_diag(&self) -> Result<(Vec<f64>, Vec<f64>)> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
         let kinv = chol.inverse()?;
         let kps = self.kernel_grads();
@@ -485,10 +467,45 @@ impl GpModel {
     }
 }
 
+/// Bisection for the distance at which the kernel decays to half its
+/// zero-distance value (callers go through the cached
+/// [`GpModel::half_value_distance`]).
+fn half_value_bisect(k: &dyn Kernel) -> f64 {
+    let target = 0.5 * k.eval_dist(0.0);
+    let mut hi = 1.0;
+    while k.eval_dist(hi) > target && hi < 1e6 {
+        hi *= 2.0;
+    }
+    let mut lo = 0.0;
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if k.eval_dist(mid) > target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 /// The per-pair scalar forms the row-built likelihood derivatives replaced,
-/// kept verbatim as the oracles their bit-identity is tested against.
+/// kept verbatim as the oracles their bit-identity is tested against, and
+/// the jitter override the tests build pivot-failing models with.
 #[cfg(test)]
 impl GpModel {
+    /// Override the diagonal jitter (must be non-negative).
+    pub(crate) fn with_jitter(mut self, jitter: f64) -> Result<Self> {
+        if !(jitter >= 0.0 && jitter.is_finite()) {
+            return Err(GpError::InvalidParameter {
+                what: "jitter",
+                value: jitter,
+            });
+        }
+        self.jitter = jitter;
+        self.bump_rebuilt();
+        Ok(self)
+    }
+
     pub(crate) fn lml_gradient_oracle(&self) -> Result<Vec<f64>> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
         let n = self.xs.len();
@@ -548,27 +565,6 @@ impl GpModel {
         self.chol = Some(chol);
         Ok(())
     }
-}
-
-/// Bisection for the distance at which the kernel decays to half its
-/// zero-distance value (callers go through the cached
-/// [`GpModel::half_value_distance`]).
-fn half_value_bisect(k: &dyn Kernel) -> f64 {
-    let target = 0.5 * k.eval_dist(0.0);
-    let mut hi = 1.0;
-    while k.eval_dist(hi) > target && hi < 1e6 {
-        hi *= 2.0;
-    }
-    let mut lo = 0.0;
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if k.eval_dist(mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -682,7 +678,7 @@ pub(crate) mod tests {
     fn lml_hessian_diag_matches_finite_difference() {
         let mut m = toy_model(8);
         let theta0 = m.kernel().params();
-        let hess = m.lml_hessian_diag().unwrap();
+        let hess = m.lml_gradient_and_hessian_diag().unwrap().1;
         let eps = 1e-4;
         for j in 0..theta0.len() {
             let mut tp = theta0.clone();
@@ -750,7 +746,6 @@ pub(crate) mod tests {
             let grad = m.lml_gradient().unwrap();
             assert_same_bits(&grad, &m.lml_gradient_oracle().unwrap(), &what);
             let hess = m.lml_hessian_diag_oracle().unwrap();
-            assert_same_bits(&m.lml_hessian_diag().unwrap(), &hess, &what);
             let (g2, h2) = m.lml_gradient_and_hessian_diag().unwrap();
             assert_same_bits(&g2, &grad, &what);
             assert_same_bits(&h2, &hess, &what);

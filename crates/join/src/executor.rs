@@ -52,12 +52,12 @@ pub struct JoinMetrics {
 
 impl JoinMetrics {
     /// No-op handles (what an un-wired executor holds).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::register(&MetricsRegistry::disabled())
     }
 
     /// Register the `join.*` handles in `reg`.
-    pub fn register(reg: &MetricsRegistry) -> Self {
+    pub(crate) fn register(reg: &MetricsRegistry) -> Self {
         JoinMetrics {
             warmup_ns: reg.histogram("join.warmup_ns"),
             main_ns: reg.histogram("join.main_ns"),
@@ -68,10 +68,10 @@ impl JoinMetrics {
 /// Warmup-round size for GP joins: enough strided pairs to train the
 /// model across the input space, few enough that the sequential warmup
 /// stays a vanishing fraction of O(n²) pair evaluations.
-pub const WARMUP_PAIRS: usize = 32;
+pub(crate) const WARMUP_PAIRS: usize = 32;
 
 /// The deterministic warmup subset for a join of `total` candidate pairs:
-/// [`WARMUP_PAIRS`] indices evenly strided over `0..total` (all of them
+/// `WARMUP_PAIRS` (32) indices evenly strided over `0..total` (all of them
 /// when `total` is small). Strictly increasing and duplicate-free.
 pub fn warmup_indices(total: usize) -> Vec<usize> {
     if total <= WARMUP_PAIRS {

@@ -51,7 +51,7 @@
 //! ```
 
 pub mod executor;
-pub mod spec;
+pub(crate) mod spec;
 
 pub use executor::{warmup_indices, JoinExecutor, JoinMetrics, JoinOutput, JoinStats, JoinedPair};
 pub use spec::{JoinAttr, JoinSpec, OnCondition, Side};
@@ -85,4 +85,4 @@ impl From<udf_query::QueryError> for JoinError {
 }
 
 /// Result alias for join operations.
-pub type Result<T> = std::result::Result<T, JoinError>;
+pub(crate) type Result<T> = std::result::Result<T, JoinError>;

@@ -40,7 +40,7 @@ pub struct OnCondition {
 
 impl OnCondition {
     /// Evaluate the filter for the pair `(left_tuple, right_tuple)`.
-    pub fn keep(&self, left: &Tuple, right: &Tuple) -> bool {
+    pub(crate) fn keep(&self, left: &Tuple, right: &Tuple) -> bool {
         let value = |attr: &JoinAttr| -> f64 {
             match attr.side {
                 Side::Left => left.value(attr.index).mean(),
@@ -188,7 +188,7 @@ impl<'a> JoinSpec<'a> {
 
     /// The joined (prefixed) output schema — also validates that the
     /// prefixes do not collide.
-    pub fn joined_schema(&self) -> Result<Schema> {
+    pub(crate) fn joined_schema(&self) -> Result<Schema> {
         Ok(self
             .left
             .schema()
@@ -197,7 +197,7 @@ impl<'a> JoinSpec<'a> {
 
     /// Qualified argument names against [`joined_schema`](JoinSpec::joined_schema),
     /// e.g. `a.z`, `b.z`.
-    pub fn qualified_args(&self) -> Vec<String> {
+    pub(crate) fn qualified_args(&self) -> Vec<String> {
         self.args
             .iter()
             .map(|a| match a.side {
@@ -209,7 +209,7 @@ impl<'a> JoinSpec<'a> {
 
     /// Candidate-pair filter for `(i, j)` (the `ON` condition, or
     /// everything when absent).
-    pub fn keep(&self, i: usize, j: usize) -> bool {
+    pub(crate) fn keep(&self, i: usize, j: usize) -> bool {
         match &self.on {
             None => true,
             Some(on) => on.keep(&self.left.tuples()[i], &self.right.tuples()[j]),

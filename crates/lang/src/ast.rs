@@ -58,7 +58,7 @@ pub struct AttrRef {
 
 impl AttrRef {
     /// A bare (unqualified) reference.
-    pub fn bare(name: impl Into<String>) -> Self {
+    pub(crate) fn bare(name: impl Into<String>) -> Self {
         AttrRef {
             alias: None,
             name: name.into(),
@@ -66,7 +66,7 @@ impl AttrRef {
     }
 
     /// An alias-qualified reference.
-    pub fn qualified(alias: impl Into<String>, name: impl Into<String>) -> Self {
+    pub(crate) fn qualified(alias: impl Into<String>, name: impl Into<String>) -> Self {
         AttrRef {
             alias: Some(alias.into()),
             name: name.into(),
@@ -174,24 +174,6 @@ pub enum SourceRef {
     /// A two-relation θ-join (`FROM rel a JOIN rel b …`); boxed to keep
     /// the enum small next to the plain name variants.
     Join(Box<JoinSource>),
-}
-
-impl SourceRef {
-    /// The (left, for joins) referenced name.
-    pub fn name(&self) -> &str {
-        match self {
-            SourceRef::Relation(n) | SourceRef::Stream(n) => &n.node,
-            SourceRef::Join(j) => &j.left.node,
-        }
-    }
-
-    /// The name's span.
-    pub fn span(&self) -> Span {
-        match self {
-            SourceRef::Relation(n) | SourceRef::Stream(n) => n.span,
-            SourceRef::Join(j) => j.left.span.to(j.right_alias.span),
-        }
-    }
 }
 
 /// `WHERE PR(g(attr) IN [lo, hi]) >= theta`.

@@ -13,12 +13,12 @@ pub struct Span {
 
 impl Span {
     /// Build from byte offsets.
-    pub fn new(start: usize, end: usize) -> Self {
+    pub(crate) fn new(start: usize, end: usize) -> Self {
         Span { start, end }
     }
 
     /// The smallest span covering both `self` and `other`.
-    pub fn to(self, other: Span) -> Span {
+    pub(crate) fn to(self, other: Span) -> Span {
         Span {
             start: self.start.min(other.start),
             end: self.end.max(other.end),
@@ -96,7 +96,7 @@ pub enum LangError {
 
 impl LangError {
     /// A lexer diagnostic.
-    pub fn lex(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn lex(span: Span, message: impl Into<String>) -> Self {
         LangError::Diagnostic {
             stage: Stage::Lex,
             span,
@@ -105,7 +105,7 @@ impl LangError {
     }
 
     /// A parser diagnostic.
-    pub fn parse(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn parse(span: Span, message: impl Into<String>) -> Self {
         LangError::Diagnostic {
             stage: Stage::Parse,
             span,
@@ -114,7 +114,7 @@ impl LangError {
     }
 
     /// A binder diagnostic.
-    pub fn semantic(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn semantic(span: Span, message: impl Into<String>) -> Self {
         LangError::Diagnostic {
             stage: Stage::Semantic,
             span,

@@ -46,7 +46,7 @@ impl Context {
     /// by default — the handles are cheap enough to leave enabled (see
     /// `udf_obs`), and [`Context::metrics`]`.set_enabled(false)` turns
     /// every one of them into a no-op.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Context {
             udfs: UdfCatalog::new(),
             relations: BTreeMap::new(),
@@ -102,7 +102,7 @@ impl Context {
     }
 
     /// Tuple dimensionality of a registered stream source.
-    pub fn stream_dim(&self, name: &str) -> Option<usize> {
+    pub(crate) fn stream_dim(&self, name: &str) -> Option<usize> {
         self.streams.get(name).map(|(d, _)| *d)
     }
 
@@ -257,7 +257,7 @@ impl QueryOutput {
 /// phase timed (`uql.parse_ns` / `uql.bind_ns` / `uql.exec_ns`);
 /// `EXPLAIN` stops after binding, `EXPLAIN ANALYZE` executes and annotates
 /// the plan.
-pub fn run_uql(src: &str, ctx: &mut Context) -> Result<QueryOutput> {
+pub fn run_uql(src: &str, ctx: &Context) -> Result<QueryOutput> {
     let reg = ctx.metrics.clone();
     let (query, parse_time) = timed(&reg.histogram("uql.parse_ns"), || parse_statement(src));
     let query = query?;

@@ -7,11 +7,12 @@
 //! ```
 //!
 //! UQL is that surface as a small language over this workspace's engine: a
-//! std-only lexer ([`token`]), a recursive-descent parser into a typed AST
-//! ([`ast`], [`parser`]), a binder that validates names/accuracies/
+//! std-only lexer, a recursive-descent parser into a typed AST ([`ast`],
+//! [`parse_statement`]), a binder that validates names/accuracies/
 //! predicates against a catalog, resolves `USING auto` by the paper's §6.3
 //! rules, and produces the one physical plan that both runs and is what
-//! `EXPLAIN` prints ([`plan`]), and three execution backends ([`exec`]):
+//! `EXPLAIN` prints ([`bind`], [`PhysicalPlan`]), and three execution
+//! backends behind [`run_uql`]:
 //!
 //! * finite relations run batch-parallel through
 //!   [`udf_query::Executor::select_batch`] on a
@@ -50,7 +51,7 @@
 //! let out = run_uql(
 //!     "SELECT GalAge(z) FROM sky \
 //!      WHERE PR(GalAge(z) IN [0.5, 0.95]) >= 0.6 USING gp WORKERS 2 SEED 7",
-//!     &mut ctx,
+//!     &ctx,
 //! )
 //! .unwrap();
 //! let QueryOutput::Rows(rows) = out else { panic!("relation query") };
@@ -67,14 +68,11 @@
 
 pub mod ast;
 pub mod error;
-pub mod exec;
-pub mod parser;
-pub mod plan;
-pub mod token;
+pub(crate) mod exec;
+pub(crate) mod parser;
+pub(crate) mod plan;
+pub(crate) mod token;
 
-pub use ast::{
-    AttrRef, ExplainMode, JoinSource, MetricName, OnExpr, Query, Select, SourceRef, StrategyName,
-};
 pub use error::{LangError, Result, Span, Spanned, Stage};
 pub use exec::{
     run_uql, Context, JoinRowsOutput, QueryOutput, RowsOutput, SourceFactory, StreamOutput,

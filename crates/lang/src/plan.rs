@@ -135,7 +135,7 @@ pub struct BoundQuery {
 impl BoundQuery {
     /// The `EXPLAIN` rendering: the operator the statement runs as, its
     /// accuracy, and where its predicate is ruled.
-    pub fn explain(&self) -> String {
+    pub(crate) fn explain(&self) -> String {
         let mut s = String::from("Physical plan:\n");
         match &self.physical {
             PhysicalPlan::Relation(p) => {

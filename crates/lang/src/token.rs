@@ -8,7 +8,7 @@ use crate::error::{LangError, Result, Span};
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword: `[A-Za-z_][A-Za-z0-9_]*`.
     Ident(String),
     /// Numeric literal (integer or float, optional exponent).
@@ -33,7 +33,7 @@ pub enum Tok {
 
 impl Tok {
     /// How the token is shown in error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("`{s}`"),
             Tok::Number(n) => format!("number `{n:?}`"),
@@ -51,7 +51,7 @@ impl Tok {
 
 /// A token plus its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
     pub tok: Tok,
     /// Its byte range in the source.
@@ -60,7 +60,7 @@ pub struct Token {
 
 /// Tokenize `src`. Whitespace separates tokens; `--` starts a comment that
 /// runs to end of line (SQL style).
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

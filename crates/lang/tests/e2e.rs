@@ -82,12 +82,12 @@ fn uql_selection_matches_hand_built_select_batch() {
     let (lo, hi, theta) = (0.5, 0.9, 0.6);
     for strategy in ["mc", "gp"] {
         for workers in [1usize, 2, 8] {
-            let mut ctx = ctx_with_sky();
+            let ctx = ctx_with_sky();
             let q = format!(
                 "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [{lo}, {hi}]) >= {theta} \
                  USING {strategy} WORKERS {workers} SEED {seed}"
             );
-            let out = run_uql(&q, &mut ctx).unwrap();
+            let out = run_uql(&q, &ctx).unwrap();
             let QueryOutput::Rows(uql) = out else {
                 panic!("relation query must return rows")
             };
@@ -129,12 +129,12 @@ fn uql_rows_independent_of_worker_count() {
     for strategy in ["mc", "gp"] {
         let mut reference: Option<Vec<ProjectedTuple>> = None;
         for workers in [1usize, 2, 8] {
-            let mut ctx = ctx_with_sky();
+            let ctx = ctx_with_sky();
             let q = format!(
                 "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
                  USING {strategy} WORKERS {workers} SEED 11"
             );
-            let QueryOutput::Rows(out) = run_uql(&q, &mut ctx).unwrap() else {
+            let QueryOutput::Rows(out) = run_uql(&q, &ctx).unwrap() else {
                 panic!("rows")
             };
             match &reference {
@@ -150,12 +150,10 @@ fn uql_rows_independent_of_worker_count() {
 /// UQL projection (no WHERE) ≡ hand-built `project_batch`.
 #[test]
 fn uql_projection_matches_project_batch() {
-    let mut ctx = ctx_with_sky();
-    let QueryOutput::Rows(uql) = run_uql(
-        "SELECT GalAge(z) FROM sky USING gp WORKERS 2 SEED 5",
-        &mut ctx,
-    )
-    .unwrap() else {
+    let ctx = ctx_with_sky();
+    let QueryOutput::Rows(uql) =
+        run_uql("SELECT GalAge(z) FROM sky USING gp WORKERS 2 SEED 5", &ctx).unwrap()
+    else {
         panic!("rows")
     };
     let entry = ctx.udfs().get("GalAge").unwrap();
@@ -184,7 +182,7 @@ fn uql_stream_digest_matches_hand_built_subscription() {
              WHERE PR(F3(x) IN [0.4, 1.5]) >= 0.3 \
              USING {strategy_kw} WORKERS 2 BATCH 64 SEED 9 LIMIT 192"
         );
-        let QueryOutput::Stream(uql) = run_uql(&q, &mut ctx).unwrap() else {
+        let QueryOutput::Stream(uql) = run_uql(&q, &ctx).unwrap() else {
             panic!("stream query must return a stream summary")
         };
 
@@ -222,10 +220,10 @@ fn uql_stream_digest_matches_hand_built_subscription() {
 /// operator, the resolved strategy, and the predicate ruled inside it.
 #[test]
 fn explain_renders_pushdown_plan() {
-    let mut ctx = ctx_with_sky();
+    let ctx = ctx_with_sky();
     let QueryOutput::Plan(plan) = run_uql(
         "EXPLAIN SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("EXPLAIN returns a plan")
@@ -248,11 +246,11 @@ fn explain_renders_pushdown_plan() {
 /// metrics-registry delta.
 #[test]
 fn explain_analyze_reports_operator_timings() {
-    let mut ctx = ctx_with_sky();
+    let ctx = ctx_with_sky();
     let QueryOutput::Plan(report) = run_uql(
         "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky \
          WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS 2 SEED 7",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
@@ -286,7 +284,7 @@ fn explain_analyze_reports_operator_timings() {
     let QueryOutput::Plan(report) = run_uql(
         "EXPLAIN ANALYZE SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
          USING gp BATCH 32 SEED 4 LIMIT 96",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("stream ANALYZE returns the annotated plan")
@@ -309,11 +307,10 @@ fn explain_analyze_is_execution_faithful() {
     ctx.register_stream("synth", 1, || {
         Box::new(SyntheticSource::gaussian(1, 0.5, 3))
     });
-    let QueryOutput::Stream(plain) = run_uql(q, &mut ctx).unwrap() else {
+    let QueryOutput::Stream(plain) = run_uql(q, &ctx).unwrap() else {
         panic!("stream")
     };
-    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN ANALYZE {q}"), &mut ctx).unwrap()
-    else {
+    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN ANALYZE {q}"), &ctx).unwrap() else {
         panic!("plan")
     };
     assert!(
@@ -329,13 +326,13 @@ fn explain_analyze_is_execution_faithful() {
 fn metrics_switch_never_perturbs_outputs() {
     for workers in [1usize, 2, 8] {
         let rows = |enabled: bool| {
-            let mut ctx = ctx_with_sky();
+            let ctx = ctx_with_sky();
             ctx.metrics().set_enabled(enabled);
             let q = format!(
                 "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
                  USING gp WORKERS {workers} SEED 11"
             );
-            let QueryOutput::Rows(out) = run_uql(&q, &mut ctx).unwrap() else {
+            let QueryOutput::Rows(out) = run_uql(&q, &ctx).unwrap() else {
                 panic!("rows")
             };
             out.rows
@@ -357,7 +354,7 @@ fn metrics_switch_never_perturbs_outputs() {
                  WHERE PR(F3(x) IN [0.4, 1.5]) >= 0.3 \
                  USING gp WORKERS {workers} BATCH 64 SEED 9 LIMIT 192"
             );
-            let QueryOutput::Stream(out) = run_uql(&q, &mut ctx).unwrap() else {
+            let QueryOutput::Stream(out) = run_uql(&q, &ctx).unwrap() else {
                 panic!("stream")
             };
             out.digest
@@ -376,14 +373,13 @@ fn metrics_switch_never_perturbs_outputs() {
 /// beside `count=0`), and — on streams — the run's digest.
 #[test]
 fn explain_analyze_reports_attribution() {
-    let mut ctx = ctx_with_sky();
+    let ctx = ctx_with_sky();
     let q = "SELECT GalAge(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 \
              USING gp WORKERS 2 SEED 7";
     // A statement before the window: every `uql.*` histogram now has a
     // lifetime maximum.
-    run_uql(q, &mut ctx).unwrap();
-    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN ANALYZE {q}"), &mut ctx).unwrap()
-    else {
+    run_uql(q, &ctx).unwrap();
+    let QueryOutput::Plan(report) = run_uql(&format!("EXPLAIN ANALYZE {q}"), &ctx).unwrap() else {
         panic!("ANALYZE returns the annotated plan")
     };
     let op = report
@@ -418,7 +414,7 @@ fn explain_analyze_reports_attribution() {
     let QueryOutput::Plan(report) = run_uql(
         "EXPLAIN ANALYZE SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
          USING gp BATCH 32 SEED 4 LIMIT 320",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("stream ANALYZE returns the annotated plan")
@@ -436,13 +432,13 @@ fn explain_analyze_reports_attribution() {
 #[test]
 fn explain_analyze_slow_tuples_are_reroutes_plus_the_bootstrap() {
     for workers in [1usize, 2, 8] {
-        let mut ctx = ctx_with_sky();
+        let ctx = ctx_with_sky();
         let QueryOutput::Plan(report) = run_uql(
             &format!(
                 "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky \
                  WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING gp WORKERS {workers} SEED 7"
             ),
-            &mut ctx,
+            &ctx,
         )
         .unwrap() else {
             panic!("ANALYZE returns the annotated plan")
@@ -467,7 +463,7 @@ fn explain_analyze_slow_tuples_are_reroutes_plus_the_bootstrap() {
 fn auto_strategy_resolves_by_cost_rules() {
     let mut ctx = ctx_with_sky();
     let QueryOutput::Plan(plan) =
-        run_uql("EXPLAIN SELECT GalAge(z) FROM sky SEED 1", &mut ctx).unwrap()
+        run_uql("EXPLAIN SELECT GalAge(z) FROM sky SEED 1", &ctx).unwrap()
     else {
         panic!("plan")
     };
@@ -485,8 +481,7 @@ fn auto_strategy_resolves_by_cost_rules() {
         "points",
         Relation::new(Schema::new(&["x"]), tuples).unwrap(),
     );
-    let QueryOutput::Plan(plan) =
-        run_uql("EXPLAIN SELECT F1(x) FROM points SEED 1", &mut ctx).unwrap()
+    let QueryOutput::Plan(plan) = run_uql("EXPLAIN SELECT F1(x) FROM points SEED 1", &ctx).unwrap()
     else {
         panic!("plan")
     };
@@ -508,7 +503,7 @@ fn repeated_runs_are_reproducible() {
             "SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \
              USING gp BATCH 32 SEED {seed} LIMIT 96"
         );
-        let QueryOutput::Stream(out) = run_uql(&q, &mut ctx).unwrap() else {
+        let QueryOutput::Stream(out) = run_uql(&q, &ctx).unwrap() else {
             panic!("stream")
         };
         out.digest
@@ -524,7 +519,7 @@ fn unbounded_stream_query_is_refused() {
     ctx.register_stream("synth", 1, || {
         Box::new(SyntheticSource::gaussian(1, 0.5, 3))
     });
-    let err = run_uql("SELECT F2(x) FROM STREAM synth", &mut ctx).unwrap_err();
+    let err = run_uql("SELECT F2(x) FROM STREAM synth", &ctx).unwrap_err();
     assert!(err.to_string().contains("LIMIT"), "{err}");
 }
 
@@ -552,7 +547,7 @@ fn tuning_loop_extends_instead_of_rebuilding_on_f2() {
     );
     let QueryOutput::Plan(report) = run_uql(
         "EXPLAIN ANALYZE SELECT F2(x) FROM points USING gp MODEL CAP 96 WORKERS 1 SEED 7",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
@@ -660,17 +655,17 @@ fn a_panicking_udf_fails_only_its_statement() {
     // pool worker in the middle of the MC batch.
     for (using, bad) in [("gp", 8), ("mc", 300)] {
         let q = format!("SELECT Boom(z) FROM sky USING {using} WORKERS 2 SEED 7");
-        let mut ctx = boom_ctx(bad);
-        let failed = catch_unwind(AssertUnwindSafe(|| run_uql(&q, &mut ctx)));
+        let ctx = boom_ctx(bad);
+        let failed = catch_unwind(AssertUnwindSafe(|| run_uql(&q, &ctx)));
         assert!(
             !matches!(failed, Ok(Ok(_))),
             "{using}: the statement succeeded"
         );
 
-        let QueryOutput::Rows(again) = run_uql(&q, &mut ctx).unwrap() else {
+        let QueryOutput::Rows(again) = run_uql(&q, &ctx).unwrap() else {
             panic!("rows")
         };
-        let QueryOutput::Rows(fresh) = run_uql(&q, &mut boom_ctx(u64::MAX)).unwrap() else {
+        let QueryOutput::Rows(fresh) = run_uql(&q, &boom_ctx(u64::MAX)).unwrap() else {
             panic!("rows")
         };
         assert_eq!(again.rows.len(), 64, "{using}");

@@ -232,7 +232,7 @@ fn no_input_makes_run_uql_panic() {
         // span that splits a character would panic there, not in `run_uql`.
         let result: Result<QueryOutput, (LangError, String)> =
             catch_unwind(AssertUnwindSafe(|| {
-                run_uql(&text, &mut ctx).map_err(|e| {
+                run_uql(&text, &ctx).map_err(|e| {
                     let rendered = e.render(&text);
                     (e, rendered)
                 })

@@ -94,7 +94,7 @@ fn check_counts<'a>(
 /// Run one statement and fold everything it reported.
 fn digest(statement: &str) -> u64 {
     let mut fnv = Fnv::new();
-    match run_uql(statement, &mut context()).unwrap() {
+    match run_uql(statement, &context()).unwrap() {
         QueryOutput::Rows(out) => {
             for r in &out.rows {
                 fnv.row(r.source, r.tep, &r.output);

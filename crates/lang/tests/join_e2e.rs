@@ -36,13 +36,13 @@ const HI: f64 = 0.36;
 const THETA: f64 = 0.5;
 
 fn uql_join(n: usize, strategy: &str, workers: usize, seed: u64) -> JoinRowsOutput {
-    let mut ctx = ctx_with_sky(n);
+    let ctx = ctx_with_sky(n);
     let q = format!(
         "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM sky a JOIN sky b \
          ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [{LO}, {HI}]) >= {THETA} \
          USING {strategy} WORKERS {workers} SEED {seed}",
     );
-    match run_uql(&q, &mut ctx).unwrap() {
+    match run_uql(&q, &ctx).unwrap() {
         QueryOutput::Join(out) => out,
         other => panic!("join query must return join rows, got {other:?}"),
     }
@@ -124,14 +124,14 @@ fn uql_join_matches_hand_built_q2_pipeline() {
 #[test]
 fn metrics_switch_never_perturbs_join_outputs() {
     let run = |enabled: bool| {
-        let mut ctx = ctx_with_sky(24);
+        let ctx = ctx_with_sky(24);
         ctx.metrics().set_enabled(enabled);
         let q = format!(
             "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 FROM sky a JOIN sky b \
              ON a.objID < b.objID WHERE PR(AngDist(a.z, b.z) IN [{LO}, {HI}]) >= {THETA} \
              USING gp WORKERS 2 SEED 9"
         );
-        match run_uql(&q, &mut ctx).unwrap() {
+        match run_uql(&q, &ctx).unwrap() {
             QueryOutput::Join(out) => out,
             other => panic!("join rows expected, got {other:?}"),
         }
@@ -151,13 +151,13 @@ fn metrics_switch_never_perturbs_join_outputs() {
 /// pair counters and the join-phase histograms.
 #[test]
 fn explain_analyze_reports_join_counters() {
-    let mut ctx = ctx_with_sky(24);
+    let ctx = ctx_with_sky(24);
     let QueryOutput::Plan(report) = run_uql(
         "EXPLAIN ANALYZE SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 \
          FROM sky a JOIN sky b ON a.objID < b.objID \
          WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5 \
          USING gp WORKERS 2 SEED 9",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("ANALYZE returns the annotated plan")
@@ -190,11 +190,11 @@ fn explain_analyze_reports_join_counters() {
 /// predicate ruled inside the join.
 #[test]
 fn explain_renders_join_pushdown() {
-    let mut ctx = ctx_with_sky(8);
+    let ctx = ctx_with_sky(8);
     let QueryOutput::Plan(plan) = run_uql(
         "EXPLAIN SELECT AngDist(a.z, b.z) FROM sky a JOIN sky b ON a.objID < b.objID \
          WHERE PR(AngDist(a.z, b.z) IN [0.3, 0.36]) >= 0.5 USING gp",
-        &mut ctx,
+        &ctx,
     )
     .unwrap() else {
         panic!("EXPLAIN returns a plan")

@@ -357,9 +357,9 @@ fn malformed_queries_fail_with_spans() {
         },
     ];
 
-    let mut ctx = ctx();
+    let ctx = ctx();
     for case in &cases {
-        let err = run_uql(case.query, &mut ctx)
+        let err = run_uql(case.query, &ctx)
             .map(|_| ())
             .expect_err(&format!("must reject: {}", case.query));
         let LangError::Diagnostic {
@@ -396,12 +396,12 @@ fn malformed_queries_fail_with_spans() {
 /// allowed, not cheap). One digit tighter is rejected in the table above.
 #[test]
 fn accuracy_just_inside_the_sample_limit_binds() {
-    let mut ctx = ctx();
+    let ctx = ctx();
     for query in [
         "EXPLAIN SELECT GalAge(z) WITH ACCURACY 0.000664 0.05 FROM sky USING mc",
         "EXPLAIN SELECT GalAge(z) WITH ACCURACY 0.001032 0.05 FROM sky USING gp",
     ] {
-        let out = run_uql(query, &mut ctx);
+        let out = run_uql(query, &ctx);
         assert!(out.is_ok(), "{query}: {:?}", out.err());
     }
 }
@@ -420,7 +420,7 @@ fn poisoned_catalog_entry_is_a_diagnostic() {
         Some(f64::NAN),
         "bad range",
     ));
-    let err = run_uql("SELECT Identity(z) FROM sky", &mut ctx).unwrap_err();
+    let err = run_uql("SELECT Identity(z) FROM sky", &ctx).unwrap_err();
     let LangError::Diagnostic { stage, message, .. } = &err else {
         panic!("expected diagnostic, got {err}")
     };
@@ -435,7 +435,7 @@ fn poisoned_catalog_entry_is_a_diagnostic() {
     )
     .unwrap();
     ctx.register_relation("sky", bad);
-    let err = run_uql("SELECT GalAge(z) FROM sky", &mut ctx).unwrap_err();
+    let err = run_uql("SELECT GalAge(z) FROM sky", &ctx).unwrap_err();
     assert!(err.to_string().contains("no column `z`"), "{err}");
 }
 
@@ -458,10 +458,10 @@ mod udf_uncertain_probe {
 /// catalog lookup does.
 #[test]
 fn predicate_call_matches_case_insensitively() {
-    let mut ctx = ctx();
+    let ctx = ctx();
     let out = run_uql(
         "SELECT galage(z) FROM sky WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING mc SEED 1",
-        &mut ctx,
+        &ctx,
     );
     assert!(out.is_ok(), "case difference must not reject: {out:?}");
 }
@@ -469,8 +469,8 @@ fn predicate_call_matches_case_insensitively() {
 /// Execution-stage errors (no span) still explain themselves.
 #[test]
 fn exec_errors_are_explained() {
-    let mut ctx = ctx();
-    let err = run_uql("SELECT F1(x) FROM STREAM synth", &mut ctx).unwrap_err();
+    let ctx = ctx();
+    let err = run_uql("SELECT F1(x) FROM STREAM synth", &ctx).unwrap_err();
     assert!(err.span().is_none());
     assert!(err
         .render("SELECT F1(x) FROM STREAM synth")
@@ -529,9 +529,9 @@ fn malformed_prepared_statements_fail_with_spans() {
             at: "TRACE",
         },
     ];
-    let mut ctx = ctx();
+    let ctx = ctx();
     for case in &cases {
-        let err = run_uql(case.query, &mut ctx)
+        let err = run_uql(case.query, &ctx)
             .map(|_| ())
             .expect_err(&format!("must reject: {}", case.query));
         let LangError::Diagnostic {

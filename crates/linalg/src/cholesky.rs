@@ -142,7 +142,7 @@ impl Cholesky {
 
     /// Solve `Lᵀ x = y` (back substitution).
     #[allow(clippy::needless_range_loop)] // indexing two arrays in lockstep
-    pub fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
         if y.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -276,7 +276,7 @@ impl Cholesky {
     /// [`Cholesky::solve_upper`] (`k` ascending from `i+1`).
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
-    pub fn solve_upper_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
+    pub(crate) fn solve_upper_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
         let n = self.dim();
         if rhs.len() != n * cols {
             return Err(LinalgError::DimensionMismatch {
@@ -299,42 +299,6 @@ impl Cholesky {
             }
         }
         Ok(())
-    }
-
-    /// Solve `L Y = B` for all columns of `B` at once.
-    ///
-    /// Returns an error if `b.rows() != dim()`.
-    pub fn solve_lower_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: b.rows(),
-                context: "Cholesky::solve_lower_matrix",
-            });
-        }
-        let cols = b.cols();
-        let mut out = b.clone();
-        self.solve_lower_in_place(out.as_mut_slice(), cols)?;
-        Ok(out)
-    }
-
-    /// Solve `Lᵀ X = Y` for all columns of `Y` at once.
-    ///
-    /// Returns an error if `y.rows() != dim()`.
-    pub fn solve_upper_matrix(&self, y: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if y.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: y.rows(),
-                context: "Cholesky::solve_upper_matrix",
-            });
-        }
-        let cols = y.cols();
-        let mut out = y.clone();
-        self.solve_upper_in_place(out.as_mut_slice(), cols)?;
-        Ok(out)
     }
 
     /// Solve `A X = B` where `A = L Lᵀ`, all columns at once (forward then
@@ -658,8 +622,10 @@ mod tests {
         )
         .unwrap();
 
-        let ylo = c.solve_lower_matrix(&b).unwrap();
-        let yup = c.solve_upper_matrix(&b).unwrap();
+        let mut ylo = b.clone();
+        c.solve_lower_in_place(ylo.as_mut_slice(), cols).unwrap();
+        let mut yup = b.clone();
+        c.solve_upper_in_place(yup.as_mut_slice(), cols).unwrap();
         let full = c.solve_matrix(&b).unwrap();
         let mut col = vec![0.0; n];
         for j in 0..cols {
@@ -771,10 +737,9 @@ mod tests {
     #[test]
     fn multi_rhs_dimension_checked() {
         let c = Cholesky::factor(&spd3()).unwrap();
-        assert!(c.solve_lower_matrix(&Matrix::zeros(2, 4)).is_err());
-        assert!(c.solve_upper_matrix(&Matrix::zeros(4, 2)).is_err());
         let mut buf = vec![0.0; 5];
         assert!(c.solve_lower_in_place(&mut buf, 2).is_err());
+        assert!(c.solve_upper_in_place(&mut buf, 2).is_err());
         // Zero-column panels are a no-op.
         let mut empty: Vec<f64> = vec![];
         c.solve_lower_in_place(&mut empty, 0).unwrap();

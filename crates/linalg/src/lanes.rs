@@ -42,7 +42,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// # Panics
 /// Panics if the slices have different lengths (caller bug).
 #[inline]
-pub fn axpy_sub(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy_sub(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "lanes::axpy_sub: length mismatch");
     let mut yc = y.chunks_exact_mut(4);
     let mut xc = x.chunks_exact(4);
@@ -60,7 +60,7 @@ pub fn axpy_sub(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// `y[j] /= d` for each lane `j` (a true division per lane, *not* a
 /// reciprocal-multiply, matching the scalar path's `sum / diag`).
 #[inline]
-pub fn div_scale(y: &mut [f64], d: f64) {
+pub(crate) fn div_scale(y: &mut [f64], d: f64) {
     let mut yc = y.chunks_exact_mut(4);
     for yy in &mut yc {
         yy[0] /= d;

@@ -26,4 +26,4 @@ pub use matrix::Matrix;
 pub use vector::{axpy, dot};
 
 /// Result alias for linear-algebra operations.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

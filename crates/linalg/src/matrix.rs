@@ -50,32 +50,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Build from nested rows (each inner slice is one row).
-    ///
-    /// Returns an error if rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        if rows.is_empty() {
-            return Ok(Matrix::zeros(0, 0));
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            if r.len() != cols {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: cols,
-                    found: r.len(),
-                    context: "Matrix::from_rows",
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
     /// Build an `n x n` matrix from a symmetric generator `g(i, j)`,
     /// evaluating `g` only for `j <= i` and mirroring.
     pub fn from_symmetric_fn(n: usize, mut g: impl FnMut(usize, usize) -> f64) -> Self {
@@ -116,13 +90,13 @@ impl Matrix {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// True if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -134,7 +108,7 @@ impl Matrix {
 
     /// Mutable row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
@@ -146,7 +120,7 @@ impl Matrix {
 
     /// Mutable underlying row-major storage.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -310,6 +284,36 @@ impl fmt::Debug for Matrix {
             writeln!(f, "  ...")?;
         }
         write!(f, "]")
+    }
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// Build from nested rows (each inner slice is one row): the tests'
+    /// literal matrices.
+    ///
+    /// Returns an error if rows have inconsistent lengths.
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
+        if rows.is_empty() {
+            return Ok(Matrix::zeros(0, 0));
+        }
+        let cols = rows[0].len();
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for r in rows {
+            if r.len() != cols {
+                return Err(LinalgError::DimensionMismatch {
+                    expected: cols,
+                    found: r.len(),
+                    context: "Matrix::from_rows",
+                });
+            }
+            data.extend_from_slice(r);
+        }
+        Ok(Matrix {
+            rows: rows.len(),
+            cols,
+            data,
+        })
     }
 }
 

@@ -12,11 +12,10 @@ use std::fmt::Display;
 /// ```
 /// use udf_obs::fmt::KvLine;
 /// let line = KvLine::new()
-///     .label("q1", 4)
 ///     .field("in", 100)
 ///     .field("kept", 40)
 ///     .raw("1234 tup/s");
-/// assert_eq!(line.finish(), "q1  in=100 kept=40 1234 tup/s");
+/// assert_eq!(line.finish(), "in=100 kept=40 1234 tup/s");
 /// ```
 #[derive(Debug, Default)]
 pub struct KvLine {
@@ -35,14 +34,6 @@ impl KvLine {
         }
     }
 
-    /// A leading label, left-padded to `width` columns (for aligned
-    /// multi-line reports).
-    pub fn label(mut self, text: &str, width: usize) -> Self {
-        self.sep();
-        self.buf.push_str(&format!("{text:<width$}"));
-        self
-    }
-
     /// Append `key=value`.
     pub fn field(mut self, key: &str, value: impl Display) -> Self {
         self.sep();
@@ -57,7 +48,7 @@ impl KvLine {
         self
     }
 
-    /// The assembled line (no trailing newline; trailing pad spaces are
+    /// The assembled line (no trailing newline; trailing spaces are
     /// trimmed).
     pub fn finish(self) -> String {
         self.buf.trim_end().to_string()
@@ -72,16 +63,6 @@ mod tests {
     fn fields_join_with_single_spaces() {
         let line = KvLine::new().field("a", 1).field("b", "x").finish();
         assert_eq!(line, "a=1 b=x");
-    }
-
-    #[test]
-    fn padding_aligns_columns() {
-        let line = KvLine::new()
-            .label("q", 3)
-            .field("in", 7)
-            .field("out", 2)
-            .finish();
-        assert_eq!(line, "q  in=7 out=2");
     }
 
     #[test]

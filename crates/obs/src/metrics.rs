@@ -41,7 +41,7 @@ impl Counter {
 
     /// Whether operations on this handle currently record.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -87,7 +87,7 @@ impl Gauge {
 
     /// Whether operations on this handle currently record.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -100,7 +100,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
 
@@ -227,7 +227,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let core = &*self.core;
         HistogramSnapshot {
             count: core.count.load(Ordering::Relaxed),
@@ -275,7 +275,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean recorded value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -287,7 +287,7 @@ impl HistogramSnapshot {
     /// `q`-th ranked sample (`q` clamped to `[0, 1]`). The true `max` is
     /// reported for the top-most occupied bucket, so `quantile(1.0)` is
     /// exact.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -311,7 +311,7 @@ impl HistogramSnapshot {
     /// Subtract an earlier snapshot of the same histogram: bucket counts,
     /// `count`, and `sum` are differenced; `max` keeps the later value
     /// (maxima are not invertible).
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),

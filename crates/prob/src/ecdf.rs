@@ -113,21 +113,6 @@ impl Ecdf {
         *self.values.last().expect("non-empty by construction")
     }
 
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Sample variance (unbiased; 0 for a single sample).
-    pub fn variance(&self) -> f64 {
-        let m = self.values.len();
-        if m < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        self.values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (m - 1) as f64
-    }
-
     /// A kernel-free histogram-style pdf estimate over `bins` equal-width
     /// bins spanning the sample range; returns `(bin_center, density)` pairs.
     /// Used to render Fig 6(a)-style output pdfs.
@@ -188,14 +173,6 @@ mod tests {
         assert_eq!(d.quantile(0.0), 10.0); // clamped
         assert_eq!(d.min(), 10.0);
         assert_eq!(d.max(), 40.0);
-    }
-
-    #[test]
-    fn moments() {
-        let d = e(&[1.0, 2.0, 3.0]);
-        assert!((d.mean() - 2.0).abs() < 1e-15);
-        assert!((d.variance() - 1.0).abs() < 1e-15);
-        assert_eq!(e(&[5.0]).variance(), 0.0);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Implements everything §2 of the paper ("An Approximation Framework")
 //! relies on, from scratch:
 //!
-//! * special functions (`erf`, `Φ`, `Φ⁻¹`, `ln Γ`, regularized incomplete
-//!   gamma) — [`special`];
+//! * the standard normal `Φ`, `Φ̄` and `Φ⁻¹`, and the Hermite polynomials
+//!   of the band's Euler-characteristic densities — [`special`];
 //! * the input marginal [`Value`] (Gaussian or point mass, sampled only) —
 //!   [`dist`];
 //! * multivariate uncertain inputs (independent marginals, one per
-//!   attribute) — [`input`];
-//! * empirical CDFs — [`ecdf`] — and the one linear walk over the merged
+//!   attribute) — [`InputDistribution`];
+//! * empirical CDFs — [`Ecdf`] — and the one linear walk over the merged
 //!   support of several of them that every metric and bound sweeps —
-//!   [`merged`];
+//!   [`MergedSupport`];
 //! * the **discrepancy**, **λ-discrepancy** and **KS** distance metrics
 //!   (Definitions 1–3) — [`metrics`];
 //! * DKW / Hoeffding sample-size and confidence-interval helpers
@@ -19,9 +19,9 @@
 
 pub mod bounds;
 pub mod dist;
-pub mod ecdf;
-pub mod input;
-pub mod merged;
+pub(crate) mod ecdf;
+pub(crate) mod input;
+pub(crate) mod merged;
 pub mod metrics;
 pub mod special;
 

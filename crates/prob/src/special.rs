@@ -1,29 +1,21 @@
 //! Special functions implemented from standard algorithms.
 //!
-//! * `erf`/`erfc`: via the regularized incomplete gamma function,
-//!   `erf(x) = P(1/2, x²)` / `erfc(x) = Q(1/2, x²)` — near machine precision
-//!   on both tails (series for small arguments, Lentz continued fraction for
-//!   large ones).
+//! * `erfc`: via the regularized upper incomplete gamma function,
+//!   `erfc(x) = Q(1/2, x²)` — near machine precision on both tails (series
+//!   for small arguments, Lentz continued fraction for large ones). It is
+//!   what `norm_cdf`/`norm_sf` evaluate.
 //! * `norm_ppf` (Φ⁻¹): Acklam's algorithm with one Halley refinement step —
 //!   absolute error below 1e-12 over (0, 1).
 //! * `ln_gamma`: Lanczos approximation (g = 7, n = 9).
-//! * `gamma_p`/`gamma_q`: regularized incomplete gamma via series / continued
-//!   fraction (Numerical Recipes `gammp`/`gammq`), behind `erf`/`erfc`.
+//! * `gamma_q`: regularized upper incomplete gamma via series / continued
+//!   fraction (Numerical Recipes `gammq`), behind `erfc`. The tests check it
+//!   against its complement `P(a, x)` and `erf`, kept there as oracles.
 
 use std::f64::consts::{PI, SQRT_2};
 
-/// Error function `erf(x)`, accurate to ~1e-15.
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        -erf(-x)
-    } else {
-        gamma_p(0.5, x * x)
-    }
-}
-
 /// Complementary error function `erfc(x) = 1 - erf(x)` computed without
 /// cancellation for large positive `x`.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         2.0 - erfc(-x)
     } else {
@@ -110,7 +102,7 @@ pub fn norm_ppf(p: f64) -> f64 {
 }
 
 /// `ln Γ(x)` for `x > 0` via the Lanczos approximation.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -181,27 +173,9 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     (-x + a * x.ln() - ln_gamma(a)).exp() * h
 }
 
-/// Regularized lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)`.
-///
-/// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes §6.2). Returns NaN for invalid arguments.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    if a <= 0.0 || x < 0.0 {
-        return f64::NAN;
-    }
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`, computed on
 /// the accurate branch for each regime (no cancellation on the upper tail).
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     if a <= 0.0 || x < 0.0 {
         return f64::NAN;
     }
@@ -236,6 +210,35 @@ pub fn hermite(n: usize, z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Error function `erf(x) = P(1/2, x²)`: the complement `erfc` is
+    /// checked against.
+    fn erf(x: f64) -> f64 {
+        if x < 0.0 {
+            -erf(-x)
+        } else {
+            gamma_p(0.5, x * x)
+        }
+    }
+
+    /// Regularized lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)`: the
+    /// complement `gamma_q` is checked against.
+    ///
+    /// Series expansion for `x < a + 1`, continued fraction otherwise
+    /// (Numerical Recipes §6.2). Returns NaN for invalid arguments.
+    fn gamma_p(a: f64, x: f64) -> f64 {
+        if a <= 0.0 || x < 0.0 {
+            return f64::NAN;
+        }
+        if x == 0.0 {
+            return 0.0;
+        }
+        if x < a + 1.0 {
+            gamma_p_series(a, x)
+        } else {
+            1.0 - gamma_q_cf(a, x)
+        }
+    }
 
     #[test]
     fn erf_known_values() {

@@ -15,8 +15,8 @@
 //! UDF projection, and UDF selection with tuple-existence-probability
 //! filtering, all parameterized by evaluation strategy (MC or OLGAPRO).
 
-pub mod executor;
-pub mod relation;
+pub(crate) mod executor;
+pub(crate) mod relation;
 
 pub use executor::{EvalStrategy, Executor, ProjectedTuple};
 pub use relation::{Relation, Schema, Tuple, UdfCall};
@@ -90,4 +90,4 @@ impl From<udf_prob::ProbError> for QueryError {
 }
 
 /// Result alias for query operations.
-pub type Result<T> = std::result::Result<T, QueryError>;
+pub(crate) type Result<T> = std::result::Result<T, QueryError>;

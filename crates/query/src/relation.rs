@@ -19,7 +19,7 @@ impl Schema {
     }
 
     /// Number of columns.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.columns.len()
     }
 
@@ -79,12 +79,12 @@ impl Tuple {
     }
 
     /// All attributes.
-    pub fn values(&self) -> &[Value] {
+    pub(crate) fn values(&self) -> &[Value] {
         &self.values
     }
 
     /// Concatenate (for joins).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
+    pub(crate) fn concat(&self, other: &Tuple) -> Tuple {
         let mut values = self.values.clone();
         values.extend(other.values.iter().cloned());
         Tuple { values }

@@ -65,7 +65,7 @@ impl BoundingBox {
     }
 
     /// Squared version of [`BoundingBox::min_dist`].
-    pub fn min_dist_sq(&self, p: &[f64]) -> f64 {
+    pub(crate) fn min_dist_sq(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dim());
         p.iter()
             .zip(self.lo.iter().zip(&self.hi))
@@ -89,7 +89,7 @@ impl BoundingBox {
     }
 
     /// Squared version of [`BoundingBox::max_dist`].
-    pub fn max_dist_sq(&self, p: &[f64]) -> f64 {
+    pub(crate) fn max_dist_sq(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dim());
         p.iter()
             .zip(self.lo.iter().zip(&self.hi))

@@ -8,11 +8,11 @@
 //! `udf_core::batch`, early filtering in `udf_core::filtering`); this
 //! crate turns it into a long-running, multi-query engine:
 //!
-//! * [`source::Source`] — unbounded/finite producers of uncertain
-//!   tuples, with adapters for the synthetic §6.1 workload generators and
-//!   the astrophysics catalog;
-//! * [`session::Session`] — the engine: register many concurrent
-//!   `(query, UDF)` subscriptions, then drive them all over one stream.
+//! * [`Source`] — unbounded/finite producers of uncertain tuples, with
+//!   adapters for the synthetic §6.1 workload generators and the
+//!   astrophysics catalog;
+//! * [`Session`] — the engine: register many concurrent `(query, UDF)`
+//!   subscriptions, then drive them all over one stream.
 //!   Its run loop pipelines ingest against evaluation through a bounded
 //!   channel (backpressure) and runs each micro-batch through
 //!   [`udf_core::batch::Evaluator`] on the workers of one
@@ -24,8 +24,8 @@
 //! * per-query [`BatchCounts`](udf_core::BatchCounts) — the same counter
 //!   block the relational executor and the join report, `cap_hits`
 //!   included — beside each subscription's determinism
-//!   [`digest`](session::Session::digest) and a ring of its most recent
-//!   kept tuples ([`recent`](session::Session::recent)): the one place a
+//!   [`digest`](Session::digest) and a ring of its most recent kept tuples
+//!   ([`recent`](Session::recent)): the one place a
 //!   subscription reports itself.
 //!
 //! ## Determinism
@@ -35,7 +35,7 @@
 //! index)`, slow-path (model-mutating) work runs sequentially in tuple
 //! order, and batch boundaries are fixed by the configuration — so a fixed
 //! seed yields byte-identical output distributions regardless of the worker
-//! count. [`Session::digest`](session::Session::digest) exposes a hash of
+//! count. [`Session::digest`] exposes a hash of
 //! every emitted distribution as the cheap witness of that guarantee.
 //!
 //! ## Quickstart
@@ -62,9 +62,9 @@
 //! ```
 
 pub mod health;
-pub mod session;
-pub mod source;
-pub mod stats;
+pub(crate) mod session;
+pub(crate) mod source;
+pub(crate) mod stats;
 
 pub use health::HealthMonitor;
 pub use session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
@@ -136,7 +136,7 @@ impl From<udf_core::CoreError> for StreamError {
 }
 
 /// Result alias for streaming operations.
-pub type Result<T> = std::result::Result<T, StreamError>;
+pub(crate) type Result<T> = std::result::Result<T, StreamError>;
 
 /// The items most streaming applications need.
 pub mod prelude {

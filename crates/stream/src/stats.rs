@@ -19,7 +19,7 @@ pub struct KeptSummary {
 /// FNV-1a accumulator hashing emitted distributions byte-for-byte; equal
 /// digests across configurations witness the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Digest(u64);
+pub(crate) struct Digest(u64);
 
 impl Default for Digest {
     fn default() -> Self {
@@ -29,7 +29,7 @@ impl Default for Digest {
 
 impl Digest {
     /// Fold one 64-bit word into the digest.
-    pub fn push_u64(&mut self, word: u64) {
+    pub(crate) fn push_u64(&mut self, word: u64) {
         for byte in word.to_le_bytes() {
             self.0 ^= byte as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
@@ -37,12 +37,12 @@ impl Digest {
     }
 
     /// Fold a float's exact bit pattern into the digest.
-    pub fn push_f64(&mut self, value: f64) {
+    pub(crate) fn push_f64(&mut self, value: f64) {
         self.push_u64(value.to_bits());
     }
 
     /// Fold every sample of an ECDF into the digest.
-    pub fn push_ecdf(&mut self, ecdf: &udf_prob::Ecdf) {
+    pub(crate) fn push_ecdf(&mut self, ecdf: &udf_prob::Ecdf) {
         self.push_u64(ecdf.len() as u64);
         for &v in ecdf.values() {
             self.push_f64(v);
@@ -50,7 +50,7 @@ impl Digest {
     }
 
     /// The current digest value.
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.0
     }
 }

@@ -50,7 +50,7 @@ impl Default for Cosmology {
 
 impl Cosmology {
     /// Dimensionless Hubble rate `E(z) = sqrt(Ω_M (1+z)³ + Ω_Λ)` (flat).
-    pub fn e(&self, z: f64) -> f64 {
+    pub(crate) fn e(&self, z: f64) -> f64 {
         (self.omega_m * (1.0 + z).powi(3) + self.omega_l).sqrt()
     }
 
@@ -117,7 +117,7 @@ impl UdfFunction for GalAge {
 
 /// `ComoveVol(z1, z2)` with a fixed survey area (2-D UDF of Q2).
 #[derive(Debug, Clone)]
-pub struct ComoveVol {
+pub(crate) struct ComoveVol {
     /// Cosmology parameters.
     pub cosmology: Cosmology,
     /// Survey area in steradians (Q2's constant `AREA`).
@@ -140,7 +140,7 @@ impl UdfFunction for ComoveVol {
 /// `AngDist(z1, z2)` — angular-diameter distance between two redshifts
 /// (2-D; the paper's fastest UDF).
 #[derive(Debug, Clone)]
-pub struct AngDist(pub Cosmology);
+pub(crate) struct AngDist(pub Cosmology);
 
 impl UdfFunction for AngDist {
     fn dim(&self) -> usize {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use udf_core::udf::{BlackBoxUdf, CostModel, UdfFunction};
 
 /// Default survey area (steradians) for the registered `ComoveVol`.
-pub const DEFAULT_AREA: f64 = 0.1;
+pub(crate) const DEFAULT_AREA: f64 = 0.1;
 
 /// One registered UDF plus the metadata a query planner needs.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ impl UdfCatalog {
 
     /// The paper's evaluation surface: `F1`–`F4` (1-D synthetic, §6.1-A)
     /// plus `GalAge`, `ComoveVol`, `AngDist` (§6.4) with the paper's
-    /// nominal per-call costs and [`DEFAULT_AREA`] for `ComoveVol`.
+    /// nominal per-call costs and `DEFAULT_AREA` for `ComoveVol`.
     pub fn standard() -> Self {
         let mut cat = UdfCatalog::new();
         for pf in PaperFunction::ALL {
@@ -178,16 +178,6 @@ impl UdfCatalog {
         self.entries.keys().map(String::as_str).collect()
     }
 
-    /// Number of registered UDFs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterate entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &UdfEntry)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
@@ -201,7 +191,7 @@ mod tests {
     #[test]
     fn standard_catalog_has_paper_surface() {
         let cat = UdfCatalog::standard();
-        assert_eq!(cat.len(), 7);
+        assert_eq!(cat.names().len(), 7);
         for name in ["F1", "F2", "F3", "F4", "GalAge", "ComoveVol", "AngDist"] {
             let e = cat.get(name).unwrap_or_else(|| panic!("missing {name}"));
             assert!(e.output_range > 0.0 && e.output_range.is_finite());
@@ -234,7 +224,7 @@ mod tests {
     #[test]
     fn register_replaces_by_name() {
         let mut cat = UdfCatalog::new();
-        assert!(cat.is_empty());
+        assert!(cat.names().is_empty());
         let mk = |range| {
             UdfEntry::probed(
                 Arc::new(crate::synthetic::GaussianMixtureFn::generate(
@@ -248,7 +238,7 @@ mod tests {
         };
         cat.register(mk(1.0));
         cat.register(mk(2.0));
-        assert_eq!(cat.len(), 1);
+        assert_eq!(cat.names().len(), 1);
         assert_eq!(cat.get("G").unwrap().output_range, 2.0);
         assert_eq!(cat.names(), vec!["G"]);
     }
