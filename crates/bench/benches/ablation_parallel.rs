@@ -6,9 +6,10 @@
 
 use std::time::{Duration, Instant};
 use udf_bench::{as_udf, header, paper_accuracy, standard_inputs};
+use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::OlgaproConfig;
 use udf_core::olgapro::Olgapro;
-use udf_core::{BatchCounts, BatchScheduler, BatchSpec, Evaluator};
+use udf_core::sched::BatchScheduler;
 use udf_prob::InputDistribution;
 use udf_workloads::synthetic::PaperFunction;
 

@@ -12,8 +12,7 @@ use udf_bench::{
     as_udf, ground_truth, header, paper_accuracy, standard_inputs, total_ms_per_input, warm_olgapro,
 };
 use udf_core::config::OlgaproConfig;
-use udf_core::filtering::{gp_filtered, mc_filtered, Predicate};
-use udf_core::mc::McEvaluator;
+use udf_core::filtering::{gp_filtered, mc_eval_tuple, Predicate};
 use udf_workloads::synthetic::PaperFunction;
 
 fn main() {
@@ -83,11 +82,10 @@ fn main() {
 
         // --- MC without online filtering: always full computation.
         let udf = as_udf(&f, t);
-        let mc = McEvaluator::new(udf.clone());
         let mut rng = StdRng::seed_from_u64(122);
         let t0 = Instant::now();
         for inp in &inputs {
-            mc.compute(inp, &acc, &mut rng).expect("mc");
+            mc_eval_tuple(&udf, inp, &acc, None, &mut rng).expect("mc");
         }
         let mc_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
 
@@ -97,8 +95,8 @@ fn main() {
         let t0 = Instant::now();
         let mut mc_of_kept = vec![false; inputs.len()];
         for (i, inp) in inputs.iter().enumerate() {
-            mc_of_kept[i] = !mc_filtered(&udf, inp, &acc, &pred, &mut rng)
-                .expect("mc_filtered")
+            mc_of_kept[i] = !mc_eval_tuple(&udf, inp, &acc, Some(&pred), &mut rng)
+                .expect("mc_eval_tuple")
                 .is_filtered();
         }
         let mc_of_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());

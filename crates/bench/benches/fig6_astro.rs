@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 use udf_bench::{header, total_ms_per_input};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
-use udf_core::mc::McEvaluator;
+use udf_core::filtering::{mc_eval_tuple, FilterDecision};
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::BlackBoxUdf;
 use udf_prob::InputDistribution;
@@ -65,9 +65,12 @@ fn main() {
     println!("\nFig 6(a): output pdf of AngDist on one uncertain pair (histogram)");
     let angdist = udfs[0].fork_counter();
     let input = catalog.pair_input(0, 1);
-    let mc = McEvaluator::new(angdist);
     let acc = AccuracyRequirement::new(0.02, 0.05, 0.0, Metric::Ks).expect("valid");
-    let out = mc.compute(&input, &acc, &mut rng).expect("mc");
+    let FilterDecision::Kept { output: out, .. } =
+        mc_eval_tuple(&angdist, &input, &acc, None, &mut rng).expect("mc")
+    else {
+        unreachable!("no predicate, nothing is dropped")
+    };
     for (y, density) in out.ecdf.density_histogram(24) {
         let bar = "#".repeat((density / 2.0).min(60.0) as usize);
         println!("  y={y:>7.4}  pdf={density:>8.4}  {bar}");
@@ -114,11 +117,10 @@ fn main() {
             let gp_ms = total_ms_per_input(t0.elapsed(), &gp_udf, inputs.len());
             // MC.
             let mc_udf = udf.fork_counter();
-            let mc = McEvaluator::new(mc_udf.clone());
             let mut r = StdRng::seed_from_u64(7);
             let t0 = Instant::now();
             for inp in &inputs {
-                mc.compute(inp, &acc, &mut r).expect("mc");
+                mc_eval_tuple(&mc_udf, inp, &acc, None, &mut r).expect("mc");
             }
             let mc_ms = total_ms_per_input(t0.elapsed(), &mc_udf, inputs.len());
             println!(

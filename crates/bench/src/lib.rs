@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
-use udf_core::mc::McEvaluator;
+use udf_core::filtering::{mc_eval_tuple, FilterDecision};
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::{BlackBoxUdf, CostModel, UdfFunction};
 use udf_prob::metrics::lambda_discrepancy;
@@ -145,13 +145,15 @@ pub fn run_mc(
     inputs: &[InputDistribution],
     seed: u64,
 ) -> RunResult {
-    let mc = McEvaluator::new(udf.clone());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let t0 = Instant::now();
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
-        outs.push(mc.compute(input, &accuracy, &mut rng).expect("mc run"));
+        match mc_eval_tuple(&udf, input, &accuracy, None, &mut rng).expect("mc run") {
+            FilterDecision::Kept { output, .. } => outs.push(output),
+            FilterDecision::Filtered { .. } => unreachable!("no predicate, nothing is dropped"),
+        }
     }
     let overhead = t0.elapsed();
 

@@ -250,12 +250,12 @@ impl Evaluator {
         let mut counts = BatchCounts::default();
         match self {
             Evaluator::Mc { udf, accuracy } => {
-                // `mc_eval_tuple` forks the UDF's call counter, so per-tuple
-                // accounting stays exact under concurrency.
+                // Each tuple gets a forked call counter, so parallel
+                // workers never share one.
                 let rulings = sched.try_map(n, |i| {
                     let (id, input) = tuple(i);
                     mc_eval_tuple(
-                        udf,
+                        &udf.fork_counter(),
                         input,
                         accuracy,
                         spec.predicate.as_ref(),
@@ -303,7 +303,7 @@ impl Evaluator {
             let pred = spec.predicate.as_ref();
             let ruling = match self {
                 Evaluator::Mc { udf, accuracy } => {
-                    mc_eval_tuple(udf, input, accuracy, pred, &mut rng)?
+                    mc_eval_tuple(&udf.fork_counter(), input, accuracy, pred, &mut rng)?
                 }
                 Evaluator::Gp(olga) => slow_tuple(olga, input, pred, &mut rng, &mut counts)?,
             };

@@ -258,6 +258,15 @@ mod tests {
     }
 
     #[test]
+    fn discrepancy_metric_uses_more_samples() {
+        // Discrepancy substitutes ε/2 into the DKW count: 4x up to ceiling.
+        let acc_ks = AccuracyRequirement::new(0.1, 0.05, 0.0, Metric::Ks).unwrap();
+        let acc_d = AccuracyRequirement::new(0.1, 0.05, 0.0, Metric::Discrepancy).unwrap();
+        let diff = acc_d.mc_samples() as i64 - 4 * acc_ks.mc_samples() as i64;
+        assert!(diff.abs() <= 4, "ratio should be ~4x, diff {diff}");
+    }
+
+    #[test]
     fn sample_counts_saturate_where_a_share_underflows() {
         // Both accuracies are valid; neither may trip the DKW asserts.
         for metric in [Metric::Ks, Metric::Discrepancy] {

@@ -1,21 +1,21 @@
-//! Online filtering with selection predicates (§2.2-B, Remark 2.1, §5.5).
+//! The Monte Carlo evaluator (§2.2-A, Algorithm 1) and online filtering
+//! with selection predicates (§2.2-B, Remark 2.1, §5.5).
 //!
 //! Queries like Q2 keep a tuple only when `Pr[f(X) ∈ [a, b]] ≥ θ`. Both
 //! evaluators can decide *early*:
 //!
-//! * **MC**: after `m̃ ≤ m` samples the Hoeffding interval
+//! * **MC** ([`mc_eval_tuple`]): after `m̃ ≤ m` samples the Hoeffding interval
 //!   `ρ̃ ± sqrt(ln(2/δ)/(2m̃))` brackets the TEP; when `ρ̃ + ε̃ < θ` the tuple
 //!   is dropped without drawing the remaining samples.
 //! * **GP**: the envelope upper bound `ρ_U = F_S(b) − F_L(a)` (Eq. 3)
 //!   already dominates the TEP with probability `1 − α`; when `ρ_U < θ` the
 //!   tuple is dropped. The batch fast path
 //!   (`Olgapro::infer_ruled_with`) counts ρ_U off the band as it is
-//!   inferred, block by block like the MC batches, and drops without
+//!   inferred, block by block like the MC checks, and drops without
 //!   tuning — or sorting, or inferring the samples a drop no longer needs;
 //!   [`gp_filtered`], the slow path, rules the tuple it has just tuned.
 
 use crate::config::AccuracyRequirement;
-use crate::mc::McEvaluator;
 use crate::olgapro::Olgapro;
 use crate::output::{GpOutput, OutputDistribution};
 use crate::udf::BlackBoxUdf;
@@ -115,15 +115,22 @@ impl<T> FilterDecision<T> {
     }
 }
 
-/// MC evaluation with early filtering (Algorithm 1 + Remark 2.1).
+/// Algorithm 1 on one tuple: draw `accuracy.mc_samples()` input samples,
+/// evaluate the UDF on each and return the empirical CDF. With
+/// `m = ln(2/δ)/(2ε²)` the result is an (ε, δ)-approximation in KS distance
+/// and a (2ε, δ)-approximation in discrepancy \[23\].
 ///
-/// Samples are drawn in batches; after each batch the Hoeffding interval is
-/// checked. δ for the interval comes from the accuracy requirement.
-pub fn mc_filtered(
+/// With a predicate attached, Remark 2.1's Hoeffding interval is checked
+/// after every 64 samples and after the last; the tuple is dropped as soon
+/// as `ρ̃ + ε̃ < θ`, and kept at `ρ̃` otherwise. Without one, the tuple is
+/// kept with TEP 1. `udf_calls` is the number of samples evaluated. The MC
+/// half of the batch operator ([`crate::batch::Evaluator`]), which gives
+/// each tuple a forked call counter so parallel workers never share one.
+pub fn mc_eval_tuple(
     udf: &BlackBoxUdf,
     input: &InputDistribution,
     accuracy: &AccuracyRequirement,
-    predicate: &Predicate,
+    predicate: Option<&Predicate>,
     rng: &mut dyn rand::RngCore,
 ) -> Result<FilterDecision<OutputDistribution>> {
     if input.dim() != udf.dim() {
@@ -133,67 +140,42 @@ pub fn mc_filtered(
         });
     }
     let m = accuracy.mc_samples();
-    let batch = 64usize;
-    let calls_before = udf.calls();
     let mut outputs = Vec::with_capacity(m);
     let mut hits = 0usize;
     let mut x = vec![0.0; input.dim()];
-    while outputs.len() < m {
-        let take = batch.min(m - outputs.len());
-        for _ in 0..take {
-            input.sample_into(rng, &mut x);
-            let y = udf.eval(&x);
-            if !y.is_finite() {
-                return Err(CoreError::NonFiniteUdfOutput {
-                    input: x.clone(),
-                    value: y,
-                });
-            }
-            if y >= predicate.lo && y <= predicate.hi {
-                hits += 1;
-            }
-            outputs.push(y);
-        }
-        let m_tilde = outputs.len();
-        let rho_tilde = hits as f64 / m_tilde as f64;
-        let eps_tilde = hoeffding_halfwidth(m_tilde, accuracy.delta);
-        if rho_tilde + eps_tilde < predicate.theta {
-            return Ok(FilterDecision::Filtered {
-                rho_upper: rho_tilde + eps_tilde,
-                udf_calls: udf.calls() - calls_before,
+    for _ in 0..m {
+        input.sample_into(rng, &mut x);
+        let y = udf.eval(&x);
+        if !y.is_finite() {
+            return Err(CoreError::NonFiniteUdfOutput {
+                input: x.clone(),
+                value: y,
             });
         }
+        outputs.push(y);
+        let Some(p) = predicate else { continue };
+        hits += usize::from(y >= p.lo && y <= p.hi);
+        let m_tilde = outputs.len();
+        if m_tilde % 64 == 0 || m_tilde == m {
+            let rho_upper =
+                hits as f64 / m_tilde as f64 + hoeffding_halfwidth(m_tilde, accuracy.delta);
+            if rho_upper < p.theta {
+                return Ok(FilterDecision::Filtered {
+                    rho_upper,
+                    udf_calls: m_tilde as u64,
+                });
+            }
+        }
     }
-    let tep = hits as f64 / outputs.len() as f64;
+    let tep = predicate.map_or(1.0, |_| hits as f64 / m as f64);
     Ok(FilterDecision::Kept {
         output: OutputDistribution {
             ecdf: Ecdf::new(outputs)?,
             error_bound: accuracy.eps,
-            udf_calls: udf.calls() - calls_before,
+            udf_calls: m as u64,
         },
         tep,
     })
-}
-
-/// One MC tuple on a (possibly parallel) batch path: fork the UDF's call
-/// counter so per-tuple accounting stays exact under concurrency, then run
-/// [`mc_filtered`] when a predicate is attached or plain Algorithm 1
-/// otherwise (unfiltered tuples are kept with TEP 1). The MC half of the
-/// batch operator ([`crate::batch::Evaluator`]).
-pub fn mc_eval_tuple(
-    udf: &BlackBoxUdf,
-    input: &InputDistribution,
-    accuracy: &AccuracyRequirement,
-    predicate: Option<&Predicate>,
-    rng: &mut dyn rand::RngCore,
-) -> Result<FilterDecision<OutputDistribution>> {
-    let local_udf = udf.fork_counter();
-    match predicate {
-        Some(p) => mc_filtered(&local_udf, input, accuracy, p, rng),
-        None => McEvaluator::new(local_udf)
-            .compute(input, accuracy, rng)
-            .map(|output| FilterDecision::Kept { output, tep: 1.0 }),
-    }
 }
 
 /// GP evaluation with filtering (§5.5): process the input with OLGAPRO and
@@ -259,15 +241,95 @@ mod tests {
         assert!(Predicate::new(0.0, 1.0, f64::NAN).is_err());
     }
 
+    fn mc(
+        udf: &BlackBoxUdf,
+        input: &InputDistribution,
+        acc: &AccuracyRequirement,
+        pred: Option<&Predicate>,
+        seed: u64,
+    ) -> Result<FilterDecision<OutputDistribution>> {
+        mc_eval_tuple(udf, input, acc, pred, &mut StdRng::seed_from_u64(seed))
+    }
+
+    fn kept(d: FilterDecision<OutputDistribution>) -> (OutputDistribution, f64) {
+        match d {
+            FilterDecision::Kept { output, tep } => (output, tep),
+            FilterDecision::Filtered { .. } => panic!("should have kept"),
+        }
+    }
+
+    fn normal() -> InputDistribution {
+        InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap()
+    }
+
+    #[test]
+    fn linear_gaussian_passthrough_meets_ks_bound() {
+        // f(x) = x on N(0,1): output should be N(0,1); check the KS distance
+        // against the analytic CDF stays within the requested ε.
+        let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
+        let (out, tep) = kept(mc(&udf, &normal(), &acc(), None, 1).unwrap());
+        assert_eq!(tep, 1.0);
+        assert_eq!(out.udf_calls as usize, acc().mc_samples());
+        let d = udf_prob::metrics::ks_to_cdf(&out.ecdf, udf_prob::special::norm_cdf);
+        assert!(d <= 0.05, "KS = {d}");
+    }
+
+    #[test]
+    fn nonlinear_output_is_non_gaussian() {
+        // f(x) = x² on N(0,1) is chi-squared(1): strongly right-skewed.
+        let udf = BlackBoxUdf::from_fn("sq", 1, |x| x[0] * x[0]);
+        let (out, _) = kept(mc(&udf, &normal(), &acc(), None, 2).unwrap());
+        // Median of chi-squared(1) ≈ 0.455; KS ε = 0.05 near a density of
+        // ~0.47 permits a quantile error of ~0.11.
+        let med = out.ecdf.quantile(0.5);
+        assert!((med - 0.455).abs() < 0.15, "median {med}");
+        assert!(out.ecdf.min() >= 0.0);
+    }
+
+    #[test]
+    fn dimension_mismatch_detected() {
+        let udf = BlackBoxUdf::from_fn("sum", 2, |x| x[0] + x[1]);
+        let acc = AccuracyRequirement::paper_default(0.0);
+        assert!(matches!(
+            mc(&udf, &normal(), &acc, None, 3),
+            Err(CoreError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_udf_output_reported() {
+        let udf = BlackBoxUdf::from_fn("bad", 1, |x| 1.0 / (x[0] - x[0])); // NaN
+        assert!(matches!(
+            mc(&udf, &normal(), &acc(), None, 4),
+            Err(CoreError::NonFiniteUdfOutput { .. })
+        ));
+    }
+
+    #[test]
+    fn mc_predicate_that_never_drops_changes_nothing() {
+        // One loop serves both cases: a predicate whose bound never falls
+        // below θ draws the same samples, in the same order, as none.
+        let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
+        let pred = Predicate::new(-2.0, 2.0, 0.5).unwrap();
+        for seed in 0..8 {
+            let (plain, _) = kept(mc(&udf, &normal(), &acc(), None, seed).unwrap());
+            let (ruled, tep) = kept(mc(&udf, &normal(), &acc(), Some(&pred), seed).unwrap());
+            assert_eq!(tep, 1.0, "seed {seed}");
+            assert_eq!(plain.udf_calls as usize, acc().mc_samples(), "seed {seed}");
+            assert_eq!(ruled.udf_calls, plain.udf_calls, "seed {seed}");
+            let bits = |o: &OutputDistribution| -> Vec<u64> {
+                o.ecdf.values().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&ruled), bits(&plain), "seed {seed}");
+        }
+    }
+
     #[test]
     fn mc_filters_impossible_event_early() {
         let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
-        let input = InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap();
         // Event 50σ away: essentially probability 0.
         let pred = Predicate::new(50.0, 51.0, 0.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(20);
-        let d = mc_filtered(&udf, &input, &acc(), &pred, &mut rng).unwrap();
-        match d {
+        match mc(&udf, &normal(), &acc(), Some(&pred), 20).unwrap() {
             FilterDecision::Filtered { udf_calls, .. } => {
                 assert!(
                     (udf_calls as usize) < acc().mc_samples() / 2,
@@ -281,26 +343,18 @@ mod tests {
     #[test]
     fn mc_keeps_certain_event() {
         let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
-        let input = InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap();
         let pred = Predicate::new(-10.0, 10.0, 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        match mc_filtered(&udf, &input, &acc(), &pred, &mut rng).unwrap() {
-            FilterDecision::Kept { tep, output } => {
-                assert!(tep > 0.99);
-                assert_eq!(output.udf_calls as usize, acc().mc_samples());
-            }
-            FilterDecision::Filtered { .. } => panic!("should have kept"),
-        }
+        let (output, tep) = kept(mc(&udf, &normal(), &acc(), Some(&pred), 21).unwrap());
+        assert!(tep > 0.99);
+        assert_eq!(output.udf_calls as usize, acc().mc_samples());
     }
 
     #[test]
     fn mc_borderline_event_is_kept() {
         // TEP ≈ 0.5 with θ = 0.1 must never be filtered.
         let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
-        let input = InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap();
         let pred = Predicate::new(0.0, 100.0, 0.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(22);
-        assert!(!mc_filtered(&udf, &input, &acc(), &pred, &mut rng)
+        assert!(!mc(&udf, &normal(), &acc(), Some(&pred), 22)
             .unwrap()
             .is_filtered());
     }

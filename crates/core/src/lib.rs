@@ -7,7 +7,6 @@
 //!   evaluation-cost model;
 //! * [`config`] — user accuracy requirements `(ε, δ, λ)` and algorithm
 //!   parameters;
-//! * [`mc`] — the Monte Carlo baseline (Algorithm 1) with DKW sample counts;
 //! * [`output`] — result distributions with attached error bounds and
 //!   envelope CDFs;
 //! * [`error_bound`] — Algorithm 3 (the O(m log m) λ-discrepancy bound over
@@ -15,7 +14,8 @@
 //! * [`olgapro`] — **OLGAPRO** (Algorithm 5): the optimized online
 //!   algorithm with local inference, online tuning, and thresholded
 //!   retraining;
-//! * [`filtering`] — online filtering against selection predicates
+//! * [`filtering`] — the Monte Carlo baseline (Algorithm 1) with DKW
+//!   sample counts, and online filtering against selection predicates
 //!   (Remark 2.1 for MC, §5.5 for GP);
 //! * [`hybrid`] — the §5.4 hybrid's §6.3 rules that pick MC or GP per UDF
 //!   from its dimensionality and nominal cost;
@@ -30,19 +30,12 @@ pub mod config;
 pub mod error_bound;
 pub mod filtering;
 pub mod hybrid;
-pub mod mc;
 pub mod olgapro;
 pub mod output;
 pub mod sched;
 pub mod udf;
 
-pub use batch::{BatchCounts, BatchSpec, EvalStrategy, Evaluator, Ruling};
-pub use config::{AccuracyRequirement, Metric, ModelBudget, OlgaproConfig, RetrainStrategy};
-pub use filtering::{FilterDecision, Predicate};
-pub use mc::McEvaluator;
-pub use olgapro::{InferScratch, Olgapro, OlgaproMetrics};
-pub use output::{GpOutput, OutputDistribution, TuneStop};
-pub use sched::{mix_seed, BatchOps, BatchScheduler, SchedMetrics, Verdict};
+pub use config::AccuracyRequirement;
 
 use std::fmt;
 

@@ -765,6 +765,7 @@ impl Olgapro {
 mod tests {
     use super::*;
     use crate::config::{AccuracyRequirement, ModelBudget};
+    use crate::filtering::mc_eval_tuple;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use udf_obs::HistogramSnapshot;
@@ -833,10 +834,15 @@ mod tests {
         }
         let out = out.unwrap();
 
-        let mc = crate::mc::McEvaluator::new(smooth_udf());
-        let reference = mc
-            .compute_with_samples(&input, 40_000, 0.01, &mut rng)
-            .unwrap();
+        // DKW asks exactly 40,000 samples of (ε, δ) = (0.01, 6.71·10⁻⁴).
+        let reference_acc = AccuracyRequirement::new(0.01, 6.71e-4, 0.0, Metric::Ks).unwrap();
+        assert_eq!(reference_acc.mc_samples(), 40_000);
+        let FilterDecision::Kept {
+            output: reference, ..
+        } = mc_eval_tuple(&smooth_udf(), &input, &reference_acc, None, &mut rng).unwrap()
+        else {
+            unreachable!("no predicate, nothing is dropped")
+        };
         let d = udf_prob::metrics::lambda_discrepancy(&out.y_hat, &reference.ecdf, 0.02);
         assert!(
             d <= 0.15,

@@ -52,8 +52,8 @@ use rand::{Rng, SeedableRng};
 use udf_core::batch::{BatchSpec, Evaluator};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::filtering::{FilterDecision, Predicate};
+use udf_core::olgapro::Olgapro;
 use udf_core::sched::{mix_seed, BatchScheduler};
-use udf_core::Olgapro;
 use udf_gp::band::simultaneous_z;
 use udf_gp::GpModel;
 use udf_linalg::{Cholesky, Matrix};

@@ -9,14 +9,14 @@ use rand::SeedableRng;
 use std::time::{Duration, Instant};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
 use udf_core::error_bound::{envelope_ecdfs, ks_bound, lambda_discrepancy_bound};
-use udf_core::mc::McEvaluator;
+use udf_core::filtering::{mc_eval_tuple, FilterDecision};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::GpOutput;
 use udf_core::udf::{BlackBoxUdf, CostModel};
 use udf_core::CoreError;
 use udf_gp::band::simultaneous_z;
 use udf_gp::train::{train, TrainConfig};
-use udf_gp::{GpModel, SquaredExponential};
+use udf_gp::{GpModel, PredictScratch, SquaredExponential};
 use udf_prob::metrics::lambda_discrepancy;
 use udf_prob::InputDistribution;
 use udf_spatial::BoundingBox;
@@ -37,8 +37,11 @@ fn three_evaluators_agree() {
     let cfg = OlgaproConfig::new(acc(), 1.6).unwrap();
 
     // MC reference.
-    let mc = McEvaluator::new(smooth().fork_counter());
-    let mc_out = mc.compute(&input, &acc(), &mut rng).unwrap();
+    let FilterDecision::Kept { output: mc_out, .. } =
+        mc_eval_tuple(&smooth(), &input, &acc(), None, &mut rng).unwrap()
+    else {
+        unreachable!("no predicate, nothing is dropped")
+    };
 
     // Offline GP (Algorithm 2) on a grid design.
     let mut offline = OfflineGpEvaluator::new(smooth().fork_counter(), cfg.clone());
@@ -108,18 +111,16 @@ fn simulated_cost_matches_busy_wait_reality() {
 
     // Busy: real spinning.
     let busy = smooth().fork_counter().with_cost(CostModel::Busy(per_call));
-    let mc_busy = McEvaluator::new(busy.clone());
     let t0 = Instant::now();
-    mc_busy.compute(&input, &acc, &mut rng).unwrap();
+    mc_eval_tuple(&busy, &input, &acc, None, &mut rng).unwrap();
     let real = t0.elapsed();
 
     // Simulated: charged.
     let sim = smooth()
         .fork_counter()
         .with_cost(CostModel::Simulated(per_call));
-    let mc_sim = McEvaluator::new(sim.clone());
     let t1 = Instant::now();
-    mc_sim.compute(&input, &acc, &mut rng).unwrap();
+    mc_eval_tuple(&sim, &input, &acc, None, &mut rng).unwrap();
     let charged = t1.elapsed() + sim.charged_cost();
 
     let ratio = real.as_secs_f64() / charged.as_secs_f64();
@@ -220,7 +221,9 @@ impl OfflineGpEvaluator {
 
         // One blocked multi-RHS inference over all m samples (bit-identical
         // to the per-sample `predict` loop this replaced).
-        let preds = self.model.predict_batch(&samples)?;
+        let mut preds = Vec::with_capacity(m);
+        self.model
+            .predict_batch_with(&samples, &mut PredictScratch::default(), &mut preds)?;
         let mut means = Vec::with_capacity(m);
         let mut sds = Vec::with_capacity(m);
         for p in &preds {

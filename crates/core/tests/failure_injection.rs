@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
-use udf_core::mc::McEvaluator;
+use udf_core::filtering::{mc_eval_tuple, FilterDecision};
 use udf_core::olgapro::Olgapro;
 use udf_core::udf::{BlackBoxUdf, UdfFunction};
 use udf_core::CoreError;
@@ -49,10 +49,10 @@ fn mc_reports_nan_with_offending_input() {
         }),
         udf_core::udf::CostModel::Free,
     );
-    let mc = McEvaluator::new(udf);
     let input = InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
-    match mc.compute_with_samples(&input, 50, 0.1, &mut rng) {
+    // acc() asks 185 samples; the 6th call NaNs.
+    match mc_eval_tuple(&udf, &input, &acc(), None, &mut rng) {
         Err(CoreError::NonFiniteUdfOutput { input, value }) => {
             assert!(value.is_nan());
             assert_eq!(input.len(), 1);
@@ -85,11 +85,10 @@ fn olgapro_reports_nan_during_tuning_and_stays_usable() {
 #[test]
 fn infinite_udf_output_also_rejected() {
     let udf = BlackBoxUdf::from_fn("inf", 1, |x| 1.0 / (x[0] - x[0]).abs());
-    let mc = McEvaluator::new(udf);
     let input = InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     assert!(matches!(
-        mc.compute_with_samples(&input, 10, 0.1, &mut rng),
+        mc_eval_tuple(&udf, &input, &acc(), None, &mut rng),
         Err(CoreError::NonFiniteUdfOutput { .. })
     ));
 }
@@ -151,10 +150,15 @@ fn ks_metric_pipeline_end_to_end() {
     }
     let out = out.unwrap();
     // Validate against a large reference in the KS metric.
-    let mc = McEvaluator::new(udf);
-    let reference = mc
-        .compute_with_samples(&input, 40_000, 0.01, &mut rng)
-        .unwrap();
+    // DKW asks exactly 40,000 samples of (ε, δ) = (0.01, 6.71·10⁻⁴).
+    let reference_acc = AccuracyRequirement::new(0.01, 6.71e-4, 0.0, Metric::Ks).unwrap();
+    assert_eq!(reference_acc.mc_samples(), 40_000);
+    let FilterDecision::Kept {
+        output: reference, ..
+    } = mc_eval_tuple(&udf, &input, &reference_acc, None, &mut rng).unwrap()
+    else {
+        unreachable!("no predicate, nothing is dropped")
+    };
     let d = udf_prob::metrics::ks(&out.y_hat, &reference.ecdf);
     assert!(d <= 0.15 + 0.02, "KS distance {d}");
 }
@@ -363,7 +367,6 @@ fn a_fault_in_the_slow_fold_leaves_the_scheduler_usable() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use udf_core::batch::{BatchSpec, Evaluator};
     use udf_core::sched::BatchScheduler;
-    use udf_core::FilterDecision;
     let inputs: Vec<InputDistribution> = (0..12).map(|i| tuple(0.45 * i as f64)).collect();
     let spec = BatchSpec {
         seed: 11,

@@ -3,10 +3,12 @@
 //! including cold-model bootstraps and slow-path (model-mutating) tuples,
 //! not just the converged fast path.
 
+use udf_core::batch::{BatchSpec, Evaluator};
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
+use udf_core::filtering::FilterDecision;
 use udf_core::olgapro::Olgapro;
+use udf_core::sched::BatchScheduler;
 use udf_core::udf::BlackBoxUdf;
-use udf_core::{BatchScheduler, BatchSpec, Evaluator, FilterDecision};
 use udf_prob::InputDistribution;
 
 fn setup() -> Olgapro {

@@ -5,7 +5,7 @@ use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::error_bound::{
     envelope_ecdfs, ks_bound, lambda_discrepancy_bound, lambda_discrepancy_bound_naive,
 };
-use udf_core::filtering::{mc_filtered, Predicate};
+use udf_core::filtering::{mc_eval_tuple, Predicate};
 use udf_core::udf::BlackBoxUdf;
 use udf_prob::InputDistribution;
 
@@ -79,7 +79,7 @@ proptest! {
         // deterministic sequences.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64((mu.to_bits() >> 3) ^ sigma.to_bits());
-        let d = mc_filtered(&udf, &input, &acc, &pred, &mut rng).unwrap();
+        let d = mc_eval_tuple(&udf, &input, &acc, Some(&pred), &mut rng).unwrap();
         prop_assert!(!d.is_filtered());
     }
 

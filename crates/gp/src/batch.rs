@@ -31,8 +31,9 @@
 //! op sequence per column (`k` ascending, true division by the diagonal).
 //! SIMD-style
 //! unrolling happens only *across* samples, which are independent outputs.
-//! So `predict_batch(xs)[c] == predict(xs[c])` bit for bit — the property
-//! the digest-pinning test suites rely on.
+//! So the `c`-th prediction `predict_batch_with(xs, …)` emits equals
+//! `predict(xs[c])` bit for bit — the property the digest-pinning test
+//! suites rely on.
 //!
 //! [`LocalPredictorCache`] additionally skips the `O(l³)` subset
 //! refactorization when consecutive tuples select the same training subset
@@ -438,7 +439,9 @@ mod tests {
     fn global_batch_bit_identical_to_scalar() {
         let m = model(40);
         let queries: Vec<Vec<f64>> = (0..97).map(|i| vec![i as f64 * 0.13 - 1.0]).collect();
-        let batch = m.predict_batch(&queries).unwrap();
+        let mut batch = Vec::new();
+        m.predict_batch_with(&queries, &mut PredictScratch::default(), &mut batch)
+            .unwrap();
         assert_eq!(batch.len(), queries.len());
         for (q, b) in queries.iter().zip(&batch) {
             let s = m.predict(q).unwrap();
@@ -455,7 +458,9 @@ mod tests {
         select_local_with(&m, &qbox, 1e-5, &mut sel).unwrap();
         let lp = LocalPredictor::new(&m, sel.selected).unwrap();
         let queries: Vec<Vec<f64>> = (0..64).map(|i| vec![2.0 + i as f64 * 2.0 / 63.0]).collect();
-        let batch = lp.predict_batch(&queries).unwrap();
+        let mut batch = Vec::new();
+        lp.predict_batch_with(&queries, &mut PredictScratch::default(), &mut batch)
+            .unwrap();
         for (q, b) in queries.iter().zip(&batch) {
             let s = lp.predict(q).unwrap();
             assert_eq!(s.mean.to_bits(), b.mean.to_bits());
@@ -522,8 +527,14 @@ mod tests {
                 model.fit(xs.clone(), ys).unwrap();
                 let local = LocalPredictor::new(&model, vec![1, 3, 4]).unwrap();
                 for qs in [&queries[..finite], &queries[..]] {
-                    let global = model.predict_batch(qs).unwrap();
-                    let subset = local.predict_batch(qs).unwrap();
+                    let mut global = Vec::new();
+                    model
+                        .predict_batch_with(qs, &mut PredictScratch::default(), &mut global)
+                        .unwrap();
+                    let mut subset = Vec::new();
+                    local
+                        .predict_batch_with(qs, &mut PredictScratch::default(), &mut subset)
+                        .unwrap();
                     for ((q, g), l) in qs.iter().zip(&global).zip(&subset) {
                         let (sg, sl) = (model.predict(q).unwrap(), local.predict(q).unwrap());
                         assert!(
@@ -599,7 +610,10 @@ mod tests {
     #[test]
     fn empty_query_batch_is_empty() {
         let m = model(8);
-        assert!(m.predict_batch(&[]).unwrap().is_empty());
+        let mut out = vec![m.predict(&[0.0]).unwrap()];
+        m.predict_batch_with(&[], &mut PredictScratch::default(), &mut out)
+            .unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]

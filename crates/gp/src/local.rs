@@ -288,19 +288,11 @@ impl<'m> LocalPredictor<'m> {
     }
 
     /// Predict at all `m` samples of a tuple as one blocked operation (one
-    /// kernel-matrix build + one multi-RHS solve). Bit-identical to calling
-    /// [`LocalPredictor::predict`] per sample (the `batch` module docs say
-    /// how).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>> {
-        let mut scratch = crate::batch::PredictScratch::default();
-        let mut out = Vec::with_capacity(xs.len());
-        self.predict_batch_with(xs, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`LocalPredictor::predict_batch`] with caller-provided scratch and
-    /// output buffers (allocation-free in steady state). Clears `out` and
-    /// fills it with one prediction per sample.
+    /// kernel-matrix build + one multi-RHS solve) into caller-provided
+    /// scratch and output buffers (allocation-free in steady state). Clears
+    /// `out` and fills it with one prediction per sample. Bit-identical to
+    /// calling [`LocalPredictor::predict`] per sample (the `batch` module
+    /// docs say how).
     pub fn predict_batch_with(
         &self,
         xs: &[Vec<f64>],

@@ -334,21 +334,14 @@ impl GpModel {
 
     /// Predict at many points as one blocked operation: a single kernel
     /// matrix build, one multi-RHS triangular solve for all variances, and
-    /// lane-unrolled per-sample mean/variance accumulation.
+    /// lane-unrolled per-sample mean/variance accumulation, into
+    /// caller-provided scratch and output buffers, so steady-state batch
+    /// inference performs no allocation. Clears `out` and fills it with one
+    /// prediction per query point.
     ///
     /// Bit-identical to calling [`GpModel::predict`] once per point — the
     /// per-sample reduction orders are preserved exactly (the `batch`
     /// module docs say how).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>> {
-        let mut scratch = crate::batch::PredictScratch::default();
-        let mut out = Vec::with_capacity(xs.len());
-        self.predict_batch_with(xs, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`GpModel::predict_batch`] with caller-provided scratch and output
-    /// buffers, so steady-state batch inference performs no allocation.
-    /// Clears `out` and fills it with one prediction per query point.
     pub fn predict_batch_with(
         &self,
         xs: &[Vec<f64>],

@@ -122,12 +122,15 @@ proptest! {
         ls in 0.3f64..3.0,
     ) {
         // The blocked fast path must be invisible: for any model and any
-        // query batch, predict_batch == per-sample predict bit for bit.
+        // query batch, predict_batch_with == per-sample predict bit for bit.
         let mut m = GpModel::new(Box::new(SquaredExponential::new(1.0, ls)), 1);
         let inputs: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
         m.fit(inputs, ys).unwrap();
         let qs: Vec<Vec<f64>> = queries.iter().map(|&q| vec![q]).collect();
-        let batch = m.predict_batch(&qs).unwrap();
+        let mut batch = Vec::new();
+        m
+            .predict_batch_with(&qs, &mut PredictScratch::default(), &mut batch)
+            .unwrap();
         prop_assert_eq!(batch.len(), qs.len());
         for (q, b) in qs.iter().zip(&batch) {
             let s = m.predict(q).unwrap();
@@ -152,7 +155,10 @@ proptest! {
         let indices: Vec<usize> = (start.min(n - 1)..n).step_by(step).collect();
         let lp = LocalPredictor::new(&m, indices).unwrap();
         let qs: Vec<Vec<f64>> = queries.iter().map(|&q| vec![q]).collect();
-        let batch = lp.predict_batch(&qs).unwrap();
+        let mut batch = Vec::new();
+        lp
+            .predict_batch_with(&qs, &mut PredictScratch::default(), &mut batch)
+            .unwrap();
         for (q, b) in qs.iter().zip(&batch) {
             let s = lp.predict(q).unwrap();
             prop_assert_eq!(s.mean.to_bits(), b.mean.to_bits(), "mean at {:?}", q);
@@ -179,7 +185,10 @@ proptest! {
         for (model, take) in [(&a, qs.len()), (&b, qs.len() / 2), (&a, qs.len() / 3)] {
             let slice = &qs[..take];
             model.predict_batch_with(slice, &mut reused, &mut out).unwrap();
-            let fresh = model.predict_batch(slice).unwrap();
+            let mut fresh = Vec::new();
+            model
+                .predict_batch_with(slice, &mut PredictScratch::default(), &mut fresh)
+                .unwrap();
             prop_assert_eq!(out.len(), fresh.len());
             for (r, f) in out.iter().zip(&fresh) {
                 prop_assert_eq!(r.mean.to_bits(), f.mean.to_bits());

@@ -24,7 +24,7 @@
 //!   and inherit the stream engine's determinism digests.
 //!
 //! Every backend reports the statement's
-//! [`BatchCounts`](udf_core::BatchCounts) (a join adds its pair counts in
+//! [`BatchCounts`](udf_core::batch::BatchCounts) (a join adds its pair counts in
 //! [`udf_join::JoinStats`]), and [`QueryOutput::report`] prints them as the
 //! same one counter line.
 //!

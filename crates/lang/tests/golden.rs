@@ -8,7 +8,7 @@
 //! ECDF values)` — plus the statement's counters, and each statement must
 //! reproduce its constant at `WORKERS` 1, 2 and 8. The counters are hashed
 //! as the words of the recording commit, derived from today's
-//! [`BatchCounts`](udf_core::BatchCounts): relations and joins counted as
+//! [`BatchCounts`](udf_core::batch::BatchCounts): relations and joins counted as
 //! `fast` only the tuples *kept* there (`fast_kept`), streams every tuple
 //! settled there (`fast`). Before hashing, the counts are checked against
 //! the rows they describe.
@@ -36,7 +36,7 @@ impl Fnv {
         }
     }
 
-    fn row(&mut self, id: usize, tep: f64, out: &udf_core::OutputDistribution) {
+    fn row(&mut self, id: usize, tep: f64, out: &udf_core::output::OutputDistribution) {
         self.word(id as u64);
         self.word(tep.to_bits());
         self.word(out.error_bound.to_bits());
@@ -78,8 +78,8 @@ fn context() -> Context {
 /// every returned row is a kept tuple, and no row spent a UDF call the
 /// counts did not see.
 fn check_counts<'a>(
-    c: &udf_core::BatchCounts,
-    rows: impl ExactSizeIterator<Item = &'a udf_core::OutputDistribution>,
+    c: &udf_core::batch::BatchCounts,
+    rows: impl ExactSizeIterator<Item = &'a udf_core::output::OutputDistribution>,
     statement: &str,
 ) {
     assert_eq!(c.kept, rows.len() as u64, "{statement}: kept ≠ rows");

@@ -29,7 +29,7 @@ impl KvLine {
     }
 
     fn sep(&mut self) {
-        if !self.buf.is_empty() && !self.buf.ends_with(' ') {
+        if !self.buf.is_empty() {
             self.buf.push(' ');
         }
     }
@@ -48,10 +48,9 @@ impl KvLine {
         self
     }
 
-    /// The assembled line (no trailing newline; trailing spaces are
-    /// trimmed).
+    /// The assembled line (no trailing newline).
     pub fn finish(self) -> String {
-        self.buf.trim_end().to_string()
+        self.buf
     }
 }
 

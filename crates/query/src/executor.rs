@@ -11,7 +11,7 @@
 //! batch on a [`BatchScheduler`]: read-only GP inference (or MC sampling)
 //! fans out across its workers, and only tuples that miss the ε_GP
 //! budget take the sequential model-mutating path. Per-tuple RNGs derive
-//! from [`mix_seed`](udf_core::mix_seed)`(seed, 0, i)`, so results are
+//! from [`mix_seed`](udf_core::sched::mix_seed)`(seed, 0, i)`, so results are
 //! byte-identical for any worker count. On the MC path (and on the GP path
 //! once the model is warm) they are also identical to a sequential
 //! evaluation with the same per-tuple seeds; while the model is still being

@@ -7,11 +7,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig};
-use udf_core::filtering::{mc_filtered, FilterDecision, Predicate};
+use udf_core::filtering::{mc_eval_tuple, FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::sched::{mix_seed, BatchScheduler};
 use udf_core::udf::BlackBoxUdf;
-use udf_core::McEvaluator;
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 
 const SEED: u64 = 0xBA7C4;
@@ -82,9 +81,11 @@ fn mc_project_batch_is_worker_invariant_and_matches_sequential() {
         .map(|(i, t)| {
             let input = call.input_distribution(t).unwrap();
             let mut rng = StdRng::seed_from_u64(mix_seed(SEED, 0, i as u64));
-            let output = McEvaluator::new(call.udf.fork_counter())
-                .compute(&input, &acc(Metric::Ks), &mut rng)
-                .unwrap();
+            let FilterDecision::Kept { output, .. } =
+                mc_eval_tuple(&call.udf, &input, &acc(Metric::Ks), None, &mut rng).unwrap()
+            else {
+                unreachable!("no predicate, nothing is dropped")
+            };
             ProjectedTuple {
                 source: i,
                 output,
@@ -168,14 +169,13 @@ fn mc_select_batch_agrees_with_sequential_filtering() {
     assert!(!r1.is_empty(), "predicate too strict: nothing kept");
     assert!(r1.len() < 12, "predicate not selective: everything kept");
 
-    // Sequential reference via mc_filtered with the same per-tuple seeds.
+    // Sequential reference via mc_eval_tuple with the same per-tuple seeds.
     let mut reference = Vec::new();
     for (i, t) in r.tuples().iter().enumerate() {
         let input = call.input_distribution(t).unwrap();
         let mut rng = StdRng::seed_from_u64(mix_seed(SEED, 0, i as u64));
-        let local = call.udf.fork_counter();
         if let FilterDecision::Kept { output, tep } =
-            mc_filtered(&local, &input, &acc(Metric::Ks), &pred, &mut rng).unwrap()
+            mc_eval_tuple(&call.udf, &input, &acc(Metric::Ks), Some(&pred), &mut rng).unwrap()
         {
             reference.push(ProjectedTuple {
                 source: i,
@@ -184,7 +184,7 @@ fn mc_select_batch_agrees_with_sequential_filtering() {
             });
         }
     }
-    assert_rows_identical(&r1, &reference, "batch vs sequential mc_filtered");
+    assert_rows_identical(&r1, &reference, "batch vs sequential mc_eval_tuple");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! evaluation: tuples arrive on an unbounded stream and every tuple must be
 //! answered with a distribution meeting the user's `(ε, δ)` requirement.
 //! The rest of this workspace provides the per-tuple machinery (Monte Carlo
-//! in `udf_core::mc`, OLGAPRO in `udf_core::olgapro`, the batch operator in
-//! `udf_core::batch`, early filtering in `udf_core::filtering`); this
+//! and early filtering in `udf_core::filtering`, OLGAPRO in
+//! `udf_core::olgapro`, the batch operator in `udf_core::batch`); this
 //! crate turns it into a long-running, multi-query engine:
 //!
 //! * [`Source`] — unbounded/finite producers of uncertain tuples, with
@@ -21,7 +21,7 @@
 //! * per-query online filtering: subscriptions with a selection
 //!   [`Predicate`](udf_core::filtering::Predicate) drop tuples from the
 //!   envelope/Hoeffding upper bounds before paying for full evaluation;
-//! * per-query [`BatchCounts`](udf_core::BatchCounts) — the same counter
+//! * per-query [`BatchCounts`](udf_core::batch::BatchCounts) — the same counter
 //!   block the relational executor and the join report, `cap_hits`
 //!   included — beside each subscription's determinism
 //!   [`digest`](Session::digest) and a ring of its most recent kept tuples

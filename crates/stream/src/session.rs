@@ -28,7 +28,7 @@
 //! ## Determinism
 //!
 //! The RNG for tuple `g` of query `q` is seeded with
-//! [`mix_seed`](udf_core::mix_seed)`(engine_seed, q, g)`, where `g` is the
+//! [`mix_seed`](udf_core::sched::mix_seed)`(engine_seed, q, g)`, where `g` is the
 //! tuple's global index in the stream — never the worker id or the batch
 //! offset. Slow-path work is applied in tuple order on the calling thread.
 //! Worker count therefore changes only *where* fast-path work runs, not

@@ -1,5 +1,5 @@
 //! What the engine keeps per subscription beside its
-//! [`BatchCounts`](udf_core::BatchCounts): a ring of emitted-tuple
+//! [`BatchCounts`](udf_core::batch::BatchCounts): a ring of emitted-tuple
 //! summaries and the determinism digest.
 
 /// A compact record of one emitted tuple, kept in a bounded ring buffer for

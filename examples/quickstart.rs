@@ -29,10 +29,13 @@ fn main() {
     // Monte Carlo baseline (Algorithm 1).
     // ------------------------------------------------------------------
     let mc_udf = udf.fork_counter();
-    let mc = McEvaluator::new(mc_udf.clone());
     let mut rng = StdRng::seed_from_u64(7);
     let t0 = Instant::now();
-    let mc_out = mc.compute(&input, &acc, &mut rng).unwrap();
+    let FilterDecision::Kept { output: mc_out, .. } =
+        mc_eval_tuple(&mc_udf, &input, &acc, None, &mut rng).unwrap()
+    else {
+        unreachable!("no predicate, nothing is dropped")
+    };
     let mc_wall = t0.elapsed();
     println!("— Monte Carlo (Algorithm 1) —");
     println!("  samples / UDF calls : {}", mc_out.udf_calls);

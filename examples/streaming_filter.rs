@@ -38,7 +38,7 @@ fn main() {
     let mc_udf = udf.fork_counter();
     let mut mc_kept = 0;
     for inp in &stream {
-        let d = udf_core::filtering::mc_filtered(&mc_udf, inp, &acc, &pred, &mut rng).unwrap();
+        let d = mc_eval_tuple(&mc_udf, inp, &acc, Some(&pred), &mut rng).unwrap();
         if !d.is_filtered() {
             mc_kept += 1;
         }

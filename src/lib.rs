@@ -55,8 +55,7 @@ pub use udf_workloads as workloads;
 pub mod prelude {
     pub use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
     pub use udf_core::config::{AccuracyRequirement, Metric, OlgaproConfig, RetrainStrategy};
-    pub use udf_core::filtering::{FilterDecision, Predicate};
-    pub use udf_core::mc::McEvaluator;
+    pub use udf_core::filtering::{mc_eval_tuple, FilterDecision, Predicate};
     pub use udf_core::olgapro::Olgapro;
     pub use udf_core::output::{GpOutput, OutputDistribution, TuneStop};
     pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};

@@ -93,12 +93,15 @@ fn mc_and_gp_agree_on_medians() {
     let udf = BlackBoxUdf::new(std::sync::Arc::new(f), CostModel::Free);
     let acc = AccuracyRequirement::new(0.1, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
     let cfg = OlgaproConfig::new(acc, range).unwrap();
-    let mc = McEvaluator::new(udf.fork_counter());
     let mut olga = Olgapro::new(udf.fork_counter(), cfg);
     let mut rng = StdRng::seed_from_u64(7);
     let inputs = generate_inputs(2, 5, 0.5, &mut rng);
     for input in &inputs {
-        let a = mc.compute(input, &acc, &mut rng).unwrap();
+        let FilterDecision::Kept { output: a, .. } =
+            mc_eval_tuple(&udf, input, &acc, None, &mut rng).unwrap()
+        else {
+            unreachable!("no predicate, nothing is dropped")
+        };
         let b = olga.process(input, &mut rng).unwrap();
         let (qa, qb) = (a.ecdf.quantile(0.5), b.y_hat.quantile(0.5));
         assert!(
@@ -159,7 +162,7 @@ fn filtering_never_drops_clearly_passing_tuples() {
     let inputs = generate_inputs(1, 5, 0.5, &mut rng);
 
     for input in &inputs {
-        let d = udf_core::filtering::mc_filtered(&udf, input, &acc, &pred, &mut rng).unwrap();
+        let d = mc_eval_tuple(&udf, input, &acc, Some(&pred), &mut rng).unwrap();
         assert!(!d.is_filtered(), "MC dropped a certain tuple");
     }
     let cfg = OlgaproConfig::new(acc, range).unwrap();
