@@ -32,7 +32,7 @@
 use crate::config::{check_samples_per_tuple, AccuracyRequirement, OlgaproConfig};
 use crate::filtering::{mc_eval_tuple, rule_tuned, FilterDecision, Predicate};
 use crate::olgapro::{InferScratch, Olgapro};
-use crate::output::{GpOutput, OutputDistribution, TuneStop};
+use crate::output::{FastRow, OutputDistribution, TuneStop};
 use crate::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
 use crate::udf::BlackBoxUdf;
 use crate::Result;
@@ -250,12 +250,13 @@ impl Evaluator {
         let mut counts = BatchCounts::default();
         match self {
             Evaluator::Mc { udf, accuracy } => {
-                // Each tuple gets a forked call counter, so parallel
+                // Each worker slot gets a forked call counter, so parallel
                 // workers never share one.
-                let rulings = sched.try_map(n, |i| {
+                let udfs: Vec<_> = (0..sched.workers()).map(|_| udf.fork_counter()).collect();
+                let rulings = sched.try_map_indexed(n, |worker, i| {
                     let (id, input) = tuple(i);
                     mc_eval_tuple(
-                        &udf.fork_counter(),
+                        &udfs[worker],
                         input,
                         accuracy,
                         spec.predicate.as_ref(),
@@ -297,13 +298,17 @@ impl Evaluator {
         mut sink: impl FnMut(u64, Ruling),
     ) -> Result<BatchCounts> {
         let mut counts = BatchCounts::default();
+        // One forked call counter for the run, as `run_two_phase` forks one
+        // per worker slot.
+        let mut forked = None;
         for i in 0..n {
             let (id, input) = tuple(i);
             let mut rng = spec.rng(id);
             let pred = spec.predicate.as_ref();
             let ruling = match self {
                 Evaluator::Mc { udf, accuracy } => {
-                    mc_eval_tuple(&udf.fork_counter(), input, accuracy, pred, &mut rng)?
+                    let udf = forked.get_or_insert_with(|| udf.fork_counter());
+                    mc_eval_tuple(udf, input, accuracy, pred, &mut rng)?
                 }
                 Evaluator::Gp(olga) => slow_tuple(olga, input, pred, &mut rng, &mut counts)?,
             };
@@ -338,12 +343,13 @@ fn slow_tuple(
             tep: 1.0,
         },
     };
-    Ok(ruling.map(GpOutput::into_distribution))
+    Ok(ruling.map(|out, _| out.into_distribution()))
 }
 
 /// The [`BatchOps`] of one GP batch: fast path = read-only inference,
 /// accept hook = §5.5 filter + ε_GP budget + model-size cap, slow path =
-/// [`slow_tuple`]. Rulings reach the sink in tuple order.
+/// [`slow_tuple`]. A fast result waits for the fold as a [`FastRow`].
+/// Rulings reach the sink in tuple order.
 struct GpBatch<'o, 'a> {
     olga: &'o mut Olgapro,
     spec: BatchSpec,
@@ -361,7 +367,7 @@ impl GpBatch<'_, '_> {
     }
 }
 
-impl BatchOps for GpBatch<'_, '_> {
+impl BatchOps<FastRow> for GpBatch<'_, '_> {
     fn tuple_seed(&self, idx: usize) -> u64 {
         mix_seed(self.spec.seed, self.spec.stream, (self.tuple)(idx).0)
     }
@@ -370,8 +376,11 @@ impl BatchOps for GpBatch<'_, '_> {
         self.olga.model().is_empty()
     }
 
-    fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<GpOutput> {
-        self.olga.infer_only_with((self.tuple)(idx).1, rng, scratch)
+    fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<FastRow> {
+        let out = self
+            .olga
+            .infer_only_with((self.tuple)(idx).1, rng, scratch)?;
+        Ok(scratch.row(out, 1.0))
     }
 
     fn fast_ruled(
@@ -379,17 +388,17 @@ impl BatchOps for GpBatch<'_, '_> {
         idx: usize,
         rng: &mut StdRng,
         scratch: &mut InferScratch,
-    ) -> Result<FilterDecision<GpOutput>> {
+    ) -> Result<FilterDecision<FastRow>> {
         // Online filtering on the envelope upper bound (§5.5): the bound
         // only widens on an under-trained model, so dropping here is sound
         // and costs zero UDF calls — nor, ruled before the bound stage, any
         // sort.
         let pred = self.spec.predicate.as_ref();
         self.olga
-            .infer_ruled_with((self.tuple)(idx).1, rng, scratch, pred)
+            .infer_row_with((self.tuple)(idx).1, rng, scratch, pred)
     }
 
-    fn accept(&self, _idx: usize, out: &GpOutput) -> Verdict {
+    fn accept(&self, _idx: usize, out: &FastRow) -> Verdict {
         // (`fast_ruled` has already dropped what the filter drops.) A full
         // stop-growing model accepts at the achieved bound, which keeps
         // per-tuple cost bounded on long streams: the slow path could not
@@ -405,19 +414,15 @@ impl BatchOps for GpBatch<'_, '_> {
         }
     }
 
-    fn emit_fast(&mut self, idx: usize, out: GpOutput) -> Result<()> {
+    fn emit_fast(&mut self, idx: usize, out: FastRow) -> Result<()> {
         if out.eps_gp > self.budget {
             // Only reachable through the model-full acceptance above.
             self.olga.note_cap_hit();
             self.counts.cap_hits += 1;
         }
-        let tep = self
-            .spec
-            .predicate
-            .map_or(1.0, |p| out.tep_bounds(p.lo, p.hi).1);
         let ruling = FilterDecision::Kept {
-            output: out.into_distribution(),
-            tep,
+            output: out.output,
+            tep: out.rho_hat,
         };
         self.emit((self.tuple)(idx).0, ruling, true);
         Ok(())
@@ -696,6 +701,134 @@ mod tests {
         assert!(counts.cap_hits >= stale, "{counts:?}");
     }
 
+    /// [`GpBatch`] with a fold that keeps every fast-phase result as it
+    /// reaches the fold: the row the accept hook and the sink would read, or
+    /// the ρ_U certificate of a tuple the fast path dropped.
+    struct Rows<'o, 'a> {
+        inner: GpBatch<'o, 'a>,
+        rows: Vec<(usize, std::result::Result<FastRow, f64>)>,
+    }
+
+    impl BatchOps<FastRow> for Rows<'_, '_> {
+        fn tuple_seed(&self, idx: usize) -> u64 {
+            self.inner.tuple_seed(idx)
+        }
+
+        fn fast(
+            &self,
+            idx: usize,
+            rng: &mut StdRng,
+            scratch: &mut InferScratch,
+        ) -> Result<FastRow> {
+            self.inner.fast(idx, rng, scratch)
+        }
+
+        fn fast_ruled(
+            &self,
+            idx: usize,
+            rng: &mut StdRng,
+            scratch: &mut InferScratch,
+        ) -> Result<FilterDecision<FastRow>> {
+            self.inner.fast_ruled(idx, rng, scratch)
+        }
+
+        fn accept(&self, _idx: usize, _out: &FastRow) -> Verdict {
+            Verdict::Accept
+        }
+
+        fn emit_fast(&mut self, idx: usize, out: FastRow) -> Result<()> {
+            self.rows.push((idx, Ok(out)));
+            Ok(())
+        }
+
+        fn emit_filtered(&mut self, idx: usize, rho_upper: f64) -> Result<()> {
+            self.rows.push((idx, Err(rho_upper)));
+            Ok(())
+        }
+
+        fn slow(&mut self, idx: usize, _rng: &mut StdRng) -> Result<()> {
+            panic!("a warm model bootstraps nothing: tuple {idx}")
+        }
+    }
+
+    #[test]
+    fn fast_rows_are_infer_only_with_bitwise_for_any_workers() {
+        use rand::Rng;
+        let mut olga = setup(0.2);
+        let mut rng = StdRng::seed_from_u64(4);
+        for input in inputs(8) {
+            olga.process(&input, &mut rng).unwrap();
+        }
+        // Random tuples over and beyond the trained range, so that some
+        // rows are over budget and the filter both keeps and drops.
+        let batch: Vec<InputDistribution> = (0..60)
+            .map(|_| {
+                let (mu, sd) = (rng.gen_range(-1.0..10.0), rng.gen_range(0.1..0.8));
+                InputDistribution::diagonal_gaussian(&[(mu, sd)]).unwrap()
+            })
+            .collect();
+        let tuple = |i: usize| (3 * i as u64 + 1, &batch[i]);
+        let (mut kept, mut dropped, mut over) = (0, 0, 0);
+        for predicate in [None, Some(Predicate::new(-0.3, 0.6, 0.4).unwrap())] {
+            for workers in [1, 2, 8] {
+                let spec = BatchSpec {
+                    seed: 9,
+                    stream: 2,
+                    predicate,
+                };
+                let mut sink = |id: u64, _: Ruling| panic!("tuple {id} reached the sink");
+                let mut ops = Rows {
+                    inner: GpBatch {
+                        budget: olga.config().split().eps_gp,
+                        olga: &mut olga,
+                        spec,
+                        tuple: &tuple,
+                        sink: &mut sink,
+                        counts: BatchCounts::default(),
+                    },
+                    rows: Vec::new(),
+                };
+                BatchScheduler::new(workers)
+                    .run_two_phase(&mut ops, batch.len())
+                    .unwrap();
+                let rows = ops.rows;
+                assert_eq!(rows.len(), batch.len());
+                for (k, (idx, row)) in rows.into_iter().enumerate() {
+                    let what = format!("{workers} workers, {predicate:?}, tuple {idx}");
+                    assert_eq!(k, idx, "{what}: fold order");
+                    let (id, input) = tuple(idx);
+                    let mut scratch = InferScratch::default();
+                    let full = olga
+                        .infer_only_with(input, &mut spec.rng(id), &mut scratch)
+                        .unwrap();
+                    let (_, rho_hat, rho_u) =
+                        predicate.map_or((1.0, 1.0, 1.0), |p| full.tep_bounds(p.lo, p.hi));
+                    match row {
+                        Ok(row) => {
+                            assert_eq!(row.output.ecdf.values(), full.y_hat.values(), "{what}");
+                            assert_eq!(row.eps_gp.to_bits(), full.eps_gp.to_bits(), "{what}");
+                            assert_eq!(row.rho_hat.to_bits(), rho_hat.to_bits(), "{what}");
+                            let bound = full.error_bound().to_bits();
+                            assert_eq!(row.output.error_bound.to_bits(), bound, "{what}");
+                            assert_eq!(row.output.udf_calls, 0, "{what}");
+                            kept += 1;
+                            over += usize::from(row.eps_gp > olga.config().split().eps_gp);
+                        }
+                        Err(rho_upper) => {
+                            let theta = predicate.expect("only a filter drops").theta;
+                            assert!(rho_u <= rho_upper && rho_upper < theta, "{what}");
+                            dropped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            kept > 200 && dropped > 20 && over > 10,
+            "{kept} {dropped} {over}"
+        );
+    }
+
     #[test]
     fn empty_batch_is_fine() {
         let mut par = Par::new(setup(0.2), 4);
@@ -712,7 +845,10 @@ mod tests {
     fn sequential_entry_matches_the_batch_on_mc_and_counts_slow() {
         let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
         let accuracy = AccuracyRequirement::new(0.2, 0.05, 0.0, Metric::Ks).unwrap();
-        let mut eval = Evaluator::Mc { udf, accuracy };
+        let mut eval = Evaluator::Mc {
+            udf: udf.clone(),
+            accuracy,
+        };
         let batch = inputs(12);
         let spec = BatchSpec {
             seed: 3,
@@ -741,5 +877,8 @@ mod tests {
             (cs.tuples_in, cs.kept, cs.filtered, cs.udf_calls),
             (cp.tuples_in, cp.kept, cp.filtered, cp.udf_calls)
         );
+        // Both shapes count on forks: the evaluator's own counter (shared by
+        // its clones) saw none of the calls.
+        assert!(cp.udf_calls > 0 && udf.calls() == 0, "{}", udf.calls());
     }
 }

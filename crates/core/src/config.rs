@@ -93,9 +93,10 @@ fn dkw_samples(metric: Metric, eps: f64, delta: f64) -> usize {
     if !eps.is_normal() || delta == 0.0 {
         return usize::MAX;
     }
+    // `D ≤ 2·KS`: the discrepancy count is the KS count at ε/2.
     match metric {
         Metric::Ks => udf_prob::bounds::mc_samples_ks(eps, delta),
-        Metric::Discrepancy => udf_prob::bounds::mc_samples_discrepancy(eps, delta),
+        Metric::Discrepancy => udf_prob::bounds::mc_samples_ks(eps / 2.0, delta),
     }
 }
 

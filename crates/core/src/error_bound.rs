@@ -174,43 +174,6 @@ fn raise(max: &mut f64, x: f64) {
     }
 }
 
-/// Naive O(k²) reference implementation (used by tests and available for
-/// cross-checking): enumerate all candidate endpoint pairs.
-pub fn lambda_discrepancy_bound_naive(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf, lambda: f64) -> f64 {
-    let mut v: Vec<f64> = y_hat
-        .values()
-        .iter()
-        .chain(y_s.values())
-        .chain(y_l.values())
-        .copied()
-        .collect();
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v.dedup();
-    let lo = v[0] - lambda - 1.0;
-    let hi = v[v.len() - 1] + lambda + 1.0;
-    let mut vals = vec![lo];
-    vals.extend_from_slice(&v);
-    vals.push(hi);
-
-    let mut best = 0.0f64;
-    for (i, &a) in vals.iter().enumerate() {
-        // Candidate right endpoints: later support values plus b = a + λ
-        // exactly (the supremum can fall between support points when the
-        // length constraint binds).
-        let candidates = vals[i..].iter().copied().chain(std::iter::once(a + lambda));
-        for b in candidates {
-            if b - a < lambda {
-                continue;
-            }
-            let rho_hat = y_hat.cdf(b) - y_hat.cdf(a);
-            let rho_u = y_s.cdf(b) - y_l.cdf(a);
-            let rho_l = (y_l.cdf(b) - y_s.cdf(a)).max(0.0);
-            best = best.max(rho_u - rho_hat).max(rho_hat - rho_l);
-        }
-    }
-    best.max(0.0)
-}
-
 /// The KS-metric GP error bound (Proposition 4.2): the KS distance between
 /// Ŷ′ and each envelope output, maximized.
 pub fn ks_bound(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf) -> f64 {
@@ -234,15 +197,23 @@ fn band<'a>(means: &'a [f64], sds: &'a [f64], z: f64) -> impl Iterator<Item = [f
 /// envelope, Y_L from the upper).
 pub fn envelope_ecdfs(means: &[f64], sds: &[f64], z: f64) -> udf_prob::Result<(Ecdf, Ecdf, Ecdf)> {
     let y_hat = Ecdf::new(means.to_vec())?;
-    let (y_s, y_l) = band_ecdfs(means, sds, z)?;
+    let (y_s, y_l) = band_ecdfs(means, sds, z, Default::default())?;
     Ok((y_hat, y_s, y_l))
 }
 
-/// Y′_S and Y′_L alone, for a caller that already holds Ŷ′ of these means.
-pub(crate) fn band_ecdfs(means: &[f64], sds: &[f64], z: f64) -> udf_prob::Result<(Ecdf, Ecdf)> {
-    let y_s = Ecdf::new(band(means, sds, z).map(|b| b[0]).collect())?;
-    let y_l = Ecdf::new(band(means, sds, z).map(|b| b[2]).collect())?;
-    Ok((y_s, y_l))
+/// Y′_S and Y′_L alone, for a caller that already holds Ŷ′ of these means,
+/// sorted in the two buffers given ([`Ecdf::into_values`] hands them back).
+pub(crate) fn band_ecdfs(
+    means: &[f64],
+    sds: &[f64],
+    z: f64,
+    [mut y_s, mut y_l]: [Vec<f64>; 2],
+) -> udf_prob::Result<(Ecdf, Ecdf)> {
+    for (side, buf) in [(0, &mut y_s), (2, &mut y_l)] {
+        buf.clear();
+        buf.extend(band(means, sds, z).map(|b| b[side]));
+    }
+    Ok((Ecdf::new(y_s)?, Ecdf::new(y_l)?))
 }
 
 /// `GpOutput::tep_bounds`' `ρ_U = F_S(hi) − F_L(lo)` by counting over the
@@ -332,8 +303,65 @@ pub(crate) fn eps_gp_floor(means: &[f64], sds: &[f64], z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Naive O(k²) reference implementation: enumerate all candidate
+    /// endpoint pairs.
+    fn lambda_discrepancy_bound_naive(y_hat: &Ecdf, y_s: &Ecdf, y_l: &Ecdf, lambda: f64) -> f64 {
+        let mut v: Vec<f64> = y_hat
+            .values()
+            .iter()
+            .chain(y_s.values())
+            .chain(y_l.values())
+            .copied()
+            .collect();
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
+        v.dedup();
+        let lo = v[0] - lambda - 1.0;
+        let hi = v[v.len() - 1] + lambda + 1.0;
+        let mut vals = vec![lo];
+        vals.extend_from_slice(&v);
+        vals.push(hi);
+
+        let mut best = 0.0f64;
+        for (i, &a) in vals.iter().enumerate() {
+            // Candidate right endpoints: later support values plus b = a + λ
+            // exactly (the supremum can fall between support points when the
+            // length constraint binds).
+            let candidates = vals[i..].iter().copied().chain(std::iter::once(a + lambda));
+            for b in candidates {
+                if b - a < lambda {
+                    continue;
+                }
+                let rho_hat = y_hat.cdf(b) - y_hat.cdf(a);
+                let rho_u = y_s.cdf(b) - y_l.cdf(a);
+                let rho_l = (y_l.cdf(b) - y_s.cdf(a)).max(0.0);
+                best = best.max(rho_u - rho_hat).max(rho_hat - rho_l);
+            }
+        }
+        best.max(0.0)
+    }
+
+    fn envelopes() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+        prop::collection::vec((-10.0f64..10.0, 0.0f64..1.5), 2..60)
+            .prop_map(|pts| pts.into_iter().unzip())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn algorithm3_matches_naive((means, sds) in envelopes(), z in 0.5f64..4.0,
+                                    lambda in 0.0f64..3.0) {
+            let (h, s, l) = envelope_ecdfs(&means, &sds, z).unwrap();
+            let fast = lambda_discrepancy_bound(&h, &s, &l, lambda);
+            let naive = lambda_discrepancy_bound_naive(&h, &s, &l, lambda);
+            prop_assert!((fast - naive).abs() < 1e-10, "fast {fast} vs naive {naive}");
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&fast));
+        }
+    }
 
     impl BoundScratch {
         /// Heap capacity of each buffer (what "allocates nothing" is tested on).

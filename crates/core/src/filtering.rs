@@ -97,11 +97,11 @@ impl<T> FilterDecision<T> {
         matches!(self, FilterDecision::Filtered { .. })
     }
 
-    /// Convert a kept tuple's output, leaving a filtered one as it is.
-    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> FilterDecision<U> {
+    /// Convert a kept tuple's output and TEP, leaving a filtered one as it is.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T, f64) -> U) -> FilterDecision<U> {
         match self {
             FilterDecision::Kept { output, tep } => FilterDecision::Kept {
-                output: f(output),
+                output: f(output, tep),
                 tep,
             },
             FilterDecision::Filtered {
@@ -124,8 +124,8 @@ impl<T> FilterDecision<T> {
 /// after every 64 samples and after the last; the tuple is dropped as soon
 /// as `ρ̃ + ε̃ < θ`, and kept at `ρ̃` otherwise. Without one, the tuple is
 /// kept with TEP 1. `udf_calls` is the number of samples evaluated. The MC
-/// half of the batch operator ([`crate::batch::Evaluator`]), which gives
-/// each tuple a forked call counter so parallel workers never share one.
+/// half of the batch operator ([`crate::batch::Evaluator`]), which forks
+/// the call counter per worker slot so parallel workers never share one.
 pub fn mc_eval_tuple(
     udf: &BlackBoxUdf,
     input: &InputDistribution,
@@ -133,12 +133,7 @@ pub fn mc_eval_tuple(
     predicate: Option<&Predicate>,
     rng: &mut dyn rand::RngCore,
 ) -> Result<FilterDecision<OutputDistribution>> {
-    if input.dim() != udf.dim() {
-        return Err(CoreError::DimensionMismatch {
-            expected: udf.dim(),
-            found: input.dim(),
-        });
-    }
+    udf.check_input(input)?;
     let m = accuracy.mc_samples();
     let mut outputs = Vec::with_capacity(m);
     let mut hits = 0usize;
@@ -262,6 +257,19 @@ mod tests {
         InputDistribution::diagonal_gaussian(&[(0.0, 1.0)]).unwrap()
     }
 
+    /// One-sample KS distance between an empirical CDF and N(0, 1)'s.
+    fn ks_to_normal(e: &Ecdf) -> f64 {
+        let m = e.len() as f64;
+        let mut best = 0.0f64;
+        for (i, &x) in e.values().iter().enumerate() {
+            let fx = udf_prob::special::norm_cdf(x);
+            best = best
+                .max(((i + 1) as f64 / m - fx).abs())
+                .max((fx - i as f64 / m).abs());
+        }
+        best
+    }
+
     #[test]
     fn linear_gaussian_passthrough_meets_ks_bound() {
         // f(x) = x on N(0,1): output should be N(0,1); check the KS distance
@@ -270,7 +278,7 @@ mod tests {
         let (out, tep) = kept(mc(&udf, &normal(), &acc(), None, 1).unwrap());
         assert_eq!(tep, 1.0);
         assert_eq!(out.udf_calls as usize, acc().mc_samples());
-        let d = udf_prob::metrics::ks_to_cdf(&out.ecdf, udf_prob::special::norm_cdf);
+        let d = ks_to_normal(&out.ecdf);
         assert!(d <= 0.05, "KS = {d}");
     }
 

@@ -24,7 +24,7 @@ use crate::error_bound::{
     lambda_discrepancy_bound_with, BoundScratch, RhoCount,
 };
 use crate::filtering::{FilterDecision, Predicate};
-use crate::output::{GpOutput, TuneStop};
+use crate::output::{FastRow, GpOutput, OutputDistribution, TuneStop};
 use crate::udf::BlackBoxUdf;
 use crate::{CoreError, Result};
 use std::time::Instant;
@@ -139,6 +139,9 @@ struct InferBuffers {
     means: Vec<f64>,
     sds: Vec<f64>,
     bound: BoundScratch,
+    /// What the bound stage sorts Y′_S and Y′_L in: taken by their ECDFs,
+    /// and back once a fast-path result becomes a [`FastRow`].
+    envelopes: [Vec<f64>; 2],
 }
 
 impl InferBuffers {
@@ -147,6 +150,25 @@ impl InferBuffers {
         self.means.extend_from_slice(self.predict.means());
         let vars = self.predict.variances();
         self.sds.extend(vars.iter().map(|v| v.sqrt()));
+    }
+}
+
+impl InferScratch {
+    /// A fast-path output as the batch fold keeps it, at TEP `rho_hat`: its
+    /// Y′_S and Y′_L buffers come back here for the next tuple's envelopes.
+    pub(crate) fn row(&mut self, out: GpOutput, rho_hat: f64) -> FastRow {
+        let (eps_gp, error_bound) = (out.eps_gp, out.error_bound());
+        self.buf.envelopes = [out.y_s.into_values(), out.y_l.into_values()];
+        let output = OutputDistribution {
+            ecdf: out.y_hat,
+            error_bound,
+            udf_calls: out.udf_calls,
+        };
+        FastRow {
+            output,
+            eps_gp,
+            rho_hat,
+        }
     }
 }
 
@@ -338,12 +360,7 @@ impl Olgapro {
         scratch: &mut InferScratch,
         predicate: Option<&Predicate>,
     ) -> Result<FilterDecision<GpOutput>> {
-        if input.dim() != self.udf.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.udf.dim(),
-                found: input.dim(),
-            });
-        }
+        self.udf.check_input(input)?;
         if self.model.is_empty() {
             return Err(CoreError::Gp(udf_gp::GpError::EmptyModel));
         }
@@ -399,6 +416,19 @@ impl Olgapro {
         Ok(FilterDecision::Kept { output, tep })
     }
 
+    /// [`Olgapro::infer_ruled_with`] as the batch fast phase runs it: a kept
+    /// tuple becomes its [`FastRow`] ([`InferScratch::row`]).
+    pub(crate) fn infer_row_with(
+        &self,
+        input: &InputDistribution,
+        rng: &mut dyn rand::RngCore,
+        scratch: &mut InferScratch,
+        predicate: Option<&Predicate>,
+    ) -> Result<FilterDecision<FastRow>> {
+        let ruled = self.infer_ruled_with(input, rng, scratch, predicate)?;
+        Ok(ruled.map(|output, tep| scratch.row(output, tep)))
+    }
+
     /// Process one uncertain input tuple (Algorithm 5).
     pub fn process(
         &mut self,
@@ -424,12 +454,7 @@ impl Olgapro {
         rng: &mut dyn rand::RngCore,
         scratch: &mut InferScratch,
     ) -> Result<GpOutput> {
-        if input.dim() != self.udf.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.udf.dim(),
-                found: input.dim(),
-            });
-        }
+        self.udf.check_input(input)?;
         let calls_before = self.udf.calls();
         let split = self.config.split();
         // Step 1: draw m samples (m from ε_MC, δ_MC). Rows retained for the
@@ -538,12 +563,13 @@ impl Olgapro {
                         .add(u64::from(bounded.is_none()));
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     self.infer(&scratch.samples, &bbox, buf, false)?;
-                    let (eps_gp, (y_hat, ..)) = self.bound(buf, z2)?;
+                    let (eps_gp, (y_hat, s2, l2)) = self.bound(buf, z2)?;
                     // The output reports the pre-retrain `z_alpha`, so its
                     // envelopes are the new predictions widened by that z,
                     // not the `z2` ones the bound was just computed on; Ŷ′
                     // is the same sorted means either way.
-                    let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha)?;
+                    let into = [s2.into_values(), l2.into_values()];
+                    let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha, into)?;
                     bounded = Some((eps_gp, (y_hat, y_s, y_l)));
                 }
                 if let Some(t0) = t_retrain {
@@ -691,10 +717,13 @@ impl Olgapro {
     }
 
     /// The bound stage of the latest [`infer`](Self::infer): the envelope
-    /// ECDFs at `z_alpha` and the Algorithm-3 / Prop-4.2 error bound on them.
+    /// ECDFs at `z_alpha`, Y′_S and Y′_L in the buffers `buf.envelopes`
+    /// lends, and the Algorithm-3 / Prop-4.2 error bound on them.
     fn bound(&self, buf: &mut InferBuffers, z_alpha: f64) -> Result<(f64, Envelopes)> {
         self.metrics.bounds_built.inc();
-        let (y_hat, y_s, y_l) = envelope_ecdfs(&buf.means, &buf.sds, z_alpha)?;
+        let y_hat = Ecdf::new(buf.means.clone())?;
+        let into = std::mem::take(&mut buf.envelopes);
+        let (y_s, y_l) = band_ecdfs(&buf.means, &buf.sds, z_alpha, into)?;
         let eps_gp = match self.config.accuracy.metric {
             Metric::Discrepancy => lambda_discrepancy_bound_with(
                 &y_hat,
@@ -1039,7 +1068,8 @@ mod tests {
 
     #[test]
     fn bound_stage_allocates_nothing_in_steady_state() {
-        let mut olga = Olgapro::new(smooth_udf(), config(0.2));
+        let metrics = MetricsRegistry::new();
+        let mut olga = Olgapro::new(smooth_udf(), config(0.2)).with_metrics(&metrics);
         let mut rng = StdRng::seed_from_u64(31);
         for i in 0..8 {
             let input = InputDistribution::diagonal_gaussian(&[(0.8 * i as f64, 0.4)]).unwrap();
@@ -1047,26 +1077,49 @@ mod tests {
         }
         let mut scratch = InferScratch::default();
         let mut after_first = None;
+        let pred = Predicate::new(-0.5, 0.5, 0.3).unwrap();
+        let counter = |name: &str| metrics.snapshot().counters[name];
+        let (built, skipped) = (
+            counter("olgapro.bounds_built"),
+            counter("olgapro.bounds_skipped"),
+        );
         for i in 0..200 {
             let mu = 0.8 * (i % 8) as f64 + 0.01 * i as f64;
             let input = InputDistribution::diagonal_gaussian(&[(mu, 0.4)]).unwrap();
-            olga.infer_only_with(&input, &mut rng, &mut scratch)
+            // The batch fast path, half the tuples behind a filter.
+            let pred = (i % 2 == 1).then_some(&pred);
+            olga.infer_row_with(&input, &mut rng, &mut scratch, pred)
                 .unwrap();
             // The Algorithm-3 arrays and every prediction buffer — the flat
-            // copy of the samples, K/V, means, norms, variances.
+            // copy of the samples, K/V, means, norms, variances — and the
+            // two buffers Y′_S and Y′_L are sorted in, which must be the
+            // same allocations tuple after tuple, not fresh ones of the same
+            // size.
             let caps = (
                 scratch.buf.bound.capacities(),
                 scratch.buf.predict.capacities(),
                 [&scratch.buf.means, &scratch.buf.sds].map(Vec::capacity),
+                scratch
+                    .buf
+                    .envelopes
+                    .each_ref()
+                    .map(|e| (e.as_ptr(), e.capacity())),
             );
             assert_eq!(*after_first.get_or_insert(caps), caps, "call {i}");
         }
         let m = olga.config().samples_per_input();
-        let (bound, predict, gathered) = after_first.unwrap();
+        let (bound, predict, gathered, envelopes) = after_first.unwrap();
         assert!(bound.iter().all(|&c| c >= m + 2));
         // (`K` beside `V` is the tuning loop's; the read path never fills it.)
         assert!(predict[..5].iter().all(|&c| c >= m) && predict[5] == 0);
         assert!(gathered.iter().all(|&c| c >= m));
+        assert!(envelopes.iter().all(|&(_, c)| c >= m));
+        let built = counter("olgapro.bounds_built") - built;
+        let dropped = counter("olgapro.bounds_skipped") - skipped;
+        assert!(
+            built >= 100 && dropped > 20,
+            "{built} kept, {dropped} dropped"
+        );
     }
 
     #[test]
@@ -1165,12 +1218,7 @@ mod tests {
             rng: &mut dyn rand::RngCore,
             scratch: &mut InferScratch,
         ) -> Result<GpOutput> {
-            if input.dim() != self.udf.dim() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: self.udf.dim(),
-                    found: input.dim(),
-                });
-            }
+            self.udf.check_input(input)?;
             let calls_before = self.udf.calls();
             let split = self.config.split();
             let m = self.config.samples_per_input();
@@ -1509,6 +1557,31 @@ mod tests {
                         ties += usize::from(k == 0);
                     }
                 }
+                // The batch fast path rules alike and keeps the same bits:
+                // its row, and the envelopes it sorted in the scratch.
+                let row = olga
+                    .infer_row_with(
+                        &input,
+                        &mut StdRng::seed_from_u64(i),
+                        &mut scratch,
+                        Some(&pred),
+                    )
+                    .unwrap();
+                match row {
+                    FilterDecision::Filtered { .. } => assert!(rho_u < theta),
+                    FilterDecision::Kept { output: row, tep } => {
+                        assert!(rho_u >= theta);
+                        assert_eq!([tep, row.rho_hat].map(f64::to_bits), [rho_hat.to_bits(); 2]);
+                        assert_eq!(row.output.ecdf.values(), full.y_hat.values());
+                        assert_eq!(row.eps_gp.to_bits(), full.eps_gp.to_bits());
+                        assert_eq!(
+                            row.output.error_bound.to_bits(),
+                            full.error_bound().to_bits()
+                        );
+                        assert_eq!(bits(&scratch.buf.envelopes[0]), bits(full.y_s.values()));
+                        assert_eq!(bits(&scratch.buf.envelopes[1]), bits(full.y_l.values()));
+                    }
+                }
             }
         }
         assert!(
@@ -1545,12 +1618,7 @@ mod tests {
             scratch: &mut InferScratch,
             predicate: Option<&Predicate>,
         ) -> Result<FilterDecision<GpOutput>> {
-            if input.dim() != self.udf.dim() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: self.udf.dim(),
-                    found: input.dim(),
-                });
-            }
+            self.udf.check_input(input)?;
             if self.model.is_empty() {
                 return Err(CoreError::Gp(udf_gp::GpError::EmptyModel));
             }

@@ -85,6 +85,18 @@ impl GpOutput {
     }
 }
 
+/// One read-only fast-path result as the batch fold keeps it until its
+/// turn: the distribution it would emit, ε_GP for the accept hook and ρ̂
+/// for the sink. The fold reads nothing else, so Y′_S and Y′_L stay in the
+/// worker's scratch (`Olgapro::infer_row_with`).
+#[derive(Debug)]
+pub(crate) struct FastRow {
+    pub(crate) output: OutputDistribution,
+    pub(crate) eps_gp: f64,
+    /// [`GpOutput::tep_bounds`]' ρ̂ under the batch's predicate, 1 without one.
+    pub(crate) rho_hat: f64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

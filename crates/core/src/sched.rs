@@ -30,8 +30,11 @@
 //!
 //! The engine implements [`BatchOps`] exactly once — in [`crate::batch`],
 //! the operator the relational executor, the join and the stream engine all
-//! call; the trait stays public for harnesses that rebuild the pattern by
-//! hand.
+//! call. Every fast-phase result of a batch waits for the fold at once, and
+//! the fold reads only the emitted distribution, ε_GP and ρ̂, so the engine
+//! keeps that one row per tuple. The trait stays public for harnesses that
+//! rebuild the pattern by hand; their results default to the full
+//! [`GpOutput`] that `Olgapro::infer_only_with` returns.
 //!
 //! The fast phase runs on the calling thread plus up to `workers − 1`
 //! helpers spawned for the batch in a `std::thread::scope`, all pulling
@@ -39,8 +42,8 @@
 //! being carved a fixed shard. One worker runs inline, with no thread.
 //! Each execution slot owns an [`InferScratch`] that persists across
 //! batches and is handed to [`BatchOps::fast`], so warm fast passes reuse
-//! sample buffers, kernel-matrix scratch, and the per-slot local-predictor
-//! cache instead of allocating per tuple.
+//! sample buffers, kernel-matrix scratch, envelope buffers and the per-slot
+//! local-predictor cache instead of allocating per tuple.
 //!
 //! ## Determinism
 //!
@@ -143,7 +146,12 @@ pub enum Verdict {
 /// scheduler sequences the borrows: `&self` methods run during the
 /// concurrent fast phase, `&mut self` methods run sequentially in tuple
 /// order on the calling thread.
-pub trait BatchOps {
+///
+/// `Out` is a fast-phase result as the fold receives it. It defaults to
+/// [`GpOutput`], so an `impl BatchOps for …` over
+/// [`Olgapro::infer_only_with`](crate::olgapro::Olgapro::infer_only_with)
+/// names no type; the engine's own keeps a smaller row (module docs).
+pub trait BatchOps<Out = GpOutput> {
     /// The seed mixer: per-tuple RNG seed for tuple `idx`. Must not depend
     /// on anything scheduling-dependent.
     fn tuple_seed(&self, idx: usize) -> u64;
@@ -162,7 +170,7 @@ pub trait BatchOps {
     /// Implementations must not let the scratch contents affect results
     /// (it is a cache, keyed to stay coherent), since chunk stealing makes
     /// the tuple→worker assignment nondeterministic.
-    fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<GpOutput>;
+    fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<Out>;
 
     /// [`fast`](BatchOps::fast) for implementors that can rule a tuple out
     /// *before* finishing its output (§5.5: ρ_U needs only the inferred
@@ -175,17 +183,17 @@ pub trait BatchOps {
         idx: usize,
         rng: &mut StdRng,
         scratch: &mut InferScratch,
-    ) -> Result<FilterDecision<GpOutput>> {
+    ) -> Result<FilterDecision<Out>> {
         let output = self.fast(idx, rng, scratch)?;
         Ok(FilterDecision::Kept { output, tep: 1.0 })
     }
 
     /// Rule on a fast-path result. Called in tuple order; `&self` already
     /// reflects every slow-path mutation of earlier tuples.
-    fn accept(&self, idx: usize, out: &GpOutput) -> Verdict;
+    fn accept(&self, idx: usize, out: &Out) -> Verdict;
 
     /// Emit an accepted fast-path output (sequential, tuple order).
-    fn emit_fast(&mut self, idx: usize, out: GpOutput) -> Result<()>;
+    fn emit_fast(&mut self, idx: usize, out: Out) -> Result<()>;
 
     /// Record a filtered tuple (sequential, tuple order). Callers without a
     /// filter verdict can keep the default no-op.
@@ -354,9 +362,10 @@ impl BatchScheduler {
     ///    [`Reroute`](Verdict::Reroute), and rerouted tuples (plus any
     ///    tuple whose fast pass hit an empty model) re-run via
     ///    [`BatchOps::slow`].
-    pub fn run_two_phase<O>(&self, ops: &mut O, n: usize) -> Result<()>
+    pub fn run_two_phase<O, Out>(&self, ops: &mut O, n: usize) -> Result<()>
     where
-        O: BatchOps + Sync,
+        O: BatchOps<Out> + Sync,
+        Out: Send,
     {
         if n == 0 {
             return Ok(());
@@ -428,7 +437,7 @@ impl BatchScheduler {
 }
 
 /// Run one tuple through the slow path with its canonical RNG.
-fn slow_tuple<O: BatchOps>(ops: &mut O, idx: usize) -> Result<()> {
+fn slow_tuple<Out, O: BatchOps<Out>>(ops: &mut O, idx: usize) -> Result<()> {
     let mut rng = StdRng::seed_from_u64(ops.tuple_seed(idx));
     ops.slow(idx, &mut rng)
 }

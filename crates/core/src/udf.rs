@@ -125,6 +125,16 @@ impl BlackBoxUdf {
         self.inner.dim()
     }
 
+    /// Reject an input whose dimension is not the UDF's.
+    pub(crate) fn check_input(&self, input: &udf_prob::InputDistribution) -> crate::Result<()> {
+        let (expected, found) = (self.dim(), input.dim());
+        if expected == found {
+            Ok(())
+        } else {
+            Err(crate::CoreError::DimensionMismatch { expected, found })
+        }
+    }
+
     /// Name of the wrapped function.
     pub fn name(&self) -> &str {
         self.inner.name()

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use udf_core::config::{AccuracyRequirement, Metric};
-use udf_core::error_bound::{
-    envelope_ecdfs, ks_bound, lambda_discrepancy_bound, lambda_discrepancy_bound_naive,
-};
+use udf_core::error_bound::{envelope_ecdfs, ks_bound, lambda_discrepancy_bound};
 use udf_core::filtering::{mc_eval_tuple, Predicate};
 use udf_core::udf::BlackBoxUdf;
 use udf_prob::InputDistribution;
@@ -16,16 +14,6 @@ fn envelopes() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn algorithm3_matches_naive((means, sds) in envelopes(), z in 0.5f64..4.0,
-                                lambda in 0.0f64..3.0) {
-        let (h, s, l) = envelope_ecdfs(&means, &sds, z).unwrap();
-        let fast = lambda_discrepancy_bound(&h, &s, &l, lambda);
-        let naive = lambda_discrepancy_bound_naive(&h, &s, &l, lambda);
-        prop_assert!((fast - naive).abs() < 1e-10, "fast {fast} vs naive {naive}");
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&fast));
-    }
 
     #[test]
     fn bound_monotone_in_z((means, sds) in envelopes(), lambda in 0.0f64..1.0) {

@@ -322,14 +322,13 @@ pub fn bind(query: &Query, ctx: &Context) -> Result<BoundQuery> {
             .map_or(StrategyName::Auto, |s| s.node),
         udf,
     );
+    let stream_only = sel.options.batch.as_ref().or(sel.options.limit.as_ref());
+    if let Some(c) = stream_only.filter(|_| !matches!(sel.source, SourceRef::Stream(_))) {
+        let msg = "BATCH and LIMIT apply to `FROM STREAM` queries only";
+        return Err(LangError::semantic(c.span, msg));
+    }
     let physical = match &sel.source {
         SourceRef::Relation(name) => {
-            if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
-                return Err(LangError::semantic(
-                    c.span,
-                    "BATCH and LIMIT apply to `FROM STREAM` queries only",
-                ));
-            }
             let rel = ctx.relation(&name.node).ok_or_else(|| {
                 LangError::semantic(
                     name.span,
@@ -583,12 +582,6 @@ fn bind_join(
     strategy: EvalStrategy,
     ctx: &Context,
 ) -> Result<PhysicalPlan> {
-    if let Some(c) = sel.options.batch.as_ref().or(sel.options.limit.as_ref()) {
-        return Err(LangError::semantic(
-            c.span,
-            "BATCH and LIMIT apply to `FROM STREAM` queries only",
-        ));
-    }
     let lookup = |name: &Spanned<String>| {
         ctx.relation(&name.node).ok_or_else(|| {
             LangError::semantic(

@@ -189,14 +189,7 @@ impl Cholesky {
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub fn solve_lower_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
-        let n = self.dim();
-        if rhs.len() != n * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n * cols,
-                found: rhs.len(),
-                context: "Cholesky::solve_lower_in_place",
-            });
-        }
+        self.check_panel(rhs, cols, "Cholesky::solve_lower_in_place")?;
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just detected.
@@ -254,20 +247,26 @@ impl Cholesky {
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub fn solve_lower_last_row(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
-        let n = self.dim();
-        if rhs.len() != n * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n * cols,
-                found: rhs.len(),
-                context: "Cholesky::solve_lower_last_row",
-            });
-        }
+        let n = self.check_panel(rhs, cols, "Cholesky::solve_lower_last_row")?;
         if rhs.is_empty() {
             return Ok(());
         }
         // Every solved entry is read exactly once, so no panel: full width.
         self.forward_row(n - 1, rhs, cols, 0, cols);
         Ok(())
+    }
+
+    /// `dim()`, once `rhs` is checked to be a `dim() x cols` panel.
+    fn check_panel(&self, rhs: &[f64], cols: usize, context: &'static str) -> Result<usize> {
+        let n = self.dim();
+        if rhs.len() != n * cols {
+            return Err(LinalgError::DimensionMismatch {
+                expected: n * cols,
+                found: rhs.len(),
+                context,
+            });
+        }
+        Ok(n)
     }
 
     /// Multi-RHS back substitution: solve `Lᵀ X = Y` in place on an
@@ -277,14 +276,7 @@ impl Cholesky {
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub(crate) fn solve_upper_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
-        let n = self.dim();
-        if rhs.len() != n * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n * cols,
-                found: rhs.len(),
-                context: "Cholesky::solve_upper_in_place",
-            });
-        }
+        let n = self.check_panel(rhs, cols, "Cholesky::solve_upper_in_place")?;
         if cols == 0 {
             return Ok(());
         }
@@ -425,12 +417,6 @@ impl Cholesky {
         self.l = l;
         Ok(())
     }
-
-    /// Reconstruct `A = L Lᵀ` (test/diagnostic helper).
-    pub fn reconstruct(&self) -> Matrix {
-        let lt = self.l.transpose();
-        self.l.matmul(&lt).expect("square factors always multiply")
-    }
 }
 
 /// Columns one [`solve_block`] holds in registers: sixteen doubles are eight
@@ -504,7 +490,7 @@ mod tests {
     fn factor_and_reconstruct() {
         let a = spd3();
         let c = Cholesky::factor(&a).unwrap();
-        let r = c.reconstruct();
+        let r = c.lower().matmul(&c.lower().transpose()).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((r[(i, j)] - a[(i, j)]).abs() < 1e-12);

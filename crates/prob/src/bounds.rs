@@ -2,9 +2,8 @@
 //!
 //! * [`mc_samples_ks`] — the DKW-based count `m = ln(2/δ) / (2ε²)` from
 //!   §2.2-A: with `m` samples the empirical CDF is an (ε, δ)-approximation in
-//!   KS distance and a (2ε, δ)-approximation in discrepancy.
-//! * [`mc_samples_discrepancy`] — the count needed for an (ε, δ) guarantee
-//!   directly in the *discrepancy* metric (substitute ε/2 above).
+//!   KS distance and a (2ε, δ)-approximation in discrepancy, so the count at
+//!   ε/2 gives an (ε, δ) guarantee directly in the *discrepancy* metric.
 //! * [`hoeffding_halfwidth`] — Remark 2.1's confidence half-width `ε̃` for
 //!   the tuple-existence probability after `m̃` samples. (The paper prints
 //!   `ln 2/(1−δ)`; the standard Hoeffding bound, and the form consistent with
@@ -23,12 +22,6 @@ pub fn mc_samples_ks(eps: f64, delta: f64) -> usize {
     assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
     assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
     ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize
-}
-
-/// Number of MC samples for an (ε, δ)-approximation in the *discrepancy*
-/// metric, via `D ≤ 2·KS`.
-pub fn mc_samples_discrepancy(eps: f64, delta: f64) -> usize {
-    mc_samples_ks(eps / 2.0, delta)
 }
 
 /// Hoeffding confidence half-width for a Bernoulli mean after `m` samples at
@@ -55,9 +48,8 @@ pub fn hoeffding_halfwidth(m: usize, delta: f64) -> f64 {
 /// assert!(dkw_halfwidth(m, 0.05) <= 0.05);
 /// ```
 pub fn dkw_halfwidth(m: usize, delta: f64) -> f64 {
-    assert!(m > 0, "need at least one sample");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    ((2.0 / delta).ln() / (2.0 * m as f64)).sqrt()
+    // Hoeffding's half-width for one mean, here uniform in y.
+    hoeffding_halfwidth(m, delta)
 }
 
 /// Allocation of a total accuracy budget between MC sampling and GP modeling
@@ -102,8 +94,8 @@ mod tests {
 
     #[test]
     fn paper_example_sample_count() {
-        // §2.2: ε = 0.02 (discrepancy), δ = 0.05 → m > 18000.
-        let m = mc_samples_discrepancy(0.02, 0.05);
+        // §2.2: ε = 0.02 (discrepancy, so KS at ε/2), δ = 0.05 → m > 18000.
+        let m = mc_samples_ks(0.02 / 2.0, 0.05);
         assert!(m > 18_000, "m = {m}");
         assert!(m < 19_000, "m = {m}");
     }

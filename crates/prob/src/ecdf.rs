@@ -73,6 +73,12 @@ impl Ecdf {
         &self.values
     }
 
+    /// The sorted sample values, in the allocation [`Ecdf::new`] was given:
+    /// a caller that sorts into a reusable buffer gets the buffer back.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
     /// `F(y) = Pr(Y' ≤ y)`.
     pub fn cdf(&self, y: f64) -> f64 {
         self.count_le(y) as f64 / self.values.len() as f64

@@ -36,19 +36,6 @@ pub fn ks(f: &Ecdf, g: &Ecdf) -> f64 {
     cdf_differences(f, g).fold(0.0, |best, (_, d)| best.max(d.abs()))
 }
 
-/// One-sample KS distance between an empirical CDF and an analytic CDF.
-pub fn ks_to_cdf(e: &Ecdf, cdf: impl Fn(f64) -> f64) -> f64 {
-    let m = e.len() as f64;
-    let mut best = 0.0f64;
-    for (i, &x) in e.values().iter().enumerate() {
-        let fx = cdf(x);
-        best = best
-            .max(((i + 1) as f64 / m - fx).abs())
-            .max((fx - i as f64 / m).abs());
-    }
-    best
-}
-
 /// Exact discrepancy measure `D(F, G)` (Definition 1).
 pub fn discrepancy(f: &Ecdf, g: &Ecdf) -> f64 {
     lambda_discrepancy(f, g, 0.0)
@@ -90,6 +77,19 @@ mod tests {
     use crate::special::norm_cdf;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// One-sample KS distance between an empirical CDF and an analytic CDF.
+    fn ks_to_cdf(e: &Ecdf, cdf: impl Fn(f64) -> f64) -> f64 {
+        let m = e.len() as f64;
+        let mut best = 0.0f64;
+        for (i, &x) in e.values().iter().enumerate() {
+            let fx = cdf(x);
+            best = best
+                .max(((i + 1) as f64 / m - fx).abs())
+                .max((fx - i as f64 / m).abs());
+        }
+        best
+    }
 
     fn e(v: &[f64]) -> Ecdf {
         Ecdf::new(v.to_vec()).unwrap()
