@@ -112,29 +112,14 @@ pub fn run_olgapro(
     seed: u64,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let lambda = config.accuracy.lambda;
     let mut olga = warm_olgapro(&udf, config, inputs, &mut rng);
     let t0 = Instant::now();
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
-        outs.push(olga.process(input, &mut rng).expect("olgapro run"));
+        outs.push(olga.process(input, &mut rng).expect("olgapro run").y_hat);
     }
-    let overhead = t0.elapsed();
-
-    let (mut err_sum, mut err_max) = (0.0f64, 0.0f64);
-    for (input, out) in inputs.iter().zip(&outs) {
-        let truth = ground_truth(f, input, 20_000, &mut truth_rng);
-        let e = lambda_discrepancy(&out.y_hat, &truth, lambda);
-        err_sum += e;
-        err_max = err_max.max(e);
-    }
-    RunResult {
-        ms_per_input: total_ms_per_input(overhead, &udf, inputs.len()),
-        calls_per_input: udf.calls() as f64 / inputs.len() as f64,
-        mean_error: err_sum / inputs.len() as f64,
-        max_error: err_max,
-    }
+    score(f, &udf, inputs, &outs, lambda, t0.elapsed(), seed)
 }
 
 /// Run the MC baseline over an input stream.
@@ -146,26 +131,39 @@ pub fn run_mc(
     seed: u64,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let t0 = Instant::now();
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
         match mc_eval_tuple(&udf, input, &accuracy, None, &mut rng).expect("mc run") {
-            FilterDecision::Kept { output, .. } => outs.push(output),
+            FilterDecision::Kept { output, .. } => outs.push(output.ecdf),
             FilterDecision::Filtered { .. } => unreachable!("no predicate, nothing is dropped"),
         }
     }
-    let overhead = t0.elapsed();
+    score(f, &udf, inputs, &outs, accuracy.lambda, t0.elapsed(), seed)
+}
 
+/// A run's [`RunResult`]: its time and calls over `inputs`, and the
+/// λ-discrepancy of each output ECDF (`outs`, one per input) against
+/// [`ground_truth`].
+fn score(
+    f: &GaussianMixtureFn,
+    udf: &BlackBoxUdf,
+    inputs: &[InputDistribution],
+    outs: &[Ecdf],
+    lambda: f64,
+    overhead: Duration,
+    seed: u64,
+) -> RunResult {
+    let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let (mut err_sum, mut err_max) = (0.0f64, 0.0f64);
-    for (input, out) in inputs.iter().zip(&outs) {
+    for (input, out) in inputs.iter().zip(outs) {
         let truth = ground_truth(f, input, 20_000, &mut truth_rng);
-        let e = lambda_discrepancy(&out.ecdf, &truth, accuracy.lambda);
+        let e = lambda_discrepancy(out, &truth, lambda);
         err_sum += e;
         err_max = err_max.max(e);
     }
     RunResult {
-        ms_per_input: total_ms_per_input(overhead, &udf, inputs.len()),
+        ms_per_input: total_ms_per_input(overhead, udf, inputs.len()),
         calls_per_input: udf.calls() as f64 / inputs.len() as f64,
         mean_error: err_sum / inputs.len() as f64,
         max_error: err_max,

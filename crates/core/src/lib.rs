@@ -39,7 +39,8 @@ pub use config::AccuracyRequirement;
 
 use std::fmt;
 
-/// Errors raised by the evaluation framework.
+/// The engine's error type: evaluation, and the relation, join and stream
+/// operators built on it.
 #[derive(Debug)]
 pub enum CoreError {
     /// Probability-layer failure.
@@ -52,10 +53,40 @@ pub enum CoreError {
     DimensionMismatch { expected: usize, found: usize },
     /// Invalid configuration value.
     InvalidConfig { what: &'static str, value: f64 },
-    /// A scheduler worker thread panicked while evaluating a batch
-    /// (typically a panicking UDF). Carries the panic message when one was
-    /// available.
+    /// A thread died mid-run: a UDF panicked on one of a batch's workers,
+    /// or a stream's source panicked on its ingest thread. Carries the
+    /// panic message when one was available.
     WorkerPanicked { message: String },
+    /// A referenced column does not exist.
+    UnknownColumn(String),
+    /// A join would produce two columns with the same qualified name
+    /// (equal prefixes, or a prefix colliding with an existing qualified
+    /// column).
+    DuplicateColumn(String),
+    /// A join's cross product exceeds the supported pair count.
+    JoinTooLarge {
+        /// Left-side row count.
+        left: usize,
+        /// Right-side row count.
+        right: usize,
+    },
+    /// Schema arity and tuple arity disagree.
+    ArityMismatch { expected: usize, found: usize },
+    /// A join spec is inconsistent (bad argument binding, `prune(true)`, …).
+    InvalidJoin(String),
+    /// A stream subscription's UDF dimensionality disagrees with the source.
+    SourceDimension {
+        /// Subscription name.
+        query: String,
+        /// The UDF's input dimensionality.
+        udf_dim: usize,
+        /// The source's tuple dimensionality.
+        source_dim: usize,
+    },
+    /// The referenced stream query id does not exist in its session.
+    UnknownQuery(usize),
+    /// A stream session was run with no subscriptions registered.
+    NoSubscriptions,
 }
 
 impl fmt::Display for CoreError {
@@ -73,11 +104,37 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid configuration: {what} = {value}")
             }
             CoreError::WorkerPanicked { message } => {
+                write!(f, "a worker thread panicked: {message}")
+            }
+            CoreError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
+            CoreError::DuplicateColumn(c) => {
                 write!(
                     f,
-                    "a scheduler worker thread panicked while evaluating a batch: {message}"
+                    "join would produce duplicate column {c:?}; use distinct prefixes"
                 )
             }
+            CoreError::JoinTooLarge { left, right } => write!(
+                f,
+                "join of {left} x {right} rows exceeds the {} supported pairs",
+                u32::MAX
+            ),
+            CoreError::ArityMismatch { expected, found } => {
+                write!(
+                    f,
+                    "tuple arity {found} does not match schema arity {expected}"
+                )
+            }
+            CoreError::InvalidJoin(m) => write!(f, "invalid join spec: {m}"),
+            CoreError::SourceDimension {
+                query,
+                udf_dim,
+                source_dim,
+            } => write!(
+                f,
+                "query {query:?} expects {udf_dim}-dimensional tuples but the source yields {source_dim}-dimensional ones"
+            ),
+            CoreError::UnknownQuery(id) => write!(f, "unknown query id {id}"),
+            CoreError::NoSubscriptions => write!(f, "no subscriptions registered"),
         }
     }
 }

@@ -44,47 +44,47 @@ use udf_spatial::BoundingBox;
 /// degrades accuracy. Purely observational; un-wired evaluators hold the
 /// disabled set.
 #[derive(Clone, Debug)]
-pub struct OlgaproMetrics {
+struct OlgaproMetrics {
     /// Time in the online-tuning loop (inference + point additions), per
     /// processed input.
-    pub tuning_ns: Histogram,
+    tuning_ns: Histogram,
     /// Time re-learning hyperparameters (plus the step-12 re-inference),
     /// per retrain.
-    pub retrain_ns: Histogram,
+    retrain_ns: Histogram,
     /// Gradient-ascent iterations per retrain (each proposal an O(n³) refit).
-    pub train_iters: Histogram,
+    train_iters: Histogram,
     /// Current training-set size.
-    pub model_points: Gauge,
+    model_points: Gauge,
     /// Training-set size sampled after each processed input — the
     /// model-growth timeline as a distribution (p50/p95/max).
-    pub model_size: Histogram,
+    model_size: Histogram,
     /// Degraded-accuracy acceptances forced by the model cap.
-    pub cap_hits: Counter,
+    cap_hits: Counter,
     /// Tuning picks whose UDF value fell outside the band the model had
     /// just inferred there, `|y − f̂(x)| > z_α σ(x)`: an out-of-sample
     /// check of the band, counted before the point is added.
-    pub band_misses: Counter,
+    band_misses: Counter,
     /// Time per read-only fast-path evaluation
     /// ([`Olgapro::infer_only_with`]) — the blocked warm inference loop.
-    pub fastpath_ns: Histogram,
+    fastpath_ns: Histogram,
     /// Local-predictor cache hits: tuples that reused the previous subset
     /// Cholesky factor instead of re-running the O(l³) build.
-    pub lp_cache_hits: Counter,
+    lp_cache_hits: Counter,
     /// Local-predictor cache misses (fresh subset factorizations).
-    pub lp_cache_misses: Counter,
+    lp_cache_misses: Counter,
     /// Tuning-loop inferences served by extending the tuple's retained
     /// `K`, `L` and `V` by one row instead of rebuilding them (each also
     /// counts as the cache miss the rebuild would have been).
-    pub tuning_extends: Counter,
+    tuning_extends: Counter,
     /// Inferences whose three ECDFs and ε_GP were built.
-    pub bounds_built: Counter,
+    bounds_built: Counter,
     /// Inferences that never needed them: the loop's question answered by
     /// counting, a tuple ruled out by ρ_U, or a retrain about to supersede.
-    pub bounds_skipped: Counter,
+    bounds_skipped: Counter,
     /// Tuples the fast path dropped before inferring their last sample: the
     /// ρ_U count over the samples inferred so far already certified the drop
     /// (`Olgapro::infer_ruled_with`).
-    pub ruled_early: Counter,
+    ruled_early: Counter,
 }
 
 impl OlgaproMetrics {
@@ -150,6 +150,14 @@ impl InferBuffers {
         self.means.extend_from_slice(self.predict.means());
         let vars = self.predict.variances();
         self.sds.extend(vars.iter().map(|v| v.sqrt()));
+    }
+
+    /// Take back the Y′_S and Y′_L buffers of a bound about to be
+    /// superseded, so the next bound stage sorts in them.
+    fn recycle(&mut self, bounded: Option<(f64, Envelopes)>) {
+        if let Some((_, (_, y_s, y_l))) = bounded {
+            self.envelopes = [y_s.into_values(), y_l.into_values()];
+        }
     }
 }
 
@@ -239,9 +247,9 @@ impl Olgapro {
         self
     }
 
-    /// Wire observability (builder form): the `olgapro.*` handles (see
-    /// [`OlgaproMetrics`]) register in `metrics`. Timings and counters only
-    /// observe; the evaluation itself is blind to them.
+    /// Wire observability (builder form): the `olgapro.*` handles register
+    /// in `metrics`. Timings and counters only observe; the evaluation
+    /// itself is blind to them.
     pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
         self.set_metrics(metrics);
         self
@@ -350,7 +358,7 @@ impl Olgapro {
     /// is below θ the tuple is dropped, as the full count would drop it, and
     /// that certificate is its reported `rho_upper` — still an upper bound
     /// on the TEP, possibly above the exact ρ_U
-    /// ([`OlgaproMetrics::ruled_early`] counts these drops). A non-finite
+    /// (`olgapro.ruled_early` counts these drops). A non-finite
     /// band value stops certification; samples never inferred are never
     /// checked. Without a predicate the one block is all `m` samples.
     pub(crate) fn infer_ruled_with(
@@ -490,9 +498,10 @@ impl Olgapro {
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
         let buf = &mut scratch.buf;
         self.infer(&scratch.samples, &bbox, buf, true)?;
-        let mut bounded;
+        let mut bounded = None;
         let mut capped = false;
         loop {
+            buf.recycle(bounded.take());
             let may_add = points_added < self.config.max_points_per_input;
             let floor = eps_gp_floor(&buf.means, &buf.sds, z_alpha);
             // A floor over the budget proves ε_GP is. A non-finite
@@ -563,6 +572,7 @@ impl Olgapro {
                         .add(u64::from(bounded.is_none()));
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     self.infer(&scratch.samples, &bbox, buf, false)?;
+                    buf.recycle(bounded.take());
                     let (eps_gp, (y_hat, s2, l2)) = self.bound(buf, z2)?;
                     // The output reports the pre-retrain `z_alpha`, so its
                     // envelopes are the new predictions widened by that z,

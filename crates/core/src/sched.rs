@@ -71,23 +71,23 @@ use udf_obs::{Counter, Histogram, MetricsRegistry};
 /// disabled set, where every operation is one
 /// relaxed load and a branch.
 #[derive(Clone, Debug)]
-pub struct SchedMetrics {
+struct SchedMetrics {
     /// Wall time of the concurrent read-only fast phase, per batch.
-    pub fast_phase_ns: Histogram,
+    fast_phase_ns: Histogram,
     /// Wall time of the sequential fold (accepts, filters, slow reruns),
     /// per batch.
-    pub slow_phase_ns: Histogram,
+    slow_phase_ns: Histogram,
     /// Time the calling thread spent waiting for helper stragglers after
     /// finishing its own share of a batch.
-    pub queue_wait_ns: Histogram,
+    queue_wait_ns: Histogram,
     /// Steal-able chunks dispatched across all batches.
-    pub chunks: Counter,
+    chunks: Counter,
     /// Fast-phase results accepted as-is ([`Verdict::Accept`]).
-    pub accepts: Counter,
+    accepts: Counter,
     /// Tuples rerouted through the slow path ([`Verdict::Reroute`]).
-    pub reroutes: Counter,
+    reroutes: Counter,
     /// Tuples dropped at fast-path cost ([`Verdict::Filter`]).
-    pub filters: Counter,
+    filters: Counter,
 }
 
 impl SchedMetrics {
@@ -261,9 +261,8 @@ impl BatchScheduler {
         }
     }
 
-    /// Wire observability: the `sched.*` handles (see [`SchedMetrics`])
-    /// register in `metrics`. Timings and counters never affect what the
-    /// scheduler computes.
+    /// Wire observability: the `sched.*` handles register in `metrics`.
+    /// Timings and counters never affect what the scheduler computes.
     pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
         self.metrics = SchedMetrics::register(metrics);
         self

@@ -1,69 +1,14 @@
 //! The batch-parallel uncertain θ-join executor.
-//!
-//! ## Execution shape
-//!
-//! MC joins are embarrassingly parallel: one batch over the filtered
-//! cross product, exactly the hand-built Q2 construction.
-//!
-//! GP joins run **two rounds** so one warm model amortizes across all
-//! O(n²) pairs:
-//!
-//! 1. **warmup** — [`warmup_indices`] picks a small, evenly-strided,
-//!    deterministic subset of the pair enumeration (the stride is what
-//!    matters: a prefix would only cover one left tuple's slice) and
-//!    runs it *sequentially through the full Algorithm 5 path*
-//!    ([`Executor::sequential_indexed`](udf_query::Executor::sequential_indexed)):
-//!    each warmup pair tunes the model before the next is judged, so no
-//!    pair is ever ruled by the raw bootstrap model — a cold frozen model
-//!    (near-duplicate training cluster, ill-conditioned α) can
-//!    spuriously filter arbitrarily many pairs in a batch fast phase;
-//! 2. **main** — every remaining pair runs in one two-phase
-//!    [`Executor::batch_indexed`](udf_query::Executor::batch_indexed)
-//!    batch whose fast phase reads the now-warm frozen model, so most
-//!    pairs are served read-only in parallel instead of rerouting
-//!    through the sequential slow path.
-//!
-//! Both rounds seed every pair from its *global* enumeration index, so
-//! RNG streams, emitted `source` ids, and fold positions are independent
-//! of worker count — and a hand-built construction over the materialized
-//! cross product reproduces the join byte-for-byte (pinned by
-//! `tests/parity.rs`).
 
 use crate::spec::JoinSpec;
-use crate::{JoinError, Result};
 use std::fmt;
 use udf_core::batch::BatchCounts;
 use udf_core::config::ModelBudget;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
-use udf_obs::{Histogram, MetricsRegistry};
+use udf_core::{CoreError, Result};
+use udf_obs::MetricsRegistry;
 use udf_query::{EvalStrategy, Executor, Relation, Schema, UdfCall};
-
-/// The join executor's observability handles. Purely observational:
-/// RNG streams and emitted rows are identical whether or not these record
-/// (pinned by the determinism tests).
-#[derive(Clone, Debug)]
-pub struct JoinMetrics {
-    /// Sequential warmup-round wall time (whole round).
-    pub warmup_ns: Histogram,
-    /// Main two-phase batch wall time (whole batch).
-    pub main_ns: Histogram,
-}
-
-impl JoinMetrics {
-    /// No-op handles (what an un-wired executor holds).
-    pub(crate) fn disabled() -> Self {
-        Self::register(&MetricsRegistry::disabled())
-    }
-
-    /// Register the `join.*` handles in `reg`.
-    pub(crate) fn register(reg: &MetricsRegistry) -> Self {
-        JoinMetrics {
-            warmup_ns: reg.histogram("join.warmup_ns"),
-            main_ns: reg.histogram("join.main_ns"),
-        }
-    }
-}
 
 /// Warmup-round size for GP joins: enough strided pairs to train the
 /// model across the input space, few enough that the sequential warmup
@@ -136,21 +81,47 @@ pub struct JoinOutput {
     pub stats: JoinStats,
 }
 
-/// Executes one [`JoinSpec`] — see the [module docs](self) for the
-/// two-round shape.
+/// Executes one [`JoinSpec`].
+///
+/// MC joins are embarrassingly parallel: one batch over the filtered
+/// cross product, exactly the hand-built Q2 construction.
+///
+/// GP joins run **two rounds** so one warm model amortizes across all
+/// O(n²) pairs:
+///
+/// 1. **warmup** — [`warmup_indices`] picks a small, evenly-strided,
+///    deterministic subset of the pair enumeration (the stride is what
+///    matters: a prefix would only cover one left tuple's slice) and
+///    runs it *sequentially through the full Algorithm 5 path*
+///    ([`Executor::sequential_indexed`](udf_query::Executor::sequential_indexed)):
+///    each warmup pair tunes the model before the next is judged, so no
+///    pair is ever ruled by the raw bootstrap model — a cold frozen model
+///    (near-duplicate training cluster, ill-conditioned α) can
+///    spuriously filter arbitrarily many pairs in a batch fast phase;
+/// 2. **main** — every remaining pair runs in one two-phase
+///    [`Executor::batch_indexed`](udf_query::Executor::batch_indexed)
+///    batch whose fast phase reads the now-warm frozen model, so most
+///    pairs are served read-only in parallel instead of rerouting
+///    through the sequential slow path.
+///
+/// Both rounds seed every pair from its *global* enumeration index, so
+/// RNG streams, emitted `source` ids, and fold positions are independent
+/// of worker count — and a hand-built construction over the materialized
+/// cross product reproduces the join byte-for-byte (pinned by
+/// `tests/parity.rs`).
 pub struct JoinExecutor<'s, 'a> {
     spec: &'s JoinSpec<'a>,
     schema: Schema,
     call: UdfCall,
     executor: Executor,
-    metrics: JoinMetrics,
+    metrics: MetricsRegistry,
 }
 
 impl<'s, 'a> JoinExecutor<'s, 'a> {
     /// Validate the spec and build the inner pair executor.
     pub fn new(spec: &'s JoinSpec<'a>) -> Result<Self> {
         if spec.prune {
-            return Err(JoinError::InvalidSpec(
+            return Err(CoreError::InvalidJoin(
                 "pair pruning was removed; build the spec without `prune(true)`".to_string(),
             ));
         }
@@ -165,7 +136,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             schema,
             call,
             executor,
-            metrics: JoinMetrics::disabled(),
+            metrics: MetricsRegistry::disabled(),
         })
     }
 
@@ -174,7 +145,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
     /// Purely observational — results are byte-identical wired or not.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
-        self.metrics = JoinMetrics::register(metrics);
+        self.metrics = metrics.clone();
         self.executor = self.executor.with_metrics(metrics);
         self
     }
@@ -195,6 +166,8 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             ..JoinStats::default()
         };
         let inputs = self.call.indexed_inputs(&pairs_rel)?;
+        let warmup_ns = self.metrics.histogram("join.warmup_ns");
+        let main_ns = self.metrics.histogram("join.main_ns");
         let mut rows = Vec::new();
         let main = match spec.strategy {
             EvalStrategy::Mc => inputs,
@@ -203,7 +176,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
                 let (warm, main): (Vec<_>, Vec<_>) = inputs
                     .into_iter()
                     .partition(|(idx, _)| warm.binary_search(idx).is_ok());
-                let _warmup_span = self.metrics.warmup_ns.span();
+                let _warmup_span = warmup_ns.span();
                 let (r, counts) =
                     self.executor
                         .sequential_indexed(&warm, spec.predicate.as_ref(), spec.seed)?;
@@ -213,7 +186,7 @@ impl<'s, 'a> JoinExecutor<'s, 'a> {
             }
         };
         if !main.is_empty() {
-            let _main_span = self.metrics.main_ns.span();
+            let _main_span = main_ns.span();
             let (r, counts) =
                 self.executor
                     .batch_indexed(&main, spec.predicate.as_ref(), sched, spec.seed)?;

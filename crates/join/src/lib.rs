@@ -50,39 +50,8 @@
 //! assert!(!out.rows.is_empty());
 //! ```
 
-pub mod executor;
+pub(crate) mod executor;
 pub(crate) mod spec;
 
-pub use executor::{warmup_indices, JoinExecutor, JoinMetrics, JoinOutput, JoinStats, JoinedPair};
+pub use executor::{warmup_indices, JoinExecutor, JoinOutput, JoinStats, JoinedPair};
 pub use spec::{JoinAttr, JoinSpec, OnCondition, Side};
-
-use std::fmt;
-
-/// Errors raised by join construction and execution.
-#[derive(Debug)]
-pub enum JoinError {
-    /// The spec is inconsistent (bad argument binding, `prune(true)`, …).
-    InvalidSpec(String),
-    /// Relational-layer failure (duplicate columns, pair blowup, …).
-    Query(udf_query::QueryError),
-}
-
-impl fmt::Display for JoinError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JoinError::InvalidSpec(m) => write!(f, "invalid join spec: {m}"),
-            JoinError::Query(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for JoinError {}
-
-impl From<udf_query::QueryError> for JoinError {
-    fn from(e: udf_query::QueryError) -> Self {
-        JoinError::Query(e)
-    }
-}
-
-/// Result alias for join operations.
-pub(crate) type Result<T> = std::result::Result<T, JoinError>;

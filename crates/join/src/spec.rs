@@ -1,9 +1,9 @@
 //! The declarative description of one uncertain θ-join.
 
-use crate::{JoinError, Result};
 use udf_core::config::AccuracyRequirement;
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
+use udf_core::{CoreError, Result};
 use udf_query::{EvalStrategy, Relation, Schema, Tuple};
 
 /// Which join side an argument or key column is drawn from.
@@ -110,7 +110,7 @@ impl<'a> JoinSpec<'a> {
         let left_prefix = left_prefix.into();
         let right_prefix = right_prefix.into();
         if args.len() != udf.dim() {
-            return Err(JoinError::InvalidSpec(format!(
+            return Err(CoreError::InvalidJoin(format!(
                 "UDF `{}` takes {} argument(s), got {}",
                 udf.name(),
                 udf.dim(),
@@ -167,7 +167,7 @@ impl<'a> JoinSpec<'a> {
 
     /// Set [`prune`](JoinSpec::prune); `true` makes
     /// [`crate::JoinExecutor::new`] fail with
-    /// [`JoinError::InvalidSpec`].
+    /// [`CoreError::InvalidJoin`].
     pub fn prune(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -189,10 +189,9 @@ impl<'a> JoinSpec<'a> {
     /// The joined (prefixed) output schema — also validates that the
     /// prefixes do not collide.
     pub(crate) fn joined_schema(&self) -> Result<Schema> {
-        Ok(self
-            .left
+        self.left
             .schema()
-            .join(&self.left_prefix, self.right.schema(), &self.right_prefix)?)
+            .join(&self.left_prefix, self.right.schema(), &self.right_prefix)
     }
 
     /// Qualified argument names against [`joined_schema`](JoinSpec::joined_schema),
@@ -284,7 +283,7 @@ mod tests {
                 acc(),
                 1.0
             ),
-            Err(JoinError::InvalidSpec(_))
+            Err(CoreError::InvalidJoin(_))
         ));
         // Unknown column.
         assert!(matches!(
@@ -298,7 +297,7 @@ mod tests {
                 acc(),
                 1.0
             ),
-            Err(JoinError::Query(_))
+            Err(CoreError::UnknownColumn(_))
         ));
     }
 
@@ -343,7 +342,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             spec.joined_schema(),
-            Err(JoinError::Query(udf_query::QueryError::DuplicateColumn(_)))
+            Err(CoreError::DuplicateColumn(_))
         ));
     }
 }

@@ -4,8 +4,8 @@
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::sched::BatchScheduler;
-use udf_join::executor::warmup_indices;
-use udf_join::{JoinError, JoinExecutor, JoinSpec, JoinStats, JoinedPair, Side};
+use udf_core::CoreError;
+use udf_join::{warmup_indices, JoinExecutor, JoinSpec, JoinStats, JoinedPair, Side};
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 use udf_workloads::UdfCatalog;
 
@@ -208,7 +208,7 @@ fn pruning_spec_is_refused() {
         assert!(
             matches!(
                 JoinExecutor::new(&spec),
-                Err(JoinError::InvalidSpec(m)) if m.contains("pruning was removed")
+                Err(CoreError::InvalidJoin(m)) if m.contains("pruning was removed")
             ),
             "{strategy:?}"
         );

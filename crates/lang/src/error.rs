@@ -181,18 +181,6 @@ impl fmt::Display for LangError {
 
 impl std::error::Error for LangError {}
 
-impl From<udf_query::QueryError> for LangError {
-    fn from(e: udf_query::QueryError) -> Self {
-        LangError::Exec(e.to_string())
-    }
-}
-
-impl From<udf_stream::StreamError> for LangError {
-    fn from(e: udf_stream::StreamError) -> Self {
-        LangError::Exec(e.to_string())
-    }
-}
-
 impl From<udf_core::CoreError> for LangError {
     fn from(e: udf_core::CoreError) -> Self {
         LangError::Exec(e.to_string())

@@ -401,8 +401,7 @@ fn exec_join(p: &JoinPlan, ctx: &Context) -> Result<QueryOutput> {
         &args,
         p.accuracy,
         p.output_range,
-    )
-    .map_err(join_err)?
+    )?
     .strategy(p.strategy)
     .seed(p.seed)
     .model_cap(p.model_cap);
@@ -427,20 +426,14 @@ fn exec_join(p: &JoinPlan, ctx: &Context) -> Result<QueryOutput> {
         });
     }
     let t0 = Instant::now();
-    let mut executor = JoinExecutor::new(&spec)
-        .map_err(join_err)?
-        .with_metrics(metrics);
-    let out = executor.run(&sched).map_err(join_err)?;
+    let mut executor = JoinExecutor::new(&spec)?.with_metrics(metrics);
+    let out = executor.run(&sched)?;
     Ok(QueryOutput::Join(JoinRowsOutput {
         rows: out.rows,
         relation: out.relation,
         stats: out.stats,
         elapsed: t0.elapsed(),
     }))
-}
-
-fn join_err(e: udf_join::JoinError) -> LangError {
-    LangError::Exec(e.to_string())
 }
 
 fn exec_stream(p: &StreamPlan, ctx: &Context) -> Result<QueryOutput> {

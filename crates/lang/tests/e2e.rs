@@ -634,6 +634,9 @@ impl UdfFunction for PanicsOnce {
 
 fn boom_ctx(bad: u64) -> Context {
     let mut ctx = ctx_with_sky();
+    ctx.register_stream("synth", 1, || {
+        Box::new(SyntheticSource::gaussian(1, 0.5, 11))
+    });
     let boom = PanicsOnce {
         calls: AtomicU64::new(0),
         bad,
@@ -645,12 +648,13 @@ fn boom_ctx(bad: u64) -> Context {
 }
 
 /// A UDF panicking mid-statement: the statement fails — the panic unwinds
-/// out of the sequential path (GP) or comes back as a worker error (MC) —
-/// and the next statement in the same context returns what a fresh
-/// context returns.
+/// out of the sequential path (GP) or comes back as a worker error (MC),
+/// which a relation and a stream report in the same words — and the next
+/// statement in the same context returns what a fresh context returns.
 #[test]
 fn a_panicking_udf_fails_only_its_statement() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    const WORKER_PANIC: &str = "execution error: a worker thread panicked: injected UDF panic";
     // Call 8 is inside the first GP tuple's tuning loop; call 300 is on a
     // pool worker in the middle of the MC batch.
     for (using, bad) in [("gp", 8), ("mc", 300)] {
@@ -661,6 +665,12 @@ fn a_panicking_udf_fails_only_its_statement() {
             !matches!(failed, Ok(Ok(_))),
             "{using}: the statement succeeded"
         );
+        if using == "mc" {
+            let Ok(Err(e)) = &failed else {
+                panic!("mc: the worker's panic did not come back as an error")
+            };
+            assert_eq!(e.to_string(), WORKER_PANIC);
+        }
 
         let QueryOutput::Rows(again) = run_uql(&q, &ctx).unwrap() else {
             panic!("rows")
@@ -671,4 +681,17 @@ fn a_panicking_udf_fails_only_its_statement() {
         assert_eq!(again.rows.len(), 64, "{using}");
         assert_rows_identical(&again.rows, &fresh.rows, using);
     }
+
+    let q = "SELECT Boom(x) FROM STREAM synth USING mc WORKERS 2 SEED 7 LIMIT 128";
+    let ctx = boom_ctx(300);
+    let err = run_uql(q, &ctx).unwrap_err();
+    assert_eq!(err.to_string(), WORKER_PANIC, "stream");
+    let QueryOutput::Stream(again) = run_uql(q, &ctx).unwrap() else {
+        panic!("stream")
+    };
+    let QueryOutput::Stream(fresh) = run_uql(q, &boom_ctx(u64::MAX)).unwrap() else {
+        panic!("stream")
+    };
+    assert_eq!(again.stats.tuples_in, 128);
+    assert_eq!(again.digest, fresh.digest, "stream");
 }

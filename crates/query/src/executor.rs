@@ -19,13 +19,13 @@
 //! model rather than each predecessor's tuning.
 
 use crate::relation::{Relation, UdfCall};
-use crate::Result;
 use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::{AccuracyRequirement, ModelBudget};
 use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::olgapro::Olgapro;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
+use udf_core::Result;
 use udf_prob::InputDistribution;
 
 /// How UDF outputs are computed per tuple: the batch operator's strategy,

@@ -1,7 +1,7 @@
 //! Relations whose attributes may be uncertain.
 
-use crate::{QueryError, Result};
 use udf_core::udf::BlackBoxUdf;
+use udf_core::{CoreError, Result};
 use udf_prob::{InputDistribution, Value};
 
 /// Column names.
@@ -28,7 +28,7 @@ impl Schema {
         self.columns
             .iter()
             .position(|c| c == name)
-            .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))
+            .ok_or_else(|| CoreError::UnknownColumn(name.to_string()))
     }
 
     /// Column names.
@@ -39,7 +39,7 @@ impl Schema {
     /// Concatenate two schemas with prefixes (for joins):
     /// `g1.redshift`, `g2.redshift`, ...
     ///
-    /// Fails with [`QueryError::DuplicateColumn`] when the prefixed names
+    /// Fails with [`CoreError::DuplicateColumn`] when the prefixed names
     /// collide — equal prefixes over overlapping columns, or a prefix that
     /// reproduces an already-qualified column of the other side (joining a
     /// join). The old silent behavior made the duplicate unresolvable by
@@ -54,7 +54,7 @@ impl Schema {
         let mut seen = std::collections::BTreeSet::new();
         for c in &columns {
             if !seen.insert(c.as_str()) {
-                return Err(QueryError::DuplicateColumn(c.clone()));
+                return Err(CoreError::DuplicateColumn(c.clone()));
             }
         }
         Ok(Schema { columns })
@@ -103,7 +103,7 @@ impl Relation {
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Result<Self> {
         for t in &tuples {
             if t.values().len() != schema.arity() {
-                return Err(QueryError::ArityMismatch {
+                return Err(CoreError::ArityMismatch {
                     expected: schema.arity(),
                     found: t.values().len(),
                 });
@@ -135,8 +135,8 @@ impl Relation {
     /// Cartesian product with prefixed column names (Q2's self-join; an
     /// optional pair filter trims the quadratic blowup, e.g. `i < j`).
     ///
-    /// Fails with [`QueryError::DuplicateColumn`] on colliding prefixes and
-    /// with [`QueryError::JoinTooLarge`] when the cross product exceeds
+    /// Fails with [`CoreError::DuplicateColumn`] on colliding prefixes and
+    /// with [`CoreError::JoinTooLarge`] when the cross product exceeds
     /// [`u32::MAX`] pairs — materializing (or even enumerating) more would
     /// OOM long before producing anything useful.
     pub fn cross_join(
@@ -149,7 +149,7 @@ impl Relation {
         let schema = self.schema.join(prefix_a, &other.schema, prefix_b)?;
         let pairs = (self.len() as u64).checked_mul(other.len() as u64);
         if pairs.is_none_or(|p| p > u32::MAX as u64) {
-            return Err(QueryError::JoinTooLarge {
+            return Err(CoreError::JoinTooLarge {
                 left: self.len(),
                 right: other.len(),
             });
@@ -183,10 +183,10 @@ impl UdfCall {
             .map(|n| schema.index_of(n))
             .collect::<Result<Vec<_>>>()?;
         if args.len() != udf.dim() {
-            return Err(QueryError::Core(udf_core::CoreError::DimensionMismatch {
+            return Err(CoreError::DimensionMismatch {
                 expected: udf.dim(),
                 found: args.len(),
-            }));
+            });
         }
         Ok(UdfCall { udf, args })
     }
@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(r.schema().index_of("redshift").unwrap(), 1);
         assert!(matches!(
             r.schema().index_of("nope"),
-            Err(QueryError::UnknownColumn(_))
+            Err(CoreError::UnknownColumn(_))
         ));
     }
 
@@ -251,7 +251,7 @@ mod tests {
         let bad = vec![Tuple::new(vec![Value::Det(1.0)])];
         assert!(matches!(
             Relation::new(schema, bad),
-            Err(QueryError::ArityMismatch { .. })
+            Err(CoreError::ArityMismatch { .. })
         ));
     }
 
@@ -270,7 +270,7 @@ mod tests {
         // Equal prefixes duplicate every column name.
         assert!(matches!(
             r.cross_join("g", &r, "g", |_, _| true),
-            Err(QueryError::DuplicateColumn(c)) if c == "g.objID"
+            Err(CoreError::DuplicateColumn(c)) if c == "g.objID"
         ));
         // A prefix can also reproduce an already-qualified column of the
         // other side (joining a previous join): "a" + "b.x" ≡ "a.b" + "x".
@@ -283,7 +283,7 @@ mod tests {
             Relation::new(Schema::new(&["x"]), vec![Tuple::new(vec![Value::Det(2.0)])]).unwrap();
         assert!(matches!(
             left.cross_join("a", &right, "a.b", |_, _| true),
-            Err(QueryError::DuplicateColumn(c)) if c == "a.b.x"
+            Err(CoreError::DuplicateColumn(c)) if c == "a.b.x"
         ));
         // Distinct prefixes on distinct schemas stay fine.
         assert!(r.cross_join("g1", &r, "g2", |_, _| true).is_ok());
@@ -299,7 +299,7 @@ mod tests {
         let big = Relation::new(schema, tuples).unwrap();
         assert!(matches!(
             big.cross_join("a", &big, "b", |_, _| false),
-            Err(QueryError::JoinTooLarge {
+            Err(CoreError::JoinTooLarge {
                 left,
                 right
             }) if left == n && right == n

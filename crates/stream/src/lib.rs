@@ -71,73 +71,6 @@ pub use session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
 pub use source::{AstroSource, Source, SyntheticSource, VecSource};
 pub use stats::KeptSummary;
 
-use std::fmt;
-
-/// Errors raised by the streaming engine.
-#[derive(Debug)]
-pub enum StreamError {
-    /// Evaluation-framework failure inside a subscription.
-    Core(udf_core::CoreError),
-    /// A subscription's UDF dimensionality disagrees with the source.
-    DimensionMismatch {
-        /// Subscription name.
-        query: String,
-        /// The UDF's input dimensionality.
-        udf_dim: usize,
-        /// The source's tuple dimensionality.
-        source_dim: usize,
-    },
-    /// The referenced query id does not exist in this session.
-    UnknownQuery(usize),
-    /// `run` was called with no subscriptions registered.
-    NoSubscriptions,
-    /// A thread died mid-run: a UDF panicked on one of a batch's workers,
-    /// or the source panicked on the ingest thread.
-    WorkerPanicked {
-        /// The panic's message, when it had one.
-        message: String,
-    },
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::Core(e) => write!(f, "evaluation error: {e}"),
-            StreamError::DimensionMismatch {
-                query,
-                udf_dim,
-                source_dim,
-            } => write!(
-                f,
-                "query {query:?} expects {udf_dim}-dimensional tuples but the source yields {source_dim}-dimensional ones"
-            ),
-            StreamError::UnknownQuery(id) => write!(f, "unknown query id {id}"),
-            StreamError::NoSubscriptions => write!(f, "no subscriptions registered"),
-            StreamError::WorkerPanicked { message } => {
-                write!(f, "a worker thread panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<udf_core::CoreError> for StreamError {
-    fn from(e: udf_core::CoreError) -> Self {
-        match e {
-            // A panic the scheduler contained (a UDF that panicked on one of
-            // a batch's workers) keeps its dedicated stream-level variant.
-            udf_core::CoreError::WorkerPanicked { message } => {
-                StreamError::WorkerPanicked { message }
-            }
-            e => StreamError::Core(e),
-        }
-    }
-}
-
-/// Result alias for streaming operations.
-pub(crate) type Result<T> = std::result::Result<T, StreamError>;
-
 /// The items most streaming applications need.
 pub mod prelude {
     pub use crate::session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};

@@ -37,7 +37,6 @@
 
 use crate::source::Source;
 use crate::stats::{Digest, KeptSummary};
-use crate::{Result, StreamError};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Instant;
@@ -47,6 +46,7 @@ use udf_core::filtering::{FilterDecision, Predicate};
 use udf_core::output::OutputDistribution;
 use udf_core::sched::{panic_message, BatchScheduler};
 use udf_core::udf::BlackBoxUdf;
+use udf_core::{CoreError, Result};
 use udf_obs::{Histogram, MetricsRegistry};
 use udf_prob::InputDistribution;
 
@@ -295,12 +295,12 @@ impl Session {
     /// persist across runs.
     pub fn run<S: Source + Send>(&mut self, mut source: S, limit: Option<u64>) -> Result<u64> {
         if self.queries.is_empty() {
-            return Err(StreamError::NoSubscriptions);
+            return Err(CoreError::NoSubscriptions);
         }
         let source_dim = source.dim();
         for Subscription { q, .. } in &self.queries {
             if q.dim != source_dim {
-                return Err(StreamError::DimensionMismatch {
+                return Err(CoreError::SourceDimension {
                     query: q.name.clone(),
                     udf_dim: q.dim,
                     source_dim,
@@ -356,7 +356,7 @@ impl Session {
             }
             drop(rx); // on error: unblock a producer stuck on send()
             if let Err(payload) = producer.join() {
-                return Err(StreamError::WorkerPanicked {
+                return Err(CoreError::WorkerPanicked {
                     message: panic_message(payload),
                 });
             }
@@ -393,9 +393,7 @@ impl Session {
     }
 
     fn subscription(&self, id: QueryId) -> Result<&Subscription> {
-        self.queries
-            .get(id.0)
-            .ok_or(StreamError::UnknownQuery(id.0))
+        self.queries.get(id.0).ok_or(CoreError::UnknownQuery(id.0))
     }
 
     /// A subscription's counts, summed over every micro-batch so far.
@@ -627,7 +625,7 @@ mod tests {
             .run(SyntheticSource::gaussian(1, 0.4, 1), Some(16))
             .unwrap_err();
         assert!(
-            matches!(&err, crate::StreamError::WorkerPanicked { .. }),
+            matches!(&err, CoreError::WorkerPanicked { .. }),
             "expected WorkerPanicked, got {err}"
         );
         assert!(err.to_string().contains("udf exploded"), "{err}");
@@ -664,10 +662,10 @@ mod tests {
                 assert!(
                     matches!(
                         &err,
-                        crate::StreamError::Core(udf_core::CoreError::InvalidConfig {
+                        CoreError::InvalidConfig {
                             what: "output_range",
                             ..
-                        })
+                        }
                     ),
                     "range {bad} / {strategy:?}: got {err}"
                 );
@@ -687,10 +685,10 @@ mod tests {
             assert!(
                 matches!(
                     &err,
-                    crate::StreamError::Core(udf_core::CoreError::InvalidConfig {
+                    CoreError::InvalidConfig {
                         what: "samples per tuple",
                         ..
-                    })
+                    }
                 ),
                 "{strategy:?}: got {err}"
             );
@@ -711,10 +709,10 @@ mod tests {
             assert!(
                 matches!(
                     &err,
-                    crate::StreamError::Core(udf_core::CoreError::InvalidConfig {
+                    CoreError::InvalidConfig {
                         what: "max_model_points",
                         ..
-                    })
+                    }
                 ),
                 "cap {bad}: got {err}"
             );
@@ -742,7 +740,7 @@ mod tests {
         let err = session
             .run(SyntheticSource::gaussian(1, 0.4, 1), Some(4))
             .unwrap_err();
-        assert!(matches!(err, crate::StreamError::NoSubscriptions));
+        assert!(matches!(err, CoreError::NoSubscriptions));
 
         session
             .subscribe(QuerySpec::new(
@@ -755,7 +753,7 @@ mod tests {
         let err = session
             .run(SyntheticSource::gaussian(1, 0.4, 1), Some(4))
             .unwrap_err();
-        assert!(matches!(err, crate::StreamError::DimensionMismatch { .. }));
+        assert!(matches!(err, CoreError::SourceDimension { .. }));
 
         assert!(session.stats(QueryId(99)).is_err());
     }
