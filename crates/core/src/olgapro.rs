@@ -140,7 +140,7 @@ struct InferBuffers {
     sds: Vec<f64>,
     bound: BoundScratch,
     /// What the bound stage sorts Y′_S and Y′_L in: taken by their ECDFs,
-    /// and back once a fast-path result becomes a [`FastRow`].
+    /// and back through `recycle` from a [`FastRow`] or a superseded bound.
     envelopes: [Vec<f64>; 2],
 }
 
@@ -152,10 +152,10 @@ impl InferBuffers {
         self.sds.extend(vars.iter().map(|v| v.sqrt()));
     }
 
-    /// Take back the Y′_S and Y′_L buffers of a bound about to be
-    /// superseded, so the next bound stage sorts in them.
-    fn recycle(&mut self, bounded: Option<(f64, Envelopes)>) {
-        if let Some((_, (_, y_s, y_l))) = bounded {
+    /// Take back the buffers of a Y′_S and Y′_L about to be dropped, so the
+    /// next bound stage sorts in them.
+    fn recycle(&mut self, envelopes: Option<(Ecdf, Ecdf)>) {
+        if let Some((y_s, y_l)) = envelopes {
             self.envelopes = [y_s.into_values(), y_l.into_values()];
         }
     }
@@ -166,7 +166,7 @@ impl InferScratch {
     /// Y′_S and Y′_L buffers come back here for the next tuple's envelopes.
     pub(crate) fn row(&mut self, out: GpOutput, rho_hat: f64) -> FastRow {
         let (eps_gp, error_bound) = (out.eps_gp, out.error_bound());
-        self.buf.envelopes = [out.y_s.into_values(), out.y_l.into_values()];
+        self.buf.recycle(Some((out.y_s, out.y_l)));
         let output = OutputDistribution {
             ecdf: out.y_hat,
             error_bound,
@@ -501,7 +501,7 @@ impl Olgapro {
         let mut bounded = None;
         let mut capped = false;
         loop {
-            buf.recycle(bounded.take());
+            buf.recycle(bounded.take().map(|(_, (_, y_s, y_l))| (y_s, y_l)));
             let may_add = points_added < self.config.max_points_per_input;
             let floor = eps_gp_floor(&buf.means, &buf.sds, z_alpha);
             // A floor over the budget proves ε_GP is. A non-finite
@@ -572,7 +572,7 @@ impl Olgapro {
                         .add(u64::from(bounded.is_none()));
                     let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
                     self.infer(&scratch.samples, &bbox, buf, false)?;
-                    buf.recycle(bounded.take());
+                    buf.recycle(bounded.take().map(|(_, (_, y_s, y_l))| (y_s, y_l)));
                     let (eps_gp, (y_hat, s2, l2)) = self.bound(buf, z2)?;
                     // The output reports the pre-retrain `z_alpha`, so its
                     // envelopes are the new predictions widened by that z,
