@@ -49,12 +49,14 @@ pub enum CoreError {
     Gp(udf_gp::GpError),
     /// A UDF returned a non-finite value at the given input.
     NonFiniteUdfOutput { input: Vec<f64>, value: f64 },
-    /// The input distribution's dimensionality disagrees with the UDF's.
+    /// A count of inputs disagrees with what receives them: an input
+    /// distribution's dimensionality with its UDF's, or a tuple's arity
+    /// with its relation schema's.
     DimensionMismatch { expected: usize, found: usize },
     /// Invalid configuration value.
     InvalidConfig { what: &'static str, value: f64 },
-    /// A thread died mid-run: a UDF panicked on one of a batch's workers,
-    /// or a stream's source panicked on its ingest thread. Carries the
+    /// A UDF panicked on one of a batch's workers, or a stream's source
+    /// panicked while the session pulled a batch from it. Carries the
     /// panic message when one was available.
     WorkerPanicked { message: String },
     /// A referenced column does not exist.
@@ -70,8 +72,6 @@ pub enum CoreError {
         /// Right-side row count.
         right: usize,
     },
-    /// Schema arity and tuple arity disagree.
-    ArityMismatch { expected: usize, found: usize },
     /// A join spec is inconsistent (bad argument binding, `prune(true)`, …).
     InvalidJoin(String),
     /// A stream subscription's UDF dimensionality disagrees with the source.
@@ -118,12 +118,6 @@ impl fmt::Display for CoreError {
                 "join of {left} x {right} rows exceeds the {} supported pairs",
                 u32::MAX
             ),
-            CoreError::ArityMismatch { expected, found } => {
-                write!(
-                    f,
-                    "tuple arity {found} does not match schema arity {expected}"
-                )
-            }
             CoreError::InvalidJoin(m) => write!(f, "invalid join spec: {m}"),
             CoreError::SourceDimension {
                 query,

@@ -40,6 +40,7 @@
 //! helpers spawned for the batch in a `std::thread::scope`, all pulling
 //! chunks of the batch from a shared counter (chunk stealing) instead of
 //! being carved a fixed shard. One worker runs inline, with no thread.
+//! These helpers are the only threads the engine spawns.
 //! Each execution slot owns an [`InferScratch`] that persists across
 //! batches and is handed to [`BatchOps::fast`], so warm fast passes reuse
 //! sample buffers, kernel-matrix scratch, envelope buffers and the per-slot

@@ -30,7 +30,7 @@ use udf_workloads::UdfCatalog;
 /// A factory producing fresh instances of a registered stream source. Each
 /// query run gets its own source, so repeated runs replay the same tuple
 /// sequence (sources own their RNG seed).
-pub type SourceFactory = Box<dyn Fn() -> Box<dyn Source + Send>>;
+type SourceFactory = Box<dyn Fn() -> Box<dyn Source>>;
 
 /// Everything a UQL statement can reference by name: the UDF catalog,
 /// finite relations, and stream-source factories.
@@ -96,7 +96,7 @@ impl Context {
         &mut self,
         name: impl Into<String>,
         dim: usize,
-        factory: impl Fn() -> Box<dyn Source + Send> + 'static,
+        factory: impl Fn() -> Box<dyn Source> + 'static,
     ) {
         self.streams.insert(name.into(), (dim, Box::new(factory)));
     }

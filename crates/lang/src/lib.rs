@@ -74,8 +74,6 @@ pub(crate) mod plan;
 pub(crate) mod token;
 
 pub use error::{LangError, Result, Span, Spanned, Stage};
-pub use exec::{
-    run_uql, Context, JoinRowsOutput, QueryOutput, RowsOutput, SourceFactory, StreamOutput,
-};
+pub use exec::{run_uql, Context, JoinRowsOutput, QueryOutput, RowsOutput, StreamOutput};
 pub use parser::parse_statement;
 pub use plan::{bind, BoundQuery, JoinPlan, PhysicalPlan, RelPlan, StreamPlan};

@@ -23,7 +23,7 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use vector::{axpy, dot};
+pub use vector::dot;
 
 /// Result alias for linear-algebra operations.
 pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

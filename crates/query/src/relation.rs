@@ -103,7 +103,7 @@ impl Relation {
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Result<Self> {
         for t in &tuples {
             if t.values().len() != schema.arity() {
-                return Err(CoreError::ArityMismatch {
+                return Err(CoreError::DimensionMismatch {
                     expected: schema.arity(),
                     found: t.values().len(),
                 });
@@ -251,7 +251,7 @@ mod tests {
         let bad = vec![Tuple::new(vec![Value::Det(1.0)])];
         assert!(matches!(
             Relation::new(schema, bad),
-            Err(CoreError::ArityMismatch { .. })
+            Err(CoreError::DimensionMismatch { .. })
         ));
     }
 

@@ -13,11 +13,10 @@
 //!   astrophysics catalog;
 //! * [`Session`] — the engine: register many concurrent `(query, UDF)`
 //!   subscriptions, then drive them all over one stream.
-//!   Its run loop pipelines ingest against evaluation through a bounded
-//!   channel (backpressure) and runs each micro-batch through
-//!   [`udf_core::batch::Evaluator`] on the workers of one
-//!   [`udf_core::sched::BatchScheduler`] — the same operator the
-//!   `udf_query` executor and `udf_join` call;
+//!   Its run loop pulls each micro-batch from the source on the calling
+//!   thread and runs it through [`udf_core::batch::Evaluator`] on the
+//!   workers of one [`udf_core::sched::BatchScheduler`] — the same
+//!   operator the `udf_query` executor and `udf_join` call;
 //! * per-query online filtering: subscriptions with a selection
 //!   [`Predicate`](udf_core::filtering::Predicate) drop tuples from the
 //!   envelope/Hoeffding upper bounds before paying for full evaluation;
@@ -41,7 +40,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use udf_stream::prelude::*;
+//! use udf_stream::{EngineConfig, QuerySpec, Session, StreamStrategy, SyntheticSource};
 //! use udf_core::config::{AccuracyRequirement, Metric};
 //! use udf_core::udf::BlackBoxUdf;
 //!
@@ -70,9 +69,3 @@ pub use health::HealthMonitor;
 pub use session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
 pub use source::{AstroSource, Source, SyntheticSource, VecSource};
 pub use stats::KeptSummary;
-
-/// The items most streaming applications need.
-pub mod prelude {
-    pub use crate::session::{EngineConfig, QueryId, QuerySpec, Session, StreamStrategy};
-    pub use crate::source::{AstroSource, Source, SyntheticSource, VecSource};
-}

@@ -8,22 +8,18 @@
 //! println!("{}", session.stats(q)?);
 //! ```
 //!
-//! [`run`](Session::run) is a two-stage pipeline:
-//!
-//! 1. an **ingest thread** pulls micro-batches from the [`Source`] and
-//!    pushes them into a channel of `QUEUE_DEPTH` (4) batches — when
-//!    evaluation falls behind the channel fills and the producer blocks
-//!    (backpressure);
-//! 2. the calling thread pops a batch and runs every subscription over it
-//!    with one call of the batch operator, [`Evaluator::run_two_phase`], on
-//!    the session's one [`BatchScheduler`]: GP inference against the frozen
-//!    model (and MC sampling, which never mutates anything) runs on
-//!    `workers` threads; tuples whose error bound misses the GP budget
-//!    fall back to the sequential, model-mutating path of Algorithm 5.
-//!    Online filtering is ruled *before* the slow path, so a subscription
-//!    with a selective predicate drops most tuples at fast-path cost
-//!    (§5.5 / Remark 2.1). The session only folds the operator's rulings
-//!    into each query's digest and ring, and sums its [`BatchCounts`].
+//! [`run`](Session::run) is one loop on the calling thread: it pulls a
+//! micro-batch from the [`Source`] into a reused buffer, then runs every
+//! subscription over it with one call of the batch operator,
+//! [`Evaluator::run_two_phase`], on the session's one [`BatchScheduler`]:
+//! GP inference against the frozen model (and MC sampling, which never
+//! mutates anything) runs on `workers` threads; tuples whose error bound
+//! misses the GP budget fall back to the sequential, model-mutating path of
+//! Algorithm 5. Online filtering is ruled *before* the slow path, so a
+//! subscription with a selective predicate drops most tuples at fast-path
+//! cost (§5.5 / Remark 2.1). The session only folds the operator's rulings
+//! into each query's digest and ring, and sums its [`BatchCounts`]. The
+//! scheduler's workers are the only threads a run starts.
 //!
 //! ## Determinism
 //!
@@ -38,8 +34,7 @@
 use crate::source::Source;
 use crate::stats::{Digest, KeptSummary};
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use udf_core::batch::{BatchCounts, BatchSpec, Evaluator};
 use udf_core::config::AccuracyRequirement;
 use udf_core::filtering::{FilterDecision, Predicate};
@@ -55,11 +50,6 @@ use udf_prob::InputDistribution;
 /// under the stream's name; a front-end resolves `USING auto` to one of
 /// the two before it subscribes.
 pub use udf_core::batch::EvalStrategy as StreamStrategy;
-
-/// Channel capacity, in micro-batches, between the ingest thread and the
-/// evaluating thread. When it is full the ingest thread blocks
-/// (backpressure); that stall is what `stream.ingest_wait_ns` measures.
-const QUEUE_DEPTH: usize = 4;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -237,8 +227,8 @@ impl Session {
         }
     }
 
-    /// Wire observability into the session: its batch and backpressure
-    /// timers (`stream.*`), the scheduler's `sched.*` handles, and every GP
+    /// Wire observability into the session: its batch timer
+    /// (`stream.batch_ns`), the scheduler's `sched.*` handles, and every GP
     /// subscription's (current and future) `olgapro.*` handles register in
     /// `metrics`. Purely observational — run digests are byte-identical
     /// whether or not anything is attached.
@@ -293,7 +283,7 @@ impl Session {
     /// return the number of micro-batches this run dispatched. May be
     /// called repeatedly; model state, counts, and the global tuple index
     /// persist across runs.
-    pub fn run<S: Source + Send>(&mut self, mut source: S, limit: Option<u64>) -> Result<u64> {
+    pub fn run<S: Source>(&mut self, mut source: S, limit: Option<u64>) -> Result<u64> {
         if self.queries.is_empty() {
             return Err(CoreError::NoSubscriptions);
         }
@@ -308,60 +298,25 @@ impl Session {
             }
         }
 
-        let batch_size = self.config.batch_size;
-        let (tx, rx) = mpsc::sync_channel::<Vec<InputDistribution>>(QUEUE_DEPTH);
-        let ingest_wait = self.registry.histogram("stream.ingest_wait_ns");
         let batch_ns = self.registry.histogram("stream.batch_ns");
+        let mut remaining = limit.unwrap_or(u64::MAX);
+        let mut batch = Vec::new();
         let mut batches = 0u64;
-
-        std::thread::scope(|scope| {
-            // Ingest thread: source → bounded channel. Blocks when the
-            // evaluating thread lags `QUEUE_DEPTH` batches behind.
-            let producer = scope.spawn(move || {
-                let mut remaining = limit;
-                loop {
-                    let want = match remaining {
-                        Some(r) => batch_size.min(r as usize),
-                        None => batch_size,
-                    };
-                    if want == 0 {
-                        break;
-                    }
-                    let mut buf = Vec::with_capacity(want);
-                    let n = source.next_batch(want, &mut buf);
-                    if n == 0 {
-                        break;
-                    }
-                    if let Some(r) = &mut remaining {
-                        *r -= n as u64;
-                    }
-                    let t_send = ingest_wait.enabled().then(Instant::now);
-                    let sent = tx.send(buf).is_ok();
-                    if let Some(ts) = t_send {
-                        ingest_wait.record_duration(ts.elapsed());
-                    }
-                    if !sent {
-                        break; // the evaluating thread bailed; stop producing
-                    }
-                }
-            });
-
-            let mut res = Ok(());
-            for batch in &rx {
-                batches += 1;
-                if let Err(e) = self.process_batch(&batch, &batch_ns) {
-                    res = Err(e);
-                    break;
-                }
-            }
-            drop(rx); // on error: unblock a producer stuck on send()
-            if let Err(payload) = producer.join() {
-                return Err(CoreError::WorkerPanicked {
+        while remaining > 0 {
+            let want = self.config.batch_size.min(remaining as usize);
+            batch.clear();
+            // A panicking source fails this run, not the caller's thread.
+            let n = catch_unwind(AssertUnwindSafe(|| source.next_batch(want, &mut batch)))
+                .map_err(|payload| CoreError::WorkerPanicked {
                     message: panic_message(payload),
-                });
+                })?;
+            if n == 0 {
+                break;
             }
-            res
-        })?;
+            remaining = remaining.saturating_sub(n as u64);
+            batches += 1;
+            self.process_batch(&batch, &batch_ns)?;
+        }
         Ok(batches)
     }
 
@@ -642,12 +597,29 @@ mod tests {
                 panic!("source exploded")
             }
         }
-        let mut session = Session::new(EngineConfig::new());
-        session
-            .subscribe(QuerySpec::new("mc", sin_udf(), acc(), StreamStrategy::Mc))
-            .unwrap();
+        let fresh = || {
+            let mut session = Session::new(EngineConfig::new().batch_size(16).seed(2));
+            let q = session
+                .subscribe(QuerySpec::new("mc", sin_udf(), acc(), StreamStrategy::Mc))
+                .unwrap();
+            (session, q)
+        };
+        let (mut session, q) = fresh();
         let err = session.run(Bomb, None).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::WorkerPanicked { .. }),
+            "expected WorkerPanicked, got {err}"
+        );
         assert!(err.to_string().contains("source exploded"), "{err}");
+
+        // The panic is contained where the source was pulled: the session
+        // runs on, and ends where a fresh one does.
+        let synth = || SyntheticSource::gaussian(1, 0.4, 5);
+        assert_eq!(session.run(synth(), Some(48)).unwrap(), 3);
+        let (mut clean, cq) = fresh();
+        clean.run(synth(), Some(48)).unwrap();
+        assert_eq!(session.digest(q).unwrap(), clean.digest(cq).unwrap());
+        assert_eq!(session.stats(q).unwrap().tuples_in, 48);
     }
 
     #[test]

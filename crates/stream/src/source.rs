@@ -1,10 +1,11 @@
 //! Stream sources: producers of uncertain input tuples.
 //!
 //! A [`Source`] models the arrival side of a continuous query: an unbounded
-//! (or bounded) sequence of uncertain tuples, pulled in micro-batches by the
-//! engine's ingest thread. Sources own their RNG state, so a source built
-//! with a fixed seed produces the same tuple sequence on every run — the
-//! first half of the engine's determinism contract.
+//! (or bounded) sequence of uncertain tuples, pulled in micro-batches by
+//! [`Session::run`](crate::Session::run) on its calling thread. Sources own
+//! their RNG state, so a source built with a fixed seed produces the same
+//! tuple sequence on every run — the first half of the engine's
+//! determinism contract.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,7 +124,7 @@ impl Source for AstroSource {
 /// query front-end with a registry of named stream factories) can drive
 /// [`Session::run`](crate::session::Session::run) without knowing the
 /// concrete type.
-impl Source for Box<dyn Source + Send> {
+impl Source for Box<dyn Source> {
     fn dim(&self) -> usize {
         (**self).dim()
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
-use udf_stream::prelude::*;
+use udf_stream::{EngineConfig, QuerySpec, Session, StreamStrategy, SyntheticSource};
 use udf_workloads::synthetic::PaperFunction;
 
 fn acc() -> AccuracyRequirement {

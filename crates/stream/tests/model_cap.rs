@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::udf::{BlackBoxUdf, CostModel};
-use udf_stream::prelude::*;
+use udf_stream::{EngineConfig, QuerySpec, Session, StreamStrategy, VecSource};
 use udf_workloads::synthetic::{sweep_inputs, PaperFunction};
 
 #[test]
