@@ -273,10 +273,12 @@ impl Evaluator {
                 let mut ops = GpBatch {
                     budget: olga.config().split().eps_gp,
                     olga,
+                    sched,
                     spec,
                     tuple: &tuple,
                     sink: &mut sink,
                     counts,
+                    frozen: None,
                 };
                 sched.run_two_phase(&mut ops, n)?;
                 counts = ops.counts;
@@ -298,9 +300,10 @@ impl Evaluator {
         mut sink: impl FnMut(u64, Ruling),
     ) -> Result<BatchCounts> {
         let mut counts = BatchCounts::default();
-        // One forked call counter for the run, as `run_two_phase` forks one
-        // per worker slot.
+        // One forked call counter and one scratch for the run, as
+        // `run_two_phase` has one of each per worker slot.
         let mut forked = None;
+        let mut scratch = InferScratch::default();
         for i in 0..n {
             let (id, input) = tuple(i);
             let mut rng = spec.rng(id);
@@ -310,7 +313,9 @@ impl Evaluator {
                     let udf = forked.get_or_insert_with(|| udf.fork_counter());
                     mc_eval_tuple(udf, input, accuracy, pred, &mut rng)?
                 }
-                Evaluator::Gp(olga) => slow_tuple(olga, input, pred, &mut rng, &mut counts)?,
+                Evaluator::Gp(olga) => {
+                    slow_tuple(olga, input, pred, &mut rng, &mut scratch, &mut counts)?
+                }
             };
             counts.note(&ruling, false);
             sink(id, ruling);
@@ -319,18 +324,19 @@ impl Evaluator {
     }
 }
 
-/// The full model-mutating path of one GP tuple: Algorithm 5, behind the
-/// §5.5 filter when a predicate is attached. Why its tuning stopped is
-/// counted before the filter rules, so a dropped tuple that hit the cap or
-/// the tuning budget counts too.
+/// The full model-mutating path of one GP tuple: Algorithm 5 on `scratch`,
+/// behind the §5.5 filter when a predicate is attached. Why its tuning
+/// stopped is counted before the filter rules, so a dropped tuple that hit
+/// the cap or the tuning budget counts too.
 fn slow_tuple(
     olga: &mut Olgapro,
     input: &InputDistribution,
     predicate: Option<&Predicate>,
     rng: &mut StdRng,
+    scratch: &mut InferScratch,
     counts: &mut BatchCounts,
 ) -> Result<Ruling> {
-    let out = olga.process(input, rng)?;
+    let out = olga.process_with(input, rng, scratch)?;
     match out.stop {
         Some(TuneStop::ModelCap) => counts.cap_hits += 1,
         Some(TuneStop::TuningBudget) => counts.tuning_budget += 1,
@@ -348,19 +354,36 @@ fn slow_tuple(
 
 /// The [`BatchOps`] of one GP batch: fast path = read-only inference,
 /// accept hook = §5.5 filter + ε_GP budget + model-size cap, slow path =
-/// [`slow_tuple`]. A fast result waits for the fold as a [`FastRow`].
-/// Rulings reach the sink in tuple order.
+/// [`slow_tuple`] on the calling thread's slot scratch. A fast result waits
+/// for the fold as a [`FastRow`], one window at a time
+/// ([`BatchOps::freeze`]), and is what the batch-start model infers: the
+/// first slow tuple of a windowed batch clones the evaluator first (no
+/// scratch buffers; a fresh `model_id`, so a slot's predictor cache can
+/// only miss on it), and later windows infer from that clone. The accept
+/// hook reads the live model. Rulings reach the sink in tuple order.
 struct GpBatch<'o, 'a> {
     olga: &'o mut Olgapro,
+    sched: &'o BatchScheduler,
     spec: BatchSpec,
     /// The ε_GP share of the accuracy budget.
     budget: f64,
     tuple: &'o (dyn Fn(usize) -> (u64, &'a InputDistribution) + Sync),
     sink: &'o mut (dyn FnMut(u64, Ruling) + Sync),
     counts: BatchCounts,
+    /// `None` until the batch is windowed; then the batch-start evaluator,
+    /// once the fold has run a slow tuple.
+    frozen: Option<Option<Olgapro>>,
 }
 
 impl GpBatch<'_, '_> {
+    /// The evaluator the fast phase infers from: the batch-start state.
+    fn read(&self) -> &Olgapro {
+        self.frozen
+            .as_ref()
+            .and_then(Option::as_ref)
+            .unwrap_or(self.olga)
+    }
+
     fn emit(&mut self, id: u64, ruling: Ruling, fast: bool) {
         self.counts.note(&ruling, fast);
         (self.sink)(id, ruling);
@@ -378,7 +401,7 @@ impl BatchOps<FastRow> for GpBatch<'_, '_> {
 
     fn fast(&self, idx: usize, rng: &mut StdRng, scratch: &mut InferScratch) -> Result<FastRow> {
         let out = self
-            .olga
+            .read()
             .infer_only_with((self.tuple)(idx).1, rng, scratch)?;
         Ok(scratch.row(out, 1.0))
     }
@@ -394,7 +417,7 @@ impl BatchOps<FastRow> for GpBatch<'_, '_> {
         // and costs zero UDF calls — nor, ruled before the bound stage, any
         // sort.
         let pred = self.spec.predicate.as_ref();
-        self.olga
+        self.read()
             .infer_row_with((self.tuple)(idx).1, rng, scratch, pred)
     }
 
@@ -438,11 +461,29 @@ impl BatchOps<FastRow> for GpBatch<'_, '_> {
     }
 
     fn slow(&mut self, idx: usize, rng: &mut StdRng) -> Result<()> {
+        if let Some(frozen @ None) = &mut self.frozen {
+            *frozen = Some(self.olga.clone());
+        }
         let (id, input) = (self.tuple)(idx);
         let pred = self.spec.predicate;
-        let ruling = slow_tuple(self.olga, input, pred.as_ref(), rng, &mut self.counts)?;
+        let ruling = {
+            let scratch = &mut self.sched.caller_scratch();
+            slow_tuple(
+                self.olga,
+                input,
+                pred.as_ref(),
+                rng,
+                scratch,
+                &mut self.counts,
+            )?
+        };
         self.emit(id, ruling, false);
         Ok(())
+    }
+
+    fn freeze(&mut self) -> bool {
+        self.frozen = Some(None);
+        true
     }
 }
 
@@ -701,6 +742,58 @@ mod tests {
         assert!(counts.cap_hits >= stale, "{counts:?}");
     }
 
+    #[test]
+    fn later_windows_infer_from_the_batch_start_model_for_any_workers() {
+        // A warm model, then a batch whose first tuple lies beyond the
+        // trained range: it reroutes and tunes the model before the fast
+        // phase of the later windows (3 of 128 tuples at 8 workers) has run.
+        let mut warm = setup(0.2);
+        let mut rng = StdRng::seed_from_u64(4);
+        for input in inputs(8) {
+            warm.process(&input, &mut rng).unwrap();
+        }
+        let mut batch = vec![InputDistribution::diagonal_gaussian(&[(9.5, 0.4)]).unwrap()];
+        batch.extend(inputs(299));
+        let infer = |olga: &Olgapro, i: usize| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(3, 0, i as u64));
+            olga.infer_only_with(&batch[i], &mut rng, &mut InferScratch::default())
+                .unwrap()
+        };
+        let mut runs = Vec::new();
+        for workers in [1, 2, 8] {
+            let mut par = Par::new(warm.clone(), workers);
+            let (outs, counts) = par.process_batch(&batch, 3);
+            assert!(
+                outs[0].udf_calls > 0,
+                "{workers} workers: tuple 0 must tune"
+            );
+            assert!(par.olga().model().len() > warm.model().len(), "{counts:?}");
+            let (mut fast, mut moved) = (0, 0);
+            for (i, out) in outs.iter().enumerate() {
+                // What the accept hook kept: within budget as inferred from
+                // the batch-start model (the model is uncapped).
+                let want = infer(&warm, i);
+                if want.eps_gp > warm.config().split().eps_gp {
+                    continue;
+                }
+                let what = format!("{workers} workers, tuple {i}");
+                assert_eq!(out.ecdf.values(), want.y_hat.values(), "{what}");
+                let bound = want.error_bound().to_bits();
+                assert_eq!(out.error_bound.to_bits(), bound, "{what}");
+                fast += 1;
+                moved += usize::from(infer(par.olga(), i).y_hat.values() != want.y_hat.values());
+            }
+            assert!(fast > 200 && moved > 0, "{fast} fast, {moved} moved");
+            runs.push((outs, counts));
+        }
+        for (outs, counts) in &runs[1..] {
+            assert_eq!(counts, &runs[0].1);
+            for (x, y) in outs.iter().zip(&runs[0].0) {
+                assert_eq!(x.ecdf.values(), y.ecdf.values());
+            }
+        }
+    }
+
     /// [`GpBatch`] with a fold that keeps every fast-phase result as it
     /// reaches the fold: the row the accept hook and the sink would read, or
     /// the ρ_U certificate of a tuple the fast path dropped.
@@ -777,20 +870,21 @@ mod tests {
                     predicate,
                 };
                 let mut sink = |id: u64, _: Ruling| panic!("tuple {id} reached the sink");
+                let sched = BatchScheduler::new(workers);
                 let mut ops = Rows {
                     inner: GpBatch {
                         budget: olga.config().split().eps_gp,
                         olga: &mut olga,
+                        sched: &sched,
                         spec,
                         tuple: &tuple,
                         sink: &mut sink,
                         counts: BatchCounts::default(),
+                        frozen: None,
                     },
                     rows: Vec::new(),
                 };
-                BatchScheduler::new(workers)
-                    .run_two_phase(&mut ops, batch.len())
-                    .unwrap();
+                sched.run_two_phase(&mut ops, batch.len()).unwrap();
                 let rows = ops.rows;
                 assert_eq!(rows.len(), batch.len());
                 for (k, (idx, row)) in rows.into_iter().enumerate() {

@@ -31,24 +31,9 @@ pub struct AccuracyRequirement {
 impl AccuracyRequirement {
     /// Validated constructor.
     pub fn new(eps: f64, delta: f64, lambda: f64, metric: Metric) -> Result<Self> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                what: "eps",
-                value: eps,
-            });
-        }
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                what: "delta",
-                value: delta,
-            });
-        }
-        if !(lambda >= 0.0 && lambda.is_finite()) {
-            return Err(CoreError::InvalidConfig {
-                what: "lambda",
-                value: lambda,
-            });
-        }
+        CoreError::check(eps > 0.0 && eps < 1.0, "eps", eps)?;
+        CoreError::check(delta > 0.0 && delta < 1.0, "delta", delta)?;
+        CoreError::check(lambda >= 0.0 && lambda.is_finite(), "lambda", lambda)?;
         Ok(AccuracyRequirement {
             eps,
             delta,
@@ -75,13 +60,8 @@ pub const MAX_SAMPLES_PER_TUPLE: usize = 1 << 24;
 /// [`AccuracyRequirement::mc_samples`] or
 /// [`OlgaproConfig::samples_per_input`] before building an evaluator.
 pub fn check_samples_per_tuple(samples: usize) -> Result<()> {
-    if samples > MAX_SAMPLES_PER_TUPLE {
-        return Err(CoreError::InvalidConfig {
-            what: "samples per tuple",
-            value: samples as f64,
-        });
-    }
-    Ok(())
+    let ok = samples <= MAX_SAMPLES_PER_TUPLE;
+    CoreError::check(ok, "samples per tuple", samples as f64)
 }
 
 /// DKW sample count for an `(eps, delta)` share of the budget under
@@ -159,12 +139,8 @@ impl OlgaproConfig {
     /// Defaults matching the paper's experimental setup for a function with
     /// the given output range estimate.
     pub fn new(accuracy: AccuracyRequirement, output_range: f64) -> Result<Self> {
-        if !(output_range > 0.0 && output_range.is_finite()) {
-            return Err(CoreError::InvalidConfig {
-                what: "output_range",
-                value: output_range,
-            });
-        }
+        let ok = output_range > 0.0 && output_range.is_finite();
+        CoreError::check(ok, "output_range", output_range)?;
         Ok(OlgaproConfig {
             accuracy,
             mc_fraction: 0.7,
@@ -188,12 +164,8 @@ impl OlgaproConfig {
     /// nonzero caps below [`min_model_cap`](OlgaproConfig::min_model_cap)
     /// are rejected.
     pub fn set_model_cap(&mut self, n: usize) -> Result<()> {
-        if n > 0 && n < self.min_model_cap() {
-            return Err(CoreError::InvalidConfig {
-                what: "max_model_points",
-                value: n as f64,
-            });
-        }
+        let ok = n == 0 || n >= self.min_model_cap();
+        CoreError::check(ok, "max_model_points", n as f64)?;
         self.max_model_points = n;
         Ok(())
     }

@@ -39,30 +39,10 @@ impl Predicate {
     /// (`lo < hi`; NaN bounds are rejected, not silently accepted by a
     /// vacuous comparison) and θ must lie strictly inside `(0, 1)`.
     pub fn new(lo: f64, hi: f64, theta: f64) -> Result<Self> {
-        if !lo.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                what: "predicate lower bound",
-                value: lo,
-            });
-        }
-        if !hi.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                what: "predicate upper bound",
-                value: hi,
-            });
-        }
-        if lo >= hi {
-            return Err(CoreError::InvalidConfig {
-                what: "predicate interval",
-                value: hi - lo,
-            });
-        }
-        if !(theta > 0.0 && theta < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                what: "theta",
-                value: theta,
-            });
-        }
+        CoreError::check(lo.is_finite(), "predicate lower bound", lo)?;
+        CoreError::check(hi.is_finite(), "predicate upper bound", hi)?;
+        CoreError::check(lo < hi, "predicate interval", hi - lo)?;
+        CoreError::check(theta > 0.0 && theta < 1.0, "theta", theta)?;
         Ok(Predicate { lo, hi, theta })
     }
 }

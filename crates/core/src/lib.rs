@@ -89,6 +89,14 @@ pub enum CoreError {
     NoSubscriptions,
 }
 
+impl CoreError {
+    /// `Ok` when `ok`, else [`CoreError::InvalidConfig`] for `what` = `value`.
+    pub(crate) fn check(ok: bool, what: &'static str, value: f64) -> Result<()> {
+        ok.then_some(())
+            .ok_or(CoreError::InvalidConfig { what, value })
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -118,9 +118,13 @@ impl OlgaproMetrics {
 /// the local-selection scratch, the blocked-prediction scratch, the
 /// one-entry [`LocalPredictorCache`], and the Algorithm-3 sweep's arrays.
 /// Each [`crate::sched::BatchScheduler`] worker owns one, so the warm fast
-/// path reuses them all from tuple to tuple; sequential callers
-/// ([`Olgapro::process`]) reuse the one embedded in the evaluator.
-#[derive(Debug, Default, Clone)]
+/// path reuses them all from tuple to tuple, as does a batch's slow path on
+/// the calling thread's; [`Olgapro::process`] reuses the one embedded in
+/// the evaluator.
+///
+/// A clone is an empty scratch: what one holds never changes a result, so
+/// copying it would only cost memory (a cloned evaluator gets no buffers).
+#[derive(Debug, Default)]
 pub struct InferScratch {
     /// The m drawn samples of the current tuple.
     samples: Vec<Vec<f64>>,
@@ -129,7 +133,7 @@ pub struct InferScratch {
     buf: InferBuffers,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct InferBuffers {
     select: SelectScratch,
     predict: PredictScratch,
@@ -158,6 +162,12 @@ impl InferBuffers {
         if let Some((y_s, y_l)) = envelopes {
             self.envelopes = [y_s.into_values(), y_l.into_values()];
         }
+    }
+}
+
+impl Clone for InferScratch {
+    fn clone(&self) -> Self {
+        Self::default()
     }
 }
 
@@ -207,8 +217,8 @@ pub enum TuningHeuristic {
 /// The online evaluator (Algorithm 5).
 ///
 /// Cloning copies the evaluator — model (under a fresh `model_id`, see
-/// [`GpModel`]'s `Clone`) and config — so a twin can be driven
-/// from the same state as the original.
+/// [`GpModel`]'s `Clone`) and config, but none of its scratch buffers — so
+/// a twin can be driven from the same state as the original.
 #[derive(Clone, Debug)]
 pub struct Olgapro {
     udf: BlackBoxUdf,

@@ -3,48 +3,35 @@
 //!
 //! Processing a tuple against a converged OLGAPRO model is a *read-only*
 //! pass (sample, local inference, error bound), which parallelizes
-//! trivially; only the occasional tuple whose error bound misses the
-//! budget needs the mutable path (online tuning / retraining). A batch
-//! therefore runs in two phases:
+//! trivially; only a tuple whose error bound misses the budget needs the
+//! mutable path (online tuning / retraining). A batch therefore runs in a
+//! **fast phase**, every tuple inferred concurrently against the *frozen*
+//! model, and a **fold** in tuple order on the calling thread, where a
+//! tuple whose result the caller rejects re-runs through the full
+//! model-mutating Algorithm 5. At steady state nothing re-runs and the
+//! speedup approaches the worker count; on a cold model the output
+//! degrades gracefully to the sequential algorithm's.
 //!
-//! 1. **fast phase** — every tuple is inferred concurrently against the
-//!    *frozen* model;
-//! 2. **slow phase** — tuples whose result the caller rejects (typically an
-//!    ε_GP budget miss) re-run sequentially, *in tuple order*, through the
-//!    full model-mutating Algorithm 5.
-//!
-//! At steady state the slow phase is empty and the speedup approaches the
-//! worker count; on a cold model the behaviour (and output) degrades
-//! gracefully to the sequential algorithm.
-//!
-//! [`BatchScheduler`] owns that pattern, parameterized by a [`BatchOps`]:
-//!
-//! * a **seed mixer** ([`BatchOps::tuple_seed`], usually [`mix_seed`]) that
-//!   derives one RNG per tuple from the batch seed — never from the worker
-//!   id — so outputs are independent of thread scheduling;
-//! * an **accept hook** ([`BatchOps::accept`]) mapping each fast-phase
-//!   result to a [`Verdict`]: accept it, reroute it through the slow path,
-//!   or drop it at fast-path cost (online filtering, §5.5);
-//! * a **slow-path closure** ([`BatchOps::slow`]) that runs the sequential,
-//!   model-mutating evaluation for bootstraps and reroutes.
-//!
-//! The engine implements [`BatchOps`] exactly once — in [`crate::batch`],
-//! the operator the relational executor, the join and the stream engine all
-//! call. Every fast-phase result of a batch waits for the fold at once, and
-//! the fold reads only the emitted distribution, ε_GP and ρ̂, so the engine
-//! keeps that one row per tuple. The trait stays public for harnesses that
-//! rebuild the pattern by hand; their results default to the full
-//! [`GpOutput`] that `Olgapro::infer_only_with` returns.
+//! [`BatchScheduler`] owns that pattern; a [`BatchOps`] supplies the
+//! per-tuple seed ([`mix_seed`], never the worker id), the fast path, the
+//! accept hook's [`Verdict`] (accept, reroute, or drop at fast-path cost,
+//! §5.5) and the slow path. The engine implements it once, in
+//! [`crate::batch`], for every front-end, and opts in
+//! ([`BatchOps::freeze`]) to a fold **window by window**: each window of
+//! `workers × WINDOW_PER_WORKER` tuples is folded before the next is
+//! inferred, so only one window's results wait for the fold, and later
+//! windows read a snapshot of the batch-start model once the fold has
+//! mutated it. The default keeps the whole batch as one window. The trait
+//! stays public for harnesses that rebuild the pattern by hand; their
+//! results default to the [`GpOutput`] of `Olgapro::infer_only_with`.
 //!
 //! The fast phase runs on the calling thread plus up to `workers − 1`
-//! helpers spawned for the batch in a `std::thread::scope`, all pulling
-//! chunks of the batch from a shared counter (chunk stealing) instead of
-//! being carved a fixed shard. One worker runs inline, with no thread.
-//! These helpers are the only threads the engine spawns.
-//! Each execution slot owns an [`InferScratch`] that persists across
-//! batches and is handed to [`BatchOps::fast`], so warm fast passes reuse
-//! sample buffers, kernel-matrix scratch, envelope buffers and the per-slot
-//! local-predictor cache instead of allocating per tuple.
+//! helpers scoped to the window, all stealing chunks from a shared counter;
+//! one worker runs inline. These helpers are the only threads the engine
+//! spawns. Each execution slot owns an [`InferScratch`] that persists
+//! across batches, so warm fast passes reuse every buffer and the per-slot
+//! local-predictor cache; the fold runs after its window's fast phase has
+//! released the caller's slot, so the engine's slow path reuses that one.
 //!
 //! ## Determinism
 //!
@@ -62,15 +49,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use udf_obs::{Counter, Histogram, MetricsRegistry};
 
-/// The scheduler's observability handles. Purely observational: nothing
-/// here feeds back into scheduling or evaluation, so outputs are
-/// byte-identical with metrics wired or not. Un-wired schedulers hold the
-/// disabled set, where every operation is one
-/// relaxed load and a branch.
+/// The scheduler's observability handles. Purely observational: outputs
+/// are byte-identical with metrics wired or not. Un-wired schedulers hold
+/// the disabled set, where every operation is one relaxed load and a branch.
 #[derive(Clone, Debug)]
 struct SchedMetrics {
     /// Wall time of the concurrent read-only fast phase, per batch.
@@ -79,7 +64,7 @@ struct SchedMetrics {
     /// per batch.
     slow_phase_ns: Histogram,
     /// Time the calling thread spent waiting for helper stragglers after
-    /// finishing its own share of a batch.
+    /// finishing its own share, per map or batch.
     queue_wait_ns: Histogram,
     /// Steal-able chunks dispatched across all batches.
     chunks: Counter,
@@ -109,6 +94,22 @@ impl SchedMetrics {
             filters: reg.counter("sched.verdict.filter"),
         }
     }
+
+    /// Record what a map, or a batch's windows, dispatched and waited for.
+    fn record_map(&self, phases: &Phases) {
+        self.chunks.add(phases.chunks);
+        self.queue_wait_ns.record_duration(phases.wait);
+    }
+}
+
+/// What a map or batch cost, summed over its windows, so that each
+/// `sched.*` metric takes one record per batch.
+#[derive(Default)]
+struct Phases {
+    chunks: u64,
+    wait: Duration,
+    fast: Duration,
+    fold: Duration,
 }
 
 /// SplitMix64-style finalizer over `(seed, stream, idx)` — the per-tuple
@@ -207,12 +208,27 @@ pub trait BatchOps<Out = GpOutput> {
     /// free to mutate the model. The RNG is freshly derived from
     /// [`tuple_seed`](BatchOps::tuple_seed), exactly as the fast path's was.
     fn slow(&mut self, idx: usize, rng: &mut StdRng) -> Result<()>;
+
+    /// Opt in to a windowed fold (module docs). Called once per batch, after
+    /// any bootstrap, when the batch spans more than one window. `true`
+    /// promises that [`fast`](BatchOps::fast) keeps inferring from the state
+    /// as of this call even once [`slow`](BatchOps::slow) has mutated it;
+    /// the default, `false`, keeps the whole batch as one window.
+    fn freeze(&mut self) -> bool {
+        false
+    }
 }
 
-/// How many steal-able chunks each worker's share of a batch is split into.
+/// How many steal-able chunks each worker's share of a map is split into.
 /// More chunks smooth out per-tuple cost variance (a tuple near the model
 /// boundary can be 10× its neighbors); fewer chunks cut counter traffic.
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// Tuples per worker in one window of a windowed batch: `CHUNKS_PER_WORKER`
+/// chunks of as many tuples. Each window ends at a barrier (its helpers are
+/// joined): on a 2-vCPU host, a 256-tuple statement at 2 workers lost ≈ 6 %
+/// of its wall clock to windows of 4 tuples per worker, and ≈ 3 % to 16.
+const WINDOW_PER_WORKER: usize = CHUNKS_PER_WORKER * CHUNKS_PER_WORKER;
 
 /// Best-effort extraction of a panic payload's message.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -301,6 +317,19 @@ impl BatchScheduler {
         if n == 0 {
             return Ok(Vec::new());
         }
+        let mut phases = Phases::default();
+        let out = self.map_chunks(n, f, &mut phases);
+        self.metrics.record_map(&phases);
+        out
+    }
+
+    /// [`try_map_indexed`](Self::try_map_indexed) for `n ≥ 1`, adding to
+    /// `phases` instead of recording.
+    fn map_chunks<T, F>(&self, n: usize, f: F, phases: &mut Phases) -> Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize, usize) -> T + Sync,
+    {
         let slots: Mutex<Vec<Option<T>>> =
             Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
         let next = AtomicUsize::new(0);
@@ -308,7 +337,7 @@ impl BatchScheduler {
         // Spawn only as many helpers as there are chunks to steal (minus
         // the caller's): a 2-tuple batch on 8 workers spawns one thread.
         let helpers = (n.div_ceil(chunk) - 1).min(self.workers - 1);
-        self.metrics.chunks.add(n.div_ceil(chunk) as u64);
+        phases.chunks += n.div_ceil(chunk) as u64;
         let task = |worker: usize| loop {
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
             if lo >= n {
@@ -331,10 +360,11 @@ impl BatchScheduler {
             // from its `join`.
             let mut res =
                 catch_unwind(AssertUnwindSafe(|| task(self.workers - 1))).map_err(panic_message);
-            let _wait = self.metrics.queue_wait_ns.span();
+            let waiting = Instant::now();
             for helper in helpers {
                 res = res.and(helper.join().map_err(panic_message));
             }
+            phases.wait += waiting.elapsed();
             res
         });
         match res {
@@ -348,13 +378,28 @@ impl BatchScheduler {
         }
     }
 
+    /// Lock slot `worker`'s scratch, which only that worker locks. A
+    /// contained panic (see `try_map`) may poison it; a scratch is only
+    /// caches and buffers keyed for coherence, so recovering it is safe.
+    fn slot(&self, worker: usize) -> MutexGuard<'_, InferScratch> {
+        self.scratch[worker]
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The calling thread's slot scratch (the last), free while a batch
+    /// folds: for the slow path of a batch running on this scheduler.
+    pub(crate) fn caller_scratch(&self) -> MutexGuard<'_, InferScratch> {
+        self.slot(self.workers - 1)
+    }
+
     /// Drive one batch of `n` tuples through the two-phase pattern:
     ///
     /// 1. if [`BatchOps::needs_bootstrap`], tuple 0 runs the slow path
     ///    sequentially so the fast phase has a model to read;
     /// 2. the remaining tuples run [`BatchOps::fast_ruled`] (by default,
     ///    [`BatchOps::fast`]) concurrently — on helper threads scoped to
-    ///    this batch plus the calling thread as the last worker, or inline
+    ///    the window plus the calling thread as the last worker, or inline
     ///    when there is one worker — each with an RNG from
     ///    [`BatchOps::tuple_seed`];
     /// 3. results fold sequentially in tuple order: the accept hook rules
@@ -362,6 +407,9 @@ impl BatchScheduler {
     ///    [`Reroute`](Verdict::Reroute), and rerouted tuples (plus any
     ///    tuple whose fast pass hit an empty model) re-run via
     ///    [`BatchOps::slow`].
+    ///
+    /// Steps 2 and 3 take the batch one window at a time when `ops` opts in
+    /// ([`BatchOps::freeze`]), and all at once otherwise.
     pub fn run_two_phase<O, Out>(&self, ops: &mut O, n: usize) -> Result<()>
     where
         O: BatchOps<Out> + Sync,
@@ -378,30 +426,47 @@ impl BatchScheduler {
                 return Ok(());
             }
         }
-
-        // Phase 1: parallel read-only inference against the frozen model.
-        let shared: &O = ops;
-        let t_fast = self.metrics.fast_phase_ns.enabled().then(Instant::now);
-        let inferred = self.try_map_indexed(n - start, |worker, i| {
-            let idx = start + i;
-            let mut rng = StdRng::seed_from_u64(shared.tuple_seed(idx));
-            // Each worker locks only its own slot, so this never contends.
-            // A contained panic (see `try_map`) may poison the slot; the
-            // scratch is only caches and buffers whose reuse is keyed for
-            // coherence, so recovering the inner value is always safe.
-            let mut scratch = self.scratch[worker]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            shared.fast_ruled(idx, &mut rng, &mut scratch)
-        })?;
-        if let Some(t0) = t_fast {
-            self.metrics.fast_phase_ns.record_duration(t0.elapsed());
+        let mut window = self.workers * WINDOW_PER_WORKER;
+        if n - start <= window || !ops.freeze() {
+            window = n - start;
         }
+        let mut phases = Phases::default();
+        for lo in (start..n).step_by(window) {
+            // Phase 1: parallel read-only inference against the frozen model.
+            let begun = Instant::now();
+            let shared: &O = ops;
+            let inferred = self.map_chunks(
+                window.min(n - lo),
+                |worker, i| {
+                    let mut rng = StdRng::seed_from_u64(shared.tuple_seed(lo + i));
+                    shared.fast_ruled(lo + i, &mut rng, &mut self.slot(worker))
+                },
+                &mut phases,
+            )?;
+            // Phase 2: sequential fold in tuple order.
+            let folding = Instant::now();
+            self.fold(ops, lo, inferred)?;
+            phases.fast += folding - begun;
+            phases.fold += folding.elapsed();
+        }
+        self.metrics.record_map(&phases);
+        self.metrics.fast_phase_ns.record_duration(phases.fast);
+        self.metrics.slow_phase_ns.record_duration(phases.fold);
+        Ok(())
+    }
 
-        // Phase 2: sequential fold in tuple order.
-        let _slow_span = self.metrics.slow_phase_ns.span();
+    /// Fold one window's fast-phase results, the first being tuple `lo`'s.
+    fn fold<O, Out>(
+        &self,
+        ops: &mut O,
+        lo: usize,
+        inferred: Vec<Result<FilterDecision<Out>>>,
+    ) -> Result<()>
+    where
+        O: BatchOps<Out>,
+    {
         for (i, res) in inferred.into_iter().enumerate() {
-            let idx = start + i;
+            let idx = lo + i;
             match res {
                 // Ruled out on the fast path itself: a filter verdict.
                 Ok(FilterDecision::Filtered { rho_upper, .. }) => {
@@ -508,6 +573,117 @@ mod tests {
         let sched = BatchScheduler::new(2);
         let out: Vec<usize> = sched.try_map(0, |i| i).unwrap();
         assert!(out.is_empty());
+    }
+
+    /// How many [`Row`]s exist, and the most that ever existed at once.
+    #[derive(Default)]
+    struct Tally {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    /// A fast-phase result that counts itself in its [`Tally`].
+    struct Row<'t>(&'t Tally);
+
+    impl Drop for Row<'_> {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Ops whose fast phase makes counted rows and whose accept hook
+    /// reroutes tuples 1 and 2 (both in the first window); `windowed`
+    /// answers [`BatchOps::freeze`].
+    struct Counted<'t> {
+        tally: &'t Tally,
+        windowed: bool,
+        folded: Vec<usize>,
+    }
+
+    impl<'t> BatchOps<Row<'t>> for Counted<'t> {
+        fn tuple_seed(&self, idx: usize) -> u64 {
+            idx as u64
+        }
+
+        fn fast(&self, _: usize, _: &mut StdRng, _: &mut InferScratch) -> Result<Row<'t>> {
+            let live = self.tally.live.fetch_add(1, Ordering::Relaxed) + 1;
+            self.tally.peak.fetch_max(live, Ordering::Relaxed);
+            Ok(Row(self.tally))
+        }
+
+        fn accept(&self, idx: usize, _: &Row<'t>) -> Verdict {
+            if (1..3).contains(&idx) {
+                Verdict::Reroute
+            } else {
+                Verdict::Accept
+            }
+        }
+
+        fn emit_fast(&mut self, idx: usize, _: Row<'t>) -> Result<()> {
+            self.folded.push(idx);
+            Ok(())
+        }
+
+        fn slow(&mut self, idx: usize, _: &mut StdRng) -> Result<()> {
+            self.folded.push(idx);
+            Ok(())
+        }
+
+        fn freeze(&mut self) -> bool {
+            self.windowed
+        }
+    }
+
+    #[test]
+    fn a_windowed_batch_holds_one_window_of_rows_and_the_default_the_batch() {
+        let n = 3 * 8 * WINDOW_PER_WORKER + 5;
+        for workers in [1, 2, 8] {
+            for windowed in [true, false] {
+                let tally = Tally::default();
+                let mut ops = Counted {
+                    tally: &tally,
+                    windowed,
+                    folded: Vec::new(),
+                };
+                let sched = BatchScheduler::new(workers);
+                sched.run_two_phase(&mut ops, n).unwrap();
+                let what = format!("{workers} workers, windowed {windowed}");
+                assert_eq!(ops.folded, (0..n).collect::<Vec<_>>(), "{what}");
+                assert_eq!(tally.live.load(Ordering::Relaxed), 0, "{what}");
+                let peak = tally.peak.load(Ordering::Relaxed);
+                let bound = if windowed {
+                    workers * WINDOW_PER_WORKER
+                } else {
+                    n
+                };
+                assert_eq!(peak, bound, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_windowed_batch_records_each_phase_timer_once() {
+        let reg = MetricsRegistry::new();
+        let sched = BatchScheduler::new(1).with_metrics(&reg);
+        let tally = Tally::default();
+        let mut ops = Counted {
+            tally: &tally,
+            windowed: true,
+            folded: Vec::new(),
+        };
+        let n = 3 * WINDOW_PER_WORKER;
+        let begun = Instant::now();
+        sched.run_two_phase(&mut ops, n).unwrap();
+        let wall = begun.elapsed().as_nanos() as u64;
+        assert_eq!(tally.peak.load(Ordering::Relaxed), WINDOW_PER_WORKER);
+        let snap = reg.snapshot();
+        let hist = |name: &str| snap.histograms[name].clone();
+        let (fast, fold) = (hist("sched.fast_phase_ns"), hist("sched.slow_phase_ns"));
+        assert_eq!((fast.count, fold.count), (1, 1));
+        assert_eq!(hist("sched.queue_wait_ns").count, 1);
+        assert!(fast.sum + fold.sum <= wall, "{fast:?} {fold:?} {wall}");
+        assert_eq!(snap.counters["sched.chunks"], 3 * CHUNKS_PER_WORKER as u64);
+        assert_eq!(snap.counters["sched.verdict.reroute"], 2);
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! expensive (§1); the GP/MC trade-off is governed by the per-call time `T`
 //! (§6, Expt 5). Sweeping `T` from 1 µs to 1 s with real sleeps would be
 //! prohibitively slow, so [`CostModel::Simulated`] *accounts* the nominal
-//! cost per call while [`CostModel::Busy`] actually spins (used to validate
-//! that the accounting matches reality, in
-//! `tests/evaluator_comparison.rs`). See PAPER.md, "Fidelity caveats".
+//! cost per call (`tests/evaluator_comparison.rs` checks the accounting
+//! against a UDF that really spins). See PAPER.md, "Fidelity caveats".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A deterministic scalar function of a fixed-dimension input vector.
 pub trait UdfFunction: Send + Sync {
@@ -76,8 +75,6 @@ pub enum CostModel {
     /// Charge the nominal duration to the accounting counters without
     /// actually waiting (the default for T-sweep experiments).
     Simulated(Duration),
-    /// Busy-wait for the duration (validation of the accounting).
-    Busy(Duration),
 }
 
 impl CostModel {
@@ -85,7 +82,7 @@ impl CostModel {
     pub fn per_call(&self) -> Duration {
         match self {
             CostModel::Free => Duration::ZERO,
-            CostModel::Simulated(d) | CostModel::Busy(d) => *d,
+            CostModel::Simulated(d) => *d,
         }
     }
 }
@@ -158,12 +155,6 @@ impl BlackBoxUdf {
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "UDF input dimension mismatch");
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if let CostModel::Busy(d) = self.cost {
-            let start = Instant::now();
-            while start.elapsed() < d {
-                std::hint::spin_loop();
-            }
-        }
         self.inner.eval(x)
     }
 
@@ -209,6 +200,7 @@ impl std::fmt::Debug for BlackBoxUdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn closure_udf_evaluates() {
@@ -243,15 +235,6 @@ mod tests {
             "should not sleep"
         );
         assert_eq!(u.charged_cost(), Duration::from_secs(5));
-    }
-
-    #[test]
-    fn busy_cost_actually_spins() {
-        let u = BlackBoxUdf::from_fn("id", 1, |x| x[0])
-            .with_cost(CostModel::Busy(Duration::from_millis(5)));
-        let start = Instant::now();
-        u.eval(&[0.0]);
-        assert!(start.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]

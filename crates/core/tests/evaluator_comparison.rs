@@ -101,7 +101,8 @@ fn online_uses_fewer_calls_on_localized_stream() {
 
 /// The simulated cost model's accounting matches real busy-wait time within
 /// a reasonable factor — the core validation behind the substitution of
-/// simulated for real evaluation cost (PAPER.md, "Fidelity caveats").
+/// simulated for real evaluation cost (PAPER.md, "Fidelity caveats"). The
+/// real cost is a UDF whose own body spins for the charged duration.
 #[test]
 fn simulated_cost_matches_busy_wait_reality() {
     let per_call = Duration::from_micros(300);
@@ -109,8 +110,14 @@ fn simulated_cost_matches_busy_wait_reality() {
     let acc = AccuracyRequirement::new(0.2, 0.05, 0.0, Metric::Ks).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
 
-    // Busy: real spinning.
-    let busy = smooth().fork_counter().with_cost(CostModel::Busy(per_call));
+    // Real spinning, in the UDF body itself.
+    let busy = BlackBoxUdf::from_fn("spinning wave", 1, move |x| {
+        let start = Instant::now();
+        while start.elapsed() < per_call {
+            std::hint::spin_loop();
+        }
+        (x[0] * 0.7).sin() * 0.8
+    });
     let t0 = Instant::now();
     mc_eval_tuple(&busy, &input, &acc, None, &mut rng).unwrap();
     let real = t0.elapsed();

@@ -166,11 +166,8 @@ pub(crate) fn batch_predict_core(
     scratch: &mut PredictScratch,
     keep_k: bool,
 ) -> Result<()> {
-    if let Some(q) = queries.iter().find(|q| q.len() != model.dim()) {
-        return Err(GpError::DimensionMismatch {
-            expected: model.dim(),
-            found: q.len(),
-        });
+    for q in queries {
+        GpError::check_dim(model.dim(), q.len())?;
     }
     let (kernel, xs, alpha) = (model.kernel(), model.inputs(), model.alpha());
     let l = chol.dim();

@@ -46,6 +46,15 @@ pub enum GpError {
     InvalidParameter { what: &'static str, value: f64 },
 }
 
+impl GpError {
+    /// `Ok` when `found == expected`, else a [`GpError::DimensionMismatch`].
+    pub(crate) fn check_dim(expected: usize, found: usize) -> Result<()> {
+        (found == expected)
+            .then_some(())
+            .ok_or(GpError::DimensionMismatch { expected, found })
+    }
+}
+
 impl fmt::Display for GpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -261,12 +261,7 @@ impl<'m> LocalPredictor<'m> {
     /// Posterior mean/variance at `x` using only the selected subset —
     /// O(l) mean, O(l²) variance.
     pub fn predict(&self, x: &[f64]) -> Result<Prediction> {
-        if x.len() != self.model.dim() {
-            return Err(GpError::DimensionMismatch {
-                expected: self.model.dim(),
-                found: x.len(),
-            });
-        }
+        GpError::check_dim(self.model.dim(), x.len())?;
         let xs = self.model.inputs();
         let alpha = self.model.alpha();
         let kernel = self.model.kernel();

@@ -218,19 +218,9 @@ impl GpModel {
 
     /// Replace all training data and refactor (O(n³)).
     pub fn fit(&mut self, xs: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<()> {
-        if xs.len() != ys.len() {
-            return Err(GpError::DimensionMismatch {
-                expected: xs.len(),
-                found: ys.len(),
-            });
-        }
+        GpError::check_dim(xs.len(), ys.len())?;
         for x in &xs {
-            if x.len() != self.dim {
-                return Err(GpError::DimensionMismatch {
-                    expected: self.dim,
-                    found: x.len(),
-                });
-            }
+            GpError::check_dim(self.dim, x.len())?;
         }
         self.xs = xs;
         self.ys = ys;
@@ -259,12 +249,7 @@ impl GpModel {
     /// Add one training point incrementally: O(n²) Cholesky append plus an
     /// O(n²) re-solve for α (§5.2's block-matrix update).
     pub fn add_point(&mut self, x: Vec<f64>, y: f64) -> Result<()> {
-        if x.len() != self.dim {
-            return Err(GpError::DimensionMismatch {
-                expected: self.dim,
-                found: x.len(),
-            });
-        }
+        GpError::check_dim(self.dim, x.len())?;
         self.epoch += 1;
         match &mut self.chol {
             None => {
@@ -302,12 +287,7 @@ impl GpModel {
     /// Posterior mean and variance at `x` (global inference, Eq. 2).
     pub fn predict(&self, x: &[f64]) -> Result<Prediction> {
         let chol = self.chol.as_ref().ok_or(GpError::EmptyModel)?;
-        if x.len() != self.dim {
-            return Err(GpError::DimensionMismatch {
-                expected: self.dim,
-                found: x.len(),
-            });
-        }
+        GpError::check_dim(self.dim, x.len())?;
         let k: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
         let mean = dot(&k, &self.alpha);
         // σ²(x) = k(x,x) − kᵀ K⁻¹ k, via v = L⁻¹k.
@@ -322,12 +302,7 @@ impl GpModel {
         if self.chol.is_none() {
             return Err(GpError::EmptyModel);
         }
-        if x.len() != self.dim {
-            return Err(GpError::DimensionMismatch {
-                expected: self.dim,
-                found: x.len(),
-            });
-        }
+        GpError::check_dim(self.dim, x.len())?;
         let k: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
         Ok(dot(&k, &self.alpha))
     }

@@ -37,12 +37,7 @@ impl Cholesky {
     /// strictly positive — for GP covariance matrices this signals that more
     /// jitter is needed.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
+        a.check_square()?;
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
@@ -121,13 +116,7 @@ impl Cholesky {
     /// Solve `L y = b` (forward substitution).
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-                context: "Cholesky::solve_lower",
-            });
-        }
+        LinalgError::check_dim(n, b.len(), "Cholesky::solve_lower")?;
         let mut y = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[i];
@@ -144,13 +133,7 @@ impl Cholesky {
     #[allow(clippy::needless_range_loop)] // indexing two arrays in lockstep
     pub(crate) fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();
-        if y.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: y.len(),
-                context: "Cholesky::solve_upper",
-            });
-        }
+        LinalgError::check_dim(n, y.len(), "Cholesky::solve_upper")?;
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
@@ -259,13 +242,7 @@ impl Cholesky {
     /// `dim()`, once `rhs` is checked to be a `dim() x cols` panel.
     fn check_panel(&self, rhs: &[f64], cols: usize, context: &'static str) -> Result<usize> {
         let n = self.dim();
-        if rhs.len() != n * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n * cols,
-                found: rhs.len(),
-                context,
-            });
-        }
+        LinalgError::check_dim(n * cols, rhs.len(), context)?;
         Ok(n)
     }
 
@@ -298,13 +275,7 @@ impl Cholesky {
     /// bit-identical to the former column-at-a-time implementation).
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: b.rows(),
-                context: "Cholesky::solve_matrix",
-            });
-        }
+        LinalgError::check_dim(n, b.rows(), "Cholesky::solve_matrix")?;
         let cols = b.cols();
         let mut out = b.clone();
         self.solve_lower_in_place(out.as_mut_slice(), cols)?;
@@ -376,13 +347,7 @@ impl Cholesky {
     /// `kss − wᵀw` is not strictly positive.
     pub fn append(&mut self, k: &[f64], kss: f64) -> Result<()> {
         let n = self.dim();
-        if k.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                found: k.len(),
-                context: "Cholesky::append",
-            });
-        }
+        LinalgError::check_dim(n, k.len(), "Cholesky::append")?;
         let w = self.solve_lower(k)?;
         let schur = kss - dot(&w, &w);
         if schur <= 0.0 || !schur.is_finite() {
@@ -405,13 +370,7 @@ impl Cholesky {
     /// not strictly positive.
     pub fn push_row(&mut self, a_row: &[f64]) -> Result<()> {
         let n = self.dim();
-        if a_row.len() != n + 1 {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n + 1,
-                found: a_row.len(),
-                context: "Cholesky::push_row",
-            });
-        }
+        LinalgError::check_dim(n + 1, a_row.len(), "Cholesky::push_row")?;
         let mut l = self.grown();
         Self::factor_row(&mut l, n, a_row)?;
         self.l = l;

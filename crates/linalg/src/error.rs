@@ -20,6 +20,25 @@ pub enum LinalgError {
     Empty(&'static str),
 }
 
+impl LinalgError {
+    /// `Ok` when `found == expected`, else a [`LinalgError::DimensionMismatch`]
+    /// in `context`.
+    pub(crate) fn check_dim(
+        expected: usize,
+        found: usize,
+        context: &'static str,
+    ) -> Result<(), Self> {
+        if found == expected {
+            return Ok(());
+        }
+        Err(LinalgError::DimensionMismatch {
+            expected,
+            found,
+            context,
+        })
+    }
+}
+
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -40,13 +40,7 @@ impl Matrix {
     ///
     /// Returns an error if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: rows * cols,
-                found: data.len(),
-                context: "Matrix::from_vec",
-            });
-        }
+        LinalgError::check_dim(rows * cols, data.len(), "Matrix::from_vec")?;
         Ok(Matrix { rows, cols, data })
     }
 
@@ -94,10 +88,15 @@ impl Matrix {
         self.cols
     }
 
-    /// True if the matrix is square.
-    #[inline]
-    pub(crate) fn is_square(&self) -> bool {
-        self.rows == self.cols
+    /// `Ok` when the matrix is square, else [`LinalgError::NotSquare`].
+    pub(crate) fn check_square(&self) -> Result<()> {
+        if self.rows == self.cols {
+            return Ok(());
+        }
+        Err(LinalgError::NotSquare {
+            rows: self.rows,
+            cols: self.cols,
+        })
     }
 
     /// Row `i` as a slice.
@@ -128,13 +127,7 @@ impl Matrix {
     ///
     /// Returns an error on dimension mismatch.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.cols,
-                found: x.len(),
-                context: "Matrix::matvec",
-            });
-        }
+        LinalgError::check_dim(self.cols, x.len(), "Matrix::matvec")?;
         Ok((0..self.rows).map(|i| crate::dot(self.row(i), x)).collect())
     }
 
@@ -150,13 +143,7 @@ impl Matrix {
     ///
     /// Returns an error on dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.cols,
-                found: other.rows,
-                context: "Matrix::matmul",
-            });
-        }
+        LinalgError::check_dim(self.cols, other.rows, "Matrix::matmul")?;
         // Tile sizes: KC rows of `other` (a panel of KC * cols doubles) per
         // sweep, MC rows of `self` per tile. Sized for ~L2 residency without
         // tuning per machine; correctness does not depend on these values.
@@ -191,13 +178,7 @@ impl Matrix {
     /// Returns an error unless `A` is `n x k` and `B` is `k x n`.
     pub fn matmul_trace(&self, other: &Matrix) -> Result<f64> {
         for (expected, found) in [(self.cols, other.rows), (self.rows, other.cols)] {
-            if expected != found {
-                return Err(LinalgError::DimensionMismatch {
-                    expected,
-                    found,
-                    context: "Matrix::matmul_trace",
-                });
-            }
+            LinalgError::check_dim(expected, found, "Matrix::matmul_trace")?;
         }
         Ok((0..self.rows)
             .map(|i| {
@@ -227,12 +208,7 @@ impl Matrix {
     ///
     /// Returns an error if the matrix is not square.
     pub fn add_diagonal(&mut self, v: f64) -> Result<()> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
+        self.check_square()?;
         for i in 0..self.rows {
             self[(i, i)] += v;
         }
@@ -243,12 +219,7 @@ impl Matrix {
     ///
     /// Returns an error if the matrix is not square.
     pub fn trace(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
+        self.check_square()?;
         Ok((0..self.rows).map(|i| self[(i, i)]).sum())
     }
 }
@@ -329,7 +300,7 @@ mod tests {
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 2)], 6.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert!(!m.is_square());
+        assert!(m.check_square().is_err());
     }
 
     #[test]
