@@ -1,14 +1,12 @@
 //! The batch-parallel uncertain θ-join executor.
 
 use crate::spec::JoinSpec;
-use std::fmt;
-use udf_core::batch::BatchCounts;
-use udf_core::config::ModelBudget;
+use udf_core::batch::{BatchCounts, BatchSpec, EvalStrategy, Evaluator, Ruling};
+use udf_core::filtering::FilterDecision;
 use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
 use udf_core::{CoreError, Result};
 use udf_obs::MetricsRegistry;
-use udf_query::{EvalStrategy, Executor, Relation, Schema, UdfCall};
 
 /// Warmup-round size for GP joins: enough strided pairs to train the
 /// model across the input space, few enough that the sequential warmup
@@ -29,34 +27,14 @@ pub fn warmup_indices(total: usize) -> Vec<usize> {
     out
 }
 
-/// Join-level counters: what pairs add beside the batch operator's
-/// [`BatchCounts`], which are summed over both rounds and count evaluated
-/// pairs as tuples. Every generated pair is either kept or filtered:
-/// `pairs_generated = counts.kept + counts.filtered`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Candidate pairs after the `ON` filter.
-    pub pairs_generated: u64,
-    /// The evaluated pairs' counter block.
-    pub counts: BatchCounts,
-}
-
-impl fmt::Display for JoinStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let line = udf_obs::fmt::KvLine::new()
-            .field("pairs_generated", self.pairs_generated)
-            .raw(&self.counts.to_string());
-        f.write_str(&line.finish())
-    }
-}
-
 /// One surviving joined pair.
 #[derive(Debug, Clone)]
 pub struct JoinedPair {
-    /// Global pair index (position in the `ON`-filtered enumeration —
-    /// identical to the row index a materialized
-    /// [`Relation::cross_join`](udf_query::Relation::cross_join) would
-    /// assign).
+    /// Global pair index: the position of `(left, right)` in the
+    /// `ON`-filtered enumeration of
+    /// [`Relation::pairs`](udf_query::Relation::pairs), which is also its
+    /// row index in a materialized
+    /// [`Relation::cross_join`](udf_query::Relation::cross_join).
     pub pair: usize,
     /// Left source-tuple index.
     pub left: usize,
@@ -71,20 +49,19 @@ pub struct JoinedPair {
 /// What a join run produced.
 #[derive(Debug)]
 pub struct JoinOutput {
-    /// The joined relation of *kept* pairs (prefixed schema), in pair
-    /// order.
-    pub relation: Relation,
-    /// Per-pair outputs aligned with [`relation`](JoinOutput::relation)'s
-    /// tuples.
+    /// The kept pairs, in pair order.
     pub rows: Vec<JoinedPair>,
-    /// Join-level counters.
-    pub stats: JoinStats,
+    /// The evaluated pairs' counter block, summed over both rounds; every
+    /// `ON`-admitted pair counts as one tuple in.
+    pub stats: BatchCounts,
 }
 
-/// Executes one [`JoinSpec`].
+/// Executes one [`JoinSpec`] as a caller of the batch operator
+/// ([`Evaluator`]).
 ///
-/// MC joins are embarrassingly parallel: one batch over the filtered
-/// cross product, exactly the hand-built Q2 construction.
+/// MC joins are embarrassingly parallel: one
+/// [`run_two_phase`](Evaluator::run_two_phase) batch over every candidate
+/// pair.
 ///
 /// GP joins run **two rounds** so one warm model amortizes across all
 /// O(n²) pairs:
@@ -93,130 +70,114 @@ pub struct JoinOutput {
 ///    deterministic subset of the pair enumeration (the stride is what
 ///    matters: a prefix would only cover one left tuple's slice) and
 ///    runs it *sequentially through the full Algorithm 5 path*
-///    ([`Executor::sequential_indexed`](udf_query::Executor::sequential_indexed)):
-///    each warmup pair tunes the model before the next is judged, so no
-///    pair is ever ruled by the raw bootstrap model — a cold frozen model
-///    (near-duplicate training cluster, ill-conditioned α) can
-///    spuriously filter arbitrarily many pairs in a batch fast phase;
-/// 2. **main** — every remaining pair runs in one two-phase
-///    [`Executor::batch_indexed`](udf_query::Executor::batch_indexed)
-///    batch whose fast phase reads the now-warm frozen model, so most
-///    pairs are served read-only in parallel instead of rerouting
-///    through the sequential slow path.
+///    ([`Evaluator::run_sequential`]): each warmup pair tunes the model
+///    before the next is judged, so no pair is ever ruled by the raw
+///    bootstrap model — a cold frozen model (near-duplicate training
+///    cluster, ill-conditioned α) can spuriously filter arbitrarily many
+///    pairs in a batch fast phase;
+/// 2. **main** — every remaining pair runs in one two-phase batch whose
+///    fast phase reads the now-warm frozen model, so most pairs are served
+///    read-only in parallel instead of rerouting through the sequential
+///    slow path.
 ///
 /// Both rounds seed every pair from its *global* enumeration index, so
-/// RNG streams, emitted `source` ids, and fold positions are independent
-/// of worker count — and a hand-built construction over the materialized
+/// RNG streams, emitted pair ids, and fold positions are independent of
+/// worker count — and a hand-built construction over the materialized
 /// cross product reproduces the join byte-for-byte (pinned by
 /// `tests/parity.rs`).
 pub struct JoinExecutor<'s, 'a> {
     spec: &'s JoinSpec<'a>,
-    schema: Schema,
-    call: UdfCall,
-    executor: Executor,
+    eval: Evaluator,
     metrics: MetricsRegistry,
 }
 
 impl<'s, 'a> JoinExecutor<'s, 'a> {
-    /// Validate the spec and build the inner pair executor.
+    /// Validate the spec and build its evaluator.
     pub fn new(spec: &'s JoinSpec<'a>) -> Result<Self> {
         if spec.prune {
             return Err(CoreError::InvalidJoin(
                 "pair pruning was removed; build the spec without `prune(true)`".to_string(),
             ));
         }
-        let schema = spec.joined_schema()?;
-        let qualified = spec.qualified_args();
-        let names: Vec<&str> = qualified.iter().map(String::as_str).collect();
-        let call = UdfCall::resolve(spec.udf.clone(), &schema, &names)?;
-        let executor = Executor::new(spec.strategy, spec.accuracy, &call, spec.output_range)?
-            .with_model_cap(spec.model_cap, ModelBudget::StopGrowing)?;
+        let eval = Evaluator::new(
+            spec.strategy,
+            spec.udf.clone(),
+            spec.accuracy,
+            spec.output_range,
+            spec.model_cap,
+        )?;
         Ok(JoinExecutor {
             spec,
-            schema,
-            call,
-            executor,
+            eval,
             metrics: MetricsRegistry::disabled(),
         })
     }
 
-    /// Wire observability: the `join.*` phase timers plus the inner
-    /// executor's model handles (`olgapro.*`) register in `metrics`.
-    /// Purely observational — results are byte-identical wired or not.
+    /// Wire observability: the `join.*` phase timers plus the evaluator's
+    /// model handles (`olgapro.*`) register in `metrics`. Purely
+    /// observational — results are byte-identical wired or not.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &MetricsRegistry) -> Self {
         self.metrics = metrics.clone();
-        self.executor = self.executor.with_metrics(metrics);
+        self.eval.set_metrics(metrics);
         self
     }
 
-    /// Run the join on `sched`'s workers: the filtered cross product via
-    /// [`Relation::cross_join`], then one batch (MC) or the warmup and
-    /// main rounds (GP) over it.
+    /// Run the join on `sched`'s workers: the `ON`-admitted pairs of
+    /// [`Relation::pairs`](udf_query::Relation::pairs), then one batch (MC)
+    /// or the warmup and main rounds (GP) over them.
     pub fn run(&mut self, sched: &BatchScheduler) -> Result<JoinOutput> {
         let spec = self.spec;
-        let pairs_rel =
-            spec.left
-                .cross_join(&spec.left_prefix, spec.right, &spec.right_prefix, |i, j| {
-                    spec.keep(i, j)
-                })?;
-        let total = pairs_rel.len();
-        let mut stats = JoinStats {
-            pairs_generated: total as u64,
-            ..JoinStats::default()
-        };
-        let inputs = self.call.indexed_inputs(&pairs_rel)?;
+        let coords = spec.left.pairs(spec.right, |i, j| spec.keep(i, j))?;
+        let inputs = coords
+            .iter()
+            .map(|&(i, j)| spec.pair_input(i, j))
+            .collect::<Result<Vec<_>>>()?;
         let warmup_ns = self.metrics.histogram("join.warmup_ns");
         let main_ns = self.metrics.histogram("join.main_ns");
+        let batch = BatchSpec {
+            seed: spec.seed,
+            stream: 0,
+            predicate: spec.predicate,
+        };
         let mut rows = Vec::new();
-        let main = match spec.strategy {
-            EvalStrategy::Mc => inputs,
+        let mut sink = |pair: u64, ruling: Ruling| {
+            if let FilterDecision::Kept { output, tep } = ruling {
+                let pair = pair as usize;
+                let (left, right) = coords[pair];
+                rows.push(JoinedPair {
+                    pair,
+                    left,
+                    right,
+                    output,
+                    tep,
+                });
+            }
+        };
+        let mut stats = BatchCounts::default();
+        let main: Vec<usize> = match spec.strategy {
+            EvalStrategy::Mc => (0..coords.len()).collect(),
             EvalStrategy::Gp => {
-                let warm = warmup_indices(total);
-                let (warm, main): (Vec<_>, Vec<_>) = inputs
-                    .into_iter()
-                    .partition(|(idx, _)| warm.binary_search(idx).is_ok());
+                let warm = warmup_indices(coords.len());
                 let _warmup_span = warmup_ns.span();
-                let (r, counts) =
-                    self.executor
-                        .sequential_indexed(&warm, spec.predicate.as_ref(), spec.seed)?;
-                stats.counts += counts;
-                rows.extend(r);
-                main
+                let tuple = |k: usize| (warm[k] as u64, &inputs[warm[k]]);
+                stats += self
+                    .eval
+                    .run_sequential(batch, warm.len(), tuple, &mut sink)?;
+                (0..coords.len())
+                    .filter(|k| warm.binary_search(k).is_err())
+                    .collect()
             }
         };
         if !main.is_empty() {
             let _main_span = main_ns.span();
-            let (r, counts) =
-                self.executor
-                    .batch_indexed(&main, spec.predicate.as_ref(), sched, spec.seed)?;
-            stats.counts += counts;
-            rows.extend(r);
+            let tuple = |k: usize| (main[k] as u64, &inputs[main[k]]);
+            stats += self
+                .eval
+                .run_two_phase(sched, batch, main.len(), tuple, &mut sink)?;
         }
-        rows.sort_by_key(|r| r.source);
-
-        let coords: Vec<(usize, usize)> = (0..spec.left.len())
-            .flat_map(|i| (0..spec.right.len()).map(move |j| (i, j)))
-            .filter(|&(i, j)| spec.keep(i, j))
-            .collect();
-        let mut tuples = Vec::with_capacity(rows.len());
-        let mut joined = Vec::with_capacity(rows.len());
-        for row in rows {
-            let (left, right) = coords[row.source];
-            tuples.push(pairs_rel.tuples()[row.source].clone());
-            joined.push(JoinedPair {
-                pair: row.source,
-                left,
-                right,
-                output: row.output,
-                tep: row.tep,
-            });
-        }
-        Ok(JoinOutput {
-            relation: Relation::new(self.schema.clone(), tuples)?,
-            rows: joined,
-            stats,
-        })
+        rows.sort_by_key(|r| r.pair);
+        Ok(JoinOutput { rows, stats })
     }
 }
 

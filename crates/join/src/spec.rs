@@ -4,7 +4,8 @@ use udf_core::config::AccuracyRequirement;
 use udf_core::filtering::Predicate;
 use udf_core::udf::BlackBoxUdf;
 use udf_core::{CoreError, Result};
-use udf_query::{EvalStrategy, Relation, Schema, Tuple};
+use udf_prob::InputDistribution;
+use udf_query::{EvalStrategy, Relation, Tuple};
 
 /// Which join side an argument or key column is drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +52,7 @@ impl OnCondition {
     }
 }
 
-/// Everything one uncertain θ-join needs: sides with prefixes, pair
+/// Everything one uncertain θ-join needs: named sides, pair
 /// filter, pair UDF with per-side argument bindings, the PR predicate,
 /// and execution knobs. Build with [`JoinSpec::new`] and the chained
 /// setters.
@@ -59,11 +60,11 @@ impl OnCondition {
 pub struct JoinSpec<'a> {
     /// Left relation.
     pub left: &'a Relation,
-    /// Column prefix for the left side (the UQL alias).
+    /// The left side's name (the UQL alias); the executor does not read it.
     pub left_prefix: String,
     /// Right relation.
     pub right: &'a Relation,
-    /// Column prefix for the right side.
+    /// The right side's name.
     pub right_prefix: String,
     /// Optional `ON lhs < rhs` pair filter.
     pub on: Option<OnCondition>,
@@ -81,7 +82,7 @@ pub struct JoinSpec<'a> {
     /// Output-spread estimate (scales Γ and λ on the GP path).
     pub output_range: f64,
     /// GP model cap (0 = uncapped), enforced through
-    /// [`udf_query::Executor::with_model_cap`].
+    /// [`udf_core::batch::Evaluator::new`].
     pub model_cap: usize,
     /// Always `false`: pair pruning was removed, and
     /// [`crate::JoinExecutor::new`] rejects a spec that sets it. Kept only
@@ -139,11 +140,11 @@ impl<'a> JoinSpec<'a> {
         })
     }
 
-    /// Add `ON left.lhs < right.rhs` (left column vs right column — pass a
-    /// full [`OnCondition`] via [`on`](JoinSpec::on) for other pairings).
-    pub fn on_less_than(self, lhs: &str, rhs: &str) -> Result<Self> {
-        let lhs = resolve(self.left, self.right, Side::Left, lhs)?;
-        let rhs = resolve(self.left, self.right, Side::Right, rhs)?;
+    /// Add `ON lhs < rhs`, each operand a `(side, column_name)` resolved
+    /// against its side's schema.
+    pub fn on_less_than(self, lhs: (Side, &str), rhs: (Side, &str)) -> Result<Self> {
+        let lhs = resolve(self.left, self.right, lhs.0, lhs.1)?;
+        let rhs = resolve(self.left, self.right, rhs.0, rhs.1)?;
         Ok(self.on(OnCondition { lhs, rhs }))
     }
 
@@ -186,24 +187,18 @@ impl<'a> JoinSpec<'a> {
         self
     }
 
-    /// The joined (prefixed) output schema — also validates that the
-    /// prefixes do not collide.
-    pub(crate) fn joined_schema(&self) -> Result<Schema> {
-        self.left
-            .schema()
-            .join(&self.left_prefix, self.right.schema(), &self.right_prefix)
-    }
-
-    /// Qualified argument names against [`joined_schema`](JoinSpec::joined_schema),
-    /// e.g. `a.z`, `b.z`.
-    pub(crate) fn qualified_args(&self) -> Vec<String> {
-        self.args
+    /// The input distribution of pair `(i, j)`: each argument's marginal
+    /// from its side, in call order.
+    pub(crate) fn pair_input(&self, i: usize, j: usize) -> Result<InputDistribution> {
+        let marginals = self
+            .args
             .iter()
             .map(|a| match a.side {
-                Side::Left => format!("{}.{}", self.left_prefix, a.name),
-                Side::Right => format!("{}.{}", self.right_prefix, a.name),
+                Side::Left => self.left.tuples()[i].value(a.index).clone(),
+                Side::Right => self.right.tuples()[j].value(a.index).clone(),
             })
-            .collect()
+            .collect();
+        Ok(InputDistribution::independent(marginals)?)
     }
 
     /// Candidate-pair filter for `(i, j)` (the `ON` condition, or
@@ -233,7 +228,7 @@ fn resolve(left: &Relation, right: &Relation, side: Side, name: &str) -> Result<
 mod tests {
     use super::*;
     use udf_core::config::Metric;
-    use udf_query::Value;
+    use udf_query::{Schema, Value};
 
     fn rel() -> Relation {
         let tuples = (0..3)
@@ -269,8 +264,14 @@ mod tests {
             1.0,
         )
         .unwrap();
-        assert_eq!(spec.qualified_args(), vec!["a.z", "b.z"]);
-        assert_eq!(spec.args[0].index, 1);
+        let sides: Vec<(Side, usize)> = spec.args.iter().map(|a| (a.side, a.index)).collect();
+        assert_eq!(sides, vec![(Side::Left, 1), (Side::Right, 1)]);
+        // Pair (0, 2) takes its first marginal from the left tuple 0 and its
+        // second from the right tuple 2.
+        assert_eq!(
+            spec.pair_input(0, 2).unwrap(),
+            InputDistribution::diagonal_gaussian(&[(0.0, 0.1), (2.0, 0.1)]).unwrap()
+        );
         // Wrong arity.
         assert!(matches!(
             JoinSpec::new(
@@ -316,33 +317,9 @@ mod tests {
             1.0,
         )
         .unwrap()
-        .on_less_than("id", "id")
+        .on_less_than((Side::Left, "id"), (Side::Right, "id"))
         .unwrap();
-        let kept: Vec<(usize, usize)> = (0..3)
-            .flat_map(|i| (0..3).map(move |j| (i, j)))
-            .filter(|&(i, j)| spec.keep(i, j))
-            .collect();
+        let kept = r.pairs(&r, |i, j| spec.keep(i, j)).unwrap();
         assert_eq!(kept, vec![(0, 1), (0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn joined_schema_rejects_equal_prefixes() {
-        let r = rel();
-        let udf = BlackBoxUdf::from_fn("d", 2, |x| x[0] - x[1]);
-        let spec = JoinSpec::new(
-            &r,
-            "g",
-            &r,
-            "g",
-            udf,
-            &[(Side::Left, "z"), (Side::Right, "z")],
-            acc(),
-            1.0,
-        )
-        .unwrap();
-        assert!(matches!(
-            spec.joined_schema(),
-            Err(CoreError::DuplicateColumn(_))
-        ));
     }
 }

@@ -1,11 +1,12 @@
 //! Join acceptance: the executor must be *indistinguishable* from the
 //! hand-built Q2 construction over the materialized cross product.
 
+use udf_core::batch::BatchCounts;
 use udf_core::config::{AccuracyRequirement, Metric};
 use udf_core::filtering::Predicate;
 use udf_core::sched::BatchScheduler;
 use udf_core::CoreError;
-use udf_join::{warmup_indices, JoinExecutor, JoinSpec, JoinStats, JoinedPair, Side};
+use udf_join::{warmup_indices, JoinExecutor, JoinSpec, JoinedPair, Side};
 use udf_query::{EvalStrategy, Executor, ProjectedTuple, Relation, Schema, Tuple, UdfCall, Value};
 use udf_workloads::UdfCatalog;
 
@@ -43,7 +44,7 @@ fn angdist_spec(g: &Relation, strategy: EvalStrategy, seed: u64) -> (JoinSpec<'_
         entry.output_range,
     )
     .unwrap()
-    .on_less_than("objID", "objID")
+    .on_less_than((Side::Left, "objID"), (Side::Right, "objID"))
     .unwrap()
     .predicate(pred)
     .strategy(strategy)
@@ -92,19 +93,18 @@ fn hand_built(
     rows
 }
 
-/// Every generated pair is filtered or kept — exactly one of the two —
+/// Every candidate pair is filtered or kept — exactly one of the two —
 /// and settled on exactly one path.
-fn assert_adds_up(s: &JoinStats, label: &str) {
-    let c = &s.counts;
+fn assert_adds_up(c: &BatchCounts, label: &str) {
     assert_eq!(
-        s.pairs_generated,
+        c.tuples_in,
         c.filtered + c.kept,
-        "{label}: generated ≠ filtered + kept: {s:?}"
+        "{label}: in ≠ filtered + kept: {c:?}"
     );
     assert_eq!(
         c.fast + c.slow,
-        s.pairs_generated,
-        "{label}: a pair was settled twice or not at all: {s:?}"
+        c.tuples_in,
+        "{label}: a pair was settled twice or not at all: {c:?}"
     );
 }
 
@@ -145,24 +145,23 @@ fn join_matches_hand_built_q2_construction() {
             let hand = hand_built(&g, strategy, &pred, workers, 7);
             let label = format!("{strategy:?}/workers={workers}");
             assert!(
-                !out.rows.is_empty() && (out.rows.len() as u64) < out.stats.pairs_generated,
+                !out.rows.is_empty() && (out.rows.len() as u64) < out.stats.tuples_in,
                 "{label}: selection should keep some but not all pairs, kept {}",
                 out.rows.len()
             );
             assert_rows_identical(&out.rows, &hand, &label);
             assert_adds_up(&out.stats, &label);
-            assert_eq!(out.stats.pairs_generated, 66, "{label}");
-            assert_eq!(out.relation.len(), out.rows.len(), "{label}");
-            // The joined relation carries the concatenated source tuples.
-            for (row, tuple) in out.rows.iter().zip(out.relation.tuples()) {
-                assert_eq!(tuple.value(0).mean(), row.left as f64, "{label}: a.objID");
-                assert_eq!(tuple.value(2).mean(), row.right as f64, "{label}: b.objID");
+            assert_eq!(out.stats.tuples_in, 66, "{label}");
+            // Each kept pair names the source tuples of its cross_join row.
+            let coords = g.pairs(&g, |i, j| i < j).unwrap();
+            for row in &out.rows {
+                assert_eq!((row.left, row.right), coords[row.pair], "{label}");
             }
         }
     }
 }
 
-/// `JoinStats` adds up for MC and GP. At this seed two main-round pairs
+/// The join's counts add up for MC and GP. At this seed two main-round pairs
 /// reroute and are then dropped by the slow path's own filter — the drops
 /// the GP join used to leave uncounted (it reported 274 of 276 pairs).
 #[test]
@@ -173,7 +172,7 @@ fn join_stats_add_up() {
         let (spec, _) = angdist_spec(&g, strategy, 4);
         let stats = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap().stats;
         assert_adds_up(&stats, &format!("{strategy:?}"));
-        assert_eq!(stats.pairs_generated, 276, "{strategy:?}");
+        assert_eq!(stats.tuples_in, 276, "{strategy:?}");
     }
 }
 
@@ -241,6 +240,28 @@ fn invalid_specs_are_refused() {
     }
 }
 
+/// A side of 65,537 rows self-joins to more than `u32::MAX` candidate
+/// pairs: the run is refused before any pair is enumerated.
+#[test]
+fn oversized_join_is_refused() {
+    let g = galaxies(65_537);
+    let (spec, _) = angdist_spec(&g, EvalStrategy::Gp, 1);
+    let err = JoinExecutor::new(&spec)
+        .unwrap()
+        .run(&BatchScheduler::new(1))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::JoinTooLarge {
+                left: 65_537,
+                right: 65_537
+            }
+        ),
+        "{err}"
+    );
+}
+
 /// A projection join (no WHERE) emits every candidate pair with TEP 1.
 #[test]
 fn projection_join_keeps_every_pair() {
@@ -260,7 +281,7 @@ fn projection_join_keeps_every_pair() {
         entry.output_range,
     )
     .unwrap()
-    .on_less_than("objID", "objID")
+    .on_less_than((Side::Left, "objID"), (Side::Right, "objID"))
     .unwrap()
     .strategy(EvalStrategy::Gp)
     .seed(5);
@@ -268,5 +289,5 @@ fn projection_join_keeps_every_pair() {
     let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
     assert_eq!(out.rows.len(), 15);
     assert!(out.rows.iter().all(|r| r.tep == 1.0));
-    assert_eq!(out.stats.counts.kept, 15);
+    assert_eq!(out.stats.kept, 15);
 }

@@ -5,8 +5,9 @@
 //! so predictor caches could not hit across statements anyway). Relation
 //! queries run as one batch through [`Executor::select_batch`] /
 //! [`Executor::project_batch`] — byte-identical results for any `WORKERS`
-//! count. `JOIN` queries lower onto a [`udf_join::JoinExecutor`] (warmup +
-//! main rounds, byte-identical to the hand-built `cross_join` construction).
+//! count. `JOIN` queries lower onto a [`udf_join::JoinExecutor`], which calls
+//! the same batch operator on each `ON`-admitted pair (GP: warmup + main
+//! rounds), byte-identical to the hand-built `cross_join` construction.
 //! `FROM STREAM` queries subscribe a [`QuerySpec`] on a fresh [`Session`]
 //! and drive it over the registered source, so a UQL stream query produces
 //! exactly the determinism digest of the equivalent hand-built subscription.
@@ -19,8 +20,9 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use udf_core::batch::BatchCounts;
 use udf_core::config::ModelBudget;
+use udf_core::output::OutputDistribution;
 use udf_core::sched::BatchScheduler;
-use udf_join::{JoinExecutor, JoinSpec, JoinStats, JoinedPair, OnCondition};
+use udf_join::{JoinExecutor, JoinSpec, JoinedPair};
 use udf_obs::fmt::KvLine;
 use udf_obs::{Histogram, MetricsRegistry, Snapshot};
 use udf_query::{Executor, ProjectedTuple, Relation, UdfCall};
@@ -157,11 +159,9 @@ pub enum QueryOutput {
 pub struct JoinRowsOutput {
     /// Kept pairs, in pair order.
     pub rows: Vec<JoinedPair>,
-    /// The joined relation of kept pairs (prefixed schema).
-    pub relation: Relation,
-    /// Join-level counters (`pairs_generated`) and the evaluated pairs'
-    /// counter block.
-    pub stats: JoinStats,
+    /// The evaluated pairs' counter block (`in` counts the `ON`-admitted
+    /// pairs).
+    pub stats: BatchCounts,
     /// Wall-clock execution time (excluding parse/bind).
     pub elapsed: Duration,
 }
@@ -197,57 +197,45 @@ impl QueryOutput {
     pub fn report(&self) -> String {
         match self {
             QueryOutput::Plan(p) => p.clone(),
-            QueryOutput::Rows(r) => {
-                let mut s = format!(
-                    "{} row(s) in {:.2?}  [{}]\n",
-                    r.rows.len(),
-                    r.elapsed,
-                    r.stats
-                );
-                const SHOW: usize = 10;
-                for row in r.rows.iter().take(SHOW) {
-                    s.push_str(&format!(
-                        "  #{:<6} median={:<12.6} err≤{:<8.4} tep={:.3}\n",
-                        row.source,
-                        row.output.ecdf.quantile(0.5),
-                        row.output.error_bound,
-                        row.tep,
-                    ));
-                }
-                if r.rows.len() > SHOW {
-                    s.push_str(&format!("  … {} more\n", r.rows.len() - SHOW));
-                }
-                s
-            }
-            QueryOutput::Join(r) => {
-                let mut s = format!(
-                    "{} pair(s) in {:.2?}  [{}]\n",
-                    r.rows.len(),
-                    r.elapsed,
-                    r.stats,
-                );
-                const SHOW: usize = 10;
-                for row in r.rows.iter().take(SHOW) {
-                    s.push_str(&format!(
-                        "  #({:<4},{:<4}) median={:<12.6} err≤{:<8.4} tep={:.3}\n",
-                        row.left,
-                        row.right,
-                        row.output.ecdf.quantile(0.5),
-                        row.output.error_bound,
-                        row.tep,
-                    ));
-                }
-                if r.rows.len() > SHOW {
-                    s.push_str(&format!("  … {} more\n", r.rows.len() - SHOW));
-                }
-                s
-            }
+            QueryOutput::Rows(r) => listing("row(s)", r.elapsed, &r.stats, &r.rows, |row| {
+                (format!("{:<6}", row.source), &row.output, row.tep)
+            }),
+            QueryOutput::Join(r) => listing("pair(s)", r.elapsed, &r.stats, &r.rows, |row| {
+                let id = format!("({:<4},{:<4})", row.left, row.right);
+                (id, &row.output, row.tep)
+            }),
             QueryOutput::Stream(o) => format!(
                 "stream run: {} tuple(s), {} batch(es) in {:.2?}\n  [{}]\n  digest=0x{:016x}\n",
                 o.stats.tuples_in, o.batches, o.elapsed, o.stats, o.digest,
             ),
         }
     }
+}
+
+/// A report: the count of `rows`, their time and counters, then the first
+/// ten rows (each labelled by the id `row` gives it) and a count of the rest.
+fn listing<'r, T>(
+    noun: &str,
+    elapsed: Duration,
+    stats: &BatchCounts,
+    rows: &'r [T],
+    row: impl Fn(&'r T) -> (String, &'r OutputDistribution, f64),
+) -> String {
+    const SHOW: usize = 10;
+    let mut s = format!("{} {noun} in {elapsed:.2?}  [{stats}]\n", rows.len());
+    for r in rows.iter().take(SHOW) {
+        let (id, output, tep) = row(r);
+        s.push_str(&format!(
+            "  #{id} median={:<12.6} err≤{:<8.4} tep={:.3}\n",
+            output.ecdf.quantile(0.5),
+            output.error_bound,
+            tep,
+        ));
+    }
+    if rows.len() > SHOW {
+        s.push_str(&format!("  … {} more\n", rows.len() - SHOW));
+    }
+    s
 }
 
 /// The one-shot facade: parse, bind, and execute one UQL statement
@@ -409,28 +397,13 @@ fn exec_join(p: &JoinPlan, ctx: &Context) -> Result<QueryOutput> {
         spec = spec.predicate(pred);
     }
     if let Some(((ls, lc), (rs, rc))) = &p.on {
-        let resolve = |side: udf_join::Side, col: &str| -> Result<udf_join::JoinAttr> {
-            let rel = match side {
-                udf_join::Side::Left => left,
-                udf_join::Side::Right => right,
-            };
-            Ok(udf_join::JoinAttr {
-                side,
-                index: rel.schema().index_of(col)?,
-                name: col.to_string(),
-            })
-        };
-        spec = spec.on(OnCondition {
-            lhs: resolve(*ls, lc)?,
-            rhs: resolve(*rs, rc)?,
-        });
+        spec = spec.on_less_than((*ls, lc), (*rs, rc))?;
     }
     let t0 = Instant::now();
     let mut executor = JoinExecutor::new(&spec)?.with_metrics(metrics);
     let out = executor.run(&sched)?;
     Ok(QueryOutput::Join(JoinRowsOutput {
         rows: out.rows,
-        relation: out.relation,
         stats: out.stats,
         elapsed: t0.elapsed(),
     }))

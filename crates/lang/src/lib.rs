@@ -24,9 +24,9 @@
 //!   and inherit the stream engine's determinism digests.
 //!
 //! Every backend reports the statement's
-//! [`BatchCounts`](udf_core::batch::BatchCounts) (a join adds its pair counts in
-//! [`udf_join::JoinStats`]), and [`QueryOutput::report`] prints them as the
-//! same one counter line.
+//! [`BatchCounts`](udf_core::batch::BatchCounts) (a join counts each
+//! `ON`-admitted pair as one tuple in), and [`QueryOutput::report`] prints
+//! them as the same one counter line.
 //!
 //! ## Quickstart
 //!

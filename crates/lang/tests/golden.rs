@@ -118,18 +118,19 @@ fn digest(statement: &str) -> u64 {
             }
             // `filtered` is left out on purpose: the join under-counted
             // slow-path drops at the recording commit.
-            let (s, c) = (out.stats, out.stats.counts);
+            let c = out.stats;
             check_counts(&c, out.rows.iter().map(|r| &r.output), statement);
             assert_eq!(
-                s.pairs_generated,
+                c.tuples_in,
                 c.kept + c.filtered,
                 "{statement}: a pair was lost or counted twice"
             );
-            // The literal 0 stands where the recording commit hashed
-            // `pairs_pruned`: pair pruning is removed, and it was 0 on every
-            // row that is left.
+            // `tuples_in` stands where the recording commit hashed
+            // `pairs_generated`, the same count. The literal 0 stands where
+            // it hashed `pairs_pruned`: pair pruning is removed, and it was 0
+            // on every row that is left.
             for w in [
-                s.pairs_generated,
+                c.tuples_in,
                 0,
                 c.kept,
                 c.fast_kept,

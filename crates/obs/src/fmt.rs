@@ -1,9 +1,9 @@
 //! The shared `key=value` stats-line builder.
 //!
 //! Every human-facing counter block in the workspace — the REPL report,
-//! `BatchCounts` / `JoinStats` `Display`, the examples — renders through
-//! [`KvLine`], so counters spell identically everywhere (`cap_hits=3`,
-//! `pairs_generated=780`, …) and scripts can grep one format.
+//! `BatchCounts` `Display`, the examples — renders through [`KvLine`], so
+//! counters spell identically everywhere (`cap_hits=3`, `in=780`, …) and
+//! scripts can grep one format.
 
 use std::fmt::Display;
 

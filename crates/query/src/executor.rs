@@ -172,9 +172,9 @@ impl Executor {
     /// batch would hand it. Unlike a batch's fast phase (which judges
     /// every tuple against the frozen batch-start model), each tuple here
     /// tunes the model *before* the next one is judged, so cold-model
-    /// verdicts never poison downstream decisions. This is `udf_join`'s GP
-    /// warmup round; results are trivially independent of worker count
-    /// (nothing runs concurrently).
+    /// verdicts never poison downstream decisions. It is the hand-built
+    /// reference of `udf_join`'s GP warmup round; results are trivially
+    /// independent of worker count (nothing runs concurrently).
     pub fn sequential_indexed(
         &mut self,
         inputs: &[(usize, InputDistribution)],

@@ -132,13 +132,37 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    /// The `(i, j)` index pairs of the cartesian product with `other` that
+    /// `keep` admits, in row-major order: pair `k` is row `k` of
+    /// [`cross_join`](Relation::cross_join) under the same `keep`.
+    ///
+    /// Fails with [`CoreError::JoinTooLarge`] when the cross product exceeds
+    /// [`u32::MAX`] pairs — enumerating more would OOM long before producing
+    /// anything useful.
+    pub fn pairs(
+        &self,
+        other: &Relation,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Result<Vec<(usize, usize)>> {
+        let pairs = (self.len() as u64).checked_mul(other.len() as u64);
+        if pairs.is_none_or(|p| p > u32::MAX as u64) {
+            return Err(CoreError::JoinTooLarge {
+                left: self.len(),
+                right: other.len(),
+            });
+        }
+        Ok((0..self.len())
+            .flat_map(|i| (0..other.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| keep(i, j))
+            .collect())
+    }
+
     /// Cartesian product with prefixed column names (Q2's self-join; an
-    /// optional pair filter trims the quadratic blowup, e.g. `i < j`).
+    /// optional pair filter trims the quadratic blowup, e.g. `i < j`): the
+    /// concatenated tuples of [`pairs`](Relation::pairs).
     ///
     /// Fails with [`CoreError::DuplicateColumn`] on colliding prefixes and
-    /// with [`CoreError::JoinTooLarge`] when the cross product exceeds
-    /// [`u32::MAX`] pairs — materializing (or even enumerating) more would
-    /// OOM long before producing anything useful.
+    /// as [`pairs`](Relation::pairs) does on a product past [`u32::MAX`].
     pub fn cross_join(
         &self,
         prefix_a: &str,
@@ -147,21 +171,11 @@ impl Relation {
         keep: impl Fn(usize, usize) -> bool,
     ) -> Result<Relation> {
         let schema = self.schema.join(prefix_a, &other.schema, prefix_b)?;
-        let pairs = (self.len() as u64).checked_mul(other.len() as u64);
-        if pairs.is_none_or(|p| p > u32::MAX as u64) {
-            return Err(CoreError::JoinTooLarge {
-                left: self.len(),
-                right: other.len(),
-            });
-        }
-        let mut tuples = Vec::new();
-        for (i, a) in self.tuples.iter().enumerate() {
-            for (j, b) in other.tuples.iter().enumerate() {
-                if keep(i, j) {
-                    tuples.push(a.concat(b));
-                }
-            }
-        }
+        let tuples = self
+            .pairs(other, keep)?
+            .into_iter()
+            .map(|(i, j)| self.tuples[i].concat(&other.tuples[j]))
+            .collect();
         Ok(Relation { schema, tuples })
     }
 }

@@ -68,7 +68,7 @@ fn main() {
         entry.output_range,
     )
     .unwrap()
-    .on_less_than("objID", "objID")
+    .on_less_than((Side::Left, "objID"), (Side::Right, "objID"))
     .unwrap()
     .predicate(Predicate::new(0.25, 0.32, 0.5).unwrap())
     .strategy(EvalStrategy::Gp)

@@ -60,9 +60,7 @@ pub mod prelude {
     pub use udf_core::output::{GpOutput, OutputDistribution, TuneStop};
     pub use udf_core::sched::{mix_seed, BatchOps, BatchScheduler, Verdict};
     pub use udf_core::udf::{BlackBoxUdf, CostModel, FnUdf, UdfFunction};
-    pub use udf_join::{
-        JoinExecutor, JoinOutput, JoinSpec, JoinStats, JoinedPair, OnCondition, Side,
-    };
+    pub use udf_join::{JoinExecutor, JoinOutput, JoinSpec, JoinedPair, OnCondition, Side};
     pub use udf_lang::{run_uql, Context as UqlContext, LangError, QueryOutput};
     pub use udf_obs::{MetricsRegistry, Snapshot};
     pub use udf_prob::{Ecdf, InputDistribution, Value};
