@@ -12,8 +12,16 @@ use udf_bench::{
     as_udf, ground_truth, header, paper_accuracy, standard_inputs, total_ms_per_input, warm_olgapro,
 };
 use udf_core::config::OlgaproConfig;
-use udf_core::filtering::{gp_filtered, mc_eval_tuple, Predicate};
+use udf_core::filtering::{gp_filtered, mc_eval_tuple, FilterDecision, Predicate};
 use udf_workloads::synthetic::PaperFunction;
+
+/// The UDF calls one ruling reports, kept (read by `kept`) or dropped.
+fn calls<T>(ruling: &FilterDecision<T>, kept: fn(&T) -> u64) -> u64 {
+    match ruling {
+        FilterDecision::Kept { output, .. } => kept(output),
+        FilterDecision::Filtered { udf_calls, .. } => *udf_calls,
+    }
+}
 
 fn main() {
     header(
@@ -84,22 +92,26 @@ fn main() {
         let udf = as_udf(&f, t);
         let mut rng = StdRng::seed_from_u64(122);
         let t0 = Instant::now();
+        let mut mc_calls = 0;
         for inp in &inputs {
-            mc_eval_tuple(&udf, inp, &acc, None, &mut rng).expect("mc");
+            let ruling = mc_eval_tuple(&udf, inp, &acc, None, &mut rng).expect("mc");
+            mc_calls += calls(&ruling, |out| out.udf_calls);
         }
-        let mc_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
+        let mc_ms = total_ms_per_input(t0.elapsed(), &udf, mc_calls, inputs.len());
 
         // --- MC with online filtering.
         let udf = as_udf(&f, t);
         let mut rng = StdRng::seed_from_u64(122);
         let t0 = Instant::now();
         let mut mc_of_kept = vec![false; inputs.len()];
+        let mut mc_of_calls = 0;
         for (i, inp) in inputs.iter().enumerate() {
-            mc_of_kept[i] = !mc_eval_tuple(&udf, inp, &acc, Some(&pred), &mut rng)
-                .expect("mc_eval_tuple")
-                .is_filtered();
+            let ruling =
+                mc_eval_tuple(&udf, inp, &acc, Some(&pred), &mut rng).expect("mc_eval_tuple");
+            mc_of_kept[i] = !ruling.is_filtered();
+            mc_of_calls += calls(&ruling, |out| out.udf_calls);
         }
-        let mc_of_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
+        let mc_of_ms = total_ms_per_input(t0.elapsed(), &udf, mc_of_calls, inputs.len());
 
         // --- GP without online filtering (process everything fully), on a
         // warm stream as the paper measures it.
@@ -108,10 +120,11 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(123);
         let mut olga = warm_olgapro(&udf, cfg.clone(), &inputs, &mut rng);
         let t0 = Instant::now();
+        let mut gp_calls = 0;
         for inp in &inputs {
-            olga.process(inp, &mut rng).expect("gp");
+            gp_calls += olga.process(inp, &mut rng).expect("gp").udf_calls;
         }
-        let gp_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
+        let gp_ms = total_ms_per_input(t0.elapsed(), &udf, gp_calls, inputs.len());
 
         // --- GP with online filtering (same warm-up).
         let udf = as_udf(&f, t);
@@ -119,12 +132,13 @@ fn main() {
         let mut olga = warm_olgapro(&udf, cfg, &inputs, &mut rng);
         let t0 = Instant::now();
         let mut gp_of_kept = vec![false; inputs.len()];
+        let mut gp_of_calls = 0;
         for (i, inp) in inputs.iter().enumerate() {
-            gp_of_kept[i] = !gp_filtered(&mut olga, inp, &pred, &mut rng)
-                .expect("gp_filtered")
-                .is_filtered();
+            let ruling = gp_filtered(&mut olga, inp, &pred, &mut rng).expect("gp_filtered");
+            gp_of_kept[i] = !ruling.is_filtered();
+            gp_of_calls += calls(&ruling, |out| out.udf_calls);
         }
-        let gp_of_ms = total_ms_per_input(t0.elapsed(), &udf, inputs.len());
+        let gp_of_ms = total_ms_per_input(t0.elapsed(), &udf, gp_of_calls, inputs.len());
 
         // False positives: kept although the oracle filters them.
         let fp = |kept: &[bool]| -> f64 {

@@ -63,11 +63,10 @@ fn main() {
     // Fig 6(a): example output pdf of AngDist.
     // ------------------------------------------------------------------
     println!("\nFig 6(a): output pdf of AngDist on one uncertain pair (histogram)");
-    let angdist = udfs[0].fork_counter();
     let input = catalog.pair_input(0, 1);
     let acc = AccuracyRequirement::new(0.02, 0.05, 0.0, Metric::Ks).expect("valid");
     let FilterDecision::Kept { output: out, .. } =
-        mc_eval_tuple(&angdist, &input, &acc, None, &mut rng).expect("mc")
+        mc_eval_tuple(&udfs[0], &input, &acc, None, &mut rng).expect("mc")
     else {
         unreachable!("no predicate, nothing is dropped")
     };
@@ -106,23 +105,28 @@ fn main() {
             let acc = AccuracyRequirement::new(eps, 0.05, 0.01 * range, Metric::Discrepancy)
                 .expect("valid");
             // GP.
-            let gp_udf = udf.fork_counter();
             let cfg = OlgaproConfig::new(acc, range).expect("config");
-            let mut olga = Olgapro::new(gp_udf.clone(), cfg);
+            let mut olga = Olgapro::new(udf.clone(), cfg);
             let mut r = StdRng::seed_from_u64(7);
             let t0 = Instant::now();
+            let mut gp_calls = 0;
             for inp in &inputs {
-                olga.process(inp, &mut r).expect("gp");
+                gp_calls += olga.process(inp, &mut r).expect("gp").udf_calls;
             }
-            let gp_ms = total_ms_per_input(t0.elapsed(), &gp_udf, inputs.len());
+            let gp_ms = total_ms_per_input(t0.elapsed(), udf, gp_calls, inputs.len());
             // MC.
-            let mc_udf = udf.fork_counter();
             let mut r = StdRng::seed_from_u64(7);
             let t0 = Instant::now();
+            let mut mc_calls = 0;
             for inp in &inputs {
-                mc_eval_tuple(&mc_udf, inp, &acc, None, &mut r).expect("mc");
+                let FilterDecision::Kept { output, .. } =
+                    mc_eval_tuple(udf, inp, &acc, None, &mut r).expect("mc")
+                else {
+                    unreachable!("no predicate, nothing is dropped")
+                };
+                mc_calls += output.udf_calls;
             }
-            let mc_ms = total_ms_per_input(t0.elapsed(), &mc_udf, inputs.len());
+            let mc_ms = total_ms_per_input(t0.elapsed(), udf, mc_calls, inputs.len());
             println!(
                 "  {eps:<6} {gp_ms:>9.2} {mc_ms:>13.2} {:>12}",
                 olga.model().len()
@@ -137,11 +141,10 @@ fn udf_measure_eval(udf: &BlackBoxUdf, x: &[f64]) -> f64 {
 }
 
 fn estimate_range(udf: &BlackBoxUdf, inputs: &[InputDistribution], rng: &mut StdRng) -> f64 {
-    let probe = udf.fork_counter();
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for inp in inputs.iter().take(5) {
         for _ in 0..20 {
-            let v = probe.eval(&inp.sample(rng));
+            let v = udf.eval(&inp.sample(rng));
             lo = lo.min(v);
             hi = hi.max(v);
         }

@@ -2,10 +2,10 @@
 //!
 //! Every `benches/fig*.rs` target regenerates one table or figure from §6
 //! of the paper. The harness reports **total time = measured algorithm
-//! overhead + charged UDF cost** (`#calls × T` under the simulated cost
-//! model), which is exactly the trade-off the paper's wall-clock numbers
-//! measure: `CostModel::Simulated` charges `T` per call instead of sleeping
-//! (PAPER.md, "Fidelity caveats").
+//! overhead + charged UDF cost** (the `udf_calls` the outputs report × `T`
+//! under the simulated cost model), which is exactly the trade-off the
+//! paper's wall-clock numbers measure: `CostModel::Simulated` charges `T`
+//! per call instead of sleeping (PAPER.md, "Fidelity caveats").
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,15 +72,16 @@ pub fn ground_truth(
     Ecdf::new(samples).expect("finite reference outputs")
 }
 
-/// Mean per-input total time in ms: the measured `overhead` plus the cost
-/// `udf` has charged for its calls, over `n` inputs.
-pub fn total_ms_per_input(overhead: Duration, udf: &BlackBoxUdf, n: usize) -> f64 {
-    (overhead + udf.charged_cost()).as_secs_f64() * 1e3 / n as f64
+/// Mean per-input total time in ms: the measured `overhead` plus `calls`
+/// charged at `udf`'s per-call cost, over `n` inputs.
+pub fn total_ms_per_input(overhead: Duration, udf: &BlackBoxUdf, calls: u64, n: usize) -> f64 {
+    let charged = udf.cost_model().per_call().as_secs_f64() * calls as f64;
+    (overhead.as_secs_f64() + charged) * 1e3 / n as f64
 }
 
-/// An OLGAPRO evaluator that has processed `inputs` once, with `udf`'s call
-/// counter reset afterwards, so what the caller measures next is the
-/// steady state.
+/// An OLGAPRO evaluator that has processed `inputs` once, so what the
+/// caller measures next (the calls its later outputs report) is the steady
+/// state.
 ///
 /// The paper averages over 500 tuples, where almost all tuples see a
 /// converged model; with the bench's shorter streams, measuring from cold
@@ -97,7 +98,6 @@ pub fn warm_olgapro(
     for input in inputs {
         olga.process(input, rng).expect("olgapro warm-up");
     }
-    udf.reset_calls();
     olga
 }
 
@@ -117,7 +117,8 @@ pub fn run_olgapro(
     let t0 = Instant::now();
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
-        outs.push(olga.process(input, &mut rng).expect("olgapro run").y_hat);
+        let out = olga.process(input, &mut rng).expect("olgapro run");
+        outs.push((out.y_hat, out.udf_calls));
     }
     score(f, &udf, inputs, &outs, lambda, t0.elapsed(), seed)
 }
@@ -135,7 +136,7 @@ pub fn run_mc(
     let mut outs = Vec::with_capacity(inputs.len());
     for input in inputs {
         match mc_eval_tuple(&udf, input, &accuracy, None, &mut rng).expect("mc run") {
-            FilterDecision::Kept { output, .. } => outs.push(output.ecdf),
+            FilterDecision::Kept { output, .. } => outs.push((output.ecdf, output.udf_calls)),
             FilterDecision::Filtered { .. } => unreachable!("no predicate, nothing is dropped"),
         }
     }
@@ -143,28 +144,29 @@ pub fn run_mc(
 }
 
 /// A run's [`RunResult`]: its time and calls over `inputs`, and the
-/// λ-discrepancy of each output ECDF (`outs`, one per input) against
-/// [`ground_truth`].
+/// λ-discrepancy of each output ECDF against [`ground_truth`]. `outs` holds
+/// one `(ECDF, UDF calls)` per input, as its output reported them.
 fn score(
     f: &GaussianMixtureFn,
     udf: &BlackBoxUdf,
     inputs: &[InputDistribution],
-    outs: &[Ecdf],
+    outs: &[(Ecdf, u64)],
     lambda: f64,
     overhead: Duration,
     seed: u64,
 ) -> RunResult {
     let mut truth_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let (mut err_sum, mut err_max) = (0.0f64, 0.0f64);
-    for (input, out) in inputs.iter().zip(outs) {
+    for (input, (out, _)) in inputs.iter().zip(outs) {
         let truth = ground_truth(f, input, 20_000, &mut truth_rng);
         let e = lambda_discrepancy(out, &truth, lambda);
         err_sum += e;
         err_max = err_max.max(e);
     }
+    let calls: u64 = outs.iter().map(|(_, calls)| calls).sum();
     RunResult {
-        ms_per_input: total_ms_per_input(overhead, udf, inputs.len()),
-        calls_per_input: udf.calls() as f64 / inputs.len() as f64,
+        ms_per_input: total_ms_per_input(overhead, udf, calls, inputs.len()),
+        calls_per_input: calls as f64 / inputs.len() as f64,
         mean_error: err_sum / inputs.len() as f64,
         max_error: err_max,
     }
@@ -220,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn charged_cost_dominates_for_slow_udfs() {
+    fn reported_cost_dominates_for_slow_udfs() {
         let f = PaperFunction::F1.instantiate(1);
         let range = f.output_range();
         let acc = accuracy_with_eps(0.2, range);

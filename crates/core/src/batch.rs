@@ -250,13 +250,10 @@ impl Evaluator {
         let mut counts = BatchCounts::default();
         match self {
             Evaluator::Mc { udf, accuracy } => {
-                // Each worker slot gets a forked call counter, so parallel
-                // workers never share one.
-                let udfs: Vec<_> = (0..sched.workers()).map(|_| udf.fork_counter()).collect();
-                let rulings = sched.try_map_indexed(n, |worker, i| {
+                let rulings = sched.try_map(n, |i| {
                     let (id, input) = tuple(i);
                     mc_eval_tuple(
-                        &udfs[worker],
+                        udf,
                         input,
                         accuracy,
                         spec.predicate.as_ref(),
@@ -300,9 +297,8 @@ impl Evaluator {
         mut sink: impl FnMut(u64, Ruling),
     ) -> Result<BatchCounts> {
         let mut counts = BatchCounts::default();
-        // One forked call counter and one scratch for the run, as
-        // `run_two_phase` has one of each per worker slot.
-        let mut forked = None;
+        // One scratch for the run, as `run_two_phase` has one per worker
+        // slot.
         let mut scratch = InferScratch::default();
         for i in 0..n {
             let (id, input) = tuple(i);
@@ -310,7 +306,6 @@ impl Evaluator {
             let pred = spec.predicate.as_ref();
             let ruling = match self {
                 Evaluator::Mc { udf, accuracy } => {
-                    let udf = forked.get_or_insert_with(|| udf.fork_counter());
                     mc_eval_tuple(udf, input, accuracy, pred, &mut rng)?
                 }
                 Evaluator::Gp(olga) => {
@@ -491,6 +486,8 @@ impl BatchOps<FastRow> for GpBatch<'_, '_> {
 mod tests {
     use super::*;
     use crate::config::{Metric, OlgaproConfig};
+    use crate::udf::tests::counting;
+    use std::sync::atomic::Ordering;
 
     fn setup(eps: f64) -> Olgapro {
         setup_with(eps, |_| {})
@@ -937,12 +934,9 @@ mod tests {
     /// to the slow columns.
     #[test]
     fn sequential_entry_matches_the_batch_on_mc_and_counts_slow() {
-        let udf = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
+        let (udf, calls) = counting(&BlackBoxUdf::from_fn("id", 1, |x| x[0]));
         let accuracy = AccuracyRequirement::new(0.2, 0.05, 0.0, Metric::Ks).unwrap();
-        let mut eval = Evaluator::Mc {
-            udf: udf.clone(),
-            accuracy,
-        };
+        let mut eval = Evaluator::Mc { udf, accuracy };
         let batch = inputs(12);
         let spec = BatchSpec {
             seed: 3,
@@ -971,8 +965,8 @@ mod tests {
             (cs.tuples_in, cs.kept, cs.filtered, cs.udf_calls),
             (cp.tuples_in, cp.kept, cp.filtered, cp.udf_calls)
         );
-        // Both shapes count on forks: the evaluator's own counter (shared by
-        // its clones) saw none of the calls.
-        assert!(cp.udf_calls > 0 && udf.calls() == 0, "{}", udf.calls());
+        // What both shapes report is what reached the UDF.
+        assert!(cp.udf_calls > 0);
+        assert_eq!(calls.load(Ordering::Relaxed), cp.udf_calls + cs.udf_calls);
     }
 }

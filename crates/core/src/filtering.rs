@@ -104,8 +104,7 @@ impl<T> FilterDecision<T> {
 /// after every 64 samples and after the last; the tuple is dropped as soon
 /// as `ρ̃ + ε̃ < θ`, and kept at `ρ̃` otherwise. Without one, the tuple is
 /// kept with TEP 1. `udf_calls` is the number of samples evaluated. The MC
-/// half of the batch operator ([`crate::batch::Evaluator`]), which forks
-/// the call counter per worker slot so parallel workers never share one.
+/// half of the batch operator ([`crate::batch::Evaluator`]).
 pub fn mc_eval_tuple(
     udf: &BlackBoxUdf,
     input: &InputDistribution,

@@ -3,8 +3,7 @@
 //! The primary contribution of Tran, Diao, Sutton & Liu (VLDB 2013),
 //! implemented in full:
 //!
-//! * [`udf`] — black-box UDFs with call accounting and a pluggable
-//!   evaluation-cost model;
+//! * [`udf`] — black-box UDFs and a pluggable evaluation-cost model;
 //! * [`config`] — user accuracy requirements `(ε, δ, λ)` and algorithm
 //!   parameters;
 //! * [`output`] — result distributions with attached error bounds and

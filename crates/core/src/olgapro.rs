@@ -276,11 +276,6 @@ impl Olgapro {
         &self.model
     }
 
-    /// Borrow the UDF (call accounting).
-    pub fn udf(&self) -> &BlackBoxUdf {
-        &self.udf
-    }
-
     /// Configuration in effect.
     pub fn config(&self) -> &OlgaproConfig {
         &self.config
@@ -473,7 +468,6 @@ impl Olgapro {
         scratch: &mut InferScratch,
     ) -> Result<GpOutput> {
         self.udf.check_input(input)?;
-        let calls_before = self.udf.calls();
         let split = self.config.split();
         // Step 1: draw m samples (m from ε_MC, δ_MC). Rows retained for the
         // previous tuple's samples (or left by one that failed mid-loop)
@@ -623,7 +617,8 @@ impl Olgapro {
             z_alpha,
             points_added,
             retrained,
-            udf_calls: self.udf.calls() - calls_before,
+            // Every UDF call added one model point.
+            udf_calls: points_added as u64,
             stop: Some(stop),
         })
     }
@@ -815,8 +810,10 @@ mod tests {
     use super::*;
     use crate::config::{AccuracyRequirement, ModelBudget};
     use crate::filtering::mc_eval_tuple;
+    use crate::udf::tests::counting;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use udf_obs::HistogramSnapshot;
 
     fn smooth_udf() -> BlackBoxUdf {
@@ -851,21 +848,24 @@ mod tests {
 
     #[test]
     fn converges_then_stops_calling_udf() {
-        let mut olga = Olgapro::new(smooth_udf(), config(0.2));
+        let (udf, calls) = counting(&smooth_udf());
+        let mut olga = Olgapro::new(udf, config(0.2));
         let mut rng = StdRng::seed_from_u64(11);
         let input = InputDistribution::diagonal_gaussian(&[(5.0, 0.4)]).unwrap();
         // Warm up on repeated similar inputs.
+        let mut reported = 0;
         for _ in 0..6 {
-            olga.process(&input, &mut rng).unwrap();
+            reported += olga.process(&input, &mut rng).unwrap().udf_calls;
         }
-        let calls_before = olga.udf().calls();
+        assert_eq!(calls.load(Ordering::Relaxed), reported);
         for _ in 0..4 {
             let out = olga.process(&input, &mut rng).unwrap();
             assert_eq!(out.points_added, 0, "converged model should not add points");
+            assert_eq!(out.udf_calls, 0);
         }
         assert_eq!(
-            olga.udf().calls(),
-            calls_before,
+            calls.load(Ordering::Relaxed),
+            reported,
             "no UDF calls at convergence"
         );
     }
@@ -997,12 +997,19 @@ mod tests {
         let mut uncapped = mk(0);
         let mut rng_a = StdRng::seed_from_u64(40);
         let mut rng_b = StdRng::seed_from_u64(40);
-        let cap_hit = |out: GpOutput| u32::from(out.stop == Some(TuneStop::ModelCap));
+        let cap_hit = |out: &GpOutput| u32::from(out.stop == Some(TuneStop::ModelCap));
         let (mut capped_hits, mut uncapped_hits) = (0, 0);
+        let (mut capped_calls, mut uncapped_calls) = (0, 0);
         for i in 0..24 {
             let input = InputDistribution::diagonal_gaussian(&[(0.4 * i as f64, 0.3)]).unwrap();
-            capped_hits += cap_hit(capped.process(&input, &mut rng_a).unwrap());
-            uncapped_hits += cap_hit(uncapped.process(&input, &mut rng_b).unwrap());
+            let (a, b) = (
+                capped.process(&input, &mut rng_a).unwrap(),
+                uncapped.process(&input, &mut rng_b).unwrap(),
+            );
+            capped_hits += cap_hit(&a);
+            uncapped_hits += cap_hit(&b);
+            capped_calls += a.udf_calls;
+            uncapped_calls += b.udf_calls;
             assert!(
                 capped.model().len() <= cap,
                 "input {i}: model {} exceeds cap {cap}",
@@ -1016,10 +1023,8 @@ mod tests {
         assert!(capped_hits > 0, "cap never hit");
         assert_eq!(uncapped_hits, 0, "uncapped run counted hits");
         assert!(
-            capped.udf().calls() < uncapped.udf().calls(),
-            "cap must bound training cost: {} vs {}",
-            capped.udf().calls(),
-            uncapped.udf().calls()
+            capped_calls < uncapped_calls,
+            "cap must bound training cost: {capped_calls} vs {uncapped_calls}"
         );
     }
 
@@ -1239,7 +1244,6 @@ mod tests {
             scratch: &mut InferScratch,
         ) -> Result<GpOutput> {
             self.udf.check_input(input)?;
-            let calls_before = self.udf.calls();
             let split = self.config.split();
             let m = self.config.samples_per_input();
             input.sample_n_into(rng, m, &mut scratch.samples);
@@ -1318,7 +1322,7 @@ mod tests {
                 z_alpha,
                 points_added,
                 retrained,
-                udf_calls: self.udf.calls() - calls_before,
+                udf_calls: points_added as u64,
                 stop: Some(stop),
             })
         }
@@ -1335,6 +1339,7 @@ mod tests {
         alpha: Vec<u64>,
         theta: Vec<u64>,
         len_epoch: (usize, u64),
+        /// Calls that reached the UDF, counted by a wrapper around it.
         udf_calls: u64,
         /// The registry's record of model growth and cap hits:
         /// `olgapro.cap_hits`, and the `olgapro.model_points` gauge and
@@ -1346,7 +1351,12 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn observe(olga: &Olgapro, metrics: &MetricsRegistry, out: Result<GpOutput>) -> Observed {
+    fn observe(
+        olga: &Olgapro,
+        metrics: &MetricsRegistry,
+        calls: &AtomicU64,
+        out: Result<GpOutput>,
+    ) -> Observed {
         let mut snap = metrics.snapshot();
         Observed {
             out: out
@@ -1366,7 +1376,7 @@ mod tests {
             alpha: bits(olga.model().alpha()),
             theta: bits(&olga.model().kernel().params()),
             len_epoch: (olga.model().len(), olga.model().epoch()),
-            udf_calls: olga.udf().calls(),
+            udf_calls: calls.load(Ordering::Relaxed),
             model_metrics: (
                 snap.counters["olgapro.cap_hits"],
                 snap.gauges["olgapro.model_points"],
@@ -1414,13 +1424,14 @@ mod tests {
                             cfg.set_model_cap(cap).unwrap();
                             let mk = || {
                                 let metrics = MetricsRegistry::new();
-                                let olga = Olgapro::new(shaped_udf(shape), cfg.clone())
+                                let (udf, calls) = counting(&shaped_udf(shape));
+                                let olga = Olgapro::new(udf, cfg.clone())
                                     .with_tuning(heuristic)
                                     .with_metrics(&metrics);
-                                (olga, metrics, InferScratch::default())
+                                (olga, metrics, calls, InferScratch::default())
                             };
-                            let (mut lazy, lazy_metrics, mut lazy_scratch) = mk();
-                            let (mut eager, eager_metrics, mut eager_scratch) = mk();
+                            let (mut lazy, lazy_metrics, lazy_calls, mut lazy_scratch) = mk();
+                            let (mut eager, eager_metrics, eager_calls, mut eager_scratch) = mk();
                             runs += 1;
                             let tuples = if heuristic == TuningHeuristic::OptimalGreedy {
                                 3
@@ -1429,7 +1440,7 @@ mod tests {
                             };
                             for t in 0..tuples {
                                 let seed = 1000 * runs + t;
-                                let dims: Vec<(f64, f64)> = (0..lazy.udf().dim())
+                                let dims: Vec<(f64, f64)> = (0..lazy.udf.dim())
                                     .map(|d| (0.7 * t as f64 + 0.3 * d as f64, 0.4))
                                     .collect();
                                 let input = InputDistribution::diagonal_gaussian(&dims).unwrap();
@@ -1444,8 +1455,8 @@ mod tests {
                                     &mut eager_scratch,
                                 );
                                 assert_eq!(
-                                    observe(&lazy, &lazy_metrics, got),
-                                    observe(&eager, &eager_metrics, want),
+                                    observe(&lazy, &lazy_metrics, &lazy_calls, got),
+                                    observe(&eager, &eager_metrics, &eager_calls, want),
                                     "{shape} {cap} {metric:?} {heuristic:?} {retrain:?}, tuple {t}"
                                 );
                             }
@@ -1490,18 +1501,20 @@ mod tests {
         for t in 0..8u64 {
             let mk = || {
                 let metrics = MetricsRegistry::new();
-                let mut olga = Olgapro::new(f2.clone(), cfg.clone()).with_metrics(&metrics);
+                let (udf, calls) = counting(&f2);
+                let mut olga = Olgapro::new(udf, cfg.clone()).with_metrics(&metrics);
                 olga.model.set_hyperparams(&[-8.0, 8.0]).unwrap();
-                (olga, metrics)
+                (olga, metrics, calls)
             };
-            let ((mut skip, skip_metrics), (mut oracle, oracle_metrics)) = (mk(), mk());
+            let (mut skip, skip_metrics, skip_calls) = mk();
+            let (mut oracle, oracle_metrics, oracle_calls) = mk();
             let input = InputDistribution::diagonal_gaussian(&[(0.7 * t as f64, 0.4)]).unwrap();
             let rng = || StdRng::seed_from_u64(t);
             let got = skip.process_with(&input, &mut rng(), &mut InferScratch::default());
             let want = oracle.process_oracle(&input, &mut rng(), &mut InferScratch::default());
             assert_eq!(
-                observe(&skip, &skip_metrics, got),
-                observe(&oracle, &oracle_metrics, want),
+                observe(&skip, &skip_metrics, &skip_calls, got),
+                observe(&oracle, &oracle_metrics, &oracle_calls, want),
                 "tuple {t}"
             );
             // The bootstrap points make every tuple retrain, once, and only

@@ -301,30 +301,20 @@ impl BatchScheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.try_map_indexed(n, |_worker, i| f(i))
-    }
-
-    /// [`try_map`](Self::try_map) variant whose closure also receives the
-    /// executing worker's slot id (`0..workers`) — the key into per-worker
-    /// state such as the scheduler-owned [`InferScratch`] slots. Placement is
-    /// still dynamic (chunk stealing), so the worker id must only select
-    /// *which cache* to use, never affect the computed value.
-    pub(crate) fn try_map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-    {
         if n == 0 {
             return Ok(Vec::new());
         }
         let mut phases = Phases::default();
-        let out = self.map_chunks(n, f, &mut phases);
+        let out = self.map_chunks(n, |_worker, i| f(i), &mut phases);
         self.metrics.record_map(&phases);
         out
     }
 
-    /// [`try_map_indexed`](Self::try_map_indexed) for `n ≥ 1`, adding to
-    /// `phases` instead of recording.
+    /// [`try_map`](Self::try_map) for `n ≥ 1`, adding to `phases` instead
+    /// of recording. The closure also receives the executing worker's slot
+    /// id (`0..workers`), the key into its [`InferScratch`] slot; placement
+    /// is dynamic (chunk stealing), so the id selects *which scratch*,
+    /// never the computed value.
     fn map_chunks<T, F>(&self, n: usize, f: F, phases: &mut Phases) -> Result<Vec<T>>
     where
         T: Send,

@@ -1,13 +1,13 @@
-//! Black-box UDFs with call accounting and a cost model.
+//! Black-box UDFs with a cost model.
 //!
 //! The paper treats UDFs as opaque external code whose evaluation may be
 //! expensive (§1); the GP/MC trade-off is governed by the per-call time `T`
 //! (§6, Expt 5). Sweeping `T` from 1 µs to 1 s with real sleeps would be
-//! prohibitively slow, so [`CostModel::Simulated`] *accounts* the nominal
-//! cost per call (`tests/evaluator_comparison.rs` checks the accounting
-//! against a UDF that really spins). See PAPER.md, "Fidelity caveats".
+//! prohibitively slow, so [`CostModel::Simulated`] names the nominal cost
+//! per call, and a caller charges it for the calls the outputs report
+//! (`udf_calls`; `tests/evaluator_comparison.rs` checks the charge against
+//! a UDF that really spins). See PAPER.md, "Fidelity caveats".
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,8 +72,8 @@ impl std::fmt::Debug for FnUdf {
 pub enum CostModel {
     /// No extra cost (pure-accuracy experiments).
     Free,
-    /// Charge the nominal duration to the accounting counters without
-    /// actually waiting (the default for T-sweep experiments).
+    /// Charge the nominal duration per call without actually waiting (the
+    /// default for T-sweep experiments).
     Simulated(Duration),
 }
 
@@ -87,25 +87,21 @@ impl CostModel {
     }
 }
 
-/// A black-box UDF with shared call accounting.
+/// A black-box UDF: the function and what each call costs.
 ///
-/// Cloning is cheap (the function and counters are shared through `Arc`), so
-/// the same accounting is observed by every evaluator holding a handle.
+/// Cloning is cheap (the function is shared through `Arc`). The handle
+/// counts nothing: each evaluator counts the calls it makes and reports
+/// them as `udf_calls` in its outputs.
 #[derive(Clone)]
 pub struct BlackBoxUdf {
     inner: Arc<dyn UdfFunction>,
     cost: CostModel,
-    calls: Arc<AtomicU64>,
 }
 
 impl BlackBoxUdf {
     /// Wrap a function with a cost model.
     pub fn new(inner: Arc<dyn UdfFunction>, cost: CostModel) -> Self {
-        BlackBoxUdf {
-            inner,
-            cost,
-            calls: Arc::new(AtomicU64::new(0)),
-        }
+        BlackBoxUdf { inner, cost }
     }
 
     /// Convenience constructor from a closure with no evaluation cost.
@@ -142,45 +138,19 @@ impl BlackBoxUdf {
         self.cost
     }
 
-    /// Replace the cost model (keeps function and counters).
+    /// Replace the cost model (keeps the function).
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
     }
 
-    /// Evaluate the UDF, recording the call.
+    /// Evaluate the UDF.
     ///
     /// # Panics
     /// Panics if `x.len() != dim()` (caller bug).
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "UDF input dimension mismatch");
-        self.calls.fetch_add(1, Ordering::Relaxed);
         self.inner.eval(x)
-    }
-
-    /// Total calls so far (shared across clones).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Nominal evaluation time charged so far under the cost model.
-    pub fn charged_cost(&self) -> Duration {
-        self.cost.per_call() * self.calls() as u32
-    }
-
-    /// Reset the call counter (between experiment runs).
-    pub fn reset_calls(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-    }
-
-    /// Clone with an independent, zeroed call counter — for comparing two
-    /// evaluators over the same function without shared accounting.
-    pub fn fork_counter(&self) -> Self {
-        BlackBoxUdf {
-            inner: Arc::clone(&self.inner),
-            cost: self.cost,
-            calls: Arc::new(AtomicU64::new(0)),
-        }
     }
 }
 
@@ -188,19 +158,49 @@ impl std::fmt::Debug for BlackBoxUdf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "BlackBoxUdf({}, dim={}, cost={:?}, calls={})",
+            "BlackBoxUdf({}, dim={}, cost={:?})",
             self.name(),
             self.dim(),
-            self.cost,
-            self.calls()
+            self.cost
         )
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
+
+    /// Counts the calls that reach a UDF: a check on the `udf_calls` the
+    /// evaluators report that does not depend on them.
+    struct Counting {
+        inner: BlackBoxUdf,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl UdfFunction for Counting {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn eval(&self, x: &[f64]) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.eval(x)
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// `udf` behind a call counter, and the counter.
+    pub(crate) fn counting(udf: &BlackBoxUdf) -> (BlackBoxUdf, Arc<AtomicU64>) {
+        let calls = Arc::new(AtomicU64::new(0));
+        let inner = Counting {
+            inner: udf.clone(),
+            calls: Arc::clone(&calls),
+        };
+        (BlackBoxUdf::new(Arc::new(inner), udf.cost_model()), calls)
+    }
 
     #[test]
     fn closure_udf_evaluates() {
@@ -208,18 +208,6 @@ mod tests {
         assert_eq!(u.eval(&[1.0, 2.0]), 3.0);
         assert_eq!(u.dim(), 2);
         assert_eq!(u.name(), "sum");
-    }
-
-    #[test]
-    fn call_accounting_shared_across_clones() {
-        let u = BlackBoxUdf::from_fn("id", 1, |x| x[0]);
-        let v = u.clone();
-        u.eval(&[1.0]);
-        v.eval(&[2.0]);
-        assert_eq!(u.calls(), 2);
-        assert_eq!(v.calls(), 2);
-        u.reset_calls();
-        assert_eq!(v.calls(), 0);
     }
 
     #[test]
@@ -234,7 +222,7 @@ mod tests {
             start.elapsed() < Duration::from_millis(100),
             "should not sleep"
         );
-        assert_eq!(u.charged_cost(), Duration::from_secs(5));
+        assert_eq!(u.cost_model().per_call() * 50, Duration::from_secs(5));
     }
 
     #[test]

@@ -44,13 +44,13 @@ fn three_evaluators_agree() {
     };
 
     // Offline GP (Algorithm 2) on a grid design.
-    let mut offline = OfflineGpEvaluator::new(smooth().fork_counter(), cfg.clone());
+    let mut offline = OfflineGpEvaluator::new(smooth(), cfg.clone());
     let design = stratified_design(&[0.0], &[10.0], 25, &mut rng);
     offline.train_at(&design).unwrap();
     let off_out = offline.compute(&input, &mut rng).unwrap();
 
     // OLGAPRO (Algorithm 5), warmed.
-    let mut olga = Olgapro::new(smooth().fork_counter(), cfg);
+    let mut olga = Olgapro::new(smooth(), cfg);
     let mut on_out = None;
     for _ in 0..4 {
         on_out = Some(olga.process(&input, &mut rng).unwrap());
@@ -75,27 +75,25 @@ fn online_uses_fewer_calls_on_localized_stream() {
         .map(|i| InputDistribution::diagonal_gaussian(&[(2.0 + 0.4 * i as f64, 0.2)]).unwrap())
         .collect();
 
-    let off_udf = smooth().fork_counter();
-    let mut offline = OfflineGpEvaluator::new(off_udf.clone(), cfg.clone());
+    let mut offline = OfflineGpEvaluator::new(smooth(), cfg.clone());
     // The offline design must cover the whole domain (it cannot know where
-    // inputs will fall): 40 points.
+    // inputs will fall): 40 points, one UDF call each, and none after.
     let design = stratified_design(&[0.0], &[10.0], 40, &mut rng);
     offline.train_at(&design).unwrap();
     for input in &inputs {
         offline.compute(input, &mut rng).unwrap();
     }
+    let off_calls = design.len() as u64;
 
-    let on_udf = smooth().fork_counter();
-    let mut olga = Olgapro::new(on_udf.clone(), cfg);
+    let mut olga = Olgapro::new(smooth(), cfg);
+    let mut on_calls = 0;
     for input in &inputs {
-        olga.process(input, &mut rng).unwrap();
+        on_calls += olga.process(input, &mut rng).unwrap().udf_calls;
     }
 
     assert!(
-        on_udf.calls() < off_udf.calls(),
-        "online {} calls vs offline {} calls",
-        on_udf.calls(),
-        off_udf.calls()
+        on_calls < off_calls,
+        "online {on_calls} calls vs offline {off_calls} calls"
     );
 }
 
@@ -122,13 +120,15 @@ fn simulated_cost_matches_busy_wait_reality() {
     mc_eval_tuple(&busy, &input, &acc, None, &mut rng).unwrap();
     let real = t0.elapsed();
 
-    // Simulated: charged.
-    let sim = smooth()
-        .fork_counter()
-        .with_cost(CostModel::Simulated(per_call));
+    // Simulated: the reported calls charged at the nominal cost.
+    let sim = smooth().with_cost(CostModel::Simulated(per_call));
     let t1 = Instant::now();
-    mc_eval_tuple(&sim, &input, &acc, None, &mut rng).unwrap();
-    let charged = t1.elapsed() + sim.charged_cost();
+    let FilterDecision::Kept { output, .. } =
+        mc_eval_tuple(&sim, &input, &acc, None, &mut rng).unwrap()
+    else {
+        unreachable!("no predicate, nothing is dropped")
+    };
+    let charged = t1.elapsed() + sim.cost_model().per_call() * output.udf_calls as u32;
 
     let ratio = real.as_secs_f64() / charged.as_secs_f64();
     assert!(
@@ -143,7 +143,7 @@ fn simulated_cost_matches_busy_wait_reality() {
 fn offline_extrapolation_reports_large_bound() {
     let mut rng = StdRng::seed_from_u64(4);
     let cfg = OlgaproConfig::new(acc(), 1.6).unwrap();
-    let mut offline = OfflineGpEvaluator::new(smooth().fork_counter(), cfg);
+    let mut offline = OfflineGpEvaluator::new(smooth(), cfg);
     // Design only covers [0, 2]; the input lives near 8.
     let design = stratified_design(&[0.0], &[2.0], 20, &mut rng);
     offline.train_at(&design).unwrap();

@@ -141,7 +141,7 @@ fn ks_metric_pipeline_end_to_end() {
     let udf = BlackBoxUdf::from_fn("sin", 1, |x| (x[0] * 0.8).sin());
     let acc = AccuracyRequirement::new(0.15, 0.05, 0.0, Metric::Ks).unwrap();
     let cfg = OlgaproConfig::new(acc, 2.0).unwrap();
-    let mut olga = Olgapro::new(udf.fork_counter(), cfg);
+    let mut olga = Olgapro::new(udf.clone(), cfg);
     let input = InputDistribution::diagonal_gaussian(&[(4.0, 0.4)]).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let mut out = None;
@@ -318,9 +318,10 @@ fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
     // whose bound waits for the retraining decision.
     for (bootstrap, budget, bad_call) in [(5, 1, 4u64), (3, 4, 2), (3, 4, 3)] {
         let run = |retrain: RetrainStrategy| {
-            let calls = AtomicU64::new(0);
+            let calls = Arc::new(AtomicU64::new(0));
+            let counted = Arc::clone(&calls);
             let udf = BlackBoxUdf::from_fn("overflowing", 1, move |x| {
-                if calls.fetch_add(1, Ordering::Relaxed) == bad_call {
+                if counted.fetch_add(1, Ordering::Relaxed) == bad_call {
                     return 1.7e308;
                 }
                 (x[0] * 3.0).sin() + (x[0] * 7.0).cos()
@@ -337,7 +338,7 @@ fn an_overflowing_udf_value_is_rejected_before_the_model_retrains() {
             (
                 err.to_string(),
                 (model.len(), model.epoch(), model.kernel().params()),
-                olga.udf().calls(),
+                calls.load(Ordering::Relaxed),
             )
         };
         let eager = run(RetrainStrategy::Eager);

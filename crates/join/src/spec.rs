@@ -60,12 +60,8 @@ impl OnCondition {
 pub struct JoinSpec<'a> {
     /// Left relation.
     pub left: &'a Relation,
-    /// The left side's name (the UQL alias); the executor does not read it.
-    pub left_prefix: String,
     /// Right relation.
     pub right: &'a Relation,
-    /// The right side's name.
-    pub right_prefix: String,
     /// Optional `ON lhs < rhs` pair filter.
     pub on: Option<OnCondition>,
     /// The pair UDF.
@@ -97,19 +93,20 @@ pub struct JoinSpec<'a> {
 impl<'a> JoinSpec<'a> {
     /// Build a spec, resolving `args` as `(side, column_name)` pairs
     /// against the respective schemas and checking the UDF arity.
+    /// `_left_prefix` and `_right_prefix` (the sides' UQL aliases) are
+    /// read by nothing; they stay only for the benchmark ladder's call
+    /// (ROADMAP item 11).
     #[allow(clippy::too_many_arguments)] // a spec constructor names its parts
     pub fn new(
         left: &'a Relation,
-        left_prefix: impl Into<String>,
+        _left_prefix: impl Into<String>,
         right: &'a Relation,
-        right_prefix: impl Into<String>,
+        _right_prefix: impl Into<String>,
         udf: BlackBoxUdf,
         args: &[(Side, &str)],
         accuracy: AccuracyRequirement,
         output_range: f64,
     ) -> Result<Self> {
-        let left_prefix = left_prefix.into();
-        let right_prefix = right_prefix.into();
         if args.len() != udf.dim() {
             return Err(CoreError::InvalidJoin(format!(
                 "UDF `{}` takes {} argument(s), got {}",
@@ -124,9 +121,7 @@ impl<'a> JoinSpec<'a> {
             .collect::<Result<Vec<_>>>()?;
         Ok(JoinSpec {
             left,
-            left_prefix,
             right,
-            right_prefix,
             on: None,
             udf,
             args,

@@ -152,3 +152,35 @@ fn capped_rows_identical_for_workers_1_2_8() {
         }
     }
 }
+
+/// Two GP executors built from clones of one `BlackBoxUdf` and run at once
+/// on two threads report what a solo run reports, in the rows and in
+/// `BatchCounts`: an evaluator counts the calls it makes, so calls the
+/// other thread makes through the same function cannot leak into its count.
+#[test]
+fn concurrent_executors_on_one_udf_count_their_own_calls() {
+    let rel = sweep_rel(200);
+    let (udf, range) = f2_udf();
+    let run = |udf: BlackBoxUdf| {
+        let call = UdfCall::resolve(udf, rel.schema(), &["x"]).unwrap();
+        let mut ex = Executor::new(EvalStrategy::Gp, acc(), &call, range)
+            .unwrap()
+            .with_model_cap(CAP, ModelBudget::StopGrowing)
+            .unwrap();
+        let rows = ex
+            .project_batch(&rel, &call, &BatchScheduler::new(1), 7)
+            .unwrap();
+        let row_calls: u64 = rows.iter().map(|row| row.output.udf_calls).sum();
+        (row_calls, ex.stats().udf_calls)
+    };
+    let solo = run(udf.clone());
+    assert!(solo.0 > 0, "the model never trained");
+    for trial in 0..20 {
+        let pair = std::thread::scope(|s| {
+            let a = s.spawn(|| run(udf.clone()));
+            let b = s.spawn(|| run(udf.clone()));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(pair, (solo, solo), "trial {trial}: (rows, BatchCounts)");
+    }
+}

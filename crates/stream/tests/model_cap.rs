@@ -68,3 +68,37 @@ fn mid_batch_reroute_burst_cannot_overshoot_the_cap() {
         stats.udf_calls
     );
 }
+
+/// Two GP sessions subscribed with clones of one `BlackBoxUdf` and run at
+/// once on two threads count what a solo session counts: each evaluator
+/// counts the calls it makes, whatever else calls the same function.
+#[test]
+fn concurrent_sessions_on_one_udf_count_their_own_calls() {
+    let f2 = PaperFunction::F2.instantiate(1);
+    let udf = BlackBoxUdf::new(Arc::new(f2.clone()), CostModel::Free);
+    let acc = AccuracyRequirement::new(0.1, 0.05, 0.0, Metric::Ks).unwrap();
+    let run = |udf: BlackBoxUdf| {
+        let mut session = Session::new(EngineConfig::new().workers(1).seed(7));
+        let q = session
+            .subscribe(
+                QuerySpec::new("f2", udf, acc, StreamStrategy::Gp)
+                    .output_range(f2.output_range())
+                    .max_model_points(16),
+            )
+            .unwrap();
+        session
+            .run(VecSource::new(sweep_inputs(1, 200, 0.4)), None)
+            .unwrap();
+        session.stats(q).unwrap().udf_calls
+    };
+    let solo = run(udf.clone());
+    assert!(solo > 0, "the model never trained");
+    for trial in 0..20 {
+        let pair = std::thread::scope(|s| {
+            let a = s.spawn(|| run(udf.clone()));
+            let b = s.spawn(|| run(udf.clone()));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(pair, (solo, solo), "trial {trial}");
+    }
+}

@@ -333,7 +333,6 @@ mod tests {
         assert_eq!(udfs[2].dim(), 2);
         let age = udfs[1].eval(&[0.5]);
         assert!(age > 0.0 && age < 1.0);
-        assert_eq!(udfs[1].calls(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub(crate) const DEFAULT_AREA: f64 = 0.1;
 /// One registered UDF plus the metadata a query planner needs.
 #[derive(Debug, Clone)]
 pub struct UdfEntry {
-    /// The black-box function (cheap to clone; call accounting is shared).
+    /// The black-box function and its cost (cheap to clone).
     pub udf: BlackBoxUdf,
     /// Per-dimension input domain `[lo, hi]` the UDF is meant for.
     pub domain: Vec<(f64, f64)>,
@@ -36,9 +36,9 @@ pub struct UdfEntry {
 
 impl UdfEntry {
     /// Build an entry, probing the output range on a coarse grid over
-    /// `domain` when `output_range` is `None`. The probe runs on the raw
-    /// [`UdfFunction`] before wrapping, so it does not inflate the black
-    /// box's call counters.
+    /// `domain` when `output_range` is `None`. The probe is catalog setup,
+    /// not query work: no evaluator makes its calls, so no `udf_calls`
+    /// reports them.
     pub fn probed(
         f: Arc<dyn UdfFunction>,
         cost: CostModel,
@@ -217,8 +217,6 @@ mod tests {
         let cat = UdfCatalog::standard();
         let r = cat.get("GalAge").unwrap().output_range;
         assert!((0.3..1.2).contains(&r), "GalAge range {r}");
-        // Probing did not touch the black box's call counter.
-        assert_eq!(cat.get("GalAge").unwrap().udf.calls(), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn main() {
         .collect();
 
     for workers in [1usize, 2, 4, 8] {
-        let mut eval = Evaluator::Gp(Box::new(Olgapro::new(udf.fork_counter(), cfg.clone())));
+        let mut eval = Evaluator::Gp(Box::new(Olgapro::new(udf.clone(), cfg.clone())));
         let sched = BatchScheduler::new(workers);
         // Warm up: the first batch trains the model (mostly sequential).
         let t0 = Instant::now();

@@ -1,7 +1,12 @@
 //! The paper's §1 motivating query **Q2** end to end, twice:
 //!
 //! * declaratively, as a UQL `JOIN` statement (`FROM sky a JOIN sky b`);
-//! * programmatically, through the `udf-join` API — the same engine path.
+//! * programmatically, through the `udf-join` API — the same engine path,
+//!   so both print the same counters.
+//!
+//! Both cap the GP model at 64 points, as the `q2_join_gp` benchmark
+//! workload does: uncapped, the model keeps growing over the join's pairs
+//! and each run takes minutes.
 //!
 //! ```sh
 //! cargo run --release --example q2_join
@@ -44,12 +49,21 @@ fn main() {
     let q = "SELECT AngDist(a.z, b.z) WITH ACCURACY 0.2 0.05 \
              FROM sky a JOIN sky b ON a.objID < b.objID \
              WHERE PR(AngDist(a.z, b.z) IN [0.25, 0.32]) >= 0.5 \
-             USING gp WORKERS 2 SEED 7";
+             USING gp MODEL CAP 64 WORKERS 2 SEED 7";
     println!("uql> {q}\n");
-    match ctx.run(q) {
-        Ok(out) => print!("{}", out.report()),
-        Err(e) => println!("{}", e.render(q)),
-    }
+    let uql = match ctx.run(q) {
+        Ok(out) => {
+            print!("{}", out.report());
+            out
+        }
+        Err(e) => {
+            println!("{}", e.render(q));
+            return;
+        }
+    };
+    let QueryOutput::Join(uql) = uql else {
+        unreachable!("a JOIN statement returns pairs")
+    };
 
     // ── The same join through the udf-join API ─────────────────────────
     let rel = sky(n);
@@ -72,8 +86,13 @@ fn main() {
     .unwrap()
     .predicate(Predicate::new(0.25, 0.32, 0.5).unwrap())
     .strategy(EvalStrategy::Gp)
+    .model_cap(64)
     .seed(7);
     let t0 = Instant::now();
     let out = JoinExecutor::new(&spec).unwrap().run(&sched).unwrap();
     println!("\napi  {:>8.2?}  {}", t0.elapsed(), out.stats);
+    assert_eq!(
+        uql.stats, out.stats,
+        "one engine path, so the same counters"
+    );
 }

@@ -22,6 +22,9 @@ fn main() {
     .with_cost(CostModel::Simulated(Duration::from_micros(500)));
 
     let acc = AccuracyRequirement::new(0.1, 0.05, 0.01, Metric::Discrepancy).unwrap();
+    // Each ruling reports the UDF calls it spent; the cost model charges
+    // its nominal cost per call.
+    let charge = |calls: u64| udf.cost_model().per_call() * calls as u32;
     // Alert when the score is probably above 0.5 (θ = 0.1 as in Expt 6).
     let pred = Predicate::new(0.5, 1.0, 0.1).unwrap();
 
@@ -35,19 +38,21 @@ fn main() {
         .collect();
 
     // --- MC with online filtering (Remark 2.1) ---
-    let mc_udf = udf.fork_counter();
     let mut mc_kept = 0;
+    let mut mc_calls = 0;
     for inp in &stream {
-        let d = mc_eval_tuple(&mc_udf, inp, &acc, Some(&pred), &mut rng).unwrap();
-        if !d.is_filtered() {
-            mc_kept += 1;
+        match mc_eval_tuple(&udf, inp, &acc, Some(&pred), &mut rng).unwrap() {
+            FilterDecision::Kept { output, .. } => {
+                mc_kept += 1;
+                mc_calls += output.udf_calls;
+            }
+            FilterDecision::Filtered { udf_calls, .. } => mc_calls += udf_calls,
         }
     }
-    let mc_calls = mc_udf.calls();
     println!("— MC + online filtering (Remark 2.1) —");
     println!(
         "  kept {mc_kept}/40 tuples, UDF calls {mc_calls}, charged {:?}",
-        mc_udf.charged_cost()
+        charge(mc_calls)
     );
     let full = acc.mc_samples() as u64 * 40;
     println!(
@@ -56,28 +61,32 @@ fn main() {
     );
 
     // --- GP with online filtering (§5.5) ---
-    let gp_udf = udf.fork_counter();
     let cfg = OlgaproConfig::new(acc, 1.0).unwrap();
-    let mut olga = Olgapro::new(gp_udf.clone(), cfg);
+    let mut olga = Olgapro::new(udf.clone(), cfg);
     let mut gp_kept = 0;
+    let mut gp_calls = 0;
     let mut decisions = Vec::new();
     for inp in &stream {
         let d = udf_core::filtering::gp_filtered(&mut olga, inp, &pred, &mut rng).unwrap();
-        match &d {
-            FilterDecision::Kept { tep, .. } => {
+        match d {
+            FilterDecision::Kept { output, tep } => {
                 gp_kept += 1;
+                gp_calls += output.udf_calls;
                 decisions.push(format!("keep (TEP {tep:.2})"));
             }
-            FilterDecision::Filtered { rho_upper, .. } => {
+            FilterDecision::Filtered {
+                rho_upper,
+                udf_calls,
+            } => {
+                gp_calls += udf_calls;
                 decisions.push(format!("drop (ρ_U {rho_upper:.3})"));
             }
         }
     }
     println!("\n— GP + online filtering (§5.5) —");
     println!(
-        "  kept {gp_kept}/40 tuples, UDF calls {}, charged {:?}, model size {}",
-        gp_udf.calls(),
-        gp_udf.charged_cost(),
+        "  kept {gp_kept}/40 tuples, UDF calls {gp_calls}, charged {:?}, model size {}",
+        charge(gp_calls),
         olga.model().len()
     );
     println!("  first 8 decisions: {:?}", &decisions[..8]);

@@ -93,7 +93,7 @@ fn mc_and_gp_agree_on_medians() {
     let udf = BlackBoxUdf::new(std::sync::Arc::new(f), CostModel::Free);
     let acc = AccuracyRequirement::new(0.1, 0.05, 0.01 * range, Metric::Discrepancy).unwrap();
     let cfg = OlgaproConfig::new(acc, range).unwrap();
-    let mut olga = Olgapro::new(udf.fork_counter(), cfg);
+    let mut olga = Olgapro::new(udf.clone(), cfg);
     let mut rng = StdRng::seed_from_u64(7);
     let inputs = generate_inputs(2, 5, 0.5, &mut rng);
     for input in &inputs {
@@ -166,7 +166,7 @@ fn filtering_never_drops_clearly_passing_tuples() {
         assert!(!d.is_filtered(), "MC dropped a certain tuple");
     }
     let cfg = OlgaproConfig::new(acc, range).unwrap();
-    let mut olga = Olgapro::new(udf.fork_counter(), cfg);
+    let mut olga = Olgapro::new(udf.clone(), cfg);
     for input in &inputs {
         let d = udf_core::filtering::gp_filtered(&mut olga, input, &pred, &mut rng).unwrap();
         assert!(!d.is_filtered(), "GP dropped a certain tuple");
